@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: test build vet race bench bench-check sim-smoke fmt
+.PHONY: test build vet race bench bench-check fmt
 
 # The benchmarks recorded in the BENCH_* trajectory (and guarded by
 # bench-check): the batched-prediction, plan-alternative, serve-path,
@@ -24,49 +24,6 @@ vet:
 # race runs only the concurrency-focused suites, for a quick signal.
 race:
 	$(GO) test -race -count=1 -run 'Concurrent|Parallel|Batch|LRU|Sharded|Admission|Drain|Dispatcher|Feedback|SharedCache|Grid|Flight|Sim' ./...
-
-# sim-smoke runs the shipped cluster-simulation scenarios — the
-# homogeneous bursty showcase, the heterogeneous mixed-profile fleet,
-# the 1000-machine million-arrival cluster (parallel stepping on), the
-# 4-shard 10k-tenant sharded topology (front door + cache tier), and
-# the drift-injection experiment (mid-run truth flip, time-to-detection)
-# — twice each and fails on any nondeterminism: same config + seed must
-# produce byte-identical reports. The scenarios also span both
-# measurement-stream versions: scenario.json carries no "rng" key (the
-# v1 compatibility gate — its report is further pinned byte-for-byte by
-# TestV1ReportGolden), while the other four declare "rng": "v2", the
-# counter-based fast path. The second run pins GOMAXPROCS=2 so
-# the comparison also covers the scheduler-independence half of the
-# contract. The heterogeneous scenario additionally runs with full
-# decision tracing on, and the drift scenario with the calibration
-# stream on, byte-comparing the JSONL as well — both streams are part
-# of the determinism contract. It is the cheap end-to-end gate on the
-# simulator's core determinism.
-sim-smoke:
-	@for sc in scenario scenario-hetero scenario-cluster scenario-sharded scenario-drift; do \
-		$(GO) run ./cmd/uaqp sim -config examples/sim/$$sc.json -o sim-smoke-1.json 2>/dev/null || exit 1; \
-		GOMAXPROCS=2 $(GO) run ./cmd/uaqp sim -config examples/sim/$$sc.json -o sim-smoke-2.json 2>/dev/null || exit 1; \
-		cmp sim-smoke-1.json sim-smoke-2.json \
-			|| { echo "sim-smoke: $$sc reports differ across identical runs"; rm -f sim-smoke-1.json sim-smoke-2.json; exit 1; }; \
-		rm sim-smoke-1.json sim-smoke-2.json; \
-		echo "sim-smoke: $$sc deterministic"; \
-	done
-	@$(GO) run ./cmd/uaqp sim -config examples/sim/scenario-hetero.json -trace-level full -trace sim-smoke-trace-1.jsonl -o sim-smoke-1.json 2>/dev/null || exit 1; \
-	GOMAXPROCS=2 $(GO) run ./cmd/uaqp sim -config examples/sim/scenario-hetero.json -trace-level full -trace sim-smoke-trace-2.jsonl -o sim-smoke-2.json 2>/dev/null || exit 1; \
-	cmp sim-smoke-1.json sim-smoke-2.json \
-		|| { echo "sim-smoke: traced scenario-hetero reports differ"; rm -f sim-smoke-1.json sim-smoke-2.json sim-smoke-trace-1.jsonl sim-smoke-trace-2.jsonl; exit 1; }; \
-	cmp sim-smoke-trace-1.jsonl sim-smoke-trace-2.jsonl \
-		|| { echo "sim-smoke: scenario-hetero traces differ across identical runs"; rm -f sim-smoke-1.json sim-smoke-2.json sim-smoke-trace-1.jsonl sim-smoke-trace-2.jsonl; exit 1; }; \
-	rm sim-smoke-1.json sim-smoke-2.json sim-smoke-trace-1.jsonl sim-smoke-trace-2.jsonl; \
-	echo "sim-smoke: scenario-hetero trace deterministic"
-	@$(GO) run ./cmd/uaqp sim -config examples/sim/scenario-drift.json -calib sim-smoke-calib-1.jsonl -o sim-smoke-1.json 2>/dev/null || exit 1; \
-	GOMAXPROCS=2 $(GO) run ./cmd/uaqp sim -config examples/sim/scenario-drift.json -calib sim-smoke-calib-2.jsonl -o sim-smoke-2.json 2>/dev/null || exit 1; \
-	cmp sim-smoke-1.json sim-smoke-2.json \
-		|| { echo "sim-smoke: calib-streamed scenario-drift reports differ"; rm -f sim-smoke-1.json sim-smoke-2.json sim-smoke-calib-1.jsonl sim-smoke-calib-2.jsonl; exit 1; }; \
-	cmp sim-smoke-calib-1.jsonl sim-smoke-calib-2.jsonl \
-		|| { echo "sim-smoke: scenario-drift calibration streams differ across identical runs"; rm -f sim-smoke-1.json sim-smoke-2.json sim-smoke-calib-1.jsonl sim-smoke-calib-2.jsonl; exit 1; }; \
-	rm sim-smoke-1.json sim-smoke-2.json sim-smoke-calib-1.jsonl sim-smoke-calib-2.jsonl; \
-	echo "sim-smoke: scenario-drift calibration stream deterministic"
 
 # bench runs the batched-prediction and serve-path benchmarks with
 # allocation reporting and records the parsed results in

@@ -99,8 +99,8 @@ func usage() {
 // simCmd runs a discrete-event cluster-simulation scenario and prints
 // the structured report. For a fixed scenario file and seed the output
 // is byte-identical across runs — and so are the decision trace JSONL
-// written by -trace and the calibration stream written by -calib (the
-// basis of `make sim-smoke`).
+// written by -trace and the calibration stream written by -calib
+// (pinned by TestShippedScenariosDeterministic).
 func simCmd(args []string) error {
 	fs := flag.NewFlagSet("sim", flag.ExitOnError)
 	config := fs.String("config", "", "scenario JSON file (see examples/sim/scenario.json)")
@@ -171,29 +171,33 @@ func simCmd(args []string) error {
 		level = trace.Decisions
 	}
 
-	var rep *sim.Report
-	if level > trace.Off || *traceOut != "" || *calibOut != "" {
-		var events, calibEvents []trace.Event
-		rep, events, calibEvents, err = sim.RunInstrumented(sc, level, *calibOut != "")
-		if err != nil {
+	// A sink is attached only when its file was asked for, so a plain run
+	// stays on the nil-recorder path.
+	var opts []sim.RunOption
+	events, calibEvents := trace.NewBuffer(level), trace.NewBuffer(trace.Full)
+	if *traceOut != "" {
+		opts = append(opts, sim.WithTrace(events))
+	}
+	if *calibOut != "" {
+		opts = append(opts, sim.WithCalibration(calibEvents))
+	}
+	rep, err := sim.Run(sc, opts...)
+	if err != nil {
+		return err
+	}
+	if *traceOut != "" {
+		evs := events.Events()
+		if err := writeJSONL(*traceOut, evs); err != nil {
 			return err
 		}
-		if *traceOut != "" {
-			if err := writeJSONL(*traceOut, events); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "sim: %d trace events (%s) -> %s\n", len(events), level, *traceOut)
-		}
-		if *calibOut != "" {
-			if err := writeJSONL(*calibOut, calibEvents); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "sim: %d calibration events -> %s\n", len(calibEvents), *calibOut)
-		}
-	} else {
-		if rep, err = sim.Run(sc); err != nil {
+		fmt.Fprintf(os.Stderr, "sim: %d trace events (%s) -> %s\n", len(evs), level, *traceOut)
+	}
+	if *calibOut != "" {
+		evs := calibEvents.Events()
+		if err := writeJSONL(*calibOut, evs); err != nil {
 			return err
 		}
+		fmt.Fprintf(os.Stderr, "sim: %d calibration events -> %s\n", len(evs), *calibOut)
 	}
 	fmt.Fprintf(os.Stderr, "sim: fitness %.4f (attainment %.4f, fairness %.4f, p95 %.3fs, util %.3f)\n",
 		rep.Fitness.Score, rep.Fitness.Attainment, rep.Fitness.Fairness,

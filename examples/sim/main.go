@@ -50,11 +50,12 @@ func main() {
 	counterfactuals := make(map[string]trace.CounterfactualSummary)
 	for _, router := range routers {
 		sc.Router = router
-		rep, events, err := sim.RunTraced(sc, trace.Decisions)
+		decisions := trace.NewBuffer(trace.Decisions)
+		rep, err := sim.Run(sc, sim.WithTrace(decisions))
 		if err != nil {
 			log.Fatal(err)
 		}
-		counterfactuals[router] = trace.CounterfactualK(events, 2)
+		counterfactuals[router] = trace.CounterfactualK(decisions.Events(), 2)
 		var adm, rej, missed int
 		var p90 float64
 		for _, t := range rep.Tenants {

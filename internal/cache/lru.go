@@ -73,6 +73,16 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 	return zero, false
 }
 
+// Coalesced reclassifies one miss already counted by Get as a hit: the
+// caller found the key absent, then received the value from another
+// caller's computation of it instead of computing it again.
+func (c *LRU[K, V]) Coalesced() {
+	c.mu.Lock()
+	c.misses--
+	c.hits++
+	c.mu.Unlock()
+}
+
 // Put inserts or refreshes key, evicting the least recently used entry
 // when the cache is full.
 func (c *LRU[K, V]) Put(key K, val V) {

@@ -50,6 +50,12 @@ func (c *Sharded[V]) Get(key string) (V, bool) {
 	return c.shard(key).Get(key)
 }
 
+// Coalesced reclassifies one of key's counted misses as a hit; see
+// LRU.Coalesced.
+func (c *Sharded[V]) Coalesced(key string) {
+	c.shard(key).Coalesced()
+}
+
 // Put inserts or refreshes key, evicting its shard's least recently used
 // entry when that shard is full.
 func (c *Sharded[V]) Put(key string, val V) {

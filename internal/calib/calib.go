@@ -14,8 +14,8 @@
 // uses Welford/West updates, Merge uses Chan's parallel formulas, and
 // neither allocates. A producer that observes in a deterministic order
 // and merges partial accumulators in a fixed order (the simulator
-// observes machine-locally and merges in machine order) gets
-// bit-identical metrics regardless of GOMAXPROCS or parallelism.
+// observes per machine and merges in machine order) gets bit-identical
+// metrics from run to run.
 // Metrics is NaN-free by construction: zero and one-observation
 // accumulators report zeros, never 0/0.
 package calib
@@ -53,8 +53,9 @@ type Observation struct {
 }
 
 // Observer receives observations. Implementations used by concurrent
-// producers must be safe for concurrent use; the simulator hands each
-// machine its own observer.
+// producers must be safe for concurrent use; the simulator, a serial
+// loop, hands each machine its own observer only to keep per-machine
+// accumulators.
 type Observer interface {
 	Observe(*Observation)
 }

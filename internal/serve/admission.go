@@ -304,7 +304,9 @@ func (s *Server) stepOneLocked(out *Outcome) (bool, error) {
 	}
 	s.qmu.Unlock()
 
-	elapsed, err := it.tenant.sys.Execute(it.query)
+	// A queued request outlives the Submit that admitted it, so it
+	// executes under no caller's context.
+	elapsed, err := it.tenant.sys.ExecuteContext(context.Background(), it.query)
 	if err != nil {
 		// The request is consumed either way: count the failure so
 		// admitted == executed + failed + queued stays balanced, and

@@ -7,6 +7,22 @@ import (
 	"repro/internal/serve"
 )
 
+// openScenario normalizes sc and opens its base System once, for tests
+// and benchmarks that amortize the expensive Open over several runOn
+// calls.
+func openScenario(tb testing.TB, sc Scenario) (Scenario, *uaqetp.System, uaqetp.EstimateCache) {
+	tb.Helper()
+	sc, err := sc.normalized()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sys, cache, err := openBase(sc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sc, sys, cache
+}
+
 // BenchmarkSimPoisson measures simulator throughput — events per second
 // of virtual cluster activity — with the expensive System Open
 // amortized outside the loop, so the number tracks the event loop,
@@ -30,33 +46,14 @@ func BenchmarkSimPoisson(b *testing.B) {
 			Arrivals: ArrivalSpec{Process: ProcessPoisson, Rate: 6},
 		}},
 	}
-	sc, err := sc.normalized()
-	if err != nil {
-		b.Fatal(err)
-	}
-	kind, err := parseDBKind(sc.DB)
-	if err != nil {
-		b.Fatal(err)
-	}
-	qpol, err := serve.QueuePolicyByName(sc.QueuePolicy)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cache := uaqetp.NewEstimateCache(1024)
-	sys, err := uaqetp.Open(uaqetp.Config{
-		DB: kind, Machine: sc.MachineProfile, SamplingRatio: sc.SamplingRatio,
-		Seed: sc.Seed, RNG: uaqetp.RNGv2, Cache: cache,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	sc, sys, cache := openScenario(b, sc)
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	var events int
 	var fitness float64
 	for i := 0; i < b.N; i++ {
-		rep, err := runWith(sc, qpol, sys, cache)
+		rep, err := runOn(sc, sys, cache, runSinks{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,33 +99,14 @@ func BenchmarkSimHeterogeneous(b *testing.B) {
 			Arrivals: ArrivalSpec{Process: ProcessPoisson, Rate: 6},
 		}},
 	}
-	sc, err := sc.normalized()
-	if err != nil {
-		b.Fatal(err)
-	}
-	kind, err := parseDBKind(sc.DB)
-	if err != nil {
-		b.Fatal(err)
-	}
-	qpol, err := serve.QueuePolicyByName(sc.QueuePolicy)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cache := uaqetp.NewEstimateCache(1024)
-	sys, err := uaqetp.Open(uaqetp.Config{
-		DB: kind, Machine: sc.MachineProfile, SamplingRatio: sc.SamplingRatio,
-		Seed: sc.Seed, RNG: uaqetp.RNGv2, Cache: cache,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	sc, sys, cache := openScenario(b, sc)
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	var events int
 	var fitness float64
 	for i := 0; i < b.N; i++ {
-		rep, err := runWith(sc, qpol, sys, cache)
+		rep, err := runOn(sc, sys, cache, runSinks{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -174,33 +152,15 @@ func BenchmarkSimDrift(b *testing.B) {
 			Arrivals: ArrivalSpec{Process: ProcessPoisson, Rate: 6},
 		}},
 	}
-	sc, err := sc.normalized()
-	if err != nil {
-		b.Fatal(err)
-	}
-	kind, err := parseDBKind(sc.DB)
-	if err != nil {
-		b.Fatal(err)
-	}
-	qpol, err := serve.QueuePolicyByName(sc.QueuePolicy)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cache := uaqetp.NewEstimateCache(1024)
-	sys, err := uaqetp.Open(uaqetp.Config{
-		DB: kind, Machine: sc.MachineProfile, SamplingRatio: sc.SamplingRatio,
-		Seed: sc.Seed, RNG: uaqetp.RNGv2, Cache: cache,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	sc, sys, cache := openScenario(b, sc)
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	var events int
 	var rep *Report
 	for i := 0; i < b.N; i++ {
-		rep, err = runWith(sc, qpol, sys, cache)
+		var err error
+		rep, err = runOn(sc, sys, cache, runSinks{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -257,38 +217,14 @@ func BenchmarkSimSharded(b *testing.B) {
 			Arrivals: ArrivalSpec{Process: ProcessPoisson, Rate: 0.02},
 		}},
 	}
-	sc, err := sc.normalized()
-	if err != nil {
-		b.Fatal(err)
-	}
-	kind, err := parseDBKind(sc.DB)
-	if err != nil {
-		b.Fatal(err)
-	}
-	qpol, err := serve.QueuePolicyByName(sc.QueuePolicy)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cache := uaqetp.NewTieredCache(uaqetp.TierConfig{
-		LocalFraction: sc.Shards.CacheTier.LocalFraction,
-		RemoteLatency: sc.Shards.CacheTier.RemoteLatency,
-		Seed:          sc.Seed,
-		Capacity:      1024,
-	})
-	sys, err := uaqetp.Open(uaqetp.Config{
-		DB: kind, Machine: sc.MachineProfile, SamplingRatio: sc.SamplingRatio,
-		Seed: sc.Seed, RNG: uaqetp.RNGv2, Cache: cache,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	sc, sys, cache := openScenario(b, sc)
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	var events int
 	var fitness float64
 	for i := 0; i < b.N; i++ {
-		rep, err := runWith(sc, qpol, sys, cache)
+		rep, err := runOn(sc, sys, cache, runSinks{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -304,8 +240,8 @@ func BenchmarkSimSharded(b *testing.B) {
 
 // BenchmarkSimCluster is the million-event shape in miniature: the
 // scenario-cluster.json proportions (round-robin over a large
-// homogeneous fleet, fifo queues, one high-rate poisson tenant,
-// parallel machine stepping) scaled so one iteration is ~60k events —
+// homogeneous fleet, fifo queues, one high-rate poisson tenant) scaled
+// so one iteration is ~60k events —
 // big enough that the per-event hot path (measurement stream included)
 // dominates, small enough to iterate. Under rng v2 the events/s here
 // tracks exactly what scenario-cluster.json's wall clock tracks.
@@ -319,7 +255,6 @@ func BenchmarkSimCluster(b *testing.B) {
 		QueuePolicy: "fifo",
 		DB:          "uniform-1G",
 		RNG:         "v2",
-		Parallelism: 4,
 		Tenants: []TenantSpec{{
 			Name:     "fleet",
 			Bench:    "seljoin",
@@ -329,33 +264,14 @@ func BenchmarkSimCluster(b *testing.B) {
 			Arrivals: ArrivalSpec{Process: ProcessPoisson, Rate: 1500},
 		}},
 	}
-	sc, err := sc.normalized()
-	if err != nil {
-		b.Fatal(err)
-	}
-	kind, err := parseDBKind(sc.DB)
-	if err != nil {
-		b.Fatal(err)
-	}
-	qpol, err := serve.QueuePolicyByName(sc.QueuePolicy)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cache := uaqetp.NewEstimateCache(1024)
-	sys, err := uaqetp.Open(uaqetp.Config{
-		DB: kind, Machine: sc.MachineProfile, SamplingRatio: sc.SamplingRatio,
-		Seed: sc.Seed, RNG: uaqetp.RNGv2, Cache: cache,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	sc, sys, cache := openScenario(b, sc)
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	var events int
 	var fitness float64
 	for i := 0; i < b.N; i++ {
-		rep, err := runWith(sc, qpol, sys, cache)
+		rep, err := runOn(sc, sys, cache, runSinks{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,24 +13,25 @@ import (
 // installs as each server's Config.Observer: every executed request's
 // (predicted distribution, observed time) pair folds into machine-local
 // accumulators — one per (tenant group, cost unit) — and, when the run
-// streams calibration events, stages a KindCalibration event exactly
-// like machineRecorder stages decision events. Machine-local and
-// lock-free: each machine steps on at most one goroutine at a time, and
-// commitMachine drains stagings in deterministic event order.
+// streams calibration events (WithCalibration), becomes a
+// KindCalibration event on the run's calibration recorder. The
+// accumulators stay per machine because calibrationReport's fixed merge
+// order over them fixes the report's float bytes.
 type machineObserver struct {
 	machine int
 	shard   string
 	groupOf map[string]int32
 	// acc[g][u] aggregates group g's observations whose predicted mean
 	// unit u dominates.
-	acc    [][hardware.NumUnits]calib.Accumulator
-	stream bool
-	events []trace.Event
+	acc [][hardware.NumUnits]calib.Accumulator
+	// stream is nil unless the run streams calibration events.
+	stream trace.Recorder
 }
 
-func newMachineObserver(machine, groups int, groupOf map[string]int32, stream bool) *machineObserver {
+func newMachineObserver(machine int, shard string, groups int, groupOf map[string]int32, stream trace.Recorder) *machineObserver {
 	return &machineObserver{
 		machine: machine,
+		shard:   shard,
 		groupOf: groupOf,
 		acc:     make([][hardware.NumUnits]calib.Accumulator, groups),
 		stream:  stream,
@@ -44,8 +45,8 @@ func (o *machineObserver) Observe(ob *calib.Observation) {
 		return
 	}
 	o.acc[gi][ob.Unit].Observe(ob.PredMean, ob.PredSigma, ob.Observed)
-	if o.stream {
-		o.events = append(o.events, trace.Event{
+	if o.stream != nil && o.stream.Enabled(trace.Full) {
+		o.stream.Record(&trace.Event{
 			Kind: trace.KindCalibration, At: ob.At, Machine: o.machine, Shard: o.shard,
 			Tenant: ob.Tenant, Unit: ob.Unit.String(),
 			PredMean: ob.PredMean, PredSigma: ob.PredSigma, Elapsed: ob.Observed,
@@ -55,10 +56,10 @@ func (o *machineObserver) Observe(ob *calib.Observation) {
 
 // calibrationReport merges the fleet's machine-local accumulators into
 // the report's calibration section. Every merge walks a fixed order —
-// machines, then tenant groups, then units — so the section is
-// byte-identical across GOMAXPROCS and parallelism (each machine's
-// accumulator contents are already deterministic: observations fold in
-// that machine's event order). Nil when nothing executed.
+// machines, then tenant groups, then units — and each machine's
+// accumulator folds observations in that machine's event order, so the
+// section's float bytes are pinned per (scenario, seed). Nil when
+// nothing executed.
 func (s *simRun) calibrationReport() *CalibrationReport {
 	nGroups := len(s.sc.Tenants)
 	perGroupUnit := make([][hardware.NumUnits]calib.Accumulator, nGroups)

@@ -28,14 +28,19 @@
 // (least-risk-shared) on identical traffic: same scenario, same seed,
 // same queries, byte-identical reports across runs.
 //
-// Everything is deterministic per (Scenario, Seed): arrivals are
-// processed on one goroutine, concurrent service steps (see
-// Scenario.Parallelism) touch only machine-local state and commit
-// their shared effects in event order, every RNG derives from the
-// scenario seed, and the underlying prediction/execution stack is
-// deterministic by contract — so the same config produces the same
-// Report bytes regardless of GOMAXPROCS, parallelism, or the race
-// detector.
+// Run(sc, ...RunOption) is the one way in: it opens the fleet's base
+// System and runs one serial event loop on the calling goroutine —
+// arrivals, completions, routing, admission and execution all happen
+// inline, in merged event order. The options attach event sinks
+// (WithTrace for the decision trace, WithCalibration for the
+// calibration stream), each a trace.Recorder that sees its events in
+// the order the loop produces them.
+//
+// Everything is deterministic per (Scenario, Seed): every RNG derives
+// from the scenario seed and the underlying prediction/execution stack
+// is deterministic by contract — so the same config produces the same
+// Report bytes, and the same trace and calibration JSONL, regardless of
+// GOMAXPROCS or the race detector.
 package sim
 
 import (
@@ -106,19 +111,12 @@ type Scenario struct {
 	// recalibration cadence on every machine (serve.Config.RecalEvery);
 	// 0 disables it.
 	RecalEvery float64 `json:"recal_every,omitempty"`
-	// Parallelism bounds how many machines' service intervals are
-	// stepped concurrently between event-ordering barriers; 0 or 1
-	// selects serial stepping. The report is byte-identical for every
-	// value (and every GOMAXPROCS) — concurrent steps touch only
-	// machine-local state and their shared effects are merged in
-	// deterministic event order — so the knob trades wall-clock for
-	// cores, never reproducibility.
-	Parallelism int `json:"parallelism,omitempty"`
-	// TraceLevel enables decision tracing when the scenario runs
-	// through RunTraced (`uaqp sim -trace`): "off" (default),
-	// "decisions" (admissions + placements with candidate scoring
-	// vectors), or "full" (adds execution outcomes and
-	// recalibrations). Plain Run ignores it.
+	// TraceLevel is the level `uaqp sim -trace` records at when no
+	// -trace-level is given: "off" (default), "decisions" (admissions +
+	// placements with candidate scoring vectors), or "full" (adds
+	// execution outcomes and recalibrations). Run validates it and
+	// otherwise records at whatever level the WithTrace recorder is
+	// enabled for.
 	TraceLevel string `json:"trace_level,omitempty"`
 	// Shards, when present, partitions the fleet into a sharded serving
 	// topology: a consistent-hash tenant directory over shards of
@@ -269,9 +267,6 @@ func (sc Scenario) normalized() (Scenario, error) {
 	}
 	if _, err := rng.ParseVersion(sc.RNG); err != nil {
 		return sc, fmt.Errorf("sim: rng: %w", err)
-	}
-	if sc.Parallelism < 0 {
-		return sc, fmt.Errorf("sim: parallelism %d must not be negative", sc.Parallelism)
 	}
 	if _, err := trace.ParseLevel(sc.TraceLevel); err != nil {
 		return sc, fmt.Errorf("sim: trace_level: %w", err)

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	uaqetp "repro"
-	"repro/internal/serve"
 	"repro/internal/trace"
 )
 
@@ -24,14 +22,24 @@ func traceJSONL(t *testing.T, events []trace.Event) []byte {
 	return buf.Bytes()
 }
 
-// TestTraceByteIdentical extends the parallel-stepping determinism
-// contract (TestSimParallelSteppingByteIdentical) to the decision
-// trace: the JSONL stream is byte-identical for every parallelism
-// setting and every GOMAXPROCS — serve-side events are staged per
-// machine and merged in deterministic event order, and placements are
-// emitted serially on the event loop.
+// runInstrumented is runRecorded with, when calib is set, a second fresh
+// trace.Buffer as the calibration-stream sink; it returns what each
+// recorded.
+func runInstrumented(sc Scenario, level trace.Level, calib bool) (*Report, []trace.Event, []trace.Event, error) {
+	tr, cal := trace.NewBuffer(level), trace.NewBuffer(trace.Full)
+	opts := []RunOption{WithTrace(tr)}
+	if calib {
+		opts = append(opts, WithCalibration(cal))
+	}
+	rep, err := Run(sc, opts...)
+	return rep, tr.Events(), cal.Events(), err
+}
+
+// TestTraceByteIdentical extends the determinism contract
+// (TestSimDeterministic) to the decision trace: the JSONL stream is
+// byte-identical across repeated runs and every GOMAXPROCS.
 func TestTraceByteIdentical(t *testing.T) {
-	_, refEvents, err := RunTraced(testScenario(), trace.Full)
+	_, refEvents, err := runRecorded(testScenario(), trace.Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,28 +52,24 @@ func TestTraceByteIdentical(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		for _, par := range []int{1, 2, 4} {
-			sc := testScenario()
-			sc.Parallelism = par
-			_, events, err := RunTraced(sc, trace.Full)
-			if err != nil {
-				t.Fatalf("GOMAXPROCS=%d parallelism=%d: %v", procs, par, err)
-			}
-			if got := traceJSONL(t, events); !bytes.Equal(got, ref) {
-				t.Errorf("GOMAXPROCS=%d parallelism=%d: trace differs from serial run", procs, par)
-			}
+		_, events, err := runRecorded(testScenario(), trace.Full)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		if got := traceJSONL(t, events); !bytes.Equal(got, ref) {
+			t.Errorf("GOMAXPROCS=%d: trace differs from the reference run", procs)
 		}
 	}
 }
 
-// TestRunTracedMatchesRun pins that observation is pure: installing
-// recorders (even at Full) must not change a single byte of the report.
+// TestRunTracedMatchesRun pins that observation is pure: installing a
+// recorder (even at Full) must not change a single byte of the report.
 func TestRunTracedMatchesRun(t *testing.T) {
 	plain, err := Run(testScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, _, err := RunTraced(testScenario(), trace.Full)
+	traced, _, err := runRecorded(testScenario(), trace.Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +92,7 @@ func TestRunTracedMatchesRun(t *testing.T) {
 // and (at Full) outcomes and sequence numbers in deterministic order.
 func TestTraceDecisionContent(t *testing.T) {
 	sc := testScenario()
-	rep, events, err := RunTraced(sc, trace.Full)
+	rep, events, err := runRecorded(sc, trace.Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +151,7 @@ func TestTraceDecisionContent(t *testing.T) {
 	}
 
 	// Decisions level drops outcomes but keeps both decision kinds.
-	_, dec, err := RunTraced(sc, trace.Decisions)
+	_, dec, err := runRecorded(sc, trace.Decisions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,20 +165,26 @@ func TestTraceDecisionContent(t *testing.T) {
 	}
 }
 
-// TestTraceLevelFromScenario pins the trace_level scenario knob: a
-// RunTraced at Off defers to the file's own setting.
+// TestTraceLevelFromScenario pins what Run does with the trace_level
+// scenario key: it validates it, and the level actually recorded is the
+// WithTrace recorder's (the key is `uaqp sim -trace`'s default).
 func TestTraceLevelFromScenario(t *testing.T) {
 	sc := testScenario()
-	sc.TraceLevel = "decisions"
-	_, events, err := RunTraced(sc, trace.Off)
+	sc.TraceLevel = "full"
+	_, events, err := runRecorded(sc, trace.Decisions)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(events) == 0 {
-		t.Fatal("scenario trace_level ignored")
+		t.Fatal("decisions-level recorder recorded nothing")
+	}
+	for _, ev := range events {
+		if ev.Kind == trace.KindOutcome {
+			t.Fatal("decisions-level recorder received an outcome event")
+		}
 	}
 	sc.TraceLevel = "invalid"
-	if _, _, err := RunTraced(sc, trace.Off); err == nil {
+	if _, err := Run(sc); err == nil {
 		t.Fatal("invalid trace_level accepted")
 	}
 }
@@ -277,7 +287,7 @@ func TestReplayOverrideValidation(t *testing.T) {
 // base run inside Replay.
 func TestReplayReusesBaseEvents(t *testing.T) {
 	sc := testScenario()
-	_, baseEvents, err := RunTraced(sc, trace.Full)
+	_, baseEvents, err := runRecorded(sc, trace.Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +308,7 @@ func TestReplayReusesBaseEvents(t *testing.T) {
 // TestTraceJSONLRoundTripFile pins the CLI interchange: events written
 // as JSONL read back equal, through a real file.
 func TestTraceJSONLRoundTripFile(t *testing.T) {
-	_, events, err := RunTraced(testScenario(), trace.Decisions)
+	_, events, err := runRecorded(testScenario(), trace.Decisions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,9 +341,11 @@ func TestTraceJSONLRoundTripFile(t *testing.T) {
 }
 
 // TestTraceOffAllocs pins the zero-alloc-when-disabled contract: a run
-// with recorders installed but switched Off must cost, amortized per
+// with a recorder installed but switched Off must cost, amortized per
 // event, essentially nothing over the nil-recorder path — every
-// emission site guards with Enabled before constructing an Event.
+// emission site guards with Enabled before constructing an Event. Both
+// seams are held to the budget: runOn over a warm System, and the
+// exported Run(sc, WithTrace(off)) against plain Run(sc).
 func TestTraceOffAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -341,49 +353,41 @@ func TestTraceOffAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	sc, err := testScenario().normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kind, err := parseDBKind(sc.DB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qpol, err := serve.QueuePolicyByName(sc.QueuePolicy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := uaqetp.NewEstimateCache(1024)
-	sys, err := uaqetp.Open(uaqetp.Config{
-		DB: kind, Machine: sc.MachineProfile, SamplingRatio: sc.SamplingRatio,
-		Seed: sc.Seed, Cache: cache,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := runWith(sc, qpol, sys, cache)
+	sc, sys, cache := openScenario(t, testScenario())
+	warm, err := runOn(sc, sys, cache, runSinks{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.Events == 0 {
 		t.Fatal("warm run processed no events")
 	}
-	baseline := testing.AllocsPerRun(3, func() {
-		if _, err := runWith(sc, qpol, sys, cache); err != nil {
-			t.Fatal(err)
+	off := trace.NewBuffer(trace.Off)
+	for _, seam := range []struct {
+		name       string
+		plain, off func() (*Report, error)
+	}{
+		{"runOn",
+			func() (*Report, error) { return runOn(sc, sys, cache, runSinks{}) },
+			func() (*Report, error) { return runOn(sc, sys, cache, runSinks{trace: off}) }},
+		{"Run",
+			func() (*Report, error) { return Run(sc) },
+			func() (*Report, error) { return Run(sc, WithTrace(off)) }},
+	} {
+		allocs := func(run func() (*Report, error)) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if _, err := run(); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
-	})
-	disabled := testing.AllocsPerRun(3, func() {
-		if _, _, err := runTraced(sc, qpol, sys, cache, trace.Off); err != nil {
-			t.Fatal(err)
+		baseline, disabled := allocs(seam.plain), allocs(seam.off)
+		// The installed-but-off path may allocate the per-machine recorder
+		// shells (a handful per run), never per event.
+		extraPerEvent := (disabled - baseline) / float64(warm.Events)
+		if extraPerEvent > 1 {
+			t.Errorf("%s: disabled tracing adds %.2f allocs/event (baseline %.0f, off %.0f over %d events), want ~0",
+				seam.name, extraPerEvent, baseline, disabled, warm.Events)
 		}
-	})
-	// The installed-but-off path may allocate the per-machine recorder
-	// shells (a handful per run), never per event.
-	extraPerEvent := (disabled - baseline) / float64(warm.Events)
-	if extraPerEvent > 1 {
-		t.Errorf("disabled tracing adds %.2f allocs/event (baseline %.0f, off %.0f over %d events), want ~0",
-			extraPerEvent, baseline, disabled, warm.Events)
+		t.Logf("%s: tracing off: %+.3f allocs/event over the nil-recorder path", seam.name, extraPerEvent)
 	}
-	t.Logf("tracing off: %+.3f allocs/event over the nil-recorder path", extraPerEvent)
 }

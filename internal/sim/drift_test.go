@@ -9,7 +9,7 @@ import (
 )
 
 // shippedDriftScenario loads the drift-injection scenario the README
-// and `make sim-smoke` use, so the acceptance test pins what ships.
+// uses, so the acceptance test pins what ships.
 func shippedDriftScenario(t *testing.T) Scenario {
 	t.Helper()
 	sc, err := Load("../../examples/sim/scenario-drift.json")
@@ -149,12 +149,12 @@ func calibJSONL(t *testing.T, events []trace.Event) []byte {
 
 // TestCalibStreamByteIdentical extends the byte-determinism contract to
 // the calibration stream: for a fixed (scenario, seed) the `-calib`
-// JSONL is byte-identical across repeated runs, GOMAXPROCS, and
-// parallelism — and turning the stream on must not change a byte of the
-// decision trace, which rides its own sequence counter.
+// JSONL is byte-identical across repeated runs and GOMAXPROCS — and
+// turning the stream on must not change a byte of the decision trace,
+// which is numbered by its own recorder.
 func TestCalibStreamByteIdentical(t *testing.T) {
 	sc := driftTestScenario()
-	_, refTrace, refCalib, err := RunInstrumented(sc, trace.Full, true)
+	_, refTrace, refCalib, err := runInstrumented(sc, trace.Full, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestCalibStreamByteIdentical(t *testing.T) {
 	refT := traceJSONL(t, refTrace)
 
 	// The decision trace must not notice the calibration stream.
-	_, plainTrace, err := RunTraced(sc, trace.Full)
+	_, plainTrace, err := runRecorded(sc, trace.Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,19 +182,15 @@ func TestCalibStreamByteIdentical(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		for _, par := range []int{1, 2, 4} {
-			run := sc
-			run.Parallelism = par
-			_, events, calibEvents, err := RunInstrumented(run, trace.Full, true)
-			if err != nil {
-				t.Fatalf("GOMAXPROCS=%d parallelism=%d: %v", procs, par, err)
-			}
-			if !bytes.Equal(calibJSONL(t, calibEvents), refC) {
-				t.Errorf("GOMAXPROCS=%d parallelism=%d: calibration stream differs from serial run", procs, par)
-			}
-			if !bytes.Equal(traceJSONL(t, events), refT) {
-				t.Errorf("GOMAXPROCS=%d parallelism=%d: decision trace differs from serial run", procs, par)
-			}
+		_, events, calibEvents, err := runInstrumented(sc, trace.Full, true)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		if !bytes.Equal(calibJSONL(t, calibEvents), refC) {
+			t.Errorf("GOMAXPROCS=%d: calibration stream differs from the reference run", procs)
+		}
+		if !bytes.Equal(traceJSONL(t, events), refT) {
+			t.Errorf("GOMAXPROCS=%d: decision trace differs from the reference run", procs)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/trace"
@@ -104,7 +105,7 @@ func TestV2DriftStreamHashes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, events, calibEvents, err := RunInstrumented(sc, trace.Decisions, true)
+	rep, events, calibEvents, err := runInstrumented(sc, trace.Decisions, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,5 +136,61 @@ func TestV2ClusterReportHash(t *testing.T) {
 	rep := runShipped(t, "scenario-cluster.json")
 	if got := sha256hex(reportBytes(t, rep)); got != clusterReportSHA256 {
 		t.Errorf("cluster report hash %s, want %s", got, clusterReportSHA256)
+	}
+}
+
+// TestShippedScenariosDeterministic is the end-to-end determinism gate
+// over everything under examples/sim: each shipped scenario runs twice,
+// the second time at GOMAXPROCS=2, and the report must not move a byte.
+// The heterogeneous scenario is also held to a byte-identical
+// full-level decision trace and the drift scenario to a byte-identical
+// calibration stream — both streams are part of the contract. The
+// 1000-machine cluster scenario (~12 s a run) is skipped under -short
+// and under the race detector; TestV2ClusterReportHash pins its bytes.
+func TestShippedScenariosDeterministic(t *testing.T) {
+	for _, tc := range []struct {
+		file  string
+		level trace.Level
+		calib bool
+	}{
+		{"scenario.json", trace.Off, false},
+		{"scenario-hetero.json", trace.Full, false},
+		{"scenario-cluster.json", trace.Off, false},
+		{"scenario-sharded.json", trace.Off, false},
+		{"scenario-drift.json", trace.Off, true},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			if tc.file == "scenario-cluster.json" && (testing.Short() || raceEnabled) {
+				t.Skip("cluster scenario is ~12s a run")
+			}
+			sc, err := Load("../../examples/sim/" + tc.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func() (report, events, calibEvents []byte) {
+				rep, ev, cal, err := runInstrumented(sc, tc.level, tc.calib)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return reportBytes(t, rep), traceJSONL(t, ev), traceJSONL(t, cal)
+			}
+			rep1, ev1, cal1 := run()
+			prev := runtime.GOMAXPROCS(2)
+			rep2, ev2, cal2 := run()
+			runtime.GOMAXPROCS(prev)
+			if !bytes.Equal(rep1, rep2) {
+				t.Error("reports differ across identical runs")
+			}
+			if !bytes.Equal(ev1, ev2) {
+				t.Error("decision traces differ across identical runs")
+			}
+			if !bytes.Equal(cal1, cal2) {
+				t.Error("calibration streams differ across identical runs")
+			}
+			if (tc.level != trace.Off) != (len(ev1) > 0) || tc.calib != (len(cal1) > 0) {
+				t.Errorf("recorded %d trace bytes at level %s and %d calibration bytes with calib=%v",
+					len(ev1), tc.level, len(cal1), tc.calib)
+			}
+		})
 	}
 }

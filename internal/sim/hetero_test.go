@@ -6,9 +6,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	uaqetp "repro"
-	"repro/internal/serve"
 )
 
 // heteroTestScenario is a small fast mixed-profile scenario for the
@@ -23,8 +20,8 @@ func heteroTestScenario() Scenario {
 	return sc
 }
 
-// shippedHeteroScenario loads the heterogeneous scenario the README and
-// `make sim-smoke` use, so the acceptance tests pin exactly what ships.
+// shippedHeteroScenario loads the heterogeneous scenario the README
+// uses, so the acceptance tests pin exactly what ships.
 func shippedHeteroScenario(t *testing.T) Scenario {
 	t.Helper()
 	sc, err := Load("../../examples/sim/scenario-hetero.json")
@@ -125,34 +122,15 @@ func TestLabeledHomogeneousMatchesShorthand(t *testing.T) {
 // same scenario, where per-machine units have nothing to exploit.
 func TestHeterogeneousLeastRiskAdvantage(t *testing.T) {
 	sc := shippedHeteroScenario(t)
-	sc, err := sc.normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	qpol, err := serve.QueuePolicyByName(sc.QueuePolicy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kind, err := parseDBKind(sc.DB)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// One Open for all five runs (the placement decisions are pure
 	// functions of the scenario; sharing the cache only saves work).
-	cache := uaqetp.NewEstimateCache(1024)
-	sys, err := uaqetp.Open(uaqetp.Config{
-		DB: kind, Machine: sc.MachineProfile, SamplingRatio: sc.SamplingRatio,
-		Seed: sc.Seed, Cache: cache,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc, sys, cache := openScenario(t, sc)
 	att := func(router string, machines Fleet) float64 {
 		t.Helper()
 		sc := sc
 		sc.Router = router
 		sc.Machines = machines
-		rep, err := runWith(sc, qpol, sys, cache)
+		rep, err := runOn(sc, sys, cache, runSinks{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,49 +2,10 @@ package sim
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
-	uaqetp "repro"
 	"repro/internal/serve"
 )
-
-// TestSimParallelSteppingByteIdentical pins the parallel-stepping
-// contract: the report is byte-identical for every parallelism setting
-// and every GOMAXPROCS — concurrent service steps touch only
-// machine-local state and commit their shared effects in event order.
-func TestSimParallelSteppingByteIdentical(t *testing.T) {
-	base := testScenario()
-	ref, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refJSON, err := ref.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	for _, procs := range []int{1, 4} {
-		runtime.GOMAXPROCS(procs)
-		for _, par := range []int{1, 2, 4} {
-			sc := testScenario()
-			sc.Parallelism = par
-			rep, err := Run(sc)
-			if err != nil {
-				t.Fatalf("GOMAXPROCS=%d parallelism=%d: %v", procs, par, err)
-			}
-			got, err := rep.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != string(refJSON) {
-				t.Errorf("GOMAXPROCS=%d parallelism=%d: report differs from serial run", procs, par)
-			}
-		}
-	}
-}
 
 // TestAllRejectedTenantReport pins the empty-sample edges of the report
 // path: a tenant whose every query is rejected (an impossible deadline
@@ -111,28 +72,9 @@ func TestEventDispatchAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	sc, err := testScenario().normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kind, err := parseDBKind(sc.DB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qpol, err := serve.QueuePolicyByName(sc.QueuePolicy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := uaqetp.NewEstimateCache(1024)
-	sys, err := uaqetp.Open(uaqetp.Config{
-		DB: kind, Machine: sc.MachineProfile, SamplingRatio: sc.SamplingRatio,
-		Seed: sc.Seed, Cache: cache,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc, sys, cache := openScenario(t, testScenario())
 	// Warm run: fills the plan memo and the estimate/run cache sections.
-	warm, err := runWith(sc, qpol, sys, cache)
+	warm, err := runOn(sc, sys, cache, runSinks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +82,7 @@ func TestEventDispatchAllocs(t *testing.T) {
 		t.Fatal("warm run processed no events")
 	}
 	perRun := testing.AllocsPerRun(3, func() {
-		if _, err := runWith(sc, qpol, sys, cache); err != nil {
+		if _, err := runOn(sc, sys, cache, runSinks{}); err != nil {
 			t.Fatal(err)
 		}
 	})

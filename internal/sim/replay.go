@@ -128,13 +128,21 @@ type ReplayResult struct {
 	Tenants []TenantDelta `json:"tenants"`
 }
 
+// runRecorded runs sc with a fresh trace.Buffer at level as its decision
+// trace sink and returns what it recorded.
+func runRecorded(sc Scenario, level trace.Level) (*Report, []trace.Event, error) {
+	buf := trace.NewBuffer(level)
+	rep, err := Run(sc, WithTrace(buf))
+	return rep, buf.Events(), err
+}
+
 // Replay runs the scenario twice at trace level Full — once as-is (or
-// reusing baseEvents from a prior RunTraced at Full, to skip the base
-// run), once with the override applied — and diffs the two decision
-// streams. Both runs see the identical arrival sequence (same scenario,
-// same seed), so the diff isolates exactly what the overridden knob
-// changed: which placements moved, which admissions flipped, and what
-// that did to each tenant's attainment.
+// reusing baseEvents from a prior Full-level WithTrace run, to skip
+// recording the base trace again), once with the override applied — and
+// diffs the two decision streams. Both runs see the identical arrival
+// sequence (same scenario, same seed), so the diff isolates exactly
+// what the overridden knob changed: which placements moved, which
+// admissions flipped, and what that did to each tenant's attainment.
 func Replay(sc Scenario, baseEvents []trace.Event, ov Override) (*ReplayResult, error) {
 	if ov.empty() {
 		return nil, fmt.Errorf("sim: replay override sets no knobs")
@@ -142,22 +150,17 @@ func Replay(sc Scenario, baseEvents []trace.Event, ov Override) (*ReplayResult, 
 	var baseRep *Report
 	var err error
 	if baseEvents == nil {
-		baseRep, baseEvents, err = RunTraced(sc, trace.Full)
-		if err != nil {
-			return nil, fmt.Errorf("sim: replay base run: %w", err)
-		}
+		baseRep, baseEvents, err = runRecorded(sc, trace.Full)
 	} else {
-		// Re-score the base from its recorded events is impossible (a
-		// trace is not a report), so run it; callers who already hold the
-		// base report can ignore this one — determinism makes it
-		// identical.
+		// A trace is not a report, so the base runs even when its events
+		// are supplied; callers who already hold the base report can
+		// ignore this one — determinism makes it identical.
 		baseRep, err = Run(sc)
-		if err != nil {
-			return nil, fmt.Errorf("sim: replay base run: %w", err)
-		}
 	}
-	varSc := ov.apply(sc)
-	varRep, varEvents, err := RunTraced(varSc, trace.Full)
+	if err != nil {
+		return nil, fmt.Errorf("sim: replay base run: %w", err)
+	}
+	varRep, varEvents, err := runRecorded(ov.apply(sc), trace.Full)
 	if err != nil {
 		return nil, fmt.Errorf("sim: replay variant run: %w", err)
 	}

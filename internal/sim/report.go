@@ -263,8 +263,7 @@ type ShardsReport struct {
 }
 
 // JSON renders the report with stable indentation — the byte-level
-// artifact the determinism contract (and `make sim-smoke`) is pinned
-// on.
+// artifact the determinism contract is pinned on.
 func (r *Report) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }

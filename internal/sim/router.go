@@ -70,7 +70,7 @@ func parseRouter(name string) (string, error) {
 // the winner won in s.tieBreak; capturing is pure observation — the
 // comparisons and the chosen machine are identical with tracing off.
 func (s *simRun) route(ts *tenantState, ti int, q, tmpl *uaqetp.Query, deadline, now float64, lo, hi, sid int) (int, error) {
-	capture := s.level >= trace.Decisions
+	capture := s.decisions
 	if capture {
 		s.cands = s.cands[:0]
 	}
@@ -134,7 +134,7 @@ func (s *simRun) routeLeastRiskShared(ts *tenantState, q, tmpl *uaqetp.Query, de
 	// fleet, where every machine is equally certain — break toward
 	// the least expected wait: among equally safe machines, spread
 	// the load instead of herding onto the first index.
-	capture := s.level >= trace.Decisions
+	capture := s.decisions
 	best, bestP, bestWait := lo, math.Inf(-1), math.Inf(1)
 	for m := lo; m < hi; m++ {
 		qlen, wait, waitVar := s.machines[m].srv.QueueStateAt(now)
@@ -172,7 +172,7 @@ func (s *simRun) routeLeastRiskShared(ts *tenantState, q, tmpl *uaqetp.Query, de
 // the fleet cache (estimates are machine-independent), so the
 // per-machine work is one analytic unit propagation each.
 func (s *simRun) routeLeastRiskPerMachine(ti int, q *uaqetp.Query, deadline, now float64, lo, hi int) (int, error) {
-	capture := s.level >= trace.Decisions
+	capture := s.decisions
 	best, bestP, bestWait := lo, math.Inf(-1), math.Inf(1)
 	for m := lo; m < hi; m++ {
 		ms := s.machines[m]

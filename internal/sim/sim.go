@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	uaqetp "repro"
 	"repro/internal/rng"
@@ -63,19 +62,6 @@ type pendingArrival struct {
 	at     float64
 }
 
-// latRec is one executed request's latency sample, staged machine-side
-// during a (possibly parallel) service step and committed to the
-// tenant's series in deterministic batch order. finish/met ride along
-// so drift experiments can attribute each outcome to a before/during/
-// after-detection phase at report time.
-type latRec struct {
-	tenant  int
-	latency float64
-	qwait   float64
-	finish  float64
-	met     bool
-}
-
 // machineState is one simulated execution server: a serve.Server over
 // the machine's own System (profile-specific calibration, predictor,
 // and executor — a WithMachine sibling of the scenario's base System,
@@ -97,52 +83,28 @@ type machineState struct {
 	executed int
 	pending  map[uint64]pendingArrival
 
-	// Scratch reused across service steps. out is the Outcome the
-	// drain path fills in place; staged/freeAt/freePending carry a
-	// step's shared-state effects out of the (possibly concurrent)
-	// machine-local phase into the serial commit.
-	out         serve.Outcome
-	staged      []latRec
-	freeAt      float64
-	freePending bool
-
-	// rec stages this machine's serve-emitted trace events (admission,
-	// outcome, recalibration) exactly like staged carries latency
-	// samples: machine-local during a possibly concurrent service step,
-	// drained into the run's global event order by commitMachine. Nil
-	// when the run is untraced.
-	rec *machineRecorder
-
 	// obs is the machine's calibration observer (serve.Config.Observer):
 	// every executed request's (predicted distribution, observed time)
-	// pair folds into machine-local accumulators — merged in machine
-	// order into the report's calibration section — and, when the run
-	// streams calibration events, stages a KindCalibration event drained
-	// alongside rec's.
+	// pair folds into machine-local accumulators, merged in machine
+	// order into the report's calibration section.
 	obs *machineObserver
 }
 
-// machineRecorder is the per-machine trace.Recorder the simulator
-// installs as each server's Config.Trace: events append to a
-// machine-local staging slice (no locks — each machine steps on at
-// most one goroutine at a time) and get their machine index stamped
-// here, since serve has no notion of its own fleet position.
+// machineRecorder is the trace.Recorder the simulator installs as each
+// server's Config.Trace: serve has no notion of its own fleet position,
+// so the machine index (and, on sharded topologies, the shard name;
+// empty and omitted from the JSON on flat fleets) is stamped here
+// before the event is forwarded to the run's recorder.
 type machineRecorder struct {
-	level   trace.Level
+	trace.Recorder
 	machine int
-	// shard names the machine's serving shard on sharded topologies,
-	// stamped onto every staged event; empty (and omitted from the
-	// JSON) on flat fleets.
-	shard  string
-	events []trace.Event
+	shard   string
 }
-
-func (r *machineRecorder) Enabled(l trace.Level) bool { return l > trace.Off && l <= r.level }
 
 func (r *machineRecorder) Record(ev *trace.Event) {
 	ev.Machine = r.machine
 	ev.Shard = r.shard
-	r.events = append(r.events, *ev)
+	r.Recorder.Record(ev)
 }
 
 // tenantState is one traffic source: a single TenantSpec, or one member
@@ -183,7 +145,7 @@ type simRun struct {
 	freeSeq  uint64
 	// templates are the distinct pool queries the arrivals draw from,
 	// in first-appearance order; their plans are executed once up front
-	// so the run cache is warm before any (possibly parallel) stepping.
+	// (see the prewarm in runOn).
 	templates []*uaqetp.Query
 	// ver is the scenario's measurement-stream version (internal/rng),
 	// parsed once from sc.RNG.
@@ -195,12 +157,11 @@ type simRun struct {
 	// template's plan fingerprint — so one probe of this map replaces
 	// re-deriving fingerprints and memo keys per arrival. Failures are
 	// memoized too (a template that cannot be predicted never will be).
-	// Touched only on the event-loop goroutine.
 	predMemo map[*uaqetp.Query]sharedPredEntry
 
-	par       int
-	batch     []freeEvent
 	processed int
+	// out is the scratch Outcome the drain path fills in place.
+	out serve.Outcome
 	// rrNexts is the round-robin rotation per shard — one entry (the
 	// whole fleet's) on unsharded runs.
 	rrNexts []int
@@ -210,24 +171,15 @@ type simRun struct {
 	sh    *shardedRun
 	sidOf []int
 
-	// Decision tracing. level gates emission (Off for untraced runs);
-	// events is the deterministic global stream, seq the next sequence
-	// number; cands/tieBreak are the router's scratch for the current
-	// placement (filled only when tracing decisions, so the untraced
-	// hot path never touches them).
-	level    trace.Level
-	events   []trace.Event
-	seq      uint64
-	cands    []trace.Candidate
-	tieBreak string
-
-	// Calibration streaming: when on, every executed request's
-	// observation becomes a KindCalibration event. The stream is
-	// sequence-numbered on its own counter (calibSeq) so enabling it
-	// never perturbs the decision stream's bytes.
-	calibStream bool
-	calibEvents []trace.Event
-	calibSeq    uint64
+	// Decision tracing. rec is the run's recorder (WithTrace; nil for
+	// untraced runs) and decisions whether it records placements and
+	// front-door verdicts; cands/tieBreak are the router's scratch for
+	// the current placement (filled only when decisions is set, so the
+	// untraced hot path never touches them).
+	rec       trace.Recorder
+	decisions bool
+	cands     []trace.Candidate
+	tieBreak  string
 
 	// Drift injection. flips are the pending truth switches in firing
 	// order (one per distinct drift-at spec); the event loop fires each
@@ -258,70 +210,71 @@ type phaseSample struct {
 	met    bool
 }
 
+// RunOption attaches an event sink to a run. Sinks observe; they never
+// change a byte of the report.
+type RunOption func(*runSinks)
+
+type runSinks struct {
+	trace trace.Recorder
+	calib trace.Recorder
+}
+
+// WithTrace records the run's decision events — placements and
+// front-door verdicts from the simulator, admissions, outcomes and
+// recalibrations from each machine's server, stamped with machine and
+// shard — on rec, in event order, at whatever level rec is enabled for.
+// A trace.Buffer numbers them as they arrive, so same scenario + seed
+// => byte-identical trace JSONL.
+func WithTrace(rec trace.Recorder) RunOption {
+	return func(o *runSinks) { o.trace = rec }
+}
+
+// WithCalibration streams the calibration observatory's raw feed to
+// rec (enabled at trace.Full): one KindCalibration event per executed
+// request, in event order (`uaqp sim -calib`). Give it a recorder of
+// its own — the stream is numbered separately from the decision trace,
+// so neither stream's bytes depend on whether the other is on.
+func WithCalibration(rec trace.Recorder) RunOption {
+	return func(o *runSinks) { o.calib = rec }
+}
+
 // Run executes the scenario to completion — every arrival routed,
-// admitted work drained — and returns the report. Same scenario + seed
-// => identical Report, regardless of GOMAXPROCS, the race detector, or
-// the scenario's parallelism setting: arrivals are processed on one
-// goroutine, concurrent service steps touch only machine-local state,
-// and their shared-state effects are committed in deterministic event
-// order.
-func Run(sc Scenario) (*Report, error) {
-	rep, _, _, err := run(sc, trace.Off, false, false)
-	return rep, err
-}
-
-// RunTraced is Run additionally recording decision events at the given
-// level (Off falls back to the scenario's own trace_level). The event
-// stream is part of the determinism contract: same scenario + seed =>
-// byte-identical trace JSONL, regardless of GOMAXPROCS or the
-// scenario's parallelism — serve-side events are staged per machine and
-// merged in deterministic event order, exactly like latency samples.
-func RunTraced(sc Scenario, level trace.Level) (*Report, []trace.Event, error) {
-	rep, events, _, err := RunInstrumented(sc, level, false)
-	return rep, events, err
-}
-
-// RunInstrumented is RunTraced additionally streaming the calibration
-// observatory's raw feed when calibStream is set: one KindCalibration
-// event per executed request (`uaqp sim -calib`), in deterministic
-// event order on its own sequence counter — so the decision stream's
-// bytes are identical whether or not calibration streaming is on, and
-// the calibration stream itself is byte-identical per (scenario, seed)
-// across GOMAXPROCS and parallelism.
-func RunInstrumented(sc Scenario, level trace.Level, calibStream bool) (*Report, []trace.Event, []trace.Event, error) {
-	if level == trace.Off {
-		var err error
-		if level, err = trace.ParseLevel(sc.TraceLevel); err != nil {
-			return nil, nil, nil, err
-		}
+// admitted work drained — and returns the report. The whole run is one
+// serial event loop on the calling goroutine, so same scenario + seed
+// => identical Report (and identical event streams on the sinks the
+// options attach), regardless of GOMAXPROCS or the race detector.
+func Run(sc Scenario, opts ...RunOption) (*Report, error) {
+	var sinks runSinks
+	for _, opt := range opts {
+		opt(&sinks)
 	}
-	return run(sc, level, true, calibStream)
-}
-
-// run normalizes the scenario, opens the fleet's base System, and
-// executes it; install selects whether per-machine trace recorders are
-// wired in at all (an installed recorder at level Off records nothing
-// but exercises the disabled-recorder path the allocation tests pin).
-func run(sc Scenario, level trace.Level, install, calibStream bool) (*Report, []trace.Event, []trace.Event, error) {
 	sc, err := sc.normalized()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
+	sys, cache, err := openBase(sc)
+	if err != nil {
+		return nil, err
+	}
+	return runOn(sc, sys, cache, sinks)
+}
+
+// openBase opens a normalized scenario's base System over its shared
+// cache — the one expensive Open for the whole fleet: machines with the
+// default profile serve façades over this System; machines with other
+// profiles (or drift) get cheap WithMachine siblings sharing its
+// database, catalog, samples, and cache — sampling passes, subtree
+// passes, and run results computed by any machine are reused by all of
+// them, while calibration stays per machine.
+func openBase(sc Scenario) (*uaqetp.System, uaqetp.EstimateCache, error) {
 	kind, err := parseDBKind(sc.DB)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	qpol, err := serve.QueuePolicyByName(sc.QueuePolicy)
+	ver, err := rng.ParseVersion(sc.RNG)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, fmt.Errorf("sim: rng: %w", err)
 	}
-
-	// One expensive Open for the whole fleet: machines with the default
-	// profile serve façades over this base System; machines with other
-	// profiles (or drift) get cheap WithMachine siblings sharing its
-	// database, catalog, samples, and cache — sampling passes, subtree
-	// passes, and run results computed by any machine are reused by all
-	// of them, while calibration stays per machine.
 	cacheCap := sc.CacheCapacity
 	if cacheCap <= 0 {
 		cacheCap = 1024
@@ -334,22 +287,14 @@ func run(sc Scenario, level trace.Level, install, calibStream bool) (*Report, []
 			Seed: sc.Seed, Capacity: cacheCap,
 		})
 	}
-	ver, err := rng.ParseVersion(sc.RNG)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("sim: rng: %w", err)
-	}
 	sys, err := uaqetp.Open(uaqetp.Config{
 		DB: kind, Machine: sc.MachineProfile, SamplingRatio: sc.SamplingRatio,
 		Seed: sc.Seed, RNG: ver, Cache: cache,
 	})
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("sim: open system: %w", err)
+		return nil, nil, fmt.Errorf("sim: open system: %w", err)
 	}
-	if !install {
-		rep, err := runWith(sc, qpol, sys, cache)
-		return rep, nil, nil, err
-	}
-	return runSim(sc, qpol, sys, cache, level, true, calibStream)
+	return sys, cache, nil
 }
 
 // machineSystems derives one System per machine from the base System:
@@ -403,56 +348,42 @@ func machineSystems(sc Scenario, fleet []MachineSpec, base *uaqetp.System) ([]*u
 	return out, sws, nil
 }
 
-// runWith executes an already normalized scenario against an existing
-// base System and cache — the seam benchmarks use to amortize the
-// expensive Open across iterations — with no trace recorders installed
-// (the nil-Recorder fast path). The fleet (servers, queues, clocks,
-// per-machine sibling Systems) is rebuilt fresh per call.
-func runWith(sc Scenario, qpol serve.QueuePolicy, sys *uaqetp.System, cache uaqetp.EstimateCache) (*Report, error) {
-	rep, _, _, err := runSim(sc, qpol, sys, cache, trace.Off, false, false)
-	return rep, err
-}
-
-// runTraced is runWith with per-machine trace recorders installed at
-// the given level. Recorders are wired in even at level Off — they then
-// record nothing, but the Enabled gates still run, which is exactly the
-// disabled-recorder overhead the allocation tests measure.
-func runTraced(sc Scenario, qpol serve.QueuePolicy, sys *uaqetp.System, cache uaqetp.EstimateCache, level trace.Level) (*Report, []trace.Event, error) {
-	rep, events, _, err := runSim(sc, qpol, sys, cache, level, true, false)
-	return rep, events, err
-}
-
-func runSim(sc Scenario, qpol serve.QueuePolicy, sys *uaqetp.System, cache uaqetp.EstimateCache, level trace.Level, install, calibStream bool) (*Report, []trace.Event, []trace.Event, error) {
+// runOn builds a normalized scenario's fleet over an already opened
+// base System and its cache, then runs the event loop — the seam
+// benchmarks use to amortize the expensive Open across iterations. The
+// fleet (servers, queues, clocks, per-machine sibling Systems) is
+// rebuilt fresh per call.
+func runOn(sc Scenario, sys *uaqetp.System, cache uaqetp.EstimateCache, sinks runSinks) (*Report, error) {
+	qpol, err := serve.QueuePolicyByName(sc.QueuePolicy)
+	if err != nil {
+		return nil, err
+	}
 	fleet, err := sc.Machines.resolve(sc.MachineProfile)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	msys, msws, err := machineSystems(sc, fleet, sys)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	ver, err := rng.ParseVersion(sc.RNG)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("sim: rng: %w", err)
+		return nil, fmt.Errorf("sim: rng: %w", err)
 	}
 	s := &simRun{
 		sc: sc, ctx: context.Background(), router: sc.Router, cache: cache,
-		perMachine:  sc.Machines.Labeled(),
-		par:         sc.Parallelism,
-		level:       level,
-		calibStream: calibStream,
-		ver:         ver,
-		predMemo:    make(map[*uaqetp.Query]sharedPredEntry, 64),
-	}
-	if s.par < 1 {
-		s.par = 1
+		perMachine: sc.Machines.Labeled(),
+		rec:        sinks.trace,
+		decisions:  sinks.trace != nil && sinks.trace.Enabled(trace.Decisions),
+		ver:        ver,
+		predMemo:   make(map[*uaqetp.Query]sharedPredEntry, 64),
 	}
 	s.expandTenants(sys)
 	s.sidOf = make([]int, len(fleet))
 	if sc.Shards != nil {
 		sh, err := buildSharded(sc, len(fleet), s.tenants)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		s.sh = sh
 		for si, r := range sh.ranges {
@@ -471,25 +402,21 @@ func runSim(sc Scenario, qpol serve.QueuePolicy, sys *uaqetp.System, cache uaqet
 		groupOf[ts.name] = int32(ts.group)
 	}
 	for m := range fleet {
-		obs := newMachineObserver(m, len(sc.Tenants), groupOf, calibStream)
+		shardName := ""
+		if s.sh != nil {
+			shardName = s.sh.names[s.sidOf[m]]
+		}
+		obs := newMachineObserver(m, shardName, len(sc.Tenants), groupOf, sinks.calib)
 		cfg := serve.Config{
 			Cache: cache, MaxQueue: sc.MaxQueue, Policy: qpol, RecalEvery: sc.RecalEvery,
 			Observer: obs,
 		}
-		var rec *machineRecorder
-		if install {
-			rec = &machineRecorder{level: level, machine: m}
-			if s.sh != nil {
-				rec.shard = s.sh.names[s.sidOf[m]]
-			}
-			cfg.Trace = rec
-		}
-		if s.sh != nil {
-			obs.shard = s.sh.names[s.sidOf[m]]
+		if sinks.trace != nil {
+			cfg.Trace = &machineRecorder{Recorder: sinks.trace, machine: m, shard: shardName}
 		}
 		srv := serve.New(cfg)
 		ms := &machineState{
-			srv: srv, sys: msys[m], pending: make(map[uint64]pendingArrival), rec: rec, obs: obs,
+			srv: srv, sys: msys[m], pending: make(map[uint64]pendingArrival), obs: obs,
 		}
 		if s.perMachine {
 			ms.spec = fleet[m]
@@ -505,7 +432,7 @@ func runSim(sc Scenario, qpol serve.QueuePolicy, sys *uaqetp.System, cache uaqet
 			}
 			t, err := srv.AddTenantSystem(ts.name, msys[m], ts.spec.SLO)
 			if err != nil {
-				return nil, nil, nil, fmt.Errorf("sim: machine %d: %w", m, err)
+				return nil, fmt.Errorf("sim: machine %d: %w", m, err)
 			}
 			ms.tenants = append(ms.tenants, t)
 		}
@@ -530,22 +457,21 @@ func runSim(sc Scenario, qpol serve.QueuePolicy, sys *uaqetp.System, cache uaqet
 	sort.SliceStable(s.flips, func(i, j int) bool { return s.flips[i].at < s.flips[j].at })
 
 	if err := s.buildArrivals(sys); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	// Warm the shared cache's run section (and the plan memo and
-	// estimate sections with it) by executing each distinct template
-	// once, serially, before the loop: parallel service steps then only
-	// ever *read* the run section, so its hit/miss counters — which the
-	// report carries — cannot depend on which worker got there first.
-	// Templates that fail to execute are simply skipped; the loop
-	// tallies such failures per arrival exactly as before.
+	// Execute each distinct template once before the loop. Nothing in
+	// the serial loop needs the warm cache; the pass stays because its
+	// lookups are counted in the report's cache section (every template's
+	// first execution misses here instead of inside the loop), so dropping
+	// it moves every pinned golden. Templates that fail to execute are
+	// simply skipped; the loop tallies such failures per arrival.
 	for _, q := range s.templates {
-		_, _ = sys.Execute(q)
+		_, _ = sys.ExecuteContext(s.ctx, q)
 	}
 	if err := s.loop(); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return s.report(), s.events, s.calibEvents, nil
+	return s.report(), nil
 }
 
 // sharedPredEntry is one memoized base-System prediction (or its
@@ -801,10 +727,11 @@ func (s *simRun) popFree() freeEvent {
 	return top
 }
 
-// loop processes events until none remain. Arrivals route, advance the
-// chosen machine's clock to event time, and run admission; admitted
-// work starts immediately on an idle machine. A machine finishing its
-// query frees at the outcome's finish time and starts the next queued
+// loop processes events until none remain, one at a time in merged
+// (time, arrivals-first) order. Arrivals route, advance the chosen
+// machine's clock to event time, and run admission; admitted work
+// starts immediately on an idle machine. A machine finishing its query
+// frees at the outcome's finish time and starts the next queued
 // request, so queues drain to completion after the arrival horizon.
 //
 // Clocks advance lazily: an arrival touches only the machine it lands
@@ -814,14 +741,6 @@ func (s *simRun) popFree() freeEvent {
 // loop ends by aligning every machine with the final arrival instant —
 // so each machine's clock finishes exactly where the broadcast version
 // left it.
-//
-// Completions due before the next arrival are independent per machine
-// — service steps touch only the machine's own server, queue, façades,
-// and feedback — so up to par of them (pairwise-distinct machines) are
-// stepped concurrently between event-ordering barriers, and their
-// shared-state effects (latency samples, scheduled completions) are
-// committed serially in batch order. Reports are byte-identical for
-// every par and GOMAXPROCS.
 func (s *simRun) loop() error {
 	for {
 		hasArr := s.cursor < len(s.arrivals)
@@ -830,9 +749,8 @@ func (s *simRun) loop() error {
 			break
 		}
 		// Fire every scheduled drift whose instant the next event has
-		// reached: the flip happens on this goroutine, before any event at
-		// or past its time is processed, so executions at t >= drift_at
-		// measure on the drifted truth regardless of parallelism.
+		// reached, before any event at or past its time is processed, so
+		// executions at t >= drift_at measure on the drifted truth.
 		if s.flipCursor < len(s.flips) {
 			next := math.Inf(1)
 			if hasArr {
@@ -846,68 +764,30 @@ func (s *simRun) loop() error {
 				s.flipCursor++
 			}
 		}
+		s.processed++
 		if hasArr && (!hasFree || s.arrivals[s.cursor].at <= s.frees[0].at) {
 			a := s.arrivals[s.cursor]
 			s.cursor++
-			s.processed++
 			if err := s.handleArrival(a); err != nil {
 				return err
 			}
 			continue
 		}
-
-		// Batch consecutive completions on distinct machines that all
-		// precede the next arrival — and the next pending drift flip, so a
-		// batch never spans a truth switch.
-		nextArr := math.Inf(1)
-		if hasArr {
-			nextArr = s.arrivals[s.cursor].at
-		}
-		if s.flipCursor < len(s.flips) && s.flips[s.flipCursor].at < nextArr {
-			nextArr = s.flips[s.flipCursor].at
-		}
-		s.batch = s.batch[:0]
-	collect:
-		for len(s.frees) > 0 && len(s.batch) < s.par {
-			top := s.frees[0]
-			if top.at >= nextArr {
-				break
-			}
-			for _, b := range s.batch {
-				if b.machine == top.machine {
-					break collect
-				}
-			}
-			s.batch = append(s.batch, s.popFree())
-		}
-		s.processed += len(s.batch)
-		if len(s.batch) == 1 {
-			s.serviceFree(s.batch[0])
-		} else {
-			var wg sync.WaitGroup
-			for _, ev := range s.batch {
-				wg.Add(1)
-				go func(ev freeEvent) {
-					defer wg.Done()
-					s.serviceFree(ev)
-				}(ev)
-			}
-			wg.Wait()
-		}
-		for _, ev := range s.batch {
-			s.commitMachine(ev.machine)
-		}
+		// A completion: mark the machine free, advance its clock to the
+		// completion instant, and start its next queued request.
+		ev := s.popFree()
+		ms := s.machines[ev.machine]
+		ms.busy = false
+		ms.srv.AdvanceClock(ev.at)
+		s.stepMachine(ev.machine)
 	}
 	// Align every machine with the last arrival instant, exactly as the
 	// per-arrival clock broadcast used to. The alignment may trigger
-	// final auto-recalibration checks; drain their events in machine
-	// order.
+	// final auto-recalibration checks, in machine order.
 	if n := len(s.arrivals); n > 0 {
 		last := s.arrivals[n-1].at
 		for _, ms := range s.machines {
 			ms.srv.AdvanceClock(last)
-			s.drainTrace(ms)
-			s.drainCalib(ms)
 		}
 		s.pollDetection()
 	}
@@ -916,11 +796,9 @@ func (s *simRun) loop() error {
 
 // handleArrival clones the arrival's template, passes the fleet's
 // front door (sharded topologies only), routes it within its tenant's
-// shard, and runs admission on the chosen machine at event time. Runs
-// on the event-loop goroutine only, so its trace emissions (the
-// placement event directly, then the serve-staged
-// admission/recalibration events via drainTrace) land in deterministic
-// arrival order.
+// shard, and runs admission on the chosen machine at event time. Its
+// trace emissions land in call order: the placement event, then
+// whatever the clock advance and the admission make the server emit.
 func (s *simRun) handleArrival(a arrival) error {
 	ts := s.tenants[a.tenant]
 	q := cloneQuery(a.tmpl, ts.name, int(a.ord))
@@ -943,16 +821,13 @@ func (s *simRun) handleArrival(a arrival) error {
 			}
 			if v := fd.Admit(ts.class, a.at, bestP, ts.confidence); v != shard.VerdictAdmit {
 				ts.shed++
-				if s.level >= trace.Decisions {
-					ev := trace.Event{
+				if s.decisions {
+					s.rec.Record(&trace.Event{
 						Kind: trace.KindAdmission, At: a.at, Machine: -1, Shard: shardName,
 						Tenant: ts.name, Query: q.Name,
 						Verdict: string(v), Reason: "front-door",
 						Deadline: ts.effDeadline, PMeet: bestP, Threshold: ts.confidence,
-					}
-					ev.Seq = s.seq
-					s.seq++
-					s.events = append(s.events, ev)
+					})
 				}
 				return nil
 			}
@@ -963,7 +838,7 @@ func (s *simRun) handleArrival(a arrival) error {
 		return err
 	}
 	ms := s.machines[m]
-	if s.level >= trace.Decisions {
+	if s.decisions {
 		ev := trace.Event{
 			Kind: trace.KindPlacement, At: a.at, Machine: m, Shard: shardName,
 			Tenant: ts.name, Query: q.Name,
@@ -972,18 +847,12 @@ func (s *simRun) handleArrival(a arrival) error {
 		if len(s.cands) > 0 {
 			ev.Candidates = append([]trace.Candidate(nil), s.cands...)
 		}
-		ev.Seq = s.seq
-		s.seq++
-		s.events = append(s.events, ev)
+		s.rec.Record(&ev)
 	}
 	ms.srv.AdvanceClock(a.at)
 	dec, err := ms.srv.Submit(s.ctx, serve.Request{
 		Tenant: ts.name, Query: q, Deadline: ts.spec.Deadline,
 	})
-	// Auto-recalibrations triggered by the clock advance and the
-	// admission verdict are staged on the machine recorder in temporal
-	// order; drain them before any execution the admission may start.
-	s.drainTrace(ms)
 	if err != nil {
 		// An unpredictable query is already tallied as a rejection
 		// by the server; the simulation carries on.
@@ -992,125 +861,55 @@ func (s *simRun) handleArrival(a arrival) error {
 	if dec.Admitted {
 		ms.pending[dec.ID] = pendingArrival{tenant: int(a.tenant), at: a.at}
 		if !ms.busy {
-			s.stepMachine(ms)
-			s.commitMachine(m)
+			s.stepMachine(m)
 		}
 	}
 	return nil
 }
 
-// serviceFree is the machine-local half of one completion event: mark
-// the machine free, advance its clock to the completion instant, and
-// start its next queued request. Safe to run concurrently with other
-// machines' serviceFree calls.
-func (s *simRun) serviceFree(ev freeEvent) {
-	ms := s.machines[ev.machine]
-	ms.busy = false
-	ms.srv.AdvanceClock(ev.at)
-	s.stepMachine(ms)
-}
-
-// stepMachine pops and executes the machine's best queued request at
-// its current clock, staging the latency sample and completion time on
-// the machine for a later commitMachine. Execution failures consume
-// the request (tallied by the server) and the next queued request is
-// tried. Everything touched is machine-local: the machine's server,
-// queue, pending map, and scratch Outcome.
-func (s *simRun) stepMachine(ms *machineState) {
-	ms.staged = ms.staged[:0]
-	ms.freePending = false
+// stepMachine pops and executes machine m's best queued request at its
+// current clock, appends the latency sample to the tenant's series and
+// schedules the completion. Execution failures consume the request
+// (tallied by the server) and the next queued request is tried; an
+// empty queue leaves the machine idle.
+func (s *simRun) stepMachine(m int) {
+	ms := s.machines[m]
 	for {
-		ok, err := ms.srv.StepOneInto(&ms.out)
+		ok, err := ms.srv.StepOneInto(&s.out)
 		if !ok {
-			return // queue empty; machine idle
+			break
 		}
 		if err != nil {
 			// The failed request is consumed (tallied by the server);
 			// release its admission-tracking entry and try the next.
-			delete(ms.pending, ms.out.ID)
+			delete(ms.pending, s.out.ID)
 			continue
 		}
 		ms.busy = true
-		ms.busyTime += ms.out.Elapsed
+		ms.busyTime += s.out.Elapsed
 		ms.executed++
-		if p, found := ms.pending[ms.out.ID]; found {
-			delete(ms.pending, ms.out.ID)
-			ms.staged = append(ms.staged, latRec{
-				tenant:  p.tenant,
-				latency: ms.out.Finish - p.at,
-				qwait:   ms.out.Start - p.at,
-				finish:  ms.out.Finish,
-				met:     ms.out.Met,
-			})
+		if p, found := ms.pending[s.out.ID]; found {
+			delete(ms.pending, s.out.ID)
+			ts := s.tenants[p.tenant]
+			ts.latencies = append(ts.latencies, s.out.Finish-p.at)
+			ts.queueWaits = append(ts.queueWaits, s.out.Start-p.at)
+			// finish/met let drift experiments attribute each outcome to a
+			// before/during/after-detection phase at report time.
+			if len(s.driftMachines) > 0 {
+				s.phaseSamples = append(s.phaseSamples, phaseSample{finish: s.out.Finish, met: s.out.Met})
+			}
 		}
-		ms.freeAt = ms.out.Finish
-		ms.freePending = true
-		return
+		s.pushFree(s.out.Finish, m)
+		break
 	}
-}
-
-// commitMachine applies a step's staged shared-state effects — tenant
-// latency samples and the next completion event — on the event-loop
-// goroutine, in deterministic batch order.
-func (s *simRun) commitMachine(m int) {
-	ms := s.machines[m]
-	for _, lr := range ms.staged {
-		ts := s.tenants[lr.tenant]
-		ts.latencies = append(ts.latencies, lr.latency)
-		ts.queueWaits = append(ts.queueWaits, lr.qwait)
-		if len(s.driftMachines) > 0 {
-			s.phaseSamples = append(s.phaseSamples, phaseSample{finish: lr.finish, met: lr.met})
-		}
-	}
-	ms.staged = ms.staged[:0]
-	s.drainTrace(ms)
-	s.drainCalib(ms)
 	s.pollDetection()
-	if ms.freePending {
-		s.pushFree(ms.freeAt, m)
-		ms.freePending = false
-	}
-}
-
-// drainTrace moves the machine's staged trace events into the global
-// deterministic stream, assigning sequence numbers. Called only on the
-// event-loop goroutine (arrival handling and batch-order commits).
-func (s *simRun) drainTrace(ms *machineState) {
-	if ms.rec == nil || len(ms.rec.events) == 0 {
-		return
-	}
-	for i := range ms.rec.events {
-		ev := ms.rec.events[i]
-		ev.Seq = s.seq
-		s.seq++
-		s.events = append(s.events, ev)
-	}
-	ms.rec.events = ms.rec.events[:0]
-}
-
-// drainCalib moves the machine's staged calibration events into the
-// global calibration stream. The stream has its own sequence counter,
-// so decision-trace bytes are invariant to whether calibration
-// streaming is on. Called only on the event-loop goroutine.
-func (s *simRun) drainCalib(ms *machineState) {
-	o := ms.obs
-	if o == nil || len(o.events) == 0 {
-		return
-	}
-	for i := range o.events {
-		ev := o.events[i]
-		ev.Seq = s.calibSeq
-		s.calibSeq++
-		s.calibEvents = append(s.calibEvents, ev)
-	}
-	o.events = o.events[:0]
 }
 
 // pollDetection checks every drift machine whose truth has switched for
 // its first post-onset automatic recalibration — the feedback loop
 // noticing the drift. The server records the exact virtual instant the
-// recalibration fired, so reading it after the serial commit (instead
-// of inside the possibly-parallel step) loses no precision.
+// recalibration fired, so polling once per service step loses no
+// precision.
 func (s *simRun) pollDetection() {
 	for _, m := range s.driftMachines {
 		if s.detectedAt[m] >= 0 {

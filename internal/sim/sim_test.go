@@ -31,8 +31,8 @@ func testScenario() Scenario {
 	}
 }
 
-// shippedScenario loads the scenario the README and `make sim-smoke`
-// use, so the acceptance tests pin exactly what ships.
+// shippedScenario loads the scenario the README uses, so the
+// acceptance tests pin exactly what ships.
 func shippedScenario(t *testing.T) Scenario {
 	t.Helper()
 	sc, err := Load("../../examples/sim/scenario.json")

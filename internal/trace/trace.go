@@ -13,10 +13,10 @@
 // Emission is pull-gated: producers hold a Recorder and guard each
 // event with Enabled(level), so a nil or switched-off recorder costs
 // one branch (and zero allocations) per decision. Event streams are
-// deterministic for a deterministic producer — the simulator assigns
-// sequence numbers in event order regardless of GOMAXPROCS or its
-// parallelism setting — and serialize as JSONL (one Event per line),
-// byte-identical per (scenario, seed).
+// deterministic for a deterministic producer — the simulator emits
+// from one serial event loop, so a Buffer numbers its events in event
+// order regardless of GOMAXPROCS — and serialize as JSONL (one Event
+// per line), byte-identical per (scenario, seed).
 package trace
 
 import (
@@ -90,9 +90,9 @@ const (
 	// KindCalibration is one (predicted distribution, observed time)
 	// pair from an executed request — the calibration observatory's raw
 	// stream. Recorded only when calibration streaming is requested
-	// (`uaqp sim -calib`), independent of the decision trace level, and
-	// sequence-numbered on its own counter so enabling it never
-	// perturbs the decision stream's bytes.
+	// (`uaqp sim -calib`, sim.WithCalibration), on a recorder of its own
+	// — independent of the decision trace's level and numbering, so
+	// enabling it never perturbs the decision stream's bytes.
 	KindCalibration Kind = "calibration"
 )
 
@@ -192,8 +192,8 @@ type Event struct {
 // Record takes a pointer the recorder copies from; the caller keeps
 // ownership and may reuse the value. Implementations used by
 // concurrent producers (a live HTTP server) must be safe for
-// concurrent use; the simulator hands each machine its own recorder
-// and merges machine-side stagings in deterministic event order.
+// concurrent use; the simulator calls its recorders from one goroutine,
+// in event order.
 type Recorder interface {
 	Enabled(Level) bool
 	Record(*Event)

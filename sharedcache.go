@@ -56,8 +56,9 @@ type flight[V any] struct {
 }
 
 // flightGroup coalesces concurrent computations per key in front of a
-// sharded LRU: one caller computes, everyone else waits for its result.
-// Failed computations are not cached.
+// sharded LRU: one caller computes, everyone else waits for its result
+// and — having computed nothing — counts as a hit, not a miss. Failed
+// computations are not cached.
 //
 // Cancellation is per caller, not per flight: a computation runs under
 // the context of whichever caller started it, so when that caller
@@ -95,6 +96,9 @@ func (g *flightGroup[V]) do(ctx context.Context, key string, lru *cache.Sharded[
 				return zero, ctx.Err()
 			}
 			if f.err == nil {
+				// Served by the flight: the Get above counted a miss for
+				// work this caller never did.
+				lru.Coalesced(key)
 				return f.val, nil
 			}
 			if isContextErr(f.err) && ctx.Err() == nil {
