@@ -1,6 +1,9 @@
 package uaqetp
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestPredictWarmAllocs is the alloc-regression gate on the Predict hot
 // path. With the plan memo, estimate cache, and prediction memo warm, a
@@ -15,11 +18,11 @@ func TestPredictWarmAllocs(t *testing.T) {
 	}
 	sys := testSystem(t)
 	q := joinQuery()
-	if _, err := sys.Predict(q); err != nil {
+	if _, err := sys.PredictContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	perCall := testing.AllocsPerRun(100, func() {
-		if _, err := sys.Predict(q); err != nil {
+		if _, err := sys.PredictContext(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -16,16 +16,15 @@
 //     (variance propagation over calibrated cost units)
 //   - Executor   — plan → measured seconds (simulated hardware)
 //
-// Open assembles the defaults; any stage can be overridden through the
-// corresponding Config field or swapped on a derived façade via
-// System.With. The Predictor stage additionally sits behind an
+// Open assembles the defaults; System.With derives a façade with any
+// stage replaced. The Predictor stage additionally sits behind an
 // atomically swappable handle (SwapPredictor, Recalibrate), so a
 // serving layer can recalibrate cost units live without dropping
 // in-flight queries.
 //
 // # Calls
 //
-// The v2 entry points take a context.Context and per-call functional
+// The entry points take a context.Context and per-call functional
 // options:
 //
 //	sys, err := uaqetp.Open(uaqetp.DefaultConfig())
@@ -37,9 +36,7 @@
 //
 // Cancellation propagates through every stage and through the batch
 // worker pool (PredictBatchContext, ExecuteBatchContext), which returns
-// promptly with ctx.Err once the context fires. The v1 methods
-// (Predict, Execute, Alternatives, ChoosePlan, PredictBatch, ...)
-// remain as thin deprecated wrappers over the context forms.
+// promptly with ctx.Err once the context fires.
 //
 // # Concurrency
 //
@@ -51,8 +48,8 @@
 // hand rather than drawn from a shared stream. Consequently results are
 // reproducible for a fixed seed no matter how many goroutines are in
 // flight or in which order calls interleave: predictions are pure
-// functions of (Config, Query), and Execute returns the same measured
-// time for the same query on the same System.
+// functions of (Config, Query), and ExecuteContext returns the same
+// measured time for the same query on the same System.
 //
 // PredictBatchContext is the throughput-oriented entry point: it fans a
 // batch of queries out over a bounded worker pool and returns
@@ -100,7 +97,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/calib"
 	"repro/internal/calibrate"
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -183,6 +179,10 @@ var (
 	ErrPlanHintNotFound = errors.New("plan hint matched no alternative")
 )
 
+// errNilQuery is what every single-query entry point returns for a nil
+// *Query.
+var errNilQuery = errors.New("uaqetp: nil query")
+
 // Config describes how to assemble a System.
 type Config struct {
 	// DB selects the synthetic database (size and skew).
@@ -214,29 +214,6 @@ type Config struct {
 	// the same generated database and samples share passes while
 	// incompatible tenants never collide.
 	Cache EstimateCache
-
-	// Planner, Estimator, Predictor, and Executor override the
-	// corresponding pipeline stage; nil selects the built-in
-	// implementation. Predictor and Executor stages can be implemented
-	// from scratch (their outputs are public types); custom Planner and
-	// Estimator stages are decorators over the built-in ones, so install
-	// them after Open via sys.With(WithPlanner(...)) wrapping
-	// sys.Planner() / sys.Estimator() rather than through these fields.
-	// Stage values should be pointer types when the Config may be
-	// compared (internal/serve dedups tenant configs with all four left
-	// nil).
-	Planner   Planner
-	Estimator Estimator
-	Predictor Predictor
-	Executor  Executor
-
-	// Observer, when non-nil, receives one calib.Observation per
-	// (prediction, measured time) pair produced by PredictAndRunContext
-	// and Measure — the calibration observatory's feed for direct System
-	// use (the serving layer has its own outcome-path hook in
-	// serve.Config). Must be safe for concurrent use; should be a
-	// pointer type when the Config may be compared.
-	Observer calib.Observer
 }
 
 // DefaultConfig returns a uniform "1 GB" database on PC1 with a 5%
@@ -292,7 +269,7 @@ type System struct {
 
 // Open generates the database, builds statistics, calibrates the cost
 // units against the simulated machine, draws the offline samples, and
-// wires the four pipeline stages (built-in unless overridden in cfg).
+// wires the four built-in pipeline stages (System.With replaces them).
 func Open(cfg Config) (*System, error) {
 	if cfg.Machine == "" {
 		cfg.Machine = "PC1"
@@ -318,35 +295,22 @@ func Open(cfg Config) (*System, error) {
 	if estCache == nil {
 		estCache = NewEstimateCache(estimateMemoSize)
 	}
-	s := &System{
-		cfg:      cfg,
-		db:       db,
-		cat:      cat,
-		profile:  profile,
-		cal:      cal,
-		samples:  samples,
-		estCache: estCache,
-		estNS:    estimateNamespace(cfg),
-		runNS:    runNamespace(cfg),
-	}
-	s.planner = cfg.Planner
-	if s.planner == nil {
-		s.planner = newDefaultPlanner(cat)
-	}
-	s.estimator = cfg.Estimator
-	if s.estimator == nil {
-		s.estimator = &defaultEstimator{samples: samples, cat: cat, cache: estCache, ns: s.estNS}
-	}
-	s.executor = cfg.Executor
-	if s.executor == nil {
-		s.executor = simExecutor{db: db, profile: profile, seed: cfg.Seed, cache: estCache, runNS: s.runNS, ver: cfg.RNG}
-	}
-	if cfg.Predictor != nil {
-		s.pred = newPredictorHandle(&predictorState{stage: cfg.Predictor})
-	} else {
-		s.pred = newPredictorHandle(defaultPredictorState(cat, cal.Units, cfg.Variant))
-	}
-	return s, nil
+	estNS, runNS := estimateNamespace(cfg), runNamespace(cfg)
+	return &System{
+		cfg:       cfg,
+		db:        db,
+		cat:       cat,
+		profile:   profile,
+		cal:       cal,
+		samples:   samples,
+		planner:   newDefaultPlanner(cat),
+		estimator: &defaultEstimator{samples: samples, cat: cat, cache: estCache, ns: estNS},
+		executor:  simExecutor{db: db, profile: profile, seed: cfg.Seed, cache: estCache, runNS: runNS, ver: cfg.RNG},
+		pred:      newPredictorHandle(defaultPredictorState(cat, cal.Units, cfg.Variant)),
+		estCache:  estCache,
+		estNS:     estNS,
+		runNS:     runNS,
+	}, nil
 }
 
 // Config returns a copy of the configuration this System was opened
@@ -460,7 +424,7 @@ func (s *System) Machine() hardware.Profile { return *s.profile }
 // signature matches the hint.
 func (s *System) resolvePlan(ctx context.Context, q *Query, o callOpts) (*Plan, error) {
 	if q == nil {
-		return nil, fmt.Errorf("uaqetp: nil query")
+		return nil, errNilQuery
 	}
 	if o.planHint == "" {
 		p, err := s.planner.BuildPlan(ctx, q)
@@ -547,7 +511,7 @@ type PlanChoice struct {
 func (s *System) AlternativesContext(ctx context.Context, q *Query, opts ...CallOption) ([]PlanChoice, error) {
 	o := newCallOpts(opts)
 	if q == nil {
-		return nil, fmt.Errorf("uaqetp: nil query")
+		return nil, errNilQuery
 	}
 	plans, err := s.planner.Alternatives(ctx, q, o.maxAlts)
 	if err != nil {
@@ -596,8 +560,7 @@ func (s *System) ChoosePlanContext(ctx context.Context, q *Query, opts ...CallOp
 }
 
 // PredictAndRunContext is a convenience helper returning both the
-// prediction and the measured time. When Config.Observer is set, the
-// pair is also streamed to the calibration observer.
+// prediction and the measured time.
 func (s *System) PredictAndRunContext(ctx context.Context, q *Query, opts ...CallOption) (*Prediction, float64, error) {
 	pred, err := s.PredictContext(ctx, q, opts...)
 	if err != nil {
@@ -607,80 +570,20 @@ func (s *System) PredictAndRunContext(ctx context.Context, q *Query, opts ...Cal
 	if err != nil {
 		return nil, 0, err
 	}
-	if s.cfg.Observer != nil {
-		s.cfg.Observer.Observe(&calib.Observation{
-			Unit:      pred.DominantUnit(),
-			PredMean:  pred.Mean(),
-			PredSigma: pred.Sigma(),
-			Observed:  actual,
-		})
-	}
 	return pred, actual, nil
 }
 
 // Plan compiles a query into a physical plan and returns its canonical
 // signature.
 func (s *System) Plan(q *Query) (string, error) {
+	if q == nil {
+		return "", errNilQuery
+	}
 	p, err := s.planner.BuildPlan(context.Background(), q)
 	if err != nil {
 		return "", err
 	}
 	return p.String(), nil
-}
-
-// ---------------------------------------------------------------------
-// v1 wrappers. These predate the context API and remain as thin
-// wrappers so existing callers keep working unchanged.
-
-// Predict returns the distribution of likely running times for the
-// query.
-//
-// Deprecated: use PredictContext, which adds cancellation and per-call
-// options. Predict(q) is PredictContext(context.Background(), q).
-func (s *System) Predict(q *Query) (*Prediction, error) {
-	return s.PredictContext(context.Background(), q)
-}
-
-// Execute runs the query on the simulated hardware and returns the
-// measured running time in seconds.
-//
-// Deprecated: use ExecuteContext. Execute(q) is
-// ExecuteContext(context.Background(), q).
-func (s *System) Execute(q *Query) (float64, error) {
-	return s.ExecuteContext(context.Background(), q)
-}
-
-// PredictAndRun returns both the prediction and the measured time.
-//
-// Deprecated: use PredictAndRunContext.
-func (s *System) PredictAndRun(q *Query) (*Prediction, float64, error) {
-	return s.PredictAndRunContext(context.Background(), q)
-}
-
-// Alternatives enumerates up to maxAlts alternative join orders and
-// predicts each one's running-time distribution. maxAlts < 1 keeps the
-// v1 behavior of returning only the default plan (WithMaxAlts would
-// instead fall back to DefaultMaxAlts).
-//
-// Deprecated: use AlternativesContext with WithMaxAlts.
-func (s *System) Alternatives(q *Query, maxAlts int) ([]PlanChoice, error) {
-	if maxAlts < 1 {
-		maxAlts = 1
-	}
-	return s.AlternativesContext(context.Background(), q, WithMaxAlts(maxAlts))
-}
-
-// ChoosePlan picks among the query's alternative plans by the given
-// risk quantile of the predicted distribution. maxAlts < 1 keeps the
-// v1 behavior of considering only the default plan.
-//
-// Deprecated: use ChoosePlanContext with WithQuantile and WithMaxAlts.
-func (s *System) ChoosePlan(q *Query, quantile float64, maxAlts int) (best PlanChoice, all []PlanChoice, err error) {
-	if maxAlts < 1 {
-		maxAlts = 1
-	}
-	return s.ChoosePlanContext(context.Background(), q,
-		WithQuantile(quantile), WithMaxAlts(maxAlts))
 }
 
 // ---------------------------------------------------------------------
@@ -719,7 +622,7 @@ func (s *System) CostUnits() []string {
 
 // GenerateWorkload produces n benchmark queries against this System's
 // database, deterministically per Config.Seed — convenient input for
-// PredictBatch demos and benchmarks.
+// PredictBatchContext demos and benchmarks.
 func (s *System) GenerateWorkload(b workload.Benchmark, n int) ([]*Query, error) {
 	return workload.Generate(b, s.cat, n, s.cfg.Seed+5)
 }

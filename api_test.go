@@ -1,6 +1,7 @@
 package uaqetp
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -49,7 +50,7 @@ func TestOpenRejectsBadMachine(t *testing.T) {
 
 func TestPredictAndRun(t *testing.T) {
 	sys := testSystem(t)
-	pred, actual, err := sys.PredictAndRun(joinQuery())
+	pred, actual, err := sys.PredictAndRunContext(context.Background(), joinQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,14 +83,14 @@ func TestPlanRendering(t *testing.T) {
 func TestPredictUnknownTable(t *testing.T) {
 	sys := testSystem(t)
 	q := &Query{Name: "bad", Tables: []string{"nope"}}
-	if _, err := sys.Predict(q); err == nil {
+	if _, err := sys.PredictContext(context.Background(), q); err == nil {
 		t.Error("expected error")
 	}
 }
 
 func TestProbabilityQueries(t *testing.T) {
 	sys := testSystem(t)
-	pred, err := sys.Predict(joinQuery())
+	pred, err := sys.PredictContext(context.Background(), joinQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +114,14 @@ func TestAlternativesAndChoosePlan(t *testing.T) {
 			{LeftTable: "orders", LeftCol: "o_orderkey", RightTable: "lineitem", RightCol: "l_orderkey"},
 		},
 	}
-	choices, err := sys.Alternatives(q, 4)
+	choices, err := sys.AlternativesContext(context.Background(), q, WithMaxAlts(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(choices) < 2 {
 		t.Fatalf("got %d alternatives", len(choices))
 	}
-	best, all, err := sys.ChoosePlan(q, 0.9, 4)
+	best, all, err := sys.ChoosePlanContext(context.Background(), q, WithQuantile(0.9), WithMaxAlts(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +145,11 @@ func TestVariantsViaConfig(t *testing.T) {
 	}
 	sysAll := testSystem(t)
 	q := joinQuery()
-	pAll, err := sysAll.Predict(q)
+	pAll, err := sysAll.PredictContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pC, err := sysC.Predict(q)
+	pC, err := sysC.PredictContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

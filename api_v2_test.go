@@ -1,14 +1,16 @@
 package uaqetp
 
-// Tests for the v2 pipeline seams: stage injection via Config and With,
-// per-call options, context cancellation through the batch pool, the
+// Tests for the pipeline seams: stage injection via With, per-call
+// options, context cancellation through the batch pool, the
 // hot-swappable predictor, and subtree-granular estimate memoization.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -70,18 +72,14 @@ func fourWayJoinQuery() *Query {
 }
 
 // TestStubPredictorViaConfig proves the façade routes every prediction
-// through the injected stage: Predict, PredictBatch, and Alternatives
-// all report the stub's distribution, and the stub sees every call.
+// through the stage installed with With(WithPredictor): PredictContext,
+// PredictBatchContext, and AlternativesContext all report the stub's
+// distribution, and the stub sees every call.
 func TestStubPredictorViaConfig(t *testing.T) {
 	stub := &stubPredictor{mu: 42}
-	cfg := DefaultConfig()
-	cfg.Predictor = stub
-	sys, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := testSystem(t).With(WithPredictor(stub))
 	q := joinQuery()
-	p, err := sys.Predict(q)
+	p, err := sys.PredictContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +110,14 @@ func TestStubPredictorViaConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	derived := def.With(WithPredictor(stub))
-	dp, err := derived.Predict(q)
+	dp, err := derived.PredictContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dp.Mean() != 42 {
 		t.Errorf("derived façade ignored WithPredictor: mean %v", dp.Mean())
 	}
-	op, err := def.Predict(q)
+	op, err := def.PredictContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,12 +131,7 @@ func TestStubPredictorViaConfig(t *testing.T) {
 // returns ctx.Err() instead of hanging.
 func TestPredictBatchContextCancel(t *testing.T) {
 	blocker := &blockingPredictor{started: make(chan struct{})}
-	cfg := DefaultConfig()
-	cfg.Predictor = blocker
-	sys, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := testSystem(t).With(WithPredictor(blocker))
 	queries := make([]*Query, 8)
 	for i := range queries {
 		q := *joinQuery()
@@ -170,13 +163,8 @@ func TestPredictBatchContextCancel(t *testing.T) {
 // TestChoosePlanNoPlans pins the satellite fix: a planner producing zero
 // plans yields ErrNoPlans instead of the old index-out-of-range panic.
 func TestChoosePlanNoPlans(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Planner = emptyPlanner{}
-	sys, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = sys.ChoosePlan(joinQuery(), 0.9, 4)
+	sys := testSystem(t).With(WithPlanner(emptyPlanner{}))
+	_, _, err := sys.ChoosePlanContext(context.Background(), joinQuery(), WithQuantile(0.9), WithMaxAlts(4))
 	if !errors.Is(err, ErrNoPlans) {
 		t.Fatalf("err = %v, want ErrNoPlans", err)
 	}
@@ -314,7 +302,7 @@ func TestRecalibrateDeterministicSwap(t *testing.T) {
 	run := func() (before, after float64, units string) {
 		sys := testSystem(t)
 		derived := sys.With() // own handle, shared layers
-		p, err := sys.Predict(q)
+		p, err := sys.PredictContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,13 +310,13 @@ func TestRecalibrateDeterministicSwap(t *testing.T) {
 		if _, err := derived.Recalibrate(99); err != nil {
 			t.Fatal(err)
 		}
-		pa, err := derived.Predict(q)
+		pa, err := derived.PredictContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		after = pa.Mean()
 		// The parent façade is untouched by the derived swap.
-		pp, err := sys.Predict(q)
+		pp, err := sys.PredictContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,26 +385,61 @@ func TestPlannerDecorator(t *testing.T) {
 	}
 }
 
-// TestV1WrapperMaxAltsSemantics pins the v1 contract through the
-// wrappers: maxAlts < 1 returns only the default plan (not the v2
-// DefaultMaxAlts fallback).
-func TestV1WrapperMaxAltsSemantics(t *testing.T) {
+// TestNilQueryIsAnError hands a nil query to every single-query entry
+// point: each must answer with the same "nil query" error, none may
+// panic (Measure and Plan used to dereference it in the planner's
+// fingerprint).
+func TestNilQueryIsAnError(t *testing.T) {
 	sys := testSystem(t)
-	q := fourWayJoinQuery()
-	for _, k := range []int{0, -3, 1} {
-		choices, err := sys.Alternatives(q, k)
-		if err != nil {
-			t.Fatal(err)
+	ctx := context.Background()
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"PredictContext", func() error { _, err := sys.PredictContext(ctx, nil); return err }},
+		{"PredictPlannedContext", func() error { _, _, err := sys.PredictPlannedContext(ctx, nil); return err }},
+		{"ExecuteContext", func() error { _, err := sys.ExecuteContext(ctx, nil); return err }},
+		{"AlternativesContext", func() error { _, err := sys.AlternativesContext(ctx, nil); return err }},
+		{"ChoosePlanContext", func() error { _, _, err := sys.ChoosePlanContext(ctx, nil); return err }},
+		{"PredictAndRunContext", func() error { _, _, err := sys.PredictAndRunContext(ctx, nil); return err }},
+		{"Measure", func() error { _, err := sys.Measure(nil); return err }},
+		{"Plan", func() error { _, err := sys.Plan(nil); return err }},
+	}
+	for _, c := range calls {
+		if err := c.call(); err == nil || !strings.Contains(err.Error(), "nil query") {
+			t.Errorf("%s(nil): err = %v, want one naming \"nil query\"", c.name, err)
 		}
-		if len(choices) != 1 {
-			t.Errorf("Alternatives(q, %d) returned %d plans, want 1 (v1 semantics)", k, len(choices))
-		}
-		best, all, err := sys.ChoosePlan(q, 0.5, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(all) != 1 || best.Plan != all[0].Plan {
-			t.Errorf("ChoosePlan(q, 0.5, %d) considered %d plans, want 1", k, len(all))
-		}
+	}
+}
+
+// TestPublicSurface pins the exported methods of *System and the fields
+// of Config against a literal, so growing the public surface is a
+// deliberate edit of this list rather than a side effect.
+func TestPublicSurface(t *testing.T) {
+	sysType := reflect.TypeOf(&System{})
+	var methods []string
+	for i := 0; i < sysType.NumMethod(); i++ {
+		methods = append(methods, sysType.Method(i).Name)
+	}
+	wantMethods := []string{
+		"AlternativesContext", "CacheStats", "ChoosePlanContext", "Config",
+		"CostUnits", "Estimator", "ExecuteBatchContext", "ExecuteContext",
+		"Executor", "GenerateTrace", "GenerateWorkload", "Machine", "Measure",
+		"Plan", "Planner", "PredictAndRunContext", "PredictBatchContext",
+		"PredictContext", "PredictPlannedContext", "Predictor", "Recalibrate",
+		"SwapPredictor", "TableNames", "UnitDists", "With",
+		"WithDriftInjection", "WithMachine", "WithSamplingRatio", "WithVariant",
+	}
+	if !reflect.DeepEqual(methods, wantMethods) {
+		t.Errorf("*System methods = %v\nwant %v", methods, wantMethods)
+	}
+	cfgType := reflect.TypeOf(Config{})
+	var fields []string
+	for i := 0; i < cfgType.NumField(); i++ {
+		fields = append(fields, cfgType.Field(i).Name)
+	}
+	wantFields := []string{"DB", "Machine", "SamplingRatio", "Variant", "Seed", "RNG", "Cache"}
+	if !reflect.DeepEqual(fields, wantFields) {
+		t.Errorf("Config fields = %v\nwant %v", fields, wantFields)
 	}
 }

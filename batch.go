@@ -7,15 +7,6 @@ import (
 	"repro/internal/pool"
 )
 
-// BatchOptions configures the deprecated PredictBatch and ExecuteBatch
-// wrappers; the context entry points take WithWorkers instead.
-type BatchOptions struct {
-	// Workers bounds the goroutines working the batch concurrently;
-	// 0 selects GOMAXPROCS, 1 degenerates to a serial loop. The returned
-	// results are byte-identical for every value.
-	Workers int
-}
-
 // firstBatchError returns the lowest-index error, wrapped with the
 // query it belongs to, or nil.
 func firstBatchError(op string, queries []*Query, errs []error) error {
@@ -75,42 +66,9 @@ func (s *System) ExecuteBatchContext(ctx context.Context, queries []*Query, opts
 	return times, firstBatchError("ExecuteBatch", queries, errs)
 }
 
-// PredictBatch predicts every query in the batch over a bounded worker
-// pool.
-//
-// Deprecated: use PredictBatchContext with WithWorkers.
-func (s *System) PredictBatch(queries []*Query, opts BatchOptions) ([]*Prediction, error) {
-	return s.PredictBatchContext(context.Background(), queries, WithWorkers(opts.Workers))
-}
-
-// ExecuteBatch runs every query on the simulated hardware over a
-// bounded worker pool.
-//
-// Deprecated: use ExecuteBatchContext with WithWorkers.
-func (s *System) ExecuteBatch(queries []*Query, opts BatchOptions) ([]float64, error) {
-	return s.ExecuteBatchContext(context.Background(), queries, WithWorkers(opts.Workers))
-}
-
-// MemoStats reports the hit/miss counters of the whole-plan memo, for
-// observability in batch-serving deployments. When the System runs on a
-// shared EstimateCache the counters aggregate over every sharer;
-// CacheStats exposes the full snapshot including the subtree section.
-func (s *System) MemoStats() (hits, misses uint64) {
-	cs := s.estCache.Stats()
-	return cs.Hits, cs.Misses
-}
-
 // CacheStats snapshots the estimate cache backing this System —
 // aggregated across shards, and across tenants when the cache is shared.
 func (s *System) CacheStats() CacheStats { return s.estCache.Stats() }
-
-// PredictPlanned returns the prediction together with the plan's
-// canonical signature.
-//
-// Deprecated: use PredictPlannedContext.
-func (s *System) PredictPlanned(q *Query) (*Prediction, string, error) {
-	return s.PredictPlannedContext(context.Background(), q)
-}
 
 func queryName(q *Query) string {
 	if q == nil {

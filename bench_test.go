@@ -8,6 +8,7 @@ package uaqetp_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -135,7 +136,7 @@ func BenchmarkPredictorLatency(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Predict(q); err != nil {
+		if _, err := sys.PredictContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -201,7 +202,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, q := range benchBatchQueries(batch) {
-				if _, err := sys.Predict(q); err != nil {
+				if _, err := sys.PredictContext(context.Background(), q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -211,7 +212,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sys.PredictBatch(benchBatchQueries(batch), uaqetp.BatchOptions{Workers: workers}); err != nil {
+				if _, err := sys.PredictBatchContext(context.Background(), benchBatchQueries(batch), uaqetp.WithWorkers(workers)); err != nil {
 					b.Fatal(err)
 				}
 			}

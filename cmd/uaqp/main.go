@@ -377,7 +377,7 @@ func frontCmd(args []string) error {
 }
 
 // batch demonstrates the concurrent batched prediction pipeline: it
-// predicts a whole workload through System.PredictBatch and reports
+// predicts a whole workload through System.PredictBatchContext and reports
 // per-query results plus serial-vs-pooled wall-clock throughput.
 func batch(args []string) error {
 	fs := flag.NewFlagSet("batch", flag.ExitOnError)
@@ -425,9 +425,9 @@ func batch(args []string) error {
 		fmt.Printf("%-18s %-12.4f %-12.4f %-12.4f\n",
 			qs[i].Name, p.Mean(), p.Sigma(), p.Dist.Quantile(0.95))
 	}
-	hits, misses := sys.MemoStats()
+	cs := sys.CacheStats()
 	fmt.Printf("\npooled wall clock: %v (%.1f predictions/s), plan-memo %d hits / %d misses\n",
-		pooled, float64(len(qs))/pooled.Seconds(), hits, misses)
+		pooled, float64(len(qs))/pooled.Seconds(), cs.Hits, cs.Misses)
 	return nil
 }
 

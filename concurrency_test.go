@@ -6,6 +6,7 @@
 package uaqetp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -86,12 +87,12 @@ func TestConcurrentUseDeterministic(t *testing.T) {
 	wantPred := make([]string, len(queries))
 	wantExec := make([]float64, len(queries))
 	for i, q := range queries {
-		p, err := base.Predict(q)
+		p, err := base.PredictContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantPred[i] = predFingerprint(p)
-		a, err := base.Execute(q)
+		a, err := base.ExecuteContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +109,7 @@ func TestConcurrentUseDeterministic(t *testing.T) {
 			qi := g % len(queries)
 			switch g % 3 {
 			case 0: // single prediction
-				p, err := sys.Predict(queries[qi])
+				p, err := sys.PredictContext(context.Background(), queries[qi])
 				if err != nil {
 					errc <- err
 					return
@@ -118,7 +119,7 @@ func TestConcurrentUseDeterministic(t *testing.T) {
 						g, queries[qi].Name, got, wantPred[qi])
 				}
 			case 1: // batch with a goroutine-dependent worker count
-				preds, err := sys.PredictBatch(queries, BatchOptions{Workers: 1 + g%8})
+				preds, err := sys.PredictBatchContext(context.Background(), queries, WithWorkers(1+g%8))
 				if err != nil {
 					errc <- err
 					return
@@ -130,7 +131,7 @@ func TestConcurrentUseDeterministic(t *testing.T) {
 					}
 				}
 			case 2: // simulated execution
-				a, err := sys.Execute(queries[qi])
+				a, err := sys.ExecuteContext(context.Background(), queries[qi])
 				if err != nil {
 					errc <- err
 					return
@@ -159,14 +160,14 @@ func TestPredictBatchMatchesSerialAcrossWorkerCounts(t *testing.T) {
 
 	want := make([]string, len(queries))
 	for i, q := range queries {
-		p, err := sys.Predict(q)
+		p, err := sys.PredictContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = predFingerprint(p)
 	}
 	for _, workers := range []int{0, 1, 2, 4, 8, 32} {
-		preds, err := sys.PredictBatch(queries, BatchOptions{Workers: workers})
+		preds, err := sys.PredictBatchContext(context.Background(), queries, WithWorkers(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -191,7 +192,7 @@ func TestPredictBatchErrors(t *testing.T) {
 		{Name: "broken", Tables: []string{"no_such_table"}},
 		stressQueries()[1],
 	}
-	preds, err := sys.PredictBatch(queries, BatchOptions{Workers: 2})
+	preds, err := sys.PredictBatchContext(context.Background(), queries, WithWorkers(2))
 	if err == nil {
 		t.Fatal("expected an error for the broken query")
 	}
@@ -202,10 +203,10 @@ func TestPredictBatchErrors(t *testing.T) {
 		t.Error("broken query produced a prediction")
 	}
 
-	if _, err := sys.PredictBatch([]*Query{nil}, BatchOptions{}); err == nil {
+	if _, err := sys.PredictBatchContext(context.Background(), []*Query{nil}); err == nil {
 		t.Error("expected an error for a nil query")
 	}
-	empty, err := sys.PredictBatch(nil, BatchOptions{})
+	empty, err := sys.PredictBatchContext(context.Background(), nil)
 	if err != nil || len(empty) != 0 {
 		t.Errorf("empty batch: %v, %v", empty, err)
 	}
@@ -223,7 +224,7 @@ func TestExecuteBatchErrors(t *testing.T) {
 		{Name: "broken", Tables: []string{"no_such_table"}},
 		stressQueries()[1],
 	}
-	times, err := sys.ExecuteBatch(queries, BatchOptions{Workers: 2})
+	times, err := sys.ExecuteBatchContext(context.Background(), queries, WithWorkers(2))
 	if err == nil {
 		t.Fatal("expected an error for the nil query")
 	}
@@ -237,7 +238,7 @@ func TestExecuteBatchErrors(t *testing.T) {
 		t.Errorf("failed queries produced measurements: %v", times)
 	}
 
-	empty, err := sys.ExecuteBatch(nil, BatchOptions{})
+	empty, err := sys.ExecuteBatchContext(context.Background(), nil)
 	if err != nil || len(empty) != 0 {
 		t.Errorf("empty batch: %v, %v", empty, err)
 	}
@@ -250,14 +251,14 @@ func TestExecuteBatchDeterministic(t *testing.T) {
 	queries := stressQueries()[:3]
 	want := make([]float64, len(queries))
 	for i, q := range queries {
-		a, err := sys.Execute(q)
+		a, err := sys.ExecuteContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = a
 	}
 	for _, workers := range []int{1, 3, 8} {
-		got, err := sys.ExecuteBatch(queries, BatchOptions{Workers: workers})
+		got, err := sys.ExecuteBatchContext(context.Background(), queries, WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,14 +275,14 @@ func TestExecuteBatchDeterministic(t *testing.T) {
 func TestEstimateMemoHits(t *testing.T) {
 	sys := testSystem(t)
 	q := stressQueries()[2]
-	if _, err := sys.Predict(q); err != nil {
+	if _, err := sys.PredictContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	h0, _ := sys.MemoStats()
-	if _, err := sys.Predict(q); err != nil {
+	h0 := sys.CacheStats().Hits
+	if _, err := sys.PredictContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	h1, _ := sys.MemoStats()
+	h1 := sys.CacheStats().Hits
 	if h1 != h0+1 {
 		t.Errorf("second Predict did not hit the memo: hits %d -> %d", h0, h1)
 	}

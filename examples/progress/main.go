@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -36,7 +37,7 @@ func main() {
 		Agg: &uaqetp.AggSpec{GroupCol: "c_nationkey"},
 	}
 
-	pred, actual, err := sys.PredictAndRun(q)
+	pred, actual, err := sys.PredictAndRunContext(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -119,7 +119,7 @@ func TestRunMemoSharedAcrossMachines(t *testing.T) {
 
 	timesA := make([]float64, len(qs))
 	for i, q := range qs {
-		if timesA[i], err = a.Execute(q); err != nil {
+		if timesA[i], err = a.ExecuteContext(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -131,7 +131,7 @@ func TestRunMemoSharedAcrossMachines(t *testing.T) {
 
 	timesB := make([]float64, len(qs))
 	for i, q := range qs {
-		if timesB[i], err = b.Execute(q); err != nil {
+		if timesB[i], err = b.ExecuteContext(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,7 +152,7 @@ func TestRunMemoSharedAcrossMachines(t *testing.T) {
 	}
 	var differ bool
 	for i, q := range qs {
-		got, err := fresh.Execute(q)
+		got, err := fresh.ExecuteContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,8 +3,6 @@ package uaqetp
 import (
 	"context"
 	"fmt"
-
-	"repro/internal/calib"
 )
 
 // OpDetail pairs one selective operator's estimated selectivity
@@ -15,14 +13,15 @@ type OpDetail struct {
 	TrueSel  float64 // observed selectivity
 }
 
-// Measurement is the instrumented counterpart of Execute: the measured
-// running time plus the ground truth the experiment harness needs — the
-// simulated cost of the sampling pass vs. the full run (Section 6.4
-// overhead) and the per-operator selectivity observations (Tables 6-9).
+// Measurement is the instrumented counterpart of ExecuteContext: the
+// measured running time plus the ground truth the experiment harness
+// needs — the simulated cost of the sampling pass vs. the full run
+// (Section 6.4 overhead) and the per-operator selectivity observations
+// (Tables 6-9).
 // It is independent of the predictor variant, so ablation grids can
 // measure once per query and reuse.
 type Measurement struct {
-	Actual     float64 // measured running time in seconds (same as Execute)
+	Actual     float64 // measured running time in seconds (same as ExecuteContext)
 	SampleCost float64 // simulated cost of the sampling pass
 	FullCost   float64 // simulated cost of the full run
 	Ops        []OpDetail
@@ -30,12 +29,15 @@ type Measurement struct {
 
 // Measure executes the query on the built-in simulator with the same
 // deterministic per-call seeding as the default Executor — so
-// Measure(q).Actual equals Execute(q) unless a custom Executor stage is
-// installed — and additionally reports the sampling overhead and
-// per-operator selectivity ground truth. The plan comes from the
-// Planner stage and the estimates from the Estimator stage (which must
-// be, or wrap, the built-in sampling estimator).
+// Measure(q).Actual equals ExecuteContext(ctx, q) unless a custom
+// Executor stage is installed — and additionally reports the sampling
+// overhead and per-operator selectivity ground truth. The plan comes
+// from the Planner stage and the estimates from the Estimator stage
+// (which must be, or wrap, the built-in sampling estimator).
 func (s *System) Measure(q *Query) (*Measurement, error) {
+	if q == nil {
+		return nil, errNilQuery
+	}
 	ctx := context.Background()
 	p, err := s.planner.BuildPlan(ctx, q)
 	if err != nil {
@@ -55,19 +57,6 @@ func (s *System) Measure(q *Query) (*Measurement, error) {
 	res, actual, err := s.runMeasured(q, p)
 	if err != nil {
 		return nil, err
-	}
-	if s.cfg.Observer != nil {
-		// Feed the calibration observatory: Measure is the instrumented
-		// execute, so pair its measured time with what the current
-		// predictor stage would have promised for this plan.
-		if pred, perr := s.predictResolved(ctx, p, s.Predictor()); perr == nil {
-			s.cfg.Observer.Observe(&calib.Observation{
-				Unit:      pred.DominantUnit(),
-				PredMean:  pred.Mean(),
-				PredSigma: pred.Sigma(),
-				Observed:  actual,
-			})
-		}
 	}
 	m := &Measurement{
 		Actual:     actual,

@@ -4,6 +4,7 @@
 package uaqetp_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -147,7 +148,7 @@ func TestFullSamplingNearExactSelectivities(t *testing.T) {
 		Tables: []string{"lineitem"},
 		Preds:  []uaqetp.Predicate{{Col: "l_quantity", Op: uaqetp.Le, Lo: 25}},
 	}
-	pred, actual, err := sys.PredictAndRun(q)
+	pred, actual, err := sys.PredictAndRunContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

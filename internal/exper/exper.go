@@ -31,86 +31,11 @@ type Setting struct {
 	Variant    core.Variant
 	NumQueries int
 	Seed       int64
-	// Stages, when non-nil, swaps custom pipeline stages into the
-	// setting's System — the seam for grids that ablate Config-level
-	// stages (an instrumented executor, a clamped estimator) against the
-	// defaults. A pointer so Setting stays comparable (the memoization
-	// key); the same *Stages value across cells shares derived Systems
-	// and measurements, distinct values never do.
-	Stages *Stages
 }
 
 // String implements fmt.Stringer.
 func (s Setting) String() string {
-	base := fmt.Sprintf("%v/%v/%s/SR=%g/%v", s.Bench, s.DB, s.Machine, s.SR, s.Variant)
-	if s.Stages != nil {
-		return base + "/stages=" + s.Stages.name()
-	}
-	return base
-}
-
-// Stages bundles custom pipeline-stage constructors for a Setting.
-// Each non-nil constructor is called with the setting's fully-sampled
-// System (so a custom stage can wrap or delegate to the default stage
-// it replaces) and its result installed via System.With.
-type Stages struct {
-	// Name labels the combination in Setting.String() and reports.
-	Name      string
-	Planner   func(*uaqetp.System) uaqetp.Planner
-	Estimator func(*uaqetp.System) uaqetp.Estimator
-	Predictor func(*uaqetp.System) uaqetp.Predictor
-	Executor  func(*uaqetp.System) uaqetp.Executor
-	// Config, when non-nil, edits the base Config before Open — the seam
-	// for Config-level knobs stage constructors can't reach (e.g. the
-	// measurement-stream version, Config.RNG). Unlike the constructors
-	// above, a Config hook changes the base environment itself, so
-	// settings carrying one get their own base System (own database
-	// generation and calibration) and never share bases — or memoized
-	// measurements — with the defaults or with other hooks.
-	Config func(*uaqetp.Config)
-}
-
-// configStages returns st when it carries a Config hook — the part of a
-// stage set that changes the base environment and therefore must key
-// base memoization — and nil otherwise, preserving base sharing for
-// constructor-only stage sets.
-func (st *Stages) configStages() *Stages {
-	if st != nil && st.Config != nil {
-		return st
-	}
-	return nil
-}
-
-func (st *Stages) name() string {
-	if st == nil {
-		return ""
-	}
-	if st.Name != "" {
-		return st.Name
-	}
-	return "custom"
-}
-
-// options builds the System.With option list for sys; nil receiver or
-// all-nil constructors yield none.
-func (st *Stages) options(sys *uaqetp.System) []uaqetp.SystemOption {
-	if st == nil {
-		return nil
-	}
-	var opts []uaqetp.SystemOption
-	if st.Planner != nil {
-		opts = append(opts, uaqetp.WithPlanner(st.Planner(sys)))
-	}
-	if st.Estimator != nil {
-		opts = append(opts, uaqetp.WithEstimator(st.Estimator(sys)))
-	}
-	if st.Predictor != nil {
-		opts = append(opts, uaqetp.WithPredictor(st.Predictor(sys)))
-	}
-	if st.Executor != nil {
-		opts = append(opts, uaqetp.WithExecutor(st.Executor(sys)))
-	}
-	return opts
+	return fmt.Sprintf("%v/%v/%s/SR=%g/%v", s.Bench, s.DB, s.Machine, s.SR, s.Variant)
 }
 
 // OpObservation pairs one selective operator's estimated selectivity
@@ -183,20 +108,12 @@ type baseKey struct {
 	DB      datagen.DBKind
 	Machine string
 	Seed    int64
-	// Stages is non-nil (pointer identity) only for stage sets carrying
-	// a Config hook, which alters the base environment; constructor-only
-	// sets keep it nil and share the default base.
-	Stages *Stages
 }
 
-// sysKey identifies one fully-sampled System, including any custom
-// stage combination (pointer identity): custom stages change what
-// Measure and Predict observe, so measurements memoized under one
-// stage set must never leak into another.
+// sysKey identifies one fully-sampled System.
 type sysKey struct {
 	baseKey
-	SR     float64
-	Stages *Stages
+	SR float64
 }
 
 // measKey identifies one variant-independent query measurement. The
@@ -280,14 +197,10 @@ func (l *Lab) baseFor(k baseKey, sr float64) (*uaqetp.System, error) {
 	}
 	l.mu.Unlock()
 	e.once.Do(func() {
-		cfg := uaqetp.Config{
+		e.sys, e.err = uaqetp.Open(uaqetp.Config{
 			DB: k.DB, Machine: k.Machine, SamplingRatio: sr,
 			Variant: core.All, Seed: k.Seed, Cache: l.cache,
-		}
-		if k.Stages != nil && k.Stages.Config != nil {
-			k.Stages.Config(&cfg)
-		}
-		e.sys, e.err = uaqetp.Open(cfg)
+		})
 	})
 	return e.sys, e.err
 }
@@ -296,7 +209,7 @@ func (l *Lab) baseFor(k baseKey, sr float64) (*uaqetp.System, error) {
 // and sampling ratio, with the complete predictor; variants are derived
 // by the caller via WithVariant.
 func (l *Lab) systemFor(s Setting) (*uaqetp.System, error) {
-	k := sysKey{baseKey{s.DB, s.Machine, s.Seed, s.Stages.configStages()}, s.SR, s.Stages}
+	k := sysKey{baseKey{s.DB, s.Machine, s.Seed}, s.SR}
 	l.mu.Lock()
 	e, ok := l.systems[k]
 	if !ok {
@@ -310,15 +223,7 @@ func (l *Lab) systemFor(s Setting) (*uaqetp.System, error) {
 			e.err = err
 			return
 		}
-		sys, err := base.WithSamplingRatio(s.SR)
-		if err != nil {
-			e.err = err
-			return
-		}
-		if opts := s.Stages.options(sys); len(opts) > 0 {
-			sys = sys.With(opts...)
-		}
-		e.sys = sys
+		e.sys, e.err = base.WithSamplingRatio(s.SR)
 	})
 	return e.sys, e.err
 }
@@ -397,7 +302,7 @@ func (l *Lab) run(s Setting) (*RunResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exper: %w", err)
 	}
-	sk := sysKey{baseKey{s.DB, s.Machine, s.Seed, s.Stages.configStages()}, s.SR, s.Stages}
+	sk := sysKey{baseKey{s.DB, s.Machine, s.Seed}, s.SR}
 	ms := make([]*uaqetp.Measurement, len(queries))
 	err = fanOut(len(queries), 0, func(i int) error {
 		m, err := l.measureFor(sys, measKey{sk, s.Bench, s.NumQueries, queries[i].Name}, queries[i])

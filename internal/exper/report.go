@@ -19,9 +19,6 @@ type Sizing struct {
 	Seed           int64
 }
 
-// DefaultSizing balances fidelity against bench runtime.
-func DefaultSizing() Sizing { return Sizing{QueriesPerCell: 24, Seed: 1} }
-
 // The paper's standard sampling-ratio grid.
 var standardSRs = []float64{0.01, 0.05, 0.1}
 

@@ -75,8 +75,7 @@ func releaseQueued(it *queued) {
 }
 
 // requestHeap orders admitted work by the queue policy's key (smallest
-// first), ties by admission order. Under the default RiskSlack policy
-// this is the incremental counterpart of sched.RiskSlack.
+// first), ties by admission order.
 type requestHeap []*queued
 
 func (h requestHeap) Len() int { return len(h) }

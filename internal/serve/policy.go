@@ -26,8 +26,7 @@ type QueuePolicy struct {
 // The built-in queue policies.
 var (
 	// RiskSlack drains by risk-adjusted slack: deadline minus the SLO
-	// quantile of the predicted running time — the incremental
-	// counterpart of sched.RiskSlack, and the default.
+	// quantile of the predicted running time — the default.
 	RiskSlack = QueuePolicy{
 		Name: "risk-slack",
 		Key: func(absDeadline float64, pred *uaqetp.Prediction, slo SLO) float64 {

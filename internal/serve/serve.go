@@ -11,8 +11,7 @@
 //     meeting its deadline clears the tenant's SLO confidence, and
 //     admitted work drains under a pluggable QueuePolicy — by default
 //     risk-adjusted slack, deadline minus the SLO quantile of the
-//     predicted running time, the same distribution-based priority
-//     internal/sched's RiskSlack policy uses for batch scheduling;
+//     predicted running time;
 //   - a runtime feedback loop that records observed Execute times per
 //     plan signature and reports calibration drift — observed vs.
 //     predicted quantile coverage, attributed to the cost unit
@@ -258,17 +257,9 @@ func New(cfg Config) *Server {
 	}
 }
 
-// hasCustomStages reports whether the config overrides any pipeline
-// stage. Such configs are opened fresh instead of being deduped: stage
-// values may not be comparable (map keys must be), and tenants with
-// bespoke stages should not silently share a System anyway.
-func hasCustomStages(cfg uaqetp.Config) bool {
-	return cfg.Planner != nil || cfg.Estimator != nil || cfg.Predictor != nil || cfg.Executor != nil
-}
-
 // AddTenant opens a System for the tenant on the server's shared cache.
 // The Cache field of sysCfg is overridden; everything else is honored.
-// Tenants with identical stage-free configs share one underlying System
+// Tenants with identical configs share one underlying System
 // — each behind its own façade (uaqetp.System.With), so per-tenant
 // predictor swaps stay per-tenant — and the expensive Open runs outside
 // the server lock, so adding a tenant never stalls requests already
@@ -290,14 +281,10 @@ func (s *Server) AddTenant(name string, sysCfg uaqetp.Config, slo SLO) (*Tenant,
 	if sysCfg.SamplingRatio <= 0 {
 		sysCfg.SamplingRatio = 0.05
 	}
-	dedup := !hasCustomStages(sysCfg)
 
-	var sys *uaqetp.System
 	s.mu.RLock()
 	_, exists := s.tenants[name]
-	if dedup {
-		sys = s.systems[sysCfg]
-	}
+	sys := s.systems[sysCfg]
 	s.mu.RUnlock()
 	if exists {
 		return nil, fmt.Errorf("serve: tenant %q already exists", name)
@@ -316,12 +303,10 @@ func (s *Server) AddTenant(name string, sysCfg uaqetp.Config, slo SLO) (*Tenant,
 	if _, ok := s.tenants[name]; ok {
 		return nil, fmt.Errorf("serve: tenant %q already exists", name)
 	}
-	if dedup {
-		if prev, ok := s.systems[sysCfg]; ok {
-			sys = prev
-		} else {
-			s.systems[sysCfg] = sys
-		}
+	if prev, ok := s.systems[sysCfg]; ok {
+		sys = prev
+	} else {
+		s.systems[sysCfg] = sys
 	}
 	// Each tenant gets its own façade with an independent predictor
 	// handle over the shared layers.

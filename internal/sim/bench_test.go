@@ -64,9 +64,9 @@ func BenchmarkSimPoisson(b *testing.B) {
 	if b.Elapsed() > 0 {
 		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 	}
-	// Deterministic per (scenario, seed): the trajectory records policy
-	// quality next to raw speed, so BENCH_batch.json catches a change
-	// that makes the simulator faster by making its decisions worse.
+	// Deterministic per (scenario, seed): policy quality is reported next
+	// to raw speed, so a change that makes the simulator faster by making
+	// its decisions worse shows in the same output.
 	b.ReportMetric(fitness, "fitness")
 }
 
@@ -125,10 +125,10 @@ func BenchmarkSimHeterogeneous(b *testing.B) {
 // (WithDriftInjection rebuilt each iteration, like the fleet), every
 // executed request streaming through the per-machine accumulators, and
 // the drift window assembled at report time. Besides raw events/sec,
-// the trajectory records the observatory's quality numbers — fleet MAPE,
-// 90% coverage, and time-to-detection — so BENCH_batch.json catches a
-// change that speeds the simulator up by making its calibration
-// accounting wrong.
+// it reports the observatory's quality numbers — fleet MAPE, 90%
+// coverage, and time-to-detection — so a change that speeds the
+// simulator up by making its calibration accounting wrong shows in the
+// same output.
 func BenchmarkSimDrift(b *testing.B) {
 	sc := Scenario{
 		Name:    "bench-drift",

@@ -148,6 +148,63 @@ func TestLeastRiskBeatsRoundRobin(t *testing.T) {
 	}
 }
 
+// TestQueuePolicyComparison is the Section 6.5.3 scheduling comparison
+// as examples/sim prints it: examples/sim/scenario.json (seed 5, router
+// least-risk) on 2 machines instead of 3, identical arrivals, only
+// queue_policy varying. The counts are the ones that run measured. What
+// they show is an ordering of deadline misses — draining on the point
+// estimate alone (sjf) misses the most, draining on the SLO quantile
+// (risk-slack) far fewer, and the prediction-blind orders none — not a
+// win for the distribution-aware order, so none is asserted.
+func TestQueuePolicyComparison(t *testing.T) {
+	sc := shippedScenario(t)
+	sc.Machines = FleetOf(2)
+	const arrivals = 801
+	cases := []struct {
+		policy                     string
+		admitted, rejected, missed int
+	}{
+		{serve.FIFO.Name, 619, 182, 0},
+		{serve.EDF.Name, 616, 185, 0},
+		{serve.RiskSlack.Name, 622, 179, 9},
+		{serve.SJF.Name, 615, 186, 59},
+	}
+	for _, c := range cases {
+		sc.QueuePolicy = c.policy
+		rep, err := Run(sc)
+		if err != nil {
+			t.Fatalf("%s: %v", c.policy, err)
+		}
+		again, err := Run(sc)
+		if err != nil {
+			t.Fatalf("%s: %v", c.policy, err)
+		}
+		if !reflect.DeepEqual(rep, again) {
+			t.Errorf("%s: reports differ across two runs", c.policy)
+		}
+		if rep.QueuePolicy != c.policy {
+			t.Errorf("%s: report names queue policy %q", c.policy, rep.QueuePolicy)
+		}
+		var admitted, rejected, missed int
+		for _, tr := range rep.Tenants {
+			admitted += tr.Admitted
+			rejected += tr.Rejected
+			missed += tr.DeadlinesMissed
+		}
+		if rep.Arrivals != arrivals || admitted+rejected != rep.Arrivals {
+			t.Errorf("%s: %d arrivals (want %d) != %d admitted + %d rejected",
+				c.policy, rep.Arrivals, arrivals, admitted, rejected)
+		}
+		if rep.SLOAttainment < 0 || rep.SLOAttainment > 1 {
+			t.Errorf("%s: attainment %v outside [0, 1]", c.policy, rep.SLOAttainment)
+		}
+		if admitted != c.admitted || rejected != c.rejected || missed != c.missed {
+			t.Errorf("%s: admitted/rejected/missed = %d/%d/%d, want %d/%d/%d",
+				c.policy, admitted, rejected, missed, c.admitted, c.rejected, c.missed)
+		}
+	}
+}
+
 // TestAutoRecalibrationTriggers pins the cadence policy end to end: the
 // shipped scenario sets recal_every, so the virtual clock must trigger
 // drift-advised recalibrations during the run and surface the counts.

@@ -171,9 +171,6 @@ func StdNormalQuantile(p float64) float64 {
 	return x
 }
 
-// ProductMean returns E[XY] for independent X, Y.
-func ProductMean(x, y Normal) float64 { return x.Mu * y.Mu }
-
 // ProductVar returns Var[XY] for independent normal X, Y (the "normal
 // product distribution" of Aroian [8]):
 //

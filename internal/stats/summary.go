@@ -30,21 +30,6 @@ func Variance(xs []float64) float64 {
 	return ss / float64(n-1)
 }
 
-// PopVariance returns the population variance (divisor n).
-func PopVariance(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n)
-}
-
 // StdDev returns the unbiased sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 

@@ -1,6 +1,6 @@
 package uaqetp
 
-// Per-call functional options for the v2 API. Every *Context entry
+// Per-call functional options. Every *Context entry
 // point accepts a trailing ...CallOption; each option tunes exactly one
 // knob of that call, and unset knobs fall back to the documented
 // defaults. The same options compose across methods: a plan signature

@@ -1,6 +1,7 @@
 package uaqetp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -16,7 +17,7 @@ func executeSamples(t *testing.T, sys *System, n int) []float64 {
 	for i := range out {
 		q := joinQuery()
 		q.Name = fmt.Sprintf("rng-eq-%d", i)
-		v, err := sys.Execute(q)
+		v, err := sys.ExecuteContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,11 +88,11 @@ func TestExecuteWarmAllocsV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := joinQuery()
-	if _, err := sys.Execute(q); err != nil {
+	if _, err := sys.ExecuteContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	perCall := testing.AllocsPerRun(50, func() {
-		if _, err := sys.Execute(q); err != nil {
+		if _, err := sys.ExecuteContext(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -100,11 +101,11 @@ func TestExecuteWarmAllocsV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sysV1.Execute(q); err != nil {
+	if _, err := sysV1.ExecuteContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	perCallV1 := testing.AllocsPerRun(50, func() {
-		if _, err := sysV1.Execute(q); err != nil {
+		if _, err := sysV1.ExecuteContext(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	})

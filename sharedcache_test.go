@@ -1,6 +1,7 @@
 package uaqetp
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestSharedCacheCrossSystemHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	predsA, err := a.PredictBatch(qs, BatchOptions{})
+	predsA, err := a.PredictBatchContext(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestSharedCacheCrossSystemHits(t *testing.T) {
 	// Tenant B predicts the same workload: every sampling pass must be a
 	// cross-tenant hit — no new misses — and the predictions must be
 	// identical (shared estimates, same calibration seeds).
-	predsB, err := b.PredictBatch(qs, BatchOptions{})
+	predsB, err := b.PredictBatchContext(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +93,11 @@ func TestSharedCacheNamespacesIncompatibleConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.PredictBatch(qs, BatchOptions{}); err != nil {
+	if _, err := a.PredictBatchContext(context.Background(), qs); err != nil {
 		t.Fatal(err)
 	}
 	misses := shared.Stats().Misses
-	if _, err := b.PredictBatch(qs, BatchOptions{}); err != nil {
+	if _, err := b.PredictBatchContext(context.Background(), qs); err != nil {
 		t.Fatal(err)
 	}
 	after := shared.Stats()
@@ -114,14 +115,14 @@ func TestWithVariantSharesCacheAndDiffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := sys.PredictBatch(qs, BatchOptions{})
+	base, err := sys.PredictBatchContext(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	misses := sys.CacheStats().Misses
 
 	noc := sys.WithVariant(NoVarC)
-	derived, err := noc.PredictBatch(qs, BatchOptions{})
+	derived, err := noc.PredictBatchContext(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestMeasureMatchesExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range qs {
-		actual, err := sys.Execute(q)
+		actual, err := sys.ExecuteContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +185,7 @@ func TestPredictionPerUnitSumsToMean(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range qs {
-		pred, err := sys.Predict(q)
+		pred, err := sys.PredictContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}

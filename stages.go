@@ -1,10 +1,10 @@
 package uaqetp
 
-// The v2 pipeline: the prediction path is four explicit, composable
+// The pipeline: the prediction path is four explicit, composable
 // stages — Planner, Estimator, Predictor, Executor — assembled by Open
-// from the built-in implementations, overridable per System via Config
-// or System.With, and (for the predictor) hot-swappable at runtime so a
-// serving layer can recalibrate without dropping in-flight queries.
+// from the built-in implementations, replaceable on a façade derived
+// with System.With, and (for the predictor) hot-swappable at runtime so
+// a serving layer can recalibrate without dropping in-flight queries.
 
 import (
 	"context"
@@ -62,7 +62,7 @@ type Estimates struct {
 }
 
 // Planner compiles queries into physical plans: the default enumerates
-// left-deep join orders greedily by connectivity, exactly as v1 did.
+// left-deep join orders greedily by connectivity.
 //
 // Plan values can only be produced by the built-in planner (they wrap
 // an internal operator tree), so a custom Planner is a decorator: derive
@@ -70,7 +70,8 @@ type Estimates struct {
 // filter, reorder, cap, or re-rank the inner stage's plans. The same
 // holds for Estimator and its opaque Estimates. Predictor and Executor
 // stages, whose outputs (Prediction, float64) are public, can be
-// implemented from scratch — e.g. test stubs injected via Config.
+// implemented from scratch — e.g. test stubs installed via
+// sys.With(WithPredictor(...)).
 type Planner interface {
 	// BuildPlan compiles the query's default plan.
 	BuildPlan(ctx context.Context, q *Query) (*Plan, error)
@@ -396,8 +397,8 @@ func defaultPredictorState(cat *catalog.Catalog, units [hardware.NumUnits]stats.
 // ---------------------------------------------------------------------
 // Stage access, derivation, and swapping.
 
-// SystemOption overrides one pipeline stage when deriving a System via
-// With (or at Open time through the corresponding Config field).
+// SystemOption replaces one pipeline stage when deriving a System via
+// With.
 type SystemOption func(*System)
 
 // WithPlanner installs a custom Planner stage.

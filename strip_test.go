@@ -15,7 +15,7 @@ import (
 func TestRunCacheStripsRows(t *testing.T) {
 	sys := testSystem(t)
 	q := joinQuery()
-	if _, err := sys.Execute(q); err != nil {
+	if _, err := sys.ExecuteContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	p, err := sys.planner.BuildPlan(context.Background(), q)

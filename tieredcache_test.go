@@ -98,11 +98,11 @@ func TestTieredCacheServesThroughSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := joinQuery()
-	first, err := sys.Predict(q)
+	first, err := sys.PredictContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := sys.Predict(q)
+	second, err := sys.PredictContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

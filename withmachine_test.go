@@ -1,6 +1,7 @@
 package uaqetp
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/hardware"
@@ -58,11 +59,11 @@ func TestWithMachineSharesCachesNotUnits(t *testing.T) {
 	// Estimates are machine-independent: the sibling's first prediction
 	// of a plan the parent already predicted must hit the plan section,
 	// not recompute the sampling pass.
-	if _, err := sys.Predict(q); err != nil {
+	if _, err := sys.PredictContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	before := cache.Stats()
-	pred2, err := sib.Predict(q)
+	pred2, err := sib.PredictContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestWithMachineSharesCachesNotUnits(t *testing.T) {
 
 	// ... but the predictions themselves reflect each machine's units:
 	// PC2 is strictly faster, so its predicted mean must be lower.
-	pred1, err := sys.Predict(q)
+	pred1, err := sys.PredictContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +92,12 @@ func TestWithMachineSharesCachesNotUnits(t *testing.T) {
 	// omits the machine): the sibling's execution of the same query must
 	// hit the run the parent computed, while its measured time reflects
 	// the faster machine.
-	t1, err := sys.Execute(q)
+	t1, err := sys.ExecuteContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	beforeRun := cache.Stats()
-	t2, err := sib.Execute(q)
+	t2, err := sib.ExecuteContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +153,11 @@ func TestWithMachineDriftedProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0, err := sys.Predict(qs[0])
+	p0, err := sys.PredictContext(context.Background(), qs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	pd, err := sib.Predict(qs[0])
+	pd, err := sib.PredictContext(context.Background(), qs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
