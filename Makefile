@@ -1,14 +1,18 @@
 # Canonical build/test entrypoints. `make test` is the tier-1 gate:
-# everything must build, vet clean, and pass the full suite under the
-# race detector (the concurrency contract of the System API is part of
-# the public surface).
+# everything must be gofmt-clean, build, vet clean, and pass the full
+# suite under the race detector (the concurrency contract of the System
+# API is part of the public surface).
 
 GO ?= go
 
-.PHONY: test build vet race fmt
+.PHONY: test fmt-check build vet race fmt
 
-test:
+test: fmt-check
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race -timeout 30m ./...
+
+# fmt-check fails, listing the files, when gofmt would change any.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

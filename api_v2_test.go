@@ -15,7 +15,9 @@ import (
 	"testing"
 
 	"repro/internal/plan"
+	"repro/internal/sample"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // stubPredictor returns a fixed distribution and counts its calls.
@@ -292,6 +294,71 @@ func TestSubtreeMemoSharesAcrossAlternatives(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Error("no shared-subtree hits for a 4-way join's alternatives")
+	}
+}
+
+// TestEstimatorMatchesMemolessEstimate holds the serving path to the
+// plain algorithm: for every query of the three benchmarks, the default
+// plan and every alternative AlternativesContext would consider, what
+// the default Estimator returns — first while it fills the shared cache
+// (alternatives already splice in the subtree passes of the plans before
+// them), then warm — equals the memo-less sample.Estimate of the same
+// plan field for field.
+func TestEstimatorMatchesMemolessEstimate(t *testing.T) {
+	sys := testSystem(t)
+	ctx := context.Background()
+	same := func(tag string, want *sample.Estimates, got *Estimates) {
+		t.Helper()
+		if len(got.est.ByID) != len(want.ByID) {
+			t.Fatalf("%s: %d estimates, want %d", tag, len(got.est.ByID), len(want.ByID))
+		}
+		for id, w := range want.ByID {
+			g := got.est.ByID[id]
+			if g == nil || g.Node == nil || g.Node.ID != id || g.Node.Kind != w.Node.Kind {
+				t.Fatalf("%s: node %d missing or bound to the wrong operator: %+v", tag, id, g)
+			}
+			we, ge := *w, *g
+			we.Node, ge.Node = nil, nil
+			if !reflect.DeepEqual(we, ge) {
+				t.Errorf("%s: node %d: estimator %+v, memo-less %+v", tag, id, ge, we)
+			}
+		}
+	}
+	plans := 0
+	for _, b := range workload.Benchmarks {
+		qs, err := sys.GenerateWorkload(b, 28)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range qs {
+			def, err := sys.Planner().BuildPlan(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alts, err := sys.Planner().Alternatives(ctx, q, DefaultMaxAlts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range append([]*Plan{def}, alts...) {
+				tag := fmt.Sprintf("%v %s plan %d", b, q.Name, i)
+				want, err := sample.Estimate(p.root, sys.samples, sys.cat)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				for _, pass := range []string{"filling", "warm"} {
+					got, err := sys.Estimator().Estimate(ctx, p)
+					if err != nil {
+						t.Fatalf("%s (%s): %v", tag, pass, err)
+					}
+					same(tag+" ("+pass+")", want, got)
+				}
+				plans++
+			}
+		}
+	}
+	st := sys.CacheStats()
+	if plans == 0 || st.Hits == 0 || st.SubtreeHits == 0 {
+		t.Errorf("%d plans, cache stats %+v: want whole-plan and subtree hits", plans, st)
 	}
 }
 

@@ -5,10 +5,10 @@
 // coverage at 50/90/95% — the measured counterpart to the paper's
 // claim that predicted *distributions* stay honest against reality.
 //
-// The package is deliberately tiny and dependency-light (stats and
-// hardware only) so every layer that sees an observation — the serving
-// layer's outcome path, System.Measure, the simulator's execution
-// loop — can feed the same accumulator without import cycles.
+// The package is deliberately tiny and dependency-light (stats only)
+// so every layer that sees an observation — the serving layer's
+// feedback loop, the simulator's execution loop — can feed the same
+// accumulator without import cycles.
 //
 // Accumulators are plain values with fixed-order arithmetic: Observe
 // uses Welford/West updates, Merge uses Chan's parallel formulas, and
@@ -23,7 +23,6 @@ package calib
 import (
 	"math"
 
-	"repro/internal/hardware"
 	"repro/internal/stats"
 )
 
@@ -32,33 +31,6 @@ import (
 // serving layer's drift feedback so "coverage at 90%" means the same
 // thing in a drift advisory, a sim report, and a /metrics scrape.
 var CoverageLevels = [3]float64{0.5, 0.9, 0.95}
-
-// Observation is one (predicted distribution, observed time) pair.
-// Producers reuse the value; consumers must copy what they keep.
-type Observation struct {
-	// At is the producer's virtual time of the observation (the finish
-	// time on serving paths; zero where there is no clock).
-	At float64
-	// Tenant attributes the observation on multi-tenant producers;
-	// empty for direct System use.
-	Tenant string
-	// Unit is the cost unit dominating the predicted mean — the unit
-	// calibration drift would be attributed to.
-	Unit hardware.Unit
-	// PredMean/PredSigma are the predicted N(mu, sigma^2); Observed is
-	// the measured running time in seconds.
-	PredMean  float64
-	PredSigma float64
-	Observed  float64
-}
-
-// Observer receives observations. Implementations used by concurrent
-// producers must be safe for concurrent use; the simulator, a serial
-// loop, hands each machine its own observer only to keep per-machine
-// accumulators.
-type Observer interface {
-	Observe(*Observation)
-}
 
 // Accumulator is a streaming calibration aggregate over a sequence of
 // observations. The zero value is ready to use. Not safe for

@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -79,22 +80,18 @@ func (a AggEstimator) String() string {
 // Opts configures the estimation pass.
 type Opts struct {
 	Agg AggEstimator
-	// Parallelism bounds the goroutines evaluating independent join
-	// subtrees concurrently; 0 selects GOMAXPROCS, 1 forces a fully
-	// sequential pass. The estimates are identical for every value.
-	Parallelism int
 }
 
 // EstimateWithOpts is Estimate with configuration; see Estimate.
 func EstimateWithOpts(root *engine.Node, sdb *DB, cat *catalog.Catalog, opts Opts) (*Estimates, error) {
-	return estimate(root, sdb, cat, opts)
+	return estimatePlan(context.Background(), root, sdb, cat, nil, opts.Agg)
 }
 
 // geeAggregateCard estimates an aggregate's output cardinality from its
 // sampled input rows: the distinct group keys surviving upstream
 // selections and joins, extrapolated by GEE to the estimated input
 // cardinality.
-func geeAggregateCard(n *engine.Node, child *evalResult, inputCardEst float64) (float64, bool) {
+func geeAggregateCard(n *engine.Node, child *Pass) (float64, bool) {
 	if n.GroupCol == "" {
 		return 1, true // scalar aggregate
 	}
@@ -106,5 +103,5 @@ func geeAggregateCard(n *engine.Node, child *evalResult, inputCardEst float64) (
 	for i, r := range child.rows {
 		vals[i] = r.vals[gi]
 	}
-	return GEE(vals, math.Max(inputCardEst, float64(len(vals)))), true
+	return GEE(vals, math.Max(child.est.EstCard, float64(len(vals)))), true
 }

@@ -9,12 +9,11 @@
 package sample
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
@@ -127,16 +126,12 @@ func (e *OpEstimate) Sigma() float64 {
 	return math.Sqrt(e.Var)
 }
 
-// Estimates holds the per-operator estimates of one plan pass. Once the
-// estimation pass has returned, the struct is immutable and safe to read
-// from any number of goroutines (the predictor relies on this when
-// serving batched predictions).
+// Estimates holds the per-operator estimates of one plan, keyed by node
+// ID. It is immutable once Estimate / EstimateMemo has returned and safe
+// to read from any number of goroutines (the predictor relies on this
+// when serving batched predictions).
 type Estimates struct {
 	ByID map[int]*OpEstimate
-
-	// mu guards ByID during the estimation pass, when sibling join
-	// subtrees may be evaluated concurrently.
-	mu sync.Mutex
 }
 
 // Get returns the estimate for a node.
@@ -146,20 +141,6 @@ func (e *Estimates) Get(n *engine.Node) (*OpEstimate, error) {
 		return nil, fmt.Errorf("sample: no estimate for node %d (%v)", n.ID, n.Kind)
 	}
 	return est, nil
-}
-
-// put stores an estimate during the (possibly concurrent) pass.
-func (e *Estimates) put(id int, op *OpEstimate) {
-	e.mu.Lock()
-	e.ByID[id] = op
-	e.mu.Unlock()
-}
-
-// at reads an estimate during the (possibly concurrent) pass.
-func (e *Estimates) at(id int) *OpEstimate {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.ByID[id]
 }
 
 // TotalSampleCounts sums the sample-run resource counts across the plan,
@@ -184,149 +165,14 @@ type srow struct {
 	prov []int32
 }
 
-// evalResult is the intermediate state of the bottom-up pass.
-type evalResult struct {
-	rows     []srow
-	cols     []string
-	leafOrds []int
-	tainted  bool // true above an aggregate: sampling no longer applies
-}
-
 // Estimate runs the finalized plan once over the sample tables
 // (Algorithm 2's EstSelDistr) and returns every operator's selectivity
-// distribution. cat supplies optimizer estimates for aggregates; use
-// EstimateWithOpts to select the GEE aggregate estimator instead.
+// distribution. It is EstimateMemo without a memo: every subtree pass is
+// computed, none is retained. cat supplies optimizer estimates for
+// aggregates; use EstimateWithOpts to select the GEE aggregate estimator
+// instead.
 func Estimate(root *engine.Node, sdb *DB, cat *catalog.Catalog) (*Estimates, error) {
-	return estimate(root, sdb, cat, Opts{})
-}
-
-func estimate(root *engine.Node, sdb *DB, cat *catalog.Catalog, opts Opts) (*Estimates, error) {
-	est := &Estimates{ByID: make(map[int]*OpEstimate)}
-	nLeaves := len(root.LeafTables)
-	optEst, err := optimizerEstimates(root, cat)
-	if err != nil {
-		return nil, err
-	}
-
-	// Sequential pre-pass: assign each scan its leaf ordinal and sample
-	// copy in left-to-right plan order. Doing this before the (possibly
-	// concurrent) evaluation pass keeps the assignment — and therefore
-	// the estimates — deterministic regardless of execution order.
-	scanTable := make(map[int]*Table)
-	scanOrd := make(map[int]int)
-	copyUse := make(map[string]int)
-	leafCounter := 0
-	var assign func(n *engine.Node) error
-	assign = func(n *engine.Node) error {
-		if n.Kind.IsScan() {
-			copies := sdb.Copies[n.Table]
-			if len(copies) == 0 {
-				return fmt.Errorf("sample: no sample tables for %q", n.Table)
-			}
-			scanOrd[n.ID] = leafCounter
-			scanTable[n.ID] = copies[copyUse[n.Table]%len(copies)]
-			copyUse[n.Table]++
-			leafCounter++
-			return nil
-		}
-		if n.Left != nil {
-			if err := assign(n.Left); err != nil {
-				return err
-			}
-		}
-		if n.Right != nil {
-			if err := assign(n.Right); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := assign(root); err != nil {
-		return nil, err
-	}
-
-	// Evaluation pass. The two inputs of a join are independent
-	// computations over disjoint subtrees, so they may run concurrently;
-	// sem bounds the extra goroutines. Every per-node estimate is a pure
-	// function of its subtree, so concurrency does not affect values.
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var sem chan struct{} // nil disables the concurrent path entirely
-	if workers > 1 {
-		sem = make(chan struct{}, workers-1)
-	}
-	var walk func(n *engine.Node) (*evalResult, error)
-	walk = func(n *engine.Node) (*evalResult, error) {
-		switch {
-		case n.Kind.IsScan():
-			return evalScan(n, scanTable[n.ID], scanOrd[n.ID], est, cat)
-		case n.Kind.IsJoin():
-			var left, right *evalResult
-			var lerr, rerr error
-			spawned := false
-			if sem != nil {
-				select {
-				case sem <- struct{}{}:
-					spawned = true
-					var wg sync.WaitGroup
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						defer func() { <-sem }()
-						right, rerr = walk(n.Right)
-					}()
-					left, lerr = walk(n.Left)
-					wg.Wait()
-				default:
-				}
-			}
-			if !spawned {
-				left, lerr = walk(n.Left)
-				if lerr == nil {
-					right, rerr = walk(n.Right)
-				}
-			}
-			if lerr != nil {
-				return nil, lerr
-			}
-			if rerr != nil {
-				return nil, rerr
-			}
-			if left.tainted || right.tainted {
-				return evalOptimizer(n, left, right, est, optEst, cat)
-			}
-			return evalJoin(n, left, right, nLeaves, sdb, est, cat)
-		case n.Kind == engine.Aggregate:
-			child, err := walk(n.Left)
-			if err != nil {
-				return nil, err
-			}
-			return evalAggregate(n, child, est, optEst, cat, opts)
-		default: // Sort, Materialize: pass-through, same selectivity variable
-			child, err := walk(n.Left)
-			if err != nil {
-				return nil, err
-			}
-			ce := est.at(n.Left.ID)
-			est.put(n.ID, &OpEstimate{
-				Node:          n,
-				Rho:           ce.Rho,
-				Var:           ce.Var,
-				LeafComp:      ce.LeafComp,
-				LeafN:         ce.LeafN,
-				FromOptimizer: ce.FromOptimizer,
-				EstCard:       ce.EstCard,
-				SampleCounts:  engine.UnaryCounts(n.Kind, float64(len(child.rows))),
-			})
-			return child, nil
-		}
-	}
-	if _, err := walk(root); err != nil {
-		return nil, err
-	}
-	return est, nil
+	return EstimateMemo(context.Background(), root, sdb, cat, nil)
 }
 
 // fullSize returns Pi |R| over the node's leaf tables in the full
@@ -343,238 +189,9 @@ func fullSize(n *engine.Node, cat *catalog.Catalog) (float64, error) {
 	return p, nil
 }
 
-func evalScan(n *engine.Node, st *Table, ord int, est *Estimates, cat *catalog.Catalog) (*evalResult, error) {
-	idx := make([]int, len(n.Preds))
-	for pi := range n.Preds {
-		idx[pi] = -1
-		for i, c := range st.cols {
-			if c == n.Preds[pi].Col {
-				idx[pi] = i
-				break
-			}
-		}
-		if idx[pi] < 0 {
-			return nil, fmt.Errorf("sample: predicate column %q not in %q", n.Preds[pi].Col, n.Table)
-		}
-	}
-	nTotal := st.N()
-	rows := make([]srow, 0, nTotal)
-	mIndex := 0.0
-	for i, r := range st.Rows {
-		if len(n.Preds) > 0 && !n.Preds[0].Matches(r[idx[0]]) {
-			continue
-		}
-		mIndex++
-		ok := true
-		for pi := 1; pi < len(n.Preds); pi++ {
-			if !n.Preds[pi].Matches(r[idx[pi]]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			rows = append(rows, srow{vals: r, prov: []int32{int32(i)}})
-		}
-	}
-	if len(n.Preds) == 0 {
-		mIndex = float64(nTotal)
-	}
-	rho := float64(len(rows)) / float64(nTotal)
-	// S^2_n = rho(1-rho) for a selection; sigma_n^2 = S^2_n / n.
-	v := rho * (1 - rho) / float64(nTotal)
-	// Floor an all-miss sample at half an observation with 100% relative
-	// uncertainty; a hard zero would make downstream costs degenerate.
-	if len(rows) == 0 {
-		rho = 0.5 / float64(nTotal)
-		v = rho * rho
-	}
-	full, err := fullSize(n, cat)
-	if err != nil {
-		return nil, err
-	}
-	est.put(n.ID, &OpEstimate{
-		Node:         n,
-		Rho:          rho,
-		Var:          v,
-		LeafComp:     map[int]float64{ord: v},
-		LeafN:        map[int]int{ord: nTotal},
-		EstCard:      rho * full,
-		SampleCounts: engine.ScanCounts(n.Kind, float64(nTotal), mIndex, len(n.Preds)),
-	})
-	// Normalize provenance to a single-leaf layout local to this node.
-	return &evalResult{rows: rows, cols: st.cols, leafOrds: []int{ord}}, nil
-}
-
-func evalJoin(n *engine.Node, left, right *evalResult, nLeaves int, sdb *DB, est *Estimates, cat *catalog.Catalog) (*evalResult, error) {
-	li := colIndex(left.cols, n.LeftCol)
-	ri := colIndex(right.cols, n.RightCol)
-	if li < 0 || ri < 0 {
-		return nil, fmt.Errorf("sample: join columns %q/%q not found", n.LeftCol, n.RightCol)
-	}
-	out := hashJoinSRows(left, right, li, ri)
-	ords := append(append([]int{}, left.leafOrds...), right.leafOrds...)
-
-	le := est.at(n.Left.ID)
-	re := est.at(n.Right.ID)
-	leafN := make(map[int]int, len(ords))
-	for k, v := range le.LeafN {
-		leafN[k] = v
-	}
-	for k, v := range re.LeafN {
-		leafN[k] = v
-	}
-
-	// rho_n = |out| / Pi_k n_k.
-	prodN := 1.0
-	for _, k := range ords {
-		prodN *= float64(leafN[k])
-	}
-	rho := float64(len(out)) / prodN
-
-	// Q_{k,j,n} accumulation (Algorithm 1 lines 11-13): scan the join
-	// result once, incrementing dense per-leaf arrays indexed by
-	// provenance (sample-tuple index, always in [0, n_k) here — tainted
-	// subtrees never reach evalJoin). Dense arrays instead of hash maps:
-	// the variance sum below must run in a fixed order, or float rounding
-	// would wobble with map iteration order and leak run-to-run
-	// nondeterminism into every downstream prediction.
-	qs := make([][]float64, len(ords))
-	for i, k := range ords {
-		qs[i] = make([]float64, leafN[k])
-	}
-	for _, t := range out {
-		for i := range ords {
-			qs[i][t.prov[i]]++
-		}
-	}
-
-	// Per-leaf variance components: V_k = (1/(n_k-1)) sum_j
-	// (Q_{k,j}/prod_{k'!=k} n_{k'} - rho)^2, W_k = V_k / n_k.
-	// Tuples j with Q_{k,j} = 0 contribute d = -rho, i.e. rho^2 each.
-	leafComp := make(map[int]float64, len(ords))
-	var totalVar float64
-	for i, k := range ords {
-		nk := float64(leafN[k])
-		denom := prodN / nk // prod of the other sample sizes
-		var ss float64
-		for _, q := range qs[i] {
-			d := q/denom - rho
-			ss += d * d
-		}
-		vk := 0.0
-		if nk > 1 {
-			vk = ss / (nk - 1)
-		}
-		wk := vk / nk
-		leafComp[k] = wk
-		totalVar += wk
-	}
-
-	full, err := fullSize(n, cat)
-	if err != nil {
-		return nil, err
-	}
-
-	// Guard against empty sample joins: the estimator would report a
-	// zero selectivity with zero variance, which is overconfident. Use
-	// half an observation — the sample's resolution limit — with 100%
-	// relative uncertainty. This deliberately overestimates very small
-	// selectivities and flags them with a correspondingly large sigma:
-	// the estimator knows that it cannot resolve the value, which is
-	// exactly the self-awareness the predictor propagates. (The paper
-	// never hits this regime: its absolute sample sizes are in the tens
-	// of thousands even at SR = 0.01.)
-	if len(out) == 0 {
-		rho = 0.5 / prodN
-		totalVar = rho * rho
-		for _, k := range ords {
-			leafComp[k] = totalVar / float64(len(ords))
-		}
-	}
-
-	est.put(n.ID, &OpEstimate{
-		Node:     n,
-		Rho:      rho,
-		Var:      totalVar,
-		LeafComp: leafComp,
-		LeafN:    leafN,
-		EstCard:  rho * full,
-		SampleCounts: engine.JoinCounts(n.Kind,
-			float64(len(left.rows)), float64(len(right.rows)), float64(len(out))),
-	})
-	return &evalResult{
-		rows:     out,
-		cols:     append(append([]string{}, left.cols...), right.cols...),
-		leafOrds: ords,
-	}, nil
-}
-
-func evalAggregate(n *engine.Node, child *evalResult, est *Estimates, optEst map[int]float64, cat *catalog.Catalog, opts Opts) (*evalResult, error) {
-	full, err := fullSize(n, cat)
-	if err != nil {
-		return nil, err
-	}
-	card := optEst[n.ID]
-	if opts.Agg == GEEAgg && !child.tainted {
-		inputCard := 0.0
-		if ce := est.at(n.Left.ID); ce != nil {
-			inputCard = ce.EstCard
-		}
-		if gee, ok := geeAggregateCard(n, child, inputCard); ok {
-			card = gee
-		}
-	}
-	rho := 0.0
-	if full > 0 {
-		rho = card / full
-	}
-	est.put(n.ID, &OpEstimate{
-		Node:          n,
-		Rho:           rho,
-		Var:           0,
-		LeafComp:      map[int]float64{},
-		LeafN:         map[int]int{},
-		FromOptimizer: true,
-		EstCard:       card,
-		SampleCounts:  engine.UnaryCounts(engine.Aggregate, float64(len(child.rows))),
-	})
-	return &evalResult{cols: child.cols, leafOrds: child.leafOrds, tainted: true}, nil
-}
-
-// evalOptimizer handles operators above an aggregate, where sampling no
-// longer applies (the Agg flag of Algorithm 1).
-func evalOptimizer(n *engine.Node, left, right *evalResult, est *Estimates, optEst map[int]float64, cat *catalog.Catalog) (*evalResult, error) {
-	full, err := fullSize(n, cat)
-	if err != nil {
-		return nil, err
-	}
-	card := optEst[n.ID]
-	rho := 0.0
-	if full > 0 {
-		rho = card / full
-	}
-	est.put(n.ID, &OpEstimate{
-		Node:          n,
-		Rho:           rho,
-		FromOptimizer: true,
-		LeafComp:      map[int]float64{},
-		LeafN:         map[int]int{},
-		EstCard:       card,
-	})
-	cols := left.cols
-	ords := left.leafOrds
-	if right != nil {
-		cols = append(append([]string{}, left.cols...), right.cols...)
-		ords = append(append([]int{}, left.leafOrds...), right.leafOrds...)
-	}
-	return &evalResult{cols: cols, leafOrds: ords, tainted: true}, nil
-}
-
 // optimizerCard returns the optimizer's cardinality estimate of one
-// subtree, with exactly optimizerEstimates' arithmetic (same operations
-// in the same order, so the floats agree bit for bit). The memoized
-// subtree pass calls it for nodes in the tainted region instead of
-// paying for a whole-plan optimizer pre-pass on every estimate.
+// subtree from catalog statistics — the fallback for aggregates and the
+// tainted region above them (Algorithm 1 lines 3-5).
 func optimizerCard(n *engine.Node, cat *catalog.Catalog) (float64, error) {
 	switch {
 	case n.Kind.IsScan():
@@ -623,79 +240,6 @@ func optimizerCard(n *engine.Node, cat *catalog.Catalog) (float64, error) {
 	}
 }
 
-func optimizerEstimates(root *engine.Node, cat *catalog.Catalog) (map[int]float64, error) {
-	// Delegated to the plan package's logic would create an import
-	// cycle; aggregates only need group counts of their input, estimated
-	// from the child's own estimate at prediction time. Here we
-	// precompute a simple bottom-up optimizer pass.
-	est := make(map[int]float64)
-	var walk func(n *engine.Node) (float64, error)
-	walk = func(n *engine.Node) (float64, error) {
-		switch {
-		case n.Kind.IsScan():
-			ts, err := cat.Table(n.Table)
-			if err != nil {
-				return 0, err
-			}
-			card := float64(ts.Rows)
-			for pi := range n.Preds {
-				sel, err := cat.PredicateSelectivity(n.Table, &n.Preds[pi])
-				if err != nil {
-					return 0, err
-				}
-				card *= sel
-			}
-			est[n.ID] = card
-			return card, nil
-		case n.Kind.IsJoin():
-			l, err := walk(n.Left)
-			if err != nil {
-				return 0, err
-			}
-			r, err := walk(n.Right)
-			if err != nil {
-				return 0, err
-			}
-			f, err := joinFactor(n, cat)
-			if err != nil {
-				return 0, err
-			}
-			card := l * r * f
-			est[n.ID] = card
-			return card, nil
-		case n.Kind == engine.Aggregate:
-			in, err := walk(n.Left)
-			if err != nil {
-				return 0, err
-			}
-			card := 1.0
-			if n.GroupCol != "" {
-				tab, _, err := cat.FindColumn(n.GroupCol)
-				if err != nil {
-					return 0, err
-				}
-				card, err = cat.GroupCount(tab, n.GroupCol, in)
-				if err != nil {
-					return 0, err
-				}
-			}
-			est[n.ID] = card
-			return card, nil
-		default:
-			in, err := walk(n.Left)
-			if err != nil {
-				return 0, err
-			}
-			est[n.ID] = in
-			return in, nil
-		}
-	}
-	if _, err := walk(root); err != nil {
-		return nil, err
-	}
-	return est, nil
-}
-
 func joinFactor(n *engine.Node, cat *catalog.Catalog) (float64, error) {
 	lt, err := tableOfColumn(cat, n.Left.LeafTables, n.LeftCol)
 	if err != nil {
@@ -715,10 +259,6 @@ func tableOfColumn(cat *catalog.Catalog, tables []string, col string) (string, e
 		}
 	}
 	return "", fmt.Errorf("sample: column %q not found among %v", col, tables)
-}
-
-func hashJoinSRows(left, right *evalResult, li, ri int) []srow {
-	return hashJoinRows(left.rows, right.rows, li, ri)
 }
 
 // hashJoinRows equi-joins two sets of surviving sample rows on value

@@ -1,24 +1,24 @@
 package sample
 
-// Subtree-granular memoization of the sampling pass. Estimate runs one
-// pass over the whole plan; EstimateMemo produces the identical result
-// but computes it per subtree, consulting a caller-supplied memo keyed
-// by canonical subtree signature plus sample-copy assignment. Two plans
-// that share a subtree — e.g. alternative join orders enumerated by one
-// Alternatives call, which permute the upper joins but keep lower
-// subtrees intact — then share that subtree's sampling computation
-// instead of each paying for it.
+// The sampling pass itself (Algorithm 1), computed per subtree. Every
+// operator's estimate is a Pass — a pure function of its subtree and of
+// the sample copies its leaves read — so the one bottom-up walk below
+// serves both entry points: Estimate computes every Pass, EstimateMemo
+// asks a caller-supplied memo keyed by canonical subtree signature plus
+// sample-copy assignment first. Two plans that share a subtree — e.g.
+// alternative join orders enumerated by one Alternatives call, which
+// permute the upper joins but keep lower subtrees intact — then share
+// that subtree's sampling computation instead of each paying for it.
 //
 // The trick that makes a subtree pass position-independent is the local
 // leaf frame: inside a Pass, the subtree's leaves are numbered
 // 0..NumLeaves-1 left to right and sample-tuple provenance is
 // positional, so nothing in the cached value depends on where the
 // subtree sits in the enclosing plan. Only the OpEstimate leaf maps need
-// re-keying (by the subtree's global leaf offset) when a cached Pass is
-// spliced into a plan's Estimates, and only the sample-copy assignment —
-// which is made globally, in plan order, exactly as Estimate makes it —
-// enters the cache key, so the memoized numbers are the ones Estimate
-// would have produced.
+// re-keying (by the subtree's global leaf offset) when a Pass is spliced
+// into a plan's Estimates, and only the sample-copy assignment — made
+// globally, in left-to-right plan order — enters the cache key, so a
+// memoized Pass carries exactly the numbers a fresh one would.
 
 import (
 	"context"
@@ -55,9 +55,8 @@ func (p *Pass) Rho() float64 { return p.est.Rho }
 
 // PassMemo memoizes subtree passes by key: return the cached Pass for
 // key, or compute, retain, and return it. Implementations own
-// concurrency (the default EstimateMemo path is sequential per plan, but
-// several plans may estimate at once). A nil PassMemo disables
-// memoization.
+// concurrency (the walk is sequential per plan, but several plans may
+// estimate at once). A nil PassMemo disables memoization.
 type PassMemo func(key string, compute func() (*Pass, error)) (*Pass, error)
 
 // globalEstimate splices the Pass's root estimate into a plan: leaf maps
@@ -126,23 +125,25 @@ func subtreeOffset(n *engine.Node, scanOrd map[int]int) int {
 	return scanOrd[n.ID]
 }
 
-// EstimateMemo computes the same per-operator selectivity distributions
-// as Estimate, but memoizes the work per subtree through memo: every
-// operator — scans and joins below any aggregate, but also unary
-// pass-throughs, aggregates, and the tainted joins above them — does
-// one memo lookup keyed by its canonical subtree signature and
+// EstimateMemo is Estimate with the work memoized per subtree through
+// memo: every operator — scans and joins below any aggregate, but also
+// unary pass-throughs, aggregates, and the tainted joins above them —
+// does one memo lookup keyed by its canonical subtree signature and
 // sample-copy assignment, so plans sharing subtrees (alternative join
 // orders above common lower joins) share those subtrees' sampling
 // computations and a warm pass recomputes nothing, tainted region
-// included. The ctx is observed between node evaluations, so
-// cancellation cuts a pass short promptly.
-//
-// For a given plan, database, and samples the result is identical to
-// Estimate's: the sequential pre-pass assigns leaf ordinals and sample
-// copies in the same global left-to-right order, and the per-subtree
-// math mirrors Algorithm 1 exactly, merely carried out in the local
-// leaf frame.
+// included. A nil memo computes every pass, which is what Estimate
+// does; the numbers do not depend on the memo. The ctx is observed
+// between node evaluations, so cancellation cuts a pass short promptly.
 func EstimateMemo(ctx context.Context, root *engine.Node, sdb *DB, cat *catalog.Catalog, memo PassMemo) (*Estimates, error) {
+	return estimatePlan(ctx, root, sdb, cat, memo, OptimizerAgg)
+}
+
+// estimatePlan is the one bottom-up walk behind Estimate, EstimateMemo
+// and EstimateWithOpts. agg selects the aggregate estimator; the memo'd
+// entry point always passes OptimizerAgg, so the aggregate mode never
+// needs to enter a memo key.
+func estimatePlan(ctx context.Context, root *engine.Node, sdb *DB, cat *catalog.Catalog, memo PassMemo, agg AggEstimator) (*Estimates, error) {
 	if memo == nil {
 		memo = func(_ string, compute func() (*Pass, error)) (*Pass, error) { return compute() }
 	}
@@ -151,9 +152,9 @@ func EstimateMemo(ctx context.Context, root *engine.Node, sdb *DB, cat *catalog.
 	}
 	est := &Estimates{ByID: make(map[int]*OpEstimate)}
 
-	// Sequential pre-pass, identical to Estimate's: assign each scan its
-	// global leaf ordinal and sample copy in left-to-right plan order, so
-	// EstimateMemo reproduces Estimate's numbers exactly.
+	// Pre-pass: assign each scan its global leaf ordinal and sample copy
+	// in left-to-right plan order, each further appearance of a relation
+	// taking the next copy.
 	scanTable := make(map[int]*Table)
 	scanOrd := make(map[int]int)
 	scanCopy := make(map[int]int)
@@ -245,7 +246,7 @@ func EstimateMemo(ctx context.Context, root *engine.Node, sdb *DB, cat *catalog.
 				return nil, err
 			}
 			p, err := memo(passKey(n, copyVec(n, scanCopy)), func() (*Pass, error) {
-				return aggregatePass(n, child, cat)
+				return aggregatePass(n, child, cat, agg)
 			})
 			if err != nil {
 				return nil, err
@@ -277,7 +278,7 @@ func EstimateMemo(ctx context.Context, root *engine.Node, sdb *DB, cat *catalog.
 // taintedJoinPass builds the Pass of a join above an aggregate: the
 // sampling pass stops at the aggregate, so the join's estimate is the
 // optimizer's cardinality over its full Cartesian size, with zero
-// variance and empty (non-nil, matching Estimate) leaf maps.
+// variance and empty (non-nil) leaf maps.
 func taintedJoinPass(n *engine.Node, numLeaves int, cat *catalog.Catalog) (*Pass, error) {
 	full, err := fullSize(n, cat)
 	if err != nil {
@@ -305,12 +306,14 @@ func taintedJoinPass(n *engine.Node, numLeaves int, cat *catalog.Catalog) (*Pass
 }
 
 // aggregatePass builds the Pass of an aggregate — the node that taints
-// everything above it. The estimate is the optimizer's group count; the
-// sample counts record the unary work of aggregating the child's
-// surviving sample rows (zero when the child itself is tainted), which
-// is fixed by the subtree signature and copy assignment, so the Pass
-// memoizes safely.
-func aggregatePass(n *engine.Node, child *Pass, cat *catalog.Catalog) (*Pass, error) {
+// everything above it. The estimate is the optimizer's group count, or
+// under GEEAgg the GEE extrapolation of the group keys in the child's
+// sampled rows when the child is itself below any aggregate; the sample
+// counts record the unary work of aggregating the child's surviving
+// sample rows (zero when the child itself is tainted), which is fixed
+// by the subtree signature and copy assignment, so the Pass memoizes
+// safely.
+func aggregatePass(n *engine.Node, child *Pass, cat *catalog.Catalog, agg AggEstimator) (*Pass, error) {
 	rows := len(child.rows)
 	full, err := fullSize(n, cat)
 	if err != nil {
@@ -319,6 +322,11 @@ func aggregatePass(n *engine.Node, child *Pass, cat *catalog.Catalog) (*Pass, er
 	card, err := optimizerCard(n, cat)
 	if err != nil {
 		return nil, err
+	}
+	if agg == GEEAgg && !child.tainted {
+		if gee, ok := geeAggregateCard(n, child); ok {
+			card = gee
+		}
 	}
 	rho := 0.0
 	if full > 0 {
@@ -356,8 +364,7 @@ func unaryPass(n *engine.Node, child *Pass) *Pass {
 }
 
 // scanPass evaluates one scan over its sample table in the local frame
-// (the scan is leaf ordinal 0 of its own subtree). The math mirrors
-// evalScan exactly.
+// (the scan is leaf ordinal 0 of its own subtree).
 func scanPass(n *engine.Node, st *Table, cat *catalog.Catalog) (*Pass, error) {
 	idx := make([]int, len(n.Preds))
 	for pi := range n.Preds {
@@ -395,9 +402,10 @@ func scanPass(n *engine.Node, st *Table, cat *catalog.Catalog) (*Pass, error) {
 		mIndex = float64(nTotal)
 	}
 	rho := float64(len(rows)) / float64(nTotal)
+	// S^2_n = rho(1-rho) for a selection; sigma_n^2 = S^2_n / n.
 	v := rho * (1 - rho) / float64(nTotal)
 	// Floor an all-miss sample at half an observation with 100% relative
-	// uncertainty, as evalScan does.
+	// uncertainty; a hard zero would make downstream costs degenerate.
 	if len(rows) == 0 {
 		rho = 0.5 / float64(nTotal)
 		v = rho * rho
@@ -423,15 +431,15 @@ func scanPass(n *engine.Node, st *Table, cat *catalog.Catalog) (*Pass, error) {
 
 // joinPass joins two child passes in the local frame: the left child
 // keeps ordinals 0..nl-1, the right child's shift up by nl, so local
-// ordinal and provenance position coincide. The math mirrors evalJoin
-// exactly (Algorithm 1 lines 11-13 and the Appendix A.7 components).
+// ordinal and provenance position coincide (Algorithm 1 lines 11-13 and
+// the Appendix A.7 components).
 func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, error) {
 	li := colIndex(left.cols, n.LeftCol)
 	ri := colIndex(right.cols, n.RightCol)
 	if li < 0 || ri < 0 {
 		return nil, fmt.Errorf("sample: join columns %q/%q not found", n.LeftCol, n.RightCol)
 	}
-	out := hashJoinPassRows(left.rows, right.rows, li, ri)
+	out := hashJoinRows(left.rows, right.rows, li, ri)
 	k := left.numLeaves + right.numLeaves
 
 	leafN := make(map[int]int, k)
@@ -442,19 +450,20 @@ func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, e
 		leafN[o+left.numLeaves] = v
 	}
 
-	// rho_n = |out| / Pi_k n_k, accumulated in left-to-right leaf order
-	// like evalJoin.
+	// rho_n = |out| / Pi_k n_k, accumulated in left-to-right leaf order.
 	prodN := 1.0
 	for o := 0; o < k; o++ {
 		prodN *= float64(leafN[o])
 	}
 	rho := float64(len(out)) / prodN
 
-	// Q_{k,j,n} accumulation: one scan of the join result, incrementing
-	// dense per-leaf arrays indexed by provenance (position o is local
-	// ordinal o). Dense arrays keep the variance sum below in a fixed
-	// order — map iteration would reorder the float additions run to run
-	// and break the byte-identical determinism contract.
+	// Q_{k,j,n} accumulation (Algorithm 1 lines 11-13): one scan of the
+	// join result, incrementing dense per-leaf arrays indexed by
+	// provenance (position o is local ordinal o; the sample-tuple index is
+	// always in [0, n_k) — tainted subtrees never reach joinPass). Dense
+	// arrays keep the variance sum below in a fixed order — map iteration
+	// would reorder the float additions run to run and break the
+	// byte-identical determinism contract.
 	qs := make([][]float64, k)
 	for o := range qs {
 		qs[o] = make([]float64, leafN[o])
@@ -465,6 +474,8 @@ func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, e
 		}
 	}
 
+	// Per-leaf variance components: V_k = (1/(n_k-1)) sum_j
+	// (Q_{k,j}/prod_{k'!=k} n_{k'} - rho)^2, W_k = V_k / n_k.
 	// Tuples j with Q_{k,j} = 0 contribute d = -rho, i.e. rho^2 each.
 	leafComp := make(map[int]float64, k)
 	var totalVar float64
@@ -490,8 +501,16 @@ func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, e
 		return nil, err
 	}
 
-	// Empty-join floor, as in evalJoin: half an observation with 100%
-	// relative uncertainty, spread evenly over the leaves.
+	// Guard against empty sample joins: the estimator would report a
+	// zero selectivity with zero variance, which is overconfident. Use
+	// half an observation — the sample's resolution limit — with 100%
+	// relative uncertainty, spread evenly over the leaves. This
+	// deliberately overestimates very small selectivities and flags them
+	// with a correspondingly large sigma: the estimator knows that it
+	// cannot resolve the value, which is exactly the self-awareness the
+	// predictor propagates. (The paper never hits this regime: its
+	// absolute sample sizes are in the tens of thousands even at
+	// SR = 0.01.)
 	if len(out) == 0 {
 		rho = 0.5 / prodN
 		totalVar = rho * rho
@@ -514,10 +533,4 @@ func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, e
 				float64(len(left.rows)), float64(len(right.rows)), float64(len(out))),
 		},
 	}, nil
-}
-
-// hashJoinPassRows is hashJoinSRows over bare row slices; both share
-// the flat-arena join in hashJoinRows.
-func hashJoinPassRows(leftRows, rightRows []srow, li, ri int) []srow {
-	return hashJoinRows(leftRows, rightRows, li, ri)
 }

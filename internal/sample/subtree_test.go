@@ -2,7 +2,6 @@ package sample
 
 import (
 	"context"
-	"math"
 	"sync"
 	"testing"
 
@@ -82,18 +81,10 @@ func subtreePlans() []*engine.Node {
 	}
 }
 
-// sameEstimates compares two Estimates field by field with a tight
-// relative tolerance (the underlying sums iterate Go maps, so exact bit
-// equality is not guaranteed across passes).
+// sameEstimates compares two Estimates field by field, exactly: both
+// come from the same walker, which sums floats in a fixed order.
 func sameEstimates(t *testing.T, tag string, a, b *Estimates) {
 	t.Helper()
-	close := func(x, y float64) bool {
-		if x == y {
-			return true
-		}
-		scale := math.Max(math.Abs(x), math.Abs(y))
-		return math.Abs(x-y) <= 1e-12*scale
-	}
 	if len(a.ByID) != len(b.ByID) {
 		t.Fatalf("%s: %d vs %d estimates", tag, len(a.ByID), len(b.ByID))
 	}
@@ -105,7 +96,7 @@ func sameEstimates(t *testing.T, tag string, a, b *Estimates) {
 		if eb.Node == nil || eb.Node.ID != id {
 			t.Errorf("%s: node %d has wrong Node binding %+v", tag, id, eb.Node)
 		}
-		if !close(ea.Rho, eb.Rho) || !close(ea.Var, eb.Var) || !close(ea.EstCard, eb.EstCard) {
+		if ea.Rho != eb.Rho || ea.Var != eb.Var || ea.EstCard != eb.EstCard {
 			t.Errorf("%s: node %d rho/var/card (%v,%v,%v) vs (%v,%v,%v)",
 				tag, id, ea.Rho, ea.Var, ea.EstCard, eb.Rho, eb.Var, eb.EstCard)
 		}
@@ -117,7 +108,7 @@ func sameEstimates(t *testing.T, tag string, a, b *Estimates) {
 				tag, id, len(ea.LeafComp), len(ea.LeafN), len(eb.LeafComp), len(eb.LeafN))
 		}
 		for k, v := range ea.LeafComp {
-			if !close(v, eb.LeafComp[k]) {
+			if v != eb.LeafComp[k] {
 				t.Errorf("%s: node %d LeafComp[%d] %v vs %v", tag, id, k, v, eb.LeafComp[k])
 			}
 		}
@@ -132,9 +123,84 @@ func sameEstimates(t *testing.T, tag string, a, b *Estimates) {
 	}
 }
 
-// TestEstimateMemoMatchesEstimate runs both estimators over every plan
-// shape and requires identical per-operator distributions, with and
-// without a live memo.
+// pinnedOp is one operator's estimate as a literal.
+type pinnedOp struct {
+	id       int
+	rho      float64
+	v        float64
+	card     float64
+	fromOpt  bool
+	leafComp map[int]float64
+}
+
+// pinnedEstimates are the per-operator estimates of subtreePlans() on
+// synthDB(1000, 800, 12, 3) with Build(db, 0.2, 2, 4), printed with %x
+// from the whole-plan estimator (a second, goroutine-per-join typing of
+// Algorithm 1) at the last commit that carried it, adbd23a. They are
+// the record of its numbers: the surviving walker must reproduce them
+// bit for bit.
+var pinnedEstimates = [][]pinnedOp{
+	{ // plan 0
+		{id: 0, rho: 0x1p+00, v: 0x0p+00, card: 0x1.f4p+09, fromOpt: false, leafComp: map[int]float64{0: 0x0p+00}},
+	},
+	{ // plan 1
+		{id: 0, rho: 0x1.8a3d70a3d70a4p-02, v: 0x1.365881a1554fcp-10, card: 0x1.81p+08, fromOpt: false, leafComp: map[int]float64{0: 0x1.365881a1554fcp-10}},
+	},
+	{ // plan 2
+		{id: 0, rho: 0x1.e6e978d4fdf3bp-06, v: 0x1.6bed4e43ece47p-17, card: 0x1.737cp+14, fromOpt: false, leafComp: map[int]float64{0: 0x1.4dc5ba9161fa9p-17, 1: 0x1.e2793b28ae9e2p-21}},
+		{id: 1, rho: 0x1.8a3d70a3d70a4p-02, v: 0x1.365881a1554fcp-10, card: 0x1.81p+08, fromOpt: false, leafComp: map[int]float64{0: 0x1.365881a1554fcp-10}},
+		{id: 2, rho: 0x1p+00, v: 0x0p+00, card: 0x1.9p+09, fromOpt: false, leafComp: map[int]float64{1: 0x0p+00}},
+	},
+	{ // plan 3
+		{id: 0, rho: 0x1.4a38327674d16p-09, v: 0x1.84efcf1531f2cp-24, card: 0x1.ec10cp+20, fromOpt: false, leafComp: map[int]float64{0: 0x1.3c60290113741p-24, 1: 0x1.389e136f7919p-27, 2: 0x1.0bdf1d317adccp-27}},
+		{id: 1, rho: 0x1.e6e978d4fdf3bp-06, v: 0x1.6bed4e43ece47p-17, card: 0x1.737cp+14, fromOpt: false, leafComp: map[int]float64{0: 0x1.4dc5ba9161fa9p-17, 1: 0x1.e2793b28ae9e2p-21}},
+		{id: 2, rho: 0x1.8a3d70a3d70a4p-02, v: 0x1.365881a1554fcp-10, card: 0x1.81p+08, fromOpt: false, leafComp: map[int]float64{0: 0x1.365881a1554fcp-10}},
+		{id: 3, rho: 0x1p+00, v: 0x0p+00, card: 0x1.9p+09, fromOpt: false, leafComp: map[int]float64{1: 0x0p+00}},
+		{id: 4, rho: 0x1p+00, v: 0x0p+00, card: 0x1.f4p+09, fromOpt: false, leafComp: map[int]float64{2: 0x0p+00}},
+	},
+	{ // plan 4
+		{id: 0, rho: 0x1.4ced916872b02p-04, v: 0x1.3210be5981138p-17, card: 0x1.fc02p+15, fromOpt: false, leafComp: map[int]float64{0: 0x1.f19cba043b0eep-18, 1: 0x1.ca130abb1c605p-20}},
+		{id: 1, rho: 0x1.4ced916872b02p-04, v: 0x1.3210be5981138p-17, card: 0x1.fc02p+15, fromOpt: false, leafComp: map[int]float64{0: 0x1.f19cba043b0eep-18, 1: 0x1.ca130abb1c605p-20}},
+		{id: 2, rho: 0x1p+00, v: 0x0p+00, card: 0x1.f4p+09, fromOpt: false, leafComp: map[int]float64{0: 0x0p+00}},
+		{id: 3, rho: 0x1p+00, v: 0x0p+00, card: 0x1.9p+09, fromOpt: false, leafComp: map[int]float64{1: 0x0p+00}},
+	},
+	{ // plan 5
+		{id: 0, rho: 0x1.0624dd2f1a9fcp-10, v: 0x0p+00, card: 0x1.9p+09, fromOpt: true, leafComp: map[int]float64{}},
+		{id: 1, rho: 0x1.89374bc6a7efap-07, v: 0x0p+00, card: 0x1.8p+03, fromOpt: true, leafComp: map[int]float64{}},
+		{id: 2, rho: 0x1p+00, v: 0x0p+00, card: 0x1.f4p+09, fromOpt: false, leafComp: map[int]float64{0: 0x0p+00}},
+		{id: 3, rho: 0x1p+00, v: 0x0p+00, card: 0x1.9p+09, fromOpt: false, leafComp: map[int]float64{1: 0x0p+00}},
+	},
+}
+
+// matchesPinned requires est to equal the pinned literals exactly.
+func matchesPinned(t *testing.T, tag string, want []pinnedOp, est *Estimates) {
+	t.Helper()
+	if len(est.ByID) != len(want) {
+		t.Fatalf("%s: %d estimates, pinned %d", tag, len(est.ByID), len(want))
+	}
+	for _, w := range want {
+		e, ok := est.ByID[w.id]
+		if !ok {
+			t.Fatalf("%s: node %d missing", tag, w.id)
+		}
+		if e.Rho != w.rho || e.Var != w.v || e.EstCard != w.card || e.FromOptimizer != w.fromOpt {
+			t.Errorf("%s: node %d rho/var/card/fromOpt (%x,%x,%x,%v), pinned (%x,%x,%x,%v)",
+				tag, w.id, e.Rho, e.Var, e.EstCard, e.FromOptimizer, w.rho, w.v, w.card, w.fromOpt)
+		}
+		if len(e.LeafComp) != len(w.leafComp) {
+			t.Fatalf("%s: node %d has %d leaf components, pinned %d", tag, w.id, len(e.LeafComp), len(w.leafComp))
+		}
+		for k, v := range w.leafComp {
+			if got, ok := e.LeafComp[k]; !ok || got != v {
+				t.Errorf("%s: node %d LeafComp[%d] = %x, pinned %x", tag, w.id, k, got, v)
+			}
+		}
+	}
+}
+
+// TestEstimateMemoMatchesEstimate runs the walker over every plan shape
+// without a memo, through a cold memo and through a warm one, and
+// requires all three to carry the pinned per-operator distributions.
 func TestEstimateMemoMatchesEstimate(t *testing.T) {
 	db := synthDB(1000, 800, 12, 3)
 	cat := catalog.Build(db)
@@ -143,26 +209,28 @@ func TestEstimateMemoMatchesEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := newMemoRecorder()
-	for i, p := range subtreePlans() {
+	plans := subtreePlans()
+	if len(plans) != len(pinnedEstimates) {
+		t.Fatalf("%d plans, %d pinned", len(plans), len(pinnedEstimates))
+	}
+	for i, p := range plans {
 		want, err := Estimate(p, sdb, cat)
 		if err != nil {
 			t.Fatalf("plan %d: Estimate: %v", i, err)
 		}
-		got, err := EstimateMemo(context.Background(), p, sdb, cat, nil)
-		if err != nil {
-			t.Fatalf("plan %d: EstimateMemo: %v", i, err)
-		}
-		sameEstimates(t, "no-memo", want, got)
+		matchesPinned(t, "no-memo", pinnedEstimates[i], want)
 		// Twice through the shared memo: cold then warm.
 		cold, err := EstimateMemo(context.Background(), p, sdb, cat, rec.memo)
 		if err != nil {
 			t.Fatalf("plan %d: EstimateMemo(memo): %v", i, err)
 		}
+		matchesPinned(t, "memo-cold", pinnedEstimates[i], cold)
 		sameEstimates(t, "memo-cold", want, cold)
 		warm, err := EstimateMemo(context.Background(), p, sdb, cat, rec.memo)
 		if err != nil {
 			t.Fatal(err)
 		}
+		matchesPinned(t, "memo-warm", pinnedEstimates[i], warm)
 		sameEstimates(t, "memo-warm", want, warm)
 	}
 	if rec.hits == 0 || rec.misses == 0 {

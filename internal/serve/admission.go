@@ -8,7 +8,7 @@ import (
 	"sync"
 
 	uaqetp "repro"
-	"repro/internal/calib"
+	"repro/internal/hardware"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -96,6 +96,19 @@ func (h *requestHeap) Pop() any {
 	return it
 }
 
+// PMeet is the admission and placement probability P(T_wait + T_q <= d):
+// under independence the means and variances of the wait (a QueueStateAt
+// snapshot) and of the query's own predicted time add, and the total is
+// read as a normal. A negative waitVar — float cancellation as the
+// queue drains — counts as zero.
+func PMeet(predMean, predSigma, waitMean, waitVar, deadline float64) float64 {
+	total := stats.Normal{
+		Mu:    predMean + waitMean,
+		Sigma: math.Sqrt(predSigma*predSigma + math.Max(waitVar, 0)),
+	}
+	return total.CDF(deadline)
+}
+
 // Submit runs the admission rule on one request: predict the running
 // time, admit iff the predicted probability of meeting the deadline —
 // queue wait included, P(T_wait + T_q <= d) — clears the tenant's SLO
@@ -154,11 +167,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (Decision, error) {
 	waitMean := s.qWaitMean + s.residualLocked()
 	d.QueueWaitMean = waitMean
 	d.QueueWaitSigma = math.Sqrt(waitVar)
-	total := stats.Normal{
-		Mu:    pred.Mean() + waitMean,
-		Sigma: math.Sqrt(pred.Sigma()*pred.Sigma() + waitVar),
-	}
-	d.PMeet = total.CDF(deadline)
+	d.PMeet = PMeet(pred.Mean(), pred.Sigma(), waitMean, waitVar, deadline)
 	switch {
 	case d.PMeet < t.slo.Confidence:
 		d.Reason = fmt.Sprintf("P(T_wait + T_q <= %.4g) = %.4f below SLO confidence %.4f (queue wait mean %.4g)",
@@ -228,6 +237,11 @@ type Outcome struct {
 	Met       bool    `json:"met"`
 	PredMean  float64 `json:"pred_mean"`
 	PredSigma float64 `json:"pred_sigma"`
+	// Unit is the cost unit dominating the predicted mean — the unit
+	// calibration drift would be attributed to. With the fields above it
+	// makes an Outcome one calibration observation (predicted
+	// distribution, observed time), which is how the simulator reads it.
+	Unit hardware.Unit `json:"-"`
 }
 
 // StepOne executes the highest-priority admitted request (smallest
@@ -337,6 +351,7 @@ func (s *Server) stepOneLocked(out *Outcome) (bool, error) {
 		Deadline:  it.absDeadline,
 		PredMean:  it.pred.Mean(),
 		PredSigma: it.pred.Sigma(),
+		Unit:      it.pred.DominantUnit(),
 	}
 	out.Met = out.Finish <= it.absDeadline
 	// The popped request is now the in-flight one; its service past the
@@ -359,16 +374,6 @@ func (s *Server) stepOneLocked(out *Outcome) (bool, error) {
 		})
 	}
 	it.tenant.feedback.record(it.pred, elapsed, it.plansig)
-	if s.cfg.Observer != nil {
-		s.cfg.Observer.Observe(&calib.Observation{
-			At:        out.Finish,
-			Tenant:    it.tenant.name,
-			Unit:      it.pred.DominantUnit(),
-			PredMean:  it.pred.Mean(),
-			PredSigma: it.pred.Sigma(),
-			Observed:  elapsed,
-		})
-	}
 	releaseQueued(it)
 	return true, nil
 }

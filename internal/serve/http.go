@@ -55,11 +55,23 @@ func errStatus(err error) int {
 	return http.StatusBadRequest
 }
 
+// maxBodyBytes bounds how much of a request body a handler reads: a
+// query is a few hundred bytes of JSON, so 1 MiB refuses nothing real
+// while keeping one request from buffering an arbitrarily large document.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the JSON request body into v, answering 413 for a
+// body over maxBodyBytes and 400 for anything else that does not decode.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "bad request body: " + err.Error()})
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, httpError{Error: "bad request body: " + err.Error()})
 		return false
 	}
 	return true

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -208,5 +209,39 @@ func TestHTTPRecalibrate(t *testing.T) {
 	resp, _ = postJSON(t, ts, "/recalibrate", RecalibrateRequest{Tenant: "nobody", Force: true})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown tenant: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestHTTPOversizeBody: a request body past the 1 MiB limit is refused
+// with 413 and the usual error body instead of being buffered, and the
+// server keeps answering normal requests afterwards.
+func TestHTTPOversizeBody(t *testing.T) {
+	srv, qs := newTestServer(t, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	huge := `{"tenant":"alpha","query":{"Name":"` + strings.Repeat("x", 2*maxBodyBytes) + `"}}`
+	for _, path := range []string{"/submit", "/predict"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e httpError
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversize %s: status %d, want 413", path, resp.StatusCode)
+		}
+		if err != nil || e.Error == "" {
+			t.Errorf("oversize %s: error body %+v (decode: %v)", path, e, err)
+		}
+	}
+	resp, body := postJSON(t, ts, "/predict", predictRequest{Tenant: "alpha", Query: qs[0]})
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("predict after oversize: status %d: %s", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, ts, "/submit", Request{Tenant: "alpha", Query: qs[0], Deadline: 100})
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("submit after oversize: status %d: %s", resp.StatusCode, body)
 	}
 }

@@ -58,7 +58,6 @@ import (
 	"time"
 
 	uaqetp "repro"
-	"repro/internal/calib"
 	"repro/internal/trace"
 )
 
@@ -132,14 +131,6 @@ type Config struct {
 	// cluster simulator instead hands each machine its own recorder and
 	// merges in event order.
 	Trace trace.Recorder
-	// Observer, when non-nil, receives one calib.Observation per
-	// executed request on the outcome path — the calibration
-	// observatory's serving-layer feed (predicted distribution, dominant
-	// unit, observed time, finish time, tenant). Like Trace, a nil
-	// observer costs one branch per outcome; implementations shared by
-	// concurrent drains must be safe for concurrent use (the simulator
-	// hands each machine its own observer).
-	Observer calib.Observer
 }
 
 func (c Config) normalized() Config {

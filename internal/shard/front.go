@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -164,16 +165,35 @@ func (f *Front) place(tenant string) string {
 	return s
 }
 
-func (f *Front) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req frontRequest
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds how much of a request body the front reads — the
+// shards' own limit, so the front buffers no more than a shard accepts.
+const maxBodyBytes = 1 << 20
+
+// decodeRequest decodes a /predict or /submit body, answering 413 for a
+// body over maxBodyBytes and 400 for one that does not decode or names
+// no tenant; ok is false once it has answered.
+func decodeRequest(w http.ResponseWriter, r *http.Request) (req frontRequest, ok bool) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		frontJSON(w, http.StatusBadRequest, frontError{Error: "bad request body: " + err.Error()})
-		return
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		frontJSON(w, status, frontError{Error: "bad request body: " + err.Error()})
+		return req, false
 	}
 	if req.Tenant == "" {
 		frontJSON(w, http.StatusBadRequest, frontError{Error: "missing tenant"})
+		return req, false
+	}
+	return req, true
+}
+
+func (f *Front) handlePredict(w http.ResponseWriter, r *http.Request) {
+	req, ok := decodeRequest(w, r)
+	if !ok {
 		return
 	}
 	body, _ := json.Marshal(struct {
@@ -193,15 +213,8 @@ type shedResponse struct {
 }
 
 func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req frontRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		frontJSON(w, http.StatusBadRequest, frontError{Error: "bad request body: " + err.Error()})
-		return
-	}
-	if req.Tenant == "" {
-		frontJSON(w, http.StatusBadRequest, frontError{Error: "missing tenant"})
+	req, ok := decodeRequest(w, r)
+	if !ok {
 		return
 	}
 	shardName := f.place(req.Tenant)

@@ -6,53 +6,7 @@ import (
 
 	"repro/internal/calib"
 	"repro/internal/hardware"
-	"repro/internal/trace"
 )
-
-// machineObserver is the per-machine calib.Observer the simulator
-// installs as each server's Config.Observer: every executed request's
-// (predicted distribution, observed time) pair folds into machine-local
-// accumulators — one per (tenant group, cost unit) — and, when the run
-// streams calibration events (WithCalibration), becomes a
-// KindCalibration event on the run's calibration recorder. The
-// accumulators stay per machine because calibrationReport's fixed merge
-// order over them fixes the report's float bytes.
-type machineObserver struct {
-	machine int
-	shard   string
-	groupOf map[string]int32
-	// acc[g][u] aggregates group g's observations whose predicted mean
-	// unit u dominates.
-	acc [][hardware.NumUnits]calib.Accumulator
-	// stream is nil unless the run streams calibration events.
-	stream trace.Recorder
-}
-
-func newMachineObserver(machine int, shard string, groups int, groupOf map[string]int32, stream trace.Recorder) *machineObserver {
-	return &machineObserver{
-		machine: machine,
-		shard:   shard,
-		groupOf: groupOf,
-		acc:     make([][hardware.NumUnits]calib.Accumulator, groups),
-		stream:  stream,
-	}
-}
-
-// Observe implements calib.Observer.
-func (o *machineObserver) Observe(ob *calib.Observation) {
-	gi, ok := o.groupOf[ob.Tenant]
-	if !ok {
-		return
-	}
-	o.acc[gi][ob.Unit].Observe(ob.PredMean, ob.PredSigma, ob.Observed)
-	if o.stream != nil && o.stream.Enabled(trace.Full) {
-		o.stream.Record(&trace.Event{
-			Kind: trace.KindCalibration, At: ob.At, Machine: o.machine, Shard: o.shard,
-			Tenant: ob.Tenant, Unit: ob.Unit.String(),
-			PredMean: ob.PredMean, PredSigma: ob.PredSigma, Elapsed: ob.Observed,
-		})
-	}
-}
 
 // calibrationReport merges the fleet's machine-local accumulators into
 // the report's calibration section. Every merge walks a fixed order —
@@ -65,9 +19,9 @@ func (s *simRun) calibrationReport() *CalibrationReport {
 	perGroupUnit := make([][hardware.NumUnits]calib.Accumulator, nGroups)
 	perMachine := make([]calib.Accumulator, len(s.machines))
 	for m, ms := range s.machines {
-		for g := range ms.obs.acc {
-			for u := range ms.obs.acc[g] {
-				a := &ms.obs.acc[g][u]
+		for g := range ms.acc {
+			for u := range ms.acc[g] {
+				a := &ms.acc[g][u]
 				if a.N() == 0 {
 					continue
 				}

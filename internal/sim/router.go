@@ -6,7 +6,7 @@ import (
 	"strings"
 
 	uaqetp "repro"
-	"repro/internal/stats"
+	"repro/internal/serve"
 	"repro/internal/trace"
 )
 
@@ -103,89 +103,54 @@ func (s *simRun) route(ts *tenantState, ti int, q, tmpl *uaqetp.Query, deadline,
 		}
 		return best, nil
 
-	case RouterLeastRisk:
-		if s.perMachine {
-			return s.routeLeastRiskPerMachine(ti, q, deadline, now, lo, hi)
+	case RouterLeastRisk, RouterLeastRiskShared:
+		var shared *uaqetp.Prediction
+		if s.router == RouterLeastRiskShared || !s.perMachine {
+			var err error
+			if shared, err = s.sharedPred(ts, q, tmpl); err != nil {
+				return 0, fmt.Errorf("sim: route predict %q: %w", q.Name, err)
+			}
 		}
-		return s.routeLeastRiskShared(ts, q, tmpl, deadline, now, lo, hi)
-
-	case RouterLeastRiskShared:
-		return s.routeLeastRiskShared(ts, q, tmpl, deadline, now, lo, hi)
+		return s.routeLeastRisk(shared, ti, q, deadline, now, lo, hi)
 	}
 	return 0, fmt.Errorf("sim: unknown router %q", s.router)
 }
 
-// routeLeastRiskShared evaluates P(T_wait + T_q <= d) with one
-// fleet-shared prediction of T_q: correct on homogeneous fleets (and
-// byte-identical to the pre-heterogeneity router there), an ablation on
-// labeled ones.
-func (s *simRun) routeLeastRiskShared(ts *tenantState, q, tmpl *uaqetp.Query, deadline, now float64, lo, hi int) (int, error) {
-	// The prediction resolves by template through the run-level memo
-	// (sharedPred): the base System's predictor never swaps mid-run and
-	// clones share their template's plan, so one map probe replaces the
-	// per-arrival fingerprint-and-memo walk. The subsequent Submit on
-	// the chosen machine still predicts through the stage memos.
-	pred, err := s.sharedPred(ts, q, tmpl)
-	if err != nil {
-		return 0, fmt.Errorf("sim: route predict %q: %w", q.Name, err)
-	}
-	// Maximize P(T_wait + T_q <= d). The CDF saturates once a machine
-	// is safely fast enough, so ties within riskEps — e.g. an idle
-	// fleet, where every machine is equally certain — break toward
-	// the least expected wait: among equally safe machines, spread
-	// the load instead of herding onto the first index.
-	capture := s.decisions
-	best, bestP, bestWait := lo, math.Inf(-1), math.Inf(1)
-	for m := lo; m < hi; m++ {
-		qlen, wait, waitVar := s.machines[m].srv.QueueStateAt(now)
-		total := stats.Normal{
-			Mu:    pred.Mean() + wait,
-			Sigma: math.Sqrt(pred.Sigma()*pred.Sigma() + math.Max(waitVar, 0)),
-		}
-		p := total.CDF(deadline)
-		if capture {
-			s.cands = append(s.cands, trace.Candidate{
-				Machine: m, QueueLen: qlen, WaitMean: wait, WaitVar: waitVar,
-				PredMean: pred.Mean(), PredSigma: pred.Sigma(), PMeet: p,
-			})
-		}
-		if p > bestP+riskEps {
-			best, bestP, bestWait = m, p, wait
-			if capture {
-				s.tieBreak = "risk"
-			}
-		} else if p > bestP-riskEps && wait < bestWait {
-			best, bestP, bestWait = m, p, wait
-			if capture {
-				s.tieBreak = "wait"
-			}
-		}
-	}
-	return best, nil
-}
-
-// routeLeastRiskPerMachine evaluates P(T_wait + T_q <= d) with each
-// machine's own prediction of T_q, through the machine's tenant façade:
+// routeLeastRisk maximizes P(T_wait + T_q <= d) over the machines
+// [lo, hi). A non-nil shared is T_q as one fleet-shared prediction:
+// correct on homogeneous fleets (and byte-identical to the
+// pre-heterogeneity router there), an ablation on labeled ones. The
+// caller resolves it by template through the run-level memo
+// (sharedPred): the base System's predictor never swaps mid-run and
+// clones share their template's plan, so one map probe replaces the
+// per-arrival fingerprint-and-memo walk; the subsequent Submit on the
+// chosen machine still predicts through the stage memos. With shared
+// nil, T_q is each machine's own prediction, through the machine's
+// tenant façade:
 // the same query costs different time — with different uncertainty — on
 // different machines, and recalibrated units are read the moment they
 // swap in. The sampling pass behind every prediction is shared through
 // the fleet cache (estimates are machine-independent), so the
 // per-machine work is one analytic unit propagation each.
-func (s *simRun) routeLeastRiskPerMachine(ti int, q *uaqetp.Query, deadline, now float64, lo, hi int) (int, error) {
+func (s *simRun) routeLeastRisk(shared *uaqetp.Prediction, ti int, q *uaqetp.Query, deadline, now float64, lo, hi int) (int, error) {
+	// The CDF saturates once a machine is safely fast enough, so ties
+	// within riskEps — e.g. an idle fleet, where every machine is
+	// equally certain — break toward the least expected wait: among
+	// equally safe machines, spread the load instead of herding onto
+	// the first index.
 	capture := s.decisions
 	best, bestP, bestWait := lo, math.Inf(-1), math.Inf(1)
 	for m := lo; m < hi; m++ {
 		ms := s.machines[m]
-		pred, err := ms.tenants[ti].System().PredictContext(s.ctx, q)
-		if err != nil {
-			return 0, fmt.Errorf("sim: route predict %q on machine %d: %w", q.Name, m, err)
+		pred := shared
+		if pred == nil {
+			var err error
+			if pred, err = ms.tenants[ti].System().PredictContext(s.ctx, q); err != nil {
+				return 0, fmt.Errorf("sim: route predict %q on machine %d: %w", q.Name, m, err)
+			}
 		}
 		qlen, wait, waitVar := ms.srv.QueueStateAt(now)
-		total := stats.Normal{
-			Mu:    pred.Mean() + wait,
-			Sigma: math.Sqrt(pred.Sigma()*pred.Sigma() + math.Max(waitVar, 0)),
-		}
-		p := total.CDF(deadline)
+		p := serve.PMeet(pred.Mean(), pred.Sigma(), wait, waitVar, deadline)
 		if capture {
 			s.cands = append(s.cands, trace.Candidate{
 				Machine: m, QueueLen: qlen, WaitMean: wait, WaitVar: waitVar,

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	uaqetp "repro"
+	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/stats"
 )
@@ -220,11 +221,7 @@ func (s *simRun) bestPIn(ts *tenantState, q, tmpl *uaqetp.Query, deadline, now f
 	best := math.Inf(-1)
 	for m := lo; m < hi; m++ {
 		_, wait, waitVar := s.machines[m].srv.QueueStateAt(now)
-		total := stats.Normal{
-			Mu:    pred.Mean() + wait,
-			Sigma: math.Sqrt(pred.Sigma()*pred.Sigma() + math.Max(waitVar, 0)),
-		}
-		if p := total.CDF(deadline); p > best {
+		if p := serve.PMeet(pred.Mean(), pred.Sigma(), wait, waitVar, deadline); p > best {
 			best = p
 		}
 	}

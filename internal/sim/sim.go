@@ -10,6 +10,8 @@ import (
 	"strings"
 
 	uaqetp "repro"
+	"repro/internal/calib"
+	"repro/internal/hardware"
 	"repro/internal/rng"
 	"repro/internal/serve"
 	"repro/internal/shard"
@@ -83,11 +85,14 @@ type machineState struct {
 	executed int
 	pending  map[uint64]pendingArrival
 
-	// obs is the machine's calibration observer (serve.Config.Observer):
-	// every executed request's (predicted distribution, observed time)
-	// pair folds into machine-local accumulators, merged in machine
-	// order into the report's calibration section.
-	obs *machineObserver
+	// shard is the machine's shard name, empty on flat fleets.
+	shard string
+	// acc[g][u] aggregates the (predicted distribution, observed time)
+	// pairs of tenant group g's executions on this machine whose
+	// predicted mean unit u dominates. The accumulators stay per machine
+	// because calibrationReport's fixed merge order over them fixes the
+	// report's float bytes.
+	acc [][hardware.NumUnits]calib.Accumulator
 }
 
 // machineRecorder is the trace.Recorder the simulator installs as each
@@ -180,6 +185,9 @@ type simRun struct {
 	decisions bool
 	cands     []trace.Candidate
 	tieBreak  string
+	// calibRec is the run's calibration-event recorder
+	// (WithCalibration), nil unless the run streams calibration events.
+	calibRec trace.Recorder
 
 	// Drift injection. flips are the pending truth switches in firing
 	// order (one per distinct drift-at spec); the event loop fires each
@@ -375,6 +383,7 @@ func runOn(sc Scenario, sys *uaqetp.System, cache uaqetp.EstimateCache, sinks ru
 		perMachine: sc.Machines.Labeled(),
 		rec:        sinks.trace,
 		decisions:  sinks.trace != nil && sinks.trace.Enabled(trace.Decisions),
+		calibRec:   sinks.calib,
 		ver:        ver,
 		predMemo:   make(map[*uaqetp.Query]sharedPredEntry, 64),
 	}
@@ -395,28 +404,21 @@ func runOn(sc Scenario, sys *uaqetp.System, cache uaqetp.EstimateCache, sinks ru
 	} else {
 		s.rrNexts = make([]int, 1)
 	}
-	// The calibration observers attribute each member's observations to
-	// its tenant group, mirroring the report's per-tenant aggregation.
-	groupOf := make(map[string]int32, len(s.tenants))
-	for _, ts := range s.tenants {
-		groupOf[ts.name] = int32(ts.group)
-	}
 	for m := range fleet {
 		shardName := ""
 		if s.sh != nil {
 			shardName = s.sh.names[s.sidOf[m]]
 		}
-		obs := newMachineObserver(m, shardName, len(sc.Tenants), groupOf, sinks.calib)
 		cfg := serve.Config{
 			Cache: cache, MaxQueue: sc.MaxQueue, Policy: qpol, RecalEvery: sc.RecalEvery,
-			Observer: obs,
 		}
 		if sinks.trace != nil {
 			cfg.Trace = &machineRecorder{Recorder: sinks.trace, machine: m, shard: shardName}
 		}
 		srv := serve.New(cfg)
 		ms := &machineState{
-			srv: srv, sys: msys[m], pending: make(map[uint64]pendingArrival), obs: obs,
+			srv: srv, sys: msys[m], pending: make(map[uint64]pendingArrival), shard: shardName,
+			acc: make([][hardware.NumUnits]calib.Accumulator, len(sc.Tenants)),
 		}
 		if s.perMachine {
 			ms.spec = fleet[m]
@@ -893,6 +895,16 @@ func (s *simRun) stepMachine(m int) {
 			ts := s.tenants[p.tenant]
 			ts.latencies = append(ts.latencies, s.out.Finish-p.at)
 			ts.queueWaits = append(ts.queueWaits, s.out.Start-p.at)
+			// The outcome is one calibration observation, attributed to
+			// the member's tenant group like the report's per-tenant rows.
+			ms.acc[ts.group][s.out.Unit].Observe(s.out.PredMean, s.out.PredSigma, s.out.Elapsed)
+			if s.calibRec != nil && s.calibRec.Enabled(trace.Full) {
+				s.calibRec.Record(&trace.Event{
+					Kind: trace.KindCalibration, At: s.out.Finish, Machine: m, Shard: ms.shard,
+					Tenant: s.out.Tenant, Unit: s.out.Unit.String(),
+					PredMean: s.out.PredMean, PredSigma: s.out.PredSigma, Elapsed: s.out.Elapsed,
+				})
+			}
 			// finish/met let drift experiments attribute each outcome to a
 			// before/during/after-detection phase at report time.
 			if len(s.driftMachines) > 0 {

@@ -3,7 +3,7 @@ package uaqetp
 // BenchmarkAlternativesSubtreeMemo measures what subtree-granular
 // memoization buys inside one Alternatives call: each iteration runs
 // the 4-way join's alternatives against a cold cache, so every shared
-// subtree is either recomputed (whole-plan-only baseline) or served
+// subtree is either recomputed (no-sharing baseline) or served
 // from the subtree section (memo path). The reported subtree-hits/op
 // and subtree-misses/op metrics are the acceptance numbers: misses
 // equal the distinct subplan signatures, hits cover every further
@@ -16,8 +16,9 @@ import (
 	"repro/internal/sample"
 )
 
-// wholePlanEstimator is the v1 estimation path — one un-shared sampling
-// pass per whole plan — used as the baseline.
+// wholePlanEstimator estimates every plan on its own — sample.Estimate,
+// the memo-less call of the subtree walker, so no pass is shared between
+// plans — and is the baseline.
 type wholePlanEstimator struct {
 	samples *sample.DB
 	sys     *System

@@ -50,8 +50,9 @@ type TierStats struct {
 // remote cost is derived from the counters at read time
 // (remoteLookups × RemoteLatency), so the aggregate is a pure sum of
 // atomic increments: independent of the order concurrent callers
-// interleave in, which keeps simulator reports byte-identical under
-// parallel machine stepping.
+// (batched predictions, several Systems sharing the cache) interleave
+// in, so the tier counters of a report depend only on which keys were
+// looked up.
 type TieredCache struct {
 	inner *MemoryCache
 	cfg   TierConfig
