@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: test fmt-check build vet race fmt
+.PHONY: test fmt-check build vet race fmt loc
 
 test: fmt-check
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race -timeout 30m ./...
@@ -26,3 +26,11 @@ race:
 
 fmt:
 	gofmt -l -w .
+
+# loc prints the line counts ROADMAP and CHANGES quote: non-test Go
+# outside bench/ (the number the roadmap's target is set on), bench/'s
+# own non-test Go, and tests.
+loc:
+	@printf 'non-test Go outside bench/: '; git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs wc -l | tail -1
+	@printf 'non-test Go under bench/:   '; git ls-files 'bench/*.go' | grep -v _test.go | xargs wc -l | tail -1
+	@printf 'tests:                      '; git ls-files '*_test.go' | xargs wc -l | tail -1

@@ -66,15 +66,13 @@
 // other's passes, the substrate of the multi-tenant serving layer in
 // internal/serve.
 //
-// EstimateCache is an interface, not a concrete type: NewEstimateCache
-// returns the in-process sharded-LRU implementation (MemoryCache), and
-// NewTieredCache wraps the same storage in a deterministic model of a
-// local/remote split — a seeded hash assigns each key a tier, remote
-// lookups accrue a modeled latency, TierStats reports the traffic by
-// tier. Anything satisfying the interface (its section methods are
-// unexported, so implementations wrap a MemoryCache) slots into
-// Config.Cache unchanged; the sharded serving topology in
-// internal/shard and internal/sim exercises the tiered one.
+// EstimateCache is one concrete type: NewEstimateCache returns the
+// in-process sharded LRU, and NewTieredCache the same cache with a tier
+// tally switched on — a deterministic model of a local/remote split in
+// which a seeded hash assigns each key a tier, remote lookups accrue a
+// modeled latency, and TierStats reports the traffic by tier. The tally
+// only counts; what is stored and served is the same either way. The
+// sharded serving topology in internal/sim exercises the tallied one.
 //
 // # Heterogeneous machines
 //
@@ -213,7 +211,7 @@ type Config struct {
 	// a sampling pass (DB kind, sampling ratio, seed), so tenants over
 	// the same generated database and samples share passes while
 	// incompatible tenants never collide.
-	Cache EstimateCache
+	Cache *EstimateCache
 }
 
 // DefaultConfig returns a uniform "1 GB" database on PC1 with a 5%
@@ -262,7 +260,7 @@ type System struct {
 	// compatible Systems share entries. runNS prefixes the run-result
 	// section's keys; it omits machine and sampling ratio, which run
 	// results do not depend on.
-	estCache EstimateCache
+	estCache *EstimateCache
 	estNS    string
 	runNS    string
 }

@@ -8,6 +8,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -479,9 +483,11 @@ func TestNilQueryIsAnError(t *testing.T) {
 	}
 }
 
-// TestPublicSurface pins the exported methods of *System and the fields
-// of Config against a literal, so growing the public surface is a
-// deliberate edit of this list rather than a side effect.
+// TestPublicSurface pins the exported methods of *System, the fields of
+// Config, and the package-level cache identifiers (with the methods of
+// the one cache type) against literals, so growing the public surface —
+// or a second cache type behind an interface — is a deliberate edit of
+// these lists rather than a side effect.
 func TestPublicSurface(t *testing.T) {
 	sysType := reflect.TypeOf(&System{})
 	var methods []string
@@ -508,5 +514,63 @@ func TestPublicSurface(t *testing.T) {
 	wantFields := []string{"DB", "Machine", "SamplingRatio", "Variant", "Seed", "RNG", "Cache"}
 	if !reflect.DeepEqual(fields, wantFields) {
 		t.Errorf("Config fields = %v\nwant %v", fields, wantFields)
+	}
+
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cacheIdents []string
+	add := func(id *ast.Ident) {
+		if id.IsExported() && (strings.Contains(id.Name, "Cache") || strings.Contains(id.Name, "Tier")) {
+			cacheIdents = append(cacheIdents, id.Name)
+		}
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					add(d.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						add(sp.Name)
+					case *ast.ValueSpec:
+						for _, id := range sp.Names {
+							add(id)
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(cacheIdents)
+	wantIdents := []string{
+		"CacheStats", "DefaultCacheShards", "EstimateCache", "NewEstimateCache",
+		"NewTieredCache", "TierConfig", "TierStats",
+	}
+	if !reflect.DeepEqual(cacheIdents, wantIdents) {
+		t.Errorf("package-level cache identifiers = %v\nwant %v", cacheIdents, wantIdents)
+	}
+	cacheType := reflect.TypeOf(&EstimateCache{})
+	if cacheType.Elem().Kind() != reflect.Struct {
+		t.Errorf("EstimateCache is a %v, want a struct", cacheType.Elem().Kind())
+	}
+	var cacheMethods []string
+	for i := 0; i < cacheType.NumMethod(); i++ {
+		cacheMethods = append(cacheMethods, cacheType.Method(i).Name)
+	}
+	if want := []string{"Stats", "TierStats"}; !reflect.DeepEqual(cacheMethods, want) {
+		t.Errorf("*EstimateCache methods = %v\nwant %v", cacheMethods, want)
 	}
 }

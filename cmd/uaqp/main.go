@@ -249,7 +249,7 @@ func serveCmd(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	kind, err := parseDB(*db)
+	kind, err := datagen.ParseKind(*db)
 	if err != nil {
 		return err
 	}
@@ -391,11 +391,11 @@ func batch(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	b, err := parseBench(*bench)
+	b, err := workload.ParseBenchmark(*bench)
 	if err != nil {
 		return err
 	}
-	kind, err := parseDB(*db)
+	kind, err := datagen.ParseKind(*db)
 	if err != nil {
 		return err
 	}
@@ -470,11 +470,11 @@ func demo(args []string) error {
 		return err
 	}
 
-	b, err := parseBench(*bench)
+	b, err := workload.ParseBenchmark(*bench)
 	if err != nil {
 		return err
 	}
-	kind, err := parseDB(*db)
+	kind, err := datagen.ParseKind(*db)
 	if err != nil {
 		return err
 	}
@@ -498,28 +498,4 @@ func demo(args []string) error {
 	fmt.Printf("\nr_s=%.4f  r_p=%.4f  D_n=%.4f  sampling overhead=%.4f\n",
 		res.RS, res.RP, res.Dn, res.MeanOverhead)
 	return nil
-}
-
-func parseBench(s string) (workload.Benchmark, error) {
-	switch strings.ToLower(s) {
-	case "micro":
-		return workload.Micro, nil
-	case "seljoin":
-		return workload.SelJoin, nil
-	case "tpch":
-		return workload.TPCH, nil
-	default:
-		return 0, fmt.Errorf("unknown benchmark %q", s)
-	}
-}
-
-func parseDB(s string) (datagen.DBKind, error) {
-	for _, k := range []datagen.DBKind{
-		datagen.Uniform1G, datagen.Skewed1G, datagen.Uniform10G, datagen.Skewed10G,
-	} {
-		if strings.EqualFold(k.String(), s) {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown database %q", s)
 }

@@ -31,7 +31,6 @@ import (
 
 	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 const rowFormat = "%-18s %-10s %-8s %-6s %-6s %-8s %-8s %-10s\n"
@@ -71,57 +70,18 @@ func main() {
 		// same risk math with fleet-shared units.
 		routers = []string{sim.RouterRoundRobin, sim.RouterLeastQueue, sim.RouterLeastRiskShared, sim.RouterLeastRisk}
 	}
-	counterfactuals := make(map[string]trace.CounterfactualSummary)
 	for _, router := range routers {
 		sc.Router = router
-		decisions := trace.NewBuffer(trace.Decisions)
-		rep, err := sim.Run(sc, sim.WithTrace(decisions))
+		rep, err := sim.Run(sc)
 		if err != nil {
 			log.Fatal(err)
 		}
-		counterfactuals[router] = trace.CounterfactualK(decisions.Events(), 2)
 		printRow(router, rep)
 	}
 
 	fmt.Println()
 	fmt.Println("Same arrivals, same queries, same seed: the attainment gap is the")
 	fmt.Println("value of routing on predicted distributions instead of ignoring them.")
-
-	// Counterfactual-K over each router's own decision trace: how often
-	// did the router's 2nd-ranked candidate (by recorded P(meet)) look
-	// strictly safer than the machine it actually chose? Load-only
-	// routers record no probabilities, so they are never scored.
-	fmt.Println()
-	fmt.Println("Counterfactual-K (k=2), from the decision traces alone:")
-	for _, router := range routers {
-		cf := counterfactuals[router]
-		if cf.Scored == 0 {
-			fmt.Printf("  %-18s %d placements, none scored (no recorded risk vector)\n", router, cf.Placements)
-			continue
-		}
-		fmt.Printf("  %-18s %d placements scored, 2nd choice strictly safer in %d (%.2f%%)\n",
-			router, cf.Scored, cf.KthBetter, 100*cf.Rate())
-	}
-
-	// Counterfactual replay: re-run least-risk vs a distribution-blind
-	// override on the identical arrival sequence and pinpoint where —
-	// and for whom — the decisions diverge.
-	sc.Router = sim.RouterLeastRisk
-	res, err := sim.Replay(sc, nil, sim.Override{Router: sim.RouterLeastQueue})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println()
-	fmt.Printf("Replay (%s): %d/%d decisions diverged\n", res.Override, res.Diverged, res.Decisions)
-	if res.First != nil {
-		fmt.Printf("  first divergence: decision #%d, %s %q at t=%.3fs — machine %d vs %d\n",
-			res.First.Index, res.First.Base.Kind, res.First.Base.Query, res.First.Base.At,
-			res.First.Base.Machine, res.First.Variant.Machine)
-	}
-	for _, td := range res.Tenants {
-		fmt.Printf("  tenant %-8s attainment %.4f -> %.4f (delta %+.4f), from traces alone\n",
-			td.Tenant, td.Base.Attainment(), td.Variant.Attainment(), td.Delta)
-	}
 
 	// Queue policies (Section 6.5.3): the router stays least-risk and only
 	// the order each machine drains its admitted queue changes. A

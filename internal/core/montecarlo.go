@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/sample"
@@ -19,22 +16,11 @@ type MCOptions struct {
 	// DefaultMCDraws.
 	Draws int
 	Seed  int64
-	// Parallelism bounds the worker goroutines sharding the draws; 0
-	// selects GOMAXPROCS. The result is byte-identical for every value:
-	// draws are partitioned into fixed-size shards, each shard has its
-	// own RNG seeded deterministically from Seed and the shard index,
-	// and shard results are merged in shard order.
-	Parallelism int
 }
 
 // DefaultMCDraws keeps the Monte-Carlo path comfortably accurate while
 // still fast (each draw is a handful of polynomial evaluations).
 const DefaultMCDraws = 20000
-
-// mcShardSize is the number of draws per shard. It is a fixed constant —
-// not derived from the worker count — so that the draw stream, and hence
-// the prediction, does not depend on the degree of parallelism.
-const mcShardSize = 4096
 
 // MCPrediction is an empirical distribution of likely running times.
 type MCPrediction struct {
@@ -117,75 +103,19 @@ func (p *Predictor) PredictMonteCarlo(root *engine.Node, est *sample.Estimates, 
 	}
 	sort.Ints(ids)
 
-	// Shard the draws across a bounded worker pool. Each shard is a
-	// deterministic unit of work — fixed draw range, private RNG seeded
-	// from (opt.Seed, shard) — so the merged result is byte-identical
-	// regardless of how many workers happen to run them.
-	numShards := (opt.Draws + mcShardSize - 1) / mcShardSize
-	shards := make([]mcShardResult, numShards)
-	workers := opt.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > numShards {
-		workers = numShards
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				si := int(next.Add(1)) - 1
-				if si >= numShards {
-					return
-				}
-				lo := si * mcShardSize
-				hi := lo + mcShardSize
-				if hi > opt.Draws {
-					hi = opt.Draws
-				}
-				shards[si] = p.mcShard(a, ids, mcShardSeed(opt.Seed, si), hi-lo)
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Merge in shard order: concatenate the samples and combine the
-	// moment accumulators pairwise (Chan et al.'s parallel variance
-	// update), keeping the reduction order fixed so floating-point
-	// results do not depend on worker scheduling.
-	samples := make([]float64, 0, opt.Draws)
-	var acc mcAccum
-	for _, sh := range shards {
-		samples = append(samples, sh.samples...)
-		acc.merge(sh.acc)
-	}
-	sort.Float64s(samples)
-	return &MCPrediction{Samples: samples, MeanVal: acc.mean, Variance: acc.variance()}, nil
-}
-
-// mcShardResult is one shard's samples and running moments.
-type mcShardResult struct {
-	samples []float64
-	acc     mcAccum
-}
-
-// mcShard draws `draws` realizations with a private RNG. The draw
-// vector is a dense scratch slice indexed by node ID (IDs are dense
-// preorder ordinals from Finalize), reused across all draws of the
-// shard, so the inner loop does slice indexing instead of map lookups
-// and allocates nothing per draw.
-func (p *Predictor) mcShard(a *assembly, ids []int, seed int64, draws int) mcShardResult {
-	rng := rand.New(rand.NewSource(seed))
+	// The draw vector is a dense scratch slice indexed by node ID (IDs
+	// are dense preorder ordinals from Finalize), reused across all
+	// draws, so the loop does slice indexing instead of map lookups and
+	// allocates nothing per draw.
+	rng := rand.New(rand.NewSource(opt.Seed))
 	maxID := -1
 	if len(ids) > 0 {
 		maxID = ids[len(ids)-1] // ids is sorted ascending
 	}
 	draw := make([]float64, maxID+1)
-	res := mcShardResult{samples: make([]float64, 0, draws)}
-	for d := 0; d < draws; d++ {
+	samples := make([]float64, 0, opt.Draws)
+	var acc mcAccum
+	for d := 0; d < opt.Draws; d++ {
 		// Selectivities: truncated normal draws in [0, 1].
 		for _, id := range ids {
 			x := a.vars[id]
@@ -218,30 +148,16 @@ func (p *Predictor) mcShard(a *assembly, ids []int, seed int64, draws int) mcSha
 		for _, it := range a.items {
 			t += it.f.EvalVec(draw) * c[it.unit]
 		}
-		res.samples = append(res.samples, t)
-		res.acc.add(t)
+		samples = append(samples, t)
+		acc.add(t)
 	}
-	return res
-}
-
-// mcShardSeed derives the per-shard RNG seed from the master seed and
-// shard index via a splitmix64-style mix, so neighboring shards get
-// well-separated streams.
-func mcShardSeed(seed int64, shard int) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(shard+1)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return int64(z)
+	sort.Float64s(samples)
+	return &MCPrediction{Samples: samples, MeanVal: acc.mean, Variance: acc.variance()}, nil
 }
 
 // mcAccum accumulates count, mean, and the sum of squared deviations M2
-// (Welford's online update), and merges with another accumulator via
-// Chan et al.'s parallel combination rule. Shards accumulate privately
-// and are merged in a fixed order, which is both numerically stabler
-// than naive sum/sum-of-squares and independent of worker scheduling.
+// (Welford's online update) — numerically stabler than naive
+// sum/sum-of-squares.
 type mcAccum struct {
 	n    float64
 	mean float64
@@ -253,21 +169,6 @@ func (a *mcAccum) add(x float64) {
 	d := x - a.mean
 	a.mean += d / a.n
 	a.m2 += d * (x - a.mean)
-}
-
-func (a *mcAccum) merge(b mcAccum) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = b
-		return
-	}
-	n := a.n + b.n
-	d := b.mean - a.mean
-	a.mean += d * b.n / n
-	a.m2 += b.m2 + d*d*a.n*b.n/n
-	a.n = n
 }
 
 // variance returns the sample variance (n-1 denominator), 0 for n < 2.

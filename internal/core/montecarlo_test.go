@@ -141,6 +141,61 @@ func TestMonteCarloVariantConsistency(t *testing.T) {
 	}
 }
 
+// TestMonteCarloMomentsMatchDirect checks the running (Welford) moments
+// against a direct two-pass computation over the sample slice: the
+// reported mean and variance must agree with the textbook formulas
+// applied to MCPrediction.Samples.
+func TestMonteCarloMomentsMatchDirect(t *testing.T) {
+	f := newFixture(t, All)
+	plan := joinQuery()
+	est := f.estimates(t, plan, 0.05, 63)
+	mc, err := f.pred.PredictMonteCarlo(plan, est, MCOptions{Draws: 8269, Seed: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	for _, s := range mc.Samples {
+		sum += s
+	}
+	mean := sum / float64(len(mc.Samples))
+	var ss float64
+	for _, s := range mc.Samples {
+		d := s - mean
+		ss += d * d
+	}
+	variance := ss / float64(len(mc.Samples)-1)
+	if rel := math.Abs(mc.MeanVal-mean) / mean; rel > 1e-12 {
+		t.Errorf("running mean %v vs direct %v (rel %v)", mc.MeanVal, mean, rel)
+	}
+	if rel := math.Abs(mc.Variance-variance) / variance; rel > 1e-9 {
+		t.Errorf("running variance %v vs direct %v (rel %v)", mc.Variance, variance, rel)
+	}
+}
+
+// TestMCAccumEdgeCases pins the degenerate behaviors of the
+// accumulator: no observations, a single one, and constant
+// (zero-variance) data.
+func TestMCAccumEdgeCases(t *testing.T) {
+	var empty mcAccum
+	if v := empty.variance(); v != 0 {
+		t.Errorf("empty variance = %v", v)
+	}
+
+	var a mcAccum
+	a.add(3)
+	if a.variance() != 0 || a.mean != 3 {
+		t.Errorf("single-element accum: mean %v var %v", a.mean, a.variance())
+	}
+
+	var c mcAccum
+	for i := 0; i < 100; i++ {
+		c.add(7)
+	}
+	if c.variance() != 0 || c.mean != 7 {
+		t.Errorf("constant data: mean %v var %v", c.mean, c.variance())
+	}
+}
+
 // estimates runs the sampling pass for a plan, mirroring fixture.predict
 // without the prediction step.
 func (f *fixture) estimates(t *testing.T, plan *engine.Node, ratio float64, seed int64) *sample.Estimates {

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"repro/internal/engine"
 )
@@ -262,6 +263,17 @@ func (k DBKind) String() string {
 	default:
 		return fmt.Sprintf("DBKind(%d)", int(k))
 	}
+}
+
+// ParseKind parses a database name as String renders it,
+// case-insensitively.
+func ParseKind(s string) (DBKind, error) {
+	for k := Uniform1G; k <= Skewed10G; k++ {
+		if strings.EqualFold(k.String(), s) {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown database %q", s)
 }
 
 // ConfigFor returns the generation config for one of the paper's four

@@ -2,6 +2,7 @@ package datagen
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -140,5 +141,18 @@ func TestTinyScaleClampsToMinimum(t *testing.T) {
 	s, _ := db.Table("supplier")
 	if s.NumRows() < 10 {
 		t.Errorf("supplier rows = %d, want >= 10", s.NumRows())
+	}
+}
+
+func TestParseKind(t *testing.T) {
+	for _, k := range []DBKind{Uniform1G, Skewed1G, Uniform10G, Skewed10G} {
+		for _, name := range []string{k.String(), strings.ToUpper(k.String())} {
+			if got, err := ParseKind(name); err != nil || got != k {
+				t.Errorf("ParseKind(%q) = %v, %v; want %v", name, got, err, k)
+			}
+		}
+	}
+	if _, err := ParseKind("uniform-100G"); err == nil || err.Error() != `unknown database "uniform-100G"` {
+		t.Errorf("ParseKind on an unknown name: %v", err)
 	}
 }

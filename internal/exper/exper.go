@@ -127,24 +127,28 @@ type measKey struct {
 	Name  string
 }
 
-// onceSys, onceMeas, and onceRun coalesce concurrent grid cells onto a
-// single computation per key, so RunGrid never duplicates work.
-type onceSys struct {
+// onceMap coalesces concurrent grid cells onto a single computation per
+// key, so RunGrid never duplicates work.
+type onceMap[K comparable, V any] map[K]*onceCell[V]
+
+type onceCell[V any] struct {
 	once sync.Once
-	sys  *uaqetp.System
+	val  V
 	err  error
 }
 
-type onceMeas struct {
-	once sync.Once
-	m    *uaqetp.Measurement
-	err  error
-}
-
-type onceRun struct {
-	once sync.Once
-	res  *RunResult
-	err  error
+// get returns the value computed (once) for k; mu guards the map, not
+// the computation, so cells for different keys compute concurrently.
+func (m onceMap[K, V]) get(mu *sync.Mutex, k K, compute func() (V, error)) (V, error) {
+	mu.Lock()
+	c, ok := m[k]
+	if !ok {
+		c = &onceCell[V]{}
+		m[k] = c
+	}
+	mu.Unlock()
+	c.once.Do(func() { c.val, c.err = compute() })
+	return c.val, c.err
 }
 
 // Lab runs experiment grids on top of the public System API. It
@@ -159,15 +163,15 @@ type onceRun struct {
 // setting's own seed (per-cell seeds, per-query measurement streams)
 // rather than shared RNG state.
 type Lab struct {
-	cache uaqetp.EstimateCache
+	cache *uaqetp.EstimateCache
 
 	mu      sync.Mutex
-	bases   map[baseKey]*onceSys
-	systems map[sysKey]*onceSys
-	meas    map[measKey]*onceMeas
+	bases   onceMap[baseKey, *uaqetp.System]
+	systems onceMap[sysKey, *uaqetp.System]
+	meas    onceMap[measKey, *uaqetp.Measurement]
 	// runCache memoizes whole settings so different report generators
 	// (e.g. Table 4 and Table 5 over the same grid) share work.
-	runCache map[Setting]*onceRun
+	runCache onceMap[Setting, *RunResult]
 }
 
 // labCacheCapacity bounds the Lab's shared estimate cache: grids touch
@@ -178,10 +182,10 @@ const labCacheCapacity = 4096
 func NewLab() *Lab {
 	return &Lab{
 		cache:    uaqetp.NewEstimateCache(labCacheCapacity),
-		bases:    make(map[baseKey]*onceSys),
-		systems:  make(map[sysKey]*onceSys),
-		meas:     make(map[measKey]*onceMeas),
-		runCache: make(map[Setting]*onceRun),
+		bases:    make(onceMap[baseKey, *uaqetp.System]),
+		systems:  make(onceMap[sysKey, *uaqetp.System]),
+		meas:     make(onceMap[measKey, *uaqetp.Measurement]),
+		runCache: make(onceMap[Setting, *RunResult]),
 	}
 }
 
@@ -189,20 +193,12 @@ func NewLab() *Lab {
 // requester's sampling ratio seeds the base; other ratios derive from
 // it without regenerating the database or recalibrating.
 func (l *Lab) baseFor(k baseKey, sr float64) (*uaqetp.System, error) {
-	l.mu.Lock()
-	e, ok := l.bases[k]
-	if !ok {
-		e = &onceSys{}
-		l.bases[k] = e
-	}
-	l.mu.Unlock()
-	e.once.Do(func() {
-		e.sys, e.err = uaqetp.Open(uaqetp.Config{
+	return l.bases.get(&l.mu, k, func() (*uaqetp.System, error) {
+		return uaqetp.Open(uaqetp.Config{
 			DB: k.DB, Machine: k.Machine, SamplingRatio: sr,
 			Variant: core.All, Seed: k.Seed, Cache: l.cache,
 		})
 	})
-	return e.sys, e.err
 }
 
 // systemFor returns the (memoized) System for a setting's environment
@@ -210,39 +206,20 @@ func (l *Lab) baseFor(k baseKey, sr float64) (*uaqetp.System, error) {
 // by the caller via WithVariant.
 func (l *Lab) systemFor(s Setting) (*uaqetp.System, error) {
 	k := sysKey{baseKey{s.DB, s.Machine, s.Seed}, s.SR}
-	l.mu.Lock()
-	e, ok := l.systems[k]
-	if !ok {
-		e = &onceSys{}
-		l.systems[k] = e
-	}
-	l.mu.Unlock()
-	e.once.Do(func() {
+	return l.systems.get(&l.mu, k, func() (*uaqetp.System, error) {
 		base, err := l.baseFor(k.baseKey, s.SR)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		e.sys, e.err = base.WithSamplingRatio(s.SR)
+		return base.WithSamplingRatio(s.SR)
 	})
-	return e.sys, e.err
 }
 
 // measureFor measures one query (once) through the instrumented execute
 // path. Measurements are variant-independent, so every ablation cell
 // over the same environment shares them.
 func (l *Lab) measureFor(sys *uaqetp.System, k measKey, q *uaqetp.Query) (*uaqetp.Measurement, error) {
-	l.mu.Lock()
-	e, ok := l.meas[k]
-	if !ok {
-		e = &onceMeas{}
-		l.meas[k] = e
-	}
-	l.mu.Unlock()
-	e.once.Do(func() {
-		e.m, e.err = sys.Measure(q)
-	})
-	return e.m, e.err
+	return l.meas.get(&l.mu, k, func() (*uaqetp.Measurement, error) { return sys.Measure(q) })
 }
 
 // fanOut runs do(0..n-1) on a bounded worker pool and returns the
@@ -257,17 +234,7 @@ func (l *Lab) Run(s Setting) (*RunResult, error) {
 	if s.NumQueries <= 0 {
 		s.NumQueries = 24
 	}
-	l.mu.Lock()
-	e, ok := l.runCache[s]
-	if !ok {
-		e = &onceRun{}
-		l.runCache[s] = e
-	}
-	l.mu.Unlock()
-	e.once.Do(func() {
-		e.res, e.err = l.run(s)
-	})
-	return e.res, e.err
+	return l.runCache.get(&l.mu, s, func() (*RunResult, error) { return l.run(s) })
 }
 
 // RunGrid executes every setting, fanning the cells out over a bounded

@@ -244,45 +244,33 @@ type Outcome struct {
 	Unit hardware.Unit `json:"-"`
 }
 
-// StepOne executes the highest-priority admitted request (smallest
+// StepOneInto executes the highest-priority admitted request (smallest
 // policy key) at the current virtual clock, records the observation in
-// the tenant's feedback loop, and returns the outcome — (nil, nil)
-// when the queue is empty, or an outcome skeleton (ID/Tenant/Query
-// populated, no times) alongside the error when execution fails. Unlike DrainOne it does NOT advance the
-// clock past the execution: the outcome's Finish is the instant the
-// work would complete, and the caller decides when (and whether) the
-// clock gets there. This is the primitive the discrete-event simulator
-// steps servers with — it advances each machine's clock to event time
-// via AdvanceClock and schedules a completion event at Finish — while
-// DrainOne keeps the historical back-to-back drain semantics.
-func (s *Server) StepOne() (*Outcome, error) {
-	var out Outcome
-	ok, err := s.StepOneInto(&out)
-	if !ok {
-		return nil, err
-	}
-	return &out, err
-}
-
-// StepOneInto is StepOne writing the outcome into caller-owned storage:
-// ok reports whether a request was consumed (false with a nil error
-// means the queue was empty), and out is meaningful only when ok. On an
-// execution failure out carries the skeleton StepOne's error outcome
-// would (ID/Tenant/Query/Deadline; no times). Event-loop drivers reuse
-// one Outcome across steps and so keep the steady-state drain path
-// allocation-free.
+// the tenant's feedback loop, and writes the outcome into caller-owned
+// storage: ok reports whether a request was consumed (false with a nil
+// error means the queue was empty), and out is meaningful only when ok.
+// On an execution failure out is a skeleton (ID/Tenant/Query/Deadline;
+// no times) returned alongside the error. Unlike DrainOne it does NOT
+// advance the clock past the execution: the outcome's Finish is the
+// instant the work would complete, and the caller decides when (and
+// whether) the clock gets there. This is the primitive the
+// discrete-event simulator steps servers with — it advances each
+// machine's clock to event time via AdvanceClock and schedules a
+// completion event at Finish, reusing one Outcome across steps so the
+// steady-state drain path is allocation-free — while DrainOne keeps the
+// historical back-to-back drain semantics.
 func (s *Server) StepOneInto(out *Outcome) (ok bool, err error) {
 	s.drainMu.Lock()
 	defer s.drainMu.Unlock()
 	return s.stepOneLocked(out)
 }
 
-// DrainOne is StepOne plus advancing the virtual clock to the outcome's
-// Finish: queued work drains back-to-back on a single virtual server.
-// Drains are serialized on their own lock, so a background dispatcher
-// racing an explicit /drain cannot reorder work or perturb deadline
-// outcomes; Submit stays responsive because it only needs the brief
-// queue lock.
+// DrainOne is StepOneInto plus advancing the virtual clock to the
+// outcome's Finish: queued work drains back-to-back on a single virtual
+// server. Drains are serialized on their own lock, so a background
+// dispatcher racing an explicit /drain cannot reorder work or perturb
+// deadline outcomes; Submit stays responsive because it only needs the
+// brief queue lock.
 func (s *Server) DrainOne() (*Outcome, error) {
 	s.drainMu.Lock()
 	defer s.drainMu.Unlock()

@@ -5,8 +5,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-
-	uaqetp "repro"
 )
 
 // WriteMetrics renders a point-in-time snapshot of the server in the
@@ -59,11 +57,9 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		mw.labeled("uaqp_cache_entries", "section", c.name, float64(c.entries))
 	}
 
-	// Cache-tier gauges, present only when the server runs over a
-	// TieredCache (the simulated remote tier behind the EstimateCache
-	// seam).
-	if tc, ok := s.cache.(*uaqetp.TieredCache); ok {
-		ts := tc.TierStats()
+	// Cache-tier gauges, present only when the server's cache keeps a
+	// tier tally (uaqetp.NewTieredCache).
+	if ts, ok := s.cache.TierStats(); ok {
 		mw.head("uaqp_cache_tier_lookups_total", "Estimate-cache lookups by tier.", "counter")
 		mw.labeled("uaqp_cache_tier_lookups_total", "tier", "local", float64(ts.LocalLookups))
 		mw.labeled("uaqp_cache_tier_lookups_total", "tier", "remote", float64(ts.RemoteLookups))

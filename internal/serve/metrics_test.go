@@ -2,11 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	uaqetp "repro"
 )
 
 func scrape(t *testing.T, ts *httptest.Server) (string, string) {
@@ -60,6 +64,9 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metrics output missing %q", want)
 		}
 	}
+	if strings.Contains(body, "uaqp_cache_tier_") {
+		t.Error("cache-tier gauges exported by a server whose cache keeps no tier tally")
+	}
 
 	// Counters move with traffic: one admitted request shows up under
 	// its tenant, and the queue gauge reflects the backlog.
@@ -86,5 +93,34 @@ func TestMetricsEndpoint(t *testing.T) {
 	post.Body.Close()
 	if post.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /metrics status %d, want 405", post.StatusCode)
+	}
+}
+
+// TestMetricsCacheTier pins the optional gauges: a server over a cache
+// that keeps a tier tally exports the tally's counters and its
+// configuration.
+func TestMetricsCacheTier(t *testing.T) {
+	cache := uaqetp.NewTieredCache(uaqetp.TierConfig{LocalFraction: 0, RemoteLatency: 0.002, Seed: 3})
+	srv, qs := newTestServer(t, Config{Cache: cache})
+	if _, err := srv.Predict(context.Background(), "alpha", qs[0]); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := srv.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	tier, ok := cache.TierStats()
+	if !ok || tier.RemoteLookups == 0 {
+		t.Fatalf("tier stats %+v, ok=%v after a prediction", tier, ok)
+	}
+	for _, want := range []string{
+		`uaqp_cache_tier_lookups_total{tier="local"} 0` + "\n",
+		fmt.Sprintf(`uaqp_cache_tier_lookups_total{tier="remote"} %d`+"\n", tier.RemoteLookups),
+		"uaqp_cache_tier_local_fraction 0\n",
+		"uaqp_cache_tier_remote_latency_seconds 0.002\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("metrics output missing %q", want)
+		}
 	}
 }

@@ -75,10 +75,10 @@ func TestQueuePolicyByName(t *testing.T) {
 	}
 }
 
-// TestStepOneHoldsClock pins the simulator's stepping contract: StepOne
-// executes at the current clock without advancing it, AdvanceClock is
-// monotonic, and the admission rule sees the in-flight request's
-// residual service as queue wait.
+// TestStepOneHoldsClock pins the simulator's stepping contract:
+// StepOneInto executes at the current clock without advancing it,
+// AdvanceClock is monotonic, and the admission rule sees the in-flight
+// request's residual service as queue wait.
 func TestStepOneHoldsClock(t *testing.T) {
 	srv, qs := newTestServer(t, Config{})
 	submitAll(t, srv, qs[:2], 100)
@@ -92,18 +92,19 @@ func TestStepOneHoldsClock(t *testing.T) {
 		t.Fatalf("clock moved backward: %v", c)
 	}
 
-	out, err := srv.StepOne()
+	var out Outcome
+	ok, err := srv.StepOneInto(&out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out == nil {
-		t.Fatal("StepOne returned no outcome with queued work")
+	if !ok {
+		t.Fatal("StepOneInto consumed nothing with queued work")
 	}
 	if out.Start != 5 || out.Finish != 5+out.Elapsed {
 		t.Fatalf("outcome start/finish %v/%v, want 5/%v", out.Start, out.Finish, 5+out.Elapsed)
 	}
 	if c := srv.Clock(); c != 5 {
-		t.Fatalf("StepOne advanced the clock to %v", c)
+		t.Fatalf("StepOneInto advanced the clock to %v", c)
 	}
 	// The in-flight request's remaining service counts as queue wait
 	// until the clock catches up with its finish.

@@ -35,7 +35,7 @@
 // deterministic for a fixed seed. External drivers with their own
 // notion of time — the discrete-event cluster simulator in
 // internal/sim — control the clock explicitly (AdvanceClock) and step
-// execution without advancing it (StepOne), sharing one estimate cache
+// execution without advancing it (StepOneInto), sharing one estimate cache
 // across a whole fleet of servers via Config.Cache.
 //
 // A server carries its machine's System: on a heterogeneous fleet each
@@ -109,7 +109,7 @@ type Config struct {
 	// server shares instead of creating its own — the hook the cluster
 	// simulator (internal/sim) uses to let a fleet of servers share one
 	// cache, like co-located tenants do within one server.
-	Cache uaqetp.EstimateCache
+	Cache *uaqetp.EstimateCache
 	// MaxQueue bounds admitted-but-unexecuted requests; a full queue
 	// rejects further admissions (backpressure). 0 selects 1024.
 	MaxQueue int
@@ -188,7 +188,7 @@ func (t *Tenant) System() *uaqetp.System { return t.sys }
 // concurrent use.
 type Server struct {
 	cfg   Config
-	cache uaqetp.EstimateCache
+	cache *uaqetp.EstimateCache
 
 	mu      sync.RWMutex
 	tenants map[string]*Tenant
@@ -334,10 +334,6 @@ func (s *Server) AddTenantSystem(name string, sys *uaqetp.System, slo SLO) (*Ten
 	s.tenants[name] = t
 	return t, nil
 }
-
-// Cache returns the server's estimate cache, for opening tenant
-// Systems that share it (see AddTenantSystem).
-func (s *Server) Cache() uaqetp.EstimateCache { return s.cache }
 
 // ErrUnknownTenant reports a request against a tenant that was never
 // added; the HTTP layer maps it to 404.

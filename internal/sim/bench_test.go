@@ -10,7 +10,7 @@ import (
 // openScenario normalizes sc and opens its base System once, for tests
 // and benchmarks that amortize the expensive Open over several runOn
 // calls.
-func openScenario(tb testing.TB, sc Scenario) (Scenario, *uaqetp.System, uaqetp.EstimateCache) {
+func openScenario(tb testing.TB, sc Scenario) (Scenario, *uaqetp.System, *uaqetp.EstimateCache) {
 	tb.Helper()
 	sc, err := sc.normalized()
 	if err != nil {

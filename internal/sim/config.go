@@ -250,8 +250,8 @@ func (sc Scenario) normalized() (Scenario, error) {
 	if _, err := serve.QueuePolicyByName(sc.QueuePolicy); err != nil {
 		return sc, err
 	}
-	if _, err := parseDBKind(sc.DB); err != nil {
-		return sc, err
+	if _, err := datagen.ParseKind(sc.DB); err != nil {
+		return sc, fmt.Errorf("sim: %w", err)
 	}
 	if sc.MachineProfile == "" {
 		sc.MachineProfile = "PC1"
@@ -295,7 +295,7 @@ func (sc Scenario) normalized() (Scenario, error) {
 		if t.Count > 1 && t.Arrivals.Process == ProcessTrace {
 			return sc, fmt.Errorf("sim: tenant %q: count %d is not compatible with trace arrivals (a trace replays one tenant's stream)", t.Name, t.Count)
 		}
-		if _, err := parseBench(t.Bench); err != nil {
+		if _, err := workload.ParseBenchmark(t.Bench); err != nil {
 			return sc, fmt.Errorf("sim: tenant %q: %w", t.Name, err)
 		}
 		if t.Queries <= 0 {
@@ -311,28 +311,4 @@ func (sc Scenario) normalized() (Scenario, error) {
 		t.Arrivals = norm
 	}
 	return sc, nil
-}
-
-func parseBench(s string) (workload.Benchmark, error) {
-	switch strings.ToLower(s) {
-	case "micro":
-		return workload.Micro, nil
-	case "seljoin":
-		return workload.SelJoin, nil
-	case "tpch":
-		return workload.TPCH, nil
-	default:
-		return 0, fmt.Errorf("unknown benchmark %q (want micro, seljoin, or tpch)", s)
-	}
-}
-
-func parseDBKind(s string) (datagen.DBKind, error) {
-	for _, k := range []datagen.DBKind{
-		datagen.Uniform1G, datagen.Skewed1G, datagen.Uniform10G, datagen.Skewed10G,
-	} {
-		if strings.EqualFold(k.String(), s) {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("sim: unknown database %q", s)
 }

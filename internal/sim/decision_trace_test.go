@@ -22,6 +22,14 @@ func traceJSONL(t *testing.T, events []trace.Event) []byte {
 	return buf.Bytes()
 }
 
+// runRecorded runs sc with a fresh trace.Buffer at level as its decision
+// trace sink and returns what it recorded.
+func runRecorded(sc Scenario, level trace.Level) (*Report, []trace.Event, error) {
+	buf := trace.NewBuffer(level)
+	rep, err := Run(sc, WithTrace(buf))
+	return rep, buf.Events(), err
+}
+
 // runInstrumented is runRecorded with, when calib is set, a second fresh
 // trace.Buffer as the calibration-stream sink; it returns what each
 // recorded.
@@ -189,119 +197,66 @@ func TestTraceLevelFromScenario(t *testing.T) {
 	}
 }
 
-// TestReplayHeteroReproducesAttainmentGap is the acceptance test for
-// counterfactual replay: on the shipped heterogeneous scenario,
-// swapping least-risk for least-queue over the identical arrival
-// sequence must (a) reproduce each run's SLO attainment from the
-// decision traces alone, (b) show the attainment gap the PR 5 router
-// comparison measures from reports, and (c) pinpoint where the two
-// policies first diverged.
-func TestReplayHeteroReproducesAttainmentGap(t *testing.T) {
-	sc := shippedHeteroScenario(t)
-	res, err := Replay(sc, nil, Override{Router: RouterLeastQueue})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// (a) Trace-derived attainment must equal the reports' numbers for
-	// every tenant on both sides — the trace carries the outcome.
-	for _, side := range []struct {
-		name   string
-		events []trace.Event
-		rep    *Report
-	}{{"base", res.Base, res.BaseReport}, {"variant", res.Variant, res.VariantReport}} {
-		tallies := trace.TallyByTenant(side.events)
-		for _, tr := range side.rep.Tenants {
-			tal, ok := tallies[tr.Name]
-			if !ok {
-				t.Fatalf("%s trace has no events for tenant %q", side.name, tr.Name)
+// TestTraceTallyMatchesReport pins that a Full-level trace carries the
+// outcome: for every shipped scenario, the per-tenant tallies
+// reconstructed from the trace alone — members of a Count group summed
+// under the group's report row — equal the report on submitted,
+// admitted, rejected, shed and deadlines met, and so on attainment,
+// exactly. Front-door refusals are sheds, not rejections: the sharded
+// scenario sheds about half of its arrivals and rejects none. (That
+// least-risk out-attains least-queue on the heterogeneous scenario is
+// TestHeterogeneousLeastRiskAdvantage's.)
+func TestTraceTallyMatchesReport(t *testing.T) {
+	for _, file := range []string{
+		"scenario.json", "scenario-hetero.json", "scenario-drift.json",
+		"scenario-sharded.json", "scenario-cluster.json",
+	} {
+		t.Run(file, func(t *testing.T) {
+			if file == "scenario-cluster.json" && (testing.Short() || raceEnabled) {
+				t.Skip("cluster scenario is ~12s a run")
 			}
-			if tal.Submitted != tr.Submitted || tal.Admitted != tr.Admitted ||
-				tal.Rejected != tr.Rejected || tal.Met != tr.DeadlinesMet {
-				t.Errorf("%s tenant %q: trace tally %+v vs report %+v", side.name, tr.Name, tal, tr)
+			sc, err := Load("../../examples/sim/" + file)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if tal.Attainment() != tr.SLOAttainment {
-				t.Errorf("%s tenant %q: trace attainment %v, report %v",
-					side.name, tr.Name, tal.Attainment(), tr.SLOAttainment)
+			rep, events, err := runRecorded(sc, trace.Full)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-
-	// (b) The least-risk > least-queue fleet attainment gap, from the
-	// replay's own reports (same numbers PR 5's router comparison pins).
-	if res.BaseReport.SLOAttainment <= res.VariantReport.SLOAttainment {
-		t.Errorf("least-risk attainment %v not above least-queue %v",
-			res.BaseReport.SLOAttainment, res.VariantReport.SLOAttainment)
-	}
-	// ... and per-tenant deltas derived from traces must sum to the same
-	// story: at least one tenant lost attainment under least-queue.
-	var lost bool
-	for _, td := range res.Tenants {
-		if td.Delta < 0 {
-			lost = true
-		}
-	}
-	if !lost {
-		t.Error("no tenant lost attainment under least-queue, gap unexplained")
-	}
-
-	// (c) Divergence is located and described.
-	if res.Diverged == 0 || res.First == nil {
-		t.Fatalf("router swap produced no divergence: %d/%d", res.Diverged, res.Decisions)
-	}
-	if res.First.Base.Kind != res.First.Variant.Kind {
-		t.Errorf("first divergence compares %s against %s", res.First.Base.Kind, res.First.Variant.Kind)
-	}
-	if res.First.Base.Kind == trace.KindPlacement && res.First.Base.Machine == res.First.Variant.Machine {
-		t.Errorf("first placement divergence chose the same machine %d", res.First.Base.Machine)
-	}
-	if !strings.Contains(res.Override, RouterLeastQueue) {
-		t.Errorf("override description %q does not name the swapped router", res.Override)
-	}
-}
-
-// TestReplayOverrideValidation pins the knob plumbing: an empty
-// override errors; SLOConfidence rewrites every tenant without
-// mutating the caller's scenario.
-func TestReplayOverrideValidation(t *testing.T) {
-	if _, err := Replay(testScenario(), nil, Override{}); err == nil {
-		t.Fatal("empty override accepted")
-	}
-	sc := testScenario()
-	ov := Override{SLOConfidence: 0.5}
-	varSc := ov.apply(sc)
-	if varSc.Tenants[0].SLO.Confidence != 0.5 {
-		t.Fatal("override did not rewrite tenant confidence")
-	}
-	if sc.Tenants[0].SLO.Confidence != 0.9 {
-		t.Fatal("override mutated the caller's scenario")
-	}
-	zero := 0.0
-	if desc := (Override{RecalEvery: &zero}).describe(sc); !strings.Contains(desc, "recal_every") {
-		t.Fatalf("describe = %q", desc)
-	}
-}
-
-// TestReplayReusesBaseEvents pins the baseEvents fast path: feeding a
-// previously recorded Full trace yields the same diff as recording the
-// base run inside Replay.
-func TestReplayReusesBaseEvents(t *testing.T) {
-	sc := testScenario()
-	_, baseEvents, err := runRecorded(sc, trace.Full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := Replay(sc, nil, Override{QueuePolicy: "fifo"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reused, err := Replay(sc, baseEvents, Override{QueuePolicy: "fifo"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Diverged != reused.Diverged || fresh.Decisions != reused.Decisions {
-		t.Errorf("reused base events changed the diff: %d/%d vs %d/%d",
-			reused.Diverged, reused.Decisions, fresh.Diverged, fresh.Decisions)
+			groups := make(map[string]trace.Tally, len(rep.Tenants))
+			for _, tr := range rep.Tenants {
+				groups[tr.Name] = trace.Tally{}
+			}
+			for name, tal := range trace.TallyByTenant(events) {
+				if _, ok := groups[name]; !ok {
+					// A Count-group member, "group/0007".
+					name = name[:strings.LastIndexByte(name, '/')]
+				}
+				g := groups[name]
+				g.Submitted += tal.Submitted
+				g.Admitted += tal.Admitted
+				g.Rejected += tal.Rejected
+				g.Shed += tal.Shed
+				g.Executed += tal.Executed
+				g.Met += tal.Met
+				groups[name] = g
+			}
+			var shed int
+			for _, tr := range rep.Tenants {
+				tal := groups[tr.Name]
+				if tal.Submitted != tr.Submitted || tal.Admitted != tr.Admitted ||
+					tal.Rejected != tr.Rejected || tal.Shed != tr.Shed || tal.Met != tr.DeadlinesMet {
+					t.Errorf("tenant %q: trace tally %+v vs report %+v", tr.Name, tal, tr)
+				}
+				if tal.Attainment() != tr.SLOAttainment {
+					t.Errorf("tenant %q: trace attainment %v, report %v", tr.Name, tal.Attainment(), tr.SLOAttainment)
+				}
+				shed += tal.Shed
+			}
+			if sc.Shards != nil && sc.Shards.FrontDoor != nil && shed == 0 {
+				t.Error("a front-door scenario shed nothing: the Shed column is untested")
+			}
+		})
 	}
 }
 

@@ -25,10 +25,10 @@ type FrontDoorSpec struct {
 }
 
 // CacheTierSpec models a two-tier estimate cache for the scenario: the
-// fleet cache becomes a uaqetp.TieredCache with this local fraction
-// and per-remote-lookup latency (seeded by the scenario seed), and the
-// report grows a cache_tier section with the tier split and modeled
-// remote cost.
+// fleet cache is built by uaqetp.NewTieredCache with this local
+// fraction and per-remote-lookup latency (seeded by the scenario seed),
+// and the report grows a cache_tier section with the tier split and
+// modeled remote cost.
 type CacheTierSpec struct {
 	LocalFraction float64 `json:"local_fraction"`
 	RemoteLatency float64 `json:"remote_latency"`
@@ -275,8 +275,7 @@ func (s *simRun) shardsReport() *ShardsReport {
 		fr.AdmissionFairness = stats.JainIndex(rates)
 		rep.FrontDoor = fr
 	}
-	if tc, ok := s.cache.(*uaqetp.TieredCache); ok {
-		st := tc.TierStats()
+	if st, ok := s.cache.TierStats(); ok {
 		rep.CacheTier = &st
 	}
 	return rep

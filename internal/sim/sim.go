@@ -11,6 +11,7 @@ import (
 
 	uaqetp "repro"
 	"repro/internal/calib"
+	"repro/internal/datagen"
 	"repro/internal/hardware"
 	"repro/internal/rng"
 	"repro/internal/serve"
@@ -136,7 +137,7 @@ type simRun struct {
 	sc       Scenario
 	ctx      context.Context
 	router   string
-	cache    uaqetp.EstimateCache
+	cache    *uaqetp.EstimateCache
 	machines []*machineState
 	tenants  []*tenantState
 	// perMachine selects per-machine least-risk predictions (labeled
@@ -274,10 +275,10 @@ func Run(sc Scenario, opts ...RunOption) (*Report, error) {
 // database, catalog, samples, and cache — sampling passes, subtree
 // passes, and run results computed by any machine are reused by all of
 // them, while calibration stays per machine.
-func openBase(sc Scenario) (*uaqetp.System, uaqetp.EstimateCache, error) {
-	kind, err := parseDBKind(sc.DB)
+func openBase(sc Scenario) (*uaqetp.System, *uaqetp.EstimateCache, error) {
+	kind, err := datagen.ParseKind(sc.DB)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("sim: %w", err)
 	}
 	ver, err := rng.ParseVersion(sc.RNG)
 	if err != nil {
@@ -287,7 +288,7 @@ func openBase(sc Scenario) (*uaqetp.System, uaqetp.EstimateCache, error) {
 	if cacheCap <= 0 {
 		cacheCap = 1024
 	}
-	var cache uaqetp.EstimateCache = uaqetp.NewEstimateCache(cacheCap)
+	cache := uaqetp.NewEstimateCache(cacheCap)
 	if sc.Shards != nil && sc.Shards.CacheTier != nil {
 		ct := sc.Shards.CacheTier
 		cache = uaqetp.NewTieredCache(uaqetp.TierConfig{
@@ -361,7 +362,7 @@ func machineSystems(sc Scenario, fleet []MachineSpec, base *uaqetp.System) ([]*u
 // benchmarks use to amortize the expensive Open across iterations. The
 // fleet (servers, queues, clocks, per-machine sibling Systems) is
 // rebuilt fresh per call.
-func runOn(sc Scenario, sys *uaqetp.System, cache uaqetp.EstimateCache, sinks runSinks) (*Report, error) {
+func runOn(sc Scenario, sys *uaqetp.System, cache *uaqetp.EstimateCache, sinks runSinks) (*Report, error) {
 	qpol, err := serve.QueuePolicyByName(sc.QueuePolicy)
 	if err != nil {
 		return nil, err
@@ -596,7 +597,7 @@ func (s *simRun) buildArrivals(sys *uaqetp.System) error {
 	pools := make(map[int][]*uaqetp.Query)
 	for ti, ts := range s.tenants {
 		spec := ts.spec
-		bench, err := parseBench(spec.Bench)
+		bench, err := workload.ParseBenchmark(spec.Bench)
 		if err != nil {
 			return err
 		}

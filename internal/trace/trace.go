@@ -3,9 +3,9 @@
 // on, every placement with the full per-machine candidate scoring
 // vector, every execution outcome, and every recalibration. The paper's
 // pitch is that predicted *distributions* drive decisions; this package
-// makes each such decision inspectable after the fact — the substrate
-// for counterfactual replay (sim.Replay) and for policy search over
-// sim.Fitness.
+// makes each such decision inspectable after the fact, and complete
+// enough that a run's per-tenant outcome can be re-derived from the
+// trace alone (TallyByTenant).
 //
 // The package depends only on the standard library, so every layer
 // (serve, sim, cmd) can emit into it without import cycles.
@@ -260,11 +260,14 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 	return events, nil
 }
 
-// Tally aggregates one tenant's decision events.
+// Tally aggregates one tenant's decision events. Submitted = Admitted +
+// Rejected + Shed: Rejected counts a server's admission refusals, Shed
+// the front door's (decided before any machine is, so never queued).
 type Tally struct {
 	Submitted int `json:"submitted"`
 	Admitted  int `json:"admitted"`
 	Rejected  int `json:"rejected"`
+	Shed      int `json:"shed"`
 	Executed  int `json:"executed"`
 	Met       int `json:"met"`
 }
@@ -289,9 +292,15 @@ func TallyByTenant(events []Event) map[string]Tally {
 		switch ev.Kind {
 		case KindAdmission:
 			t.Submitted++
-			if ev.Verdict == "admit" {
+			switch {
+			case ev.Machine < 0:
+				// A front-door event (see Event.Machine): the front door
+				// records only its refusals; what it lets through gets its
+				// admission verdict from a machine.
+				t.Shed++
+			case ev.Verdict == "admit":
 				t.Admitted++
-			} else {
+			default:
 				t.Rejected++
 			}
 		case KindOutcome:

@@ -98,6 +98,7 @@ func TestTallyByTenant(t *testing.T) {
 		{Kind: KindAdmission, Tenant: "a", Verdict: "admit"},
 		{Kind: KindAdmission, Tenant: "a", Verdict: "reject"},
 		{Kind: KindAdmission, Tenant: "a", Verdict: "admit"},
+		{Kind: KindAdmission, Tenant: "a", Machine: -1, Verdict: "shed-predictive", Reason: "front-door"},
 		{Kind: KindOutcome, Tenant: "a", Met: true},
 		{Kind: KindOutcome, Tenant: "a", Met: false},
 		{Kind: KindAdmission, Tenant: "b", Verdict: "admit"},
@@ -106,14 +107,14 @@ func TestTallyByTenant(t *testing.T) {
 	}
 	got := TallyByTenant(events)
 	want := map[string]Tally{
-		"a": {Submitted: 3, Admitted: 2, Rejected: 1, Executed: 2, Met: 1},
+		"a": {Submitted: 4, Admitted: 2, Rejected: 1, Shed: 1, Executed: 2, Met: 1},
 		"b": {Submitted: 1, Admitted: 1, Executed: 1, Met: 1},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("TallyByTenant = %+v, want %+v", got, want)
 	}
-	if a := got["a"].Attainment(); a != 1.0/3.0 {
-		t.Errorf("attainment = %v, want 1/3", a)
+	if a := got["a"].Attainment(); a != 1.0/4.0 {
+		t.Errorf("attainment = %v, want 1/4", a)
 	}
 	if (Tally{}).Attainment() != 0 {
 		t.Error("empty tally attainment not 0")

@@ -13,6 +13,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
@@ -45,6 +46,16 @@ func (b Benchmark) String() string {
 
 // Benchmarks lists all benchmarks.
 var Benchmarks = []Benchmark{Micro, SelJoin, TPCH}
+
+// ParseBenchmark parses a benchmark name, case-insensitively.
+func ParseBenchmark(s string) (Benchmark, error) {
+	for _, b := range Benchmarks {
+		if strings.EqualFold(b.String(), s) {
+			return b, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown benchmark %q (want micro, seljoin, or tpch)", s)
+}
 
 // Generate produces n queries of the benchmark against the database
 // described by cat. Generation is deterministic per seed.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -157,5 +158,18 @@ func TestBenchmarkStrings(t *testing.T) {
 		if b.String() != want[i] {
 			t.Errorf("%d: %s", i, b)
 		}
+	}
+}
+
+func TestParseBenchmark(t *testing.T) {
+	for _, b := range Benchmarks {
+		for _, name := range []string{b.String(), strings.ToLower(b.String())} {
+			if got, err := ParseBenchmark(name); err != nil || got != b {
+				t.Errorf("ParseBenchmark(%q) = %v, %v; want %v", name, got, err, b)
+			}
+		}
+	}
+	if _, err := ParseBenchmark("tpcds"); err == nil || err.Error() != `unknown benchmark "tpcds" (want micro, seljoin, or tpch)` {
+		t.Errorf("ParseBenchmark on an unknown name: %v", err)
 	}
 }

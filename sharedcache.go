@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/engine"
@@ -124,40 +126,28 @@ func (g *flightGroup[V]) do(ctx context.Context, key string, lru *cache.Sharded[
 	}
 }
 
-// EstimateCache is the cache seam of the serving stack: the three
-// memoization sections every System resolves through — whole-plan
-// sampling passes ("estimate"), subplan passes ("subtree"), and plan
-// executions ("run") — behind one interface, so the storage tier is a
-// Config.Cache choice rather than a hard-wired in-process LRU. The
-// in-process tier is MemoryCache (NewEstimateCache); TieredCache wraps
-// it with a simulated remote tier (deterministic hit-rate + latency
-// model) for sharded-serving scenarios where part of the key space
-// would live off-box. The section methods are unexported on purpose:
-// implementations live in this package, next to the key construction
-// they must respect, while every consumer (serve, sim, exper) depends
-// only on the interface.
-type EstimateCache interface {
-	getOrCompute(ctx context.Context, key string, compute func() (*sample.Estimates, error)) (*sample.Estimates, error)
-	getOrComputePass(ctx context.Context, key string, compute func() (*sample.Pass, error)) (*sample.Pass, error)
-	getOrComputeRun(ctx context.Context, key string, compute func() (*engine.OpResult, error)) (*engine.OpResult, error)
-	// Stats aggregates the hit/miss/eviction counters of all sections.
-	Stats() CacheStats
-}
-
-// MemoryCache is the in-process EstimateCache tier: it memoizes
-// sampling work by namespaced key in sharded LRU sections — whole-plan
-// passes by canonical plan signature, and subplan passes by canonical
-// subtree signature (so alternative join orders share their common
-// subtrees' work even though their whole-plan signatures differ). A
-// single cache may back many Systems: tenants whose configurations
-// generate the same database and samples (same DB kind, sampling ratio,
-// and seed) share both sections, which is the point of multi-tenant
-// serving over a common catalog. Concurrent requests for the same key —
-// from one System or several — are coalesced onto a single computation.
+// EstimateCache memoizes the three kinds of work every System resolves
+// through — whole-plan sampling passes ("estimate"), subplan passes
+// ("subtree"), and plan executions ("run") — by namespaced key in
+// sharded LRU sections: whole-plan passes by canonical plan signature,
+// subplan passes by canonical subtree signature (so alternative join
+// orders share their common subtrees' work even though their whole-plan
+// signatures differ), executions by a machine-independent run key. A
+// single cache may back many Systems (Config.Cache): tenants whose
+// configurations generate the same database and samples (same DB kind,
+// sampling ratio, and seed) share the sections, which is the point of
+// multi-tenant serving over a common catalog. Concurrent requests for
+// the same key — from one System or several — are coalesced onto a
+// single computation.
 //
-// Estimates and passes are immutable once built, so a cached value may
-// be served to any number of concurrent readers.
-type MemoryCache struct {
+// Estimates, passes and run results are immutable once built, so a
+// cached value may be served to any number of concurrent readers.
+//
+// A cache built by NewTieredCache additionally tallies every lookup
+// against a deterministic model of a two-tier (in-process + remote)
+// deployment; see TierConfig and TierStats. The tally never changes
+// what is stored or served.
+type EstimateCache struct {
 	plans  *cache.Sharded[*sample.Estimates]
 	passes *cache.Sharded[*sample.Pass]
 	runs   *cache.Sharded[*engine.OpResult]
@@ -165,18 +155,20 @@ type MemoryCache struct {
 	planFlight flightGroup[*sample.Estimates]
 	passFlight flightGroup[*sample.Pass]
 	runFlight  flightGroup[*engine.OpResult]
+
+	// tier is nil unless the cache was built by NewTieredCache.
+	tier *tierTally
 }
 
-// NewEstimateCache returns the in-process cache tier: a sharded
-// estimate cache holding at most capacity whole-plan passes (and
-// passCapacityFactor times as many subtree passes) across
-// DefaultCacheShards shards; capacity < 1 selects the per-System
-// default.
-func NewEstimateCache(capacity int) *MemoryCache {
+// NewEstimateCache returns a sharded estimate cache holding at most
+// capacity whole-plan passes and run results (and passCapacityFactor
+// times as many subtree passes) across DefaultCacheShards shards;
+// capacity < 1 selects the per-System default.
+func NewEstimateCache(capacity int) *EstimateCache {
 	if capacity < 1 {
 		capacity = estimateMemoSize
 	}
-	return &MemoryCache{
+	return &EstimateCache{
 		plans:  cache.NewSharded[*sample.Estimates](capacity, DefaultCacheShards),
 		passes: cache.NewSharded[*sample.Pass](capacity*passCapacityFactor, DefaultCacheShards),
 		runs:   cache.NewSharded[*engine.OpResult](capacity, DefaultCacheShards),
@@ -186,24 +178,27 @@ func NewEstimateCache(capacity int) *MemoryCache {
 // getOrCompute returns the cached whole-plan estimates for key,
 // computing and caching them via compute on a miss. Concurrent callers
 // with the same key wait for one computation instead of racing.
-func (c *MemoryCache) getOrCompute(ctx context.Context, key string, compute func() (*sample.Estimates, error)) (*sample.Estimates, error) {
+func (c *EstimateCache) getOrCompute(ctx context.Context, key string, compute func() (*sample.Estimates, error)) (*sample.Estimates, error) {
+	c.tier.classify(key)
 	return c.planFlight.do(ctx, key, c.plans, compute)
 }
 
 // getOrComputePass is getOrCompute for the subtree-pass section.
-func (c *MemoryCache) getOrComputePass(ctx context.Context, key string, compute func() (*sample.Pass, error)) (*sample.Pass, error) {
+func (c *EstimateCache) getOrComputePass(ctx context.Context, key string, compute func() (*sample.Pass, error)) (*sample.Pass, error) {
+	c.tier.classify(key)
 	return c.passFlight.do(ctx, key, c.passes, compute)
 }
 
 // getOrComputeRun is getOrCompute for the run-result section: plan
 // executions (engine.Run) memoized under machine-independent keys.
-func (c *MemoryCache) getOrComputeRun(ctx context.Context, key string, compute func() (*engine.OpResult, error)) (*engine.OpResult, error) {
+func (c *EstimateCache) getOrComputeRun(ctx context.Context, key string, compute func() (*engine.OpResult, error)) (*engine.OpResult, error) {
+	c.tier.classify(key)
 	return c.runFlight.do(ctx, key, c.runs, compute)
 }
 
 // Stats aggregates the hit/miss/eviction counters of all sections
-// across shards.
-func (c *MemoryCache) Stats() CacheStats {
+// across shards; the tier split is reported separately by TierStats.
+func (c *EstimateCache) Stats() CacheStats {
 	p := c.plans.Snapshot()
 	sp := c.passes.Snapshot()
 	rn := c.runs.Snapshot()
@@ -215,6 +210,128 @@ func (c *MemoryCache) Stats() CacheStats {
 		RunHits: rn.Hits, RunMisses: rn.Misses,
 		RunEvictions: rn.Evictions, RunEntries: rn.Entries,
 	}
+}
+
+// TierConfig shapes the tier tally of a cache built by NewTieredCache:
+// what fraction of the key space is resident in the local (in-process)
+// tier, and what each lookup that has to go to the remote tier costs.
+type TierConfig struct {
+	// LocalFraction is the fraction of the key space classified as
+	// local-tier resident, in [0, 1]. Clamped; 1 makes every lookup
+	// local.
+	LocalFraction float64 `json:"local_fraction"`
+	// RemoteLatency is the modeled cost, in seconds, of one lookup
+	// that resolves through the remote tier.
+	RemoteLatency float64 `json:"remote_latency"`
+	// Seed salts the key-space classification so distinct deployments
+	// partition differently but each is deterministic.
+	Seed int64 `json:"seed"`
+	// Capacity sizes the cache as NewEstimateCache's argument does; <1
+	// selects the default.
+	Capacity int `json:"capacity,omitempty"`
+}
+
+// TierStats is a point-in-time snapshot of a cache's tier counters.
+// ModeledRemoteSeconds is the aggregate modeled cost of all remote-tier
+// lookups so far (RemoteLookups times the configured per-lookup
+// latency) — a report field, not wall time spent.
+type TierStats struct {
+	LocalLookups         uint64  `json:"local_lookups"`
+	RemoteLookups        uint64  `json:"remote_lookups"`
+	LocalFraction        float64 `json:"local_fraction"`
+	RemoteLatencySeconds float64 `json:"remote_latency_seconds"`
+	ModeledRemoteSeconds float64 `json:"modeled_remote_seconds"`
+}
+
+// tierTally models a two-tier (in-process + remote) deployment over the
+// one in-process store: each key is deterministically classified, by a
+// seeded hash of the key against LocalFraction, as local- or
+// remote-resident, and lookups are tallied per tier. The modeled remote
+// cost is derived from the counters at read time (remote ×
+// RemoteLatency), so the aggregate is a pure sum of atomic increments:
+// independent of the order concurrent callers (batched predictions,
+// several Systems sharing the cache) interleave in, so the tier
+// counters of a report depend only on which keys were looked up.
+type tierTally struct {
+	cfg TierConfig
+	// basis is the FNV-1a state after the seed's eight little-endian
+	// bytes; threshold the cut in hash space below which a key
+	// classifies as local.
+	basis     uint64
+	threshold uint64
+
+	local  atomic.Uint64
+	remote atomic.Uint64
+}
+
+// NewTieredCache returns an EstimateCache that also keeps the tier
+// tally cfg describes. The local fraction is clamped to [0, 1].
+func NewTieredCache(cfg TierConfig) *EstimateCache {
+	if cfg.LocalFraction < 0 {
+		cfg.LocalFraction = 0
+	}
+	if cfg.LocalFraction > 1 {
+		cfg.LocalFraction = 1
+	}
+	t := &tierTally{cfg: cfg, basis: fnvOffset64, threshold: math.MaxUint64}
+	if cfg.LocalFraction < 1 {
+		t.threshold = uint64(cfg.LocalFraction * float64(math.MaxUint64))
+	}
+	for i := 0; i < 8; i++ {
+		b := uint64(cfg.Seed) >> (8 * i) & 0xff
+		t.basis = (t.basis ^ b) * fnvPrime64
+	}
+	c := NewEstimateCache(cfg.Capacity)
+	c.tier = t
+	return c
+}
+
+// The 64-bit FNV-1a parameters, inlined (as internal/cache does for
+// shard selection) so classifying a lookup allocates nothing.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// classify tallies one lookup of key; a nil tally (no tier model)
+// counts nothing.
+func (t *tierTally) classify(key string) {
+	if t == nil {
+		return
+	}
+	x := t.basis
+	for i := 0; i < len(key); i++ {
+		x = (x ^ uint64(key[i])) * fnvPrime64
+	}
+	// FNV alone is biased on structured keys sharing long prefixes;
+	// a splitmix-style avalanche spreads the classification evenly.
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	if x < t.threshold {
+		t.local.Add(1)
+	} else {
+		t.remote.Add(1)
+	}
+}
+
+// TierStats snapshots the tier counters and the modeled remote cost;
+// ok is false for a cache without a tier tally (NewEstimateCache).
+func (c *EstimateCache) TierStats() (st TierStats, ok bool) {
+	t := c.tier
+	if t == nil {
+		return TierStats{}, false
+	}
+	remote := t.remote.Load()
+	return TierStats{
+		LocalLookups:         t.local.Load(),
+		RemoteLookups:        remote,
+		LocalFraction:        t.cfg.LocalFraction,
+		RemoteLatencySeconds: t.cfg.RemoteLatency,
+		ModeledRemoteSeconds: float64(remote) * t.cfg.RemoteLatency,
+	}, true
 }
 
 // estimateNamespace fingerprints everything that determines a sampling

@@ -11,7 +11,7 @@ import (
 // openShared opens two Systems with identical configs on one shared
 // cache, as the serving layer does for two tenants over the same
 // catalog.
-func openShared(t *testing.T) (*System, *System, *MemoryCache) {
+func openShared(t *testing.T) (*System, *System, *EstimateCache) {
 	t.Helper()
 	shared := NewEstimateCache(128)
 	cfg := DefaultConfig()

@@ -210,7 +210,7 @@ func (d *defaultPlanner) Alternatives(ctx context.Context, q *Query, maxAlts int
 type defaultEstimator struct {
 	samples *sample.DB
 	cat     *catalog.Catalog
-	cache   EstimateCache
+	cache   *EstimateCache
 	ns      string
 }
 
@@ -309,7 +309,7 @@ type simExecutor struct {
 	db      *engine.DB
 	profile *hardware.Profile
 	seed    int64
-	cache   EstimateCache
+	cache   *EstimateCache
 	runNS   string
 	ver     rng.Version
 }
@@ -330,7 +330,7 @@ func (x simExecutor) Execute(ctx context.Context, q *Query, p *Plan) (float64, e
 // the configured version (see internal/rng). It is the single
 // implementation behind the default Executor and System.Measure, so
 // their measured times cannot diverge.
-func runSimulated(ctx context.Context, c EstimateCache, ns string, db *engine.DB, profile *hardware.Profile, seed int64, ver rng.Version, q *Query, root *engine.Node, sig string) (*engine.OpResult, float64, error) {
+func runSimulated(ctx context.Context, c *EstimateCache, ns string, db *engine.DB, profile *hardware.Profile, seed int64, ver rng.Version, q *Query, root *engine.Node, sig string) (*engine.OpResult, float64, error) {
 	res, err := c.getOrComputeRun(ctx, ns+"\x00"+sig, func() (*engine.OpResult, error) {
 		r, err := engine.Run(db, root)
 		if err != nil {

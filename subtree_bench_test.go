@@ -46,7 +46,7 @@ func benchAlternatives(b *testing.B, subtree bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var fresh *System
-		var cache *MemoryCache
+		var cache *EstimateCache
 		if subtree {
 			cache = NewEstimateCache(256)
 			fresh = sys.With(WithEstimator(&defaultEstimator{

@@ -28,15 +28,58 @@ func TestTieredCacheClassification(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := allLocal.TierStats(); st.LocalLookups != 100 || st.RemoteLookups != 0 {
+	if st, _ := allLocal.TierStats(); st.LocalLookups != 100 || st.RemoteLookups != 0 {
 		t.Fatalf("LocalFraction=1: got %d local / %d remote lookups", st.LocalLookups, st.RemoteLookups)
 	}
-	st := allRemote.TierStats()
+	st, ok := allRemote.TierStats()
+	if !ok {
+		t.Fatal("NewTieredCache built a cache without a tier tally")
+	}
 	if st.LocalLookups != 0 || st.RemoteLookups != 100 {
 		t.Fatalf("LocalFraction=0: got %d local / %d remote lookups", st.LocalLookups, st.RemoteLookups)
 	}
 	if want := 100 * 0.01; st.ModeledRemoteSeconds != want {
 		t.Fatalf("modeled remote seconds = %g, want %g", st.ModeledRemoteSeconds, want)
+	}
+	if _, ok := NewEstimateCache(8).TierStats(); ok {
+		t.Fatal("NewEstimateCache built a cache with a tier tally")
+	}
+}
+
+// TestTieredCacheClassificationPinned holds the allocation-free
+// classification hash to the hash/fnv-based one it replaced: for 64
+// fixed keys at two seeds (a negative one, so every seed byte is
+// non-zero), which keys classify as local (bit i of the mask = key i)
+// and the resulting counts are literals captured at commit 6dfc722,
+// where classify ran fnv.New64a over the seed bytes and []byte(key).
+func TestTieredCacheClassificationPinned(t *testing.T) {
+	ctx := context.Background()
+	compute := func() (*sample.Estimates, error) { return &sample.Estimates{}, nil }
+	for _, want := range []struct {
+		seed          int64
+		mask          uint64
+		local, remote uint64
+	}{
+		{7, 0xc5677a2b28e0d941, 30, 34},
+		{-3, 0x786891e4211a1a38, 25, 39},
+	} {
+		c := NewTieredCache(TierConfig{LocalFraction: 0.5, Seed: want.seed})
+		var mask uint64
+		for i := 0; i < 64; i++ {
+			before, _ := c.TierStats()
+			key := fmt.Sprintf("uniform-1G|0.05|%d\x00join(scan(t%d),scan(t%d))", i%3, i, i*i)
+			if _, err := c.getOrCompute(ctx, key, compute); err != nil {
+				t.Fatal(err)
+			}
+			if after, _ := c.TierStats(); after.LocalLookups > before.LocalLookups {
+				mask |= 1 << i
+			}
+		}
+		st, _ := c.TierStats()
+		if mask != want.mask || st.LocalLookups != want.local || st.RemoteLookups != want.remote {
+			t.Errorf("seed %d: local mask %#016x (%d local / %d remote), want %#016x (%d / %d)",
+				want.seed, mask, st.LocalLookups, st.RemoteLookups, want.mask, want.local, want.remote)
+		}
 	}
 }
 
@@ -44,8 +87,8 @@ func TestTieredCacheClassification(t *testing.T) {
 // deterministic per seed (two caches with the same config tally the
 // same way over the same keys), roughly proportional to LocalFraction,
 // and order-independent: a parallel replay of the same lookups lands
-// on identical tier counters, which is what keeps sharded simulator
-// reports byte-identical under parallel machine stepping.
+// on identical tier counters, so a sharded simulator report does not
+// depend on how batched predictions interleave.
 func TestTieredCacheDeterministicSplit(t *testing.T) {
 	ctx := context.Background()
 	compute := func() (*sample.Estimates, error) { return &sample.Estimates{}, nil }
@@ -77,7 +120,8 @@ func TestTieredCacheDeterministicSplit(t *testing.T) {
 	}
 	wg.Wait()
 
-	ss, ps := serial.TierStats(), parallel.TierStats()
+	ss, _ := serial.TierStats()
+	ps, _ := parallel.TierStats()
 	if ss != ps {
 		t.Fatalf("tier stats differ between serial and parallel replay:\n serial  %+v\n parallel %+v", ss, ps)
 	}
@@ -87,10 +131,9 @@ func TestTieredCacheDeterministicSplit(t *testing.T) {
 	}
 }
 
-// TestTieredCacheServesThroughSystem pins that a TieredCache is a
-// drop-in Config.Cache: values resolve correctly through it and the
-// inner store's hit counters move exactly as the in-process tier's
-// would.
+// TestTieredCacheServesThroughSystem pins that a cache with a tier
+// tally is a drop-in Config.Cache: values resolve correctly through it
+// and its hit counters move exactly as an untallied cache's would.
 func TestTieredCacheServesThroughSystem(t *testing.T) {
 	tc := NewTieredCache(TierConfig{LocalFraction: 0.5, RemoteLatency: 0.001, Seed: 1})
 	sys, err := Open(Config{DB: Uniform1G, SamplingRatio: 0.05, Seed: 11, Cache: tc})
@@ -112,7 +155,7 @@ func TestTieredCacheServesThroughSystem(t *testing.T) {
 	if st := tc.Stats(); st.Hits == 0 {
 		t.Fatal("repeat prediction did not hit the tiered cache")
 	}
-	if ts := tc.TierStats(); ts.LocalLookups+ts.RemoteLookups == 0 {
+	if ts, _ := tc.TierStats(); ts.LocalLookups+ts.RemoteLookups == 0 {
 		t.Fatal("no lookups tallied against the tier model")
 	}
 }

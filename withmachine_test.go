@@ -10,7 +10,7 @@ import (
 
 // openMachineTestSystem opens a small System over a fresh shared cache
 // for the WithMachine tests.
-func openMachineTestSystem(t *testing.T) (*System, *MemoryCache) {
+func openMachineTestSystem(t *testing.T) (*System, *EstimateCache) {
 	t.Helper()
 	cache := NewEstimateCache(64)
 	sys, err := Open(Config{
