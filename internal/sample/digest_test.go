@@ -1,0 +1,165 @@
+package sample
+
+import (
+	"context"
+	"crypto/sha256"
+	"fmt"
+	"hash"
+	"sort"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/datagen"
+	"repro/internal/engine"
+	"repro/internal/plan"
+	"repro/internal/workload"
+)
+
+// genPlans generates nEach SelJoin and nEach TPCH queries against a
+// generated database of the given kind, planned with plan.Build, and
+// the samples (default ratio, default copies) they are estimated on.
+// The SelJoin plans come first.
+func genPlans(tb testing.TB, kind datagen.DBKind, nEach int) ([]*engine.Node, *DB, *catalog.Catalog) {
+	tb.Helper()
+	const seed = 11
+	db := datagen.Generate(datagen.ConfigFor(kind, seed))
+	cat := catalog.Build(db)
+	sdb, err := Build(db, 0.05, DefaultCopies, seed+2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var plans []*engine.Node
+	for _, b := range []workload.Benchmark{workload.SelJoin, workload.TPCH} {
+		qs, err := workload.Generate(b, cat, nEach, seed+3)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, q := range qs {
+			p, err := plan.Build(q, cat)
+			if err != nil {
+				tb.Fatalf("%v %s: %v", b, q.Name, err)
+			}
+			plans = append(plans, p)
+		}
+	}
+	return plans, sdb, cat
+}
+
+// digestEstimates writes every operator of est into h in ascending node
+// ID, every float as %x: ID, Rho, Var, EstCard, FromOptimizer, LeafComp
+// and LeafN in ascending leaf ordinal, SampleCounts.
+func digestEstimates(h hash.Hash, est *Estimates) {
+	ids := make([]int, 0, len(est.ByID))
+	for id := range est.ByID {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		e := est.ByID[id]
+		fmt.Fprintf(h, "%d %x %x %x %v", id, e.Rho, e.Var, e.EstCard, e.FromOptimizer)
+		ords := make([]int, 0, len(e.LeafComp))
+		for o := range e.LeafComp {
+			ords = append(ords, o)
+		}
+		sort.Ints(ords)
+		for _, o := range ords {
+			fmt.Fprintf(h, " c%d=%x", o, e.LeafComp[o])
+		}
+		ords = ords[:0]
+		for o := range e.LeafN {
+			ords = append(ords, o)
+		}
+		sort.Ints(ords)
+		for _, o := range ords {
+			fmt.Fprintf(h, " n%d=%d", o, e.LeafN[o])
+		}
+		c := e.SampleCounts
+		fmt.Fprintf(h, " %x %x %x %x %x\n", c.NS, c.NR, c.NT, c.NI, c.NO)
+	}
+}
+
+// Digests of TestEstimateDigestPinned, captured at 49385a1 from the
+// row-materializing sampling pass — before the provenance-only layout
+// replaced it. The three OptimizerAgg digests are equal because the
+// numbers do not depend on the memo.
+const (
+	digestMemoless = "b68c59a55f4c0a4d2a22a1d38ebf63debe6b972fdcd655d0bc8735a816263db8"
+	digestColdMemo = "b68c59a55f4c0a4d2a22a1d38ebf63debe6b972fdcd655d0bc8735a816263db8"
+	digestWarmMemo = "b68c59a55f4c0a4d2a22a1d38ebf63debe6b972fdcd655d0bc8735a816263db8"
+	digestGEE      = "fc7c8562f273a9f415a8126359f3d0ca24fe8572cc8e7ff0579318850aaa5c5f"
+)
+
+// TestEstimateDigestPinned is the oracle on inputs nobody wrote: 256
+// SelJoin and 256 TPCH generated queries on uniform-1G and on skewed-1G
+// samples, estimated memo-less, through a cold memo and through a warm
+// one, plus the GEE aggregate mode on the TPCH half, every operator's
+// every number hashed. A change to the sampling pass must leave the
+// four literals untouched; do not re-capture without a reason in
+// CHANGES.md.
+func TestEstimateDigestPinned(t *testing.T) {
+	const nEach = 256
+	memoless, cold, warm, gee := sha256.New(), sha256.New(), sha256.New(), sha256.New()
+	for _, kind := range []datagen.DBKind{datagen.Uniform1G, datagen.Skewed1G} {
+		plans, sdb, cat := genPlans(t, kind, nEach)
+		rec := newMemoRecorder()
+		for i, p := range plans {
+			est, err := Estimate(p, sdb, cat)
+			if err != nil {
+				t.Fatalf("%v plan %d: Estimate: %v", kind, i, err)
+			}
+			digestEstimates(memoless, est)
+			if est, err = EstimateMemo(context.Background(), p, sdb, cat, rec.memo); err != nil {
+				t.Fatalf("%v plan %d: cold memo: %v", kind, i, err)
+			}
+			digestEstimates(cold, est)
+			if i >= nEach {
+				if est, err = EstimateWithOpts(p, sdb, cat, Opts{Agg: GEEAgg}); err != nil {
+					t.Fatalf("%v plan %d: GEE: %v", kind, i, err)
+				}
+				digestEstimates(gee, est)
+			}
+		}
+		misses := rec.misses
+		for i, p := range plans {
+			est, err := EstimateMemo(context.Background(), p, sdb, cat, rec.memo)
+			if err != nil {
+				t.Fatalf("%v plan %d: warm memo: %v", kind, i, err)
+			}
+			digestEstimates(warm, est)
+		}
+		if rec.misses != misses {
+			t.Errorf("%v: warm pass computed %d fresh passes", kind, rec.misses-misses)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		h    hash.Hash
+		want string
+	}{
+		{"memo-less", memoless, digestMemoless},
+		{"cold memo", cold, digestColdMemo},
+		{"warm memo", warm, digestWarmMemo},
+		{"GEE", gee, digestGEE},
+	} {
+		if got := fmt.Sprintf("%x", c.h.Sum(nil)); got != c.want {
+			t.Errorf("%s digest %s, pinned %s", c.name, got, c.want)
+		}
+	}
+}
+
+// BenchmarkEstimateCold is the sampling pass by itself: one op is a
+// memo-less Estimate of each of 64 generated plans (32 SelJoin, 32 TPCH)
+// on uniform-10G samples at the default ratio — no cache, no predictor,
+// no harness.
+func BenchmarkEstimateCold(b *testing.B) {
+	plans, sdb, cat := genPlans(b, datagen.Uniform10G, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range plans {
+			if _, err := Estimate(p, sdb, cat); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
