@@ -163,3 +163,47 @@ func BenchmarkEstimateCold(b *testing.B) {
 		}
 	}
 }
+
+// TestPinnedPlansJoinBothWays checks that the plans behind the digests
+// exercise both build-side choices of the join — fewer rows on the left
+// and fewer on the right — so each is held against literals.
+func TestPinnedPlansJoinBothWays(t *testing.T) {
+	plans, sdb, cat := genPlans(t, datagen.Uniform1G, 256)
+	leftSmaller, rightSmaller := 0, 0
+	for _, p := range plans {
+		// The walk asks the memo once per operator, in postorder.
+		var post []*engine.Node
+		var order func(n *engine.Node)
+		order = func(n *engine.Node) {
+			if n != nil {
+				order(n.Left)
+				order(n.Right)
+				post = append(post, n)
+			}
+		}
+		order(p)
+		passes := make(map[*engine.Node]*Pass, len(post))
+		memo := func(_ string, compute func() (*Pass, error)) (*Pass, error) {
+			ps, err := compute()
+			passes[post[len(passes)]] = ps
+			return ps, err
+		}
+		if _, err := EstimateMemo(context.Background(), p, sdb, cat, memo); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range post {
+			if !n.Kind.IsJoin() || passes[n].tainted {
+				continue
+			}
+			switch l, r := passes[n.Left].rows(), passes[n.Right].rows(); {
+			case l < r:
+				leftSmaller++
+			case r < l:
+				rightSmaller++
+			}
+		}
+	}
+	if leftSmaller == 0 || rightSmaller == 0 {
+		t.Errorf("joins with fewer rows on the left: %d, on the right: %d; want both", leftSmaller, rightSmaller)
+	}
+}

@@ -95,13 +95,13 @@ func geeAggregateCard(n *engine.Node, child *Pass) (float64, bool) {
 	if n.GroupCol == "" {
 		return 1, true // scalar aggregate
 	}
-	gi := colIndex(child.cols, n.GroupCol)
-	if gi < 0 || len(child.rows) == 0 {
+	col, ord := child.column(n.GroupCol)
+	if ord < 0 || child.rows() == 0 {
 		return 0, false
 	}
-	vals := make([]int64, len(child.rows))
-	for i, r := range child.rows {
-		vals[i] = r.vals[gi]
+	vals := make([]int64, child.rows())
+	for i := range vals {
+		vals[i] = col[child.prov[i*child.numLeaves+ord]]
 	}
 	return GEE(vals, math.Max(child.est.EstCard, float64(len(vals)))), true
 }

@@ -21,15 +21,18 @@ import (
 
 // Table is a sample of a base relation. The provenance identifier of the
 // i-th sample tuple is simply i (the paper's annotation scheme, akin to
-// data provenance lineage tracking).
+// data provenance lineage tracking). The sample is small and immutable,
+// so it is stored column-major: the sampling pass reads one column at a
+// time (a predicate scan, a join-key gather), never a whole tuple.
 type Table struct {
 	Base string
-	Rows [][]int64
 	cols []string
+	data [][]int64 // data[c][i] is column cols[c] of sample tuple i
+	all  []int32   // 0..n-1: the provenance of a scan that keeps every tuple
 }
 
 // N returns the sample size n_k.
-func (s *Table) N() int { return len(s.Rows) }
+func (s *Table) N() int { return len(s.all) }
 
 // DB holds the offline samples: one or more independent sample tables
 // per relation. Multiple copies let the estimator assign a different
@@ -76,12 +79,21 @@ func Build(db *engine.DB, ratio float64, copies int, seed int64) (*DB, error) {
 		}
 		for c := 0; c < copies; c++ {
 			idx := r.Perm(t.NumRows())[:n]
-			rows := make([][]int64, n)
+			flat := make([]int64, len(t.Cols)*n)
+			data := make([][]int64, len(t.Cols))
+			for c := range data {
+				data[c] = flat[c*n : (c+1)*n : (c+1)*n]
+			}
+			all := make([]int32, n)
 			for i, j := range idx {
-				rows[i] = t.Rows[j]
+				all[i] = int32(i)
+				row := t.Rows[j]
+				for c := range data {
+					data[c][i] = row[c]
+				}
 			}
 			out.Copies[name] = append(out.Copies[name],
-				&Table{Base: name, Rows: rows, cols: t.Cols})
+				&Table{Base: name, cols: t.Cols, data: data, all: all})
 		}
 	}
 	return out, nil
@@ -156,13 +168,6 @@ func (e *Estimates) TotalSampleCounts() engine.Counts {
 		total = total.Add(e.ByID[id].SampleCounts)
 	}
 	return total
-}
-
-// srow is a sample tuple with provenance: prov[k] is the index of the
-// sample tuple of leaf ordinal k that produced it, or -1.
-type srow struct {
-	vals []int64
-	prov []int32
 }
 
 // Estimate runs the finalized plan once over the sample tables
@@ -259,49 +264,6 @@ func tableOfColumn(cat *catalog.Catalog, tables []string, col string) (string, e
 		}
 	}
 	return "", fmt.Errorf("sample: column %q not found among %v", col, tables)
-}
-
-// hashJoinRows equi-joins two sets of surviving sample rows on value
-// columns li/ri. The output is counted first and then filled into two
-// flat backing arrays — one for values, one for provenance — sliced per
-// row with exact capacity: three allocations for the whole result
-// instead of two per output row, the arena that keeps large
-// intermediate joins cheap in the sampling pass. Rows within one input
-// are uniform in width (scans and joins both produce rectangular
-// results), which the flat layout relies on.
-func hashJoinRows(leftRows, rightRows []srow, li, ri int) []srow {
-	ht := make(map[int64][]int, len(leftRows))
-	for i, r := range leftRows {
-		ht[r.vals[li]] = append(ht[r.vals[li]], i)
-	}
-	count := 0
-	for _, rr := range rightRows {
-		count += len(ht[rr.vals[ri]])
-	}
-	if count == 0 {
-		return nil
-	}
-	lw, rw := len(leftRows[0].vals), len(rightRows[0].vals)
-	lp, rp := len(leftRows[0].prov), len(rightRows[0].prov)
-	vals := make([]int64, count*(lw+rw))
-	prov := make([]int32, count*(lp+rp))
-	out := make([]srow, 0, count)
-	vo, po := 0, 0
-	for _, rr := range rightRows {
-		for _, i := range ht[rr.vals[ri]] {
-			lr := leftRows[i]
-			v := vals[vo : vo : vo+lw+rw]
-			v = append(v, lr.vals...)
-			v = append(v, rr.vals...)
-			vo += lw + rw
-			p := prov[po : po : po+lp+rp]
-			p = append(p, lr.prov...)
-			p = append(p, rr.prov...)
-			po += lp + rp
-			out = append(out, srow{vals: v, prov: p})
-		}
-	}
-	return out
 }
 
 func colIndex(cols []string, name string) int {

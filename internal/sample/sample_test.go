@@ -14,17 +14,17 @@ import (
 // b and d uniform over joint domain size dom.
 func synthDB(nr, ns, dom int, seed int64) *engine.DB {
 	r := rand.New(rand.NewSource(seed))
-	rrows := make([][]int64, nr)
-	for i := range rrows {
-		rrows[i] = []int64{int64(i), int64(r.Intn(dom))}
+	rRows := make([][]int64, nr)
+	for i := range rRows {
+		rRows[i] = []int64{int64(i), int64(r.Intn(dom))}
 	}
-	srows := make([][]int64, ns)
-	for i := range srows {
-		srows[i] = []int64{int64(i), int64(r.Intn(dom))}
+	sRows := make([][]int64, ns)
+	for i := range sRows {
+		sRows[i] = []int64{int64(i), int64(r.Intn(dom))}
 	}
 	db := engine.NewDB()
-	db.Add(engine.NewTable("r", []string{"a", "b"}, rrows))
-	db.Add(engine.NewTable("s", []string{"c", "d"}, srows))
+	db.Add(engine.NewTable("r", []string{"a", "b"}, rRows))
+	db.Add(engine.NewTable("s", []string{"c", "d"}, sRows))
 	return db
 }
 
@@ -62,8 +62,8 @@ func TestBuildSampleSizes(t *testing.T) {
 	// Copies must differ (independent draws).
 	same := true
 	a, b := sdb.Copies["r"][0], sdb.Copies["r"][1]
-	for i := range a.Rows {
-		if a.Rows[i][0] != b.Rows[i][0] {
+	for i := range a.data[0] {
+		if a.data[0][i] != b.data[0][i] {
 			same = false
 			break
 		}
@@ -222,16 +222,16 @@ func TestJoinLeafComponentsSumToVar(t *testing.T) {
 func TestEmptyJoinGetsFloorNotZero(t *testing.T) {
 	// Disjoint join domains: sample join certainly empty.
 	db := engine.NewDB()
-	rrows := make([][]int64, 500)
-	for i := range rrows {
-		rrows[i] = []int64{int64(i), 1}
+	rRows := make([][]int64, 500)
+	for i := range rRows {
+		rRows[i] = []int64{int64(i), 1}
 	}
-	srows := make([][]int64, 500)
-	for i := range srows {
-		srows[i] = []int64{int64(i), 2}
+	sRows := make([][]int64, 500)
+	for i := range sRows {
+		sRows[i] = []int64{int64(i), 2}
 	}
-	db.Add(engine.NewTable("r", []string{"a", "b"}, rrows))
-	db.Add(engine.NewTable("s", []string{"c", "d"}, srows))
+	db.Add(engine.NewTable("r", []string{"a", "b"}, rRows))
+	db.Add(engine.NewTable("s", []string{"c", "d"}, sRows))
 	cat := catalog.Build(db)
 	plan := joinPlan()
 	sdb, err := Build(db, 0.1, 2, 9)

@@ -19,12 +19,29 @@ package sample
 // into a plan's Estimates, and only the sample-copy assignment — made
 // globally, in left-to-right plan order — enters the cache key, so a
 // memoized Pass carries exactly the numbers a fresh one would.
+//
+// Provenance is the row. A surviving sample tuple's values are a pure
+// function of its provenance (a joined tuple is the concatenation of the
+// leaf sample tuples its provenance names), so a Pass keeps no values:
+// one flat []int32 block of provenance, stride NumLeaves, and the sample
+// tables of its leaves. Join keys and GEE's group keys are fetched late,
+// through the (leaf, column) a name resolves to. The block holds no
+// pointers, so what a memo retains is memory the collector never scans.
+//
+// Row order inside a Pass is free: every float the pass emits is
+// computed from integer counts over the result multiset (|out|, the
+// Q_{k,j} tallies, GEE's frequency classes) and summed in leaf-ordinal /
+// sample-index order, never in row order. So a join hashes whichever
+// side has fewer rows and emits matches in chain order without moving a
+// bit of any estimate.
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
@@ -34,12 +51,17 @@ import (
 // local leaf frame. It is immutable once computed and may be shared by
 // any number of plans and goroutines.
 type Pass struct {
-	rows      []srow   // surviving sample tuples, positional provenance
-	cols      []string // output columns, left to right
+	// prov holds the surviving sample tuples as provenance alone: row r
+	// is prov[r*numLeaves : (r+1)*numLeaves], entry o the index of the
+	// sample tuple of local leaf o that produced it. Allocated exactly,
+	// owned by the Pass, never pooled.
+	prov []int32
+	// leaves are the sample tables of the local leaves, left to right.
+	leaves    []*Table
 	numLeaves int
 	// tainted marks the region at and above an aggregate (the Agg flag
-	// of Algorithm 1), where sampling no longer applies: rows is nil and
-	// est carries the optimizer's fallback numbers.
+	// of Algorithm 1), where sampling no longer applies: prov and leaves
+	// are nil and est carries the optimizer's fallback numbers.
 	tainted bool
 	// est is the subtree root's estimate with LeafComp/LeafN keyed by
 	// local leaf ordinals and Node left nil (both are position-dependent
@@ -52,6 +74,22 @@ func (p *Pass) NumLeaves() int { return p.numLeaves }
 
 // Rho returns the subtree root's selectivity estimate.
 func (p *Pass) Rho() float64 { return p.est.Rho }
+
+// rows returns the number of surviving sample tuples (0 when tainted).
+func (p *Pass) rows() int { return len(p.prov) / p.numLeaves }
+
+// column resolves an output column of the subtree to the leaf that
+// supplies it and that leaf's column, exactly as a lookup over the
+// concatenated column lists would: the first leaf, left to right, that
+// carries the name. The ordinal is -1 when no leaf does.
+func (p *Pass) column(name string) (col []int64, ord int) {
+	for o, t := range p.leaves {
+		if i := colIndex(t.cols, name); i >= 0 {
+			return t.data[i], o
+		}
+	}
+	return nil, -1
+}
 
 // PassMemo memoizes subtree passes by key: return the cached Pass for
 // key, or compute, retain, and return it. Implementations own
@@ -95,36 +133,6 @@ func passKey(n *engine.Node, copies []int) string {
 	return b.String()
 }
 
-// copyVec collects the sample-copy indices of the subtree's leaves in
-// left-to-right order.
-func copyVec(n *engine.Node, scanCopy map[int]int) []int {
-	var out []int
-	var walk func(x *engine.Node)
-	walk = func(x *engine.Node) {
-		if x.Kind.IsScan() {
-			out = append(out, scanCopy[x.ID])
-			return
-		}
-		if x.Left != nil {
-			walk(x.Left)
-		}
-		if x.Right != nil {
-			walk(x.Right)
-		}
-	}
-	walk(n)
-	return out
-}
-
-// subtreeOffset returns the global ordinal of the subtree's leftmost
-// leaf — the offset that maps its local leaf frame into the plan's.
-func subtreeOffset(n *engine.Node, scanOrd map[int]int) int {
-	for !n.Kind.IsScan() {
-		n = n.Left
-	}
-	return scanOrd[n.ID]
-}
-
 // EstimateMemo is Estimate with the work memoized per subtree through
 // memo: every operator — scans and joins below any aggregate, but also
 // unary pass-throughs, aggregates, and the tainted joins above them —
@@ -152,14 +160,12 @@ func estimatePlan(ctx context.Context, root *engine.Node, sdb *DB, cat *catalog.
 	}
 	est := &Estimates{ByID: make(map[int]*OpEstimate)}
 
-	// Pre-pass: assign each scan its global leaf ordinal and sample copy
-	// in left-to-right plan order, each further appearance of a relation
-	// taking the next copy.
-	scanTable := make(map[int]*Table)
-	scanOrd := make(map[int]int)
-	scanCopy := make(map[int]int)
-	copyUse := make(map[string]int)
-	leafCounter := 0
+	// Pre-pass: assign each scan its sample copy in left-to-right plan
+	// order, each further appearance of a relation taking the next copy.
+	// Both slices are indexed by global leaf ordinal; a subtree's leaves
+	// are contiguous in them, starting at the offset the walk threads.
+	var leafTable []*Table
+	var leafCopy []int
 	var assign func(n *engine.Node) error
 	assign = func(n *engine.Node) error {
 		if n.Kind.IsScan() {
@@ -167,12 +173,18 @@ func estimatePlan(ctx context.Context, root *engine.Node, sdb *DB, cat *catalog.
 			if len(copies) == 0 {
 				return fmt.Errorf("sample: no sample tables for %q", n.Table)
 			}
-			ci := copyUse[n.Table] % len(copies)
-			scanOrd[n.ID] = leafCounter
-			scanCopy[n.ID] = ci
-			scanTable[n.ID] = copies[ci]
-			copyUse[n.Table]++
-			leafCounter++
+			uses := 0
+			for _, t := range leafTable {
+				if t.Base == n.Table {
+					uses++
+				}
+			}
+			ci := uses % len(copies)
+			if copies[ci].N() == 0 {
+				return fmt.Errorf("sample: relation %q has an empty sample", n.Table)
+			}
+			leafTable = append(leafTable, copies[ci])
+			leafCopy = append(leafCopy, ci)
 			return nil
 		}
 		if n.Left != nil {
@@ -191,85 +203,56 @@ func estimatePlan(ctx context.Context, root *engine.Node, sdb *DB, cat *catalog.
 		return nil, err
 	}
 
-	// Bottom-up walk. A Pass with tainted set marks the region at and
-	// above an aggregate, where sampling no longer applies (the Agg flag
-	// of Algorithm 1) and estimates fall back to the optimizer's. The
+	// Bottom-up walk; off is the global ordinal of the subtree's leftmost
+	// leaf. A Pass with tainted set marks the region at and above an
+	// aggregate, where sampling no longer applies (the Agg flag of
+	// Algorithm 1) and estimates fall back to the optimizer's. The
 	// tainted region and the unary pass-throughs memoize like everything
 	// else — their fallback numbers are pure functions of the subtree
 	// signature and copy assignment too — so a warm pass over a plan
 	// with sorts or aggregates recomputes nothing.
-	var walk func(n *engine.Node) (*Pass, error)
-	walk = func(n *engine.Node) (*Pass, error) {
+	var walk func(n *engine.Node, off int) (*Pass, error)
+	walk = func(n *engine.Node, off int) (*Pass, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		switch {
-		case n.Kind.IsScan():
-			p, err := memo(passKey(n, []int{scanCopy[n.ID]}), func() (*Pass, error) {
-				return scanPass(n, scanTable[n.ID], cat)
-			})
-			if err != nil {
+		var left, right *Pass
+		k := 1
+		if !n.Kind.IsScan() {
+			var err error
+			if left, err = walk(n.Left, off); err != nil {
 				return nil, err
 			}
-			est.ByID[n.ID] = p.globalEstimate(n, scanOrd[n.ID])
-			return p, nil
-
-		case n.Kind.IsJoin():
-			left, err := walk(n.Left)
-			if err != nil {
-				return nil, err
+			k = left.numLeaves
+			if n.Kind.IsJoin() {
+				if right, err = walk(n.Right, off+k); err != nil {
+					return nil, err
+				}
+				k += right.numLeaves
 			}
-			right, err := walk(n.Right)
-			if err != nil {
-				return nil, err
-			}
-			var p *Pass
-			if left.tainted || right.tainted {
-				// Above an aggregate: optimizer estimate, zero variance.
-				p, err = memo(passKey(n, copyVec(n, scanCopy)), func() (*Pass, error) {
-					return taintedJoinPass(n, left.numLeaves+right.numLeaves, cat)
-				})
-			} else {
-				p, err = memo(passKey(n, copyVec(n, scanCopy)), func() (*Pass, error) {
-					return joinPass(n, left, right, cat)
-				})
-			}
-			if err != nil {
-				return nil, err
-			}
-			est.ByID[n.ID] = p.globalEstimate(n, subtreeOffset(n, scanOrd))
-			return p, nil
-
-		case n.Kind == engine.Aggregate:
-			child, err := walk(n.Left)
-			if err != nil {
-				return nil, err
-			}
-			p, err := memo(passKey(n, copyVec(n, scanCopy)), func() (*Pass, error) {
-				return aggregatePass(n, child, cat, agg)
-			})
-			if err != nil {
-				return nil, err
-			}
-			est.ByID[n.ID] = p.globalEstimate(n, subtreeOffset(n, scanOrd))
-			return p, nil
-
-		default: // Sort, Materialize: pass-through, same selectivity variable
-			child, err := walk(n.Left)
-			if err != nil {
-				return nil, err
-			}
-			p, err := memo(passKey(n, copyVec(n, scanCopy)), func() (*Pass, error) {
-				return unaryPass(n, child), nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			est.ByID[n.ID] = p.globalEstimate(n, subtreeOffset(n, scanOrd))
-			return p, nil
 		}
+		p, err := memo(passKey(n, leafCopy[off:off+k]), func() (*Pass, error) {
+			switch {
+			case n.Kind.IsScan():
+				return scanPass(n, leafTable[off], cat)
+			case n.Kind.IsJoin() && (left.tainted || right.tainted):
+				// Above an aggregate: optimizer estimate, zero variance.
+				return taintedJoinPass(n, k, cat)
+			case n.Kind.IsJoin():
+				return joinPass(n, left, right, cat)
+			case n.Kind == engine.Aggregate:
+				return aggregatePass(n, left, cat, agg)
+			default: // Sort, Materialize: pass-through, same selectivity variable
+				return unaryPass(n, left), nil
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		est.ByID[n.ID] = p.globalEstimate(n, off)
+		return p, nil
 	}
-	if _, err := walk(root); err != nil {
+	if _, err := walk(root, 0); err != nil {
 		return nil, err
 	}
 	return est, nil
@@ -314,7 +297,6 @@ func taintedJoinPass(n *engine.Node, numLeaves int, cat *catalog.Catalog) (*Pass
 // by the subtree signature and copy assignment, so the Pass memoizes
 // safely.
 func aggregatePass(n *engine.Node, child *Pass, cat *catalog.Catalog, agg AggEstimator) (*Pass, error) {
-	rows := len(child.rows)
 	full, err := fullSize(n, cat)
 	if err != nil {
 		return nil, err
@@ -342,7 +324,7 @@ func aggregatePass(n *engine.Node, child *Pass, cat *catalog.Catalog, agg AggEst
 			LeafN:         map[int]int{},
 			FromOptimizer: true,
 			EstCard:       card,
-			SampleCounts:  engine.UnaryCounts(engine.Aggregate, float64(rows)),
+			SampleCounts:  engine.UnaryCounts(engine.Aggregate, float64(child.rows())),
 		},
 	}, nil
 }
@@ -352,61 +334,97 @@ func aggregatePass(n *engine.Node, child *Pass, cat *catalog.Catalog, agg AggEst
 // leaf components, same taint — with only the operator's own unary work
 // added to the sample counts.
 func unaryPass(n *engine.Node, child *Pass) *Pass {
-	e := child.est
-	e.SampleCounts = engine.UnaryCounts(n.Kind, float64(len(child.rows)))
-	return &Pass{
-		rows:      child.rows,
-		cols:      child.cols,
-		numLeaves: child.numLeaves,
-		tainted:   child.tainted,
-		est:       e,
+	p := *child
+	p.est.SampleCounts = engine.UnaryCounts(n.Kind, float64(child.rows()))
+	return &p
+}
+
+// scratch is the working memory of one scan or join: nothing in it
+// outlives the call that took it from the pool, and nothing a Pass
+// keeps is ever carved from it.
+type scratch struct {
+	slots []slot  // the join's open-addressed hash table
+	next  []int32 // build row -> 1 + the previous build row with the same key; 0 ends the chain
+	match []int32 // probe row -> head of its key's slot; a scan's selection vector
+	q     []int32 // Q_{k,j} tallies of one leaf
+}
+
+// slot is one entry of the join hash table: a key, the chain of build
+// rows holding it (head is 1 + the last such row, 0 marks a free slot)
+// and the chain's length.
+type slot struct {
+	key       int64
+	head, cnt int32
+}
+
+// find returns the slot holding key, or the free slot where it belongs:
+// Fibonacci hashing into a power-of-two table that always has a free
+// slot, then linear probing.
+func find(slots []slot, shift uint, key int64) *slot {
+	s, mask := int(uint64(key)*0x9E3779B97F4A7C15>>shift), len(slots)-1
+	for slots[s].head != 0 && slots[s].key != key {
+		s = (s + 1) & mask
 	}
+	return &slots[s]
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// grow returns s resized to n elements, reallocating only when its
+// capacity falls short. The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // scanPass evaluates one scan over its sample table in the local frame
-// (the scan is leaf ordinal 0 of its own subtree).
+// (the scan is leaf ordinal 0 of its own subtree), a predicate at a time
+// over one column each.
 func scanPass(n *engine.Node, st *Table, cat *catalog.Catalog) (*Pass, error) {
-	idx := make([]int, len(n.Preds))
-	for pi := range n.Preds {
-		idx[pi] = -1
-		for i, c := range st.cols {
-			if c == n.Preds[pi].Col {
-				idx[pi] = i
-				break
-			}
-		}
-		if idx[pi] < 0 {
-			return nil, fmt.Errorf("sample: predicate column %q not in %q", n.Preds[pi].Col, n.Table)
-		}
-	}
 	nTotal := st.N()
-	rows := make([]srow, 0, nTotal)
-	mIndex := 0.0
-	for i, r := range st.Rows {
-		if len(n.Preds) > 0 && !n.Preds[0].Matches(r[idx[0]]) {
-			continue
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.match = grow(sc.match, nTotal)
+	// sel is the selection vector: every tuple until a predicate has
+	// spoken, then what the predicates so far let through, filtered a
+	// column at a time (in place from the second predicate on). mIndex
+	// counts what the leading predicate lets through — the tuples an
+	// index scan on it would fetch.
+	sel, mIndex := st.all, nTotal
+	for pi := range n.Preds {
+		pred := &n.Preds[pi]
+		ci := colIndex(st.cols, pred.Col)
+		if ci < 0 {
+			return nil, fmt.Errorf("sample: predicate column %q not in %q", pred.Col, n.Table)
 		}
-		mIndex++
-		ok := true
-		for pi := 1; pi < len(n.Preds); pi++ {
-			if !n.Preds[pi].Matches(r[idx[pi]]) {
-				ok = false
-				break
+		col, m := st.data[ci], 0
+		for _, i := range sel {
+			sc.match[m] = i
+			if pred.Matches(col[i]) {
+				m++
 			}
 		}
-		if ok {
-			rows = append(rows, srow{vals: r, prov: []int32{int32(i)}})
+		sel = sc.match[:m]
+		if pi == 0 {
+			mIndex = m
 		}
 	}
-	if len(n.Preds) == 0 {
-		mIndex = float64(nTotal)
+	// The Pass keeps an exactly-sized block of its own — or, when every
+	// tuple survives unasked, the table's immutable identity block.
+	prov := sel
+	if len(n.Preds) > 0 {
+		prov = make([]int32, len(sel))
+		copy(prov, sel)
 	}
-	rho := float64(len(rows)) / float64(nTotal)
+
+	rho := float64(len(prov)) / float64(nTotal)
 	// S^2_n = rho(1-rho) for a selection; sigma_n^2 = S^2_n / n.
 	v := rho * (1 - rho) / float64(nTotal)
 	// Floor an all-miss sample at half an observation with 100% relative
 	// uncertainty; a hard zero would make downstream costs degenerate.
-	if len(rows) == 0 {
+	if len(prov) == 0 {
 		rho = 0.5 / float64(nTotal)
 		v = rho * rho
 	}
@@ -415,8 +433,8 @@ func scanPass(n *engine.Node, st *Table, cat *catalog.Catalog) (*Pass, error) {
 		return nil, err
 	}
 	return &Pass{
-		rows:      rows,
-		cols:      st.cols,
+		prov:      prov,
+		leaves:    []*Table{st},
 		numLeaves: 1,
 		est: OpEstimate{
 			Rho:          rho,
@@ -424,7 +442,7 @@ func scanPass(n *engine.Node, st *Table, cat *catalog.Catalog) (*Pass, error) {
 			LeafComp:     map[int]float64{0: v},
 			LeafN:        map[int]int{0: nTotal},
 			EstCard:      rho * full,
-			SampleCounts: engine.ScanCounts(n.Kind, float64(nTotal), mIndex, len(n.Preds)),
+			SampleCounts: engine.ScanCounts(n.Kind, float64(nTotal), float64(mIndex), len(n.Preds)),
 		},
 	}, nil
 }
@@ -434,57 +452,106 @@ func scanPass(n *engine.Node, st *Table, cat *catalog.Catalog) (*Pass, error) {
 // ordinal and provenance position coincide (Algorithm 1 lines 11-13 and
 // the Appendix A.7 components).
 func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, error) {
-	li := colIndex(left.cols, n.LeftCol)
-	ri := colIndex(right.cols, n.RightCol)
-	if li < 0 || ri < 0 {
+	lcol, lord := left.column(n.LeftCol)
+	rcol, rord := right.column(n.RightCol)
+	if lord < 0 || rord < 0 {
 		return nil, fmt.Errorf("sample: join columns %q/%q not found", n.LeftCol, n.RightCol)
 	}
-	out := hashJoinRows(left.rows, right.rows, li, ri)
-	k := left.numLeaves + right.numLeaves
+	nl, k := left.numLeaves, left.numLeaves+right.numLeaves
 
-	leafN := make(map[int]int, k)
-	for o, v := range left.est.LeafN {
-		leafN[o] = v
+	// The hash table is built over the side with fewer rows. at is where
+	// a side's provenance lands in an output row, whichever role it plays.
+	type side struct {
+		prov    []int32
+		stride  int
+		rows    int
+		col     []int64 // the join column of leaf ord
+		ord, at int
 	}
-	for o, v := range right.est.LeafN {
-		leafN[o+left.numLeaves] = v
+	build := side{left.prov, nl, left.rows(), lcol, lord, 0}
+	probe := side{right.prov, k - nl, right.rows(), rcol, rord, nl}
+	if probe.rows < build.rows {
+		build, probe = probe, build
 	}
 
-	// rho_n = |out| / Pi_k n_k, accumulated in left-to-right leaf order.
-	prodN := 1.0
-	for o := 0; o < k; o++ {
-		prodN *= float64(leafN[o])
-	}
-	rho := float64(len(out)) / prodN
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 
-	// Q_{k,j,n} accumulation (Algorithm 1 lines 11-13): one scan of the
-	// join result, incrementing dense per-leaf arrays indexed by
-	// provenance (position o is local ordinal o; the sample-tuple index is
-	// always in [0, n_k) — tainted subtrees never reach joinPass). Dense
-	// arrays keep the variance sum below in a fixed order — map iteration
-	// would reorder the float additions run to run and break the
-	// byte-identical determinism contract.
-	qs := make([][]float64, k)
-	for o := range qs {
-		qs[o] = make([]float64, leafN[o])
+	// Build: an open-addressed key -> chain-head table at load <= 1/2,
+	// linear probing, the rows of one key chained through next.
+	logSize := bits.Len(uint(2 * build.rows))
+	shift := uint(64 - logSize)
+	sc.slots = grow(sc.slots, 1<<logSize)
+	clear(sc.slots)
+	sc.next = grow(sc.next, build.rows)
+	slots, next := sc.slots, sc.next
+	for b := 0; b < build.rows; b++ {
+		key := build.col[build.prov[b*build.stride+build.ord]]
+		e := find(slots, shift, key)
+		e.key = key
+		next[b], e.head = e.head, int32(b+1)
+		e.cnt++
 	}
-	for _, t := range out {
-		for o := 0; o < k; o++ {
-			qs[o][t.prov[o]]++
+
+	// Count: one lookup per probe row, its chain head remembered so the
+	// fill below does no second lookup.
+	sc.match = grow(sc.match, probe.rows)
+	match := sc.match
+	nOut := 0
+	for r := 0; r < probe.rows; r++ {
+		e := find(slots, shift, probe.col[probe.prov[r*probe.stride+probe.ord]])
+		match[r] = e.head
+		nOut += int(e.cnt)
+	}
+
+	// Fill: one exactly-sized block, left provenance then right.
+	out := make([]int32, nOut*k)
+	w := 0
+	for r := 0; r < probe.rows; r++ {
+		pp := probe.prov[r*probe.stride : (r+1)*probe.stride]
+		for b := match[r]; b != 0; b = next[b-1] {
+			row := out[w : w+k]
+			copy(row[build.at:], build.prov[int(b-1)*build.stride:int(b)*build.stride])
+			copy(row[probe.at:], pp)
+			w += k
 		}
 	}
 
-	// Per-leaf variance components: V_k = (1/(n_k-1)) sum_j
-	// (Q_{k,j}/prod_{k'!=k} n_{k'} - rho)^2, W_k = V_k / n_k.
-	// Tuples j with Q_{k,j} = 0 contribute d = -rho, i.e. rho^2 each.
+	leaves := append(append(make([]*Table, 0, k), left.leaves...), right.leaves...)
+	leafN := make(map[int]int, k)
+	// rho_n = |out| / Pi_k n_k, accumulated in left-to-right leaf order.
+	prodN := 1.0
+	for o, t := range leaves {
+		leafN[o] = t.N()
+		prodN *= float64(t.N())
+	}
+	rho := float64(nOut) / prodN
+
 	leafComp := make(map[int]float64, k)
 	var totalVar float64
-	for o := 0; o < k; o++ {
-		nk := float64(leafN[o])
+	for o, t := range leaves {
+		// Q_{k,j,n} accumulation (Algorithm 1 lines 11-13): one scan of the
+		// join result, incrementing a dense counter per sample tuple of
+		// the leaf, indexed by provenance (position o is local ordinal o;
+		// the sample-tuple index is always in [0, n_k) — tainted subtrees
+		// never reach joinPass). The counters are integers, so the order
+		// of this scan is immaterial; the float sum below runs over them
+		// in sample-index order — summing in row or map order would
+		// reorder the float additions and break the byte-identical
+		// determinism contract.
+		sc.q = grow(sc.q, t.N())
+		clear(sc.q)
+		for i := o; i < len(out); i += k {
+			sc.q[out[i]]++
+		}
+		// Per-leaf variance component: V_k = (1/(n_k-1)) sum_j
+		// (Q_{k,j}/prod_{k'!=k} n_{k'} - rho)^2, W_k = V_k / n_k.
+		// Tuples j with Q_{k,j} = 0 contribute d = -rho, i.e. rho^2 each.
+		nk := float64(t.N())
 		denom := prodN / nk
 		var ss float64
-		for _, q := range qs[o] {
-			d := q/denom - rho
+		for _, q := range sc.q {
+			d := float64(q)/denom - rho
 			ss += d * d
 		}
 		vk := 0.0
@@ -511,7 +578,7 @@ func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, e
 	// predictor propagates. (The paper never hits this regime: its
 	// absolute sample sizes are in the tens of thousands even at
 	// SR = 0.01.)
-	if len(out) == 0 {
+	if nOut == 0 {
 		rho = 0.5 / prodN
 		totalVar = rho * rho
 		for o := 0; o < k; o++ {
@@ -520,8 +587,8 @@ func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, e
 	}
 
 	return &Pass{
-		rows:      out,
-		cols:      append(append([]string{}, left.cols...), right.cols...),
+		prov:      out,
+		leaves:    leaves,
 		numLeaves: k,
 		est: OpEstimate{
 			Rho:      rho,
@@ -530,7 +597,7 @@ func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, e
 			LeafN:    leafN,
 			EstCard:  rho * full,
 			SampleCounts: engine.JoinCounts(n.Kind,
-				float64(len(left.rows)), float64(len(right.rows)), float64(len(out))),
+				float64(left.rows()), float64(right.rows()), float64(nOut)),
 		},
 	}, nil
 }

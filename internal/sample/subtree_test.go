@@ -2,6 +2,8 @@ package sample
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -349,5 +351,101 @@ func TestEstimateMemoWarmPassComputesNothing(t *testing.T) {
 			t.Errorf("plan %d: warm pass hit %d passes, want one per operator (%d)",
 				i, rec.hits, n)
 		}
+	}
+}
+
+// TestEmptyRelationIsAnError pins the defined answer for a relation
+// without rows: its sample is empty, a selectivity over it is 0/0, and
+// the pass must say so instead of handing Rho = +Inf, Var = +Inf and
+// EstCard = NaN to the predictor with a nil error — for the scan and
+// for a join above it.
+func TestEmptyRelationIsAnError(t *testing.T) {
+	db := synthDB(200, 0, 8, 5)
+	cat := catalog.Build(db)
+	sdb, err := Build(db, 0.2, 2, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := &engine.Node{Kind: engine.SeqScan, Table: "s"}
+	scan.Finalize()
+	for name, p := range map[string]*engine.Node{"scan": scan, "join": joinPlan()} {
+		est, err := Estimate(p, sdb, cat)
+		if err == nil {
+			t.Errorf("%s over an empty relation: nil error, root estimate %+v", name, est.ByID[p.ID])
+		} else if want := `sample: relation "s" has an empty sample`; err.Error() != want {
+			t.Errorf("%s: error %q, want %q", name, err, want)
+		}
+	}
+}
+
+// TestPassOwnsItsRows pins the pooling contract of the sampling pass:
+// what a Pass keeps is its own memory, never a window into the pooled
+// scratch. It holds on to two child passes and the join over them,
+// recycles the scratch through a few hundred unrelated estimates, then
+// re-joins the kept children and requires the kept join back bit for
+// bit — serially, then from several goroutines sharing one memo.
+func TestPassOwnsItsRows(t *testing.T) {
+	db := synthDB(1000, 800, 12, 3)
+	cat := catalog.Build(db)
+	sdb, err := Build(db, 0.2, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := subtreePlans()[3] // (r|a<=400 join s) join r
+	rec := newMemoRecorder()
+	if _, err := EstimateMemo(context.Background(), top, sdb, cat, rec.memo); err != nil {
+		t.Fatal(err)
+	}
+	left := rec.m[passKey(top.Left, []int{0, 0})]
+	right := rec.m[passKey(top.Right, []int{1})]
+	kept := rec.m[passKey(top, []int{0, 0, 1})]
+	if left == nil || right == nil || kept == nil || kept.rows() == 0 {
+		t.Fatalf("kept passes missing: %v %v %v", left, right, kept)
+	}
+	leftRows, rightRows := slices.Clone(left.prov), slices.Clone(right.prov)
+
+	// churn estimates plans of other shapes and sizes, memo-less and
+	// through the shared memo, so pooled scratch is taken, overwritten
+	// and returned many times; then it re-joins the kept children.
+	churn := func(seed, rounds int) {
+		for i := 0; i < rounds; i++ {
+			pred := engine.Predicate{Col: "a", Op: engine.Le, Lo: int64((seed*131 + i*37) % 1000)}
+			p := &engine.Node{
+				Kind: engine.HashJoin, LeftCol: "d", RightCol: "b",
+				Left:  &engine.Node{Kind: engine.SeqScan, Table: "s"},
+				Right: &engine.Node{Kind: engine.SeqScan, Table: "r", Preds: []engine.Predicate{pred}},
+			}
+			p.Finalize()
+			if _, err := Estimate(p, sdb, cat); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := EstimateMemo(context.Background(), p, sdb, cat, rec.memo); err != nil {
+				t.Error(err)
+				return
+			}
+			got, err := joinPass(top, left, right, cat)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !slices.Equal(got.prov, kept.prov) || !reflect.DeepEqual(got.est, kept.est) {
+				t.Errorf("seed %d round %d: re-joined pass differs from the kept one", seed, i)
+				return
+			}
+		}
+	}
+	churn(0, 150)
+	var wg sync.WaitGroup
+	for g := 1; g <= 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			churn(g, 40)
+		}()
+	}
+	wg.Wait()
+	if !slices.Equal(left.prov, leftRows) || !slices.Equal(right.prov, rightRows) {
+		t.Error("a kept child pass changed under later estimates")
 	}
 }
