@@ -22,7 +22,7 @@ vet:
 
 # race runs only the concurrency-focused suites, for a quick signal.
 race:
-	$(GO) test -race -count=1 -run 'Concurrent|Parallel|Batch|LRU|Sharded|Admission|Drain|Dispatcher|Feedback|SharedCache|Grid|Flight|Sim|PassOwnsItsRows|EstimateMemo' ./...
+	$(GO) test -race -count=1 -run 'Concurrent|Parallel|Batch|LRU|Sharded|Admission|Drain|Dispatcher|Feedback|SharedCache|Grid|Flight|Sim|PassOwnsItsRows|EstimateMemo|PredictionDigestPinned' ./...
 
 fmt:
 	gofmt -l -w .

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sample"
 )
 
@@ -35,17 +36,9 @@ func TestPredictWarmAllocs(t *testing.T) {
 	t.Logf("warm Predict: %.1f allocs/call", perCall)
 }
 
-// TestEstimateColdAllocs is the alloc-regression gate on the sampling
-// pass itself: a memo-less estimate of a fixed three-way join. The
-// row-materializing pass spent two slice headers per surviving sample
-// row here (thousands of allocations); the provenance-only pass
-// allocates per operator — one block, its leaf maps, its memo key — so
-// the budget catches any return of per-row or per-tuple allocation.
-func TestEstimateColdAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are inflated under the race detector")
-	}
-	sys := testSystem(t)
+// coldJoin3 plans the fixed three-way join both cold gates measure.
+func coldJoin3(t *testing.T, sys *System) *Plan {
+	t.Helper()
 	p, err := sys.Planner().BuildPlan(context.Background(), &Query{
 		Name:   "cold-join3",
 		Tables: []string{"customer", "orders", "lineitem"},
@@ -58,14 +51,61 @@ func TestEstimateColdAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return p
+}
+
+// TestEstimateColdAllocs is the alloc-regression gate on the sampling
+// pass itself: a memo-less estimate of a fixed three-way join. The
+// row-materializing pass spent two slice headers per surviving sample
+// row here (thousands of allocations); the provenance-only pass
+// allocates per operator — one block, its two leaf slices, its memo key
+// — plus one slice of estimates per plan, so the budget (the measured
+// 88 plus a quarter) catches any return of per-row or per-tuple
+// allocation.
+func TestEstimateColdAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	sys := testSystem(t)
+	p := coldJoin3(t, sys)
 	perCall := testing.AllocsPerRun(100, func() {
 		if _, err := sample.Estimate(p.root, sys.samples, sys.cat); err != nil {
 			t.Fatal(err)
 		}
 	})
-	const budget = 190
+	const budget = 110
 	if perCall > budget {
 		t.Errorf("cold Estimate allocates %.1f allocs/call, budget %d", perCall, budget)
 	}
 	t.Logf("cold Estimate: %.1f allocs/call", perCall)
+}
+
+// TestPredictColdAllocs is the sibling gate on the predictor itself: one
+// memo-less core.Predict of the same three-way join from estimates
+// computed beforehand. What it spends goes to the fits — a design
+// matrix, a right-hand side and a solve per fitted cost function — and
+// to one term list per function; the variables, models and per-operator
+// results are one slice each per plan. The budget (the measured 280 plus
+// a quarter) catches a return of per-operator maps or sorted key lists.
+func TestPredictColdAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	sys := testSystem(t)
+	p := coldJoin3(t, sys)
+	est, err := sample.Estimate(p.root, sys.samples, sys.cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := core.New(sys.cat, sys.cal.Units, core.Config{})
+	perCall := testing.AllocsPerRun(100, func() {
+		if _, err := pred.Predict(p.root, est); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 350
+	if perCall > budget {
+		t.Errorf("cold Predict allocates %.1f allocs/call, budget %d", perCall, budget)
+	}
+	t.Logf("cold Predict: %.1f allocs/call", perCall)
 }

@@ -313,18 +313,12 @@ func TestEstimatorMatchesMemolessEstimate(t *testing.T) {
 	ctx := context.Background()
 	same := func(tag string, want *sample.Estimates, got *Estimates) {
 		t.Helper()
-		if len(got.est.ByID) != len(want.ByID) {
-			t.Fatalf("%s: %d estimates, want %d", tag, len(got.est.ByID), len(want.ByID))
+		if len(got.est.Ops) != len(want.Ops) {
+			t.Fatalf("%s: %d estimates, want %d", tag, len(got.est.Ops), len(want.Ops))
 		}
-		for id, w := range want.ByID {
-			g := got.est.ByID[id]
-			if g == nil || g.Node == nil || g.Node.ID != id || g.Node.Kind != w.Node.Kind {
-				t.Fatalf("%s: node %d missing or bound to the wrong operator: %+v", tag, id, g)
-			}
-			we, ge := *w, *g
-			we.Node, ge.Node = nil, nil
-			if !reflect.DeepEqual(we, ge) {
-				t.Errorf("%s: node %d: estimator %+v, memo-less %+v", tag, id, ge, we)
+		for id := range want.Ops {
+			if !reflect.DeepEqual(want.Ops[id], got.est.Ops[id]) {
+				t.Errorf("%s: node %d: estimator %+v, memo-less %+v", tag, id, got.est.Ops[id], want.Ops[id])
 			}
 		}
 	}
@@ -572,5 +566,53 @@ func TestPublicSurface(t *testing.T) {
 	}
 	if want := []string{"Stats", "TierStats"}; !reflect.DeepEqual(cacheMethods, want) {
 		t.Errorf("*EstimateCache methods = %v\nwant %v", cacheMethods, want)
+	}
+}
+
+// TestPredictorRejectsMismatchedEstimates pins the named error for
+// estimates that belong to another plan — reachable through the public
+// stages — where Predict used to answer with a confident wrong
+// Prediction: fewer operators than the plan, more, and the same count in
+// a different shape, every pairing in both directions, none of which may
+// panic on an index either.
+func TestPredictorRejectsMismatchedEstimates(t *testing.T) {
+	sys := testSystem(t)
+	ctx := context.Background()
+	ordersLineitem := JoinCond{LeftTable: "orders", LeftCol: "o_orderkey", RightTable: "lineitem", RightCol: "l_orderkey"}
+	queries := []*Query{
+		{Name: "scan", Tables: []string{"lineitem"}, Preds: []Predicate{{Col: "l_quantity", Op: Le, Lo: 25}}},
+		{Name: "sorted-agg", Tables: []string{"lineitem"}, Agg: &AggSpec{GroupCol: "l_returnflag", SortInput: true}},
+		{Name: "join", Tables: []string{"orders", "lineitem"}, Joins: []JoinCond{ordersLineitem}},
+		{Name: "join3", Tables: []string{"customer", "orders", "lineitem"}, Joins: []JoinCond{
+			{LeftTable: "customer", LeftCol: "c_custkey", RightTable: "orders", RightCol: "o_custkey"}, ordersLineitem}},
+	}
+	plans := make([]*Plan, len(queries))
+	ests := make([]*Estimates, len(queries))
+	for i, q := range queries {
+		var err error
+		if plans[i], err = sys.Planner().BuildPlan(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+		if ests[i], err = sys.Estimator().Estimate(ctx, plans[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := len(ests[1].est.Ops), len(ests[2].est.Ops); a != b {
+		t.Fatalf("sorted-agg has %d operators, join %d: the same-count case is not covered", a, b)
+	}
+	for i, p := range plans {
+		for j, est := range ests {
+			pred, err := sys.Predictor().Predict(ctx, p, est)
+			switch {
+			case i == j && err != nil:
+				t.Errorf("%s with its own estimates: %v", queries[i].Name, err)
+			case i != j && err == nil:
+				t.Errorf("plan %s with the estimates of %s: nil error, prediction %v",
+					queries[i].Name, queries[j].Name, pred.Dist)
+			case i != j && !strings.HasPrefix(err.Error(), "core: estimate"):
+				t.Errorf("plan %s with the estimates of %s: error %q does not name the mismatch",
+					queries[i].Name, queries[j].Name, err)
+			}
+		}
 	}
 }

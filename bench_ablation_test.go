@@ -183,7 +183,7 @@ func BenchmarkAblationGEEAggregates(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				rel := math.Abs(est.ByID[p.ID].EstCard-truth) / truth
+				rel := math.Abs(est.Ops[p.ID].EstCard-truth) / truth
 				if mode == sample.OptimizerAgg {
 					optRel = append(optRel, rel)
 				} else {

@@ -253,3 +253,91 @@ func (c *Catalog) GroupCount(table, col string, inputRows float64) (float64, err
 	}
 	return g, nil
 }
+
+// FullSize returns Π|R| over the leaf tables of the subtree rooted at n:
+// the Cartesian size a selectivity of n is relative to.
+func (c *Catalog) FullSize(n *engine.Node) (float64, error) {
+	p := 1.0
+	for _, t := range n.LeafTables {
+		ts, err := c.Table(t)
+		if err != nil {
+			return 0, err
+		}
+		p *= float64(ts.Rows)
+	}
+	return p, nil
+}
+
+// JoinFactor returns JoinSelectivityFactor for a join node, each join
+// column resolved to the first leaf table of its side that carries it.
+func (c *Catalog) JoinFactor(n *engine.Node) (float64, error) {
+	lt, err := c.tableOf(n.Left.LeafTables, n.LeftCol)
+	if err != nil {
+		return 0, err
+	}
+	rt, err := c.tableOf(n.Right.LeafTables, n.RightCol)
+	if err != nil {
+		return 0, err
+	}
+	return c.JoinSelectivityFactor(lt, n.LeftCol, rt, n.RightCol)
+}
+
+func (c *Catalog) tableOf(tables []string, col string) (string, error) {
+	for _, t := range tables {
+		if _, err := c.Column(t, col); err == nil {
+			return t, nil
+		}
+	}
+	return "", fmt.Errorf("catalog: column %q not found among %v", col, tables)
+}
+
+// Cardinality returns the optimizer's estimate of the output cardinality
+// of the subtree rooted at n, which the predictor falls back to at and
+// above aggregates (Algorithm 1 lines 3-5).
+func (c *Catalog) Cardinality(n *engine.Node) (float64, error) {
+	switch {
+	case n.Kind.IsScan():
+		ts, err := c.Table(n.Table)
+		if err != nil {
+			return 0, err
+		}
+		card := float64(ts.Rows)
+		for pi := range n.Preds {
+			sel, err := c.PredicateSelectivity(n.Table, &n.Preds[pi])
+			if err != nil {
+				return 0, err
+			}
+			card *= sel
+		}
+		return card, nil
+	case n.Kind.IsJoin():
+		l, err := c.Cardinality(n.Left)
+		if err != nil {
+			return 0, err
+		}
+		r, err := c.Cardinality(n.Right)
+		if err != nil {
+			return 0, err
+		}
+		f, err := c.JoinFactor(n)
+		if err != nil {
+			return 0, err
+		}
+		return l * r * f, nil
+	case n.Kind == engine.Aggregate:
+		in, err := c.Cardinality(n.Left)
+		if err != nil {
+			return 0, err
+		}
+		if n.GroupCol == "" {
+			return 1, nil
+		}
+		tab, _, err := c.FindColumn(n.GroupCol)
+		if err != nil {
+			return 0, err
+		}
+		return c.GroupCount(tab, n.GroupCol, in)
+	default: // Sort, Materialize
+		return c.Cardinality(n.Left)
+	}
+}

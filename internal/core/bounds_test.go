@@ -11,40 +11,39 @@ import (
 
 // boundFixture builds a two-level plan (scan under join) whose variables
 // are ancestor-descendant, so covariance terms must be bounded.
-func boundFixture() (scan, join *engine.Node, info map[int]*varInfo) {
+func boundFixture() (scan, join *engine.Node, asm *assembly) {
 	scan = &engine.Node{Kind: engine.SeqScan, Table: "r",
 		Preds: []engine.Predicate{{Col: "a", Op: engine.Le, Lo: 1}}}
 	other := &engine.Node{Kind: engine.SeqScan, Table: "s"}
 	join = &engine.Node{Kind: engine.HashJoin, LeftCol: "a", RightCol: "c",
 		Left: scan, Right: other}
-	join.Finalize()
-	info = map[int]*varInfo{
-		scan.ID: {
-			node:      scan,
-			dist:      stats.NewNormal(0.3, 0.02),
-			leafComp:  map[int]float64{0: 0.0004},
-			leafN:     map[int]int{0: 500},
-			leafKeys:  []int{0},
-			numLeaves: 1,
-		},
-		other.ID: {
-			node:      other,
-			dist:      stats.NewNormal(1.0, 0),
-			leafComp:  map[int]float64{1: 0},
-			leafN:     map[int]int{1: 500},
-			leafKeys:  []int{1},
-			numLeaves: 1,
-		},
-		join.ID: {
-			node:      join,
-			dist:      stats.NewNormal(0.001, 0.0002),
-			leafComp:  map[int]float64{0: 3e-8, 1: 1e-8},
-			leafN:     map[int]int{0: 500, 1: 500},
-			leafKeys:  []int{0, 1},
-			numLeaves: 2,
-		},
+	asm = &assembly{
+		nodes: join.Finalize(),
+		vars:  make([]stats.Normal, 3),
+		info:  make([]varInfo, 3),
 	}
-	return scan, join, info
+	asm.vars[scan.ID] = stats.NewNormal(0.3, 0.02)
+	asm.info[scan.ID] = varInfo{
+		leafOff:   0,
+		leafComp:  []float64{0.0004},
+		leafN:     []int{500},
+		numLeaves: 1,
+	}
+	asm.vars[other.ID] = stats.NewNormal(1.0, 0)
+	asm.info[other.ID] = varInfo{
+		leafOff:   1,
+		leafComp:  []float64{0},
+		leafN:     []int{500},
+		numLeaves: 1,
+	}
+	asm.vars[join.ID] = stats.NewNormal(0.001, 0.0002)
+	asm.info[join.ID] = varInfo{
+		leafOff:   0,
+		leafComp:  []float64{3e-8, 1e-8},
+		leafN:     []int{500, 500},
+		numLeaves: 2,
+	}
+	return scan, join, asm
 }
 
 func linTerm(v int, coef float64) costmodel.Term {
@@ -56,21 +55,21 @@ func sqTerm(v int, coef float64) costmodel.Term {
 }
 
 func TestCovTermsIndependentVarsExact(t *testing.T) {
-	scan, join, info := boundFixture()
+	scan, join, asm := boundFixture()
 	_ = join
 	p := New(nil, [5]stats.Normal{}, Config{})
 	// Same variable: Cov(5X, 3X) = 15 sigma^2, exact.
-	cov, bounded := p.covTerms(linTerm(scan.ID, 5), linTerm(scan.ID, 3), info)
-	want := 15 * info[scan.ID].dist.Var()
+	cov, bounded := p.covTerms(linTerm(scan.ID, 5), linTerm(scan.ID, 3), asm)
+	want := 15 * asm.vars[scan.ID].Var()
 	if bounded || math.Abs(cov-want) > 1e-15 {
 		t.Errorf("same-var cov = %v (bounded=%v), want %v exact", cov, bounded, want)
 	}
 }
 
 func TestCovTermsAncestorDescendantBounded(t *testing.T) {
-	scan, join, info := boundFixture()
+	scan, join, asm := boundFixture()
 	p := New(nil, [5]stats.Normal{}, Config{})
-	cov, bounded := p.covTerms(linTerm(scan.ID, 2), linTerm(join.ID, 4), info)
+	cov, bounded := p.covTerms(linTerm(scan.ID, 2), linTerm(join.ID, 4), asm)
 	if !bounded {
 		t.Fatal("expected a bounded covariance for nested operators")
 	}
@@ -78,66 +77,66 @@ func TestCovTermsAncestorDescendantBounded(t *testing.T) {
 		t.Errorf("bound %v negative", cov)
 	}
 	// Must not exceed Cauchy-Schwarz.
-	cs := math.Sqrt(termVar(linTerm(scan.ID, 2), info) * termVar(linTerm(join.ID, 4), info))
+	cs := math.Sqrt(termVar(linTerm(scan.ID, 2), asm.vars) * termVar(linTerm(join.ID, 4), asm.vars))
 	if cov > cs+1e-18 {
 		t.Errorf("bound %v exceeds Cauchy-Schwarz %v", cov, cs)
 	}
 }
 
 func TestTightBoundBelowCauchySchwarz(t *testing.T) {
-	scan, join, info := boundFixture()
+	scan, join, asm := boundFixture()
 	pTight := New(nil, [5]stats.Normal{}, Config{})
 	pLoose := New(nil, [5]stats.Normal{}, Config{LooseBounds: true})
 	a, b := linTerm(scan.ID, 1), linTerm(join.ID, 1)
-	tight, _ := pTight.covTerms(a, b, info)
-	loose, _ := pLoose.covTerms(a, b, info)
+	tight, _ := pTight.covTerms(a, b, asm)
+	loose, _ := pLoose.covTerms(a, b, asm)
 	if tight > loose+1e-18 {
 		t.Errorf("tight bound %v above loose bound %v", tight, loose)
 	}
 }
 
 func TestNoCovZeroesBoundedTerms(t *testing.T) {
-	scan, join, info := boundFixture()
+	scan, join, asm := boundFixture()
 	p := New(nil, [5]stats.Normal{}, Config{Variant: NoCov})
-	cov, bounded := p.covTerms(linTerm(scan.ID, 1), linTerm(join.ID, 1), info)
+	cov, bounded := p.covTerms(linTerm(scan.ID, 1), linTerm(join.ID, 1), asm)
 	if cov != 0 || bounded {
 		t.Errorf("NoCov: cov=%v bounded=%v, want 0/false", cov, bounded)
 	}
 }
 
 func TestQuadraticBoundsUseTheorems(t *testing.T) {
-	scan, join, info := boundFixture()
+	scan, join, asm := boundFixture()
 	p := New(nil, [5]stats.Normal{}, Config{})
 	// X^2 vs X'^2 triggers Theorem 9; X^2 vs X' triggers Theorem 10.
-	c99, b99 := p.covTerms(sqTerm(scan.ID, 1), sqTerm(join.ID, 1), info)
-	c21, b21 := p.covTerms(sqTerm(scan.ID, 1), linTerm(join.ID, 1), info)
+	c99, b99 := p.covTerms(sqTerm(scan.ID, 1), sqTerm(join.ID, 1), asm)
+	c21, b21 := p.covTerms(sqTerm(scan.ID, 1), linTerm(join.ID, 1), asm)
 	if !b99 || !b21 || c99 < 0 || c21 < 0 {
 		t.Errorf("quadratic bounds: (%v,%v) (%v,%v)", c99, b99, c21, b21)
 	}
 }
 
 func TestSharedLeaves(t *testing.T) {
-	scan, join, info := boundFixture()
-	m, n := sharedLeaves(info[scan.ID], info[join.ID])
+	scan, join, asm := boundFixture()
+	m, n := sharedLeaves(&asm.info[scan.ID], &asm.info[join.ID])
 	if m != 1 || n != 500 {
 		t.Errorf("sharedLeaves = (%d, %d), want (1, 500)", m, n)
 	}
 	// Disjoint leaf sets share nothing.
-	m, n = sharedLeaves(info[scan.ID], &varInfo{leafN: map[int]int{9: 100}})
+	m, n = sharedLeaves(&asm.info[scan.ID], &varInfo{leafOff: 9, leafN: []int{100}})
 	if m != 0 || n != 0 {
 		t.Errorf("disjoint sharedLeaves = (%d, %d)", m, n)
 	}
 }
 
 func TestRestrictedVarSumsSharedComponents(t *testing.T) {
-	scan, join, info := boundFixture()
+	scan, join, asm := boundFixture()
 	// The join shares only leaf 0 with the scan.
-	got := restrictedVar(info[join.ID], info[scan.ID])
+	got := restrictedVar(&asm.info[join.ID], &asm.info[scan.ID])
 	if math.Abs(got-3e-8) > 1e-20 {
 		t.Errorf("restrictedVar = %v, want 3e-8", got)
 	}
 	// The scan's full variance vs the join: all its leaves are shared.
-	got = restrictedVar(info[scan.ID], info[join.ID])
+	got = restrictedVar(&asm.info[scan.ID], &asm.info[join.ID])
 	if math.Abs(got-0.0004) > 1e-18 {
 		t.Errorf("restrictedVar = %v, want 4e-4", got)
 	}
@@ -178,15 +177,15 @@ func TestGAndHRho(t *testing.T) {
 }
 
 func TestExactTermCovMatchesStatsHelpers(t *testing.T) {
-	scan, _, info := boundFixture()
-	x := info[scan.ID].dist
+	scan, _, asm := boundFixture()
+	x := asm.vars[scan.ID]
 	// Cov(X, X^2) = 2 mu sigma^2.
-	got := exactTermCov(linTerm(scan.ID, 1), sqTerm(scan.ID, 1), info)
+	got := linTerm(scan.ID, 1).Cov(sqTerm(scan.ID, 1), asm.vars)
 	if want := stats.CovXX2(x); math.Abs(got-want) > 1e-15 {
 		t.Errorf("Cov(X, X^2) = %v, want %v", got, want)
 	}
-	// Var[X^2] via exactTermCov of the square with itself.
-	got = exactTermCov(sqTerm(scan.ID, 1), sqTerm(scan.ID, 1), info)
+	// Var[X^2] via the covariance of the square with itself.
+	got = sqTerm(scan.ID, 1).Cov(sqTerm(scan.ID, 1), asm.vars)
 	if want := stats.VarX2(x); math.Abs(got-want) > 1e-15 {
 		t.Errorf("Var[X^2] = %v, want %v", got, want)
 	}

@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/costmodel"
@@ -120,19 +119,20 @@ func (p *Prediction) DominantUnit() hardware.Unit {
 	return hardware.Unit(best)
 }
 
-// varInfo is everything the covariance engine needs about one
-// selectivity random variable (one scan/join/aggregate operator).
+// varInfo is what the covariance bounds need about one selectivity
+// random variable (one operator), beside its distribution and its node:
+// its run of the plan's leaf ordinals.
 type varInfo struct {
-	node *engine.Node
-	dist stats.Normal
-	// leafComp / leafN as produced by the sampling estimator; leafComp
-	// restricted sums give the S^2_{rho}(m,n) bounds of Theorem 7.
-	leafComp map[int]float64
-	leafN    map[int]int
-	// leafKeys is leafComp's key set sorted ascending: restricted sums
-	// iterate it instead of the map, so their accumulation order — and
-	// floating-point rounding — never depends on map iteration order.
-	leafKeys []int
+	// The operator's leaves are the ordinals [leafOff, leafOff+len(leafN))
+	// with leafN[i] the sample size of leaf leafOff+i, as produced by the
+	// estimator and shared with it — read-only. leafComp holds the
+	// per-leaf variance components over the same run (restricted sums
+	// give the S^2_{rho}(m,n) bounds of Theorem 7), or is empty when the
+	// variant ignores selectivity variance. Two operators' shared leaves
+	// are the intersection of their runs.
+	leafOff  int
+	leafComp []float64
+	leafN    []int
 	// numLeaves is K, the number of leaf relations of the operator.
 	numLeaves int
 }
@@ -141,7 +141,6 @@ type varInfo struct {
 // function with its distribution under the selectivity variables.
 type item struct {
 	opID  int
-	kind  engine.NodeKind
 	unit  int
 	f     *costmodel.Func
 	mean  float64
@@ -150,46 +149,66 @@ type item struct {
 }
 
 // assembly is the fitted state shared by the analytic and Monte-Carlo
-// prediction paths.
+// prediction paths. nodes, vars and info are indexed by node ID — the
+// operator's position in the plan's preorder.
 type assembly struct {
+	nodes []*engine.Node // plan preorder
+	vars  []stats.Normal
+	info  []varInfo
 	items []item
-	vars  map[int]stats.Normal
-	info  map[int]*varInfo
-	order []int // node IDs in plan preorder
+}
+
+// checkEstimates verifies that est was computed for the plan whose
+// preorder is nodes: one operator per node, and each operator's leaf run
+// either empty (at and above an aggregate) or exactly the node's own
+// leaves. Everything downstream indexes by node ID and leaf ordinal
+// without looking again.
+func checkEstimates(nodes []*engine.Node, est *sample.Estimates) error {
+	if len(est.Ops) != len(nodes) {
+		return fmt.Errorf("core: estimates hold %d operators, the plan has %d", len(est.Ops), len(nodes))
+	}
+	off := 0 // leaf ordinal of the next scan: the leftmost leaf of nodes[i]
+	for i, n := range nodes {
+		if n.ID != i {
+			return fmt.Errorf("core: node at preorder position %d has ID %d (plan not finalized)", i, n.ID)
+		}
+		e := &est.Ops[i]
+		if k := len(e.LeafN); len(e.LeafComp) != k || k != 0 && (k != len(n.LeafTables) || e.LeafOff != off) {
+			return fmt.Errorf("core: estimate of node %d (%v) covers %d leaves from ordinal %d, the operator has %d from %d",
+				i, n.Kind, k, e.LeafOff, len(n.LeafTables), off)
+		}
+		if n.Kind.IsScan() {
+			off++
+		}
+	}
+	return nil
 }
 
 // assemble runs the front half of Algorithm 2: collect the selectivity
 // variables and fit every operator's per-unit cost functions.
 func (p *Predictor) assemble(root *engine.Node, est *sample.Estimates) (*assembly, error) {
 	nodes := root.Nodes()
-
-	vars := make(map[int]stats.Normal)
-	info := make(map[int]*varInfo)
-	selfRho := make(map[int]float64)
-	for _, n := range nodes {
-		e, err := est.Get(n)
-		if err != nil {
-			return nil, err
-		}
-		selfRho[n.ID] = e.Rho
-		v := e.Var
-		lc := e.LeafComp
+	if err := checkEstimates(nodes, est); err != nil {
+		return nil, err
+	}
+	a := &assembly{
+		nodes: nodes,
+		vars:  make([]stats.Normal, len(nodes)),
+		info:  make([]varInfo, len(nodes)),
+	}
+	selfRho := make([]float64, len(nodes))
+	for i, n := range nodes {
+		e := &est.Ops[i]
+		selfRho[i] = e.Rho
+		v, lc := e.Var, e.LeafComp
 		if p.Cfg.Variant == NoVarX {
-			v = 0
-			lc = map[int]float64{}
+			v, lc = 0, nil
 		}
-		keys := make([]int, 0, len(lc))
-		for k := range lc {
-			keys = append(keys, k)
-		}
-		sort.Ints(keys)
-		vars[n.ID] = stats.NormalFromVar(e.Rho, v)
-		info[n.ID] = &varInfo{
-			node:      n,
-			dist:      vars[n.ID],
+		a.vars[i] = stats.NormalFromVar(e.Rho, v)
+		a.info[i] = varInfo{
+			leafOff:   e.LeafOff,
 			leafComp:  lc,
 			leafN:     e.LeafN,
-			leafKeys:  keys,
 			numLeaves: len(n.LeafTables),
 		}
 	}
@@ -198,21 +217,19 @@ func (p *Predictor) assemble(root *engine.Node, est *sample.Estimates) (*assembl
 	if err != nil {
 		return nil, err
 	}
-	a := &assembly{vars: vars, info: info}
-	for _, n := range nodes {
-		funcs, err := costmodel.FitNode(models[n.ID], vars, p.Cfg.GridW)
+	for i := range nodes {
+		funcs, err := costmodel.FitNode(&models[i], a.vars, p.Cfg.GridW)
 		if err != nil {
 			return nil, err
 		}
-		a.order = append(a.order, n.ID)
 		for ui := 0; ui < hardware.NumUnits; ui++ {
 			f := funcs[ui]
 			if f.IsZero() {
 				continue
 			}
-			m, v := f.Dist(vars)
+			m, v := f.Dist(a.vars)
 			a.items = append(a.items, item{
-				opID: n.ID, kind: n.Kind, unit: ui, f: f,
+				opID: i, unit: ui, f: f,
 				mean: m, vr: v, terms: f.Terms(),
 			})
 		}
@@ -221,16 +238,17 @@ func (p *Predictor) assemble(root *engine.Node, est *sample.Estimates) (*assembl
 }
 
 // Predict computes the distribution of likely running times for a
-// finalized plan given its sampled selectivity estimates.
+// finalized plan given its sampled selectivity estimates. Estimates of
+// another plan are an error.
 func (p *Predictor) Predict(root *engine.Node, est *sample.Estimates) (*Prediction, error) {
-	a, err := p.assemble(root, est)
+	asm, err := p.assemble(root, est)
 	if err != nil {
 		return nil, err
 	}
-	items, info, order := a.items, a.info, a.order
-	perOp := make(map[int]*OpPrediction)
-	for _, n := range root.Nodes() {
-		perOp[n.ID] = &OpPrediction{NodeID: n.ID, Kind: n.Kind}
+	items := asm.items
+	perOp := make([]OpPrediction, len(asm.nodes))
+	for i, n := range asm.nodes {
+		perOp[i] = OpPrediction{NodeID: i, Kind: n.Kind}
 	}
 
 	// Unit moments, honoring the NoVar[c] ablation.
@@ -265,7 +283,7 @@ func (p *Predictor) Predict(root *engine.Node, est *sample.Estimates) (*Predicti
 		perOp[a.opID].Var += v
 		for j := i + 1; j < len(items); j++ {
 			b := items[j]
-			covF, bound := p.covFuncs(a.terms, b.terms, info)
+			covF, bound := p.covFuncs(a.terms, b.terms, asm)
 			var contrib float64
 			if a.unit == b.unit {
 				// Cov(f c, f' c) = E[c]^2 Cov + Var[c](E[f]E[f'] + Cov).
@@ -287,26 +305,21 @@ func (p *Predictor) Predict(root *engine.Node, est *sample.Estimates) (*Predicti
 		variance = 0
 	}
 
-	pred := &Prediction{
-		Dist:      stats.NormalFromVar(mean, variance),
-		CovDirect: covDirect,
-		CovBound:  covBound,
-		PerUnit:   perUnit,
-	}
-	for _, id := range order {
-		pred.PerOperator = append(pred.PerOperator, *perOp[id])
-	}
-	return pred, nil
+	return &Prediction{
+		Dist:        stats.NormalFromVar(mean, variance),
+		PerOperator: perOp,
+		CovDirect:   covDirect,
+		CovBound:    covBound,
+		PerUnit:     perUnit,
+	}, nil
 }
 
 // covFuncs returns Cov(f_a, f_b) between two cost functions (as term
-// lists) and whether any upper bound was involved. sameOp indicates the
-// functions belong to the same operator (their variables are identical
-// or independent, so everything is exact).
-func (p *Predictor) covFuncs(ta, tb []costmodel.Term, info map[int]*varInfo) (cov float64, bounded bool) {
+// lists) and whether any upper bound was involved.
+func (p *Predictor) covFuncs(ta, tb []costmodel.Term, asm *assembly) (cov float64, bounded bool) {
 	for _, a := range ta {
 		for _, b := range tb {
-			c, bnd := p.covTerms(a, b, info)
+			c, bnd := p.covTerms(a, b, asm)
 			cov += c
 			if bnd {
 				bounded = true
@@ -317,7 +330,7 @@ func (p *Predictor) covFuncs(ta, tb []costmodel.Term, info map[int]*varInfo) (co
 }
 
 // covTerms computes or bounds Cov(a, b) for two monomials.
-func (p *Predictor) covTerms(a, b costmodel.Term, info map[int]*varInfo) (float64, bool) {
+func (p *Predictor) covTerms(a, b costmodel.Term, asm *assembly) (float64, bool) {
 	if a.NVars == 0 || b.NVars == 0 || a.Coef == 0 || b.Coef == 0 {
 		return 0, false
 	}
@@ -331,71 +344,32 @@ func (p *Predictor) covTerms(a, b costmodel.Term, info map[int]*varInfo) (float6
 			if va == vb {
 				continue
 			}
-			ia, ib := info[va], info[vb]
-			if engine.IsDescendant(ia.node, ib.node) || engine.IsDescendant(ib.node, ia.node) {
+			na, nb := asm.nodes[va], asm.nodes[vb]
+			if engine.IsDescendant(na, nb) || engine.IsDescendant(nb, na) {
 				dependentUnknown = true
 			}
 		}
 	}
 	if !dependentUnknown {
-		return exactTermCov(a, b, info), false
+		return a.Cov(b, asm.vars), false
 	}
 	if p.Cfg.Variant == NoCov {
 		return 0, false
 	}
-	return p.boundTermCov(a, b, info), true
-}
-
-// exactTermCov factors E[ab] per variable (independent across distinct
-// variables), using normal moments up to order 4.
-func exactTermCov(a, b costmodel.Term, info map[int]*varInfo) float64 {
-	// Joint power per variable, accumulated in term order — NOT via a
-	// map — so the product's floating-point rounding (and hence the
-	// predicted sigma) is bit-identical from run to run.
-	var ids, pows [4]int
-	n := 0
-	add := func(v, p int) {
-		for i := 0; i < n; i++ {
-			if ids[i] == v {
-				pows[i] += p
-				return
-			}
-		}
-		ids[n], pows[n] = v, p
-		n++
-	}
-	for i := 0; i < a.NVars; i++ {
-		add(a.Vars[i], a.Pows[i])
-	}
-	for i := 0; i < b.NVars; i++ {
-		add(b.Vars[i], b.Pows[i])
-	}
-	eab := a.Coef * b.Coef
-	for i := 0; i < n; i++ {
-		eab *= info[ids[i]].dist.Moment(pows[i])
-	}
-	return eab - termMean(a, info)*termMean(b, info)
-}
-
-func termMean(t costmodel.Term, info map[int]*varInfo) float64 {
-	m := t.Coef
-	for i := 0; i < t.NVars; i++ {
-		m *= info[t.Vars[i]].dist.Moment(t.Pows[i])
-	}
-	return m
+	return p.boundTermCov(a, b, asm), true
 }
 
 // termVar returns Var[term] with the term's own variables mutually
 // independent.
-func termVar(t costmodel.Term, info map[int]*varInfo) float64 {
+func termVar(t costmodel.Term, vars []stats.Normal) float64 {
 	if t.NVars == 0 {
 		return 0
 	}
 	e2 := t.Coef * t.Coef
 	for i := 0; i < t.NVars; i++ {
-		e2 *= info[t.Vars[i]].dist.Moment(2 * t.Pows[i])
+		e2 *= vars[t.Vars[i]].Moment(2 * t.Pows[i])
 	}
-	m := termMean(t, info)
+	m := t.Mean(vars)
 	v := e2 - m*m
 	if v < 0 {
 		v = 0
@@ -408,13 +382,14 @@ func termVar(t costmodel.Term, info map[int]*varInfo) float64 {
 // (Section 5.3.2 and Appendix A.7/A.8). The bound is the minimum of the
 // Cauchy-Schwarz bound and, where the term shapes allow, the tighter
 // sample-variance (Theorem 7) and population (Theorems 8-10) bounds.
-func (p *Predictor) boundTermCov(a, b costmodel.Term, info map[int]*varInfo) float64 {
+func (p *Predictor) boundTermCov(a, b costmodel.Term, asm *assembly) float64 {
 	// Cauchy-Schwarz: |Cov| <= sqrt(Var[a] Var[b]) — always applicable.
-	bound := math.Sqrt(termVar(a, info) * termVar(b, info))
+	bound := math.Sqrt(termVar(a, asm.vars) * termVar(b, asm.vars))
 
 	// For single-variable terms, tighter bounds are available.
 	if a.NVars == 1 && b.NVars == 1 && !p.Cfg.LooseBounds {
-		ia, ib := info[a.Vars[0]], info[b.Vars[0]]
+		ia, ib := &asm.info[a.Vars[0]], &asm.info[b.Vars[0]]
+		rhoA, rhoB := asm.vars[a.Vars[0]].Mu, asm.vars[b.Vars[0]].Mu
 		coef := math.Abs(a.Coef * b.Coef)
 		m, n := sharedLeaves(ia, ib)
 		if n > 0 && m > 0 {
@@ -428,23 +403,23 @@ func (p *Predictor) boundTermCov(a, b costmodel.Term, info map[int]*varInfo) flo
 				}
 				// Theorem 8: f(n,m) g(rho) g(rho').
 				f := 1 - math.Pow(1-1/float64(n), float64(m))
-				if t8 := coef * f * gRho(ia.dist.Mu) * gRho(ib.dist.Mu); t8 < bound {
+				if t8 := coef * f * gRho(rhoA) * gRho(rhoB); t8 < bound {
 					bound = t8
 				}
 			case a.Pows[0] == 2 && b.Pows[0] == 2:
 				// Theorem 9.
 				f := theorem9F(n, m, ia.numLeaves, ib.numLeaves)
-				if t9 := coef * f * hRho(ia.dist.Mu) * hRho(ib.dist.Mu); t9 < bound {
+				if t9 := coef * f * hRho(rhoA) * hRho(rhoB); t9 < bound {
 					bound = t9
 				}
 			default:
 				// Theorem 10 (one squared, one linear).
-				sq, ln := ia, ib
+				sq, ln, rhoSq, rhoLn := ia, ib, rhoA, rhoB
 				if b.Pows[0] == 2 {
-					sq, ln = ib, ia
+					sq, ln, rhoSq, rhoLn = ib, ia, rhoB, rhoA
 				}
 				f := theorem10F(n, m, sq.numLeaves, ln.numLeaves)
-				if t10 := coef * f * hRho(sq.dist.Mu) * gRho(ln.dist.Mu); t10 < bound {
+				if t10 := coef * f * hRho(rhoSq) * gRho(rhoLn); t10 < bound {
 					bound = t10
 				}
 			}
@@ -453,34 +428,33 @@ func (p *Predictor) boundTermCov(a, b costmodel.Term, info map[int]*varInfo) flo
 	return bound
 }
 
+// overlap intersects the leaf runs [aOff, aOff+aLen) and [bOff, bOff+bLen).
+// The intersection is empty when hi <= lo.
+func overlap(aOff, aLen, bOff, bLen int) (lo, hi int) {
+	return max(aOff, bOff), min(aOff+aLen, bOff+bLen)
+}
+
 // sharedLeaves returns m = |R ∩ R'| and the smallest shared sample size.
 func sharedLeaves(a, b *varInfo) (m, n int) {
+	lo, hi := overlap(a.leafOff, len(a.leafN), b.leafOff, len(b.leafN))
+	if hi <= lo {
+		return 0, 0
+	}
 	n = math.MaxInt
-	for k := range a.leafN {
-		if nk, ok := b.leafN[k]; ok {
-			m++
-			if nk < n {
-				n = nk
-			}
-			if ak := a.leafN[k]; ak < n {
-				n = ak
-			}
-		}
+	for k := lo; k < hi; k++ {
+		n = min(n, a.leafN[k-a.leafOff], b.leafN[k-b.leafOff])
 	}
-	if m == 0 {
-		n = 0
-	}
-	return m, n
+	return hi - lo, n
 }
 
 // restrictedVar returns S^2_rho(m, n): the variance components of `of`
-// restricted to the leaf relations it shares with `with` (Appendix A.7).
+// restricted to the leaf relations it shares with `with` (Appendix A.7),
+// summed in ascending leaf ordinal.
 func restrictedVar(of, with *varInfo) float64 {
+	lo, hi := overlap(of.leafOff, len(of.leafComp), with.leafOff, len(with.leafN))
 	var s float64
-	for _, k := range of.leafKeys {
-		if _, ok := with.leafN[k]; ok {
-			s += of.leafComp[k]
-		}
+	for k := lo; k < hi; k++ {
+		s += of.leafComp[k-of.leafOff]
 	}
 	return s
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/calibrate"
@@ -295,6 +298,119 @@ func TestVariantStrings(t *testing.T) {
 	for v, s := range want {
 		if v.String() != s {
 			t.Errorf("%d.String() = %s, want %s", int(v), v.String(), s)
+		}
+	}
+}
+
+// TestPassOwnsItsRowsUnderPredict pins the sharing contract of the
+// sample → core hand-off: one memoized Pass spliced into two plans at
+// different leaf offsets hands both the same LeafComp/LeafN arrays (only
+// LeafOff is a plan's own), and predicting either plan — both at once,
+// under every variant, so the race detector sees any write — leaves them
+// as the Pass made them.
+func TestPassOwnsItsRowsUnderPredict(t *testing.T) {
+	f := newFixture(t, All)
+	sdb, err := sample.Build(f.db, 0.05, 2, 47)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := func() *engine.Node {
+		return &engine.Node{
+			Kind: engine.HashJoin, LeftCol: "o_orderkey", RightCol: "l_orderkey",
+			Left: &engine.Node{Kind: engine.SeqScan, Table: "orders",
+				Preds: []engine.Predicate{{Col: "o_totalprice", Op: engine.Le, Lo: 30000}}},
+			Right: &engine.Node{Kind: engine.SeqScan, Table: "lineitem"},
+		}
+	}
+	// The shared join's leaves are ordinals 0-1 of the first plan and 1-2
+	// of the second.
+	first := &engine.Node{Kind: engine.HashJoin, LeftCol: "l_suppkey", RightCol: "s_suppkey",
+		Left: shared(), Right: &engine.Node{Kind: engine.SeqScan, Table: "supplier"}}
+	second := &engine.Node{Kind: engine.HashJoin, LeftCol: "s_suppkey", RightCol: "l_suppkey",
+		Left: &engine.Node{Kind: engine.SeqScan, Table: "supplier"}, Right: shared()}
+	first.Finalize()
+	second.Finalize()
+
+	passes := make(map[string]*sample.Pass)
+	memo := func(key string, compute func() (*sample.Pass, error)) (*sample.Pass, error) {
+		if p, ok := passes[key]; ok {
+			return p, nil
+		}
+		p, err := compute()
+		if err == nil {
+			passes[key] = p
+		}
+		return p, err
+	}
+	estFirst, err := sample.EstimateMemo(context.Background(), first, sdb, f.cat, memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	estSecond, err := sample.EstimateMemo(context.Background(), second, sdb, f.cat, memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := &estFirst.Ops[first.Left.ID], &estSecond.Ops[second.Right.ID]
+	if a.LeafOff != 0 || b.LeafOff != 1 || len(a.LeafComp) != 2 || len(a.LeafN) != 2 {
+		t.Fatalf("shared join spliced at offsets %d and %d with %d/%d leaves, want 0 and 1 with 2/2",
+			a.LeafOff, b.LeafOff, len(a.LeafComp), len(a.LeafN))
+	}
+	if &a.LeafComp[0] != &b.LeafComp[0] || &a.LeafN[0] != &b.LeafN[0] {
+		t.Fatal("the two plans hold copies of the shared Pass's leaf slices, not the slices")
+	}
+	comp, ns := slices.Clone(a.LeafComp), slices.Clone(a.LeafN)
+
+	var wg sync.WaitGroup
+	for _, c := range []struct {
+		root *engine.Node
+		est  *sample.Estimates
+	}{{first, estFirst}, {second, estSecond}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, v := range []Variant{All, NoVarC, NoVarX, NoCov} {
+				for _, loose := range []bool{false, true} {
+					p := New(f.cat, f.pred.Units, Config{Variant: v, LooseBounds: loose})
+					if _, err := p.Predict(c.root, c.est); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+			if _, err := f.pred.PredictMonteCarlo(c.root, c.est, MCOptions{Draws: 200, Seed: 48}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if !slices.Equal(a.LeafComp, comp) || !slices.Equal(a.LeafN, ns) {
+		t.Error("a prediction wrote to the Pass's leaf slices")
+	}
+}
+
+// TestPredictAboveMidTreeAggregate runs both estimators' estimates of a
+// join above an aggregate — tainted by both, so its leaf run is empty —
+// through the up-front estimate check and the predictor.
+func TestPredictAboveMidTreeAggregate(t *testing.T) {
+	f := newFixture(t, All)
+	plan := &engine.Node{
+		Kind: engine.HashJoin, LeftCol: "l_suppkey", RightCol: "s_suppkey",
+		Left: &engine.Node{Kind: engine.Aggregate, GroupCol: "l_suppkey",
+			Left: &engine.Node{Kind: engine.SeqScan, Table: "lineitem"}},
+		Right: &engine.Node{Kind: engine.SeqScan, Table: "supplier"},
+	}
+	plan.Finalize()
+	hist, err := sample.EstimateHistogram(plan, f.cat, sample.HistogramOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, est := range map[string]*sample.Estimates{"sampling": f.estimates(t, plan, 0.05, 49), "histogram": hist} {
+		pred, err := f.pred.Predict(plan, est)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if pred.Mean() <= 0 || len(pred.PerOperator) != 4 {
+			t.Errorf("%s: mean %v over %d operators", name, pred.Mean(), len(pred.PerOperator))
 		}
 	}
 }

@@ -88,37 +88,29 @@ func (p *Predictor) PredictMonteCarlo(root *engine.Node, est *sample.Estimates, 
 	if err != nil {
 		return nil, err
 	}
-	// Collect the variables actually referenced by the cost functions.
-	varIDs := make(map[int]bool)
+	// Mark the variables the cost functions actually reference: only
+	// those are drawn, in node-ID order.
+	used := make([]bool, len(a.vars))
 	for _, it := range a.items {
 		for _, t := range it.terms {
 			for i := 0; i < t.NVars; i++ {
-				varIDs[t.Vars[i]] = true
+				used[t.Vars[i]] = true
 			}
 		}
 	}
-	ids := make([]int, 0, len(varIDs))
-	for id := range varIDs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 
-	// The draw vector is a dense scratch slice indexed by node ID (IDs
-	// are dense preorder ordinals from Finalize), reused across all
-	// draws, so the loop does slice indexing instead of map lookups and
-	// allocates nothing per draw.
+	// The draw vector is indexed by node ID like a.vars and reused across
+	// all draws, so the loop allocates nothing per draw.
 	rng := rand.New(rand.NewSource(opt.Seed))
-	maxID := -1
-	if len(ids) > 0 {
-		maxID = ids[len(ids)-1] // ids is sorted ascending
-	}
-	draw := make([]float64, maxID+1)
+	draw := make([]float64, len(a.vars))
 	samples := make([]float64, 0, opt.Draws)
 	var acc mcAccum
 	for d := 0; d < opt.Draws; d++ {
 		// Selectivities: truncated normal draws in [0, 1].
-		for _, id := range ids {
-			x := a.vars[id]
+		for id, x := range a.vars {
+			if !used[id] {
+				continue
+			}
 			v := x.Mu
 			if x.Sigma > 0 && p.Cfg.Variant != NoVarX {
 				v = x.Mu + x.Sigma*rng.NormFloat64()
@@ -146,7 +138,7 @@ func (p *Predictor) PredictMonteCarlo(root *engine.Node, est *sample.Estimates, 
 		}
 		var t float64
 		for _, it := range a.items {
-			t += it.f.EvalVec(draw) * c[it.unit]
+			t += it.f.Eval(draw) * c[it.unit]
 		}
 		samples = append(samples, t)
 		acc.add(t)

@@ -213,3 +213,19 @@ func (f *fixture) estimates(t *testing.T, plan *engine.Node, ratio float64, seed
 
 // The datagen import anchors the fixture database scale used above.
 var _ = datagen.Scale1GB
+
+// TestMonteCarloRejectsMismatchedEstimates: the Monte-Carlo path runs the
+// same up-front check as Predict (which the root package tests through
+// the public Predictor stage) before it indexes anything by node ID.
+func TestMonteCarloRejectsMismatchedEstimates(t *testing.T) {
+	f := newFixture(t, All)
+	scan, join := scanQuery(), joinQuery()
+	for name, c := range map[string]struct{ plan, estOf *engine.Node }{
+		"fewer": {join, scan}, "more": {scan, join},
+	} {
+		est := f.estimates(t, c.estOf, 0.05, 50)
+		if mc, err := f.pred.PredictMonteCarlo(c.plan, est, MCOptions{Draws: 10, Seed: 51}); err == nil {
+			t.Errorf("%s operators than the plan: nil error, mean %v", name, mc.Mean())
+		}
+	}
+}

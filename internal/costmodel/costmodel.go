@@ -82,32 +82,9 @@ func (f *Func) IsZero() bool {
 	return true
 }
 
-// Eval evaluates the function at the given variable assignment.
-func (f *Func) Eval(x map[int]float64) float64 {
-	switch f.Kind {
-	case C1:
-		return f.B[0]
-	case C2, C3:
-		return f.B[0]*x[f.VarA] + f.B[1]
-	case C4:
-		xa := x[f.VarA]
-		return f.B[0]*xa*xa + f.B[1]*xa + f.B[2]
-	case C5:
-		return f.B[0]*x[f.VarA] + f.B[1]*x[f.VarB] + f.B[2]
-	case C6:
-		xa, xb := x[f.VarA], x[f.VarB]
-		return f.B[0]*xa*xb + f.B[1]*xa + f.B[2]*xb + f.B[3]
-	default:
-		panic(fmt.Sprintf("costmodel: bad kind %d", int(f.Kind)))
-	}
-}
-
-// EvalVec evaluates the function at a dense variable assignment indexed
-// by node ID — the scratch-buffer counterpart of Eval for hot loops
-// (e.g. the Monte-Carlo draw loop) that evaluate many functions against
-// one assignment. x must cover every referenced VarA/VarB index; the
-// arithmetic is exactly Eval's, so the two agree bit for bit.
-func (f *Func) EvalVec(x []float64) float64 {
+// Eval evaluates the function at a variable assignment indexed by node
+// ID. x must cover every referenced VarA/VarB index.
+func (f *Func) Eval(x []float64) float64 {
 	switch f.Kind {
 	case C1:
 		return f.B[0]
@@ -170,8 +147,9 @@ func (f *Func) Terms() []Term {
 	}
 }
 
-// Mean returns E[term] under independent normal variables.
-func (t Term) Mean(vars map[int]stats.Normal) float64 {
+// Mean returns E[term] under independent normal variables, vars indexed
+// by node ID.
+func (t Term) Mean(vars []stats.Normal) float64 {
 	m := t.Coef
 	for i := 0; i < t.NVars; i++ {
 		m *= vars[t.Vars[i]].Moment(t.Pows[i])
@@ -182,8 +160,9 @@ func (t Term) Mean(vars map[int]stats.Normal) float64 {
 // Dist returns the mean and variance of the cost function given the
 // marginal distributions of its variables. Distinct variables within one
 // function are independent (Lemma 2: sibling subtrees use different
-// sample tables). For C4 this reproduces Lemma 4; for C6, Lemma 8.
-func (f *Func) Dist(vars map[int]stats.Normal) (mean, variance float64) {
+// sample tables). For C4 this reproduces Lemma 4; for C6, Lemma 8. vars
+// is indexed by node ID.
+func (f *Func) Dist(vars []stats.Normal) (mean, variance float64) {
 	terms := f.Terms()
 	for _, t := range terms {
 		mean += t.Mean(vars)
@@ -193,7 +172,7 @@ func (f *Func) Dist(vars map[int]stats.Normal) (mean, variance float64) {
 			if i > j {
 				continue
 			}
-			c := termCovSameFunc(a, b, vars)
+			c := a.Cov(b, vars)
 			if i == j {
 				variance += c
 			} else {
@@ -207,10 +186,11 @@ func (f *Func) Dist(vars map[int]stats.Normal) (mean, variance float64) {
 	return mean, variance
 }
 
-// termCovSameFunc computes Cov(a, b) for two monomials whose distinct
-// variables are mutually independent (terms of a single operator's cost
-// function). E[ab] factors per variable using normal moments up to 4.
-func termCovSameFunc(a, b Term, vars map[int]stats.Normal) float64 {
+// Cov computes Cov(a, b) for two monomials whose distinct variables are
+// mutually independent — terms of a single operator's cost function, or
+// of two operators neither of which is the other's ancestor (Lemma 3).
+// E[ab] factors per variable using normal moments up to 4.
+func (a Term) Cov(b Term, vars []stats.Normal) float64 {
 	if a.NVars == 0 || b.NVars == 0 {
 		return 0
 	}

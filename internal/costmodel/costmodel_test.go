@@ -50,13 +50,23 @@ func env(t *testing.T) (*engine.DB, *catalog.Catalog, *engine.Node) {
 	return db, catalog.Build(db), plan
 }
 
+// byID lays a per-node fixture out as the slice of n entries indexed by
+// node ID that the package takes.
+func byID[T any](n int, m map[int]T) []T {
+	s := make([]T, n)
+	for id, v := range m {
+		s[id] = v
+	}
+	return s
+}
+
 func TestBuildModelsVariables(t *testing.T) {
 	_, cat, plan := env(t)
-	selfRho := map[int]float64{
+	selfRho := byID(3, map[int]float64{
 		plan.ID:       0.001,
 		plan.Left.ID:  0.1,
 		plan.Right.ID: 1.0,
-	}
+	})
 	models, err := BuildModels(plan, cat, selfRho)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +94,7 @@ func TestVarOwnerSkipsPassThrough(t *testing.T) {
 			Left: &engine.Node{Kind: engine.SeqScan, Table: "r",
 				Preds: []engine.Predicate{{Col: "b", Op: engine.Lt, Lo: 25}}}}}
 	plan.Finalize()
-	models, err := BuildModels(plan, cat, map[int]float64{})
+	models, err := BuildModels(plan, cat, make([]float64, len(plan.Nodes())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +109,7 @@ func TestVarOwnerSkipsPassThrough(t *testing.T) {
 
 func TestCountsMatchEngineFormulas(t *testing.T) {
 	_, cat, plan := env(t)
-	selfRho := map[int]float64{plan.ID: 0.002, plan.Left.ID: 0.1, plan.Right.ID: 1.0}
+	selfRho := byID(3, map[int]float64{plan.ID: 0.002, plan.Left.ID: 0.1, plan.Right.ID: 1.0})
 	models, _ := BuildModels(plan, cat, selfRho)
 
 	// Index scan at X = 0.1: engine formula with m = 500.
@@ -120,15 +130,15 @@ func TestCountsMatchEngineFormulas(t *testing.T) {
 
 func TestFitRecoversLinearExactly(t *testing.T) {
 	_, cat, plan := env(t)
-	selfRho := map[int]float64{plan.ID: 0.002, plan.Left.ID: 0.1, plan.Right.ID: 1.0}
+	selfRho := byID(3, map[int]float64{plan.ID: 0.002, plan.Left.ID: 0.1, plan.Right.ID: 1.0})
 	models, _ := BuildModels(plan, cat, selfRho)
-	vars := map[int]stats.Normal{
+	vars := byID(3, map[int]stats.Normal{
 		plan.Left.ID:  stats.NewNormal(0.1, 0.01),
 		plan.Right.ID: stats.NewNormal(1.0, 0),
-	}
+	})
 
 	// Index scan: nr = M = X*5000, so C2 with b0 = 5000, b1 = 0.
-	funcs, err := FitNode(models[plan.Left.ID], vars, DefaultGridW)
+	funcs, err := FitNode(&models[plan.Left.ID], vars, DefaultGridW)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +148,7 @@ func TestFitRecoversLinearExactly(t *testing.T) {
 	}
 
 	// Join nt = Nl + Nr + theta*Xl*Xr*|R| -> C6 exact.
-	jf, err := FitNode(models[plan.ID], vars, DefaultGridW)
+	jf, err := FitNode(&models[plan.ID], vars, DefaultGridW)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +174,11 @@ func TestFitSortQuadraticApproximation(t *testing.T) {
 		Left: &engine.Node{Kind: engine.SeqScan, Table: "r",
 			Preds: []engine.Predicate{{Col: "b", Op: engine.Lt, Lo: 25}}}}
 	plan.Finalize()
-	models, _ := BuildModels(plan, cat, map[int]float64{})
+	models, _ := BuildModels(plan, cat, make([]float64, len(plan.Nodes())))
 	scanID := plan.Left.ID
 	x := stats.NewNormal(0.5, 0.03)
-	vars := map[int]stats.Normal{scanID: x}
-	funcs, err := FitNode(models[plan.ID], vars, DefaultGridW)
+	vars := byID(2, map[int]stats.Normal{scanID: x})
+	funcs, err := FitNode(&models[plan.ID], vars, DefaultGridW)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +191,7 @@ func TestFitSortQuadraticApproximation(t *testing.T) {
 	for _, xv := range []float64{0.42, 0.5, 0.58} {
 		n := xv * 5000
 		truth := n * math.Log2(n)
-		got := no.Eval(map[int]float64{scanID: xv})
+		got := no.Eval(byID(2, map[int]float64{scanID: xv}))
 		if math.Abs(got-truth)/truth > 0.05 {
 			t.Errorf("x=%v: fit %v vs N log N %v", xv, got, truth)
 		}
@@ -193,9 +203,9 @@ func TestFitConstantSeqScan(t *testing.T) {
 	plan := &engine.Node{Kind: engine.SeqScan, Table: "r",
 		Preds: []engine.Predicate{{Col: "b", Op: engine.Lt, Lo: 25}}}
 	plan.Finalize()
-	models, _ := BuildModels(plan, cat, map[int]float64{})
-	vars := map[int]stats.Normal{plan.ID: stats.NewNormal(0.5, 0.05)}
-	funcs, err := FitNode(models[plan.ID], vars, DefaultGridW)
+	models, _ := BuildModels(plan, cat, make([]float64, len(plan.Nodes())))
+	vars := []stats.Normal{stats.NewNormal(0.5, 0.05)}
+	funcs, err := FitNode(&models[plan.ID], vars, DefaultGridW)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +227,7 @@ func TestDistMatchesLemma4(t *testing.T) {
 	// C4 variance must equal sigma^2[(b1+2 b0 mu)^2 + 2 b0^2 sigma^2].
 	f := &Func{Kind: C4, B: []float64{3, 2, 1}, VarA: 7, VarB: -1}
 	x := stats.NewNormal(0.4, 0.05)
-	vars := map[int]stats.Normal{7: x}
+	vars := []stats.Normal{7: x}
 	mean, variance := f.Dist(vars)
 	s2 := x.Var()
 	wantVar := s2 * (math.Pow(2+2*3*0.4, 2) + 2*9*s2)
@@ -236,7 +246,7 @@ func TestDistMatchesLemma8(t *testing.T) {
 	f := &Func{Kind: C6, B: []float64{5, 3, 2, 1}, VarA: 1, VarB: 2}
 	xl := stats.NewNormal(0.3, 0.04)
 	xr := stats.NewNormal(0.6, 0.07)
-	vars := map[int]stats.Normal{1: xl, 2: xr}
+	vars := []stats.Normal{1: xl, 2: xr}
 	_, variance := f.Dist(vars)
 	sl2, sr2 := xl.Var(), xr.Var()
 	want := sl2*math.Pow(5*0.6+3, 2) + sr2*math.Pow(5*0.3+2, 2) + 25*sl2*sr2
@@ -248,14 +258,14 @@ func TestDistMatchesLemma8(t *testing.T) {
 func TestDistLinearForms(t *testing.T) {
 	f := &Func{Kind: C3, B: []float64{10, 4}, VarA: 3, VarB: -1}
 	x := stats.NewNormal(0.2, 0.03)
-	mean, variance := f.Dist(map[int]stats.Normal{3: x})
+	mean, variance := f.Dist([]stats.Normal{3: x})
 	if !almostEq(mean, 10*0.2+4, 1e-12) || !almostEq(variance, 100*x.Var(), 1e-12) {
 		t.Errorf("C3 dist = (%v, %v)", mean, variance)
 	}
 	f5 := &Func{Kind: C5, B: []float64{10, 20, 4}, VarA: 1, VarB: 2}
 	xl := stats.NewNormal(0.2, 0.03)
 	xr := stats.NewNormal(0.5, 0.01)
-	m5, v5 := f5.Dist(map[int]stats.Normal{1: xl, 2: xr})
+	m5, v5 := f5.Dist([]stats.Normal{1: xl, 2: xr})
 	if !almostEq(m5, 10*0.2+20*0.5+4, 1e-12) ||
 		!almostEq(v5, 100*xl.Var()+400*xr.Var(), 1e-12) {
 		t.Errorf("C5 dist = (%v, %v)", m5, v5)
@@ -269,7 +279,7 @@ func TestDistProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		fn := &Func{Kind: C5, B: []float64{r.Float64() * 100, r.Float64() * 100, r.Float64() * 10},
 			VarA: 1, VarB: 2}
-		vars := map[int]stats.Normal{
+		vars := []stats.Normal{
 			1: stats.NewNormal(r.Float64(), r.Float64()*0.1),
 			2: stats.NewNormal(r.Float64(), r.Float64()*0.1),
 		}
@@ -277,7 +287,7 @@ func TestDistProperty(t *testing.T) {
 		if variance < 0 {
 			return false
 		}
-		at := fn.Eval(map[int]float64{1: vars[1].Mu, 2: vars[2].Mu})
+		at := fn.Eval([]float64{1: vars[1].Mu, 2: vars[2].Mu})
 		return almostEq(mean, at, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -287,7 +297,7 @@ func TestDistProperty(t *testing.T) {
 
 func TestTermsRoundTrip(t *testing.T) {
 	// Sum of term means equals Dist mean for every kind.
-	vars := map[int]stats.Normal{
+	vars := []stats.Normal{
 		1: stats.NewNormal(0.3, 0.05),
 		2: stats.NewNormal(0.7, 0.02),
 	}

@@ -49,29 +49,29 @@ func gridPoints(lo, hi float64, w int) []float64 {
 // non-negative least-squares program of Section 4.2. Variables are
 // scaled by their interval maximum before fitting; the scaling preserves
 // the sign constraints and keeps the normal equations well-conditioned.
-func FitNode(m *NodeModel, vars map[int]stats.Normal, gridW int) ([hardware.NumUnits]*Func, error) {
+// vars is indexed by node ID.
+func FitNode(m *NodeModel, vars []stats.Normal, gridW int) ([hardware.NumUnits]*Func, error) {
 	if gridW < 2 {
 		gridW = DefaultGridW
 	}
 	var funcs [hardware.NumUnits]*Func
 
-	xa, okA := vars[m.VarA], m.VarA >= 0
-	xb, okB := vars[m.VarB], m.VarB >= 0
+	var xa, xb stats.Normal
+	okA, okB := m.VarA >= 0, m.VarB >= 0
+	if okA {
+		xa = vars[m.VarA]
+	}
+	if okB {
+		xb = vars[m.VarB]
+	}
 
 	for ui := 0; ui < hardware.NumUnits; ui++ {
 		u := hardware.Unit(ui)
 		kind := m.KindFor(u)
 		switch {
 		case kind == C1:
-			mu := 0.0
-			if okA {
-				mu = xa.Mu
-			}
-			mb := 0.0
-			if okB {
-				mb = xb.Mu
-			}
-			funcs[ui] = Constant(m.Counts(mu, mb).Get(ui))
+			// An unused variable is the zero Normal: the count at X = 0.
+			funcs[ui] = Constant(m.Counts(xa.Mu, xb.Mu).Get(ui))
 		case !kind.Binary():
 			if !okA {
 				return funcs, fmt.Errorf("costmodel: node %d kind %v needs a variable", m.Node.ID, kind)

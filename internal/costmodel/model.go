@@ -17,9 +17,10 @@ type NodeModel struct {
 	Node *engine.Node
 
 	// VarA and VarB identify the selectivity variables: the node IDs of
-	// the operators whose output selectivities drive this node's cost.
-	// Scans use their own ID; unary operators use their child's variable;
-	// joins use both children's variables.
+	// the operators whose output selectivities drive this node's cost —
+	// the indices FitNode reads in its vars slice; -1 when unused. Scans
+	// use their own ID; unary operators use their child's variable; joins
+	// use both children's variables.
 	VarA, VarB int
 
 	// SizeL and SizeR are Π|R| over the left and right child subtrees'
@@ -53,17 +54,20 @@ func varOwner(n *engine.Node) int {
 	}
 }
 
-// BuildModels constructs a NodeModel per plan node. selfRho maps node ID
-// to the operator's estimated selectivity, used only to calibrate Theta.
-func BuildModels(root *engine.Node, cat *catalog.Catalog, selfRho map[int]float64) (map[int]*NodeModel, error) {
-	models := make(map[int]*NodeModel)
+// BuildModels constructs the NodeModel of every plan node, indexed by
+// node ID. selfRho holds each operator's estimated selectivity by node ID
+// (one entry per plan node, zero where unknown), used only to calibrate
+// Theta.
+func BuildModels(root *engine.Node, cat *catalog.Catalog, selfRho []float64) ([]NodeModel, error) {
+	models := make([]NodeModel, len(selfRho))
 	var walk func(n *engine.Node) error
 	walk = func(n *engine.Node) error {
-		size, err := leafProduct(n, cat)
+		size, err := cat.FullSize(n)
 		if err != nil {
 			return err
 		}
-		m := &NodeModel{Node: n, VarA: -1, VarB: -1, Size: size}
+		m := &models[n.ID]
+		*m = NodeModel{Node: n, VarA: -1, VarB: -1, Size: size}
 		switch {
 		case n.Kind.IsScan():
 			m.VarA = n.ID
@@ -88,15 +92,7 @@ func BuildModels(root *engine.Node, cat *catalog.Catalog, selfRho map[int]float6
 			}
 			m.VarA = varOwner(n.Left)
 			m.VarB = varOwner(n.Right)
-			sl, err := leafProduct(n.Left, cat)
-			if err != nil {
-				return err
-			}
-			sr, err := leafProduct(n.Right, cat)
-			if err != nil {
-				return err
-			}
-			m.SizeL, m.SizeR = sl, sr
+			m.SizeL, m.SizeR = models[n.Left.ID].Size, models[n.Right.ID].Size
 			// Calibrate Theta at the estimated point; fall back to the
 			// optimizer's join selectivity factor (M = Nl*Nr*f implies
 			// Theta = f) when estimates are unavailable or degenerate.
@@ -104,7 +100,7 @@ func BuildModels(root *engine.Node, cat *catalog.Catalog, selfRho map[int]float6
 			self := selfRho[n.ID]
 			if xa > 0 && xb > 0 && self > 0 {
 				m.Theta = self / (xa * xb)
-			} else if f, err := optimizerJoinFactor(n, cat); err == nil {
+			} else if f, err := cat.JoinFactor(n); err == nil {
 				m.Theta = f
 			}
 		default: // unary
@@ -112,53 +108,14 @@ func BuildModels(root *engine.Node, cat *catalog.Catalog, selfRho map[int]float6
 				return err
 			}
 			m.VarA = varOwner(n.Left)
-			sl, err := leafProduct(n.Left, cat)
-			if err != nil {
-				return err
-			}
-			m.SizeL = sl
+			m.SizeL = models[n.Left.ID].Size
 		}
-		models[n.ID] = m
 		return nil
 	}
 	if err := walk(root); err != nil {
 		return nil, err
 	}
 	return models, nil
-}
-
-// optimizerJoinFactor returns the catalog's System-R style join
-// selectivity factor for a join node.
-func optimizerJoinFactor(n *engine.Node, cat *catalog.Catalog) (float64, error) {
-	var lt, rt string
-	for _, t := range n.Left.LeafTables {
-		if _, err := cat.Column(t, n.LeftCol); err == nil {
-			lt = t
-			break
-		}
-	}
-	for _, t := range n.Right.LeafTables {
-		if _, err := cat.Column(t, n.RightCol); err == nil {
-			rt = t
-			break
-		}
-	}
-	if lt == "" || rt == "" {
-		return 0, fmt.Errorf("costmodel: join columns %q/%q not found", n.LeftCol, n.RightCol)
-	}
-	return cat.JoinSelectivityFactor(lt, n.LeftCol, rt, n.RightCol)
-}
-
-func leafProduct(n *engine.Node, cat *catalog.Catalog) (float64, error) {
-	p := 1.0
-	for _, t := range n.LeafTables {
-		ts, err := cat.Table(t)
-		if err != nil {
-			return 0, err
-		}
-		p *= float64(ts.Rows)
-	}
-	return p, nil
 }
 
 // Counts invokes the cost model at hypothetical selectivities (xa, xb):

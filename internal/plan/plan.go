@@ -196,86 +196,6 @@ func Build(q *Query, cat *catalog.Catalog) (*engine.Node, error) {
 	return root, nil
 }
 
-// EstimateCardinalities returns the optimizer's estimated output
-// cardinality per node ID for a finalized plan — the fallback estimates
-// the predictor uses above aggregates.
-func EstimateCardinalities(root *engine.Node, cat *catalog.Catalog) (map[int]float64, error) {
-	est := make(map[int]float64)
-	var walk func(n *engine.Node) (float64, error)
-	walk = func(n *engine.Node) (float64, error) {
-		switch {
-		case n.Kind.IsScan():
-			ts, err := cat.Table(n.Table)
-			if err != nil {
-				return 0, err
-			}
-			card := float64(ts.Rows)
-			for pi := range n.Preds {
-				sel, err := cat.PredicateSelectivity(n.Table, &n.Preds[pi])
-				if err != nil {
-					return 0, err
-				}
-				card *= sel
-			}
-			est[n.ID] = card
-			return card, nil
-		case n.Kind.IsJoin():
-			l, err := walk(n.Left)
-			if err != nil {
-				return 0, err
-			}
-			r, err := walk(n.Right)
-			if err != nil {
-				return 0, err
-			}
-			lt, _, err := findColAmong(cat, n.Left.LeafTables, n.LeftCol)
-			if err != nil {
-				return 0, err
-			}
-			rt, _, err := findColAmong(cat, n.Right.LeafTables, n.RightCol)
-			if err != nil {
-				return 0, err
-			}
-			f, err := cat.JoinSelectivityFactor(lt, n.LeftCol, rt, n.RightCol)
-			if err != nil {
-				return 0, err
-			}
-			card := l * r * f
-			est[n.ID] = card
-			return card, nil
-		case n.Kind == engine.Aggregate:
-			in, err := walk(n.Left)
-			if err != nil {
-				return 0, err
-			}
-			var card float64 = 1
-			if n.GroupCol != "" {
-				tab, _, err := cat.FindColumn(n.GroupCol)
-				if err != nil {
-					return 0, err
-				}
-				card, err = cat.GroupCount(tab, n.GroupCol, in)
-				if err != nil {
-					return 0, err
-				}
-			}
-			est[n.ID] = card
-			return card, nil
-		default: // Sort, Materialize
-			in, err := walk(n.Left)
-			if err != nil {
-				return 0, err
-			}
-			est[n.ID] = in
-			return in, nil
-		}
-	}
-	if _, err := walk(root); err != nil {
-		return nil, err
-	}
-	return est, nil
-}
-
 // predsBySel sorts a predicate slice by estimated selectivity
 // (ascending) keeping the two slices aligned.
 type predsBySel struct {
@@ -288,13 +208,4 @@ func (p *predsBySel) Less(i, j int) bool { return p.sels[i] < p.sels[j] }
 func (p *predsBySel) Swap(i, j int) {
 	p.preds[i], p.preds[j] = p.preds[j], p.preds[i]
 	p.sels[i], p.sels[j] = p.sels[j], p.sels[i]
-}
-
-func findColAmong(cat *catalog.Catalog, tables []string, col string) (string, *catalog.ColumnStats, error) {
-	for _, t := range tables {
-		if cs, err := cat.Column(t, col); err == nil {
-			return t, cs, nil
-		}
-	}
-	return "", nil, fmt.Errorf("plan: column %q not found among %v", col, tables)
 }

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"hash"
-	"sort"
 	"testing"
 
 	"repro/internal/catalog"
@@ -47,31 +46,16 @@ func genPlans(tb testing.TB, kind datagen.DBKind, nEach int) ([]*engine.Node, *D
 
 // digestEstimates writes every operator of est into h in ascending node
 // ID, every float as %x: ID, Rho, Var, EstCard, FromOptimizer, LeafComp
-// and LeafN in ascending leaf ordinal, SampleCounts.
+// and LeafN in ascending global leaf ordinal (LeafOff + i), SampleCounts.
 func digestEstimates(h hash.Hash, est *Estimates) {
-	ids := make([]int, 0, len(est.ByID))
-	for id := range est.ByID {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		e := est.ByID[id]
+	for id := range est.Ops {
+		e := &est.Ops[id]
 		fmt.Fprintf(h, "%d %x %x %x %v", id, e.Rho, e.Var, e.EstCard, e.FromOptimizer)
-		ords := make([]int, 0, len(e.LeafComp))
-		for o := range e.LeafComp {
-			ords = append(ords, o)
+		for i, w := range e.LeafComp {
+			fmt.Fprintf(h, " c%d=%x", e.LeafOff+i, w)
 		}
-		sort.Ints(ords)
-		for _, o := range ords {
-			fmt.Fprintf(h, " c%d=%x", o, e.LeafComp[o])
-		}
-		ords = ords[:0]
-		for o := range e.LeafN {
-			ords = append(ords, o)
-		}
-		sort.Ints(ords)
-		for _, o := range ords {
-			fmt.Fprintf(h, " n%d=%d", o, e.LeafN[o])
+		for i, n := range e.LeafN {
+			fmt.Fprintf(h, " n%d=%d", e.LeafOff+i, n)
 		}
 		c := e.SampleCounts
 		fmt.Fprintf(h, " %x %x %x %x %x\n", c.NS, c.NR, c.NT, c.NI, c.NO)

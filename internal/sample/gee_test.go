@@ -107,11 +107,11 @@ func TestGEEBeatsOptimizerOnFilteredGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	optErr := math.Abs(opt.ByID[plan.ID].EstCard - truth)
-	geeErr := math.Abs(gee.ByID[plan.ID].EstCard - truth)
+	optErr := math.Abs(opt.Ops[plan.ID].EstCard - truth)
+	geeErr := math.Abs(gee.Ops[plan.ID].EstCard - truth)
 	if geeErr >= optErr {
 		t.Errorf("GEE error %v (est %v) not below optimizer error %v (est %v), truth %v",
-			geeErr, gee.ByID[plan.ID].EstCard, optErr, opt.ByID[plan.ID].EstCard, truth)
+			geeErr, gee.Ops[plan.ID].EstCard, optErr, opt.Ops[plan.ID].EstCard, truth)
 	}
 }
 
@@ -129,7 +129,7 @@ func TestGEEScalarAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.ByID[plan.ID].EstCard != 1 {
-		t.Errorf("scalar aggregate card %v, want 1", est.ByID[plan.ID].EstCard)
+	if est.Ops[plan.ID].EstCard != 1 {
+		t.Errorf("scalar aggregate card %v, want 1", est.Ops[plan.ID].EstCard)
 	}
 }

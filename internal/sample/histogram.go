@@ -2,7 +2,7 @@ package sample
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
@@ -43,19 +43,29 @@ func EstimateHistogram(root *engine.Node, cat *catalog.Catalog, opts HistogramOp
 	if opts.JoinRelSigma <= 0 {
 		opts.JoinRelSigma = DefaultJoinRelSigma
 	}
-	est := &Estimates{ByID: make(map[int]*OpEstimate)}
+	est := newEstimates(root)
 	leafCounter := 0
 
 	var walk func(n *engine.Node) (*OpEstimate, error)
 	walk = func(n *engine.Node) (*OpEstimate, error) {
-		full, err := fullSize(n, cat)
+		e, err := est.Get(n)
 		if err != nil {
 			return nil, err
 		}
+		full, err := cat.FullSize(n)
+		if err != nil {
+			return nil, err
+		}
+		// At and above an aggregate, as in the sampling pass: a cardinality
+		// over the full Cartesian size, zero variance, no leaf run.
+		fromOptimizer := func(card float64) {
+			*e = OpEstimate{FromOptimizer: true, EstCard: card}
+			if full > 0 {
+				e.Rho = card / full
+			}
+		}
 		switch {
 		case n.Kind.IsScan():
-			ord := leafCounter
-			leafCounter++
 			ts, err := cat.Table(n.Table)
 			if err != nil {
 				return nil, err
@@ -82,16 +92,15 @@ func EstimateHistogram(root *engine.Node, cat *catalog.Catalog, opts HistogramOp
 				variance = rho*rho*bv + sel*sel*variance
 				rho *= sel
 			}
-			e := &OpEstimate{
-				Node:     n,
+			*e = OpEstimate{
 				Rho:      rho,
 				Var:      variance,
-				LeafComp: map[int]float64{ord: variance},
-				LeafN:    map[int]int{ord: ts.Rows},
+				LeafOff:  leafCounter,
+				LeafComp: []float64{variance},
+				LeafN:    []int{ts.Rows},
 				EstCard:  rho * full,
 			}
-			est.ByID[n.ID] = e
-			return e, nil
+			leafCounter++
 		case n.Kind.IsJoin():
 			le, err := walk(n.Left)
 			if err != nil {
@@ -101,25 +110,42 @@ func EstimateHistogram(root *engine.Node, cat *catalog.Catalog, opts HistogramOp
 			if err != nil {
 				return nil, err
 			}
-			f, err := joinFactor(n, cat)
+			f, err := cat.JoinFactor(n)
 			if err != nil {
 				return nil, err
+			}
+			if le.FromOptimizer || re.FromOptimizer {
+				fromOptimizer(le.EstCard * re.EstCard * f)
+				break
 			}
 			rho := le.Rho * re.Rho * f
 			// Relative variances add for products of (approximately)
 			// independent factors.
 			rel := relVar(le) + relVar(re) + opts.JoinRelSigma*opts.JoinRelSigma
 			variance := rho * rho * rel
-			e := &OpEstimate{
-				Node:     n,
+			// The children's leaf runs are adjacent. Split the variance
+			// across the leaves proportionally to the children's shares so
+			// restricted sums stay meaningful.
+			comp := slices.Concat(le.LeafComp, re.LeafComp)
+			childSum := 0.0
+			for _, v := range comp {
+				childSum += v
+			}
+			for i, v := range comp {
+				if childSum > 0 {
+					comp[i] = variance * v / childSum
+				} else {
+					comp[i] = variance / float64(len(comp))
+				}
+			}
+			*e = OpEstimate{
 				Rho:      rho,
 				Var:      variance,
-				LeafComp: mergeComp(le, re, variance),
-				LeafN:    mergeN(le, re),
+				LeafOff:  le.LeafOff,
+				LeafComp: comp,
+				LeafN:    slices.Concat(le.LeafN, re.LeafN),
 				EstCard:  rho * full,
 			}
-			est.ByID[n.ID] = e
-			return e, nil
 		case n.Kind == engine.Aggregate:
 			ce, err := walk(n.Left)
 			if err != nil {
@@ -136,29 +162,15 @@ func EstimateHistogram(root *engine.Node, cat *catalog.Catalog, opts HistogramOp
 					return nil, err
 				}
 			}
-			rho := 0.0
-			if full > 0 {
-				rho = card / full
-			}
-			e := &OpEstimate{
-				Node: n, Rho: rho, FromOptimizer: true,
-				LeafComp: map[int]float64{}, LeafN: map[int]int{}, EstCard: card,
-			}
-			est.ByID[n.ID] = e
-			return e, nil
+			fromOptimizer(card)
 		default: // Sort, Materialize
 			ce, err := walk(n.Left)
 			if err != nil {
 				return nil, err
 			}
-			e := &OpEstimate{
-				Node: n, Rho: ce.Rho, Var: ce.Var,
-				LeafComp: ce.LeafComp, LeafN: ce.LeafN,
-				FromOptimizer: ce.FromOptimizer, EstCard: ce.EstCard,
-			}
-			est.ByID[n.ID] = e
-			return e, nil
+			*e = *ce
 		}
+		return e, nil
 	}
 	if _, err := walk(root); err != nil {
 		return nil, err
@@ -171,46 +183,4 @@ func relVar(e *OpEstimate) float64 {
 		return 0
 	}
 	return e.Var / (e.Rho * e.Rho)
-}
-
-func mergeComp(l, r *OpEstimate, total float64) map[int]float64 {
-	// Split the variance across leaves proportionally to the children's
-	// shares so restricted sums stay meaningful. Accumulate over sorted
-	// leaf keys: summing in map iteration order would reorder the float
-	// additions and wobble downstream predictions run to run.
-	comp := make(map[int]float64, len(l.LeafComp)+len(r.LeafComp))
-	keys := make([]int, 0, len(l.LeafComp)+len(r.LeafComp))
-	for _, m := range []map[int]float64{l.LeafComp, r.LeafComp} {
-		for k, v := range m {
-			if _, ok := comp[k]; !ok {
-				keys = append(keys, k)
-			}
-			comp[k] += v
-		}
-	}
-	sort.Ints(keys)
-	childSum := 0.0
-	for _, k := range keys {
-		childSum += comp[k]
-	}
-	out := make(map[int]float64, len(keys))
-	for _, k := range keys {
-		if childSum > 0 {
-			out[k] = total * comp[k] / childSum
-		} else {
-			out[k] = total / float64(len(keys))
-		}
-	}
-	return out
-}
-
-func mergeN(l, r *OpEstimate) map[int]int {
-	out := make(map[int]int, len(l.LeafN)+len(r.LeafN))
-	for k, v := range l.LeafN {
-		out[k] = v
-	}
-	for k, v := range r.LeafN {
-		out[k] = v
-	}
-	return out
 }

@@ -17,7 +17,7 @@ func TestHistogramScanEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := est.ByID[plan.ID]
+	e := est.Ops[plan.ID]
 	if math.Abs(e.Rho-truth) > 0.05 {
 		t.Errorf("histogram scan estimate %v vs truth %v", e.Rho, truth)
 	}
@@ -38,8 +38,8 @@ func TestHistogramJoinUncertaintyGrowsWithDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joinE := est.ByID[plan.ID]
-	leftE := est.ByID[plan.Left.ID]
+	joinE := &est.Ops[plan.ID]
+	leftE := &est.Ops[plan.Left.ID]
 	if joinE.Var <= 0 {
 		t.Fatal("join estimate has zero variance")
 	}
@@ -62,7 +62,7 @@ func TestHistogramJoinRelSigmaDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tight.ByID[plan.ID].Var >= def.ByID[plan.ID].Var {
+	if tight.Ops[plan.ID].Var >= def.Ops[plan.ID].Var {
 		t.Error("smaller JoinRelSigma did not reduce the join variance")
 	}
 }
@@ -75,7 +75,7 @@ func TestHistogramLeafComponentsSumToVariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := est.ByID[plan.ID]
+	e := est.Ops[plan.ID]
 	var sum float64
 	for _, v := range e.LeafComp {
 		sum += v
@@ -96,16 +96,56 @@ func TestHistogramAggregatePassThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := est.ByID[plan.ID]
+	agg := est.Ops[plan.ID]
 	if !agg.FromOptimizer {
 		t.Error("aggregate should be marked FromOptimizer")
 	}
 	if agg.EstCard < 5 || agg.EstCard > 15 {
 		t.Errorf("aggregate card %v, want ~10", agg.EstCard)
 	}
-	sortE := est.ByID[plan.Left.ID]
-	scanE := est.ByID[plan.Left.Left.ID]
+	sortE := est.Ops[plan.Left.ID]
+	scanE := est.Ops[plan.Left.Left.ID]
 	if sortE.Rho != scanE.Rho || sortE.Var != scanE.Var {
 		t.Error("sort did not pass its child's estimate through")
+	}
+}
+
+// TestHistogramJoinAboveAggregateIsTainted pins the one shape whose leaf
+// set would not be a contiguous run — a join above a mid-tree aggregate:
+// like the sampling pass, the histogram estimator gives such a join, and
+// every join above it, the optimizer-style cardinality with zero
+// variance and no leaf run, while the scans beside the aggregate keep
+// theirs.
+func TestHistogramJoinAboveAggregateIsTainted(t *testing.T) {
+	db := synthDB(1000, 800, 12, 35)
+	cat := catalog.Build(db)
+	// (r join Aggregate(s)) join r: without the taint the inner join's
+	// leaves would be {0} and the outer's {0, 2}.
+	plan := &engine.Node{
+		Kind: engine.HashJoin, LeftCol: "b", RightCol: "b",
+		Left: &engine.Node{
+			Kind: engine.HashJoin, LeftCol: "b", RightCol: "d",
+			Left: &engine.Node{Kind: engine.SeqScan, Table: "r"},
+			Right: &engine.Node{Kind: engine.Aggregate, GroupCol: "d",
+				Left: &engine.Node{Kind: engine.SeqScan, Table: "s"}},
+		},
+		Right: &engine.Node{Kind: engine.SeqScan, Table: "r"},
+	}
+	plan.Finalize()
+	est, err := EstimateHistogram(plan, cat, HistogramOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []*engine.Node{plan, plan.Left, plan.Left.Right} {
+		e := est.Ops[n.ID]
+		if !e.FromOptimizer || e.Var != 0 || len(e.LeafComp) != 0 || len(e.LeafN) != 0 || e.Rho <= 0 || e.EstCard <= 0 {
+			t.Errorf("node %d (%v): %+v, want an optimizer estimate with zero variance and no leaf run", n.ID, n.Kind, e)
+		}
+	}
+	for ord, n := range []*engine.Node{plan.Left.Left, plan.Left.Right.Left, plan.Right} {
+		e := est.Ops[n.ID]
+		if e.FromOptimizer || e.LeafOff != ord || len(e.LeafComp) != 1 || len(e.LeafN) != 1 {
+			t.Errorf("scan %d: %+v, want the one-leaf run at ordinal %d", n.ID, e, ord)
+		}
 	}
 }

@@ -101,20 +101,23 @@ func Build(db *engine.DB, ratio float64, copies int, seed int64) (*DB, error) {
 
 // OpEstimate is the estimated selectivity distribution of one operator.
 type OpEstimate struct {
-	Node *engine.Node
-
 	// Rho is the selectivity estimate rho_n; Var is the estimated
 	// variance sigma_n^2 ~= S^2_n / n of the estimate.
 	Rho float64
 	Var float64
 
-	// LeafComp maps leaf ordinal -> its contribution W_k to Var, so
-	// Var = sum_k LeafComp[k]. Restricting the sum to the leaves shared
-	// with another operator gives the S^2_{rho}(m, n) bound of
-	// Theorem 7 (Appendix A.7).
-	LeafComp map[int]float64
-	// LeafN maps leaf ordinal -> sample size n_k.
-	LeafN map[int]int
+	// The operator's leaves are the plan's leaf ordinals
+	// [LeafOff, LeafOff+len(LeafN)): LeafComp[i] is the contribution W_k
+	// of leaf k = LeafOff+i to Var, so Var = sum_i LeafComp[i], and
+	// LeafN[i] its sample size n_k. Restricting the sum to the leaves
+	// shared with another operator gives the S^2_{rho}(m, n) bound of
+	// Theorem 7 (Appendix A.7). Both slices are empty at and above an
+	// aggregate. They belong to the immutable Pass that computed them and
+	// are shared by every plan it is spliced into — only LeafOff is the
+	// plan's own — so nobody may write to them.
+	LeafOff  int
+	LeafComp []float64
+	LeafN    []int
 
 	// FromOptimizer marks operators (aggregates, and everything above
 	// them) whose estimate falls back to the optimizer's cardinality
@@ -138,34 +141,41 @@ func (e *OpEstimate) Sigma() float64 {
 	return math.Sqrt(e.Var)
 }
 
-// Estimates holds the per-operator estimates of one plan, keyed by node
-// ID. It is immutable once Estimate / EstimateMemo has returned and safe
-// to read from any number of goroutines (the predictor relies on this
-// when serving batched predictions).
+// Estimates holds the per-operator estimates of one plan in preorder:
+// Ops[id] is the estimate of the node with that ID. It is immutable once
+// Estimate / EstimateMemo has returned and safe to read from any number
+// of goroutines (the predictor relies on this when serving batched
+// predictions).
 type Estimates struct {
-	ByID map[int]*OpEstimate
+	Ops []OpEstimate
+}
+
+// newEstimates sizes an Estimates for the plan under root.
+func newEstimates(root *engine.Node) *Estimates {
+	return &Estimates{Ops: make([]OpEstimate, countNodes(root))}
+}
+
+func countNodes(n *engine.Node) int {
+	if n == nil {
+		return 0
+	}
+	return 1 + countNodes(n.Left) + countNodes(n.Right)
 }
 
 // Get returns the estimate for a node.
 func (e *Estimates) Get(n *engine.Node) (*OpEstimate, error) {
-	est, ok := e.ByID[n.ID]
-	if !ok {
+	if n.ID < 0 || n.ID >= len(e.Ops) {
 		return nil, fmt.Errorf("sample: no estimate for node %d (%v)", n.ID, n.Kind)
 	}
-	return est, nil
+	return &e.Ops[n.ID], nil
 }
 
 // TotalSampleCounts sums the sample-run resource counts across the plan,
 // used to measure the relative overhead of sampling (Section 6.4).
 func (e *Estimates) TotalSampleCounts() engine.Counts {
-	ids := make([]int, 0, len(e.ByID))
-	for id := range e.ByID {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	var total engine.Counts
-	for _, id := range ids {
-		total = total.Add(e.ByID[id].SampleCounts)
+	for i := range e.Ops {
+		total = total.Add(e.Ops[i].SampleCounts)
 	}
 	return total
 }
@@ -178,92 +188,6 @@ func (e *Estimates) TotalSampleCounts() engine.Counts {
 // instead.
 func Estimate(root *engine.Node, sdb *DB, cat *catalog.Catalog) (*Estimates, error) {
 	return EstimateMemo(context.Background(), root, sdb, cat, nil)
-}
-
-// fullSize returns Pi |R| over the node's leaf tables in the full
-// database.
-func fullSize(n *engine.Node, cat *catalog.Catalog) (float64, error) {
-	p := 1.0
-	for _, t := range n.LeafTables {
-		ts, err := cat.Table(t)
-		if err != nil {
-			return 0, err
-		}
-		p *= float64(ts.Rows)
-	}
-	return p, nil
-}
-
-// optimizerCard returns the optimizer's cardinality estimate of one
-// subtree from catalog statistics — the fallback for aggregates and the
-// tainted region above them (Algorithm 1 lines 3-5).
-func optimizerCard(n *engine.Node, cat *catalog.Catalog) (float64, error) {
-	switch {
-	case n.Kind.IsScan():
-		ts, err := cat.Table(n.Table)
-		if err != nil {
-			return 0, err
-		}
-		card := float64(ts.Rows)
-		for pi := range n.Preds {
-			sel, err := cat.PredicateSelectivity(n.Table, &n.Preds[pi])
-			if err != nil {
-				return 0, err
-			}
-			card *= sel
-		}
-		return card, nil
-	case n.Kind.IsJoin():
-		l, err := optimizerCard(n.Left, cat)
-		if err != nil {
-			return 0, err
-		}
-		r, err := optimizerCard(n.Right, cat)
-		if err != nil {
-			return 0, err
-		}
-		f, err := joinFactor(n, cat)
-		if err != nil {
-			return 0, err
-		}
-		return l * r * f, nil
-	case n.Kind == engine.Aggregate:
-		in, err := optimizerCard(n.Left, cat)
-		if err != nil {
-			return 0, err
-		}
-		if n.GroupCol == "" {
-			return 1.0, nil
-		}
-		tab, _, err := cat.FindColumn(n.GroupCol)
-		if err != nil {
-			return 0, err
-		}
-		return cat.GroupCount(tab, n.GroupCol, in)
-	default:
-		return optimizerCard(n.Left, cat)
-	}
-}
-
-func joinFactor(n *engine.Node, cat *catalog.Catalog) (float64, error) {
-	lt, err := tableOfColumn(cat, n.Left.LeafTables, n.LeftCol)
-	if err != nil {
-		return 0, err
-	}
-	rt, err := tableOfColumn(cat, n.Right.LeafTables, n.RightCol)
-	if err != nil {
-		return 0, err
-	}
-	return cat.JoinSelectivityFactor(lt, n.LeftCol, rt, n.RightCol)
-}
-
-func tableOfColumn(cat *catalog.Catalog, tables []string, col string) (string, error) {
-	for _, t := range tables {
-		if _, err := cat.Column(t, col); err == nil {
-			return t, nil
-		}
-	}
-	return "", fmt.Errorf("sample: column %q not found among %v", col, tables)
 }
 
 func colIndex(cols []string, name string) int {

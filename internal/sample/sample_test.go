@@ -99,7 +99,7 @@ func TestScanEstimateUnbiased(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rhos = append(rhos, est.ByID[plan.ID].Rho)
+		rhos = append(rhos, est.Ops[plan.ID].Rho)
 	}
 	if m := stats.Mean(rhos); math.Abs(m-truth) > 0.02 {
 		t.Errorf("mean estimate %v vs truth %v", m, truth)
@@ -124,7 +124,7 @@ func TestScanVarianceEstimateMatchesEmpirical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := est.ByID[plan.ID]
+		e := est.Ops[plan.ID]
 		rhos = append(rhos, e.Rho)
 		vars = append(vars, e.Var)
 	}
@@ -156,7 +156,7 @@ func TestJoinEstimateUnbiased(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rhos = append(rhos, est.ByID[plan.ID].Rho)
+		rhos = append(rhos, est.Ops[plan.ID].Rho)
 	}
 	m := stats.Mean(rhos)
 	if math.Abs(m-truth)/truth > 0.15 {
@@ -182,7 +182,7 @@ func TestJoinVarianceEstimateMatchesEmpirical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := est.ByID[plan.ID]
+		e := est.Ops[plan.ID]
 		rhos = append(rhos, e.Rho)
 		vars = append(vars, e.Var)
 	}
@@ -206,7 +206,7 @@ func TestJoinLeafComponentsSumToVar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := est.ByID[plan.ID]
+	e := est.Ops[plan.ID]
 	var sum float64
 	for _, w := range e.LeafComp {
 		sum += w
@@ -215,7 +215,7 @@ func TestJoinLeafComponentsSumToVar(t *testing.T) {
 		t.Errorf("leaf components sum %v != Var %v", sum, e.Var)
 	}
 	if len(e.LeafComp) != 2 || len(e.LeafN) != 2 {
-		t.Errorf("leaf maps: %v / %v", e.LeafComp, e.LeafN)
+		t.Errorf("leaf runs: %v / %v", e.LeafComp, e.LeafN)
 	}
 }
 
@@ -242,7 +242,7 @@ func TestEmptyJoinGetsFloorNotZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := est.ByID[plan.ID]
+	e := est.Ops[plan.ID]
 	if e.Rho <= 0 || e.Var <= 0 {
 		t.Errorf("empty join: rho=%v var=%v, want positive floor", e.Rho, e.Var)
 	}
@@ -262,7 +262,7 @@ func TestAggregateFallsBackToOptimizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := est.ByID[plan.ID]
+	e := est.Ops[plan.ID]
 	if !e.FromOptimizer || e.Var != 0 {
 		t.Errorf("aggregate: FromOptimizer=%v Var=%v", e.FromOptimizer, e.Var)
 	}
@@ -286,8 +286,8 @@ func TestPassThroughSharesVariable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortE := est.ByID[plan.ID]
-	scanE := est.ByID[plan.Left.ID]
+	sortE := est.Ops[plan.ID]
+	scanE := est.Ops[plan.Left.ID]
 	if sortE.Rho != scanE.Rho || sortE.Var != scanE.Var {
 		t.Errorf("sort estimate (%v,%v) differs from scan (%v,%v)",
 			sortE.Rho, sortE.Var, scanE.Rho, scanE.Var)
@@ -306,7 +306,7 @@ func TestEstCardScalesToFullDatabase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := est.ByID[plan.ID]
+	e := est.Ops[plan.ID]
 	if math.Abs(e.EstCard-e.Rho*10000) > 1e-9 {
 		t.Errorf("EstCard %v != rho*|R| %v", e.EstCard, e.Rho*10000)
 	}
@@ -418,7 +418,7 @@ func TestThreeWayJoinEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := est.ByID[plan.ID]
+	e := est.Ops[plan.ID]
 	if e.Rho <= 0 {
 		t.Fatal("zero three-way estimate")
 	}

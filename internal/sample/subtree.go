@@ -12,18 +12,20 @@ package sample
 //
 // The trick that makes a subtree pass position-independent is the local
 // leaf frame: inside a Pass, the subtree's leaves are numbered
-// 0..NumLeaves-1 left to right and sample-tuple provenance is
+// 0..numLeaves-1 left to right and sample-tuple provenance is
 // positional, so nothing in the cached value depends on where the
-// subtree sits in the enclosing plan. Only the OpEstimate leaf maps need
-// re-keying (by the subtree's global leaf offset) when a Pass is spliced
-// into a plan's Estimates, and only the sample-copy assignment — made
-// globally, in left-to-right plan order — enters the cache key, so a
-// memoized Pass carries exactly the numbers a fresh one would.
+// subtree sits in the enclosing plan. A subtree's leaves are one
+// contiguous run of the plan's leaf ordinals, so splicing a Pass into a
+// plan's Estimates copies its root estimate and sets one integer — the
+// run's offset — while the per-leaf slices stay the Pass's own, shared by
+// every plan that holds the subtree. Only the sample-copy assignment —
+// made globally, in left-to-right plan order — enters the cache key, so
+// a memoized Pass carries exactly the numbers a fresh one would.
 //
 // Provenance is the row. A surviving sample tuple's values are a pure
 // function of its provenance (a joined tuple is the concatenation of the
 // leaf sample tuples its provenance names), so a Pass keeps no values:
-// one flat []int32 block of provenance, stride NumLeaves, and the sample
+// one flat []int32 block of provenance, stride numLeaves, and the sample
 // tables of its leaves. Join keys and GEE's group keys are fetched late,
 // through the (leaf, column) a name resolves to. The block holds no
 // pointers, so what a memo retains is memory the collector never scans.
@@ -63,17 +65,10 @@ type Pass struct {
 	// of Algorithm 1), where sampling no longer applies: prov and leaves
 	// are nil and est carries the optimizer's fallback numbers.
 	tainted bool
-	// est is the subtree root's estimate with LeafComp/LeafN keyed by
-	// local leaf ordinals and Node left nil (both are position-dependent
-	// and re-derived when the Pass is spliced into a plan).
+	// est is the subtree root's estimate in the local frame: LeafOff is 0
+	// and is the one field a plan overwrites in its copy.
 	est OpEstimate
 }
-
-// NumLeaves returns the number of leaf relations under the subtree.
-func (p *Pass) NumLeaves() int { return p.numLeaves }
-
-// Rho returns the subtree root's selectivity estimate.
-func (p *Pass) Rho() float64 { return p.est.Rho }
 
 // rows returns the number of surviving sample tuples (0 when tainted).
 func (p *Pass) rows() int { return len(p.prov) / p.numLeaves }
@@ -96,25 +91,6 @@ func (p *Pass) column(name string) (col []int64, ord int) {
 // concurrency (the walk is sequential per plan, but several plans may
 // estimate at once). A nil PassMemo disables memoization.
 type PassMemo func(key string, compute func() (*Pass, error)) (*Pass, error)
-
-// globalEstimate splices the Pass's root estimate into a plan: leaf maps
-// re-keyed by the subtree's global leaf offset, Node bound to the plan's
-// own operator.
-func (p *Pass) globalEstimate(n *engine.Node, offset int) *OpEstimate {
-	lc := make(map[int]float64, len(p.est.LeafComp))
-	for o, v := range p.est.LeafComp {
-		lc[o+offset] = v
-	}
-	ln := make(map[int]int, len(p.est.LeafN))
-	for o, v := range p.est.LeafN {
-		ln[o+offset] = v
-	}
-	e := p.est
-	e.Node = n
-	e.LeafComp = lc
-	e.LeafN = ln
-	return &e
-}
 
 // passKey renders the memo key of a subtree: its canonical signature
 // (operators, predicates, join order — the same rendering whole-plan
@@ -158,7 +134,7 @@ func estimatePlan(ctx context.Context, root *engine.Node, sdb *DB, cat *catalog.
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	est := &Estimates{ByID: make(map[int]*OpEstimate)}
+	est := newEstimates(root)
 
 	// Pre-pass: assign each scan its sample copy in left-to-right plan
 	// order, each further appearance of a relation taking the next copy.
@@ -249,7 +225,13 @@ func estimatePlan(ctx context.Context, root *engine.Node, sdb *DB, cat *catalog.
 		if err != nil {
 			return nil, err
 		}
-		est.ByID[n.ID] = p.globalEstimate(n, off)
+		// Splice: the Pass's root estimate, its leaf run starting at off.
+		op, err := est.Get(n)
+		if err != nil {
+			return nil, err
+		}
+		*op = p.est
+		op.LeafOff = off
 		return p, nil
 	}
 	if _, err := walk(root, 0); err != nil {
@@ -261,13 +243,13 @@ func estimatePlan(ctx context.Context, root *engine.Node, sdb *DB, cat *catalog.
 // taintedJoinPass builds the Pass of a join above an aggregate: the
 // sampling pass stops at the aggregate, so the join's estimate is the
 // optimizer's cardinality over its full Cartesian size, with zero
-// variance and empty (non-nil) leaf maps.
+// variance and an empty leaf run.
 func taintedJoinPass(n *engine.Node, numLeaves int, cat *catalog.Catalog) (*Pass, error) {
-	full, err := fullSize(n, cat)
+	full, err := cat.FullSize(n)
 	if err != nil {
 		return nil, err
 	}
-	card, err := optimizerCard(n, cat)
+	card, err := cat.Cardinality(n)
 	if err != nil {
 		return nil, err
 	}
@@ -281,8 +263,6 @@ func taintedJoinPass(n *engine.Node, numLeaves int, cat *catalog.Catalog) (*Pass
 		est: OpEstimate{
 			Rho:           rho,
 			FromOptimizer: true,
-			LeafComp:      map[int]float64{},
-			LeafN:         map[int]int{},
 			EstCard:       card,
 		},
 	}, nil
@@ -297,11 +277,11 @@ func taintedJoinPass(n *engine.Node, numLeaves int, cat *catalog.Catalog) (*Pass
 // by the subtree signature and copy assignment, so the Pass memoizes
 // safely.
 func aggregatePass(n *engine.Node, child *Pass, cat *catalog.Catalog, agg AggEstimator) (*Pass, error) {
-	full, err := fullSize(n, cat)
+	full, err := cat.FullSize(n)
 	if err != nil {
 		return nil, err
 	}
-	card, err := optimizerCard(n, cat)
+	card, err := cat.Cardinality(n)
 	if err != nil {
 		return nil, err
 	}
@@ -319,9 +299,6 @@ func aggregatePass(n *engine.Node, child *Pass, cat *catalog.Catalog, agg AggEst
 		tainted:   true,
 		est: OpEstimate{
 			Rho:           rho,
-			Var:           0,
-			LeafComp:      map[int]float64{},
-			LeafN:         map[int]int{},
 			FromOptimizer: true,
 			EstCard:       card,
 			SampleCounts:  engine.UnaryCounts(engine.Aggregate, float64(child.rows())),
@@ -428,7 +405,7 @@ func scanPass(n *engine.Node, st *Table, cat *catalog.Catalog) (*Pass, error) {
 		rho = 0.5 / float64(nTotal)
 		v = rho * rho
 	}
-	full, err := fullSize(n, cat)
+	full, err := cat.FullSize(n)
 	if err != nil {
 		return nil, err
 	}
@@ -439,8 +416,8 @@ func scanPass(n *engine.Node, st *Table, cat *catalog.Catalog) (*Pass, error) {
 		est: OpEstimate{
 			Rho:          rho,
 			Var:          v,
-			LeafComp:     map[int]float64{0: v},
-			LeafN:        map[int]int{0: nTotal},
+			LeafComp:     []float64{v},
+			LeafN:        []int{nTotal},
 			EstCard:      rho * full,
 			SampleCounts: engine.ScanCounts(n.Kind, float64(nTotal), float64(mIndex), len(n.Preds)),
 		},
@@ -518,7 +495,7 @@ func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, e
 	}
 
 	leaves := append(append(make([]*Table, 0, k), left.leaves...), right.leaves...)
-	leafN := make(map[int]int, k)
+	leafN := make([]int, k)
 	// rho_n = |out| / Pi_k n_k, accumulated in left-to-right leaf order.
 	prodN := 1.0
 	for o, t := range leaves {
@@ -527,7 +504,7 @@ func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, e
 	}
 	rho := float64(nOut) / prodN
 
-	leafComp := make(map[int]float64, k)
+	leafComp := make([]float64, k)
 	var totalVar float64
 	for o, t := range leaves {
 		// Q_{k,j,n} accumulation (Algorithm 1 lines 11-13): one scan of the
@@ -563,7 +540,7 @@ func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, e
 		totalVar += wk
 	}
 
-	full, err := fullSize(n, cat)
+	full, err := cat.FullSize(n)
 	if err != nil {
 		return nil, err
 	}
@@ -581,7 +558,7 @@ func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, e
 	if nOut == 0 {
 		rho = 0.5 / prodN
 		totalVar = rho * rho
-		for o := 0; o < k; o++ {
+		for o := range leafComp {
 			leafComp[o] = totalVar / float64(k)
 		}
 	}

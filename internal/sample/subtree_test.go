@@ -87,17 +87,11 @@ func subtreePlans() []*engine.Node {
 // come from the same walker, which sums floats in a fixed order.
 func sameEstimates(t *testing.T, tag string, a, b *Estimates) {
 	t.Helper()
-	if len(a.ByID) != len(b.ByID) {
-		t.Fatalf("%s: %d vs %d estimates", tag, len(a.ByID), len(b.ByID))
+	if len(a.Ops) != len(b.Ops) {
+		t.Fatalf("%s: %d vs %d estimates", tag, len(a.Ops), len(b.Ops))
 	}
-	for id, ea := range a.ByID {
-		eb, ok := b.ByID[id]
-		if !ok {
-			t.Fatalf("%s: node %d missing", tag, id)
-		}
-		if eb.Node == nil || eb.Node.ID != id {
-			t.Errorf("%s: node %d has wrong Node binding %+v", tag, id, eb.Node)
-		}
+	for id := range a.Ops {
+		ea, eb := &a.Ops[id], &b.Ops[id]
 		if ea.Rho != eb.Rho || ea.Var != eb.Var || ea.EstCard != eb.EstCard {
 			t.Errorf("%s: node %d rho/var/card (%v,%v,%v) vs (%v,%v,%v)",
 				tag, id, ea.Rho, ea.Var, ea.EstCard, eb.Rho, eb.Var, eb.EstCard)
@@ -105,8 +99,11 @@ func sameEstimates(t *testing.T, tag string, a, b *Estimates) {
 		if ea.FromOptimizer != eb.FromOptimizer {
 			t.Errorf("%s: node %d FromOptimizer %v vs %v", tag, id, ea.FromOptimizer, eb.FromOptimizer)
 		}
+		if ea.LeafOff != eb.LeafOff {
+			t.Errorf("%s: node %d LeafOff %d vs %d", tag, id, ea.LeafOff, eb.LeafOff)
+		}
 		if len(ea.LeafComp) != len(eb.LeafComp) || len(ea.LeafN) != len(eb.LeafN) {
-			t.Fatalf("%s: node %d leaf maps sized (%d,%d) vs (%d,%d)",
+			t.Fatalf("%s: node %d leaf runs sized (%d,%d) vs (%d,%d)",
 				tag, id, len(ea.LeafComp), len(ea.LeafN), len(eb.LeafComp), len(eb.LeafN))
 		}
 		for k, v := range ea.LeafComp {
@@ -125,14 +122,16 @@ func sameEstimates(t *testing.T, tag string, a, b *Estimates) {
 	}
 }
 
-// pinnedOp is one operator's estimate as a literal.
+// pinnedOp is one operator's estimate as a literal: leafComp[i] is the
+// component of leaf ordinal leafOff+i.
 type pinnedOp struct {
 	id       int
 	rho      float64
 	v        float64
 	card     float64
 	fromOpt  bool
-	leafComp map[int]float64
+	leafOff  int
+	leafComp []float64
 }
 
 // pinnedEstimates are the per-operator estimates of subtreePlans() on
@@ -143,58 +142,59 @@ type pinnedOp struct {
 // bit for bit.
 var pinnedEstimates = [][]pinnedOp{
 	{ // plan 0
-		{id: 0, rho: 0x1p+00, v: 0x0p+00, card: 0x1.f4p+09, fromOpt: false, leafComp: map[int]float64{0: 0x0p+00}},
+		{id: 0, rho: 0x1p+00, v: 0x0p+00, card: 0x1.f4p+09, fromOpt: false, leafComp: []float64{0x0p+00}},
 	},
 	{ // plan 1
-		{id: 0, rho: 0x1.8a3d70a3d70a4p-02, v: 0x1.365881a1554fcp-10, card: 0x1.81p+08, fromOpt: false, leafComp: map[int]float64{0: 0x1.365881a1554fcp-10}},
+		{id: 0, rho: 0x1.8a3d70a3d70a4p-02, v: 0x1.365881a1554fcp-10, card: 0x1.81p+08, fromOpt: false, leafComp: []float64{0x1.365881a1554fcp-10}},
 	},
 	{ // plan 2
-		{id: 0, rho: 0x1.e6e978d4fdf3bp-06, v: 0x1.6bed4e43ece47p-17, card: 0x1.737cp+14, fromOpt: false, leafComp: map[int]float64{0: 0x1.4dc5ba9161fa9p-17, 1: 0x1.e2793b28ae9e2p-21}},
-		{id: 1, rho: 0x1.8a3d70a3d70a4p-02, v: 0x1.365881a1554fcp-10, card: 0x1.81p+08, fromOpt: false, leafComp: map[int]float64{0: 0x1.365881a1554fcp-10}},
-		{id: 2, rho: 0x1p+00, v: 0x0p+00, card: 0x1.9p+09, fromOpt: false, leafComp: map[int]float64{1: 0x0p+00}},
+		{id: 0, rho: 0x1.e6e978d4fdf3bp-06, v: 0x1.6bed4e43ece47p-17, card: 0x1.737cp+14, fromOpt: false, leafComp: []float64{0x1.4dc5ba9161fa9p-17, 0x1.e2793b28ae9e2p-21}},
+		{id: 1, rho: 0x1.8a3d70a3d70a4p-02, v: 0x1.365881a1554fcp-10, card: 0x1.81p+08, fromOpt: false, leafComp: []float64{0x1.365881a1554fcp-10}},
+		{id: 2, rho: 0x1p+00, v: 0x0p+00, card: 0x1.9p+09, fromOpt: false, leafOff: 1, leafComp: []float64{0x0p+00}},
 	},
 	{ // plan 3
-		{id: 0, rho: 0x1.4a38327674d16p-09, v: 0x1.84efcf1531f2cp-24, card: 0x1.ec10cp+20, fromOpt: false, leafComp: map[int]float64{0: 0x1.3c60290113741p-24, 1: 0x1.389e136f7919p-27, 2: 0x1.0bdf1d317adccp-27}},
-		{id: 1, rho: 0x1.e6e978d4fdf3bp-06, v: 0x1.6bed4e43ece47p-17, card: 0x1.737cp+14, fromOpt: false, leafComp: map[int]float64{0: 0x1.4dc5ba9161fa9p-17, 1: 0x1.e2793b28ae9e2p-21}},
-		{id: 2, rho: 0x1.8a3d70a3d70a4p-02, v: 0x1.365881a1554fcp-10, card: 0x1.81p+08, fromOpt: false, leafComp: map[int]float64{0: 0x1.365881a1554fcp-10}},
-		{id: 3, rho: 0x1p+00, v: 0x0p+00, card: 0x1.9p+09, fromOpt: false, leafComp: map[int]float64{1: 0x0p+00}},
-		{id: 4, rho: 0x1p+00, v: 0x0p+00, card: 0x1.f4p+09, fromOpt: false, leafComp: map[int]float64{2: 0x0p+00}},
+		{id: 0, rho: 0x1.4a38327674d16p-09, v: 0x1.84efcf1531f2cp-24, card: 0x1.ec10cp+20, fromOpt: false, leafComp: []float64{0x1.3c60290113741p-24, 0x1.389e136f7919p-27, 0x1.0bdf1d317adccp-27}},
+		{id: 1, rho: 0x1.e6e978d4fdf3bp-06, v: 0x1.6bed4e43ece47p-17, card: 0x1.737cp+14, fromOpt: false, leafComp: []float64{0x1.4dc5ba9161fa9p-17, 0x1.e2793b28ae9e2p-21}},
+		{id: 2, rho: 0x1.8a3d70a3d70a4p-02, v: 0x1.365881a1554fcp-10, card: 0x1.81p+08, fromOpt: false, leafComp: []float64{0x1.365881a1554fcp-10}},
+		{id: 3, rho: 0x1p+00, v: 0x0p+00, card: 0x1.9p+09, fromOpt: false, leafOff: 1, leafComp: []float64{0x0p+00}},
+		{id: 4, rho: 0x1p+00, v: 0x0p+00, card: 0x1.f4p+09, fromOpt: false, leafOff: 2, leafComp: []float64{0x0p+00}},
 	},
 	{ // plan 4
-		{id: 0, rho: 0x1.4ced916872b02p-04, v: 0x1.3210be5981138p-17, card: 0x1.fc02p+15, fromOpt: false, leafComp: map[int]float64{0: 0x1.f19cba043b0eep-18, 1: 0x1.ca130abb1c605p-20}},
-		{id: 1, rho: 0x1.4ced916872b02p-04, v: 0x1.3210be5981138p-17, card: 0x1.fc02p+15, fromOpt: false, leafComp: map[int]float64{0: 0x1.f19cba043b0eep-18, 1: 0x1.ca130abb1c605p-20}},
-		{id: 2, rho: 0x1p+00, v: 0x0p+00, card: 0x1.f4p+09, fromOpt: false, leafComp: map[int]float64{0: 0x0p+00}},
-		{id: 3, rho: 0x1p+00, v: 0x0p+00, card: 0x1.9p+09, fromOpt: false, leafComp: map[int]float64{1: 0x0p+00}},
+		{id: 0, rho: 0x1.4ced916872b02p-04, v: 0x1.3210be5981138p-17, card: 0x1.fc02p+15, fromOpt: false, leafComp: []float64{0x1.f19cba043b0eep-18, 0x1.ca130abb1c605p-20}},
+		{id: 1, rho: 0x1.4ced916872b02p-04, v: 0x1.3210be5981138p-17, card: 0x1.fc02p+15, fromOpt: false, leafComp: []float64{0x1.f19cba043b0eep-18, 0x1.ca130abb1c605p-20}},
+		{id: 2, rho: 0x1p+00, v: 0x0p+00, card: 0x1.f4p+09, fromOpt: false, leafComp: []float64{0x0p+00}},
+		{id: 3, rho: 0x1p+00, v: 0x0p+00, card: 0x1.9p+09, fromOpt: false, leafOff: 1, leafComp: []float64{0x0p+00}},
 	},
 	{ // plan 5
-		{id: 0, rho: 0x1.0624dd2f1a9fcp-10, v: 0x0p+00, card: 0x1.9p+09, fromOpt: true, leafComp: map[int]float64{}},
-		{id: 1, rho: 0x1.89374bc6a7efap-07, v: 0x0p+00, card: 0x1.8p+03, fromOpt: true, leafComp: map[int]float64{}},
-		{id: 2, rho: 0x1p+00, v: 0x0p+00, card: 0x1.f4p+09, fromOpt: false, leafComp: map[int]float64{0: 0x0p+00}},
-		{id: 3, rho: 0x1p+00, v: 0x0p+00, card: 0x1.9p+09, fromOpt: false, leafComp: map[int]float64{1: 0x0p+00}},
+		{id: 0, rho: 0x1.0624dd2f1a9fcp-10, v: 0x0p+00, card: 0x1.9p+09, fromOpt: true, leafComp: nil},
+		{id: 1, rho: 0x1.89374bc6a7efap-07, v: 0x0p+00, card: 0x1.8p+03, fromOpt: true, leafComp: nil},
+		{id: 2, rho: 0x1p+00, v: 0x0p+00, card: 0x1.f4p+09, fromOpt: false, leafComp: []float64{0x0p+00}},
+		{id: 3, rho: 0x1p+00, v: 0x0p+00, card: 0x1.9p+09, fromOpt: false, leafOff: 1, leafComp: []float64{0x0p+00}},
 	},
 }
 
 // matchesPinned requires est to equal the pinned literals exactly.
 func matchesPinned(t *testing.T, tag string, want []pinnedOp, est *Estimates) {
 	t.Helper()
-	if len(est.ByID) != len(want) {
-		t.Fatalf("%s: %d estimates, pinned %d", tag, len(est.ByID), len(want))
+	if len(est.Ops) != len(want) {
+		t.Fatalf("%s: %d estimates, pinned %d", tag, len(est.Ops), len(want))
 	}
 	for _, w := range want {
-		e, ok := est.ByID[w.id]
-		if !ok {
-			t.Fatalf("%s: node %d missing", tag, w.id)
-		}
+		e := &est.Ops[w.id]
 		if e.Rho != w.rho || e.Var != w.v || e.EstCard != w.card || e.FromOptimizer != w.fromOpt {
 			t.Errorf("%s: node %d rho/var/card/fromOpt (%x,%x,%x,%v), pinned (%x,%x,%x,%v)",
 				tag, w.id, e.Rho, e.Var, e.EstCard, e.FromOptimizer, w.rho, w.v, w.card, w.fromOpt)
 		}
-		if len(e.LeafComp) != len(w.leafComp) {
-			t.Fatalf("%s: node %d has %d leaf components, pinned %d", tag, w.id, len(e.LeafComp), len(w.leafComp))
+		if len(e.LeafComp) != len(w.leafComp) || len(e.LeafN) != len(w.leafComp) {
+			t.Fatalf("%s: node %d has %d leaf components and %d sample sizes, pinned %d",
+				tag, w.id, len(e.LeafComp), len(e.LeafN), len(w.leafComp))
 		}
-		for k, v := range w.leafComp {
-			if got, ok := e.LeafComp[k]; !ok || got != v {
-				t.Errorf("%s: node %d LeafComp[%d] = %x, pinned %x", tag, w.id, k, got, v)
+		if len(w.leafComp) > 0 && e.LeafOff != w.leafOff {
+			t.Errorf("%s: node %d leaf run starts at %d, pinned %d", tag, w.id, e.LeafOff, w.leafOff)
+		}
+		for i, v := range w.leafComp {
+			if e.LeafComp[i] != v {
+				t.Errorf("%s: node %d LeafComp[%d] = %x, pinned %x", tag, w.id, w.leafOff+i, e.LeafComp[i], v)
 			}
 		}
 	}
@@ -306,17 +306,6 @@ func TestEstimateMemoContextCancel(t *testing.T) {
 	}
 }
 
-// countNodes returns the number of operators in a plan tree — the
-// number of memo lookups one EstimateMemo pass performs now that every
-// case (scans, joins, aggregates, tainted joins, unary pass-throughs)
-// routes through the memo.
-func countNodes(n *engine.Node) int {
-	if n == nil {
-		return 0
-	}
-	return 1 + countNodes(n.Left) + countNodes(n.Right)
-}
-
 // TestEstimateMemoWarmPassComputesNothing pins the tainted-region and
 // pass-through memoization: a warm second pass over any plan shape —
 // including sorts above joins and joins above aggregates — performs one
@@ -371,7 +360,7 @@ func TestEmptyRelationIsAnError(t *testing.T) {
 	for name, p := range map[string]*engine.Node{"scan": scan, "join": joinPlan()} {
 		est, err := Estimate(p, sdb, cat)
 		if err == nil {
-			t.Errorf("%s over an empty relation: nil error, root estimate %+v", name, est.ByID[p.ID])
+			t.Errorf("%s over an empty relation: nil error, root estimate %+v", name, est.Ops[p.ID])
 		} else if want := `sample: relation "s" has an empty sample`; err.Error() != want {
 			t.Errorf("%s: error %q, want %q", name, err, want)
 		}
