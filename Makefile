@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: test fmt-check build vet race fmt loc
+.PHONY: test fmt-check build vet race fmt loc loc-check
 
 test: fmt-check
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race -timeout 30m ./...
@@ -30,7 +30,21 @@ fmt:
 # loc prints the line counts ROADMAP and CHANGES quote: non-test Go
 # outside bench/ (the number the roadmap's target is set on), bench/'s
 # own non-test Go, and tests.
+LIB_GO = git ls-files '*.go' | grep -v _test.go | grep -v '^bench/'
 loc:
-	@printf 'non-test Go outside bench/: '; git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs wc -l | tail -1
+	@printf 'non-test Go outside bench/: '; $(LIB_GO) | xargs wc -l | tail -1
 	@printf 'non-test Go under bench/:   '; git ls-files 'bench/*.go' | grep -v _test.go | xargs wc -l | tail -1
 	@printf 'tests:                      '; git ls-files '*_test.go' | xargs wc -l | tail -1
+
+# loc-check keeps the collapse from regrowing silently: non-test Go
+# outside bench/ stays within the budget CHANGES.md records, and no
+# non-test file of internal/sim grows back past 500 lines.
+LOC_BUDGET = 16150
+SIM_FILE_BUDGET = 500
+loc-check:
+	@n="$$($(LIB_GO) | xargs cat | wc -l)"; \
+	if [ "$$n" -gt $(LOC_BUDGET) ]; then echo "non-test Go outside bench/: $$n lines, budget $(LOC_BUDGET)"; exit 1; fi
+	@for f in $$(git ls-files 'internal/sim/*.go' | grep -v _test.go); do \
+		n="$$(wc -l < "$$f")"; \
+		if [ "$$n" -gt $(SIM_FILE_BUDGET) ]; then echo "$$f: $$n lines, budget $(SIM_FILE_BUDGET)"; exit 1; fi; \
+	done

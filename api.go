@@ -93,7 +93,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/calibrate"
 	"repro/internal/catalog"
@@ -634,15 +633,4 @@ func (s *System) GenerateWorkload(b workload.Benchmark, n int) ([]*Query, error)
 // deterministic per (Config.Seed, stream).
 func (s *System) GenerateTrace(b workload.Benchmark, n int, meanRate float64, stream int64) ([]workload.TraceEntry, error) {
 	return workload.GenerateTrace(b, s.cat, n, s.cfg.Seed+5+stream, meanRate)
-}
-
-// TableNames returns the names of the generated tables in sorted
-// (deterministic) order.
-func (s *System) TableNames() []string {
-	names := make([]string, 0, len(s.db.Tables))
-	for n := range s.db.Tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

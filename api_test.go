@@ -32,8 +32,8 @@ func joinQuery() *Query {
 
 func TestOpenDefaults(t *testing.T) {
 	sys := testSystem(t)
-	if len(sys.TableNames()) != 8 {
-		t.Errorf("tables: %v", sys.TableNames())
+	if len(sys.db.Tables) != 8 {
+		t.Errorf("%d tables generated, want 8", len(sys.db.Tables))
 	}
 	if len(sys.CostUnits()) != 5 {
 		t.Errorf("cost units: %v", sys.CostUnits())

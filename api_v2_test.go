@@ -188,29 +188,6 @@ func TestChoosePlanNoPlans(t *testing.T) {
 	}
 }
 
-// TestTableNamesDeterministic pins the satellite fix: sorted output,
-// identical across calls and Systems.
-func TestTableNamesDeterministic(t *testing.T) {
-	sys := testSystem(t)
-	names := sys.TableNames()
-	if !sort.StringsAreSorted(names) {
-		t.Fatalf("TableNames not sorted: %v", names)
-	}
-	sys2, err := Open(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		again := sys.TableNames()
-		other := sys2.TableNames()
-		for j := range names {
-			if again[j] != names[j] || other[j] != names[j] {
-				t.Fatalf("TableNames unstable: %v vs %v vs %v", names, again, other)
-			}
-		}
-	}
-}
-
 // TestPlanHint replays a chosen plan through Predict and Execute.
 func TestPlanHint(t *testing.T) {
 	sys := testSystem(t)
@@ -494,8 +471,8 @@ func TestPublicSurface(t *testing.T) {
 		"Executor", "GenerateTrace", "GenerateWorkload", "Machine", "Measure",
 		"Plan", "Planner", "PredictAndRunContext", "PredictBatchContext",
 		"PredictContext", "PredictPlannedContext", "Predictor", "Recalibrate",
-		"SwapPredictor", "TableNames", "UnitDists", "With",
-		"WithDriftInjection", "WithMachine", "WithSamplingRatio", "WithVariant",
+		"SwapPredictor", "UnitDists", "With", "WithDriftInjection",
+		"WithMachine", "WithSamplingRatio", "WithVariant",
 	}
 	if !reflect.DeepEqual(methods, wantMethods) {
 		t.Errorf("*System methods = %v\nwant %v", methods, wantMethods)

@@ -80,7 +80,7 @@ func ablEnvGet(b *testing.B) *ablEnv {
 // predictAll runs the predictor over the shared workload and returns the
 // per-query (sigma, |error|) correlation and the mean relative error of
 // the point estimate.
-func (e *ablEnv) predictAll(b *testing.B, cfg core.Config, sr float64, copies int, opts sample.Opts) (rs, meanRel float64) {
+func (e *ablEnv) predictAll(b *testing.B, cfg core.Config, sr float64, copies int) (rs, meanRel float64) {
 	b.Helper()
 	sdb, err := sample.Build(e.db, sr, copies, 7)
 	if err != nil {
@@ -89,7 +89,7 @@ func (e *ablEnv) predictAll(b *testing.B, cfg core.Config, sr float64, copies in
 	pred := core.New(e.cat, e.cal.Units, cfg)
 	var sigmas, errs, rels []float64
 	for i, p := range e.plans {
-		est, err := sample.EstimateWithOpts(p, sdb, e.cat, opts)
+		est, err := sample.Estimate(p, sdb, e.cat)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,9 +121,9 @@ func ablPrintf(key, format string, args ...interface{}) {
 func BenchmarkAblationCovarianceBounds(b *testing.B) {
 	e := ablEnvGet(b)
 	for i := 0; i < b.N; i++ {
-		tightRS, _ := e.predictAll(b, core.Config{Variant: core.All}, 0.01, 2, sample.Opts{})
-		looseRS, _ := e.predictAll(b, core.Config{Variant: core.All, LooseBounds: true}, 0.01, 2, sample.Opts{})
-		noneRS, _ := e.predictAll(b, core.Config{Variant: core.NoCov}, 0.01, 2, sample.Opts{})
+		tightRS, _ := e.predictAll(b, core.Config{Variant: core.All}, 0.01, 2)
+		looseRS, _ := e.predictAll(b, core.Config{Variant: core.All, LooseBounds: true}, 0.01, 2)
+		noneRS, _ := e.predictAll(b, core.Config{Variant: core.NoCov}, 0.01, 2)
 		ablPrintf("cov", "\n===== ablation: covariance bounds (TPCH, skewed 1G, SR=0.01) =====\n"+
 			"tight (Thm 7-10): r_s=%.4f\nCauchy-Schwarz:  r_s=%.4f\nno covariances:  r_s=%.4f\n",
 			tightRS, looseRS, noneRS)
@@ -137,7 +137,7 @@ func BenchmarkAblationGridW(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var lines string
 		for _, w := range []int{2, 4, 8, 16} {
-			rs, rel := e.predictAll(b, core.Config{Variant: core.All, GridW: w}, 0.05, 2, sample.Opts{})
+			rs, rel := e.predictAll(b, core.Config{Variant: core.All, GridW: w}, 0.05, 2)
 			lines += fmt.Sprintf("W=%-3d r_s=%.4f mean-rel-err=%.4f\n", w, rs, rel)
 		}
 		ablPrintf("gridw", "\n===== ablation: cost-function probe grid W =====\n%s", lines)
@@ -150,50 +150,11 @@ func BenchmarkAblationGridW(b *testing.B) {
 func BenchmarkAblationSampleCopies(b *testing.B) {
 	e := ablEnvGet(b)
 	for i := 0; i < b.N; i++ {
-		oneRS, oneRel := e.predictAll(b, core.Config{Variant: core.All}, 0.05, 1, sample.Opts{})
-		twoRS, twoRel := e.predictAll(b, core.Config{Variant: core.All}, 0.05, 2, sample.Opts{})
+		oneRS, oneRel := e.predictAll(b, core.Config{Variant: core.All}, 0.05, 1)
+		twoRS, twoRel := e.predictAll(b, core.Config{Variant: core.All}, 0.05, 2)
 		ablPrintf("copies", "\n===== ablation: sample tables per relation =====\n"+
 			"1 copy:  r_s=%.4f mean-rel-err=%.4f\n2 copies: r_s=%.4f mean-rel-err=%.4f\n",
 			oneRS, oneRel, twoRS, twoRel)
-	}
-}
-
-// BenchmarkAblationGEEAggregates compares the optimizer fallback for
-// aggregate cardinalities against the GEE sampling estimator the paper
-// names as future work, measuring the error of the aggregate output
-// cardinality against ground truth.
-func BenchmarkAblationGEEAggregates(b *testing.B) {
-	e := ablEnvGet(b)
-	for i := 0; i < b.N; i++ {
-		sdb, err := sample.Build(e.db, 0.05, 2, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var optRel, geeRel []float64
-		for qi, p := range e.plans {
-			if p.Kind != engine.Aggregate {
-				continue
-			}
-			truth := e.runs[qi].M
-			if truth <= 0 {
-				continue
-			}
-			for _, mode := range []sample.AggEstimator{sample.OptimizerAgg, sample.GEEAgg} {
-				est, err := sample.EstimateWithOpts(p, sdb, e.cat, sample.Opts{Agg: mode})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rel := math.Abs(est.Ops[p.ID].EstCard-truth) / truth
-				if mode == sample.OptimizerAgg {
-					optRel = append(optRel, rel)
-				} else {
-					geeRel = append(geeRel, rel)
-				}
-			}
-		}
-		ablPrintf("gee", "\n===== ablation: aggregate cardinality estimator (%d aggregates) =====\n"+
-			"optimizer fallback: mean rel err=%.4f\nGEE on samples:     mean rel err=%.4f\n",
-			len(optRel), stats.Mean(optRel), stats.Mean(geeRel))
 	}
 }
 

@@ -35,7 +35,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
+	"net"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -277,11 +277,13 @@ func serveCmd(args []string) error {
 		}
 		fmt.Printf("tenant %q ready (%v on %s, SR=%g)\n", name, kind, *machine, *sr)
 	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
 	stop := srv.StartDispatcher(50 * time.Millisecond)
-	defer stop()
-
 	fmt.Printf("serving on %s — POST /predict /submit /drain /recalibrate, GET /stats /healthz\n", *addr)
-	return http.ListenAndServe(*addr, srv.Handler())
+	return serveUntilDone(context.Background(), ln, srv.Handler(), stop)
 }
 
 // registerShard upserts this process into the static directory file,
@@ -371,9 +373,13 @@ func frontCmd(args []string) error {
 	if err != nil {
 		return err
 	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("front on %s over %d shard(s) — POST /predict /submit, GET /place /metrics /healthz\n",
 		*addr, len(file.Shards))
-	return http.ListenAndServe(*addr, front.Handler())
+	return serveUntilDone(context.Background(), ln, front.Handler(), func() {})
 }
 
 // batch demonstrates the concurrent batched prediction pipeline: it

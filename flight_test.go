@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/workload"
 )
 
@@ -15,14 +14,13 @@ import (
 // caller that started it must not fail waiters whose own contexts are
 // live — they retry under their own context and succeed.
 func TestFlightCancelDoesNotFailWaiters(t *testing.T) {
-	var g flightGroup[int]
-	lru := cache.NewSharded[int](8, 1)
+	g := newSection[int](8, nil)
 
 	ctxA, cancelA := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	computerDone := make(chan error, 1)
 	go func() {
-		_, err := g.do(ctxA, "k", lru, func() (int, error) {
+		_, err := g.get(ctxA, "k", func() (int, error) {
 			close(started)
 			<-ctxA.Done() // simulate a compute aborted by its caller's cancellation
 			return 0, ctxA.Err()
@@ -36,7 +34,7 @@ func TestFlightCancelDoesNotFailWaiters(t *testing.T) {
 	var waiterErr error
 	go func() {
 		defer close(waiterDone)
-		waiterVal, waiterErr = g.do(context.Background(), "k", lru, func() (int, error) {
+		waiterVal, waiterErr = g.get(context.Background(), "k", func() (int, error) {
 			return 42, nil
 		})
 	}()
@@ -55,7 +53,7 @@ func TestFlightCancelDoesNotFailWaiters(t *testing.T) {
 	if waiterVal != 42 {
 		t.Fatalf("waiter value = %d, want 42 from its own retry", waiterVal)
 	}
-	if v, ok := lru.Get("k"); !ok || v != 42 {
+	if v, ok := g.lru.Get("k"); !ok || v != 42 {
 		t.Fatalf("retried value not cached: %v %v", v, ok)
 	}
 }
@@ -64,13 +62,12 @@ func TestFlightCancelDoesNotFailWaiters(t *testing.T) {
 // while waiting leaves with its own ctx.Err instead of blocking on a
 // stuck computation.
 func TestFlightWaiterAbandonsOnOwnCancel(t *testing.T) {
-	var g flightGroup[int]
-	lru := cache.NewSharded[int](8, 1)
+	g := newSection[int](8, nil)
 
 	release := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
-		g.do(context.Background(), "k", lru, func() (int, error) {
+		g.get(context.Background(), "k", func() (int, error) {
 			close(started)
 			<-release
 			return 1, nil
@@ -81,7 +78,7 @@ func TestFlightWaiterAbandonsOnOwnCancel(t *testing.T) {
 	ctxB, cancelB := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := g.do(ctxB, "k", lru, func() (int, error) { return 2, nil })
+		_, err := g.get(ctxB, "k", func() (int, error) { return 2, nil })
 		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond)

@@ -30,18 +30,45 @@ func NewSharded[V any](capacity, shards int) *Sharded[V] {
 	return c
 }
 
-// fnv1a is the 64-bit FNV-1a hash, inlined to avoid per-Get allocations.
-func fnv1a(s string) uint64 {
-	h := uint64(14695981039346656037)
+// The 64-bit FNV-1a parameters, inlined so hashing a key allocates
+// nothing.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a folds s into the FNV-1a state h.
+func fnv1a(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= 1099511628211
+		h *= fnvPrime64
 	}
 	return h
 }
 
+// SeededHash is the seeded placement hash shared by the shard directory
+// (ring positions) and the cache's tier model (local/remote
+// classification): FNV-1a over the seed's eight little-endian bytes and
+// then the key, finished with a splitmix-style avalanche so structured
+// keys sharing long prefixes (tenant-0001, tenant-0002, ...) still
+// spread evenly.
+func SeededHash(seed int64, key string) uint64 {
+	x := uint64(fnvOffset64)
+	for i := 0; i < 8; i++ {
+		x ^= uint64(seed) >> (8 * i) & 0xff
+		x *= fnvPrime64
+	}
+	x = fnv1a(x, key)
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
 func (c *Sharded[V]) shard(key string) *LRU[string, V] {
-	return c.shards[fnv1a(key)&c.mask]
+	return c.shards[fnv1a(fnvOffset64, key)&c.mask]
 }
 
 // Get returns the cached value for key and marks it most recently used
@@ -81,13 +108,4 @@ func (c *Sharded[V]) Snapshot() Stats {
 		agg.Add(s.Snapshot())
 	}
 	return agg
-}
-
-// ShardSnapshots returns the per-shard counters, in shard order.
-func (c *Sharded[V]) ShardSnapshots() []Stats {
-	out := make([]Stats, len(c.shards))
-	for i, s := range c.shards {
-		out[i] = s.Snapshot()
-	}
-	return out
 }

@@ -52,9 +52,9 @@ func TestShardedEvictionBoundsEachShard(t *testing.T) {
 	if c.Len() > 8 {
 		t.Fatalf("Len = %d exceeds capacity 8", c.Len())
 	}
-	for i, s := range c.ShardSnapshots() {
-		if s.Entries > 2 {
-			t.Errorf("shard %d holds %d entries, per-shard cap is 2", i, s.Entries)
+	for i, sh := range c.shards {
+		if n := sh.Snapshot().Entries; n > 2 {
+			t.Errorf("shard %d holds %d entries, per-shard cap is 2", i, n)
 		}
 	}
 	s := c.Snapshot()
@@ -72,8 +72,8 @@ func TestShardedSnapshotAggregatesShards(t *testing.T) {
 		c.Get(k + "-never-present") // miss
 	}
 	var sum Stats
-	for _, s := range c.ShardSnapshots() {
-		sum.Add(s)
+	for _, sh := range c.shards {
+		sum.Add(sh.Snapshot())
 	}
 	if agg := c.Snapshot(); agg != sum {
 		t.Errorf("Snapshot %+v != sum of shard snapshots %+v", agg, sum)

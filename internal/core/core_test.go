@@ -263,7 +263,7 @@ func TestPredictedSigmaTracksEstimateSpread(t *testing.T) {
 		means = append(means, pred.Mean())
 		sigmas = append(sigmas, pred.Sigma())
 	}
-	spread := stats.StdDev(means)
+	spread := math.Sqrt(stats.Variance(means))
 	avgSigma := stats.Mean(sigmas)
 	if avgSigma <= 0 || spread <= 0 {
 		t.Fatalf("degenerate: spread=%v sigma=%v", spread, avgSigma)

@@ -66,9 +66,6 @@ type Func struct {
 	VarA, VarB int
 }
 
-// Zero returns the constant-zero cost function.
-func Zero() *Func { return &Func{Kind: C1, B: []float64{0}, VarA: -1, VarB: -1} }
-
 // Constant returns the constant cost function f = v.
 func Constant(v float64) *Func { return &Func{Kind: C1, B: []float64{v}, VarA: -1, VarB: -1} }
 

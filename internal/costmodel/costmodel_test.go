@@ -321,7 +321,7 @@ func TestTermsRoundTrip(t *testing.T) {
 }
 
 func TestZeroAndConstant(t *testing.T) {
-	if !Zero().IsZero() {
+	if !Constant(0).IsZero() {
 		t.Error("Zero not zero")
 	}
 	c := Constant(3)

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Counts are the resource counts of PostgreSQL's cost model, Equation (1)
@@ -245,8 +246,8 @@ func runJoin(db *DB, n *Node) (*OpResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	li := colIndex(left.Cols, n.LeftCol)
-	ri := colIndex(right.Cols, n.RightCol)
+	li := slices.Index(left.Cols, n.LeftCol)
+	ri := slices.Index(right.Cols, n.RightCol)
 	if li < 0 || ri < 0 {
 		return nil, fmt.Errorf("engine: join columns %q/%q not found", n.LeftCol, n.RightCol)
 	}
@@ -312,15 +313,6 @@ func concatRows(a, b []int64) []int64 {
 	return append(out, b...)
 }
 
-func colIndex(cols []string, name string) int {
-	for i, c := range cols {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
-
 func runPassThrough(db *DB, n *Node) (*OpResult, error) {
 	child, err := runNode(db, n.Left)
 	if err != nil {
@@ -350,7 +342,7 @@ func runAggregate(db *DB, n *Node) (*OpResult, error) {
 		// Scalar aggregate: COUNT(*) over the input.
 		rows = [][]int64{{int64(len(child.Rows))}}
 	} else {
-		gi := colIndex(child.Cols, n.GroupCol)
+		gi := slices.Index(child.Cols, n.GroupCol)
 		if gi < 0 {
 			return nil, fmt.Errorf("engine: group column %q not found", n.GroupCol)
 		}

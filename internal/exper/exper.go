@@ -225,7 +225,7 @@ func (l *Lab) measureFor(sys *uaqetp.System, k measKey, q *uaqetp.Query) (*uaqet
 // fanOut runs do(0..n-1) on a bounded worker pool and returns the
 // lowest-index error.
 func fanOut(n, workers int, do func(i int) error) error {
-	return pool.FirstError(pool.Run(n, workers, do))
+	return pool.FirstError(pool.RunCtx(context.Background(), n, workers, do))
 }
 
 // Run executes one experimental setting, memoizing the result.

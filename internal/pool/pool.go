@@ -11,19 +11,14 @@ import (
 	"sync/atomic"
 )
 
-// Run dispatches do(0..n-1) to a bounded worker pool and returns the
-// per-item errors. workers <= 0 selects GOMAXPROCS; 1 degenerates to a
-// serial loop. do(i) must confine its writes to slot i of caller-owned
-// slices — slots are distinct, so no locking is needed.
-func Run(n, workers int, do func(i int) error) []error {
-	return RunCtx(context.Background(), n, workers, do)
-}
-
-// RunCtx is Run under a context: once ctx is done, workers stop invoking
-// do and every not-yet-started item's error slot is filled with
-// ctx.Err() instead, so a canceled batch drains promptly. Items already
-// inside do when the context fires run to completion (do may itself
-// observe ctx to cut long items short).
+// RunCtx dispatches do(0..n-1) to a bounded worker pool and returns the
+// per-item errors. workers <= 0 selects GOMAXPROCS; 1 runs the items one
+// after another. do(i) must confine its writes to slot i of caller-owned
+// slices — slots are distinct, so no locking is needed. Once ctx is
+// done, workers stop invoking do and every not-yet-started item's error
+// slot is filled with ctx.Err() instead, so a canceled batch drains
+// promptly. Items already inside do when the context fires run to
+// completion (do may itself observe ctx to cut long items short).
 func RunCtx(ctx context.Context, n, workers int, do func(i int) error) []error {
 	errs := make([]error, n)
 	if n == 0 {

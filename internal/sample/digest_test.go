@@ -64,25 +64,23 @@ func digestEstimates(h hash.Hash, est *Estimates) {
 
 // Digests of TestEstimateDigestPinned, captured at 49385a1 from the
 // row-materializing sampling pass — before the provenance-only layout
-// replaced it. The three OptimizerAgg digests are equal because the
-// numbers do not depend on the memo.
+// replaced it. The three digests are equal because the numbers do not
+// depend on the memo.
 const (
 	digestMemoless = "b68c59a55f4c0a4d2a22a1d38ebf63debe6b972fdcd655d0bc8735a816263db8"
 	digestColdMemo = "b68c59a55f4c0a4d2a22a1d38ebf63debe6b972fdcd655d0bc8735a816263db8"
 	digestWarmMemo = "b68c59a55f4c0a4d2a22a1d38ebf63debe6b972fdcd655d0bc8735a816263db8"
-	digestGEE      = "fc7c8562f273a9f415a8126359f3d0ca24fe8572cc8e7ff0579318850aaa5c5f"
 )
 
 // TestEstimateDigestPinned is the oracle on inputs nobody wrote: 256
 // SelJoin and 256 TPCH generated queries on uniform-1G and on skewed-1G
 // samples, estimated memo-less, through a cold memo and through a warm
-// one, plus the GEE aggregate mode on the TPCH half, every operator's
-// every number hashed. A change to the sampling pass must leave the
-// four literals untouched; do not re-capture without a reason in
-// CHANGES.md.
+// one, every operator's every number hashed. A change to the sampling
+// pass must leave the three literals untouched; do not re-capture
+// without a reason in CHANGES.md.
 func TestEstimateDigestPinned(t *testing.T) {
 	const nEach = 256
-	memoless, cold, warm, gee := sha256.New(), sha256.New(), sha256.New(), sha256.New()
+	memoless, cold, warm := sha256.New(), sha256.New(), sha256.New()
 	for _, kind := range []datagen.DBKind{datagen.Uniform1G, datagen.Skewed1G} {
 		plans, sdb, cat := genPlans(t, kind, nEach)
 		rec := newMemoRecorder()
@@ -96,12 +94,6 @@ func TestEstimateDigestPinned(t *testing.T) {
 				t.Fatalf("%v plan %d: cold memo: %v", kind, i, err)
 			}
 			digestEstimates(cold, est)
-			if i >= nEach {
-				if est, err = EstimateWithOpts(p, sdb, cat, Opts{Agg: GEEAgg}); err != nil {
-					t.Fatalf("%v plan %d: GEE: %v", kind, i, err)
-				}
-				digestEstimates(gee, est)
-			}
 		}
 		misses := rec.misses
 		for i, p := range plans {
@@ -123,7 +115,6 @@ func TestEstimateDigestPinned(t *testing.T) {
 		{"memo-less", memoless, digestMemoless},
 		{"cold memo", cold, digestColdMemo},
 		{"warm memo", warm, digestWarmMemo},
-		{"GEE", gee, digestGEE},
 	} {
 		if got := fmt.Sprintf("%x", c.h.Sum(nil)); got != c.want {
 			t.Errorf("%s digest %s, pinned %s", c.name, got, c.want)

@@ -184,17 +184,7 @@ func (e *Estimates) TotalSampleCounts() engine.Counts {
 // (Algorithm 2's EstSelDistr) and returns every operator's selectivity
 // distribution. It is EstimateMemo without a memo: every subtree pass is
 // computed, none is retained. cat supplies optimizer estimates for
-// aggregates; use EstimateWithOpts to select the GEE aggregate estimator
-// instead.
+// aggregates.
 func Estimate(root *engine.Node, sdb *DB, cat *catalog.Catalog) (*Estimates, error) {
 	return EstimateMemo(context.Background(), root, sdb, cat, nil)
-}
-
-func colIndex(cols []string, name string) int {
-	for i, c := range cols {
-		if c == name {
-			return i
-		}
-	}
-	return -1
 }

@@ -26,21 +26,21 @@ package sample
 // function of its provenance (a joined tuple is the concatenation of the
 // leaf sample tuples its provenance names), so a Pass keeps no values:
 // one flat []int32 block of provenance, stride numLeaves, and the sample
-// tables of its leaves. Join keys and GEE's group keys are fetched late,
-// through the (leaf, column) a name resolves to. The block holds no
-// pointers, so what a memo retains is memory the collector never scans.
+// tables of its leaves. Join keys are fetched late, through the (leaf,
+// column) a name resolves to. The block holds no pointers, so what a
+// memo retains is memory the collector never scans.
 //
 // Row order inside a Pass is free: every float the pass emits is
 // computed from integer counts over the result multiset (|out|, the
-// Q_{k,j} tallies, GEE's frequency classes) and summed in leaf-ordinal /
-// sample-index order, never in row order. So a join hashes whichever
-// side has fewer rows and emits matches in chain order without moving a
-// bit of any estimate.
+// Q_{k,j} tallies) and summed in leaf-ordinal / sample-index order,
+// never in row order. So a join hashes whichever side has fewer rows and
+// emits matches in chain order without moving a bit of any estimate.
 
 import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -79,7 +79,7 @@ func (p *Pass) rows() int { return len(p.prov) / p.numLeaves }
 // carries the name. The ordinal is -1 when no leaf does.
 func (p *Pass) column(name string) (col []int64, ord int) {
 	for o, t := range p.leaves {
-		if i := colIndex(t.cols, name); i >= 0 {
+		if i := slices.Index(t.cols, name); i >= 0 {
 			return t.data[i], o
 		}
 	}
@@ -120,14 +120,6 @@ func passKey(n *engine.Node, copies []int) string {
 // does; the numbers do not depend on the memo. The ctx is observed
 // between node evaluations, so cancellation cuts a pass short promptly.
 func EstimateMemo(ctx context.Context, root *engine.Node, sdb *DB, cat *catalog.Catalog, memo PassMemo) (*Estimates, error) {
-	return estimatePlan(ctx, root, sdb, cat, memo, OptimizerAgg)
-}
-
-// estimatePlan is the one bottom-up walk behind Estimate, EstimateMemo
-// and EstimateWithOpts. agg selects the aggregate estimator; the memo'd
-// entry point always passes OptimizerAgg, so the aggregate mode never
-// needs to enter a memo key.
-func estimatePlan(ctx context.Context, root *engine.Node, sdb *DB, cat *catalog.Catalog, memo PassMemo, agg AggEstimator) (*Estimates, error) {
 	if memo == nil {
 		memo = func(_ string, compute func() (*Pass, error)) (*Pass, error) { return compute() }
 	}
@@ -217,7 +209,7 @@ func estimatePlan(ctx context.Context, root *engine.Node, sdb *DB, cat *catalog.
 			case n.Kind.IsJoin():
 				return joinPass(n, left, right, cat)
 			case n.Kind == engine.Aggregate:
-				return aggregatePass(n, left, cat, agg)
+				return aggregatePass(n, left, cat)
 			default: // Sort, Materialize: pass-through, same selectivity variable
 				return unaryPass(n, left), nil
 			}
@@ -269,14 +261,12 @@ func taintedJoinPass(n *engine.Node, numLeaves int, cat *catalog.Catalog) (*Pass
 }
 
 // aggregatePass builds the Pass of an aggregate — the node that taints
-// everything above it. The estimate is the optimizer's group count, or
-// under GEEAgg the GEE extrapolation of the group keys in the child's
-// sampled rows when the child is itself below any aggregate; the sample
-// counts record the unary work of aggregating the child's surviving
-// sample rows (zero when the child itself is tainted), which is fixed
-// by the subtree signature and copy assignment, so the Pass memoizes
-// safely.
-func aggregatePass(n *engine.Node, child *Pass, cat *catalog.Catalog, agg AggEstimator) (*Pass, error) {
+// everything above it. The estimate is the optimizer's group count
+// (Algorithm 1 lines 3-5); the sample counts record the unary work of
+// aggregating the child's surviving sample rows (zero when the child
+// itself is tainted), which is fixed by the subtree signature and copy
+// assignment, so the Pass memoizes safely.
+func aggregatePass(n *engine.Node, child *Pass, cat *catalog.Catalog) (*Pass, error) {
 	full, err := cat.FullSize(n)
 	if err != nil {
 		return nil, err
@@ -284,11 +274,6 @@ func aggregatePass(n *engine.Node, child *Pass, cat *catalog.Catalog, agg AggEst
 	card, err := cat.Cardinality(n)
 	if err != nil {
 		return nil, err
-	}
-	if agg == GEEAgg && !child.tainted {
-		if gee, ok := geeAggregateCard(n, child); ok {
-			card = gee
-		}
 	}
 	rho := 0.0
 	if full > 0 {
@@ -372,7 +357,7 @@ func scanPass(n *engine.Node, st *Table, cat *catalog.Catalog) (*Pass, error) {
 	sel, mIndex := st.all, nTotal
 	for pi := range n.Preds {
 		pred := &n.Preds[pi]
-		ci := colIndex(st.cols, pred.Col)
+		ci := slices.Index(st.cols, pred.Col)
 		if ci < 0 {
 			return nil, fmt.Errorf("sample: predicate column %q not in %q", pred.Col, n.Table)
 		}

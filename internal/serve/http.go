@@ -34,16 +34,27 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// The JSON edge — response writer, error body, body limit and strict
+// decode — is shared with the routing tier (internal/shard), so a shard
+// and the front in front of it answer malformed input identically.
+
 type httpError struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers status with v as indented JSON.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+}
+
+// WriteError answers status with the {"error": msg} body every endpoint
+// of both tiers uses.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, httpError{Error: msg})
 }
 
 // errStatus maps a service error onto an HTTP status: unknown tenants
@@ -60,9 +71,10 @@ func errStatus(err error) int {
 // while keeping one request from buffering an arbitrarily large document.
 const maxBodyBytes = 1 << 20
 
-// decodeBody decodes the JSON request body into v, answering 413 for a
-// body over maxBodyBytes and 400 for anything else that does not decode.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// DecodeBody decodes the JSON request body into v, rejecting unknown
+// fields; it answers 413 for a body over maxBodyBytes and 400 for
+// anything else that does not decode, and reports whether it decoded.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -71,20 +83,21 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 		if errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		writeJSON(w, status, httpError{Error: "bad request body: " + err.Error()})
+		WriteError(w, status, "bad request body: "+err.Error())
 		return false
 	}
 	return true
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Status  string   `json:"status"`
 		Tenants []string `json:"tenants"`
 	}{Status: "ok", Tenants: s.TenantNames()})
 }
 
-type predictRequest struct {
+// PredictRequest is the /predict body.
+type PredictRequest struct {
 	Tenant string        `json:"tenant"`
 	Query  *uaqetp.Query `json:"query"`
 }
@@ -102,16 +115,16 @@ type predictResponse struct {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req predictRequest
-	if !decodeBody(w, r, &req) {
+	var req PredictRequest
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	pred, err := s.Predict(r.Context(), req.Tenant, req.Query)
 	if err != nil {
-		writeJSON(w, errStatus(err), httpError{Error: err.Error()})
+		WriteError(w, errStatus(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, predictResponse{
+	WriteJSON(w, http.StatusOK, predictResponse{
 		Tenant:       req.Tenant,
 		Query:        req.Query.Name,
 		Mean:         pred.Mean(),
@@ -126,12 +139,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	d, err := s.Submit(r.Context(), req)
 	if err != nil {
-		writeJSON(w, errStatus(err), httpError{Error: err.Error()})
+		WriteError(w, errStatus(err), err.Error())
 		return
 	}
 	status := http.StatusOK
@@ -139,7 +152,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// The request was understood but refused admission.
 		status = http.StatusTooManyRequests
 	}
-	writeJSON(w, status, d)
+	WriteJSON(w, status, d)
 }
 
 type drainResponse struct {
@@ -161,22 +174,22 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		resp.Error = err.Error()
 		status = http.StatusInternalServerError
 	}
-	writeJSON(w, status, resp)
+	WriteJSON(w, status, resp)
 }
 
 func (s *Server) handleRecalibrate(w http.ResponseWriter, r *http.Request) {
 	var req RecalibrateRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	resp, err := s.Recalibrate(r.Context(), req)
 	if err != nil {
-		writeJSON(w, errStatus(err), httpError{Error: err.Error()})
+		WriteError(w, errStatus(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }

@@ -52,7 +52,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 
 	// /predict returns the distribution.
-	resp, body := postJSON(t, ts, "/predict", predictRequest{Tenant: "alpha", Query: qs[0]})
+	resp, body := postJSON(t, ts, "/predict", PredictRequest{Tenant: "alpha", Query: qs[0]})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("predict status %d: %s", resp.StatusCode, body)
 	}
@@ -130,11 +130,11 @@ func TestHTTPErrors(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, _ := postJSON(t, ts, "/predict", predictRequest{Tenant: "nobody", Query: qs[0]})
+	resp, _ := postJSON(t, ts, "/predict", PredictRequest{Tenant: "nobody", Query: qs[0]})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown tenant: status %d, want 404", resp.StatusCode)
 	}
-	resp, _ = postJSON(t, ts, "/predict", predictRequest{Tenant: "alpha"})
+	resp, _ = postJSON(t, ts, "/predict", PredictRequest{Tenant: "alpha"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("nil query: status %d, want 400", resp.StatusCode)
 	}
@@ -236,7 +236,7 @@ func TestHTTPOversizeBody(t *testing.T) {
 			t.Errorf("oversize %s: error body %+v (decode: %v)", path, e, err)
 		}
 	}
-	resp, body := postJSON(t, ts, "/predict", predictRequest{Tenant: "alpha", Query: qs[0]})
+	resp, body := postJSON(t, ts, "/predict", PredictRequest{Tenant: "alpha", Query: qs[0]})
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("predict after oversize: status %d: %s", resp.StatusCode, body)
 	}

@@ -108,11 +108,11 @@ func TestStepOneHoldsClock(t *testing.T) {
 	}
 	// The in-flight request's remaining service counts as queue wait
 	// until the clock catches up with its finish.
-	if _, wait, _ := srv.QueueState(); wait < out.Elapsed {
+	if _, wait, _ := srv.QueueStateAt(srv.Clock()); wait < out.Elapsed {
 		t.Fatalf("queue state ignores in-flight residual: wait=%v, elapsed=%v", wait, out.Elapsed)
 	}
 	srv.AdvanceClock(out.Finish)
-	if _, wait, _ := srv.QueueState(); wait != srvQueueMeanOnly(srv) {
+	if _, wait, _ := srv.QueueStateAt(srv.Clock()); wait != srvQueueMeanOnly(srv) {
 		t.Fatalf("residual not cleared after clock caught up: wait=%v", wait)
 	}
 

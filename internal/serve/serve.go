@@ -408,7 +408,7 @@ type Stats struct {
 	// QueueWaitMean/QueueWaitVar are the predicted T_wait aggregates
 	// the admission rule folds into P(T_wait + T_q <= d): the queued
 	// backlog plus the residual service of the in-flight request — the
-	// same numbers Submit and QueueState see at this instant.
+	// same numbers Submit and QueueStateAt see at this instant.
 	QueueWaitMean float64       `json:"queue_wait_mean"`
 	QueueWaitVar  float64       `json:"queue_wait_var"`
 	Tenants       []TenantStats `json:"tenants"`
@@ -457,23 +457,16 @@ func (s *Server) Clock() float64 {
 	return s.clock
 }
 
-// QueueState returns the admitted-work queue's length and its
+// QueueStateAt returns the admitted-work queue's length and its
 // aggregate predicted backlog (mean and variance of total remaining
 // work, residual in-flight service included) — the light-weight
 // snapshot placement policies poll per arrival, without the drift
-// reports Stats assembles.
-func (s *Server) QueueState() (length int, waitMean, waitVar float64) {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	return s.queue.Len(), s.qWaitMean + s.residualLocked(), s.qWaitVar
-}
-
-// QueueStateAt is QueueState with the in-flight residual measured
-// against virtual time now (or the server's clock, whichever is later)
-// instead of the clock alone. It is a pure read: the clock does not
-// move and no recalibration checks run, so an event-driven caller can
-// poll many servers at one instant — the simulator's routers do, per
-// arrival — without paying a clock broadcast to all of them.
+// reports Stats assembles. The in-flight residual is measured against
+// virtual time now (or the server's clock, whichever is later). It is a
+// pure read: the clock does not move and no recalibration checks run,
+// so an event-driven caller can poll many servers at one instant — the
+// simulator's routers do, per arrival — without paying a clock
+// broadcast to all of them.
 func (s *Server) QueueStateAt(now float64) (length int, waitMean, waitVar float64) {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/cache"
 )
 
 // DefaultVNodes is the virtual-node count per shard when a directory
@@ -79,7 +81,7 @@ func (d *Directory) rebuild() {
 	for _, s := range d.shards {
 		for v := 0; v < d.vnodes; v++ {
 			d.ring = append(d.ring, ringEntry{
-				hash:  hash64(d.seed, fmt.Sprintf("%s#%d", s, v)),
+				hash:  cache.SeededHash(d.seed, fmt.Sprintf("%s#%d", s, v)),
 				shard: s,
 			})
 		}
@@ -97,7 +99,7 @@ func (d *Directory) rebuild() {
 // Place returns the shard owning tenant: the first virtual node at or
 // clockwise of the tenant's hash.
 func (d *Directory) Place(tenant string) string {
-	h := hash64(d.seed, tenant)
+	h := cache.SeededHash(d.seed, tenant)
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	i := sort.Search(len(d.ring), func(i int) bool { return d.ring[i].hash >= h })
@@ -163,30 +165,4 @@ func (d *Directory) Counts(tenants []string) map[string]int {
 		out[d.Place(t)]++
 	}
 	return out
-}
-
-// hash64 is the directory's placement hash: FNV-1a over the seed and
-// key, finished with a splitmix-style avalanche so structured names
-// (tenant-0001, tenant-0002, ...) still spread evenly around the ring.
-func hash64(seed int64, key string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	x := uint64(offset64)
-	s := uint64(seed)
-	for i := 0; i < 8; i++ {
-		x ^= (s >> (8 * i)) & 0xff
-		x *= prime64
-	}
-	for i := 0; i < len(key); i++ {
-		x ^= uint64(key[i])
-		x *= prime64
-	}
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }

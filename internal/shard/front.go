@@ -3,7 +3,6 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	uaqetp "repro"
+	"repro/internal/serve"
 	"repro/internal/stats"
 )
 
@@ -85,25 +85,13 @@ func (f *Front) Handler() http.Handler {
 	return mux
 }
 
-type frontError struct {
-	Error string `json:"error"`
-}
-
-func frontJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
 func (f *Front) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	shards := f.dir.Shards()
 	roster := make([]FileShard, 0, len(shards))
 	for _, s := range shards {
 		roster = append(roster, FileShard{Name: s, Addr: f.addrs[s]})
 	}
-	frontJSON(w, http.StatusOK, struct {
+	serve.WriteJSON(w, http.StatusOK, struct {
 		Status string      `json:"status"`
 		Shards []FileShard `json:"shards"`
 	}{Status: "ok", Shards: roster})
@@ -112,11 +100,11 @@ func (f *Front) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (f *Front) handlePlace(w http.ResponseWriter, r *http.Request) {
 	tenant := r.URL.Query().Get("tenant")
 	if tenant == "" {
-		frontJSON(w, http.StatusBadRequest, frontError{Error: "missing tenant parameter"})
+		serve.WriteError(w, http.StatusBadRequest, "missing tenant parameter")
 		return
 	}
 	s := f.dir.Place(tenant)
-	frontJSON(w, http.StatusOK, struct {
+	serve.WriteJSON(w, http.StatusOK, struct {
 		Tenant string `json:"tenant"`
 		Shard  string `json:"shard"`
 		Addr   string `json:"addr"`
@@ -128,12 +116,12 @@ func (f *Front) handlePlace(w http.ResponseWriter, r *http.Request) {
 func (f *Front) forward(w http.ResponseWriter, shard, path string, body []byte) {
 	addr, ok := f.addrs[shard]
 	if !ok || addr == "" {
-		frontJSON(w, http.StatusBadGateway, frontError{Error: fmt.Sprintf("shard %q has no registered address", shard)})
+		serve.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %q has no registered address", shard))
 		return
 	}
 	resp, err := f.client.Post(addr+path, "application/json", bytes.NewReader(body))
 	if err != nil {
-		frontJSON(w, http.StatusBadGateway, frontError{Error: fmt.Sprintf("shard %q: %v", shard, err)})
+		serve.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %q: %v", shard, err))
 		return
 	}
 	defer resp.Body.Close()
@@ -157,35 +145,33 @@ type frontRequest struct {
 	Confidence float64 `json:"confidence,omitempty"`
 }
 
+// maxTrackedTenants bounds the distinct-tenant tally of a long-lived
+// front: tenant names come from request bodies, so without a bound a
+// client sending unique names grows the map (and every /metrics walk
+// over it) forever. Requests beyond the cap are still placed and
+// forwarded, just not tallied.
+const maxTrackedTenants = 4096
+
 func (f *Front) place(tenant string) string {
 	s := f.dir.Place(tenant)
 	f.mu.Lock()
-	f.tenantShard[tenant] = s
+	if _, tracked := f.tenantShard[tenant]; tracked || len(f.tenantShard) < maxTrackedTenants {
+		f.tenantShard[tenant] = s
+	}
 	f.mu.Unlock()
 	return s
 }
 
-// maxBodyBytes bounds how much of a request body the front reads — the
-// shards' own limit, so the front buffers no more than a shard accepts.
-const maxBodyBytes = 1 << 20
-
-// decodeRequest decodes a /predict or /submit body, answering 413 for a
-// body over maxBodyBytes and 400 for one that does not decode or names
-// no tenant; ok is false once it has answered.
+// decodeRequest decodes a /predict or /submit body under the shards' own
+// limit and strictness (serve.DecodeBody), so the front buffers no more
+// than a shard accepts, and answers 400 for a body that names no tenant;
+// ok is false once it has answered.
 func decodeRequest(w http.ResponseWriter, r *http.Request) (req frontRequest, ok bool) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		frontJSON(w, status, frontError{Error: "bad request body: " + err.Error()})
+	if !serve.DecodeBody(w, r, &req) {
 		return req, false
 	}
 	if req.Tenant == "" {
-		frontJSON(w, http.StatusBadRequest, frontError{Error: "missing tenant"})
+		serve.WriteError(w, http.StatusBadRequest, "missing tenant")
 		return req, false
 	}
 	return req, true
@@ -196,10 +182,7 @@ func (f *Front) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, _ := json.Marshal(struct {
-		Tenant string        `json:"tenant"`
-		Query  *uaqetp.Query `json:"query"`
-	}{req.Tenant, req.Query})
+	body, _ := json.Marshal(serve.PredictRequest{Tenant: req.Tenant, Query: req.Query})
 	f.forward(w, f.place(req.Tenant), "/predict", body)
 }
 
@@ -246,16 +229,12 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if verdict == VerdictShedPredictive {
 			reason = fmt.Sprintf("P(T_q <= %.4g) = %.4f below confidence %.4f with zero wait", req.Deadline, bestP, confidence)
 		}
-		frontJSON(w, http.StatusTooManyRequests, shedResponse{
+		serve.WriteJSON(w, http.StatusTooManyRequests, shedResponse{
 			Verdict: verdict, Reason: reason, Shard: shardName, PMeet: bestP,
 		})
 		return
 	}
-	body, _ := json.Marshal(struct {
-		Tenant   string        `json:"tenant"`
-		Query    *uaqetp.Query `json:"query"`
-		Deadline float64       `json:"deadline"`
-	}{req.Tenant, req.Query, req.Deadline})
+	body, _ := json.Marshal(serve.Request{Tenant: req.Tenant, Query: req.Query, Deadline: req.Deadline})
 	f.forward(w, shardName, "/submit", body)
 }
 
@@ -271,10 +250,7 @@ func (f *Front) predictOn(shard string, req frontRequest) (*predictedCost, error
 	if !ok || addr == "" {
 		return nil, fmt.Errorf("shard %q has no registered address", shard)
 	}
-	body, _ := json.Marshal(struct {
-		Tenant string        `json:"tenant"`
-		Query  *uaqetp.Query `json:"query"`
-	}{req.Tenant, req.Query})
+	body, _ := json.Marshal(serve.PredictRequest{Tenant: req.Tenant, Query: req.Query})
 	resp, err := f.client.Post(addr+"/predict", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, err

@@ -85,9 +85,8 @@ func TestFrontOversizeBody(t *testing.T) {
 		}
 	}
 
-	// serve and shard each carry the limit as their own constant (shard
-	// does not import serve); this is what keeps the two equal. A body
-	// padded to exactly 1 MiB passes both, one byte more passes neither.
+	// Both tiers decode through serve.DecodeBody: a body padded to exactly
+	// 1 MiB passes both, one byte more passes neither.
 	b, err := json.Marshal(map[string]any{"tenant": "alpha", "query": qs[0]})
 	if err != nil {
 		t.Fatal(err)

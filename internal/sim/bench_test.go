@@ -7,20 +7,20 @@ import (
 	"repro/internal/serve"
 )
 
-// openScenario normalizes sc and opens its base System once, for tests
+// openScenario resolves sc and opens its base System once, for tests
 // and benchmarks that amortize the expensive Open over several runOn
 // calls.
-func openScenario(tb testing.TB, sc Scenario) (Scenario, *uaqetp.System, *uaqetp.EstimateCache) {
+func openScenario(tb testing.TB, sc Scenario) (*resolved, *uaqetp.System, *uaqetp.EstimateCache) {
 	tb.Helper()
-	sc, err := sc.normalized()
+	rs, err := sc.resolve()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sys, cache, err := openBase(sc)
+	sys, cache, err := openBase(rs)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return sc, sys, cache
+	return rs, sys, cache
 }
 
 // BenchmarkSimPoisson measures simulator throughput — events per second
@@ -46,14 +46,14 @@ func BenchmarkSimPoisson(b *testing.B) {
 			Arrivals: ArrivalSpec{Process: ProcessPoisson, Rate: 6},
 		}},
 	}
-	sc, sys, cache := openScenario(b, sc)
+	rs, sys, cache := openScenario(b, sc)
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	var events int
 	var fitness float64
 	for i := 0; i < b.N; i++ {
-		rep, err := runOn(sc, sys, cache, runSinks{})
+		rep, err := runOn(rs, sys, cache, runSinks{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -99,14 +99,14 @@ func BenchmarkSimHeterogeneous(b *testing.B) {
 			Arrivals: ArrivalSpec{Process: ProcessPoisson, Rate: 6},
 		}},
 	}
-	sc, sys, cache := openScenario(b, sc)
+	rs, sys, cache := openScenario(b, sc)
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	var events int
 	var fitness float64
 	for i := 0; i < b.N; i++ {
-		rep, err := runOn(sc, sys, cache, runSinks{})
+		rep, err := runOn(rs, sys, cache, runSinks{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func BenchmarkSimDrift(b *testing.B) {
 			Arrivals: ArrivalSpec{Process: ProcessPoisson, Rate: 6},
 		}},
 	}
-	sc, sys, cache := openScenario(b, sc)
+	rs, sys, cache := openScenario(b, sc)
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -160,7 +160,7 @@ func BenchmarkSimDrift(b *testing.B) {
 	var rep *Report
 	for i := 0; i < b.N; i++ {
 		var err error
-		rep, err = runOn(sc, sys, cache, runSinks{})
+		rep, err = runOn(rs, sys, cache, runSinks{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -217,14 +217,14 @@ func BenchmarkSimSharded(b *testing.B) {
 			Arrivals: ArrivalSpec{Process: ProcessPoisson, Rate: 0.02},
 		}},
 	}
-	sc, sys, cache := openScenario(b, sc)
+	rs, sys, cache := openScenario(b, sc)
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	var events int
 	var fitness float64
 	for i := 0; i < b.N; i++ {
-		rep, err := runOn(sc, sys, cache, runSinks{})
+		rep, err := runOn(rs, sys, cache, runSinks{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -264,14 +264,14 @@ func BenchmarkSimCluster(b *testing.B) {
 			Arrivals: ArrivalSpec{Process: ProcessPoisson, Rate: 1500},
 		}},
 	}
-	sc, sys, cache := openScenario(b, sc)
+	rs, sys, cache := openScenario(b, sc)
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	var events int
 	var fitness float64
 	for i := 0; i < b.N; i++ {
-		rep, err := runOn(sc, sys, cache, runSinks{})
+		rep, err := runOn(rs, sys, cache, runSinks{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -34,7 +34,11 @@
 // inline, in merged event order. The options attach event sinks
 // (WithTrace for the decision trace, WithCalibration for the
 // calibration stream), each a trace.Recorder that sees its events in
-// the order the loop produces them.
+// the order the loop produces them. The files follow a run: config.go
+// resolves the Scenario (defaults, validation, every name parsed once),
+// build.go opens the base System and builds the fleet, the tenants and
+// the arrival sequence, loop.go is the event loop, report.go aggregates
+// the Report; sim.go holds Run and the run's state.
 //
 // Everything is deterministic per (Scenario, Seed): every RNG derives
 // from the scenario seed and the underlying prediction/execution stack
@@ -49,6 +53,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 
@@ -184,7 +189,7 @@ func Load(path string) (Scenario, error) {
 	}
 	valid := scenarioKeys()
 	for key := range raw {
-		if !slicesContains(valid, key) {
+		if !slices.Contains(valid, key) {
 			return Scenario{}, fmt.Errorf("sim: parse %s: unknown scenario key %q (valid keys: %s)",
 				path, key, strings.Join(valid, ", "))
 		}
@@ -221,17 +226,23 @@ func scenarioKeys() []string {
 	return keys
 }
 
-func slicesContains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
+// resolved is a validated scenario: the Scenario with its defaults
+// filled, plus every name in it parsed to the value it denotes. resolve
+// is the only place a name is parsed; openBase, runOn, buildArrivals and
+// report read the values from here.
+type resolved struct {
+	Scenario
+	kind   datagen.DBKind
+	ver    rng.Version
+	policy serve.QueuePolicy
+	// fleet is Machines expanded to one spec per machine.
+	fleet []MachineSpec
+	// bench[i] is Tenants[i].Bench.
+	bench []workload.Benchmark
 }
 
-// normalized fills defaults and validates the scenario.
-func (sc Scenario) normalized() (Scenario, error) {
+// resolve fills defaults, validates the scenario and parses its names.
+func (sc Scenario) resolve() (*resolved, error) {
 	if sc.Name == "" {
 		sc.Name = "scenario"
 	}
@@ -239,76 +250,81 @@ func (sc Scenario) normalized() (Scenario, error) {
 		sc.Seed = 1
 	}
 	if sc.Horizon <= 0 {
-		return sc, fmt.Errorf("sim: horizon %g must be positive", sc.Horizon)
+		return nil, fmt.Errorf("sim: horizon %g must be positive", sc.Horizon)
 	}
 	if sc.Router == "" {
 		sc.Router = RouterLeastRisk
 	}
-	if _, err := parseRouter(sc.Router); err != nil {
-		return sc, err
+	if !slices.Contains(Routers(), sc.Router) {
+		return nil, fmt.Errorf("sim: unknown router %q (registered: %s)", sc.Router, strings.Join(Routers(), ", "))
 	}
-	if _, err := serve.QueuePolicyByName(sc.QueuePolicy); err != nil {
-		return sc, err
+	policy, err := serve.QueuePolicyByName(sc.QueuePolicy)
+	if err != nil {
+		return nil, err
 	}
-	if _, err := datagen.ParseKind(sc.DB); err != nil {
-		return sc, fmt.Errorf("sim: %w", err)
+	kind, err := datagen.ParseKind(sc.DB)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	if sc.MachineProfile == "" {
 		sc.MachineProfile = "PC1"
 	}
 	if _, err := hardware.ProfileByName(sc.MachineProfile); err != nil {
-		return sc, fmt.Errorf("sim: machine_profile: %w", err)
+		return nil, fmt.Errorf("sim: machine_profile: %w", err)
 	}
-	if _, err := sc.Machines.resolve(sc.MachineProfile); err != nil {
-		return sc, err
+	fleet, err := sc.Machines.resolve(sc.MachineProfile)
+	if err != nil {
+		return nil, err
 	}
 	if sc.SamplingRatio == 0 {
 		sc.SamplingRatio = 0.05
 	}
-	if _, err := rng.ParseVersion(sc.RNG); err != nil {
-		return sc, fmt.Errorf("sim: rng: %w", err)
+	ver, err := rng.ParseVersion(sc.RNG)
+	if err != nil {
+		return nil, fmt.Errorf("sim: rng: %w", err)
 	}
 	if _, err := trace.ParseLevel(sc.TraceLevel); err != nil {
-		return sc, fmt.Errorf("sim: trace_level: %w", err)
+		return nil, fmt.Errorf("sim: trace_level: %w", err)
 	}
 	if sc.Shards != nil {
-		if err := sc.Shards.validate(sc.Machines.Size()); err != nil {
-			return sc, err
+		if err := sc.Shards.validate(len(fleet)); err != nil {
+			return nil, err
 		}
 	}
 	if len(sc.Tenants) == 0 {
-		return sc, fmt.Errorf("sim: scenario needs at least one tenant")
+		return nil, fmt.Errorf("sim: scenario needs at least one tenant")
 	}
+	// The caller's Tenants slice is not ours to fill defaults into.
+	sc.Tenants = append([]TenantSpec(nil), sc.Tenants...)
+	bench := make([]workload.Benchmark, len(sc.Tenants))
 	seen := make(map[string]bool, len(sc.Tenants))
 	for i := range sc.Tenants {
 		t := &sc.Tenants[i]
 		if t.Name == "" {
-			return sc, fmt.Errorf("sim: tenant %d has no name", i)
+			return nil, fmt.Errorf("sim: tenant %d has no name", i)
 		}
 		if seen[t.Name] {
-			return sc, fmt.Errorf("sim: duplicate tenant %q", t.Name)
+			return nil, fmt.Errorf("sim: duplicate tenant %q", t.Name)
 		}
 		seen[t.Name] = true
 		if t.Count < 0 {
-			return sc, fmt.Errorf("sim: tenant %q: negative count %d", t.Name, t.Count)
+			return nil, fmt.Errorf("sim: tenant %q: negative count %d", t.Name, t.Count)
 		}
 		if t.Count > 1 && t.Arrivals.Process == ProcessTrace {
-			return sc, fmt.Errorf("sim: tenant %q: count %d is not compatible with trace arrivals (a trace replays one tenant's stream)", t.Name, t.Count)
+			return nil, fmt.Errorf("sim: tenant %q: count %d is not compatible with trace arrivals (a trace replays one tenant's stream)", t.Name, t.Count)
 		}
-		if _, err := workload.ParseBenchmark(t.Bench); err != nil {
-			return sc, fmt.Errorf("sim: tenant %q: %w", t.Name, err)
+		if bench[i], err = workload.ParseBenchmark(t.Bench); err != nil {
+			return nil, fmt.Errorf("sim: tenant %q: %w", t.Name, err)
 		}
 		if t.Queries <= 0 {
 			t.Queries = 16
 		}
 		if t.Deadline < 0 {
-			return sc, fmt.Errorf("sim: tenant %q: negative deadline %g", t.Name, t.Deadline)
+			return nil, fmt.Errorf("sim: tenant %q: negative deadline %g", t.Name, t.Deadline)
 		}
-		norm, err := t.Arrivals.normalized(sc.Horizon)
-		if err != nil {
-			return sc, fmt.Errorf("sim: tenant %q: %w", t.Name, err)
+		if t.Arrivals, err = t.Arrivals.normalized(sc.Horizon); err != nil {
+			return nil, fmt.Errorf("sim: tenant %q: %w", t.Name, err)
 		}
-		t.Arrivals = norm
 	}
-	return sc, nil
+	return &resolved{Scenario: sc, kind: kind, ver: ver, policy: policy, fleet: fleet, bench: bench}, nil
 }

@@ -308,8 +308,8 @@ func TestTraceOffAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	sc, sys, cache := openScenario(t, testScenario())
-	warm, err := runOn(sc, sys, cache, runSinks{})
+	rs, sys, cache := openScenario(t, testScenario())
+	warm, err := runOn(rs, sys, cache, runSinks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,11 +322,11 @@ func TestTraceOffAllocs(t *testing.T) {
 		plain, off func() (*Report, error)
 	}{
 		{"runOn",
-			func() (*Report, error) { return runOn(sc, sys, cache, runSinks{}) },
-			func() (*Report, error) { return runOn(sc, sys, cache, runSinks{trace: off}) }},
+			func() (*Report, error) { return runOn(rs, sys, cache, runSinks{}) },
+			func() (*Report, error) { return runOn(rs, sys, cache, runSinks{trace: off}) }},
 		{"Run",
-			func() (*Report, error) { return Run(sc) },
-			func() (*Report, error) { return Run(sc, WithTrace(off)) }},
+			func() (*Report, error) { return Run(rs.Scenario) },
+			func() (*Report, error) { return Run(rs.Scenario, WithTrace(off)) }},
 	} {
 		allocs := func(run func() (*Report, error)) float64 {
 			return testing.AllocsPerRun(3, func() {

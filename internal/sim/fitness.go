@@ -67,11 +67,6 @@ type Fitness struct {
 	Weights      FitnessWeights `json:"weights"`
 }
 
-// JainIndex is (Σx)² / (n·Σx²): 1 for perfectly equal allocations,
-// 1/n when a single participant takes everything. It delegates to
-// stats.JainIndex (kept exported here for policy-search callers).
-func JainIndex(xs []float64) float64 { return stats.JainIndex(xs) }
-
 // ComputeFitness scores a Report under the given weights. It reads
 // only Report fields, so recorded report JSON from any run — or a
 // replayed counterfactual — scores identically to a live one.
@@ -87,7 +82,7 @@ func ComputeFitness(r *Report, w FitnessWeights) Fitness {
 	for i, t := range r.Tenants {
 		atts[i] = t.SLOAttainment
 	}
-	f.Fairness = JainIndex(atts)
+	f.Fairness = stats.JainIndex(atts)
 	if len(r.PerMachine) > 0 {
 		var u float64
 		for _, m := range r.PerMachine {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	uaqetp "repro"
+	"repro/internal/stats"
 )
 
 func TestJainIndexEdges(t *testing.T) {
@@ -21,14 +22,14 @@ func TestJainIndexEdges(t *testing.T) {
 		{"known two-point value", []float64{1, 0.5}, 0.9},
 	}
 	for _, c := range cases {
-		if got := JainIndex(c.xs); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("%s: JainIndex(%v) = %v, want %v", c.name, c.xs, got, c.want)
+		if got := stats.JainIndex(c.xs); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("%s: stats.JainIndex(%v) = %v, want %v", c.name, c.xs, got, c.want)
 		}
 	}
 	// The index is scale-invariant: doubling every allocation changes
 	// nothing about its fairness.
-	a := JainIndex([]float64{0.2, 0.4, 0.8})
-	b := JainIndex([]float64{0.4, 0.8, 1.6})
+	a := stats.JainIndex([]float64{0.2, 0.4, 0.8})
+	b := stats.JainIndex([]float64{0.4, 0.8, 1.6})
 	if math.Abs(a-b) > 1e-12 {
 		t.Errorf("JainIndex not scale-invariant: %v vs %v", a, b)
 	}
@@ -57,7 +58,7 @@ func TestComputeFitnessFromReport(t *testing.T) {
 	if f.Attainment != 0.8 || f.LatencyP50 != 0.2 || f.LatencyP95 != 0.9 || f.LatencyP99 != 1.4 {
 		t.Fatalf("components not copied from report: %+v", f)
 	}
-	if want := JainIndex([]float64{1.0, 0.5}); math.Abs(f.Fairness-want) > 1e-12 {
+	if want := stats.JainIndex([]float64{1.0, 0.5}); math.Abs(f.Fairness-want) > 1e-12 {
 		t.Errorf("fairness = %v, want %v", f.Fairness, want)
 	}
 	if math.Abs(f.Utilization-0.5) > 1e-12 {

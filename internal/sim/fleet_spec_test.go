@@ -53,7 +53,7 @@ func TestInlineMachineSpec(t *testing.T) {
 func TestInlineMachineSpecValidation(t *testing.T) {
 	sc := testScenario()
 	sc.Machines = FleetList(MachineSpec{Profile: "PC1", Spec: inlineSpec()})
-	if _, err := sc.normalized(); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+	if _, err := sc.resolve(); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Errorf("profile + inline spec accepted: %v", err)
 	}
 
@@ -61,7 +61,7 @@ func TestInlineMachineSpecValidation(t *testing.T) {
 	bad.Units["cs"] = hardware.UnitSpec{Mean: -1}
 	sc = testScenario()
 	sc.Machines = FleetList(MachineSpec{Spec: bad})
-	if _, err := sc.normalized(); err == nil || !strings.Contains(err.Error(), "must be positive") {
+	if _, err := sc.resolve(); err == nil || !strings.Contains(err.Error(), "must be positive") {
 		t.Errorf("invalid inline unit mean accepted: %v", err)
 	}
 
@@ -69,7 +69,7 @@ func TestInlineMachineSpecValidation(t *testing.T) {
 	delete(incomplete.Units, "co")
 	sc = testScenario()
 	sc.Machines = FleetList(MachineSpec{Spec: incomplete})
-	if _, err := sc.normalized(); err == nil || !strings.Contains(err.Error(), "want all") {
+	if _, err := sc.resolve(); err == nil || !strings.Contains(err.Error(), "want all") {
 		t.Errorf("incomplete inline spec accepted: %v", err)
 	}
 }
@@ -103,7 +103,7 @@ func TestInlineMachineSpecUnknownFieldRejected(t *testing.T) {
 func TestRouterErrorListsVocabulary(t *testing.T) {
 	sc := testScenario()
 	sc.Router = "teleport"
-	_, err := sc.normalized()
+	_, err := sc.resolve()
 	if err == nil {
 		t.Fatal("unknown router accepted")
 	}

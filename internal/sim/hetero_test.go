@@ -124,13 +124,17 @@ func TestHeterogeneousLeastRiskAdvantage(t *testing.T) {
 	sc := shippedHeteroScenario(t)
 	// One Open for all five runs (the placement decisions are pure
 	// functions of the scenario; sharing the cache only saves work).
-	sc, sys, cache := openScenario(t, sc)
+	_, sys, cache := openScenario(t, sc)
 	att := func(router string, machines Fleet) float64 {
 		t.Helper()
 		sc := sc
 		sc.Router = router
 		sc.Machines = machines
-		rep, err := runOn(sc, sys, cache, runSinks{})
+		rs, err := sc.resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := runOn(rs, sys, cache, runSinks{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -72,9 +72,9 @@ func TestEventDispatchAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	sc, sys, cache := openScenario(t, testScenario())
+	rs, sys, cache := openScenario(t, testScenario())
 	// Warm run: fills the plan memo and the estimate/run cache sections.
-	warm, err := runOn(sc, sys, cache, runSinks{})
+	warm, err := runOn(rs, sys, cache, runSinks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestEventDispatchAllocs(t *testing.T) {
 		t.Fatal("warm run processed no events")
 	}
 	perRun := testing.AllocsPerRun(3, func() {
-		if _, err := runOn(sc, sys, cache, runSinks{}); err != nil {
+		if _, err := runOn(rs, sys, cache, runSinks{}); err != nil {
 			t.Fatal(err)
 		}
 	})

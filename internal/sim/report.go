@@ -7,6 +7,7 @@ import (
 
 	uaqetp "repro"
 	"repro/internal/calib"
+	"repro/internal/serve"
 )
 
 // Quantiles summarizes a sample of durations. Quantiles use the
@@ -266,4 +267,113 @@ type ShardsReport struct {
 // artifact the determinism contract is pinned on.
 func (r *Report) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
+}
+
+// report aggregates the fleet into the final Report.
+func (s *simRun) report() *Report {
+	rep := &Report{
+		Scenario:    s.sc.Name,
+		Seed:        s.sc.Seed,
+		Router:      s.router,
+		QueuePolicy: s.sc.policy.Name,
+		Machines:    len(s.machines),
+		Events:      s.processed,
+		Arrivals:    len(s.arrivals),
+		Cache:       s.cache.Stats(),
+	}
+
+	// Per-machine stats, snapshotted once each.
+	perMachine := make([]serve.Stats, len(s.machines))
+	for m, ms := range s.machines {
+		st := ms.srv.Stats()
+		perMachine[m] = st
+		mr := MachineReport{
+			Machine:  m,
+			Profile:  ms.spec.Profile,
+			Drift:    ms.spec.Drift,
+			DriftAt:  ms.spec.DriftAt,
+			Executed: ms.executed,
+			Clock:    st.Clock,
+			BusyTime: ms.busyTime,
+		}
+		if ms.spec.DriftAt > 0 && s.detectedAt[m] >= 0 {
+			mr.DriftDetectedAt = s.detectedAt[m]
+		}
+		if st.Clock > 0 {
+			mr.Utilization = ms.busyTime / st.Clock
+		}
+		rep.PerMachine = append(rep.PerMachine, mr)
+		if st.Clock > rep.MakeSpan {
+			rep.MakeSpan = st.Clock
+		}
+	}
+
+	// Aggregate per group (one TenantReport per TenantSpec, covering all
+	// its expanded members): serve-side counters are matched to members
+	// through a name index rather than a per-tenant fleet scan, so a
+	// 10k-tenant run aggregates in one pass over the per-machine stats.
+	// Every sum is over integers (or sorted by summarize), so the result
+	// is independent of member and machine iteration order.
+	groups := make([]TenantReport, len(s.sc.Tenants))
+	groupLat := make([][]float64, len(groups))
+	groupQW := make([][]float64, len(groups))
+	for gi := range groups {
+		groups[gi].Name = s.sc.Tenants[gi].Name
+	}
+	memberOf := make(map[string]int, len(s.tenants))
+	for _, ts := range s.tenants {
+		memberOf[ts.name] = ts.group
+	}
+	for m := range s.machines {
+		for _, st := range perMachine[m].Tenants {
+			gi, ok := memberOf[st.Name]
+			if !ok {
+				continue
+			}
+			tr := &groups[gi]
+			tr.Admitted += int(st.Admitted)
+			tr.Rejected += int(st.Rejected)
+			tr.Executed += int(st.Executed)
+			tr.ExecFailed += int(st.ExecFailed)
+			tr.DeadlinesMet += int(st.DeadlinesMet)
+			tr.DeadlinesMissed += int(st.DeadlinesMissed)
+			tr.Recalibrations += st.Recalibrations
+			tr.AutoRecalibrations += st.AutoRecalibrations
+		}
+	}
+	var fleetMet, fleetSubmitted int
+	var fleetLat []float64
+	for _, ts := range s.tenants {
+		fleetLat = append(fleetLat, ts.latencies...)
+		groups[ts.group].Shed += ts.shed
+		groupLat[ts.group] = append(groupLat[ts.group], ts.latencies...)
+		groupQW[ts.group] = append(groupQW[ts.group], ts.queueWaits...)
+	}
+	for gi := range groups {
+		tr := &groups[gi]
+		tr.Submitted = tr.Admitted + tr.Rejected + tr.Shed
+		if tr.Submitted > 0 {
+			tr.SLOAttainment = float64(tr.DeadlinesMet) / float64(tr.Submitted)
+		}
+		if tr.Executed > 0 {
+			tr.AttainmentExecuted = float64(tr.DeadlinesMet) / float64(tr.Executed)
+		}
+		tr.Latency = summarize(groupLat[gi])
+		tr.QueueWait = summarize(groupQW[gi])
+		fleetMet += tr.DeadlinesMet
+		fleetSubmitted += tr.Submitted
+	}
+	rep.Tenants = groups
+	if fleetSubmitted > 0 {
+		rep.SLOAttainment = float64(fleetMet) / float64(fleetSubmitted)
+	}
+	rep.Latency = summarize(fleetLat)
+	sort.Slice(rep.Tenants, func(i, j int) bool { return rep.Tenants[i].Name < rep.Tenants[j].Name })
+	rep.Calibration = s.calibrationReport()
+	rep.DriftWindow = s.driftWindow()
+	if s.sh != nil {
+		rep.Shards = s.shardsReport()
+	}
+	rep.Fitness = ComputeFitness(rep, DefaultFitnessWeights())
+	return rep
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	uaqetp "repro"
 	"repro/internal/serve"
@@ -46,18 +45,9 @@ const (
 const riskEps = 1e-9
 
 // Routers returns the registered placement-policy names, in registration
-// order — the vocabulary parseRouter accepts and reports.
+// order — the vocabulary a scenario's router is checked against.
 func Routers() []string {
 	return []string{RouterRoundRobin, RouterLeastQueue, RouterLeastRisk, RouterLeastRiskShared}
-}
-
-func parseRouter(name string) (string, error) {
-	for _, r := range Routers() {
-		if name == r {
-			return name, nil
-		}
-	}
-	return "", fmt.Errorf("sim: unknown router %q (registered: %s)", name, strings.Join(Routers(), ", "))
 }
 
 // route picks the machine for an arrival at virtual time now, among

@@ -305,7 +305,7 @@ func TestShardedValidation(t *testing.T) {
 	for i, c := range cases {
 		sc := testScenario()
 		c.mutate(&sc)
-		_, err := sc.normalized()
+		_, err := sc.resolve()
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("case %d: error %v does not contain %q", i, err, c.want)
 		}

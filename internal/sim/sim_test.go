@@ -253,11 +253,11 @@ func TestScenarioValidation(t *testing.T) {
 	for i, mutate := range cases {
 		sc := testScenario()
 		mutate(&sc)
-		if _, err := sc.normalized(); err == nil {
+		if _, err := sc.resolve(); err == nil {
 			t.Errorf("case %d: invalid scenario accepted", i)
 		}
 	}
-	if _, err := testScenario().normalized(); err != nil {
+	if _, err := testScenario().resolve(); err != nil {
 		t.Errorf("valid scenario rejected: %v", err)
 	}
 
@@ -265,7 +265,7 @@ func TestScenarioValidation(t *testing.T) {
 	// silently defaulting.
 	sc := testScenario()
 	sc.MachineProfile = "PC9"
-	if _, err := sc.normalized(); err == nil || !strings.Contains(err.Error(), "registered: PC1, PC2") {
+	if _, err := sc.resolve(); err == nil || !strings.Contains(err.Error(), "registered: PC1, PC2") {
 		t.Errorf("unknown machine_profile error does not list registered profiles: %v", err)
 	}
 }

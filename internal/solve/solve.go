@@ -297,14 +297,3 @@ func NNLS(a *Matrix, y []float64, nonneg []bool) ([]float64, error) {
 	}
 	return x, nil // best effort after iteration cap
 }
-
-// Residual returns ||A x - y||_2.
-func Residual(a *Matrix, x, y []float64) float64 {
-	r := a.MulVec(x)
-	var s float64
-	for i := range r {
-		d := r[i] - y[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}

@@ -157,7 +157,7 @@ func TestNNLSProperty(t *testing.T) {
 			}
 		}
 		zero := make([]float64, cols)
-		return Residual(a, x, y) <= Residual(a, zero, y)+1e-9
+		return residual(a, x, y) <= residual(a, zero, y)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -221,4 +221,15 @@ func TestMatrixOps(t *testing.T) {
 	if g.At(0, 0) != 35 || g.At(0, 1) != 44 || g.At(1, 1) != 56 {
 		t.Fatalf("Gram = %+v", g)
 	}
+}
+
+// residual returns ||A x - y||_2.
+func residual(a *Matrix, x, y []float64) float64 {
+	r := a.MulVec(x)
+	var s float64
+	for i := range r {
+		d := r[i] - y[i]
+		s += d * d
+	}
+	return math.Sqrt(s)
 }

@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // Mean returns the arithmetic mean of xs; it returns 0 for empty input.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -30,9 +28,6 @@ func Variance(xs []float64) float64 {
 	return ss / float64(n-1)
 }
 
-// StdDev returns the unbiased sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // MeanVar returns both the sample mean and the unbiased sample variance
 // in a single pass (Welford's algorithm), which is what the calibration
 // framework uses to summarize observed cost units.
@@ -47,21 +42,4 @@ func MeanVar(xs []float64) (mean, variance float64) {
 		variance = m2 / float64(len(xs)-1)
 	}
 	return m, variance
-}
-
-// MinMax returns the minimum and maximum of xs. It panics on empty input.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		panic("stats: MinMax of empty slice")
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
 }

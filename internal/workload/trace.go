@@ -49,15 +49,6 @@ func GenerateTrace(b Benchmark, cat *catalog.Catalog, n int, seed int64, meanRat
 	return entries, nil
 }
 
-// TraceDuration returns the arrival span of a trace (the last entry's
-// time), 0 for an empty trace.
-func TraceDuration(entries []TraceEntry) float64 {
-	if len(entries) == 0 {
-		return 0
-	}
-	return entries[len(entries)-1].At
-}
-
 // RawTraceEntry is one record of an external JSON arrival trace: an
 // arrival time in virtual seconds from trace start, and the index of
 // the query template it fires in the pool the trace is resolved

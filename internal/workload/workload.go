@@ -279,10 +279,3 @@ func genSelJoin(cat *catalog.Catalog, n int, r *rand.Rand) ([]*plan.Query, error
 	}
 	return queries, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

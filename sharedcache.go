@@ -57,10 +57,17 @@ type flight[V any] struct {
 	err  error
 }
 
-// flightGroup coalesces concurrent computations per key in front of a
-// sharded LRU: one caller computes, everyone else waits for its result
-// and — having computed nothing — counts as a hit, not a miss. Failed
-// computations are not cached.
+// isContextErr reports whether a computation failed because some
+// context fired (rather than because the work itself is faulty).
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// section is one keyed memo of an EstimateCache: a sharded LRU with a
+// flight group in front that coalesces concurrent computations per key —
+// one caller computes, everyone else waits for its result and, having
+// computed nothing, counts as a hit, not a miss. Failed computations
+// are not cached.
 //
 // Cancellation is per caller, not per flight: a computation runs under
 // the context of whichever caller started it, so when that caller
@@ -69,28 +76,35 @@ type flight[V any] struct {
 // It loops back, finds the flight gone, and computes under its own
 // context (re-coalescing with any other retriers). A waiter whose own
 // context fires while waiting abandons the flight with its own ctx.Err.
-type flightGroup[V any] struct {
-	mu sync.Mutex
-	m  map[string]*flight[V]
+type section[V any] struct {
+	lru *cache.Sharded[V]
+	// tier is the owning cache's tier tally; nil counts nothing.
+	tier *tierTally
+
+	mu      sync.Mutex
+	flights map[string]*flight[V]
 }
 
-// isContextErr reports whether a computation failed because some
-// context fired (rather than because the work itself is faulty).
-func isContextErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+func newSection[V any](capacity int, tier *tierTally) *section[V] {
+	return &section[V]{
+		lru:     cache.NewSharded[V](capacity, DefaultCacheShards),
+		tier:    tier,
+		flights: make(map[string]*flight[V]),
+	}
 }
 
-func (g *flightGroup[V]) do(ctx context.Context, key string, lru *cache.Sharded[V], compute func() (V, error)) (V, error) {
+// get returns the cached value for key, computing and caching it via
+// compute on a miss. Concurrent callers with the same key wait for one
+// computation instead of racing.
+func (s *section[V]) get(ctx context.Context, key string, compute func() (V, error)) (V, error) {
+	s.tier.classify(key)
 	for {
-		if v, ok := lru.Get(key); ok {
+		if v, ok := s.lru.Get(key); ok {
 			return v, nil
 		}
-		g.mu.Lock()
-		if g.m == nil {
-			g.m = make(map[string]*flight[V])
-		}
-		if f, ok := g.m[key]; ok {
-			g.mu.Unlock()
+		s.mu.Lock()
+		if f, ok := s.flights[key]; ok {
+			s.mu.Unlock()
 			select {
 			case <-f.done:
 			case <-ctx.Done():
@@ -100,7 +114,7 @@ func (g *flightGroup[V]) do(ctx context.Context, key string, lru *cache.Sharded[
 			if f.err == nil {
 				// Served by the flight: the Get above counted a miss for
 				// work this caller never did.
-				lru.Coalesced(key)
+				s.lru.Coalesced(key)
 				return f.val, nil
 			}
 			if isContextErr(f.err) && ctx.Err() == nil {
@@ -111,16 +125,16 @@ func (g *flightGroup[V]) do(ctx context.Context, key string, lru *cache.Sharded[
 			return f.val, f.err
 		}
 		f := &flight[V]{done: make(chan struct{})}
-		g.m[key] = f
-		g.mu.Unlock()
+		s.flights[key] = f
+		s.mu.Unlock()
 
 		f.val, f.err = compute()
 		if f.err == nil {
-			lru.Put(key, f.val)
+			s.lru.Put(key, f.val)
 		}
-		g.mu.Lock()
-		delete(g.m, key)
-		g.mu.Unlock()
+		s.mu.Lock()
+		delete(s.flights, key)
+		s.mu.Unlock()
 		close(f.done)
 		return f.val, f.err
 	}
@@ -148,13 +162,9 @@ func (g *flightGroup[V]) do(ctx context.Context, key string, lru *cache.Sharded[
 // deployment; see TierConfig and TierStats. The tally never changes
 // what is stored or served.
 type EstimateCache struct {
-	plans  *cache.Sharded[*sample.Estimates]
-	passes *cache.Sharded[*sample.Pass]
-	runs   *cache.Sharded[*engine.OpResult]
-
-	planFlight flightGroup[*sample.Estimates]
-	passFlight flightGroup[*sample.Pass]
-	runFlight  flightGroup[*engine.OpResult]
+	plans  *section[*sample.Estimates]
+	passes *section[*sample.Pass]
+	runs   *section[*engine.OpResult]
 
 	// tier is nil unless the cache was built by NewTieredCache.
 	tier *tierTally
@@ -165,46 +175,30 @@ type EstimateCache struct {
 // times as many subtree passes) across DefaultCacheShards shards;
 // capacity < 1 selects the per-System default.
 func NewEstimateCache(capacity int) *EstimateCache {
+	return newCache(capacity, nil)
+}
+
+func newCache(capacity int, tier *tierTally) *EstimateCache {
 	if capacity < 1 {
 		capacity = estimateMemoSize
 	}
 	return &EstimateCache{
-		plans:  cache.NewSharded[*sample.Estimates](capacity, DefaultCacheShards),
-		passes: cache.NewSharded[*sample.Pass](capacity*passCapacityFactor, DefaultCacheShards),
-		runs:   cache.NewSharded[*engine.OpResult](capacity, DefaultCacheShards),
+		plans:  newSection[*sample.Estimates](capacity, tier),
+		passes: newSection[*sample.Pass](capacity*passCapacityFactor, tier),
+		runs:   newSection[*engine.OpResult](capacity, tier),
+		tier:   tier,
 	}
-}
-
-// getOrCompute returns the cached whole-plan estimates for key,
-// computing and caching them via compute on a miss. Concurrent callers
-// with the same key wait for one computation instead of racing.
-func (c *EstimateCache) getOrCompute(ctx context.Context, key string, compute func() (*sample.Estimates, error)) (*sample.Estimates, error) {
-	c.tier.classify(key)
-	return c.planFlight.do(ctx, key, c.plans, compute)
-}
-
-// getOrComputePass is getOrCompute for the subtree-pass section.
-func (c *EstimateCache) getOrComputePass(ctx context.Context, key string, compute func() (*sample.Pass, error)) (*sample.Pass, error) {
-	c.tier.classify(key)
-	return c.passFlight.do(ctx, key, c.passes, compute)
-}
-
-// getOrComputeRun is getOrCompute for the run-result section: plan
-// executions (engine.Run) memoized under machine-independent keys.
-func (c *EstimateCache) getOrComputeRun(ctx context.Context, key string, compute func() (*engine.OpResult, error)) (*engine.OpResult, error) {
-	c.tier.classify(key)
-	return c.runFlight.do(ctx, key, c.runs, compute)
 }
 
 // Stats aggregates the hit/miss/eviction counters of all sections
 // across shards; the tier split is reported separately by TierStats.
 func (c *EstimateCache) Stats() CacheStats {
-	p := c.plans.Snapshot()
-	sp := c.passes.Snapshot()
-	rn := c.runs.Snapshot()
+	p := c.plans.lru.Snapshot()
+	sp := c.passes.lru.Snapshot()
+	rn := c.runs.lru.Snapshot()
 	return CacheStats{
 		Hits: p.Hits, Misses: p.Misses, Evictions: p.Evictions,
-		Entries: p.Entries, Shards: c.plans.NumShards(),
+		Entries: p.Entries, Shards: c.plans.lru.NumShards(),
 		SubtreeHits: sp.Hits, SubtreeMisses: sp.Misses,
 		SubtreeEvictions: sp.Evictions, SubtreeEntries: sp.Entries,
 		RunHits: rn.Hits, RunMisses: rn.Misses,
@@ -254,10 +248,8 @@ type TierStats struct {
 // counters of a report depend only on which keys were looked up.
 type tierTally struct {
 	cfg TierConfig
-	// basis is the FNV-1a state after the seed's eight little-endian
-	// bytes; threshold the cut in hash space below which a key
-	// classifies as local.
-	basis     uint64
+	// threshold is the cut in hash space below which a key classifies as
+	// local.
 	threshold uint64
 
 	local  atomic.Uint64
@@ -273,25 +265,12 @@ func NewTieredCache(cfg TierConfig) *EstimateCache {
 	if cfg.LocalFraction > 1 {
 		cfg.LocalFraction = 1
 	}
-	t := &tierTally{cfg: cfg, basis: fnvOffset64, threshold: math.MaxUint64}
+	t := &tierTally{cfg: cfg, threshold: math.MaxUint64}
 	if cfg.LocalFraction < 1 {
 		t.threshold = uint64(cfg.LocalFraction * float64(math.MaxUint64))
 	}
-	for i := 0; i < 8; i++ {
-		b := uint64(cfg.Seed) >> (8 * i) & 0xff
-		t.basis = (t.basis ^ b) * fnvPrime64
-	}
-	c := NewEstimateCache(cfg.Capacity)
-	c.tier = t
-	return c
+	return newCache(cfg.Capacity, t)
 }
-
-// The 64-bit FNV-1a parameters, inlined (as internal/cache does for
-// shard selection) so classifying a lookup allocates nothing.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
 
 // classify tallies one lookup of key; a nil tally (no tier model)
 // counts nothing.
@@ -299,18 +278,7 @@ func (t *tierTally) classify(key string) {
 	if t == nil {
 		return
 	}
-	x := t.basis
-	for i := 0; i < len(key); i++ {
-		x = (x ^ uint64(key[i])) * fnvPrime64
-	}
-	// FNV alone is biased on structured keys sharing long prefixes;
-	// a splitmix-style avalanche spreads the classification evenly.
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	if x < t.threshold {
+	if cache.SeededHash(t.cfg.Seed, key) < t.threshold {
 		t.local.Add(1)
 	} else {
 		t.remote.Add(1)

@@ -219,7 +219,7 @@ func (d *defaultEstimator) Estimate(ctx context.Context, p *Plan) (*Estimates, e
 		return nil, err
 	}
 	key := d.ns + "\x00" + p.sig
-	est, err := d.cache.getOrCompute(ctx, key, func() (*sample.Estimates, error) {
+	est, err := d.cache.plans.get(ctx, key, func() (*sample.Estimates, error) {
 		return sample.EstimateMemo(ctx, p.root, d.samples, d.cat, d.passMemo(ctx))
 	})
 	if err != nil {
@@ -233,7 +233,7 @@ func (d *defaultEstimator) Estimate(ctx context.Context, p *Plan) (*Estimates, e
 // waiter coalesced onto a canceled computation can retry on its own.
 func (d *defaultEstimator) passMemo(ctx context.Context) sample.PassMemo {
 	return func(key string, compute func() (*sample.Pass, error)) (*sample.Pass, error) {
-		return d.cache.getOrComputePass(ctx, d.ns+"\x00"+key, compute)
+		return d.cache.passes.get(ctx, d.ns+"\x00"+key, compute)
 	}
 }
 
@@ -331,7 +331,7 @@ func (x simExecutor) Execute(ctx context.Context, q *Query, p *Plan) (float64, e
 // implementation behind the default Executor and System.Measure, so
 // their measured times cannot diverge.
 func runSimulated(ctx context.Context, c *EstimateCache, ns string, db *engine.DB, profile *hardware.Profile, seed int64, ver rng.Version, q *Query, root *engine.Node, sig string) (*engine.OpResult, float64, error) {
-	res, err := c.getOrComputeRun(ctx, ns+"\x00"+sig, func() (*engine.OpResult, error) {
+	res, err := c.runs.get(ctx, ns+"\x00"+sig, func() (*engine.OpResult, error) {
 		r, err := engine.Run(db, root)
 		if err != nil {
 			return nil, err

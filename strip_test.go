@@ -22,7 +22,7 @@ func TestRunCacheStripsRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, ok := sys.estCache.runs.Get(sys.runNS + "\x00" + p.sig)
+	res, ok := sys.estCache.runs.lru.Get(sys.runNS + "\x00" + p.sig)
 	if !ok {
 		t.Fatal("executed plan not in the run cache")
 	}

@@ -21,10 +21,10 @@ func TestTieredCacheClassification(t *testing.T) {
 	allRemote := NewTieredCache(TierConfig{LocalFraction: 0, RemoteLatency: 0.01, Seed: 7})
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("k%03d", i)
-		if _, err := allLocal.getOrCompute(ctx, key, compute); err != nil {
+		if _, err := allLocal.plans.get(ctx, key, compute); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := allRemote.getOrCompute(ctx, key, compute); err != nil {
+		if _, err := allRemote.plans.get(ctx, key, compute); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -68,7 +68,7 @@ func TestTieredCacheClassificationPinned(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			before, _ := c.TierStats()
 			key := fmt.Sprintf("uniform-1G|0.05|%d\x00join(scan(t%d),scan(t%d))", i%3, i, i*i)
-			if _, err := c.getOrCompute(ctx, key, compute); err != nil {
+			if _, err := c.plans.get(ctx, key, compute); err != nil {
 				t.Fatal(err)
 			}
 			if after, _ := c.TierStats(); after.LocalLookups > before.LocalLookups {
@@ -101,7 +101,7 @@ func TestTieredCacheDeterministicSplit(t *testing.T) {
 
 	serial := NewTieredCache(cfg)
 	for _, k := range keys {
-		if _, err := serial.getOrCompute(ctx, k, compute); err != nil {
+		if _, err := serial.plans.get(ctx, k, compute); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,7 +112,7 @@ func TestTieredCacheDeterministicSplit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(keys); i += 8 {
-				if _, err := parallel.getOrCompute(ctx, keys[i], compute); err != nil {
+				if _, err := parallel.plans.get(ctx, keys[i], compute); err != nil {
 					t.Error(err)
 				}
 			}
