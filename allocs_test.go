@@ -10,11 +10,12 @@ import (
 
 // TestPredictWarmAllocs is the alloc-regression gate on the Predict hot
 // path. With the plan memo, estimate cache, and prediction memo warm, a
-// Predict call is two memo probes plus the query fingerprint — the seed
-// trajectory spent ~366 allocs and ~61 KB per call, the memoized path
-// runs near 10 allocs. The budget leaves headroom for map growth and
-// interface boxing noise while catching any return of per-call sampling
-// or assembly work.
+// Predict call is three memo probes: the plan memo by a stack-built
+// query fingerprint, the estimate cache by the key the plan memoizes,
+// the prediction memo by pointers. The seed trajectory spent ~366 allocs
+// and ~61 KB per call; the path allocates nothing now, and the budget
+// of 2 catches a fingerprint, key or option struct moving back to the
+// heap.
 func TestPredictWarmAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -29,7 +30,7 @@ func TestPredictWarmAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 40
+	const budget = 2
 	if perCall > budget {
 		t.Errorf("warm Predict allocates %.1f allocs/call, budget %d", perCall, budget)
 	}

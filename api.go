@@ -300,7 +300,7 @@ func Open(cfg Config) (*System, error) {
 		profile:   profile,
 		cal:       cal,
 		samples:   samples,
-		planner:   newDefaultPlanner(cat),
+		planner:   &defaultPlanner{cat: cat},
 		estimator: &defaultEstimator{samples: samples, cat: cat, cache: estCache, ns: estNS},
 		executor:  simExecutor{db: db, profile: profile, seed: cfg.Seed, cache: estCache, runNS: runNS, ver: cfg.RNG},
 		pred:      newPredictorHandle(defaultPredictorState(cat, cal.Units, cfg.Variant)),
@@ -463,20 +463,20 @@ func (s *System) PredictContext(ctx context.Context, q *Query, opts ...CallOptio
 	return pred, err
 }
 
-// PredictPlannedContext returns the prediction together with the plan's
-// canonical signature, so serving-path callers that need both (e.g. for
-// per-signature feedback) resolve the physical plan once.
-func (s *System) PredictPlannedContext(ctx context.Context, q *Query, opts ...CallOption) (*Prediction, string, error) {
-	o := newCallOpts(opts)
-	p, err := s.resolvePlan(ctx, q, o)
+// PredictPlannedContext returns the prediction together with the plan it
+// was made for, so serving-path callers resolve the physical plan once:
+// the serving layer executes exactly that plan later through
+// Executor().Execute and attributes feedback to its String().
+func (s *System) PredictPlannedContext(ctx context.Context, q *Query, opts ...CallOption) (*Prediction, *Plan, error) {
+	p, err := s.resolvePlan(ctx, q, newCallOpts(opts))
 	if err != nil {
-		return nil, "", err
+		return nil, nil, err
 	}
 	pred, err := s.predictResolved(ctx, p, s.Predictor())
 	if err != nil {
-		return nil, "", err
+		return nil, nil, err
 	}
-	return pred, p.sig, nil
+	return pred, p, nil
 }
 
 // ExecuteContext runs the query through the Executor stage (by default
@@ -557,13 +557,13 @@ func (s *System) ChoosePlanContext(ctx context.Context, q *Query, opts ...CallOp
 }
 
 // PredictAndRunContext is a convenience helper returning both the
-// prediction and the measured time.
+// prediction and the measured time of the one plan it resolves.
 func (s *System) PredictAndRunContext(ctx context.Context, q *Query, opts ...CallOption) (*Prediction, float64, error) {
-	pred, err := s.PredictContext(ctx, q, opts...)
+	pred, p, err := s.PredictPlannedContext(ctx, q, opts...)
 	if err != nil {
 		return nil, 0, err
 	}
-	actual, err := s.ExecuteContext(ctx, q, opts...)
+	actual, err := s.executor.Execute(ctx, q, p)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -590,7 +590,7 @@ func (s *System) Plan(q *Query) (string, error) {
 // deterministic per-call stream (see runSimulated); Measure uses it so
 // its Actual equals the default Executor's Execute.
 func (s *System) runMeasured(q *Query, p *Plan) (*engine.OpResult, float64, error) {
-	return runSimulated(context.Background(), s.estCache, s.runNS, s.db, s.profile, s.cfg.Seed, s.cfg.RNG, q, p.root, p.sig)
+	return runSimulated(context.Background(), s.estCache, s.runNS, s.db, s.profile, s.cfg.Seed, s.cfg.RNG, q, p)
 }
 
 // UnitDists returns the cost-unit distributions behind the current

@@ -209,11 +209,11 @@ func TestPlanHint(t *testing.T) {
 			break
 		}
 	}
-	pred, sig, err := sys.PredictPlannedContext(ctx, q, WithPlanHint(target.Plan), WithMaxAlts(6))
+	pred, plan, err := sys.PredictPlannedContext(ctx, q, WithPlanHint(target.Plan), WithMaxAlts(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sig != target.Plan {
+	if sig := plan.String(); sig != target.Plan {
 		t.Errorf("hint resolved to %q, want %q", sig, target.Plan)
 	}
 	if pred.Mean() != target.Pred.Mean() || pred.Sigma() != target.Pred.Sigma() {

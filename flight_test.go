@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/workload"
 )
 
@@ -20,7 +21,7 @@ func TestFlightCancelDoesNotFailWaiters(t *testing.T) {
 	started := make(chan struct{})
 	computerDone := make(chan error, 1)
 	go func() {
-		_, err := g.get(ctxA, "k", func() (int, error) {
+		_, err := g.get(ctxA, "k", cache.Hash("k"), func() (int, error) {
 			close(started)
 			<-ctxA.Done() // simulate a compute aborted by its caller's cancellation
 			return 0, ctxA.Err()
@@ -34,7 +35,7 @@ func TestFlightCancelDoesNotFailWaiters(t *testing.T) {
 	var waiterErr error
 	go func() {
 		defer close(waiterDone)
-		waiterVal, waiterErr = g.get(context.Background(), "k", func() (int, error) {
+		waiterVal, waiterErr = g.get(context.Background(), "k", cache.Hash("k"), func() (int, error) {
 			return 42, nil
 		})
 	}()
@@ -53,7 +54,7 @@ func TestFlightCancelDoesNotFailWaiters(t *testing.T) {
 	if waiterVal != 42 {
 		t.Fatalf("waiter value = %d, want 42 from its own retry", waiterVal)
 	}
-	if v, ok := g.lru.Get("k"); !ok || v != 42 {
+	if v, ok := g.lru.Get("k", cache.Hash("k")); !ok || v != 42 {
 		t.Fatalf("retried value not cached: %v %v", v, ok)
 	}
 }
@@ -67,7 +68,7 @@ func TestFlightWaiterAbandonsOnOwnCancel(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
-		g.get(context.Background(), "k", func() (int, error) {
+		g.get(context.Background(), "k", cache.Hash("k"), func() (int, error) {
 			close(started)
 			<-release
 			return 1, nil
@@ -78,7 +79,7 @@ func TestFlightWaiterAbandonsOnOwnCancel(t *testing.T) {
 	ctxB, cancelB := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := g.get(ctxB, "k", func() (int, error) { return 2, nil })
+		_, err := g.get(ctxB, "k", cache.Hash("k"), func() (int, error) { return 2, nil })
 		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond)

@@ -102,20 +102,6 @@ func (c *LRU[K, V]) Put(key K, val V) {
 	}
 }
 
-// Len returns the number of cached entries.
-func (c *LRU[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Stats returns the cumulative hit and miss counts.
-func (c *LRU[K, V]) Stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
 // Snapshot returns all counters at once.
 func (c *LRU[K, V]) Snapshot() Stats {
 	c.mu.Lock()

@@ -27,8 +27,8 @@ func TestLRUBasic(t *testing.T) {
 	if v, ok := c.Get("c"); !ok || v != 3 {
 		t.Errorf("Get(c) = %v, %v", v, ok)
 	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2", c.Len())
+	if n := c.Snapshot().Entries; n != 2 {
+		t.Errorf("%d entries, want 2", n)
 	}
 }
 
@@ -51,9 +51,8 @@ func TestLRUStats(t *testing.T) {
 	c.Get("a")
 	c.Get("a")
 	c.Get("missing")
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 1 {
-		t.Errorf("Stats = %d hits, %d misses; want 2, 1", hits, misses)
+	if s := c.Snapshot(); s.Hits != 2 || s.Misses != 1 {
+		t.Errorf("Snapshot = %d hits, %d misses; want 2, 1", s.Hits, s.Misses)
 	}
 }
 
@@ -86,7 +85,7 @@ func TestLRUConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() > 64 {
-		t.Errorf("Len = %d exceeds capacity", c.Len())
+	if n := c.Snapshot().Entries; n > 64 {
+		t.Errorf("%d entries exceed capacity", n)
 	}
 }

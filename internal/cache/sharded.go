@@ -2,10 +2,10 @@ package cache
 
 // Sharded is a string-keyed LRU partitioned into independently locked
 // shards, so concurrent tenants hitting disjoint keys do not contend on
-// one lock. Keys are assigned to shards by FNV-1a hash; each shard is a
-// plain LRU with its own capacity slice, so the strict-LRU guarantee
-// holds per shard (global eviction order is approximate, which is the
-// usual sharded-cache trade).
+// one lock. Keys go to shards by their Hash, computed once by the
+// caller; each shard is a plain LRU with its own capacity slice, so the
+// strict-LRU guarantee holds per shard (global eviction order is
+// approximate, which is the usual sharded-cache trade).
 type Sharded[V any] struct {
 	shards []*LRU[string, V]
 	mask   uint64
@@ -67,35 +67,25 @@ func SeededHash(seed int64, key string) uint64 {
 	return x
 }
 
-func (c *Sharded[V]) shard(key string) *LRU[string, V] {
-	return c.shards[fnv1a(fnvOffset64, key)&c.mask]
+// Hash is a key's shard hash, 64-bit FNV-1a: the h of Get, Put and Coalesced.
+func Hash(key string) uint64 { return fnv1a(fnvOffset64, key) }
+
+// Get returns the cached value for key (whose Hash is h) and marks it
+// most recently used in its shard.
+func (c *Sharded[V]) Get(key string, h uint64) (V, bool) {
+	return c.shards[h&c.mask].Get(key)
 }
 
-// Get returns the cached value for key and marks it most recently used
-// in its shard.
-func (c *Sharded[V]) Get(key string) (V, bool) {
-	return c.shard(key).Get(key)
+// Coalesced reclassifies one counted miss of the key whose Hash is h as
+// a hit; see LRU.Coalesced.
+func (c *Sharded[V]) Coalesced(h uint64) {
+	c.shards[h&c.mask].Coalesced()
 }
 
-// Coalesced reclassifies one of key's counted misses as a hit; see
-// LRU.Coalesced.
-func (c *Sharded[V]) Coalesced(key string) {
-	c.shard(key).Coalesced()
-}
-
-// Put inserts or refreshes key, evicting its shard's least recently used
-// entry when that shard is full.
-func (c *Sharded[V]) Put(key string, val V) {
-	c.shard(key).Put(key, val)
-}
-
-// Len returns the total number of cached entries across shards.
-func (c *Sharded[V]) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		n += s.Len()
-	}
-	return n
+// Put inserts or refreshes key (whose Hash is h), evicting its shard's
+// least recently used entry when that shard is full.
+func (c *Sharded[V]) Put(key string, h uint64, val V) {
+	c.shards[h&c.mask].Put(key, val)
 }
 
 // NumShards returns the shard count.

@@ -2,9 +2,24 @@ package cache
 
 import (
 	"fmt"
+	"hash/fnv"
+	"strings"
 	"sync"
 	"testing"
 )
+
+// Hash is 64-bit FNV-1a over the whole key, so the shard a key lands in
+// (and with it eviction order and every per-shard counter) is the one
+// the hash/fnv placement gave.
+func TestHashIsFNV1a(t *testing.T) {
+	for _, k := range []string{"", "a", "uniform-1G|0.05|1\x00Scan(orders)", strings.Repeat("x", 300)} {
+		h := fnv.New64a()
+		h.Write([]byte(k))
+		if got, want := Hash(k), h.Sum64(); got != want {
+			t.Errorf("Hash(%q) = %#x, want %#x", k, got, want)
+		}
+	}
+}
 
 func TestShardedRoundsShardsUp(t *testing.T) {
 	for _, tc := range []struct{ shards, want int }{
@@ -19,20 +34,17 @@ func TestShardedRoundsShardsUp(t *testing.T) {
 
 func TestShardedGetPut(t *testing.T) {
 	c := NewSharded[string](64, 4)
-	if _, ok := c.Get("a"); ok {
+	if _, ok := c.Get("a", Hash("a")); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put("a", "1")
-	c.Put("b", "2")
-	if v, ok := c.Get("a"); !ok || v != "1" {
+	c.Put("a", Hash("a"), "1")
+	c.Put("b", Hash("b"), "2")
+	if v, ok := c.Get("a", Hash("a")); !ok || v != "1" {
 		t.Fatalf("Get(a) = %q, %v", v, ok)
 	}
-	c.Put("a", "3") // overwrite, no eviction
-	if v, _ := c.Get("a"); v != "3" {
+	c.Put("a", Hash("a"), "3") // overwrite, no eviction
+	if v, _ := c.Get("a", Hash("a")); v != "3" {
 		t.Fatalf("Get(a) after overwrite = %q", v)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
 	}
 	s := c.Snapshot()
 	if s.Evictions != 0 || s.Entries != 2 {
@@ -47,10 +59,12 @@ func TestShardedEvictionBoundsEachShard(t *testing.T) {
 	c := NewSharded[int](8, 4)
 	const n = 100
 	for i := 0; i < n; i++ {
-		c.Put(fmt.Sprintf("key-%d", i), i)
+		k := fmt.Sprintf("key-%d", i)
+		c.Put(k, Hash(k), i)
 	}
-	if c.Len() > 8 {
-		t.Fatalf("Len = %d exceeds capacity 8", c.Len())
+	kept := c.Snapshot().Entries
+	if kept > 8 {
+		t.Fatalf("%d entries exceed capacity 8", kept)
 	}
 	for i, sh := range c.shards {
 		if n := sh.Snapshot().Entries; n > 2 {
@@ -58,8 +72,8 @@ func TestShardedEvictionBoundsEachShard(t *testing.T) {
 		}
 	}
 	s := c.Snapshot()
-	if got := s.Evictions; got != uint64(n-c.Len()) {
-		t.Errorf("evictions = %d, want %d (inserted %d, kept %d)", got, n-c.Len(), n, c.Len())
+	if got := s.Evictions; got != uint64(n-kept) {
+		t.Errorf("evictions = %d, want %d (inserted %d, kept %d)", got, n-kept, n, kept)
 	}
 }
 
@@ -67,9 +81,10 @@ func TestShardedSnapshotAggregatesShards(t *testing.T) {
 	c := NewSharded[int](32, 8)
 	for i := 0; i < 48; i++ {
 		k := fmt.Sprintf("k%d", i)
-		c.Put(k, i)
-		c.Get(k)                    // hit
-		c.Get(k + "-never-present") // miss
+		c.Put(k, Hash(k), i)
+		c.Get(k, Hash(k)) // hit
+		absent := k + "-never-present"
+		c.Get(absent, Hash(absent)) // miss
 	}
 	var sum Stats
 	for _, sh := range c.shards {
@@ -99,8 +114,8 @@ func TestShardedConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < opsEach; i++ {
 				k := fmt.Sprintf("k%d", (g*opsEach+i)%97)
-				c.Put(k, i)
-				c.Get(k)
+				c.Put(k, Hash(k), i)
+				c.Get(k, Hash(k))
 			}
 		}(g)
 	}
@@ -109,7 +124,7 @@ func TestShardedConcurrent(t *testing.T) {
 	if s.Hits+s.Misses != goroutines*opsEach {
 		t.Errorf("hits+misses = %d, want %d", s.Hits+s.Misses, goroutines*opsEach)
 	}
-	if s.Entries != c.Len() {
-		t.Errorf("snapshot entries %d != Len %d", s.Entries, c.Len())
+	if s.Entries > 64 {
+		t.Errorf("snapshot holds %d entries, capacity 64", s.Entries)
 	}
 }

@@ -32,6 +32,16 @@ import (
 // thing in a drift advisory, a sim report, and a /metrics scrape.
 var CoverageLevels = [3]float64{0.5, 0.9, 0.95}
 
+// zLo and zHi bound the standard-normal central interval at each
+// CoverageLevels entry, computed once: [μ+σ·zLo[i], μ+σ·zHi[i]] is
+// stats.Normal.Interval's arithmetic for N(μ, σ²) at level i.
+var zLo, zHi = func() (lo, hi [len(CoverageLevels)]float64) {
+	for i, level := range CoverageLevels {
+		lo[i], hi[i] = stats.StdNormalQuantile((1-level)/2), stats.StdNormalQuantile(1-(1-level)/2)
+	}
+	return lo, hi
+}()
+
 // Accumulator is a streaming calibration aggregate over a sequence of
 // observations. The zero value is ready to use. Not safe for
 // concurrent use; shard per producer and Merge.
@@ -75,10 +85,10 @@ func (a *Accumulator) Observe(predMean, predSigma, observed float64) {
 	if predSigma > 0 {
 		a.sumZ += (observed - predMean) / predSigma
 	}
-	dist := stats.Normal{Mu: predMean, Sigma: predSigma}
-	for i, level := range CoverageLevels {
-		lo, hi := dist.Interval(level)
-		if observed >= lo && observed <= hi {
+	for i := range CoverageLevels {
+		// The z are finite, so σ == 0 collapses the interval to μ with no
+		// branch, matching Normal.Quantile's σ == 0 case.
+		if lo, hi := predMean+predSigma*zLo[i], predMean+predSigma*zHi[i]; observed >= lo && observed <= hi {
 			a.within[i]++
 		}
 	}

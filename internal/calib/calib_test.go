@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 func observeAll(a *Accumulator, obs [][3]float64) {
@@ -212,5 +214,53 @@ func TestCoverageSemantics(t *testing.T) {
 		if math.Abs(m.Coverage[i].Observed-want[i]) > 1e-12 {
 			t.Errorf("coverage[%d] = %v, want %v", i, m.Coverage[i].Observed, want[i])
 		}
+	}
+}
+
+// TestCoverageMatchesNormalInterval holds Observe's precomputed z-values
+// to stats.Normal.Interval on a generated grid: σ zero, subnormal,
+// ordinary and huge; μ negative, zero and positive; observations on
+// either side of each interval bound, exactly on it, and far off. The
+// within counts must be equal, observation for observation.
+func TestCoverageMatchesNormalInterval(t *testing.T) {
+	sigmas := []float64{0, math.SmallestNonzeroFloat64, 1e-310, 1e-9, 0.1, 1, 3.7, 1e150, math.MaxFloat64 / 4}
+	mus := []float64{-1e6, -2.5, -math.SmallestNonzeroFloat64, 0, 1e-300, 0.75, 1, 42, 1e200}
+	var got Accumulator
+	var want [len(CoverageLevels)]int64
+	n := 0
+	for _, mu := range mus {
+		for _, sigma := range sigmas {
+			dist := stats.Normal{Mu: mu, Sigma: sigma}
+			var obs []float64
+			for _, level := range CoverageLevels {
+				lo, hi := dist.Interval(level)
+				for _, b := range []float64{lo, hi} {
+					obs = append(obs, b, math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1)))
+				}
+			}
+			obs = append(obs, mu, -math.MaxFloat64, math.MaxFloat64, 0)
+			for _, o := range obs {
+				got.Observe(mu, sigma, o)
+				n++
+				for i, level := range CoverageLevels {
+					if lo, hi := dist.Interval(level); o >= lo && o <= hi {
+						want[i]++
+					}
+				}
+			}
+		}
+	}
+	if got.within != want {
+		t.Fatalf("within counts over %d observations: %v, want %v (stats.Normal.Interval)", n, got.within, want)
+	}
+}
+
+// TestObserveZeroAllocs: Observe is on the simulator's per-execution
+// path twice (the machine's accumulator and the serving layer's drift
+// feedback).
+func TestObserveZeroAllocs(t *testing.T) {
+	var a Accumulator
+	if allocs := testing.AllocsPerRun(1000, func() { a.Observe(1.0, 0.1, 1.05) }); allocs != 0 {
+		t.Fatalf("Observe allocates %.1f times per call", allocs)
 	}
 }

@@ -50,17 +50,17 @@ type Decision struct {
 	QueueLen int `json:"queue_len"`
 }
 
-// queued is one admitted request awaiting execution. Instances cycle
-// through queuedPool: Submit takes one from the pool, the drain path
-// returns it after the outcome is recorded. releaseQueued zeroes every
-// field before Put, so a pooled entry never pins a tenant, query, or
-// prediction past its dequeue — the pool holds only dead shells.
+// queued is one admitted request awaiting execution, with the plan
+// admission predicted — the plan the drain path executes. Instances
+// cycle through queuedPool: Submit takes one from the pool, the drain
+// path returns it after the outcome is recorded. releaseQueued zeroes
+// every field before Put, so the pool holds only dead shells.
 type queued struct {
 	id          uint64
 	tenant      *Tenant
 	query       *uaqetp.Query
 	pred        *uaqetp.Prediction
-	plansig     string
+	plan        *uaqetp.Plan
 	absDeadline float64 // virtual clock value the query must finish by
 	key         float64 // drain-order key from the server's QueuePolicy
 }
@@ -134,7 +134,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (Decision, error) {
 	}
 
 	t.predictions.Add(1)
-	pred, plansig, err := t.sys.PredictPlannedContext(ctx, req.Query)
+	pred, plan, err := t.sys.PredictPlannedContext(ctx, req.Query)
 	if err != nil {
 		// An unpredictable query is a rejected submission: keep
 		// admitted+rejected reconcilable against submission traffic.
@@ -192,7 +192,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (Decision, error) {
 		tenant:      t,
 		query:       req.Query,
 		pred:        pred,
-		plansig:     plansig,
+		plan:        plan,
 		absDeadline: s.clock + deadline,
 		key:         s.cfg.Policy.Key(s.clock+deadline, pred, t.slo),
 	}
@@ -307,7 +307,7 @@ func (s *Server) stepOneLocked(out *Outcome) (bool, error) {
 
 	// A queued request outlives the Submit that admitted it, so it
 	// executes under no caller's context.
-	elapsed, err := it.tenant.sys.ExecuteContext(context.Background(), it.query)
+	elapsed, err := it.tenant.sys.Executor().Execute(context.Background(), it.query, it.plan)
 	if err != nil {
 		// The request is consumed either way: count the failure so
 		// admitted == executed + failed + queued stays balanced, and
@@ -361,7 +361,7 @@ func (s *Server) stepOneLocked(out *Outcome) (bool, error) {
 			Met: out.Met, PredMean: out.PredMean, PredSigma: out.PredSigma,
 		})
 	}
-	it.tenant.feedback.record(it.pred, elapsed, it.plansig)
+	it.tenant.feedback.record(it.pred, elapsed, it.plan.String())
 	releaseQueued(it)
 	return true, nil
 }

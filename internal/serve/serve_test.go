@@ -419,3 +419,94 @@ func TestFeedbackBelowMinSamplesStaysQuiet(t *testing.T) {
 		t.Error("recalibration advised below the sample floor")
 	}
 }
+
+// rotatingPlanner decorates a planner: it counts BuildPlan calls and
+// answers call i with alternative i mod 2 of the query, so planning one
+// request twice would pick two different plans.
+type rotatingPlanner struct {
+	inner uaqetp.Planner
+	built []*uaqetp.Plan
+}
+
+func (p *rotatingPlanner) BuildPlan(ctx context.Context, q *uaqetp.Query) (*uaqetp.Plan, error) {
+	alts, err := p.inner.Alternatives(ctx, q, 2)
+	if err != nil {
+		return nil, err
+	}
+	plan := alts[len(p.built)%len(alts)]
+	p.built = append(p.built, plan)
+	return plan, nil
+}
+
+func (p *rotatingPlanner) Alternatives(ctx context.Context, q *uaqetp.Query, maxAlts int) ([]*uaqetp.Plan, error) {
+	return p.inner.Alternatives(ctx, q, maxAlts)
+}
+
+// recordingExecutor decorates an executor, remembering each plan it runs.
+type recordingExecutor struct {
+	inner uaqetp.Executor
+	ran   []*uaqetp.Plan
+}
+
+func (x *recordingExecutor) Execute(ctx context.Context, q *uaqetp.Query, p *uaqetp.Plan) (float64, error) {
+	x.ran = append(x.ran, p)
+	return x.inner.Execute(ctx, q, p)
+}
+
+// TestAdmittedPlanIsExecuted: a request is planned once, at Submit, and
+// the drain path executes and attributes feedback to that plan — even
+// under a planner that would answer a second call differently.
+func TestAdmittedPlanIsExecuted(t *testing.T) {
+	ctx := context.Background()
+	sys, err := uaqetp.Open(uaqetp.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := sys.GenerateWorkload(workload.SelJoin, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var q *uaqetp.Query
+	for _, c := range qs {
+		if alts, err := sys.Planner().Alternatives(ctx, c, 2); err == nil && len(alts) == 2 && alts[0].String() != alts[1].String() {
+			q = c
+			break
+		}
+	}
+	if q == nil {
+		t.Fatal("no generated query has two distinct alternatives")
+	}
+	planner := &rotatingPlanner{inner: sys.Planner()}
+	exec := &recordingExecutor{inner: sys.Executor()}
+	srv := New(Config{})
+	if _, err := srv.AddTenantSystem("t", sys.With(uaqetp.WithPlanner(planner), uaqetp.WithExecutor(exec)),
+		SLO{Confidence: 0.5, DefaultDeadline: 1e6}); err != nil {
+		t.Fatal(err)
+	}
+	const pairs = 4
+	for i := 0; i < pairs; i++ {
+		d, err := srv.Submit(ctx, Request{Tenant: "t", Query: q})
+		if err != nil || !d.Admitted {
+			t.Fatalf("pair %d: submit %+v, %v", i, d, err)
+		}
+		var out Outcome
+		if ok, err := srv.StepOneInto(&out); !ok || err != nil {
+			t.Fatalf("pair %d: step ok=%v err=%v", i, ok, err)
+		}
+		if len(planner.built) != i+1 {
+			t.Fatalf("pair %d: %d BuildPlan calls so far, want one per Submit + Step pair", i, len(planner.built))
+		}
+		if exec.ran[i] != planner.built[i] {
+			t.Fatalf("pair %d: executed %q, admitted %q", i, exec.ran[i], planner.built[i])
+		}
+	}
+	drift := srv.Stats().Tenants[0].Drift
+	if len(drift.TopSignatures) != 2 {
+		t.Fatalf("feedback signatures %+v, want the two admitted plans", drift.TopSignatures)
+	}
+	for _, sd := range drift.TopSignatures {
+		if sd.N != pairs/2 || (sd.Signature != planner.built[0].String() && sd.Signature != planner.built[1].String()) {
+			t.Errorf("feedback signature %q observed %d times, want one of the admitted plans, %d times", sd.Signature, sd.N, pairs/2)
+		}
+	}
+}

@@ -28,9 +28,15 @@ type callOpts struct {
 // CallOption tunes one call to a *Context method.
 type CallOption func(*callOpts)
 
-// newCallOpts applies opts over the defaults.
+// newCallOpts applies opts over the defaults. Applying an option takes
+// o's address, which moves o to the heap, so a call without options
+// returns the defaults before o exists.
 func newCallOpts(opts []CallOption) callOpts {
-	o := callOpts{maxAlts: DefaultMaxAlts, quantile: DefaultQuantile}
+	def := callOpts{maxAlts: DefaultMaxAlts, quantile: DefaultQuantile}
+	if len(opts) == 0 {
+		return def
+	}
+	o := def
 	for _, f := range opts {
 		if f != nil {
 			f(&o)

@@ -93,13 +93,13 @@ func newSection[V any](capacity int, tier *tierTally) *section[V] {
 	}
 }
 
-// get returns the cached value for key, computing and caching it via
-// compute on a miss. Concurrent callers with the same key wait for one
-// computation instead of racing.
-func (s *section[V]) get(ctx context.Context, key string, compute func() (V, error)) (V, error) {
+// get returns the cached value for key, whose cache.Hash is h,
+// computing and caching it via compute on a miss. Concurrent callers
+// with the same key wait for one computation instead of racing.
+func (s *section[V]) get(ctx context.Context, key string, h uint64, compute func() (V, error)) (V, error) {
 	s.tier.classify(key)
 	for {
-		if v, ok := s.lru.Get(key); ok {
+		if v, ok := s.lru.Get(key, h); ok {
 			return v, nil
 		}
 		s.mu.Lock()
@@ -114,7 +114,7 @@ func (s *section[V]) get(ctx context.Context, key string, compute func() (V, err
 			if f.err == nil {
 				// Served by the flight: the Get above counted a miss for
 				// work this caller never did.
-				s.lru.Coalesced(key)
+				s.lru.Coalesced(h)
 				return f.val, nil
 			}
 			if isContextErr(f.err) && ctx.Err() == nil {
@@ -130,7 +130,7 @@ func (s *section[V]) get(ctx context.Context, key string, compute func() (V, err
 
 		f.val, f.err = compute()
 		if f.err == nil {
-			s.lru.Put(key, f.val)
+			s.lru.Put(key, h, f.val)
 		}
 		s.mu.Lock()
 		delete(s.flights, key)
@@ -162,7 +162,7 @@ func (s *section[V]) get(ctx context.Context, key string, compute func() (V, err
 // deployment; see TierConfig and TierStats. The tally never changes
 // what is stored or served.
 type EstimateCache struct {
-	plans  *section[*sample.Estimates]
+	plans  *section[*Estimates]
 	passes *section[*sample.Pass]
 	runs   *section[*engine.OpResult]
 
@@ -183,7 +183,7 @@ func newCache(capacity int, tier *tierTally) *EstimateCache {
 		capacity = estimateMemoSize
 	}
 	return &EstimateCache{
-		plans:  newSection[*sample.Estimates](capacity, tier),
+		plans:  newSection[*Estimates](capacity, tier),
 		passes: newSection[*sample.Pass](capacity*passCapacityFactor, tier),
 		runs:   newSection[*engine.OpResult](capacity, tier),
 		tier:   tier,

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -35,6 +34,27 @@ import (
 type Plan struct {
 	root *engine.Node
 	sig  string
+	// est and run memoize the plan's estimate- and run-section keys.
+	est, run atomic.Pointer[planKey]
+}
+
+// planKey is a plan's cache key ns+"\x00"+sig with its cache.Hash.
+type planKey struct {
+	ns, key string
+	hash    uint64
+}
+
+// key returns the plan's key under namespace ns, memoized in slot. A
+// System has one estimate and one run namespace, so a slot recomputes
+// only when Systems with different namespaces share the plan.
+func (p *Plan) key(slot *atomic.Pointer[planKey], ns string) *planKey {
+	if k := slot.Load(); k != nil && k.ns == ns {
+		return k
+	}
+	key := ns + "\x00" + p.sig
+	k := &planKey{ns: ns, key: key, hash: cache.Hash(key)}
+	slot.Store(k)
+	return k
 }
 
 // String returns the plan's canonical signature (a rendered tree).
@@ -117,74 +137,75 @@ const planMemoSize = 512
 // with equal fingerprints share one compiled *Plan. The memo is shared
 // across every façade derived from one Open (plans do not depend on
 // machine profile or sampling ratio), which is what makes per-arrival
-// planning in the simulator effectively free. Cached plans are shared
-// and read-only; nothing downstream mutates an operator tree.
+// planning in the simulator effectively free. Like the prediction memo
+// it is a plain map reset at its cap. Cached plans are shared and
+// read-only; nothing downstream mutates an operator tree.
 type defaultPlanner struct {
-	cat  *catalog.Catalog
-	memo *cache.LRU[string, *Plan]
+	cat *catalog.Catalog
+
+	mu   sync.Mutex
+	memo map[string]*Plan
 }
 
-func newDefaultPlanner(cat *catalog.Catalog) *defaultPlanner {
-	return &defaultPlanner{cat: cat, memo: cache.NewLRU[string, *Plan](planMemoSize)}
-}
-
-// queryFingerprint renders every Query field plan.Build's output depends
-// on — tables, predicates, join conditions, aggregate spec — and
-// excludes Name, which Build uses only in error text.
-func queryFingerprint(q *Query) string {
-	var b strings.Builder
-	b.Grow(64)
+// appendFingerprint appends every Query field plan.Build's output
+// depends on — tables, predicates, join conditions, aggregate spec — but
+// not Name, which Build uses only in error text. Strings are
+// length-prefixed, so equal fingerprints mean equal fields.
+func appendFingerprint(b []byte, q *Query) []byte {
+	b = strconv.AppendInt(b, int64(len(q.Tables)), 10)
 	for _, t := range q.Tables {
-		b.WriteString(t)
-		b.WriteByte(',')
+		b = appendField(b, t)
 	}
-	b.WriteByte('|')
+	b = strconv.AppendInt(append(b, '|'), int64(len(q.Preds)), 10)
 	for i := range q.Preds {
 		p := &q.Preds[i]
-		b.WriteString(p.Col)
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(int(p.Op)))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatInt(p.Lo, 10))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatInt(p.Hi, 10))
-		b.WriteByte(';')
+		b = strconv.AppendInt(append(appendField(b, p.Col), ':'), int64(p.Op), 10)
+		b = strconv.AppendInt(append(b, ':'), p.Lo, 10)
+		b = strconv.AppendInt(append(b, ':'), p.Hi, 10)
 	}
-	b.WriteByte('|')
+	b = strconv.AppendInt(append(b, '|'), int64(len(q.Joins)), 10)
 	for _, j := range q.Joins {
-		b.WriteString(j.LeftTable)
-		b.WriteByte('.')
-		b.WriteString(j.LeftCol)
-		b.WriteByte('=')
-		b.WriteString(j.RightTable)
-		b.WriteByte('.')
-		b.WriteString(j.RightCol)
-		b.WriteByte(';')
+		b = appendField(appendField(appendField(appendField(b, j.LeftTable), j.LeftCol), j.RightTable), j.RightCol)
 	}
 	if q.Agg != nil {
-		b.WriteString("|agg:")
-		b.WriteString(q.Agg.GroupCol)
+		b = appendField(append(b, "|agg"...), q.Agg.GroupCol)
 		if q.Agg.SortInput {
-			b.WriteString(":sorted")
+			b = append(b, 's')
 		}
 	}
-	return b.String()
+	return b
+}
+
+// appendField appends ";len:s".
+func appendField(b []byte, s string) []byte {
+	b = strconv.AppendInt(append(b, ';'), int64(len(s)), 10)
+	return append(append(b, ':'), s...)
 }
 
 func (d *defaultPlanner) BuildPlan(ctx context.Context, q *Query) (*Plan, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	key := queryFingerprint(q)
-	if p, ok := d.memo.Get(key); ok {
+	// A stack-built fingerprint and a non-copying lookup: a hit allocates nothing.
+	var buf [256]byte
+	key := appendFingerprint(buf[:0], q)
+	d.mu.Lock()
+	p := d.memo[string(key)]
+	d.mu.Unlock()
+	if p != nil {
 		return p, nil
 	}
 	n, err := plan.Build(q, d.cat)
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{root: n, sig: n.String()}
-	d.memo.Put(key, p)
+	p = &Plan{root: n, sig: n.String()}
+	d.mu.Lock()
+	if d.memo == nil || len(d.memo) >= planMemoSize {
+		d.memo = make(map[string]*Plan, 64)
+	}
+	d.memo[string(key)] = p
+	d.mu.Unlock()
 	return p, nil
 }
 
@@ -218,14 +239,14 @@ func (d *defaultEstimator) Estimate(ctx context.Context, p *Plan) (*Estimates, e
 	if err := p.valid(); err != nil {
 		return nil, err
 	}
-	key := d.ns + "\x00" + p.sig
-	est, err := d.cache.plans.get(ctx, key, func() (*sample.Estimates, error) {
-		return sample.EstimateMemo(ctx, p.root, d.samples, d.cat, d.passMemo(ctx))
+	k := p.key(&p.est, d.ns)
+	return d.cache.plans.get(ctx, k.key, k.hash, func() (*Estimates, error) {
+		est, err := sample.EstimateMemo(ctx, p.root, d.samples, d.cat, d.passMemo(ctx))
+		if err != nil {
+			return nil, err
+		}
+		return &Estimates{est: est}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Estimates{est: est}, nil
 }
 
 // passMemo routes subtree passes through the shared cache under this
@@ -233,7 +254,8 @@ func (d *defaultEstimator) Estimate(ctx context.Context, p *Plan) (*Estimates, e
 // waiter coalesced onto a canceled computation can retry on its own.
 func (d *defaultEstimator) passMemo(ctx context.Context) sample.PassMemo {
 	return func(key string, compute func() (*sample.Pass, error)) (*sample.Pass, error) {
-		return d.cache.passes.get(ctx, d.ns+"\x00"+key, compute)
+		key = d.ns + "\x00" + key
+		return d.cache.passes.get(ctx, key, cache.Hash(key), compute)
 	}
 }
 
@@ -321,7 +343,7 @@ func (x simExecutor) Execute(ctx context.Context, q *Query, p *Plan) (float64, e
 	if err := p.valid(); err != nil {
 		return 0, err
 	}
-	_, actual, err := runSimulated(ctx, x.cache, x.runNS, x.db, x.profile, x.seed, x.ver, q, p.root, p.sig)
+	_, actual, err := runSimulated(ctx, x.cache, x.runNS, x.db, x.profile, x.seed, x.ver, q, p)
 	return actual, err
 }
 
@@ -330,9 +352,10 @@ func (x simExecutor) Execute(ctx context.Context, q *Query, p *Plan) (float64, e
 // the configured version (see internal/rng). It is the single
 // implementation behind the default Executor and System.Measure, so
 // their measured times cannot diverge.
-func runSimulated(ctx context.Context, c *EstimateCache, ns string, db *engine.DB, profile *hardware.Profile, seed int64, ver rng.Version, q *Query, root *engine.Node, sig string) (*engine.OpResult, float64, error) {
-	res, err := c.runs.get(ctx, ns+"\x00"+sig, func() (*engine.OpResult, error) {
-		r, err := engine.Run(db, root)
+func runSimulated(ctx context.Context, c *EstimateCache, ns string, db *engine.DB, profile *hardware.Profile, seed int64, ver rng.Version, q *Query, p *Plan) (*engine.OpResult, float64, error) {
+	k := p.key(&p.run, ns)
+	res, err := c.runs.get(ctx, k.key, k.hash, func() (*engine.OpResult, error) {
+		r, err := engine.Run(db, p.root)
 		if err != nil {
 			return nil, err
 		}
@@ -341,7 +364,7 @@ func runSimulated(ctx context.Context, c *EstimateCache, ns string, db *engine.D
 	if err != nil {
 		return nil, 0, err
 	}
-	return res, profile.MeasurePlanSeeded(res, ver, rng.ExecKey(seed, q.Name, sig)), nil
+	return res, profile.MeasurePlanSeeded(res, ver, rng.ExecKey(seed, q.Name, p.sig)), nil
 }
 
 // stripRows drops the materialized relations from a freshly executed

@@ -22,7 +22,8 @@ func TestRunCacheStripsRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, ok := sys.estCache.runs.lru.Get(sys.runNS + "\x00" + p.sig)
+	k := p.key(&p.run, sys.runNS)
+	res, ok := sys.estCache.runs.lru.Get(k.key, k.hash)
 	if !ok {
 		t.Fatal("executed plan not in the run cache")
 	}

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/sample"
+	"repro/internal/cache"
 )
 
 // TestTieredCacheClassification pins the tier model: classification is
@@ -15,16 +15,16 @@ import (
 // remote lookups times the configured per-lookup latency.
 func TestTieredCacheClassification(t *testing.T) {
 	ctx := context.Background()
-	compute := func() (*sample.Estimates, error) { return &sample.Estimates{}, nil }
+	compute := func() (*Estimates, error) { return &Estimates{}, nil }
 
 	allLocal := NewTieredCache(TierConfig{LocalFraction: 1, RemoteLatency: 0.01, Seed: 7})
 	allRemote := NewTieredCache(TierConfig{LocalFraction: 0, RemoteLatency: 0.01, Seed: 7})
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("k%03d", i)
-		if _, err := allLocal.plans.get(ctx, key, compute); err != nil {
+		if _, err := allLocal.plans.get(ctx, key, cache.Hash(key), compute); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := allRemote.plans.get(ctx, key, compute); err != nil {
+		if _, err := allRemote.plans.get(ctx, key, cache.Hash(key), compute); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,7 +54,7 @@ func TestTieredCacheClassification(t *testing.T) {
 // where classify ran fnv.New64a over the seed bytes and []byte(key).
 func TestTieredCacheClassificationPinned(t *testing.T) {
 	ctx := context.Background()
-	compute := func() (*sample.Estimates, error) { return &sample.Estimates{}, nil }
+	compute := func() (*Estimates, error) { return &Estimates{}, nil }
 	for _, want := range []struct {
 		seed          int64
 		mask          uint64
@@ -68,7 +68,7 @@ func TestTieredCacheClassificationPinned(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			before, _ := c.TierStats()
 			key := fmt.Sprintf("uniform-1G|0.05|%d\x00join(scan(t%d),scan(t%d))", i%3, i, i*i)
-			if _, err := c.plans.get(ctx, key, compute); err != nil {
+			if _, err := c.plans.get(ctx, key, cache.Hash(key), compute); err != nil {
 				t.Fatal(err)
 			}
 			if after, _ := c.TierStats(); after.LocalLookups > before.LocalLookups {
@@ -91,7 +91,7 @@ func TestTieredCacheClassificationPinned(t *testing.T) {
 // depend on how batched predictions interleave.
 func TestTieredCacheDeterministicSplit(t *testing.T) {
 	ctx := context.Background()
-	compute := func() (*sample.Estimates, error) { return &sample.Estimates{}, nil }
+	compute := func() (*Estimates, error) { return &Estimates{}, nil }
 	cfg := TierConfig{LocalFraction: 0.75, RemoteLatency: 0.002, Seed: 42}
 
 	keys := make([]string, 2000)
@@ -101,7 +101,7 @@ func TestTieredCacheDeterministicSplit(t *testing.T) {
 
 	serial := NewTieredCache(cfg)
 	for _, k := range keys {
-		if _, err := serial.plans.get(ctx, k, compute); err != nil {
+		if _, err := serial.plans.get(ctx, k, cache.Hash(k), compute); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,7 +112,7 @@ func TestTieredCacheDeterministicSplit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(keys); i += 8 {
-				if _, err := parallel.plans.get(ctx, keys[i], compute); err != nil {
+				if _, err := parallel.plans.get(ctx, keys[i], cache.Hash(keys[i]), compute); err != nil {
 					t.Error(err)
 				}
 			}
