@@ -7,6 +7,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/hardware"
+	"repro/internal/stats"
 )
 
 // NodeModel is the optimizer-side analytic cost model of one plan
@@ -164,6 +165,54 @@ func (m *NodeModel) Counts(xa, xb float64) engine.Counts {
 		return engine.Counts{NT: nl + nr + mOut, NO: nl * nr}
 	default:
 		panic(fmt.Sprintf("costmodel: counts for %v", n.Kind))
+	}
+}
+
+// coefs returns the coefficients of unit u's cost function of kind
+// KindFor(u) — a non-constant kind — read off the matching case of Counts,
+// or nil where the count is not that polynomial over x's probe interval:
+// Sort's N log N, and an index scan whose interval crosses the clamp.
+func (m *NodeModel) coefs(u hardware.Unit, x stats.Normal) []float64 {
+	switch m.Node.Kind {
+	case engine.IndexScan:
+		// NR = NT = NI = min(X·SizeL/ResidFactor, SizeL); NO is k = NumPreds−1 times that.
+		k := 1.0
+		if u == hardware.CO {
+			k = float64(m.NumPreds - 1)
+		}
+		perX := m.SizeL
+		if m.ResidFactor > 0 {
+			perX /= m.ResidFactor
+		}
+		switch lo, hi := probeInterval(x); {
+		case hi*perX <= m.SizeL:
+			return []float64{k * perX, 0}
+		case lo*perX >= m.SizeL:
+			return []float64{0, k * m.SizeL}
+		}
+		return nil
+	case engine.Sort:
+		if u == hardware.CO {
+			return nil // NO = Nl·log2(Nl)
+		}
+		return []float64{m.SizeL, 0} // NT = Xl·SizeL
+	case engine.Materialize:
+		return []float64{m.SizeL, 0} // NT = Xl·SizeL
+	case engine.Aggregate:
+		if u == hardware.CO {
+			return []float64{2 * m.SizeL, 0} // NO = 2·Xl·SizeL
+		}
+		return []float64{m.SizeL, 0} // NT = Xl·SizeL
+	case engine.HashJoin, engine.MergeJoin:
+		if u == hardware.CO {
+			return []float64{m.SizeL, m.SizeR, 0} // NO = Xl·SizeL + Xr·SizeR
+		}
+		return []float64{m.Theta * m.Size, m.SizeL, m.SizeR, 0} // NT = NO + Theta·Xl·Xr·Size
+	default: // engine.NestLoopJoin: KindFor has rejected every other kind
+		if u == hardware.CO {
+			return []float64{m.SizeL * m.SizeR, 0, 0, 0} // NO = Xl·SizeL · Xr·SizeR
+		}
+		return []float64{m.Theta * m.Size, m.SizeL, m.SizeR, 0} // NT = Xl·SizeL + Xr·SizeR + Theta·Xl·Xr·Size
 	}
 }
 
