@@ -83,11 +83,12 @@ func TestEstimateColdAllocs(t *testing.T) {
 
 // TestPredictColdAllocs is the sibling gate on the predictor itself: one
 // memo-less core.Predict of the same three-way join from estimates
-// computed beforehand. What it spends goes to the fits — a design
-// matrix, a right-hand side and a solve per fitted cost function — and
-// to one term list per function; the variables, models and per-operator
-// results are one slice each per plan. The budget (the measured 280 plus
-// a quarter) catches a return of per-operator maps or sorted key lists.
+// computed beforehand. What it spends is one function, one coefficient
+// slice and one term list per cost function — the coefficients are read
+// off the cost model, and the one kind still fitted solves on the stack —
+// plus one slice each per plan for the variables, models and
+// per-operator results. The budget (the measured 88 plus a quarter)
+// catches a return of per-fit matrices or per-operator maps.
 func TestPredictColdAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -104,7 +105,7 @@ func TestPredictColdAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 350
+	const budget = 110
 	if perCall > budget {
 		t.Errorf("cold Predict allocates %.1f allocs/call, budget %d", perCall, budget)
 	}

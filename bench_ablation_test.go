@@ -116,31 +116,16 @@ func ablPrintf(key, format string, args ...interface{}) {
 }
 
 // BenchmarkAblationCovarianceBounds compares the tight covariance bounds
-// (Theorem 7/8-10, the paper's contribution) against plain Cauchy-Schwarz
-// and against dropping covariances entirely (NoCov).
+// (Theorem 7/8-10, the paper's contribution) against dropping covariances
+// entirely (NoCov).
 func BenchmarkAblationCovarianceBounds(b *testing.B) {
 	e := ablEnvGet(b)
 	for i := 0; i < b.N; i++ {
 		tightRS, _ := e.predictAll(b, core.Config{Variant: core.All}, 0.01, 2)
-		looseRS, _ := e.predictAll(b, core.Config{Variant: core.All, LooseBounds: true}, 0.01, 2)
 		noneRS, _ := e.predictAll(b, core.Config{Variant: core.NoCov}, 0.01, 2)
 		ablPrintf("cov", "\n===== ablation: covariance bounds (TPCH, skewed 1G, SR=0.01) =====\n"+
-			"tight (Thm 7-10): r_s=%.4f\nCauchy-Schwarz:  r_s=%.4f\nno covariances:  r_s=%.4f\n",
-			tightRS, looseRS, noneRS)
-	}
-}
-
-// BenchmarkAblationGridW measures the sensitivity of prediction accuracy
-// to the probe grid resolution W of Section 4.2.
-func BenchmarkAblationGridW(b *testing.B) {
-	e := ablEnvGet(b)
-	for i := 0; i < b.N; i++ {
-		var lines string
-		for _, w := range []int{2, 4, 8, 16} {
-			rs, rel := e.predictAll(b, core.Config{Variant: core.All, GridW: w}, 0.05, 2)
-			lines += fmt.Sprintf("W=%-3d r_s=%.4f mean-rel-err=%.4f\n", w, rs, rel)
-		}
-		ablPrintf("gridw", "\n===== ablation: cost-function probe grid W =====\n%s", lines)
+			"tight (Thm 7-10): r_s=%.4f\nno covariances:  r_s=%.4f\n",
+			tightRS, noneRS)
 	}
 }
 

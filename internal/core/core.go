@@ -1,10 +1,13 @@
 // Package core implements the paper's primary contribution: the
 // uncertainty-aware query execution time predictor. Given a query plan,
 // calibrated cost-unit distributions (Section 3.1), and sampled
-// selectivity distributions (Section 3.2), it fits the logical cost
-// functions (Section 4) and propagates means, variances, and covariances
-// through the additive cost model to produce the distribution of likely
-// running times t_q ~ N(E[t_q], Var[t_q]) (Section 5, Algorithms 2-3).
+// selectivity distributions (Section 3.2), it takes each operator's
+// logical cost functions from the cost model (Section 4: exact
+// coefficients where a count is already the polynomial of its class, a
+// grid fit where it is not) and propagates means, variances, and
+// covariances through the additive cost model to produce the
+// distribution of likely running times t_q ~ N(E[t_q], Var[t_q])
+// (Section 5, Algorithms 2-3).
 package core
 
 import (
@@ -50,13 +53,6 @@ func (v Variant) String() string {
 // Config tunes the predictor.
 type Config struct {
 	Variant Variant
-	// GridW is the number of probe subintervals per variable
-	// (Section 4.2); 0 selects costmodel.DefaultGridW.
-	GridW int
-	// LooseBounds disables the tighter covariance bounds (Theorems 7-10)
-	// and falls back to plain Cauchy-Schwarz everywhere — the B2-only
-	// configuration, kept as an ablation of the bound machinery.
-	LooseBounds bool
 }
 
 // Predictor holds the calibrated state shared across predictions.
@@ -137,7 +133,7 @@ type varInfo struct {
 	numLeaves int
 }
 
-// item is one (operator, cost-unit) component of t_q: a fitted cost
+// item is one (operator, cost-unit) component of t_q: a logical cost
 // function with its distribution under the selectivity variables.
 type item struct {
 	opID  int
@@ -148,7 +144,7 @@ type item struct {
 	terms []costmodel.Term
 }
 
-// assembly is the fitted state shared by the analytic and Monte-Carlo
+// assembly is the state shared by the analytic and Monte-Carlo
 // prediction paths. nodes, vars and info are indexed by node ID — the
 // operator's position in the plan's preorder.
 type assembly struct {
@@ -185,7 +181,7 @@ func checkEstimates(nodes []*engine.Node, est *sample.Estimates) error {
 }
 
 // assemble runs the front half of Algorithm 2: collect the selectivity
-// variables and fit every operator's per-unit cost functions.
+// variables and build every operator's per-unit cost functions.
 func (p *Predictor) assemble(root *engine.Node, est *sample.Estimates) (*assembly, error) {
 	nodes := root.Nodes()
 	if err := checkEstimates(nodes, est); err != nil {
@@ -218,7 +214,7 @@ func (p *Predictor) assemble(root *engine.Node, est *sample.Estimates) (*assembl
 		return nil, err
 	}
 	for i := range nodes {
-		funcs, err := costmodel.FitNode(&models[i], a.vars, p.Cfg.GridW)
+		funcs, err := costmodel.FitNode(&models[i], a.vars)
 		if err != nil {
 			return nil, err
 		}
@@ -387,7 +383,7 @@ func (p *Predictor) boundTermCov(a, b costmodel.Term, asm *assembly) float64 {
 	bound := math.Sqrt(termVar(a, asm.vars) * termVar(b, asm.vars))
 
 	// For single-variable terms, tighter bounds are available.
-	if a.NVars == 1 && b.NVars == 1 && !p.Cfg.LooseBounds {
+	if a.NVars == 1 && b.NVars == 1 {
 		ia, ib := &asm.info[a.Vars[0]], &asm.info[b.Vars[0]]
 		rhoA, rhoB := asm.vars[a.Vars[0]].Mu, asm.vars[b.Vars[0]].Mu
 		coef := math.Abs(a.Coef * b.Coef)

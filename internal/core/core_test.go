@@ -369,12 +369,10 @@ func TestPassOwnsItsRowsUnderPredict(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, v := range []Variant{All, NoVarC, NoVarX, NoCov} {
-				for _, loose := range []bool{false, true} {
-					p := New(f.cat, f.pred.Units, Config{Variant: v, LooseBounds: loose})
-					if _, err := p.Predict(c.root, c.est); err != nil {
-						t.Error(err)
-						return
-					}
+				p := New(f.cat, f.pred.Units, Config{Variant: v})
+				if _, err := p.Predict(c.root, c.est); err != nil {
+					t.Error(err)
+					return
 				}
 			}
 			if _, err := f.pred.PredictMonteCarlo(c.root, c.est, MCOptions{Draws: 200, Seed: 48}); err != nil {

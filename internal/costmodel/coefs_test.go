@@ -1,10 +1,14 @@
 package costmodel
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/datagen"
+	"repro/internal/engine"
+	"repro/internal/hardware"
 	"repro/internal/plan"
 	"repro/internal/sample"
 	"repro/internal/stats"
@@ -59,4 +63,246 @@ func genModels(tb testing.TB, kind datagen.DBKind, nEach int) []genModel {
 		}
 	}
 	return out
+}
+
+// gridOf returns the W+1 points of x's probe grid.
+func gridOf(x stats.Normal) []float64 {
+	lo, hi := probeInterval(x)
+	pts := make([]float64, gridW+1)
+	for i := range pts {
+		pts[i] = lo + (hi-lo)*float64(i)/gridW
+	}
+	return pts
+}
+
+// TestCoefsAreTheCostModel holds every closed-form cost function of the
+// generated plans — on both databases, with the sampled selectivity
+// variance and with none — to the cost model it is read from: Func.Eval
+// equals Counts at every point of the probe grid (both grids for a
+// binary kind) to 1e-12 relative.
+func TestCoefsAreTheCostModel(t *testing.T) {
+	var closed, fitted int
+	for _, kind := range []datagen.DBKind{datagen.Uniform1G, datagen.Skewed1G} {
+		for _, g := range genModels(t, kind, 256) {
+			x := make([]float64, len(g.vars))
+			for _, zero := range []bool{false, true} {
+				vars := g.vars
+				if zero {
+					vars = make([]stats.Normal, len(g.vars))
+					for i, v := range g.vars {
+						vars[i] = stats.NewNormal(v.Mu, 0)
+					}
+				}
+				for i := range g.models {
+					m := &g.models[i]
+					funcs, err := FitNode(m, vars)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for ui, f := range funcs {
+						k := m.KindFor(hardware.Unit(ui))
+						if k == C1 {
+							continue
+						}
+						xa := vars[m.VarA]
+						if m.coefs(hardware.Unit(ui), xa) == nil {
+							fitted++
+							continue
+						}
+						closed++
+						ptsB := []float64{0}
+						if k.Binary() {
+							ptsB = gridOf(vars[m.VarB])
+						}
+						for _, pa := range gridOf(xa) {
+							for _, pb := range ptsB {
+								x[m.VarA] = pa
+								if k.Binary() {
+									x[m.VarB] = pb
+								}
+								if got, want := f.Eval(x), m.Counts(pa, pb).Get(ui); !almostEq(got, want, 1e-12) {
+									t.Fatalf("%v node %d (%v) unit %v %v at (%v, %v): f = %v, Counts = %v",
+										kind, i, m.Node.Kind, hardware.Unit(ui), k, pa, pb, got, want)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if closed == 0 || fitted == 0 {
+		t.Fatalf("%d closed-form and %d fitted functions; want both kinds covered", closed, fitted)
+	}
+	t.Logf("%d closed-form functions equal Counts on their grids; %d fitted", closed, fitted)
+}
+
+// indexScan is an index scan over 1,000 rows with one residual predicate
+// of selectivity 1/2: the index fetches X·2000 rows, clamped at 1,000
+// for X >= 1/2.
+func indexScan() *NodeModel {
+	return &NodeModel{Node: &engine.Node{Kind: engine.IndexScan}, VarA: 0, VarB: -1,
+		SizeL: 1000, Size: 1000, NumPreds: 2, ResidFactor: 0.5}
+}
+
+func TestIndexScanBelowAndAboveTheClamp(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		x    stats.Normal
+		want []float64
+	}{
+		{"below", stats.NewNormal(0.2, 0.01), []float64{2000, 0}},
+		{"above", stats.NewNormal(0.8, 0.01), []float64{0, 1000}},
+	} {
+		funcs, err := FitNode(indexScan(), []stats.Normal{c.x})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range []hardware.Unit{hardware.CR, hardware.CT, hardware.CI, hardware.CO} {
+			// NumPreds−1 = 1 residual predicate: NO equals the fetch count.
+			if f := funcs[u]; f.Kind != C2 || f.B[0] != c.want[0] || f.B[1] != c.want[1] {
+				t.Errorf("%s: unit %v = %v %v, want C2 %v", c.name, u, f.Kind, f.B, c.want)
+			}
+		}
+	}
+}
+
+// TestIndexScanAcrossTheClamp fits the kinked count with a line: a slope
+// strictly between the two pieces', and, with the intercept free, grid
+// residuals that sum to zero.
+func TestIndexScanAcrossTheClamp(t *testing.T) {
+	m := indexScan()
+	x := stats.NewNormal(0.5, 0.05)
+	if m.coefs(hardware.CR, x) != nil {
+		t.Fatal("an interval across the clamp has closed-form coefficients")
+	}
+	funcs, err := FitNode(m, []stats.Normal{x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := funcs[hardware.CR]
+	if f.Kind != C2 || !(f.B[0] > 0 && f.B[0] < 2000) {
+		t.Fatalf("fit %v %v, want C2 with slope in (0, 2000)", f.Kind, f.B)
+	}
+	var sum, scale float64
+	for _, p := range gridOf(x) {
+		y := m.Counts(p, 0).NR
+		sum += f.Eval([]float64{p}) - y
+		scale += y
+	}
+	if math.Abs(sum) > 1e-9*scale {
+		t.Errorf("grid residuals sum to %v", sum)
+	}
+}
+
+// TestCleanCoefsKeepsTrueCoefficients is the regression test for fits
+// that dropped a real coefficient: a hash join whose Theta·Size dwarfs
+// SizeR (2.4e12 vs 600) keeps SizeR exactly. The grid fit returned 0
+// there, because cleanCoefs measured SizeR against Theta·Size.
+func TestCleanCoefsKeepsTrueCoefficients(t *testing.T) {
+	m := &NodeModel{Node: &engine.Node{Kind: engine.HashJoin}, VarA: 1, VarB: 2,
+		SizeL: 5e6, SizeR: 600, Size: 3e9, Theta: 800}
+	vars := []stats.Normal{{}, stats.NewNormal(0.3, 0.05), stats.NewNormal(0.5, 0.05)}
+	funcs, err := FitNode(m, vars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nt := funcs[hardware.CT]
+	if nt.B[0] != 800*3e9 || nt.B[1] != 5e6 || nt.B[2] != 600 {
+		t.Errorf("hash join NT coefficients %v, want [2.4e12 5e6 600 0]", nt.B)
+	}
+}
+
+// TestGridSolveIsOptimal checks the KKT conditions of the grid solve on
+// generated probes — random intervals, counts of random sign and
+// curvature, concave ones included so that a sign constraint binds: at
+// the solution a free coefficient has zero gradient and a constrained
+// zero has no descent direction into the feasible side.
+func TestGridSolveIsOptimal(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var bound int
+	for trial := 0; trial < 2000; trial++ {
+		n := 2 + trial%2 // C2 and C4
+		lo := r.Float64() * 0.9
+		hi := lo + (1-lo)*math.Max(r.Float64(), 1e-3)
+		c := [3]float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
+		mag := math.Pow(10, 6*r.Float64())
+		var rows [gridW + 1][3]float64
+		var y [gridW + 1]float64
+		for i := range rows {
+			v := (lo + (hi-lo)*float64(i)/gridW) / hi
+			if n == 3 {
+				rows[i] = [3]float64{v * v, v, 1}
+			} else {
+				rows[i] = [3]float64{v, 1}
+			}
+			y[i] = mag * (c[0]*v*v + c[1]*v + c[2])
+		}
+		b := nnls(&rows, &y, n)
+		for j := 0; j < n; j++ {
+			// grad_j = Σ_i A_ij (A_i·b − y_i), against the scale of its terms.
+			var grad, scale float64
+			for i := range rows {
+				var fit, abs float64
+				for k := 0; k < n; k++ {
+					fit += rows[i][k] * b[k]
+					abs += math.Abs(rows[i][k] * b[k])
+				}
+				grad += rows[i][j] * (fit - y[i])
+				scale += math.Abs(rows[i][j]) * (abs + math.Abs(y[i]))
+			}
+			tol := 1e-8 * scale
+			switch {
+			case j < n-1 && b[j] < 0:
+				t.Fatalf("trial %d: b[%d] = %v < 0", trial, j, b[j])
+			case j < n-1 && b[j] == 0:
+				bound++
+				if grad < -tol {
+					t.Fatalf("trial %d: constrained b[%d] = 0 with descent gradient %v (tol %v), b = %v", trial, j, grad, tol, b)
+				}
+			case math.Abs(grad) > tol:
+				t.Fatalf("trial %d: free b[%d] = %v has gradient %v (tol %v)", trial, j, b[j], grad, tol)
+			}
+		}
+	}
+	if bound == 0 {
+		t.Fatal("no generated probe bound a sign constraint")
+	}
+	t.Logf("%d constrained zeros", bound)
+}
+
+// TestGridSolveRecoversInteriorExactly feeds the grid solve counts that are
+// exactly a polynomial of the kind with non-negative leading
+// coefficients: no constraint binds, and the solve returns the
+// polynomial up to the normal equations' conditioning and their ridge.
+func TestGridSolveRecoversInteriorExactly(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		want [3]float64
+	}{
+		{2, [3]float64{7, -3}},
+		{3, [3]float64{2, 5, -1}},
+		{3, [3]float64{0.5, 0, 4}},
+	} {
+		var rows [gridW + 1][3]float64
+		var y [gridW + 1]float64
+		for i := range rows {
+			v := 0.4 + 0.6*float64(i)/gridW
+			if c.n == 3 {
+				rows[i] = [3]float64{v * v, v, 1}
+			} else {
+				rows[i] = [3]float64{v, 1}
+			}
+			for j := 0; j < c.n; j++ {
+				y[i] += rows[i][j] * c.want[j]
+			}
+		}
+		b := nnls(&rows, &y, c.n)
+		for j := 0; j < c.n; j++ {
+			if math.Abs(b[j]-c.want[j]) > 1e-7*math.Abs(c.want[0]+c.want[1]+c.want[2]) {
+				t.Errorf("n=%d: b = %v, want %v", c.n, b[:c.n], c.want[:c.n])
+				break
+			}
+		}
+	}
 }

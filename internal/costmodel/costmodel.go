@@ -1,9 +1,14 @@
 // Package costmodel implements the logical cost functions of Section 4:
 // the six canonical function types C1–C6 (C1'–C6' when rewritten over
-// selectivities), the optimizer-side analytic cost model that maps
-// selectivities to the resource counts n of Equation (1), the 3-sigma
-// grid probing strategy of Section 4.2, and the NNLS fit of the unknown
-// coefficients b (the paper's quadratic program with b_i >= 0).
+// selectivities) and the optimizer-side analytic cost model that maps
+// selectivities to the resource counts n of Equation (1). The paper fits
+// the coefficients b by probing an opaque cost model; this one is owned,
+// and every count but two is already the polynomial of its type, so its
+// coefficients are read off in closed form. The two exceptions — Sort's
+// N log N (C4) and an index scan whose 3-sigma probe interval crosses its
+// clamp (C2) — are fitted on the probe grid of Section 4.2 by the paper's
+// quadratic program with the leading b_i >= 0, solved exactly on
+// fixed-size arrays.
 package costmodel
 
 import (
@@ -54,7 +59,7 @@ func (k FuncKind) NumCoef() int {
 // Binary reports whether the kind takes two selectivity variables.
 func (k FuncKind) Binary() bool { return k == C5 || k == C6 }
 
-// Func is a fitted cost function: a polynomial over one or two
+// Func is a logical cost function: a polynomial over one or two
 // selectivity random variables, identified by the plan-node IDs that own
 // them (a scan or join operator's output selectivity).
 type Func struct {

@@ -138,17 +138,16 @@ func TestFitRecoversLinearExactly(t *testing.T) {
 	})
 
 	// Index scan: nr = M = X*5000, so C2 with b0 = 5000, b1 = 0.
-	funcs, err := FitNode(&models[plan.Left.ID], vars, DefaultGridW)
+	funcs, err := FitNode(&models[plan.Left.ID], vars)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nr := funcs[hardware.CR]
-	if nr.Kind != C2 || !almostEq(nr.B[0], 5000, 1e-6) || math.Abs(nr.B[1]) > 1e-3 {
+	if nr := funcs[hardware.CR]; nr.Kind != C2 || nr.B[0] != 5000 || nr.B[1] != 0 {
 		t.Errorf("index scan nr fit: %+v", nr)
 	}
 
 	// Join nt = Nl + Nr + theta*Xl*Xr*|R| -> C6 exact.
-	jf, err := FitNode(&models[plan.ID], vars, DefaultGridW)
+	jf, err := FitNode(&models[plan.ID], vars)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,13 +156,11 @@ func TestFitRecoversLinearExactly(t *testing.T) {
 		t.Fatalf("join nt kind %v", nt.Kind)
 	}
 	theta := 0.002 / 0.1
-	if !almostEq(nt.B[0], theta*15000000, 1e-5) ||
-		!almostEq(nt.B[1], 5000, 1e-5) || !almostEq(nt.B[2], 3000, 1e-5) {
+	if nt.B[0] != theta*15000000 || nt.B[1] != 5000 || nt.B[2] != 3000 || nt.B[3] != 0 {
 		t.Errorf("join nt coefficients %v", nt.B)
 	}
 	// no = Nl + Nr -> C5 exact.
-	no := jf[hardware.CO]
-	if no.Kind != C5 || !almostEq(no.B[0], 5000, 1e-5) || !almostEq(no.B[1], 3000, 1e-5) {
+	if no := jf[hardware.CO]; no.Kind != C5 || no.B[0] != 5000 || no.B[1] != 3000 || no.B[2] != 0 {
 		t.Errorf("join no fit %+v", no)
 	}
 }
@@ -178,7 +175,7 @@ func TestFitSortQuadraticApproximation(t *testing.T) {
 	scanID := plan.Left.ID
 	x := stats.NewNormal(0.5, 0.03)
 	vars := byID(2, map[int]stats.Normal{scanID: x})
-	funcs, err := FitNode(&models[plan.ID], vars, DefaultGridW)
+	funcs, err := FitNode(&models[plan.ID], vars)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +202,7 @@ func TestFitConstantSeqScan(t *testing.T) {
 	plan.Finalize()
 	models, _ := BuildModels(plan, cat, make([]float64, len(plan.Nodes())))
 	vars := []stats.Normal{stats.NewNormal(0.5, 0.05)}
-	funcs, err := FitNode(&models[plan.ID], vars, DefaultGridW)
+	funcs, err := FitNode(&models[plan.ID], vars)
 	if err != nil {
 		t.Fatal(err)
 	}

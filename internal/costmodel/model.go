@@ -12,8 +12,9 @@ import (
 
 // NodeModel is the optimizer-side analytic cost model of one plan
 // operator: a deterministic mapping from (hypothetical) input
-// selectivities to the resource counts n of Equation (1). Fitting probes
-// this mapping ("invoke the cost model", Section 4.2).
+// selectivities to the resource counts n of Equation (1). FitNode reads
+// its cost functions off this mapping, and probes it ("invoke the cost
+// model", Section 4.2) only where a count is not a polynomial.
 type NodeModel struct {
 	Node *engine.Node
 
@@ -216,7 +217,7 @@ func (m *NodeModel) coefs(u hardware.Unit, x stats.Normal) []float64 {
 	}
 }
 
-// KindFor returns the canonical cost-function type used to fit unit u of
+// KindFor returns the canonical cost-function type of unit u of
 // this operator (the classification of Section 4.1).
 func (m *NodeModel) KindFor(u hardware.Unit) FuncKind {
 	switch m.Node.Kind {
@@ -226,7 +227,7 @@ func (m *NodeModel) KindFor(u hardware.Unit) FuncKind {
 		switch u {
 		case hardware.CR, hardware.CT, hardware.CI, hardware.CO:
 			// All proportional to the index fetch count (CO covers the
-			// residual predicate evaluations; it fits to zero when the
+			// residual predicate evaluations; it is zero when the
 			// scan has a single predicate).
 			return C2
 		default:

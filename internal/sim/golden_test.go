@@ -60,9 +60,13 @@ func compareGolden(t *testing.T, got []byte, golden string) {
 }
 
 // TestV1ReportGolden is the compatibility gate: scenario.json has no
-// "rng" key, so its report must be byte-identical to the golden
-// recorded before the measurement-stream seam existed. If this fails,
-// the v1 path is no longer the historical stream.
+// "rng" key, so its report must be byte-identical to the golden of the
+// historical v1 stream. If this fails, the v1 path is no longer that
+// stream. The golden was recorded before the measurement-stream seam
+// existed and re-pinned once since, when closed-form cost functions
+// moved the predicted floats (calibration mape / bias / mean_z /
+// pearson_r, by at most 2.1e-7 relative); the measurement stream, and
+// every count and decision in the report, did not move.
 func TestV1ReportGolden(t *testing.T) {
 	rep := runShipped(t, "scenario.json")
 	compareGolden(t, reportBytes(t, rep), "report-v1-bursty.json")
@@ -85,10 +89,13 @@ func TestV2ReportGoldens(t *testing.T) {
 // report and the drift scenario's decision trace and calibration
 // stream (recorded at trace-level "decisions" with calibration
 // streaming on, exactly as `uaqp sim -trace -calib` writes them).
+// Re-pinned, with the v2 report files, when closed-form cost functions
+// moved predicted means and sigmas by at most 5.1e-8 relative; every
+// decision in the trace is unchanged.
 const (
-	clusterReportSHA256 = "816f131d5bd5ceb8edf9cce8c98f2136aa20f848a07911b545e0ed7faa889338"
-	driftTraceSHA256    = "a865ce0587f43423f9ce1928d0677dd6fc80793983b8254302ba83680b9fdc64"
-	driftCalibSHA256    = "6812c24d0a9fd75c9c4a4c207c37ae15c43a0bde8fbb6de3bcd2382ca61a09cd"
+	clusterReportSHA256 = "81023b705f10021d483b38ceb739a94092d64f669f4af024ee35e20c18674148"
+	driftTraceSHA256    = "512bafc0b826af9084e6adecee041581feec86a9dc997d954bdc639c714535c3"
+	driftCalibSHA256    = "dd00fc9ef13fcd6a3b8ffdd4caa4bba9c76afe7e6972dcf6a94ce17588dc5cfd"
 )
 
 func sha256hex(b []byte) string {
