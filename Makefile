@@ -39,7 +39,7 @@ loc:
 # loc-check keeps the collapse from regrowing silently: non-test Go
 # outside bench/ stays within the budget CHANGES.md records, and no
 # non-test file of internal/sim grows back past 500 lines.
-LOC_BUDGET = 15911
+LOC_BUDGET = 15928
 SIM_FILE_BUDGET = 500
 loc-check:
 	@n="$$($(LIB_GO) | xargs cat | wc -l)"; \

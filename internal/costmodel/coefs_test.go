@@ -2,7 +2,6 @@ package costmodel
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/catalog"
@@ -210,99 +209,5 @@ func TestCleanCoefsKeepsTrueCoefficients(t *testing.T) {
 	nt := funcs[hardware.CT]
 	if nt.B[0] != 800*3e9 || nt.B[1] != 5e6 || nt.B[2] != 600 {
 		t.Errorf("hash join NT coefficients %v, want [2.4e12 5e6 600 0]", nt.B)
-	}
-}
-
-// TestGridSolveIsOptimal checks the KKT conditions of the grid solve on
-// generated probes — random intervals, counts of random sign and
-// curvature, concave ones included so that a sign constraint binds: at
-// the solution a free coefficient has zero gradient and a constrained
-// zero has no descent direction into the feasible side.
-func TestGridSolveIsOptimal(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	var bound int
-	for trial := 0; trial < 2000; trial++ {
-		n := 2 + trial%2 // C2 and C4
-		lo := r.Float64() * 0.9
-		hi := lo + (1-lo)*math.Max(r.Float64(), 1e-3)
-		c := [3]float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
-		mag := math.Pow(10, 6*r.Float64())
-		var rows [gridW + 1][3]float64
-		var y [gridW + 1]float64
-		for i := range rows {
-			v := (lo + (hi-lo)*float64(i)/gridW) / hi
-			if n == 3 {
-				rows[i] = [3]float64{v * v, v, 1}
-			} else {
-				rows[i] = [3]float64{v, 1}
-			}
-			y[i] = mag * (c[0]*v*v + c[1]*v + c[2])
-		}
-		b := nnls(&rows, &y, n)
-		for j := 0; j < n; j++ {
-			// grad_j = Σ_i A_ij (A_i·b − y_i), against the scale of its terms.
-			var grad, scale float64
-			for i := range rows {
-				var fit, abs float64
-				for k := 0; k < n; k++ {
-					fit += rows[i][k] * b[k]
-					abs += math.Abs(rows[i][k] * b[k])
-				}
-				grad += rows[i][j] * (fit - y[i])
-				scale += math.Abs(rows[i][j]) * (abs + math.Abs(y[i]))
-			}
-			tol := 1e-8 * scale
-			switch {
-			case j < n-1 && b[j] < 0:
-				t.Fatalf("trial %d: b[%d] = %v < 0", trial, j, b[j])
-			case j < n-1 && b[j] == 0:
-				bound++
-				if grad < -tol {
-					t.Fatalf("trial %d: constrained b[%d] = 0 with descent gradient %v (tol %v), b = %v", trial, j, grad, tol, b)
-				}
-			case math.Abs(grad) > tol:
-				t.Fatalf("trial %d: free b[%d] = %v has gradient %v (tol %v)", trial, j, b[j], grad, tol)
-			}
-		}
-	}
-	if bound == 0 {
-		t.Fatal("no generated probe bound a sign constraint")
-	}
-	t.Logf("%d constrained zeros", bound)
-}
-
-// TestGridSolveRecoversInteriorExactly feeds the grid solve counts that are
-// exactly a polynomial of the kind with non-negative leading
-// coefficients: no constraint binds, and the solve returns the
-// polynomial up to the normal equations' conditioning and their ridge.
-func TestGridSolveRecoversInteriorExactly(t *testing.T) {
-	for _, c := range []struct {
-		n    int
-		want [3]float64
-	}{
-		{2, [3]float64{7, -3}},
-		{3, [3]float64{2, 5, -1}},
-		{3, [3]float64{0.5, 0, 4}},
-	} {
-		var rows [gridW + 1][3]float64
-		var y [gridW + 1]float64
-		for i := range rows {
-			v := 0.4 + 0.6*float64(i)/gridW
-			if c.n == 3 {
-				rows[i] = [3]float64{v * v, v, 1}
-			} else {
-				rows[i] = [3]float64{v, 1}
-			}
-			for j := 0; j < c.n; j++ {
-				y[i] += rows[i][j] * c.want[j]
-			}
-		}
-		b := nnls(&rows, &y, c.n)
-		for j := 0; j < c.n; j++ {
-			if math.Abs(b[j]-c.want[j]) > 1e-7*math.Abs(c.want[0]+c.want[1]+c.want[2]) {
-				t.Errorf("n=%d: b = %v, want %v", c.n, b[:c.n], c.want[:c.n])
-				break
-			}
-		}
 	}
 }

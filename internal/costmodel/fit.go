@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/hardware"
+	"repro/internal/solve"
 	"repro/internal/stats"
 )
 
@@ -83,20 +84,20 @@ func fitGrid(m *NodeModel, ui int, kind FuncKind, x stats.Normal) []float64 {
 	if scale <= 0 {
 		scale = 1
 	}
-	var rows [gridW + 1][3]float64
+	var rows [gridW + 1][solve.MaxCoef]float64
 	var y [gridW + 1]float64
 	for i := range rows {
 		xi := lo + (hi-lo)*float64(i)/gridW
 		v := xi / scale
 		if kind == C4 {
-			rows[i] = [3]float64{v * v, v, 1}
+			rows[i] = [solve.MaxCoef]float64{v * v, v, 1}
 		} else {
-			rows[i] = [3]float64{v, 1}
+			rows[i] = [solve.MaxCoef]float64{v, 1}
 		}
 		y[i] = m.Counts(xi, 0).Get(ui)
 	}
 	n := kind.NumCoef()
-	b := nnls(&rows, &y, n)
+	b := solve.NNLS(rows[:], y[:], n)
 	// Undo the variable scaling.
 	if kind == C4 {
 		b[0] /= scale * scale
@@ -105,104 +106,6 @@ func fitGrid(m *NodeModel, ui int, kind FuncKind, x stats.Normal) []float64 {
 		b[0] /= scale
 	}
 	return cleanCoefs(b[:n:n])
-}
-
-// nnls solves the quadratic program of Section 4.2 on the grid: minimize
-// ||A b − y|| over the first n columns of rows, with every coefficient but
-// the last (the intercept) non-negative. The optimum is the unconstrained
-// least-squares solution of its own face of the orthant, so with at most
-// two constrained coefficients it is found exactly by solving each of the
-// ≤ 4 faces and keeping the sign-feasible solution of least residual.
-func nnls(rows *[gridW + 1][3]float64, y *[gridW + 1]float64, n int) [3]float64 {
-	var best [3]float64
-	bestRes := math.Inf(1)
-	for fixed := 0; fixed < 1<<(n-1); fixed++ {
-		b, ok := lsq(rows, y, n, fixed)
-		feasible := ok
-		for j := 0; j < n-1; j++ {
-			feasible = feasible && b[j] >= 0
-		}
-		if !feasible {
-			continue
-		}
-		var res float64
-		for i := range rows {
-			d := y[i]
-			for j := 0; j < n; j++ {
-				d -= rows[i][j] * b[j]
-			}
-			res += d * d
-		}
-		if res < bestRes {
-			best, bestRes = b, res
-		}
-	}
-	return best
-}
-
-// lsq solves the normal equations of the grid over the first n columns
-// less those in the bit set fixed, which stay 0, by Cholesky with a small
-// trace-scaled ridge that keeps a nearly flat probe well-posed. ok is
-// false when the system is singular.
-func lsq(rows *[gridW + 1][3]float64, y *[gridW + 1]float64, n, fixed int) (b [3]float64, ok bool) {
-	var cols [3]int
-	k := 0
-	for j := 0; j < n; j++ {
-		if fixed&(1<<j) == 0 {
-			cols[k] = j
-			k++
-		}
-	}
-	// The lower triangle of G = AᵀA, and r = Aᵀy, over the free columns.
-	var g, l [3][3]float64
-	var r, z [3]float64
-	var tr float64
-	for a := 0; a < k; a++ {
-		for c := 0; c <= a; c++ {
-			for i := range rows {
-				g[a][c] += rows[i][cols[a]] * rows[i][cols[c]]
-			}
-		}
-		tr += g[a][a]
-		for i := range rows {
-			r[a] += rows[i][cols[a]] * y[i]
-		}
-	}
-	eps := 1e-12 * (tr/float64(k) + 1)
-	// G + εI = L Lᵀ.
-	for j := 0; j < k; j++ {
-		d := g[j][j] + eps
-		for p := 0; p < j; p++ {
-			d -= l[j][p] * l[j][p]
-		}
-		if d <= 0 {
-			return b, false
-		}
-		l[j][j] = math.Sqrt(d)
-		for i := j + 1; i < k; i++ {
-			s := g[i][j]
-			for p := 0; p < j; p++ {
-				s -= l[i][p] * l[j][p]
-			}
-			l[i][j] = s / l[j][j]
-		}
-	}
-	// L z = r, then Lᵀ b = z.
-	for i := 0; i < k; i++ {
-		s := r[i]
-		for p := 0; p < i; p++ {
-			s -= l[i][p] * z[p]
-		}
-		z[i] = s / l[i][i]
-	}
-	for i := k - 1; i >= 0; i-- {
-		s := z[i]
-		for p := i + 1; p < k; p++ {
-			s -= l[p][i] * b[cols[p]]
-		}
-		b[cols[i]] = s / l[i][i]
-	}
-	return b, true
 }
 
 // cleanCoefs zeroes numerical dust of a fit so downstream variance terms

@@ -7,229 +7,193 @@ import (
 	"testing/quick"
 )
 
-func matFromRows(rows [][]float64) *Matrix {
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		for j, v := range r {
-			m.Set(i, j, v)
+// gridW is the number of subintervals of the probe grids the tests fit
+// on, as in the cost-function fit.
+const gridW = 8
+
+// probe lays out the C2 (n = 2: v, 1) or C4 (n = 3: v², v, 1) rows at
+// the gridW+1 points of [lo, hi], with v scaled by hi, and the counts
+// y = mag·(c0·v² + c1·v + c2) there.
+func probe(n int, lo, hi float64, c [3]float64, mag float64) (rows [gridW + 1][MaxCoef]float64, y [gridW + 1]float64) {
+	for i := range rows {
+		v := (lo + (hi-lo)*float64(i)/gridW) / hi
+		if n == 3 {
+			rows[i] = [MaxCoef]float64{v * v, v, 1}
+		} else {
+			rows[i] = [MaxCoef]float64{v, 1}
 		}
+		y[i] = mag * (c[0]*v*v + c[1]*v + c[2])
 	}
-	return m
+	return rows, y
 }
 
-func TestCholeskyKnown(t *testing.T) {
-	a := matFromRows([][]float64{{4, 2}, {2, 3}})
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// L = [[2,0],[1,sqrt(2)]]
-	if math.Abs(l.At(0, 0)-2) > 1e-12 || math.Abs(l.At(1, 0)-1) > 1e-12 ||
-		math.Abs(l.At(1, 1)-math.Sqrt2) > 1e-12 {
-		t.Errorf("Cholesky = %+v", l)
-	}
-}
-
-func TestCholeskySingular(t *testing.T) {
-	a := matFromRows([][]float64{{1, 1}, {1, 1}})
-	if _, err := Cholesky(a); err == nil {
-		t.Error("expected error on singular matrix")
-	}
-}
-
-func TestSolveSPD(t *testing.T) {
-	a := matFromRows([][]float64{{4, 1, 0}, {1, 3, 1}, {0, 1, 2}})
-	want := []float64{1, -2, 3}
-	b := a.MulVec(want)
-	got, err := SolveSPD(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-10 {
-			t.Fatalf("SolveSPD = %v, want %v", got, want)
-		}
-	}
-}
-
+// TestLeastSquaresExact: an overdetermined but consistent system recovers
+// its coefficients, a negative one included, when no column is held at 0.
 func TestLeastSquaresExact(t *testing.T) {
-	// Overdetermined but consistent system recovers exact coefficients.
-	a := NewMatrix(6, 2)
-	want := []float64{2.5, -1}
-	y := make([]float64, 6)
-	for i := 0; i < 6; i++ {
+	var rows [6][MaxCoef]float64
+	var y [6]float64
+	want := [2]float64{2.5, -1}
+	for i := range rows {
 		x := float64(i)
-		a.Set(i, 0, x)
-		a.Set(i, 1, 1)
+		rows[i] = [MaxCoef]float64{x, 1}
 		y[i] = want[0]*x + want[1]
 	}
-	got, err := LeastSquares(a, y)
-	if err != nil {
-		t.Fatal(err)
+	got, ok := lsq(rows[:], y[:], 2, 0)
+	if !ok {
+		t.Fatal("lsq: singular system")
 	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-6 {
-			t.Fatalf("LeastSquares = %v, want %v", got, want)
+	for j := range want {
+		if math.Abs(got[j]-want[j]) > 1e-6 {
+			t.Fatalf("lsq = %v, want %v", got[:2], want)
 		}
 	}
 }
 
+// TestNNLSMatchesUnconstrainedWhenInterior feeds NNLS counts that are
+// exactly a combination of its columns with non-negative constrained
+// coefficients: no constraint binds, and it returns the combination up to
+// the normal equations' conditioning and their ridge.
 func TestNNLSMatchesUnconstrainedWhenInterior(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	a := NewMatrix(20, 3)
-	truth := []float64{1.5, 0.7, 2.0} // all positive => constraint inactive
-	y := make([]float64, 20)
-	for i := 0; i < 20; i++ {
-		var s float64
-		for j := 0; j < 3; j++ {
-			v := r.Float64()
-			a.Set(i, j, v)
-			s += v * truth[j]
+	var rows [20][MaxCoef]float64
+	var y [20]float64
+	truth := [MaxCoef]float64{1.5, 0.7, 2.0}
+	for i := range rows {
+		for j := range truth {
+			rows[i][j] = r.Float64()
+			y[i] += rows[i][j] * truth[j]
 		}
-		y[i] = s
 	}
-	got, err := NNLS(a, y, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := NNLS(rows[:], y[:], 3)
 	for j := range truth {
 		if math.Abs(got[j]-truth[j]) > 1e-6 {
-			t.Fatalf("NNLS = %v, want %v", got, truth)
+			t.Fatalf("random rows: NNLS = %v, want %v", got, truth)
+		}
+	}
+	for _, c := range []struct {
+		n    int
+		want [3]float64
+	}{
+		{2, [3]float64{7, -3}},
+		{3, [3]float64{2, 5, -1}},
+		{3, [3]float64{0.5, 0, 4}},
+	} {
+		var pc [3]float64 // as c0·v² + c1·v + c2
+		copy(pc[3-c.n:], c.want[:c.n])
+		rows, y := probe(c.n, 0.4, 1, pc, 1)
+		b := NNLS(rows[:], y[:], c.n)
+		for j := 0; j < c.n; j++ {
+			if math.Abs(b[j]-c.want[j]) > 1e-7*math.Abs(c.want[0]+c.want[1]+c.want[2]) {
+				t.Errorf("grid n=%d: NNLS = %v, want %v", c.n, b[:c.n], c.want[:c.n])
+				break
+			}
 		}
 	}
 }
 
+// TestNNLSClampsNegative: where the unconstrained optimum has a negative
+// constrained coefficient, NNLS holds it at exactly 0 and refits the rest.
 func TestNNLSClampsNegative(t *testing.T) {
-	// One-column system where the unconstrained optimum is negative.
-	a := NewMatrix(3, 1)
-	for i := 0; i < 3; i++ {
-		a.Set(i, 0, 1)
+	// A falling line: slope clamped, intercept the mean of y.
+	var rows [3][MaxCoef]float64
+	y := [3]float64{-1, -2, -3}
+	for i := range rows {
+		rows[i] = [MaxCoef]float64{float64(i), 1}
 	}
-	y := []float64{-1, -2, -3}
-	got, err := NNLS(a, y, nil)
-	if err != nil {
-		t.Fatal(err)
+	if got := NNLS(rows[:], y[:], 2); got[0] != 0 || math.Abs(got[1]+2) > 1e-9 {
+		t.Errorf("falling line: NNLS = %v, want [0 -2]", got[:2])
 	}
-	if got[0] != 0 {
-		t.Errorf("NNLS = %v, want [0]", got)
+	// A concave count: the X² coefficient is clamped.
+	grid, gy := probe(3, 0.2, 1, [3]float64{-1, 2, 0}, 1)
+	if got := NNLS(grid[:], gy[:], 3); got[0] != 0 || got[1] < 0 {
+		t.Errorf("concave count: NNLS = %v, want a zero X² coefficient", got)
 	}
 }
 
+// TestNNLSFreeIntercept: y = -3 + 0·x, slope constrained >= 0, intercept
+// free to go negative.
 func TestNNLSFreeIntercept(t *testing.T) {
-	// y = -3 + 0*x: slope constrained >= 0, intercept free.
-	a := NewMatrix(5, 2)
-	y := make([]float64, 5)
-	for i := 0; i < 5; i++ {
-		a.Set(i, 0, float64(i))
-		a.Set(i, 1, 1)
+	var rows [5][MaxCoef]float64
+	var y [5]float64
+	for i := range rows {
+		rows[i] = [MaxCoef]float64{float64(i), 1}
 		y[i] = -3
 	}
-	got, err := NNLS(a, y, []bool{true, false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got[0]) > 1e-8 || math.Abs(got[1]+3) > 1e-6 {
-		t.Errorf("NNLS = %v, want [0 -3]", got)
+	if got := NNLS(rows[:], y[:], 2); math.Abs(got[0]) > 1e-8 || math.Abs(got[1]+3) > 1e-6 {
+		t.Errorf("NNLS = %v, want [0 -3]", got[:2])
 	}
 }
 
-// Property: NNLS never returns a worse residual than the zero vector and
-// never violates the constraints.
+// Property: NNLS never violates a sign constraint and never returns a
+// worse residual than the zero vector.
 func TestNNLSProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		rows, cols := 8+r.Intn(10), 1+r.Intn(4)
-		a := NewMatrix(rows, cols)
-		y := make([]float64, rows)
-		for i := 0; i < rows; i++ {
-			for j := 0; j < cols; j++ {
-				a.Set(i, j, r.NormFloat64())
+		m, n := 8+r.Intn(10), 1+r.Intn(MaxCoef)
+		rows := make([][MaxCoef]float64, m)
+		y := make([]float64, m)
+		for i := range rows {
+			for j := 0; j < n; j++ {
+				rows[i][j] = r.NormFloat64()
 			}
 			y[i] = r.NormFloat64()
 		}
-		x, err := NNLS(a, y, nil)
-		if err != nil {
-			return false
-		}
-		for _, v := range x {
-			if v < 0 {
+		b := NNLS(rows, y, n)
+		for j := 0; j < n-1; j++ {
+			if b[j] < 0 {
 				return false
 			}
 		}
-		zero := make([]float64, cols)
-		return residual(a, x, y) <= residual(a, zero, y)+1e-9
+		return residual(rows, y, b, n) <= residual(rows, y, [MaxCoef]float64{}, n)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: the NNLS solution satisfies the KKT conditions: for active
-// coordinates (x_i = 0) the gradient is >= 0; for passive ones it is ~0.
+// TestNNLSKKT checks the KKT conditions on generated probes — random
+// intervals, counts of random sign and curvature, concave ones included
+// so that a sign constraint binds: at the solution a free coefficient has
+// zero gradient and a constrained zero has no descent direction into the
+// feasible side.
 func TestNNLSKKT(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		rows, cols := 10+r.Intn(10), 2+r.Intn(3)
-		a := NewMatrix(rows, cols)
-		y := make([]float64, rows)
-		for i := 0; i < rows; i++ {
-			for j := 0; j < cols; j++ {
-				a.Set(i, j, r.Float64())
-			}
-			y[i] = r.NormFloat64() * 2
-		}
-		x, err := NNLS(a, y, nil)
-		if err != nil {
-			return false
-		}
-		// gradient g = A^T (A x - y)
-		res := a.MulVec(x)
-		for i := range res {
-			res[i] -= y[i]
-		}
-		g := a.TransMulVec(res)
-		for i, xi := range x {
-			if xi > 1e-10 {
-				if math.Abs(g[i]) > 1e-5 {
-					return false
+	r := rand.New(rand.NewSource(5))
+	var bound int
+	for trial := 0; trial < 2000; trial++ {
+		n := 2 + trial%2 // C2 and C4
+		lo := r.Float64() * 0.9
+		hi := lo + (1-lo)*math.Max(r.Float64(), 1e-3)
+		c := [3]float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
+		rows, y := probe(n, lo, hi, c, math.Pow(10, 6*r.Float64()))
+		b := NNLS(rows[:], y[:], n)
+		for j := 0; j < n; j++ {
+			// grad_j = Σ_i A_ij (A_i·b − y_i), against the scale of its terms.
+			var grad, scale float64
+			for i := range rows {
+				var fit, abs float64
+				for k := 0; k < n; k++ {
+					fit += rows[i][k] * b[k]
+					abs += math.Abs(rows[i][k] * b[k])
 				}
-			} else if g[i] < -1e-5 {
-				return false
+				grad += rows[i][j] * (fit - y[i])
+				scale += math.Abs(rows[i][j]) * (abs + math.Abs(y[i]))
+			}
+			tol := 1e-8 * scale
+			switch {
+			case j < n-1 && b[j] < 0:
+				t.Fatalf("trial %d: b[%d] = %v < 0", trial, j, b[j])
+			case j < n-1 && b[j] == 0:
+				bound++
+				if grad < -tol {
+					t.Fatalf("trial %d: constrained b[%d] = 0 with descent gradient %v (tol %v), b = %v", trial, j, grad, tol, b)
+				}
+			case math.Abs(grad) > tol:
+				t.Fatalf("trial %d: free b[%d] = %v has gradient %v (tol %v)", trial, j, b[j], grad, tol)
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
+	if bound == 0 {
+		t.Fatal("no generated probe bound a sign constraint")
 	}
-}
-
-func TestMatrixOps(t *testing.T) {
-	a := matFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	got := a.MulVec([]float64{1, 1})
-	want := []float64{3, 7, 11}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MulVec = %v", got)
-		}
-	}
-	gt := a.TransMulVec([]float64{1, 1, 1})
-	if gt[0] != 9 || gt[1] != 12 {
-		t.Fatalf("TransMulVec = %v", gt)
-	}
-	g := a.Gram()
-	if g.At(0, 0) != 35 || g.At(0, 1) != 44 || g.At(1, 1) != 56 {
-		t.Fatalf("Gram = %+v", g)
-	}
-}
-
-// residual returns ||A x - y||_2.
-func residual(a *Matrix, x, y []float64) float64 {
-	r := a.MulVec(x)
-	var s float64
-	for i := range r {
-		d := r[i] - y[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
+	t.Logf("%d constrained zeros", bound)
 }
