@@ -536,7 +536,7 @@ func (s *System) AlternativesContext(ctx context.Context, q *Query, opts ...Call
 // no candidates yields ErrNoPlans.
 func (s *System) ChoosePlanContext(ctx context.Context, q *Query, opts ...CallOption) (best PlanChoice, all []PlanChoice, err error) {
 	o := newCallOpts(opts)
-	if o.quantile <= 0 || o.quantile >= 1 {
+	if !(o.quantile > 0 && o.quantile < 1) {
 		return PlanChoice{}, nil, fmt.Errorf("uaqetp: risk quantile %g out of (0, 1)", o.quantile)
 	}
 	all, err = s.AlternativesContext(ctx, q, opts...)

@@ -11,6 +11,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -185,6 +186,25 @@ func TestChoosePlanNoPlans(t *testing.T) {
 	}
 	if _, _, err := def.ChoosePlanContext(context.Background(), joinQuery(), WithQuantile(1.5)); err == nil {
 		t.Error("quantile 1.5 accepted")
+	}
+}
+
+// TestChoosePlanRejectsNaNQuantile pins that a risk quantile outside
+// (0, 1) — NaN and the infinities included — is an error from the call,
+// as WithQuantile promises, and never a panic in the quantile function.
+func TestChoosePlanRejectsNaNQuantile(t *testing.T) {
+	sys := testSystem(t)
+	for _, q := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, 1} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("quantile %v panicked: %v", q, r)
+				}
+			}()
+			if _, _, err := sys.ChoosePlanContext(context.Background(), joinQuery(), WithQuantile(q)); err == nil {
+				t.Errorf("quantile %v accepted", q)
+			}
+		}()
 	}
 }
 

@@ -60,8 +60,7 @@ func Generate(cfg Config) *engine.DB {
 	if cfg.ScaleFactor <= 0 {
 		cfg.ScaleFactor = Scale1GB
 	}
-	r := rand.New(rand.NewSource(cfg.Seed))
-	g := &generator{cfg: cfg, r: r}
+	g := &generator{cfg: cfg, r: rand.New(rand.NewSource(cfg.Seed)), zipf: map[int]*rand.Zipf{}}
 	db := engine.NewDB()
 	db.Add(g.region())
 	db.Add(g.nation())
@@ -76,8 +75,9 @@ func Generate(cfg Config) *engine.DB {
 }
 
 type generator struct {
-	cfg Config
-	r   *rand.Rand
+	cfg  Config
+	r    *rand.Rand
+	zipf map[int]*rand.Zipf // the Zipf variate generator of each domain, drawing from r
 }
 
 func (g *generator) scaled(base int) int {
@@ -99,7 +99,13 @@ func (g *generator) value(domain int, salt int64) int64 {
 		return int64(g.r.Intn(domain))
 	}
 	// rand.Zipf requires s > 1; map paper z in (0, ...] to s = 1 + z.
-	z := rand.NewZipf(g.r, 1+g.cfg.Z, 1, uint64(domain-1))
+	// NewZipf draws nothing from r, so one per domain draws the stream a
+	// new one per value would.
+	z := g.zipf[domain]
+	if z == nil {
+		z = rand.NewZipf(g.r, 1+g.cfg.Z, 1, uint64(domain-1))
+		g.zipf[domain] = z
+	}
 	rank := int64(z.Uint64())
 	// Spread the heavy ranks across the domain with an affine hash so
 	// skewed columns are not all piled at 0.

@@ -2,6 +2,7 @@ package datagen
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -154,5 +155,35 @@ func TestParseKind(t *testing.T) {
 	}
 	if _, err := ParseKind("uniform-100G"); err == nil || err.Error() != `unknown database "uniform-100G"` {
 		t.Errorf("ParseKind on an unknown name: %v", err)
+	}
+}
+
+// TestZipfReuseIsBitIdentical pins that keeping one rand.Zipf per domain
+// draws exactly what a fresh rand.NewZipf per value drew: the
+// constructor takes nothing from the source, so value must match a
+// reference that builds a new generator for every draw from the same
+// seed, over interleaved domains and several skews.
+func TestZipfReuseIsBitIdentical(t *testing.T) {
+	domains := []int{2, 5, 25, 120, DateDays, 10000, 50000}
+	for _, z := range []float64{0.25, 1, 2.5} {
+		g := &generator{cfg: Config{Z: z}, r: rand.New(rand.NewSource(7)), zipf: map[int]*rand.Zipf{}}
+		ref := rand.New(rand.NewSource(7))
+		for i := 0; i < 20000; i++ {
+			domain, salt := domains[(i*i+3*i)%len(domains)], int64(i%17)
+			want := (int64(rand.NewZipf(ref, 1+z, 1, uint64(domain-1)).Uint64())*2654435761 + salt) % int64(domain)
+			if got := g.value(domain, salt); got != want {
+				t.Fatalf("z=%v draw %d (domain %d): got %d, want %d", z, i, domain, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkGenerateSkewed is database generation by itself — the
+// open.datagen_s layer of the benchmark's plan_choice workload: one op
+// generates skewed-10G.
+func BenchmarkGenerateSkewed(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Generate(ConfigFor(Skewed10G, 1))
 	}
 }

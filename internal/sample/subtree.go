@@ -35,6 +35,13 @@ package sample
 // Q_{k,j} tallies) and summed in leaf-ordinal / sample-index order,
 // never in row order. So a join hashes whichever side has fewer rows and
 // emits matches in chain order without moving a bit of any estimate.
+//
+// Almost every probe misses, so a miss costs one hash and one bit test:
+// the build also sets one bit per key's hash prefix in a pooled filter of
+// ~32 bits per build row, a probe key whose bit is clear skips the table,
+// and the fill walks only the (probe row, chain head) hits. The variance
+// tally adds a precomputed rho^2 for each sample tuple no output row
+// names — bit for bit the d*d it stands for.
 
 import (
 	"context"
@@ -136,6 +143,9 @@ func EstimateMemo(ctx context.Context, root *engine.Node, sdb *DB, cat *catalog.
 	var leafCopy []int
 	var assign func(n *engine.Node) error
 	assign = func(n *engine.Node) error {
+		if n == nil {
+			return nil
+		}
 		if n.Kind.IsScan() {
 			copies := sdb.Copies[n.Table]
 			if len(copies) == 0 {
@@ -155,30 +165,19 @@ func EstimateMemo(ctx context.Context, root *engine.Node, sdb *DB, cat *catalog.
 			leafCopy = append(leafCopy, ci)
 			return nil
 		}
-		if n.Left != nil {
-			if err := assign(n.Left); err != nil {
-				return err
-			}
+		if err := assign(n.Left); err != nil {
+			return err
 		}
-		if n.Right != nil {
-			if err := assign(n.Right); err != nil {
-				return err
-			}
-		}
-		return nil
+		return assign(n.Right)
 	}
 	if err := assign(root); err != nil {
 		return nil, err
 	}
 
 	// Bottom-up walk; off is the global ordinal of the subtree's leftmost
-	// leaf. A Pass with tainted set marks the region at and above an
-	// aggregate, where sampling no longer applies (the Agg flag of
-	// Algorithm 1) and estimates fall back to the optimizer's. The
-	// tainted region and the unary pass-throughs memoize like everything
-	// else — their fallback numbers are pure functions of the subtree
-	// signature and copy assignment too — so a warm pass over a plan
-	// with sorts or aggregates recomputes nothing.
+	// leaf. At and above an aggregate (the Agg flag of Algorithm 1) a Pass
+	// is tainted and carries the optimizer's numbers; it memoizes like any
+	// other, so a warm pass over sorts or aggregates recomputes nothing.
 	var walk func(n *engine.Node, off int) (*Pass, error)
 	walk = func(n *engine.Node, off int) (*Pass, error) {
 		if err := ctx.Err(); err != nil {
@@ -204,12 +203,11 @@ func EstimateMemo(ctx context.Context, root *engine.Node, sdb *DB, cat *catalog.
 			case n.Kind.IsScan():
 				return scanPass(n, leafTable[off], cat)
 			case n.Kind.IsJoin() && (left.tainted || right.tainted):
-				// Above an aggregate: optimizer estimate, zero variance.
-				return taintedJoinPass(n, k, cat)
+				return optimizerPass(n, k, engine.Counts{}, cat)
 			case n.Kind.IsJoin():
 				return joinPass(n, left, right, cat)
 			case n.Kind == engine.Aggregate:
-				return aggregatePass(n, left, cat)
+				return optimizerPass(n, k, engine.UnaryCounts(n.Kind, float64(left.rows())), cat)
 			default: // Sort, Materialize: pass-through, same selectivity variable
 				return unaryPass(n, left), nil
 			}
@@ -232,11 +230,11 @@ func EstimateMemo(ctx context.Context, root *engine.Node, sdb *DB, cat *catalog.
 	return est, nil
 }
 
-// taintedJoinPass builds the Pass of a join above an aggregate: the
-// sampling pass stops at the aggregate, so the join's estimate is the
-// optimizer's cardinality over its full Cartesian size, with zero
-// variance and an empty leaf run.
-func taintedJoinPass(n *engine.Node, numLeaves int, cat *catalog.Catalog) (*Pass, error) {
+// optimizerPass builds the Pass of an aggregate — the node that taints
+// everything above it — or of a join above one: the optimizer's
+// cardinality over the operator's full size (Algorithm 1 lines 3-5),
+// zero variance, an empty leaf run and counts as the sample work.
+func optimizerPass(n *engine.Node, numLeaves int, counts engine.Counts, cat *catalog.Catalog) (*Pass, error) {
 	full, err := cat.FullSize(n)
 	if err != nil {
 		return nil, err
@@ -256,37 +254,7 @@ func taintedJoinPass(n *engine.Node, numLeaves int, cat *catalog.Catalog) (*Pass
 			Rho:           rho,
 			FromOptimizer: true,
 			EstCard:       card,
-		},
-	}, nil
-}
-
-// aggregatePass builds the Pass of an aggregate — the node that taints
-// everything above it. The estimate is the optimizer's group count
-// (Algorithm 1 lines 3-5); the sample counts record the unary work of
-// aggregating the child's surviving sample rows (zero when the child
-// itself is tainted), which is fixed by the subtree signature and copy
-// assignment, so the Pass memoizes safely.
-func aggregatePass(n *engine.Node, child *Pass, cat *catalog.Catalog) (*Pass, error) {
-	full, err := cat.FullSize(n)
-	if err != nil {
-		return nil, err
-	}
-	card, err := cat.Cardinality(n)
-	if err != nil {
-		return nil, err
-	}
-	rho := 0.0
-	if full > 0 {
-		rho = card / full
-	}
-	return &Pass{
-		numLeaves: child.numLeaves,
-		tainted:   true,
-		est: OpEstimate{
-			Rho:           rho,
-			FromOptimizer: true,
-			EstCard:       card,
-			SampleCounts:  engine.UnaryCounts(engine.Aggregate, float64(child.rows())),
+			SampleCounts:  counts,
 		},
 	}, nil
 }
@@ -305,10 +273,11 @@ func unaryPass(n *engine.Node, child *Pass) *Pass {
 // outlives the call that took it from the pool, and nothing a Pass
 // keeps is ever carved from it.
 type scratch struct {
-	slots []slot  // the join's open-addressed hash table
-	next  []int32 // build row -> 1 + the previous build row with the same key; 0 ends the chain
-	match []int32 // probe row -> head of its key's slot; a scan's selection vector
-	q     []int32 // Q_{k,j} tallies of one leaf
+	slots  []slot   // the join's open-addressed hash table
+	next   []int32  // build row -> 1 + the previous build row with the same key; 0 ends the chain
+	filter []uint64 // the join's probe filter: bit h>>fshift set for the hash h of every build key
+	match  []int32  // a join's hits as (probe row, chain head) pairs; a scan's selection vector
+	q      []int32  // Q_{k,j} tallies of one leaf
 }
 
 // slot is one entry of the join hash table: a key, the chain of build
@@ -319,12 +288,15 @@ type slot struct {
 	head, cnt int32
 }
 
-// find returns the slot holding key, or the free slot where it belongs:
-// Fibonacci hashing into a power-of-two table that always has a free
-// slot, then linear probing.
-func find(slots []slot, shift uint, key int64) *slot {
-	s, mask := int(uint64(key)*0x9E3779B97F4A7C15>>shift), len(slots)-1
-	for slots[s].head != 0 && slots[s].key != key {
+// fib is the Fibonacci hash of a join key. The slot of a key is the
+// product's top bits, its probe-filter bit a longer prefix of the same.
+func fib(key int64) uint64 { return uint64(key) * 0x9E3779B97F4A7C15 }
+
+// find returns the slot holding key, or the free slot where it belongs,
+// starting from the key's home slot s in a power-of-two table that
+// always has a free slot, then probing linearly.
+func find(slots []slot, s int, key int64) *slot {
+	for mask := len(slots) - 1; slots[s].head != 0 && slots[s].key != key; {
 		s = (s + 1) & mask
 	}
 	return &slots[s]
@@ -440,38 +412,51 @@ func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, e
 	defer scratchPool.Put(sc)
 
 	// Build: an open-addressed key -> chain-head table at load <= 1/2,
-	// linear probing, the rows of one key chained through next.
+	// linear probing, the rows of one key chained through next; and the
+	// probe filter, 16 bits per slot (at least 64), one per hash prefix.
 	logSize := bits.Len(uint(2 * build.rows))
-	shift := uint(64 - logSize)
+	shift, fshift := uint(64-logSize), uint(64-max(logSize+4, 6))
 	sc.slots = grow(sc.slots, 1<<logSize)
 	clear(sc.slots)
+	sc.filter = grow(sc.filter, 1<<max(logSize-2, 0))
+	clear(sc.filter)
 	sc.next = grow(sc.next, build.rows)
-	slots, next := sc.slots, sc.next
+	slots, filter, next := sc.slots, sc.filter, sc.next
 	for b := 0; b < build.rows; b++ {
 		key := build.col[build.prov[b*build.stride+build.ord]]
-		e := find(slots, shift, key)
+		h := fib(key)
+		filter[h>>fshift>>6] |= 1 << (h >> fshift & 63)
+		e := find(slots, int(h>>shift), key)
 		e.key = key
 		next[b], e.head = e.head, int32(b+1)
 		e.cnt++
 	}
 
-	// Count: one lookup per probe row, its chain head remembered so the
-	// fill below does no second lookup.
-	sc.match = grow(sc.match, probe.rows)
-	match := sc.match
+	// Count: only probe keys whose filter bit is set are looked up, and
+	// only hits are kept, as (probe row, chain head) in probe order.
+	hits := sc.match[:0]
 	nOut := 0
 	for r := 0; r < probe.rows; r++ {
-		e := find(slots, shift, probe.col[probe.prov[r*probe.stride+probe.ord]])
-		match[r] = e.head
-		nOut += int(e.cnt)
+		key := probe.col[probe.prov[r*probe.stride+probe.ord]]
+		h := fib(key)
+		if filter[h>>fshift>>6]&(1<<(h>>fshift&63)) == 0 {
+			continue
+		}
+		if e := find(slots, int(h>>shift), key); e.head != 0 {
+			hits = append(hits, int32(r), e.head)
+			nOut += int(e.cnt)
+		}
 	}
+	sc.match = hits
 
-	// Fill: one exactly-sized block, left provenance then right.
+	// Fill: one exactly-sized block, left provenance then right, the hits
+	// in probe order and each one's build rows in chain order.
 	out := make([]int32, nOut*k)
 	w := 0
-	for r := 0; r < probe.rows; r++ {
+	for i := 0; i < len(hits); i += 2 {
+		r := int(hits[i])
 		pp := probe.prov[r*probe.stride : (r+1)*probe.stride]
-		for b := match[r]; b != 0; b = next[b-1] {
+		for b := hits[i+1]; b != 0; b = next[b-1] {
 			row := out[w : w+k]
 			copy(row[build.at:], build.prov[int(b-1)*build.stride:int(b)*build.stride])
 			copy(row[probe.at:], pp)
@@ -491,45 +476,6 @@ func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, e
 
 	leafComp := make([]float64, k)
 	var totalVar float64
-	for o, t := range leaves {
-		// Q_{k,j,n} accumulation (Algorithm 1 lines 11-13): one scan of the
-		// join result, incrementing a dense counter per sample tuple of
-		// the leaf, indexed by provenance (position o is local ordinal o;
-		// the sample-tuple index is always in [0, n_k) — tainted subtrees
-		// never reach joinPass). The counters are integers, so the order
-		// of this scan is immaterial; the float sum below runs over them
-		// in sample-index order — summing in row or map order would
-		// reorder the float additions and break the byte-identical
-		// determinism contract.
-		sc.q = grow(sc.q, t.N())
-		clear(sc.q)
-		for i := o; i < len(out); i += k {
-			sc.q[out[i]]++
-		}
-		// Per-leaf variance component: V_k = (1/(n_k-1)) sum_j
-		// (Q_{k,j}/prod_{k'!=k} n_{k'} - rho)^2, W_k = V_k / n_k.
-		// Tuples j with Q_{k,j} = 0 contribute d = -rho, i.e. rho^2 each.
-		nk := float64(t.N())
-		denom := prodN / nk
-		var ss float64
-		for _, q := range sc.q {
-			d := float64(q)/denom - rho
-			ss += d * d
-		}
-		vk := 0.0
-		if nk > 1 {
-			vk = ss / (nk - 1)
-		}
-		wk := vk / nk
-		leafComp[o] = wk
-		totalVar += wk
-	}
-
-	full, err := cat.FullSize(n)
-	if err != nil {
-		return nil, err
-	}
-
 	// Guard against empty sample joins: the estimator would report a
 	// zero selectivity with zero variance, which is overconfident. Use
 	// half an observation — the sample's resolution limit — with 100%
@@ -539,13 +485,60 @@ func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, e
 	// cannot resolve the value, which is exactly the self-awareness the
 	// predictor propagates. (The paper never hits this regime: its
 	// absolute sample sizes are in the tens of thousands even at
-	// SR = 0.01.)
+	// SR = 0.01.) The floor sets every number the tally would, so an
+	// empty join tallies nothing.
 	if nOut == 0 {
 		rho = 0.5 / prodN
 		totalVar = rho * rho
 		for o := range leafComp {
 			leafComp[o] = totalVar / float64(k)
 		}
+	} else {
+		for o, t := range leaves {
+			// Q_{k,j,n} accumulation (Algorithm 1 lines 11-13): one scan
+			// of the join result, incrementing a dense counter per sample
+			// tuple of the leaf, indexed by provenance (position o is
+			// local ordinal o; the sample-tuple index is always in
+			// [0, n_k) — tainted subtrees never reach joinPass). The
+			// counters are integers, so the order of this scan is
+			// immaterial; the float sum below runs over them in
+			// sample-index order — summing in row or map order would
+			// reorder the float additions and break the byte-identical
+			// determinism contract.
+			sc.q = grow(sc.q, t.N())
+			clear(sc.q)
+			for i := o; i < len(out); i += k {
+				sc.q[out[i]]++
+			}
+			// Per-leaf variance component: V_k = (1/(n_k-1)) sum_j
+			// (Q_{k,j}/prod_{k'!=k} n_{k'} - rho)^2, W_k = V_k / n_k.
+			// Tuples j with Q_{k,j} = 0 — almost all of them — contribute
+			// d = 0/denom - rho = -rho, i.e. exactly rho^2: added without
+			// the division, at the same place in the same sum.
+			nk := float64(t.N())
+			denom, rr := prodN/nk, rho*rho
+			var ss float64
+			for _, q := range sc.q {
+				if q == 0 {
+					ss += rr
+					continue
+				}
+				d := float64(q)/denom - rho
+				ss += d * d
+			}
+			vk := 0.0
+			if nk > 1 {
+				vk = ss / (nk - 1)
+			}
+			wk := vk / nk
+			leafComp[o] = wk
+			totalVar += wk
+		}
+	}
+
+	full, err := cat.FullSize(n)
+	if err != nil {
+		return nil, err
 	}
 
 	return &Pass{

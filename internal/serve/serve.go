@@ -88,13 +88,13 @@ func (s SLO) normalized() (SLO, error) {
 	if s.Quantile == 0 {
 		s.Quantile = 0.9
 	}
-	if s.Confidence <= 0 || s.Confidence >= 1 {
+	if !(s.Confidence > 0 && s.Confidence < 1) {
 		return SLO{}, fmt.Errorf("serve: SLO confidence %g out of (0, 1)", s.Confidence)
 	}
-	if s.Quantile <= 0 || s.Quantile >= 1 {
+	if !(s.Quantile > 0 && s.Quantile < 1) {
 		return SLO{}, fmt.Errorf("serve: SLO quantile %g out of (0, 1)", s.Quantile)
 	}
-	if s.DefaultDeadline <= 0 {
+	if !(s.DefaultDeadline > 0) {
 		return SLO{}, fmt.Errorf("serve: SLO default deadline %g must be positive", s.DefaultDeadline)
 	}
 	return s, nil

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -295,6 +296,27 @@ func TestSubmitErrors(t *testing.T) {
 	}
 	if _, err := srv.AddTenant("", uaqetp.DefaultConfig(), SLO{}); err == nil {
 		t.Error("empty tenant name accepted")
+	}
+}
+
+// TestSLORejectsNaN pins that an SLO whose confidence, quantile or
+// default deadline is NaN is refused when it is normalized — the check
+// AddTenant and AddTenantSystem run — instead of passing the range test and
+// panicking later in a quantile.
+func TestSLORejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, slo := range []SLO{
+		{Confidence: nan},
+		{Quantile: nan},
+		{DefaultDeadline: nan},
+		{DefaultDeadline: math.Inf(-1)},
+	} {
+		if _, err := slo.normalized(); err == nil {
+			t.Errorf("SLO %+v accepted", slo)
+		}
+	}
+	if _, err := (SLO{}).normalized(); err != nil {
+		t.Errorf("zero SLO refused: %v", err)
 	}
 }
 
