@@ -18,9 +18,8 @@
 //
 // Open assembles the defaults; System.With derives a façade with any
 // stage replaced. The Predictor stage additionally sits behind an
-// atomically swappable handle (SwapPredictor, Recalibrate), so a
-// serving layer can recalibrate cost units live without dropping
-// in-flight queries.
+// atomically swappable handle (Recalibrate), so a serving layer can
+// recalibrate cost units live without dropping in-flight queries.
 //
 // # Calls
 //
@@ -35,7 +34,7 @@
 //	    uaqetp.WithPlanHint(best.Plan))
 //
 // Cancellation propagates through every stage and through the batch
-// worker pool (PredictBatchContext, ExecuteBatchContext), which returns
+// worker pool (PredictBatchContext), which returns
 // promptly with ctx.Err once the context fires.
 //
 // # Concurrency
@@ -233,7 +232,7 @@ const estimateMemoSize = 256
 // and simulated hardware: four stages (Planner, Estimator, Predictor,
 // Executor) over shared immutable layers. All fields are immutable
 // after Open except the predictor handle, which changes only by atomic
-// swap (SwapPredictor, Recalibrate); see the package documentation for
+// swap (Recalibrate); see the package documentation for
 // the concurrency contract.
 type System struct {
 	cfg     Config
@@ -411,10 +410,6 @@ func (s *System) WithMachine(p *hardware.Profile) (*System, error) {
 	}
 	return derived, nil
 }
-
-// Machine returns the profile of the machine this System predicts for
-// and executes on (a copy; profiles are values).
-func (s *System) Machine() hardware.Profile { return *s.profile }
 
 // resolvePlan picks the plan a call operates on: the planner's default
 // plan, or — under WithPlanHint — the enumerated alternative whose

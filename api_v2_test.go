@@ -402,12 +402,6 @@ func TestRecalibrateDeterministicSwap(t *testing.T) {
 	if _, err := custom.Recalibrate(1); err == nil {
 		t.Error("Recalibrate on a custom predictor stage succeeded")
 	}
-	// SwapPredictor returns the previous stage and installs the new one.
-	stub := &stubPredictor{mu: 7}
-	old := sys.With().SwapPredictor(stub)
-	if old == nil {
-		t.Error("SwapPredictor returned nil previous stage")
-	}
 }
 
 // cappingPlanner demonstrates the supported custom-Planner shape: a
@@ -487,12 +481,12 @@ func TestPublicSurface(t *testing.T) {
 	}
 	wantMethods := []string{
 		"AlternativesContext", "CacheStats", "ChoosePlanContext", "Config",
-		"CostUnits", "Estimator", "ExecuteBatchContext", "ExecuteContext",
-		"Executor", "GenerateTrace", "GenerateWorkload", "Machine", "Measure",
-		"Plan", "Planner", "PredictAndRunContext", "PredictBatchContext",
-		"PredictContext", "PredictPlannedContext", "Predictor", "Recalibrate",
-		"SwapPredictor", "UnitDists", "With", "WithDriftInjection",
-		"WithMachine", "WithSamplingRatio", "WithVariant",
+		"CostUnits", "Estimator", "ExecuteContext", "Executor",
+		"GenerateTrace", "GenerateWorkload", "Measure", "Plan", "Planner",
+		"PredictAndRunContext", "PredictBatchContext", "PredictContext",
+		"PredictPlannedContext", "Predictor", "Recalibrate", "UnitDists",
+		"With", "WithDriftInjection", "WithMachine", "WithSamplingRatio",
+		"WithVariant",
 	}
 	if !reflect.DeepEqual(methods, wantMethods) {
 		t.Errorf("*System methods = %v\nwant %v", methods, wantMethods)

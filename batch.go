@@ -7,17 +7,6 @@ import (
 	"repro/internal/pool"
 )
 
-// firstBatchError returns the lowest-index error, wrapped with the
-// query it belongs to, or nil.
-func firstBatchError(op string, queries []*Query, errs []error) error {
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("uaqetp: %s query %d (%s): %w", op, i, queryName(queries[i]), err)
-		}
-	}
-	return nil
-}
-
 // PredictBatchContext predicts the running-time distribution of every
 // query in the batch using a bounded worker pool (sized by WithWorkers)
 // and returns the predictions in input order. It is the high-throughput
@@ -44,26 +33,12 @@ func (s *System) PredictBatchContext(ctx context.Context, queries []*Query, opts
 		preds[i], err = s.PredictContext(ctx, queries[i], opts...)
 		return err
 	})
-	return preds, firstBatchError("PredictBatch", queries, errs)
-}
-
-// ExecuteBatchContext runs every query through the Executor stage with a
-// bounded worker pool, returning the measured times in input order.
-// Execution is deterministic per query (see ExecuteContext), so the
-// result does not depend on the worker count. Error and cancellation
-// semantics match PredictBatchContext.
-func (s *System) ExecuteBatchContext(ctx context.Context, queries []*Query, opts ...CallOption) ([]float64, error) {
-	o := newCallOpts(opts)
-	times := make([]float64, len(queries))
-	errs := pool.RunCtx(ctx, len(queries), o.workers, func(i int) error {
-		if queries[i] == nil {
-			return fmt.Errorf("nil query")
+	for i, err := range errs {
+		if err != nil {
+			return preds, fmt.Errorf("uaqetp: PredictBatch query %d (%s): %w", i, queryName(queries[i]), err)
 		}
-		var err error
-		times[i], err = s.ExecuteContext(ctx, queries[i], opts...)
-		return err
-	})
-	return times, firstBatchError("ExecuteBatch", queries, errs)
+	}
+	return preds, nil
 }
 
 // CacheStats snapshots the estimate cache backing this System —

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -209,64 +208,6 @@ func TestPredictBatchErrors(t *testing.T) {
 	empty, err := sys.PredictBatchContext(context.Background(), nil)
 	if err != nil || len(empty) != 0 {
 		t.Errorf("empty batch: %v, %v", empty, err)
-	}
-}
-
-// TestExecuteBatchErrors mirrors the PredictBatch error contract on the
-// execution path: nil and invalid queries mid-batch fail without taking
-// down the healthy entries, and the reported error is the first in
-// input order, naming the query.
-func TestExecuteBatchErrors(t *testing.T) {
-	sys := testSystem(t)
-	queries := []*Query{
-		stressQueries()[0],
-		nil,
-		{Name: "broken", Tables: []string{"no_such_table"}},
-		stressQueries()[1],
-	}
-	times, err := sys.ExecuteBatchContext(context.Background(), queries, WithWorkers(2))
-	if err == nil {
-		t.Fatal("expected an error for the nil query")
-	}
-	if !strings.Contains(err.Error(), "query 1") {
-		t.Errorf("error %q does not name the first failing index", err)
-	}
-	if times[0] <= 0 || times[3] <= 0 {
-		t.Errorf("healthy queries lost their measurements: %v", times)
-	}
-	if times[1] != 0 || times[2] != 0 {
-		t.Errorf("failed queries produced measurements: %v", times)
-	}
-
-	empty, err := sys.ExecuteBatchContext(context.Background(), nil)
-	if err != nil || len(empty) != 0 {
-		t.Errorf("empty batch: %v, %v", empty, err)
-	}
-}
-
-// TestExecuteBatchDeterministic: batched execution matches serial
-// Execute for every worker count.
-func TestExecuteBatchDeterministic(t *testing.T) {
-	sys := testSystem(t)
-	queries := stressQueries()[:3]
-	want := make([]float64, len(queries))
-	for i, q := range queries {
-		a, err := sys.ExecuteContext(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = a
-	}
-	for _, workers := range []int{1, 3, 8} {
-		got, err := sys.ExecuteBatchContext(context.Background(), queries, WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("workers=%d: ExecuteBatch[%d] = %v, want %v", workers, i, got[i], want[i])
-			}
-		}
 	}
 }
 

@@ -41,12 +41,13 @@ func TestLoadRejectsUnknownKeysWithListing(t *testing.T) {
 	}
 }
 
+// Every shipped scenario must load cleanly: they are the documentation
+// of the vocabulary. This holds under -race and -short too, where the
+// shipped-scenario fixture skips running the cluster scenario.
 func TestLoadAcceptsAllDocumentedKeys(t *testing.T) {
-	// Every shipped example scenario must load cleanly (they are the
-	// documentation of the vocabulary).
-	for _, sc := range []string{"scenario", "scenario-hetero", "scenario-cluster", "scenario-sharded"} {
-		if _, err := Load(filepath.Join("../../examples/sim", sc+".json")); err != nil {
-			t.Errorf("shipped scenario %s fails to load: %v", sc, err)
+	for _, file := range shippedFiles(t) {
+		if _, err := Load(shippedDir + file); err != nil {
+			t.Errorf("shipped scenario %s fails to load: %v", file, err)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -194,69 +193,6 @@ func TestTraceLevelFromScenario(t *testing.T) {
 	sc.TraceLevel = "invalid"
 	if _, err := Run(sc); err == nil {
 		t.Fatal("invalid trace_level accepted")
-	}
-}
-
-// TestTraceTallyMatchesReport pins that a Full-level trace carries the
-// outcome: for every shipped scenario, the per-tenant tallies
-// reconstructed from the trace alone — members of a Count group summed
-// under the group's report row — equal the report on submitted,
-// admitted, rejected, shed and deadlines met, and so on attainment,
-// exactly. Front-door refusals are sheds, not rejections: the sharded
-// scenario sheds about half of its arrivals and rejects none. (That
-// least-risk out-attains least-queue on the heterogeneous scenario is
-// TestHeterogeneousLeastRiskAdvantage's.)
-func TestTraceTallyMatchesReport(t *testing.T) {
-	for _, file := range []string{
-		"scenario.json", "scenario-hetero.json", "scenario-drift.json",
-		"scenario-sharded.json", "scenario-cluster.json",
-	} {
-		t.Run(file, func(t *testing.T) {
-			if file == "scenario-cluster.json" && (testing.Short() || raceEnabled) {
-				t.Skip("cluster scenario is ~12s a run")
-			}
-			sc, err := Load("../../examples/sim/" + file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, events, err := runRecorded(sc, trace.Full)
-			if err != nil {
-				t.Fatal(err)
-			}
-			groups := make(map[string]trace.Tally, len(rep.Tenants))
-			for _, tr := range rep.Tenants {
-				groups[tr.Name] = trace.Tally{}
-			}
-			for name, tal := range trace.TallyByTenant(events) {
-				if _, ok := groups[name]; !ok {
-					// A Count-group member, "group/0007".
-					name = name[:strings.LastIndexByte(name, '/')]
-				}
-				g := groups[name]
-				g.Submitted += tal.Submitted
-				g.Admitted += tal.Admitted
-				g.Rejected += tal.Rejected
-				g.Shed += tal.Shed
-				g.Executed += tal.Executed
-				g.Met += tal.Met
-				groups[name] = g
-			}
-			var shed int
-			for _, tr := range rep.Tenants {
-				tal := groups[tr.Name]
-				if tal.Submitted != tr.Submitted || tal.Admitted != tr.Admitted ||
-					tal.Rejected != tr.Rejected || tal.Shed != tr.Shed || tal.Met != tr.DeadlinesMet {
-					t.Errorf("tenant %q: trace tally %+v vs report %+v", tr.Name, tal, tr)
-				}
-				if tal.Attainment() != tr.SLOAttainment {
-					t.Errorf("tenant %q: trace attainment %v, report %v", tr.Name, tal.Attainment(), tr.SLOAttainment)
-				}
-				shed += tal.Shed
-			}
-			if sc.Shards != nil && sc.Shards.FrontDoor != nil && shed == 0 {
-				t.Error("a front-door scenario shed nothing: the Shed column is untested")
-			}
-		})
 	}
 }
 

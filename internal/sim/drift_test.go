@@ -8,17 +8,6 @@ import (
 	"repro/internal/trace"
 )
 
-// shippedDriftScenario loads the drift-injection scenario the README
-// uses, so the acceptance test pins what ships.
-func shippedDriftScenario(t *testing.T) Scenario {
-	t.Helper()
-	sc, err := Load("../../examples/sim/scenario-drift.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sc
-}
-
 // driftTestScenario is a small two-machine scenario with one mid-run
 // drift, sized for the repeated runs of the determinism sweeps.
 func driftTestScenario() Scenario {
@@ -37,11 +26,8 @@ func driftTestScenario() Scenario {
 // recalibration cadence, degraded attainment while the units were
 // stale, and recovery after the recalibration lands.
 func TestDriftDetectionAndRecovery(t *testing.T) {
-	sc := shippedDriftScenario(t)
-	rep, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fix := shipped(t, "scenario-drift.json")
+	sc, rep := fix.sc, fix.rep
 	dw := rep.DriftWindow
 	if dw == nil {
 		t.Fatal("drift scenario produced no drift_window section")
@@ -136,17 +122,6 @@ func TestCalibrationSectionAlwaysOn(t *testing.T) {
 	}
 }
 
-// calibJSONL renders a calibration stream the way `uaqp sim -calib`
-// does.
-func calibJSONL(t *testing.T, events []trace.Event) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := trace.WriteJSONL(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestCalibStreamByteIdentical extends the byte-determinism contract to
 // the calibration stream: for a fixed (scenario, seed) the `-calib`
 // JSONL is byte-identical across repeated runs and GOMAXPROCS — and
@@ -166,7 +141,7 @@ func TestCalibStreamByteIdentical(t *testing.T) {
 			t.Fatalf("malformed calibration event: %+v", ev)
 		}
 	}
-	refC := calibJSONL(t, refCalib)
+	refC := traceJSONL(t, refCalib)
 	refT := traceJSONL(t, refTrace)
 
 	// The decision trace must not notice the calibration stream.
@@ -186,7 +161,7 @@ func TestCalibStreamByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
-		if !bytes.Equal(calibJSONL(t, calibEvents), refC) {
+		if !bytes.Equal(traceJSONL(t, calibEvents), refC) {
 			t.Errorf("GOMAXPROCS=%d: calibration stream differs from the reference run", procs)
 		}
 		if !bytes.Equal(traceJSONL(t, events), refT) {

@@ -20,17 +20,6 @@ func heteroTestScenario() Scenario {
 	return sc
 }
 
-// shippedHeteroScenario loads the heterogeneous scenario the README
-// uses, so the acceptance tests pin exactly what ships.
-func shippedHeteroScenario(t *testing.T) Scenario {
-	t.Helper()
-	sc, err := Load("../../examples/sim/scenario-hetero.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sc
-}
-
 // TestSimHeterogeneousDeterministic extends the core determinism
 // contract to mixed-profile fleets: same scenario + seed => deep-equal
 // Report and byte-identical JSON across repeated runs and across
@@ -121,7 +110,7 @@ func TestLabeledHomogeneousMatchesShorthand(t *testing.T) {
 // margin is strictly wider than on the homogeneous flattening of the
 // same scenario, where per-machine units have nothing to exploit.
 func TestHeterogeneousLeastRiskAdvantage(t *testing.T) {
-	sc := shippedHeteroScenario(t)
+	sc := loadShipped(t, "scenario-hetero.json")
 	// One Open for all five runs (the placement decisions are pure
 	// functions of the scenario; sharing the cache only saves work).
 	_, sys, cache := openScenario(t, sc)

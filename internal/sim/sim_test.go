@@ -31,17 +31,6 @@ func testScenario() Scenario {
 	}
 }
 
-// shippedScenario loads the scenario the README uses, so the
-// acceptance tests pin exactly what ships.
-func shippedScenario(t *testing.T) Scenario {
-	t.Helper()
-	sc, err := Load("../../examples/sim/scenario.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sc
-}
-
 // TestSimDeterministic is the core contract: same scenario + seed =>
 // deep-equal Report and byte-identical JSON, across repeated runs and
 // across GOMAXPROCS settings (the prediction stack may parallelize
@@ -126,7 +115,7 @@ func TestBurstyRejectsMoreThanPoisson(t *testing.T) {
 // shipped bursty scenario, routing on the predicted distributions
 // (least-risk) attains strictly more SLOs than blind round-robin.
 func TestLeastRiskBeatsRoundRobin(t *testing.T) {
-	sc := shippedScenario(t)
+	sc := loadShipped(t, "scenario.json")
 
 	sc.Router = RouterRoundRobin
 	rr, err := Run(sc)
@@ -157,7 +146,7 @@ func TestLeastRiskBeatsRoundRobin(t *testing.T) {
 // (risk-slack) far fewer, and the prediction-blind orders none — not a
 // win for the distribution-aware order, so none is asserted.
 func TestQueuePolicyComparison(t *testing.T) {
-	sc := shippedScenario(t)
+	sc := loadShipped(t, "scenario.json")
 	sc.Machines = FleetOf(2)
 	const arrivals = 801
 	cases := []struct {
@@ -209,14 +198,11 @@ func TestQueuePolicyComparison(t *testing.T) {
 // shipped scenario sets recal_every, so the virtual clock must trigger
 // drift-advised recalibrations during the run and surface the counts.
 func TestAutoRecalibrationTriggers(t *testing.T) {
-	sc := shippedScenario(t)
-	if sc.RecalEvery <= 0 {
+	fix := shipped(t, "scenario.json")
+	if fix.sc.RecalEvery <= 0 {
 		t.Fatal("shipped scenario no longer exercises recal_every")
 	}
-	rep, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := fix.rep
 	var auto uint64
 	for _, tr := range rep.Tenants {
 		auto += tr.AutoRecalibrations

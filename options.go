@@ -74,8 +74,8 @@ func WithPlanHint(sig string) CallOption {
 	return func(o *callOpts) { o.planHint = sig }
 }
 
-// WithWorkers bounds the goroutines the batch entry points
-// (PredictBatchContext, ExecuteBatchContext) fan out over; 0 (the
+// WithWorkers bounds the goroutines the batch entry point
+// (PredictBatchContext) fans out over; 0 (the
 // default) selects GOMAXPROCS, 1 degenerates to a serial loop. Results
 // are byte-identical for every value.
 func WithWorkers(n int) CallOption {

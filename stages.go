@@ -442,10 +442,10 @@ func WithPredictor(p Predictor) SystemOption {
 // With derives a façade over the same expensive layers — database,
 // catalog, calibration, samples, estimate cache — with the given stages
 // replaced. The derived System always gets its own predictor handle
-// (initialized to the parent's current predictor), so SwapPredictor and
-// Recalibrate on the derived façade never affect the parent or
-// siblings. With no options it is the cheap way to give each tenant of
-// a shared System an independently swappable predictor.
+// (initialized to the parent's current predictor), so Recalibrate on
+// the derived façade never affects the parent or siblings. With no
+// options it is the cheap way to give each tenant of a shared System an
+// independently recalibrated predictor.
 func (s *System) With(opts ...SystemOption) *System {
 	derived := *s
 	derived.pred = newPredictorHandle(s.pred.load())
@@ -464,35 +464,25 @@ func (s *System) Planner() Planner { return s.planner }
 func (s *System) Estimator() Estimator { return s.estimator }
 
 // Predictor returns the currently installed predictor stage (the value
-// a concurrent SwapPredictor may replace at any moment; one call's
+// a concurrent Recalibrate may replace at any moment; one call's
 // pipeline uses a single consistent stage).
 func (s *System) Predictor() Predictor { return s.pred.load().stage }
 
 // Executor returns the active executor stage.
 func (s *System) Executor() Executor { return s.executor }
 
-// SwapPredictor atomically replaces the predictor stage behind this
-// System and returns the previous stage. In-flight calls finish on the
-// stage they started with; calls that begin after the swap see the
-// replacement. Only this façade is affected — Systems derived earlier
-// or later have their own handles.
-func (s *System) SwapPredictor(p Predictor) Predictor {
-	old := s.pred.v.Swap(&predictorState{stage: p})
-	return old.stage
-}
-
 // Recalibrate re-runs cost-unit calibration (internal/calibrate) against
 // this System's machine profile with the given seed and atomically swaps
 // a predictor built on the fresh units into the façade's handle, without
 // dropping in-flight queries. It returns the new unit distributions. The
 // current stage must be the built-in predictor (possibly from an earlier
-// Recalibrate); a custom stage has no units to recalibrate — swap it
-// explicitly with SwapPredictor instead.
+// Recalibrate); a custom stage installed with WithPredictor has no units
+// to recalibrate.
 func (s *System) Recalibrate(seed int64) ([hardware.NumUnits]stats.Normal, error) {
 	cur := s.pred.load()
 	if cur.units == nil {
 		return [hardware.NumUnits]stats.Normal{}, fmt.Errorf(
-			"uaqetp: predictor stage is custom; swap it explicitly with SwapPredictor")
+			"uaqetp: predictor stage is custom; it has no cost units to recalibrate")
 	}
 	prof := s.profile
 	if s.truth != nil {
@@ -502,17 +492,11 @@ func (s *System) Recalibrate(seed int64) ([hardware.NumUnits]stats.Normal, error
 	if err != nil {
 		return [hardware.NumUnits]stats.Normal{}, err
 	}
-	// Install via compare-and-swap so a concurrent SwapPredictor is
-	// never silently overwritten: if the handle moved while we
-	// calibrated, re-check the custom-stage guard against the new state
-	// before retrying with the fresh units.
+	// Install via compare-and-swap, retrying against whatever a
+	// concurrent Recalibrate installed meanwhile.
 	next := defaultPredictorState(s.cat, cal.Units, s.cfg.Variant)
 	for !s.pred.v.CompareAndSwap(cur, next) {
 		cur = s.pred.load()
-		if cur.units == nil {
-			return [hardware.NumUnits]stats.Normal{}, fmt.Errorf(
-				"uaqetp: predictor stage became custom during recalibration; swap it explicitly with SwapPredictor")
-		}
 	}
 	return cal.Units, nil
 }

@@ -134,9 +134,6 @@ func TestWithMachineDriftedProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sib.Machine().Name; got != "PC1+d0.5" {
-		t.Errorf("sibling machine name %q", got)
-	}
 	if got := sib.Config().Machine; got != "PC1+d0.5" {
 		t.Errorf("sibling Config().Machine %q", got)
 	}
