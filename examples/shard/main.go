@@ -3,9 +3,12 @@
 // loopback ports, each its own serve.Server) register in a static
 // directory file, a front process builds the consistent-hash directory
 // from that file and routes tenant traffic to the owning shard — and
-// the front door sheds hopeless work before it ever reaches a shard,
-// predictively (no token spent) when the optimistic zero-wait bound
-// P(T_q <= d) already rules the deadline out.
+// the front door sheds hopeless work: when the optimistic zero-wait
+// bound P(T_q <= d), checked by the shard inside the one /submit hop,
+// already rules the deadline out, the request is shed and its token is
+// returned. The demo checks its own outcome and exits 1 when a feasible
+// submit is not admitted, the hopeless one is not shed predictively, or
+// the front's /metrics does not count that shed.
 //
 // The same topology runs as genuinely separate OS processes with:
 //
@@ -26,7 +29,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"time"
+	"strings"
 
 	uaqetp "repro"
 	"repro/internal/serve"
@@ -106,9 +109,9 @@ func main() {
 	fmt.Println()
 
 	// Submit through the front: feasible deadlines forward to the
-	// owning shard; a hopeless deadline is shed at the front door
-	// without consuming a token.
-	submit := func(tenant string, q *uaqetp.Query, deadline float64) {
+	// owning shard; a hopeless deadline is shed for the front door and
+	// its token is returned. submit answers the outcome it printed.
+	submit := func(tenant string, q *uaqetp.Query, deadline float64) string {
 		body, _ := json.Marshal(map[string]any{
 			"tenant": tenant, "query": q, "deadline": deadline,
 		})
@@ -125,24 +128,33 @@ func main() {
 			PMeet    float64 `json:"p_meet"`
 		}
 		json.Unmarshal(out, &v)
+		fmt.Printf("  %-6s %-14s d=%-8g -> ", tenant, q.Name, deadline)
 		switch {
 		case resp.StatusCode == http.StatusTooManyRequests && v.Verdict != "":
-			fmt.Printf("  %-6s %-14s d=%-8g -> %s (front door, shard %s, P=%.4f)\n",
-				tenant, q.Name, deadline, v.Verdict, v.Shard, v.PMeet)
-		case resp.StatusCode == http.StatusOK:
-			fmt.Printf("  %-6s %-14s d=%-8g -> admitted by its shard\n", tenant, q.Name, deadline)
-		default:
-			fmt.Printf("  %-6s %-14s d=%-8g -> status %d: %s\n", tenant, q.Name, deadline, resp.StatusCode, out)
+			fmt.Printf("%s (front door, shard %s, P=%.4f)\n", v.Verdict, v.Shard, v.PMeet)
+			return v.Verdict
+		case resp.StatusCode == http.StatusOK && v.Admitted:
+			fmt.Println("admitted by its shard")
+			return "admitted"
+		}
+		fmt.Printf("status %d: %s\n", resp.StatusCode, out)
+		return fmt.Sprint("status ", resp.StatusCode)
+	}
+	failed := false
+	expect := func(ok bool, what string) {
+		if !ok {
+			failed = true
+			fmt.Println("FAIL:", what)
 		}
 	}
 
 	fmt.Println("submissions through the front:")
 	for i, tenant := range tenants {
-		submit(tenant, queries[i%len(queries)], 1.0)
+		expect(submit(tenant, queries[i%len(queries)], 1.0) == "admitted", tenant+": feasible submit not admitted by its shard")
 	}
-	// The flash-flood shape: a deadline no machine can meet is refused
-	// predictively — before the token bucket is touched.
-	submit("alpha", queries[0], 0.0001)
+	// The flash-flood shape: a deadline no machine can meet is shed
+	// predictively, and the token it reserved goes back to the bucket.
+	expect(submit("alpha", queries[0], 0.0001) == string(shard.VerdictShedPredictive), "hopeless submit not shed predictively")
 	fmt.Println()
 
 	// Drain the admitted work shard-side and show the front's counters.
@@ -151,7 +163,6 @@ func main() {
 			fmt.Printf("%s drained %d request(s)\n", name, len(outs))
 		}
 	}
-	time.Sleep(10 * time.Millisecond)
 	resp, err := http.Get(frontURL + "/metrics")
 	if err != nil {
 		log.Fatal(err)
@@ -160,4 +171,10 @@ func main() {
 	metrics, _ := io.ReadAll(resp.Body)
 	fmt.Println("\nfront /metrics:")
 	fmt.Println(string(metrics))
+	line := `uaqp_front_shed_total{class="alpha",reason="predictive"} 1` + "\n"
+	expect(strings.Contains(string(metrics), line), "front /metrics does not count one predictive shed")
+	if failed {
+		os.RemoveAll(dir)
+		os.Exit(1)
+	}
 }

@@ -20,6 +20,10 @@ type Request struct {
 	// Deadline is the time budget in virtual seconds, measured from
 	// admission; 0 selects the tenant's default.
 	Deadline float64 `json:"deadline"`
+	// ShedBelow is the routing tier's predictive shed, run here to save
+	// it a hop: with an explicit Deadline, a query whose zero-wait
+	// P(T_q <= Deadline) is below ShedBelow gets Verdict "shed-predictive".
+	ShedBelow float64 `json:"shed_below,omitempty"`
 }
 
 // Decision is the admission controller's verdict on one request. For a
@@ -29,6 +33,9 @@ type Request struct {
 type Decision struct {
 	ID       uint64 `json:"id"`
 	Admitted bool   `json:"admitted"`
+	// Verdict is "shed-predictive" for a request shed under ShedBelow
+	// (which gets no ID and leaves the queue as it was), else "".
+	Verdict string `json:"verdict,omitempty"`
 	// Reason explains a rejection ("" when admitted).
 	Reason string `json:"reason,omitempty"`
 	// PMeet is the predicted probability of finishing within the
@@ -115,8 +122,9 @@ func PMeet(predMean, predSigma, waitMean, waitVar, deadline float64) float64 {
 // confidence (and the queue has room), and enqueue admitted work by
 // risk-adjusted slack. Under load the backlog term rejects borderline
 // queries that an empty-queue rule would have admitted only to miss
-// their deadlines waiting. The context propagates into the prediction
-// pipeline.
+// their deadlines waiting. A ShedBelow shed moves only Predictions: no
+// ID, counter, trace event or queue state. The context propagates into
+// the prediction pipeline.
 func (s *Server) Submit(ctx context.Context, req Request) (Decision, error) {
 	t, err := s.Tenant(req.Tenant)
 	if err != nil {
@@ -155,6 +163,13 @@ func (s *Server) Submit(ctx context.Context, req Request) (Decision, error) {
 		PredMean:  pred.Mean(),
 		PredSigma: pred.Sigma(),
 	}
+	if req.ShedBelow > 0 && req.Deadline > 0 && d.PredSigma > 0 && !math.IsNaN(d.PredMean) {
+		if p := (stats.Normal{Mu: d.PredMean, Sigma: d.PredSigma}).CDF(req.Deadline); p < req.ShedBelow {
+			d.Verdict, d.PMeet = "shed-predictive", p
+			d.Reason = fmt.Sprintf("P(T_q <= %.4g) = %.4f below confidence %.4f with zero wait", req.Deadline, p, req.ShedBelow)
+			return d, nil
+		}
+	}
 
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
@@ -169,7 +184,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (Decision, error) {
 	d.QueueWaitSigma = math.Sqrt(waitVar)
 	d.PMeet = PMeet(pred.Mean(), pred.Sigma(), waitMean, waitVar, deadline)
 	switch {
-	case d.PMeet < t.slo.Confidence:
+	case !(d.PMeet >= t.slo.Confidence): // a NaN PMeet is refused, not admitted
 		d.Reason = fmt.Sprintf("P(T_wait + T_q <= %.4g) = %.4f below SLO confidence %.4f (queue wait mean %.4g)",
 			deadline, d.PMeet, t.slo.Confidence, d.QueueWaitMean)
 	case s.queue.Len() >= s.cfg.MaxQueue:

@@ -12,7 +12,9 @@ import (
 //
 //	GET  /healthz      liveness + tenant roster
 //	POST /predict      {"tenant", "query"}              -> prediction
-//	POST /submit       {"tenant", "query", "deadline"}  -> admission decision
+//	POST /submit       {"tenant", "query", "deadline", "shed_below"}
+//	                   -> admission decision (429 when refused; "verdict":
+//	                   "shed-predictive" when shed under shed_below)
 //	POST /drain        execute queued work in priority order -> outcomes
 //	POST /recalibrate  {"tenant", "seed", "force"}      -> recalibration report
 //	GET  /stats        cache/queue/tenant/drift snapshot

@@ -174,12 +174,6 @@ type Tenant struct {
 	autoRecals      atomic.Uint64
 }
 
-// Name returns the tenant's name.
-func (t *Tenant) Name() string { return t.name }
-
-// SLO returns the tenant's normalized SLO.
-func (t *Tenant) SLO() SLO { return t.slo }
-
 // System returns the tenant's underlying prediction System (e.g. for
 // generating demo workloads against its catalog).
 func (t *Tenant) System() *uaqetp.System { return t.sys }

@@ -153,16 +153,3 @@ func (d *Directory) Shards() []string {
 	copy(out, d.shards)
 	return out
 }
-
-// Counts places every tenant and tallies per shard — the directory
-// half of the /metrics vocabulary.
-func (d *Directory) Counts(tenants []string) map[string]int {
-	out := make(map[string]int)
-	for _, s := range d.Shards() {
-		out[s] = 0
-	}
-	for _, t := range tenants {
-		out[d.Place(t)]++
-	}
-	return out
-}

@@ -85,9 +85,12 @@ func TestDirectoryBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := d.Counts(tenantNames(10000))
-	for s, n := range counts {
-		if n < 1500 || n > 3500 {
+	counts := make(map[string]int)
+	for _, name := range tenantNames(10000) {
+		counts[d.Place(name)]++
+	}
+	for _, s := range d.Shards() {
+		if n := counts[s]; n < 1500 || n > 3500 {
 			t.Errorf("shard %s holds %d of 10000 tenants (want within [1500, 3500])", s, n)
 		}
 	}

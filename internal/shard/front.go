@@ -2,26 +2,26 @@ package shard
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
+	"maps"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	uaqetp "repro"
 	"repro/internal/serve"
-	"repro/internal/stats"
 )
 
 // FrontConfig shapes the HTTP front.
 type FrontConfig struct {
 	FrontDoor FrontDoorConfig
 	// Confidence is the SLO confidence the predictive shed compares
-	// against when a submission does not carry one; 0 selects 0.5.
+	// against when a submission does not carry one; 0 selects 0.5, and
+	// anything else outside (0, 1) is an error.
 	Confidence float64
 }
 
@@ -49,8 +49,9 @@ func NewFront(file *File, cfg FrontConfig) (*Front, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Confidence <= 0 {
-		cfg.Confidence = 0.5
+	cfg.Confidence = cmp.Or(cfg.Confidence, 0.5)
+	if !(cfg.Confidence > 0 && cfg.Confidence < 1) {
+		return nil, fmt.Errorf("shard: front confidence %g out of (0, 1)", cfg.Confidence)
 	}
 	return &Front{
 		dir:         dir,
@@ -72,7 +73,9 @@ func (f *Front) Directory() *Directory { return f.dir }
 //
 //	GET  /healthz   liveness + shard roster
 //	POST /predict   {"tenant", "query"}                       -> forwarded to the tenant's shard
-//	POST /submit    {"tenant", "query", "deadline", "class"}  -> front-door verdict, then forwarded
+//	POST /submit    {"tenant", "query", "deadline", "class", "confidence"}
+//	                -> a token, then the shard's /submit with "shed_below" (when predictive);
+//	                   a shard's "verdict": "shed-predictive" returns the token
 //	GET  /place     ?tenant=name                              -> the shard owning the tenant
 //	GET  /metrics   directory + front-door counters (Prometheus text)
 func (f *Front) Handler() http.Handler {
@@ -111,26 +114,32 @@ func (f *Front) handlePlace(w http.ResponseWriter, r *http.Request) {
 	}{Tenant: tenant, Shard: s, Addr: f.addrs[s]})
 }
 
-// forward relays body to the placed shard's endpoint and copies the
-// response through verbatim.
-func (f *Front) forward(w http.ResponseWriter, shard, path string, body []byte) {
+// post sends body to the placed shard's endpoint. When the shard cannot
+// be reached it answers 502 itself and returns nil; the caller closes a
+// non-nil response's body.
+func (f *Front) post(w http.ResponseWriter, shard, path string, body []byte) *http.Response {
 	addr, ok := f.addrs[shard]
 	if !ok || addr == "" {
 		serve.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %q has no registered address", shard))
-		return
+		return nil
 	}
 	resp, err := f.client.Post(addr+path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		serve.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %q: %v", shard, err))
-		return
+		return nil
 	}
-	defer resp.Body.Close()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	return resp
+}
+
+// relay counts the forward, then copies a shard's answer through
+// verbatim: a client that has its reply finds it on /metrics.
+func (f *Front) relay(w http.ResponseWriter, shard string, status int, body io.Reader) {
 	f.mu.Lock()
 	f.forwarded[shard]++
 	f.mu.Unlock()
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	io.Copy(w, body)
 }
 
 type frontRequest struct {
@@ -140,8 +149,8 @@ type frontRequest struct {
 	// Class labels the submission's SLO class in the front-door
 	// counters; empty selects the tenant name.
 	Class string `json:"class,omitempty"`
-	// Confidence overrides the front's predictive-shed confidence for
-	// this submission.
+	// Confidence, in (0, 1), overrides the front's predictive-shed
+	// confidence for this submission; 0 keeps the front's.
 	Confidence float64 `json:"confidence,omitempty"`
 }
 
@@ -183,7 +192,11 @@ func (f *Front) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body, _ := json.Marshal(serve.PredictRequest{Tenant: req.Tenant, Query: req.Query})
-	f.forward(w, f.place(req.Tenant), "/predict", body)
+	shardName := f.place(req.Tenant)
+	if resp := f.post(w, shardName, "/predict", body); resp != nil {
+		defer resp.Body.Close()
+		f.relay(w, shardName, resp.StatusCode, resp.Body)
+	}
 }
 
 // shedResponse is the front's refusal body; its verdict vocabulary
@@ -200,90 +213,67 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	if !(req.Deadline >= 0 && req.Confidence >= 0 && req.Confidence < 1) {
+		serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf(
+			"deadline %g must not be negative, confidence %g must be in (0, 1) or 0", req.Deadline, req.Confidence))
+		return
+	}
 	shardName := f.place(req.Tenant)
-	class := req.Class
-	if class == "" {
-		class = req.Tenant
-	}
-	confidence := req.Confidence
-	if confidence <= 0 {
-		confidence = f.cfg.Confidence
-	}
+	class := cmp.Or(req.Class, req.Tenant)
+	confidence := cmp.Or(req.Confidence, f.cfg.Confidence)
 
-	// The front's predictive bound is optimistic: P(T_q <= d) with
-	// zero queue wait, from the shard's own (cached) prediction. If
-	// even that is below the confidence, no queue state anywhere in
-	// the fleet can save the request. Without a deadline there is no
-	// bound to check, so bestP saturates.
-	bestP := 1.0
-	if f.fd.Predictive() && req.Deadline > 0 {
-		if pred, err := f.predictOn(shardName, req); err == nil {
-			total := stats.Normal{Mu: pred.Mean, Sigma: pred.Sigma}
-			bestP = total.CDF(req.Deadline)
-		}
-	}
-	now := time.Since(f.start).Seconds()
-	verdict := f.fd.Admit(class, now, bestP, confidence)
-	if verdict != VerdictAdmit {
-		reason := "token bucket empty"
-		if verdict == VerdictShedPredictive {
-			reason = fmt.Sprintf("P(T_q <= %.4g) = %.4f below confidence %.4f with zero wait", req.Deadline, bestP, confidence)
-		}
+	// A token is reserved before the one shard hop. The predictive bound
+	// is optimistic, P(T_q <= d) with zero queue wait, so the shard checks
+	// it on its own (cached) prediction inside /submit: if even that is
+	// below the confidence, no queue state anywhere can save the request,
+	// and the token comes back. Without a deadline there is no bound.
+	if f.fd.Admit(class, time.Since(f.start).Seconds(), 1, confidence) != VerdictAdmit {
 		serve.WriteJSON(w, http.StatusTooManyRequests, shedResponse{
-			Verdict: verdict, Reason: reason, Shard: shardName, PMeet: bestP,
+			Verdict: VerdictShedThrottle, Reason: "token bucket empty", Shard: shardName,
 		})
 		return
 	}
-	body, _ := json.Marshal(serve.Request{Tenant: req.Tenant, Query: req.Query, Deadline: req.Deadline})
-	f.forward(w, shardName, "/submit", body)
-}
-
-// predictedCost is the slice of the shard /predict response the
-// front's predictive check needs.
-type predictedCost struct {
-	Mean  float64 `json:"mean"`
-	Sigma float64 `json:"sigma"`
-}
-
-func (f *Front) predictOn(shard string, req frontRequest) (*predictedCost, error) {
-	addr, ok := f.addrs[shard]
-	if !ok || addr == "" {
-		return nil, fmt.Errorf("shard %q has no registered address", shard)
+	sreq := serve.Request{Tenant: req.Tenant, Query: req.Query, Deadline: req.Deadline}
+	if f.fd.Predictive() && req.Deadline > 0 {
+		sreq.ShedBelow = confidence
 	}
-	body, _ := json.Marshal(serve.PredictRequest{Tenant: req.Tenant, Query: req.Query})
-	resp, err := f.client.Post(addr+"/predict", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+	body, _ := json.Marshal(sreq)
+	resp := f.post(w, shardName, "/submit", body)
+	if resp == nil {
+		f.fd.Refund(class, "")
+		return
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("shard %q predict: status %d", shard, resp.StatusCode)
+	var reply io.Reader = resp.Body
+	switch resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusTooManyRequests:
+		data, _ := io.ReadAll(resp.Body) // a short read is relayed as read, as relay's io.Copy does
+		var d serve.Decision
+		if json.Unmarshal(data, &d) == nil && d.Verdict == string(VerdictShedPredictive) {
+			f.fd.Refund(class, VerdictShedPredictive)
+			serve.WriteJSON(w, http.StatusTooManyRequests, shedResponse{
+				Verdict: VerdictShedPredictive, Reason: d.Reason, Shard: shardName, PMeet: d.PMeet,
+			})
+			return
+		}
+		reply = bytes.NewReader(data)
+	default:
+		// No shard accepted the request (unknown tenant, bad query).
+		f.fd.Refund(class, "")
 	}
-	var pc predictedCost
-	if err := json.NewDecoder(resp.Body).Decode(&pc); err != nil {
-		return nil, err
-	}
-	if pc.Sigma <= 0 || math.IsNaN(pc.Mean) {
-		return nil, fmt.Errorf("shard %q predict: degenerate prediction", shard)
-	}
-	return &pc, nil
+	f.relay(w, shardName, resp.StatusCode, reply)
 }
 
 func (f *Front) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 
-	f.mu.Lock()
 	tenants := make(map[string]int)
-	for _, s := range f.dir.Shards() {
-		tenants[s] = 0
-	}
+	f.mu.Lock()
 	for _, s := range f.tenantShard {
 		tenants[s]++
 	}
-	forwarded := make(map[string]uint64, len(f.forwarded))
-	for k, v := range f.forwarded {
-		forwarded[k] = v
-	}
+	forwarded := maps.Clone(f.forwarded)
 	f.mu.Unlock()
 
 	shards := f.dir.Shards()
@@ -297,28 +287,16 @@ func (f *Front) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "uaqp_front_forwarded_total{shard=%q} %d\n", s, forwarded[s])
 	}
 
-	counters := f.fd.Counters()
-	classes := make([]string, 0, len(counters))
-	for c := range counters {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
+	classes := f.fd.Counters()
 	fmt.Fprintf(w, "# HELP uaqp_front_admitted_total Front-door admissions, by SLO class.\n# TYPE uaqp_front_admitted_total counter\n")
 	for _, c := range classes {
-		fmt.Fprintf(w, "uaqp_front_admitted_total{class=%q} %d\n", c, counters[c].Admitted)
+		fmt.Fprintf(w, "uaqp_front_admitted_total{class=%q} %d\n", c.Class, c.Admitted)
 	}
 	fmt.Fprintf(w, "# HELP uaqp_front_shed_total Front-door sheds, by SLO class and reason.\n# TYPE uaqp_front_shed_total counter\n")
 	for _, c := range classes {
-		fmt.Fprintf(w, "uaqp_front_shed_total{class=%q,reason=\"predictive\"} %d\n", c, counters[c].ShedPredictive)
-		fmt.Fprintf(w, "uaqp_front_shed_total{class=%q,reason=\"throttle\"} %d\n", c, counters[c].ShedThrottled)
-	}
-	var rates []float64
-	for _, c := range classes {
-		ct := counters[c]
-		if total := ct.Admitted + ct.ShedPredictive + ct.ShedThrottled; total > 0 {
-			rates = append(rates, float64(ct.Admitted)/float64(total))
-		}
+		fmt.Fprintf(w, "uaqp_front_shed_total{class=%q,reason=\"predictive\"} %d\n", c.Class, c.ShedPredictive)
+		fmt.Fprintf(w, "uaqp_front_shed_total{class=%q,reason=\"throttle\"} %d\n", c.Class, c.ShedThrottled)
 	}
 	fmt.Fprintf(w, "# HELP uaqp_front_admission_fairness Jain fairness index over per-class admission rates.\n# TYPE uaqp_front_admission_fairness gauge\n")
-	fmt.Fprintf(w, "uaqp_front_admission_fairness %s\n", strconv.FormatFloat(stats.JainIndex(rates), 'g', -1, 64))
+	fmt.Fprintf(w, "uaqp_front_admission_fairness %s\n", strconv.FormatFloat(AdmissionFairness(classes), 'g', -1, 64))
 }

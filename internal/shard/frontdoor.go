@@ -3,6 +3,8 @@ package shard
 import (
 	"sort"
 	"sync"
+
+	"repro/internal/stats"
 )
 
 // Verdict is the front door's decision on one submission.
@@ -40,6 +42,7 @@ type FrontDoorConfig struct {
 
 // ClassCounters tallies front-door verdicts for one SLO class.
 type ClassCounters struct {
+	Class          string `json:"class"`
 	Admitted       uint64 `json:"admitted"`
 	ShedPredictive uint64 `json:"shed_predictive"`
 	ShedThrottled  uint64 `json:"shed_throttled"`
@@ -54,8 +57,11 @@ type ClassCounters struct {
 // HTTP front (wall clock, optimistic zero-wait bound).
 //
 // Order of checks is deliberate: predictive first, so hopeless
-// requests never consume tokens, then the bucket. Deterministic given
-// a deterministic call sequence.
+// requests never consume tokens, then the bucket. The HTTP front learns
+// the bound only from its one shard hop, so it reserves a token (bestP
+// 1) and Refunds it when the shard sheds: a hopeless request still costs
+// no token, but one meeting an empty bucket is throttled without a hop.
+// Deterministic given a deterministic call sequence.
 type FrontDoor struct {
 	mu      sync.Mutex
 	cfg     FrontDoorConfig
@@ -88,7 +94,7 @@ func (f *FrontDoor) Admit(class string, now, bestP, confidence float64) Verdict 
 	defer f.mu.Unlock()
 	c := f.classes[class]
 	if c == nil {
-		c = &ClassCounters{}
+		c = &ClassCounters{Class: class}
 		f.classes[class] = c
 	}
 	if f.cfg.Rate > 0 {
@@ -118,30 +124,50 @@ func (f *FrontDoor) Admit(class string, now, bestP, confidence float64) Verdict 
 	return VerdictAdmit
 }
 
+// Refund undoes an Admit that returned VerdictAdmit: the token goes
+// back to the bucket (never past Burst) and the class's admission is
+// recounted as shed — as a predictive shed for VerdictShedPredictive,
+// under no verdict for any other (a request no shard accepted).
+func (f *FrontDoor) Refund(class string, shed Verdict) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.cfg.Rate > 0 {
+		f.tokens = min(f.tokens+1, f.cfg.Burst)
+	}
+	c := f.classes[class]
+	c.Admitted--
+	if shed == VerdictShedPredictive {
+		c.ShedPredictive++
+	}
+}
+
 // Predictive reports whether the predictive check is enabled (callers
 // skip computing bestP when it is not).
 func (f *FrontDoor) Predictive() bool { return f.cfg.Predictive }
 
-// Counters snapshots the per-class tallies.
-func (f *FrontDoor) Counters() map[string]ClassCounters {
+// Counters snapshots the per-class tallies sorted by class, the stable
+// order reports and metrics pages need (nil before any submission).
+func (f *FrontDoor) Counters() []ClassCounters {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make(map[string]ClassCounters, len(f.classes))
-	for k, v := range f.classes {
-		out[k] = *v
+	var out []ClassCounters
+	for _, c := range f.classes {
+		out = append(out, *c)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Class < out[j].Class })
 	return out
 }
 
-// Classes returns the sorted class names seen so far — the stable
-// iteration order reports and metrics pages need.
-func (f *FrontDoor) Classes() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]string, 0, len(f.classes))
-	for k := range f.classes {
-		out = append(out, k)
+// AdmissionFairness is the Jain fairness index over per-class admission
+// rates admitted/(admitted+shed), classes with no traffic skipped: 1
+// means every class is admitted at the same rate, 1/n means one class
+// monopolizes admission.
+func AdmissionFairness(cs []ClassCounters) float64 {
+	var rates []float64
+	for _, c := range cs {
+		if total := c.Admitted + c.ShedPredictive + c.ShedThrottled; total > 0 {
+			rates = append(rates, float64(c.Admitted)/float64(total))
+		}
 	}
-	sort.Strings(out)
-	return out
+	return stats.JainIndex(rates)
 }

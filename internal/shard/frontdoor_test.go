@@ -1,6 +1,9 @@
 package shard
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestFrontDoorTokenBucket pins the throttle mechanics: a burst drains
 // the bucket, refill is proportional to elapsed virtual time, and the
@@ -35,8 +38,8 @@ func TestFrontDoorTokenBucket(t *testing.T) {
 		t.Fatalf("idle refill exceeded burst: %s", v)
 	}
 
-	c := fd.Counters()["gold"]
-	if c.Admitted != 8 || c.ShedThrottled != 3 || c.ShedPredictive != 0 {
+	c := fd.Counters()[0]
+	if c.Class != "gold" || c.Admitted != 8 || c.ShedThrottled != 3 || c.ShedPredictive != 0 {
 		t.Fatalf("counters %+v, want 8 admitted / 3 throttled / 0 predictive", c)
 	}
 }
@@ -70,8 +73,8 @@ func TestFrontDoorPredictiveBeforeTokens(t *testing.T) {
 		t.Fatalf("naive front door had a spare token: %s", v)
 	}
 
-	if got := fd.Classes(); len(got) != 2 || got[0] != "gold" || got[1] != "storm" {
-		t.Fatalf("classes %v, want [gold storm]", got)
+	if got := fd.Counters(); len(got) != 2 || got[0].Class != "gold" || got[1].Class != "storm" {
+		t.Fatalf("counters %+v, want classes [gold storm]", got)
 	}
 }
 
@@ -86,5 +89,40 @@ func TestFrontDoorUnlimited(t *testing.T) {
 	}
 	if v := fd.Admit("c", 0, 0.1, 0.5); v != VerdictShedPredictive {
 		t.Fatalf("predictive check inactive without a rate: %s", v)
+	}
+}
+
+// TestFrontDoorRefund pins what Refund undoes: the reserved token comes
+// back, but never past Burst, and the admission is recounted as a
+// predictive shed or, for any other verdict, not tallied at all.
+func TestFrontDoorRefund(t *testing.T) {
+	fd := NewFrontDoor(FrontDoorConfig{Rate: 1, Burst: 2, Predictive: true})
+	for _, class := range []string{"shed", "gone"} {
+		if v := fd.Admit(class, 0, 1, 0.5); v != VerdictAdmit {
+			t.Fatalf("%s: reservation %s", class, v)
+		}
+	}
+	// The refill at t=100 fills the bucket while both reservations are out.
+	if v := fd.Admit("storm", 100, 0.1, 0.5); v != VerdictShedPredictive {
+		t.Fatalf("hopeless request: %s", v)
+	}
+	fd.Refund("shed", VerdictShedPredictive)
+	fd.Refund("gone", "")
+	for i := 0; i < 2; i++ {
+		if v := fd.Admit("gold", 100, 1, 0.5); v != VerdictAdmit {
+			t.Fatalf("request %d within burst: %s", i, v)
+		}
+	}
+	if v := fd.Admit("gold", 100, 1, 0.5); v != VerdictShedThrottle {
+		t.Fatalf("refunds overfilled the bucket: %s", v)
+	}
+	want := []ClassCounters{
+		{Class: "gold", Admitted: 2, ShedThrottled: 1},
+		{Class: "gone"},
+		{Class: "shed", ShedPredictive: 1},
+		{Class: "storm", ShedPredictive: 1},
+	}
+	if got := fd.Counters(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("counters %+v, want %+v", got, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	uaqetp "repro"
 	"repro/internal/calib"
 	"repro/internal/serve"
+	"repro/internal/shard"
 )
 
 // Quantiles summarizes a sample of durations. Quantiles use the
@@ -229,12 +230,7 @@ type ShardReport struct {
 }
 
 // ClassReport is one SLO class's front-door tally.
-type ClassReport struct {
-	Class          string `json:"class"`
-	Admitted       uint64 `json:"admitted"`
-	ShedPredictive uint64 `json:"shed_predictive"`
-	ShedThrottled  uint64 `json:"shed_throttled"`
-}
+type ClassReport = shard.ClassCounters
 
 // FrontDoorReport summarizes the fleet's intake valve: configuration
 // plus per-SLO-class verdict counters, classes sorted by name.
@@ -242,10 +238,7 @@ type FrontDoorReport struct {
 	Rate       float64 `json:"rate"`
 	Burst      float64 `json:"burst"`
 	Predictive bool    `json:"predictive"`
-	// AdmissionFairness is the Jain fairness index over per-SLO-class
-	// admission rates admitted/(admitted+shed), classes with no traffic
-	// skipped: 1 means every class is admitted at the same rate, 1/n
-	// means one class monopolizes admission.
+	// AdmissionFairness is shard.AdmissionFairness over Classes.
 	AdmissionFairness float64       `json:"admission_fairness"`
 	Classes           []ClassReport `json:"classes"`
 }

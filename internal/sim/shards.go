@@ -7,7 +7,6 @@ import (
 	uaqetp "repro"
 	"repro/internal/serve"
 	"repro/internal/shard"
-	"repro/internal/stats"
 )
 
 // FrontDoorSpec is the scenario JSON shape of the fleet's intake
@@ -256,24 +255,12 @@ func (s *simRun) shardsReport() *ShardsReport {
 		rep.PerShard = append(rep.PerShard, sr)
 	}
 	if fd := sh.front; fd != nil {
-		fr := &FrontDoorReport{
+		classes := fd.Counters()
+		rep.FrontDoor = &FrontDoorReport{
 			Rate: sh.spec.FrontDoor.Rate, Burst: sh.spec.FrontDoor.Burst,
-			Predictive: sh.spec.FrontDoor.Predictive,
+			Predictive:        sh.spec.FrontDoor.Predictive,
+			AdmissionFairness: shard.AdmissionFairness(classes), Classes: classes,
 		}
-		counters := fd.Counters()
-		var rates []float64
-		for _, class := range fd.Classes() {
-			c := counters[class]
-			fr.Classes = append(fr.Classes, ClassReport{
-				Class: class, Admitted: c.Admitted,
-				ShedPredictive: c.ShedPredictive, ShedThrottled: c.ShedThrottled,
-			})
-			if total := c.Admitted + c.ShedPredictive + c.ShedThrottled; total > 0 {
-				rates = append(rates, float64(c.Admitted)/float64(total))
-			}
-		}
-		fr.AdmissionFairness = stats.JainIndex(rates)
-		rep.FrontDoor = fr
 	}
 	if st, ok := s.cache.TierStats(); ok {
 		rep.CacheTier = &st
