@@ -127,8 +127,8 @@ type (
 	DBKind = datagen.DBKind
 	// RNGVersion selects the measurement-stream generation (see
 	// internal/rng): RNGv1 is the historical math/rand stream, RNGv2 the
-	// zero-allocation counter-based stream. The zero value is RNGv1, so
-	// existing Configs keep their byte-identical measured times.
+	// zero-allocation counter-based stream the simulator always runs.
+	// The zero value is RNGv1.
 	RNGVersion = rng.Version
 )
 
@@ -195,9 +195,9 @@ type Config struct {
 	Variant Variant
 	// Seed drives all randomness deterministically.
 	Seed int64
-	// RNG selects the measurement-stream version (internal/rng). The
-	// zero value is RNGv1 — the historical math/rand stream, so every
-	// measured time pinned before the seam existed stays byte-identical.
+	// RNG selects the measurement-stream version (internal/rng) of a
+	// System opened directly; the simulator always opens its fleet at
+	// RNGv2. The zero value is RNGv1 — the historical math/rand stream.
 	// RNGv2 draws statistically equivalent times from a counter-based
 	// stream at a fraction of the cost (no per-execution seeding ritual,
 	// zero allocation). Like every other field it participates in Config

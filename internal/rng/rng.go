@@ -1,64 +1,36 @@
-// Package rng is the versioned measurement-stream seam: every source of
+// Package rng is the measurement-stream seam: every source of
 // per-execution randomness in the pipeline (measured plan times, sim
-// arrival processes) draws through this package, selected by a Version.
+// arrival processes) draws through this package.
 //
 // Version 1 is the historical stream — math/rand's lagged-Fibonacci
-// source seeded per execution — kept bit-for-bit so every report, trace,
-// and calibration stream pinned before the seam existed stays
-// byte-identical. Version 2 is a counter-based splitmix64 stream seeded
-// directly from a 64-bit key: no ~607-word seeding ritual, no heap
-// allocation, statistically equivalent draws (pinned by test at the
-// root package). The key derivation (ExecKey) is shared by both
-// versions and is bit-identical to the pre-seam execSeed, so v1 and v2
-// executions of the same (seed, query, plan) differ only in generator,
-// never in seeding.
+// source seeded per execution — which a directly opened System still
+// measures on by default. Version 2 is a counter-based splitmix64
+// stream seeded directly from a 64-bit key: no ~607-word seeding
+// ritual, no heap allocation, statistically equivalent draws (pinned by
+// test at the root package). The simulator runs only Version 2, its
+// arrival processes included. The key derivation (ExecKey) is shared
+// by both versions and is bit-identical to the pre-seam execSeed, so
+// v1 and v2 executions of the same (seed, query, plan) differ only in
+// generator, never in seeding.
 package rng
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 )
 
-// Version selects a measurement-stream generation. The zero value is
-// V1, so an unversioned Config or scenario keeps the historical stream
-// and its pinned goldens.
+// Version selects a System's measurement-stream generation. The zero
+// value is V1, so an unversioned Config keeps the historical stream.
 type Version uint8
 
 const (
-	// V1 is the historical math/rand stream (default; byte-compatible
-	// with every golden pinned before the seam existed).
+	// V1 is the historical math/rand stream (the default of a directly
+	// opened System).
 	V1 Version = iota
 	// V2 is the counter-based splitmix64 stream: zero-allocation,
 	// no seeding warm-up, statistically equivalent to V1.
 	V2
 )
-
-// String returns the scenario-schema spelling of v ("v1", "v2").
-func (v Version) String() string {
-	if v == V2 {
-		return "v2"
-	}
-	return "v1"
-}
-
-// Versions lists the accepted scenario-schema spellings, in order.
-func Versions() []string { return []string{"v1", "v2"} }
-
-// ParseVersion maps a scenario-schema spelling to a Version. The empty
-// string selects V1 (unversioned scenarios keep the historical stream);
-// anything else unknown is rejected listing the vocabulary.
-func ParseVersion(s string) (Version, error) {
-	switch s {
-	case "", "v1":
-		return V1, nil
-	case "v2":
-		return V2, nil
-	}
-	return 0, fmt.Errorf("unknown rng version %q (valid: %s)",
-		s, strings.Join(Versions(), ", "))
-}
 
 // FNV-1a constants (hash/fnv's 64-bit parameters), inlined so ExecKey
 // hashes incrementally with zero allocation.
@@ -168,15 +140,4 @@ func (s *Stream) Intn(n int) int {
 		}
 	}
 	return int(hi)
-}
-
-// Source is the draw vocabulary the simulator's arrival processes need;
-// both *math/rand.Rand (V1) and *Stream (V2) satisfy it. Only the
-// once-per-tenant arrival path accepts a Source — the per-execution
-// measurement path stays on concrete types so V2 draws never box.
-type Source interface {
-	Float64() float64
-	ExpFloat64() float64
-	NormFloat64() float64
-	Intn(n int) int
 }

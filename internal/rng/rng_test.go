@@ -41,26 +41,6 @@ func TestExecKeyMatchesHistoricalDerivation(t *testing.T) {
 	}
 }
 
-func TestParseVersion(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want Version
-	}{{"", V1}, {"v1", V1}, {"v2", V2}} {
-		got, err := ParseVersion(c.in)
-		if err != nil || got != c.want {
-			t.Errorf("ParseVersion(%q) = %v, %v; want %v, nil", c.in, got, err, c.want)
-		}
-	}
-	if _, err := ParseVersion("v3"); err == nil {
-		t.Fatal("ParseVersion(v3): want error")
-	} else if want := `unknown rng version "v3" (valid: v1, v2)`; err.Error() != want {
-		t.Errorf("ParseVersion(v3) error = %q, want %q", err, want)
-	}
-	if v := Version(0); v.String() != "v1" {
-		t.Errorf("zero Version.String() = %q, want v1", v)
-	}
-}
-
 func TestStreamDeterministicPerKey(t *testing.T) {
 	a, b := NewStream(42), NewStream(42)
 	for i := 0; i < 100; i++ {
@@ -140,12 +120,6 @@ func TestStreamMoments(t *testing.T) {
 		t.Errorf("Float64 mean = %g, want ~0.5", mean)
 	}
 }
-
-// Both generators must satisfy Source — the arrival-path seam.
-var (
-	_ Source = (*Stream)(nil)
-	_ Source = (*rand.Rand)(nil)
-)
 
 func BenchmarkStreamSeedAndDraw(b *testing.B) {
 	b.ReportAllocs()

@@ -102,10 +102,8 @@ func (a ArrivalSpec) normalized(horizon float64) (ArrivalSpec, error) {
 
 // times draws the arrival instants in [0, horizon), sorted, for the
 // synthetic processes (trace replay produces its own times). The draw
-// is deterministic per source state; the source is version-selected by
-// the caller (math/rand for v1 scenarios, the counter-based stream for
-// v2 — see internal/rng).
-func (a ArrivalSpec) times(r rng.Source, horizon float64) []float64 {
+// is deterministic per stream state.
+func (a ArrivalSpec) times(r *rng.Stream, horizon float64) []float64 {
 	switch a.Process {
 	case ProcessBursty:
 		return burstyTimes(r, horizon, a.Rate, a.OnFraction, a.Cycle)
@@ -116,7 +114,7 @@ func (a ArrivalSpec) times(r rng.Source, horizon float64) []float64 {
 	}
 }
 
-func poissonTimes(r rng.Source, horizon, rate float64) []float64 {
+func poissonTimes(r *rng.Stream, horizon, rate float64) []float64 {
 	var out []float64
 	for t := r.ExpFloat64() / rate; t < horizon; t += r.ExpFloat64() / rate {
 		out = append(out, t)
@@ -128,7 +126,7 @@ func poissonTimes(r rng.Source, horizon, rate float64) []float64 {
 // during ON phases at rate/onFraction, so the long-run mean rate is
 // rate. The process starts in an ON phase so short horizons still carry
 // a burst.
-func burstyTimes(r rng.Source, horizon, rate, onFraction, cycle float64) []float64 {
+func burstyTimes(r *rng.Stream, horizon, rate, onFraction, cycle float64) []float64 {
 	onRate := rate / onFraction
 	meanOn := onFraction * cycle
 	meanOff := (1 - onFraction) * cycle
@@ -154,7 +152,7 @@ func burstyTimes(r rng.Source, horizon, rate, onFraction, cycle float64) []float
 
 // diurnalTimes thins a homogeneous process at the peak intensity down
 // to the sinusoidal profile.
-func diurnalTimes(r rng.Source, horizon, rate, amp, period float64) []float64 {
+func diurnalTimes(r *rng.Stream, horizon, rate, amp, period float64) []float64 {
 	peak := rate * (1 + amp)
 	var out []float64
 	for t := r.ExpFloat64() / peak; t < horizon; t += r.ExpFloat64() / peak {

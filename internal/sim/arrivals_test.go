@@ -2,10 +2,17 @@ package sim
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/rng"
 )
+
+// stream returns a fresh arrival stream keyed by seed.
+func stream(seed int64) *rng.Stream {
+	s := rng.NewStream(seed)
+	return &s
+}
 
 // TestArrivalProcessesMeanRate checks that every synthetic process
 // delivers the configured mean rate (within sampling tolerance over a
@@ -23,7 +30,7 @@ func TestArrivalProcessesMeanRate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		times := spec.times(rand.New(rand.NewSource(42)), horizon)
+		times := spec.times(stream(42), horizon)
 		got := float64(len(times)) / horizon
 		if math.Abs(got-rate) > 0.25*rate {
 			t.Errorf("%s: observed rate %.3f, want ~%.1f", name, got, rate)
@@ -40,15 +47,15 @@ func TestArrivalProcessesMeanRate(t *testing.T) {
 	}
 }
 
-// TestArrivalsDeterministic: the same RNG seed reproduces the same
+// TestArrivalsDeterministic: the same stream key reproduces the same
 // arrival instants.
 func TestArrivalsDeterministic(t *testing.T) {
 	spec, err := ArrivalSpec{Process: ProcessBursty, Rate: 3}.normalized(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := spec.times(rand.New(rand.NewSource(7)), 100)
-	b := spec.times(rand.New(rand.NewSource(7)), 100)
+	a := spec.times(stream(7), 100)
+	b := spec.times(stream(7), 100)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -82,8 +89,8 @@ func TestBurstyIsBurstier(t *testing.T) {
 	}
 	pois, _ := ArrivalSpec{Process: ProcessPoisson, Rate: rate}.normalized(horizon)
 	burst, _ := ArrivalSpec{Process: ProcessBursty, Rate: rate, OnFraction: 0.2, Cycle: 40}.normalized(horizon)
-	cvP := cv(pois.times(rand.New(rand.NewSource(3)), horizon))
-	cvB := cv(burst.times(rand.New(rand.NewSource(3)), horizon))
+	cvP := cv(pois.times(stream(3), horizon))
+	cvB := cv(burst.times(stream(3), horizon))
 	if cvB <= cvP*1.2 {
 		t.Errorf("bursty CV %.3f not clearly above poisson CV %.3f", cvB, cvP)
 	}

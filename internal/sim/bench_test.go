@@ -36,7 +36,6 @@ func BenchmarkSimPoisson(b *testing.B) {
 		Machines: FleetOf(2),
 		Router:   RouterLeastRisk,
 		DB:       "uniform-1G",
-		RNG:      "v2",
 		Tenants: []TenantSpec{{
 			Name:     "alpha",
 			Bench:    "seljoin",
@@ -89,7 +88,6 @@ func BenchmarkSimHeterogeneous(b *testing.B) {
 		Router:      RouterLeastRisk,
 		QueuePolicy: "fifo",
 		DB:          "uniform-1G",
-		RNG:         "v2",
 		Tenants: []TenantSpec{{
 			Name:     "alpha",
 			Bench:    "seljoin",
@@ -141,7 +139,6 @@ func BenchmarkSimDrift(b *testing.B) {
 		Router:      RouterLeastRisk,
 		QueuePolicy: "fifo",
 		DB:          "uniform-1G",
-		RNG:         "v2",
 		RecalEvery:  5,
 		Tenants: []TenantSpec{{
 			Name:     "alpha",
@@ -200,7 +197,6 @@ func BenchmarkSimSharded(b *testing.B) {
 		Machines: FleetOf(8),
 		Router:   RouterLeastRisk,
 		DB:       "uniform-1G",
-		RNG:      "v2",
 		Shards: &ShardsSpec{
 			Count:     4,
 			VNodes:    64,
@@ -243,8 +239,8 @@ func BenchmarkSimSharded(b *testing.B) {
 // homogeneous fleet, fifo queues, one high-rate poisson tenant) scaled
 // so one iteration is ~60k events —
 // big enough that the per-event hot path (measurement stream included)
-// dominates, small enough to iterate. Under rng v2 the events/s here
-// tracks exactly what scenario-cluster.json's wall clock tracks.
+// dominates, small enough to iterate. The events/s here tracks exactly
+// what scenario-cluster.json's wall clock tracks.
 func BenchmarkSimCluster(b *testing.B) {
 	sc := Scenario{
 		Name:        "bench-cluster",
@@ -254,7 +250,6 @@ func BenchmarkSimCluster(b *testing.B) {
 		Router:      RouterRoundRobin,
 		QueuePolicy: "fifo",
 		DB:          "uniform-1G",
-		RNG:         "v2",
 		Tenants: []TenantSpec{{
 			Name:     "fleet",
 			Bench:    "seljoin",

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	uaqetp "repro"
@@ -38,7 +37,7 @@ func openBase(sc *resolved) (*uaqetp.System, *uaqetp.EstimateCache, error) {
 	}
 	sys, err := uaqetp.Open(uaqetp.Config{
 		DB: sc.kind, Machine: sc.MachineProfile, SamplingRatio: sc.SamplingRatio,
-		Seed: sc.Seed, RNG: sc.ver, Cache: cache,
+		Seed: sc.Seed, RNG: uaqetp.RNGv2, Cache: cache,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("sim: open system: %w", err)
@@ -309,18 +308,9 @@ func (s *simRun) buildArrivals(sys *uaqetp.System) error {
 			}
 			continue
 		}
-		// The arrival stream rides the scenario's measurement-stream
-		// version: v1 keeps the historical math/rand source, v2 skips
-		// its per-tenant seeding ritual — at 10k tenants the seeding
-		// alone is measurable. Both satisfy rng.Source; the boxing costs
-		// once per tenant, not per draw.
-		var src rng.Source
-		if s.sc.ver == rng.V2 {
-			st := rng.NewStream(arrivalSeed(s.sc.Seed, ti))
-			src = &st
-		} else {
-			src = rand.New(rand.NewSource(arrivalSeed(s.sc.Seed, ti)))
-		}
+		// One counter-based stream per tenant: no seeding ritual, which
+		// at 10k tenants is measurable.
+		src := rng.NewStream(arrivalSeed(s.sc.Seed, ti))
 		pool := pools[ts.group]
 		if pool == nil {
 			var err error
@@ -329,7 +319,7 @@ func (s *simRun) buildArrivals(sys *uaqetp.System) error {
 			}
 			pools[ts.group] = pool
 		}
-		for k, at := range spec.Arrivals.times(src, s.sc.Horizon) {
+		for k, at := range spec.Arrivals.times(&src, s.sc.Horizon) {
 			s.arrivals = append(s.arrivals, arrival{
 				at: at, tenant: int32(ti), ord: int32(k), tmpl: note(pool[src.Intn(len(pool))]),
 			})

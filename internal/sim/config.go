@@ -59,7 +59,6 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/hardware"
-	"repro/internal/rng"
 	"repro/internal/serve"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -99,13 +98,6 @@ type Scenario struct {
 	MachineProfile string `json:"machine_profile,omitempty"`
 	// SamplingRatio is the offline sample fraction; default 0.05.
 	SamplingRatio float64 `json:"sampling_ratio,omitempty"`
-	// RNG selects the measurement-stream version: "v1" (default; the
-	// historical math/rand stream, byte-compatible with every report
-	// pinned before the seam existed) or "v2" (counter-based stream,
-	// statistically equivalent measured times at a fraction of the
-	// per-execution cost). It seeds both the measurement path of every
-	// executed plan and the per-tenant arrival streams.
-	RNG string `json:"rng,omitempty"`
 	// CacheCapacity bounds the fleet-wide shared estimate cache; 0
 	// selects the serve default.
 	CacheCapacity int `json:"cache_capacity,omitempty"`
@@ -233,7 +225,6 @@ func scenarioKeys() []string {
 type resolved struct {
 	Scenario
 	kind   datagen.DBKind
-	ver    rng.Version
 	policy serve.QueuePolicy
 	// fleet is Machines expanded to one spec per machine.
 	fleet []MachineSpec
@@ -279,10 +270,6 @@ func (sc Scenario) resolve() (*resolved, error) {
 	if sc.SamplingRatio == 0 {
 		sc.SamplingRatio = 0.05
 	}
-	ver, err := rng.ParseVersion(sc.RNG)
-	if err != nil {
-		return nil, fmt.Errorf("sim: rng: %w", err)
-	}
 	if _, err := trace.ParseLevel(sc.TraceLevel); err != nil {
 		return nil, fmt.Errorf("sim: trace_level: %w", err)
 	}
@@ -326,5 +313,5 @@ func (sc Scenario) resolve() (*resolved, error) {
 			return nil, fmt.Errorf("sim: tenant %q: %w", t.Name, err)
 		}
 	}
-	return &resolved{Scenario: sc, kind: kind, ver: ver, policy: policy, fleet: fleet, bench: bench}, nil
+	return &resolved{Scenario: sc, kind: kind, policy: policy, fleet: fleet, bench: bench}, nil
 }

@@ -10,11 +10,11 @@ import (
 // Load must reject unknown top-level keys and tell the user what the
 // valid vocabulary is — a typo'd scenario silently falling back to
 // defaults is the worst failure mode a config loader can have. The
-// deleted "parallelism" knob is rejected like any typo, in exactly the
-// `unknown scenario key "..." (valid keys: ...)` shape bench/'s tolerant
-// loader matches to drop the keys it marks optional.
+// deleted "parallelism" and "rng" knobs are rejected like any typo, in
+// exactly the `unknown scenario key "..." (valid keys: ...)` shape
+// bench/'s tolerant loader matches to drop the keys it marks optional.
 func TestLoadRejectsUnknownKeysWithListing(t *testing.T) {
-	for _, key := range []string{"hori_zon", "parallelism"} {
+	for _, key := range []string{"hori_zon", "parallelism", "rng"} {
 		path := filepath.Join(t.TempDir(), "sc.json")
 		if err := os.WriteFile(path, []byte(`{"name": "x", "`+key+`": 10}`), 0o644); err != nil {
 			t.Fatal(err)

@@ -23,7 +23,8 @@ func heteroTestScenario() Scenario {
 // TestSimHeterogeneousDeterministic extends the core determinism
 // contract to mixed-profile fleets: same scenario + seed => deep-equal
 // Report and byte-identical JSON across repeated runs and across
-// GOMAXPROCS, with per-machine WithMachine siblings in play.
+// GOMAXPROCS, with per-machine WithMachine siblings in play; and the
+// shipped heterogeneous fleet's report labels and uses every machine.
 func TestSimHeterogeneousDeterministic(t *testing.T) {
 	sc := heteroTestScenario()
 	r1, err := Run(sc)
@@ -56,13 +57,18 @@ func TestSimHeterogeneousDeterministic(t *testing.T) {
 		t.Fatal("heterogeneous JSON report depends on GOMAXPROCS")
 	}
 
-	// Labeled fleets surface their machines' hardware in the report.
-	if len(r1.PerMachine) != 3 {
-		t.Fatalf("expected 3 machines, got %d", len(r1.PerMachine))
+	// Labeled fleets surface their machines' hardware in the report, and
+	// least-risk spreads a loaded fleet over every machine. The labels
+	// and the spread are read off the shipped four-machine fleet: the
+	// light in-code fleet above leaves its drifted third machine idle,
+	// as least-risk should when no backlog builds.
+	rep := shipped(t, "scenario-hetero.json").rep
+	if len(rep.PerMachine) != 4 {
+		t.Fatalf("expected 4 machines, got %d", len(rep.PerMachine))
 	}
-	wantProfiles := []string{"PC2", "PC1", "PC1"}
-	wantDrift := []float64{0, 0, 0.5}
-	for m, mr := range r1.PerMachine {
+	wantProfiles := []string{"PC2", "PC1", "PC1", "PC1"}
+	wantDrift := []float64{0, 0, 2, 2}
+	for m, mr := range rep.PerMachine {
 		if mr.Profile != wantProfiles[m] || mr.Drift != wantDrift[m] {
 			t.Errorf("machine %d labeled (%q, %g), want (%q, %g)",
 				m, mr.Profile, mr.Drift, wantProfiles[m], wantDrift[m])

@@ -212,7 +212,7 @@ func (s *simRun) handleArrival(a arrival) error {
 			// unsharded).
 			bestP := 1.0
 			if fd.Predictive() && ts.effDeadline > 0 {
-				bestP = s.bestPIn(ts, q, a.tmpl, ts.effDeadline, a.at, lo, hi)
+				bestP = s.bestPIn(ts, a.tmpl, ts.effDeadline, a.at, lo, hi)
 			}
 			if v := fd.Admit(ts.class, a.at, bestP, ts.confidence); v != shard.VerdictAdmit {
 				ts.shed++

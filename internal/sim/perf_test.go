@@ -63,9 +63,9 @@ func TestAllRejectedTenantReport(t *testing.T) {
 // (arrival routing + admission or completion + next-request execution)
 // must stay within a fixed allocation budget. The seed trajectory spent
 // ~300 allocs/event; with each request planned once and its cache keys
-// memoized on the plan, an event allocates ~2.7 times (the arrival's
-// query clone and its name, and the v1 measurement stream's generator
-// per execution). The budget of 4 catches a per-request fingerprint,
+// memoized on the plan, an event allocates ~2.1 times (mostly the
+// arrival's query clone and its name; the measurement stream allocates
+// nothing). The budget of 4 catches a per-request fingerprint,
 // key or option struct coming back.
 func TestEventDispatchAllocs(t *testing.T) {
 	if raceEnabled {

@@ -97,7 +97,7 @@ func (s *simRun) route(ts *tenantState, ti int, q, tmpl *uaqetp.Query, deadline,
 		var shared *uaqetp.Prediction
 		if s.router == RouterLeastRiskShared || !s.perMachine {
 			var err error
-			if shared, err = s.sharedPred(ts, q, tmpl); err != nil {
+			if shared, err = s.sharedPred(ts, tmpl); err != nil {
 				return 0, fmt.Errorf("sim: route predict %q: %w", q.Name, err)
 			}
 		}

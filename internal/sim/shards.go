@@ -212,8 +212,8 @@ func (sh *shardedRun) onShard(ti, sidx int) bool {
 // per-arrival cost drops to one map probe. A prediction failure
 // returns 1 (the request is forwarded; admission will tally the
 // failure exactly as on unsharded runs).
-func (s *simRun) bestPIn(ts *tenantState, q, tmpl *uaqetp.Query, deadline, now float64, lo, hi int) float64 {
-	pred, err := s.sharedPred(ts, q, tmpl)
+func (s *simRun) bestPIn(ts *tenantState, tmpl *uaqetp.Query, deadline, now float64, lo, hi int) float64 {
+	pred, err := s.sharedPred(ts, tmpl)
 	if err != nil {
 		return 1
 	}

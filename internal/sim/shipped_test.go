@@ -217,19 +217,11 @@ func compareGolden(t *testing.T, got []byte, golden string) {
 }
 
 // shippedPins pins each shipped scenario's report: small reports to a
-// golden under testdata/, the megabyte-scale cluster report by SHA-256.
-//
-// scenario.json is the compatibility gate: it has no "rng" key, so its
-// report must be byte-identical to the golden of the historical v1
-// stream, recorded before the measurement-stream seam existed. That
-// golden was re-pinned once since, when closed-form cost functions moved
-// the predicted floats (calibration mape / bias / mean_z / pearson_r, by
-// at most 2.1e-7 relative); the measurement stream, and every count and
-// decision in the report, did not move. The other scenarios declare
-// "rng": "v2", so a generator or hot-path change cannot silently shift
-// the shipped findings.
+// golden under testdata/, the megabyte-scale cluster report by SHA-256,
+// so a generator or hot-path change cannot silently shift the shipped
+// findings.
 var shippedPins = map[string]struct{ golden, sha256 string }{
-	"scenario.json":         {golden: "report-v1-bursty.json"},
+	"scenario.json":         {golden: "report-v2-bursty.json"},
 	"scenario-hetero.json":  {golden: "report-v2-hetero.json"},
 	"scenario-sharded.json": {golden: "report-v2-sharded.json"},
 	"scenario-drift.json":   {golden: "report-v2-drift.json"},

@@ -6,7 +6,6 @@ import (
 	uaqetp "repro"
 	"repro/internal/calib"
 	"repro/internal/hardware"
-	"repro/internal/rng"
 	"repro/internal/serve"
 	"repro/internal/trace"
 )
@@ -218,18 +217,11 @@ type sharedPredEntry struct {
 	err  error
 }
 
-// sharedPred resolves the base System's prediction for an arrival: on
-// v2 scenarios through the run-level memo keyed by the arrival's
-// template (see the predMemo field for why one map probe is equivalent
-// to predicting the clone); on v1 scenarios through the full
-// per-arrival PredictContext the simulator has always issued — the memo
-// changes the shared cache's hit/miss counters (and with them the
-// report's cache-economy figure), so the v1 compatibility gate must not
-// take it.
-func (s *simRun) sharedPred(ts *tenantState, q, tmpl *uaqetp.Query) (*uaqetp.Prediction, error) {
-	if s.sc.ver != rng.V2 {
-		return ts.sys.PredictContext(s.ctx, q)
-	}
+// sharedPred resolves the base System's prediction for an arrival
+// through the run-level memo keyed by the arrival's template (see the
+// predMemo field for why one map probe is equivalent to predicting the
+// clone).
+func (s *simRun) sharedPred(ts *tenantState, tmpl *uaqetp.Query) (*uaqetp.Prediction, error) {
 	if e, ok := s.predMemo[tmpl]; ok {
 		return e.pred, e.err
 	}
