@@ -38,13 +38,14 @@ loc:
 
 # loc-check keeps the collapse from regrowing silently: non-test Go
 # outside bench/ stays within the budget CHANGES.md records, and no
-# non-test file of internal/sim grows back past 500 lines.
-LOC_BUDGET = 15808
-SIM_FILE_BUDGET = 500
+# non-test file of internal/sim or internal/engine, nor stages.go, grows
+# past 500 lines.
+LOC_BUDGET = 15898
+FILE_BUDGET = 500
 loc-check:
 	@n="$$($(LIB_GO) | xargs cat | wc -l)"; \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then echo "non-test Go outside bench/: $$n lines, budget $(LOC_BUDGET)"; exit 1; fi
-	@for f in $$(git ls-files 'internal/sim/*.go' | grep -v _test.go); do \
+	@for f in $$(git ls-files 'internal/sim/*.go' 'internal/engine/*.go' stages.go | grep -v _test.go); do \
 		n="$$(wc -l < "$$f")"; \
-		if [ "$$n" -gt $(SIM_FILE_BUDGET) ]; then echo "$$f: $$n lines, budget $(SIM_FILE_BUDGET)"; exit 1; fi; \
+		if [ "$$n" -gt $(FILE_BUDGET) ]; then echo "$$f: $$n lines, budget $(FILE_BUDGET)"; exit 1; fi; \
 	done

@@ -607,3 +607,58 @@ func TestPredictorRejectsMismatchedEstimates(t *testing.T) {
 		}
 	}
 }
+
+// fixedEstimator is an Estimator stage that answers every plan with the
+// same Estimates, whatever plan they were computed for.
+type fixedEstimator struct{ est *Estimates }
+
+func (f fixedEstimator) Estimate(context.Context, *Plan) (*Estimates, error) { return f.est, nil }
+
+// TestMeasureRejectsMismatchedEstimates holds Measure to the shape check
+// Predict runs: an Estimator stage that answers with another plan's
+// estimates — a shorter plan's, a longer one's, or a same-size plan's
+// with a different leaf layout — gets an error naming the mismatch, not
+// a Measurement with dropped or mis-paired operators.
+func TestMeasureRejectsMismatchedEstimates(t *testing.T) {
+	sys := testSystem(t)
+	ctx := context.Background()
+	scan := &Query{Name: "scan", Tables: []string{"lineitem"}, Preds: []Predicate{{Col: "l_quantity", Op: Le, Lo: 25}}}
+	sortedAgg := &Query{Name: "sorted-agg", Tables: []string{"lineitem"}, Agg: &AggSpec{GroupCol: "l_returnflag", SortInput: true}}
+	join := joinQuery()
+	estimatesOf := func(q *Query) *Estimates {
+		p, err := sys.Planner().BuildPlan(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := sys.Estimator().Estimate(ctx, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return est
+	}
+	if a, b := len(estimatesOf(sortedAgg).est.Ops), len(estimatesOf(join).est.Ops); a != b {
+		t.Fatalf("sorted-agg has %d operators, join %d: the same-size case is not covered", a, b)
+	}
+	cases := []struct {
+		name   string
+		q, of  *Query
+		wantOK bool
+	}{
+		{"own estimates", join, join, true},
+		{"a shorter plan's", join, scan, false},
+		{"a longer plan's", scan, join, false},
+		{"a same-size plan's, other leaf layout", join, sortedAgg, false},
+		{"a same-size plan's, other leaf layout, reversed", sortedAgg, join, false},
+	}
+	for _, c := range cases {
+		m, err := sys.With(WithEstimator(fixedEstimator{estimatesOf(c.of)})).Measure(c.q)
+		switch {
+		case c.wantOK && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case !c.wantOK && err == nil:
+			t.Errorf("%s: nil error, measurement with %d ops", c.name, len(m.Ops))
+		case !c.wantOK && !strings.HasPrefix(err.Error(), "core: estimate"):
+			t.Errorf("%s: error %q does not name the mismatch", c.name, err)
+		}
+	}
+}

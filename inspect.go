@@ -3,6 +3,8 @@ package uaqetp
 import (
 	"context"
 	"fmt"
+
+	"repro/internal/core"
 )
 
 // OpDetail pairs one selective operator's estimated selectivity
@@ -33,7 +35,9 @@ type Measurement struct {
 // Executor stage is installed — and additionally reports the sampling
 // overhead and per-operator selectivity ground truth. The plan comes
 // from the Planner stage and the estimates from the Estimator stage
-// (which must be, or wrap, the built-in sampling estimator).
+// (which must be, or wrap, the built-in sampling estimator); estimates
+// that do not fit the plan — another plan's — are an error, as they are
+// for Predict.
 func (s *System) Measure(q *Query) (*Measurement, error) {
 	if q == nil {
 		return nil, errNilQuery
@@ -54,6 +58,9 @@ func (s *System) Measure(q *Query) (*Measurement, error) {
 		return nil, fmt.Errorf("uaqetp: Measure needs sampling estimates (custom Estimator returned none)")
 	}
 	est := ests.est
+	if err := core.CheckEstimates(p.root.Nodes(), est); err != nil {
+		return nil, err
+	}
 	res, actual, err := s.runMeasured(q, p)
 	if err != nil {
 		return nil, err
@@ -68,15 +75,13 @@ func (s *System) Measure(q *Query) (*Measurement, error) {
 		if !n.Kind.IsScan() && !n.Kind.IsJoin() {
 			continue
 		}
-		oe, err := est.Get(n)
-		if err != nil || oe.FromOptimizer {
-			continue
+		if oe := &est.Ops[n.ID]; !oe.FromOptimizer {
+			m.Ops = append(m.Ops, OpDetail{
+				EstSel:   oe.Rho,
+				EstSigma: oe.Sigma(),
+				TrueSel:  opRes.Selectivity,
+			})
 		}
-		m.Ops = append(m.Ops, OpDetail{
-			EstSel:   oe.Rho,
-			EstSigma: oe.Sigma(),
-			TrueSel:  opRes.Selectivity,
-		})
 	}
 	return m, nil
 }

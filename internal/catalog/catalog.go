@@ -8,6 +8,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/engine"
@@ -59,31 +60,31 @@ func Build(db *engine.DB) *Catalog {
 	return c
 }
 
+// buildColumn computes a column's statistics from vals, a copy of the
+// column, which it sorts in place.
 func buildColumn(vals []int64) *ColumnStats {
 	cs := &ColumnStats{rows: len(vals)}
 	if len(vals) == 0 {
 		return cs
 	}
-	sorted := make([]int64, len(vals))
-	copy(sorted, vals)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	cs.Min, cs.Max = sorted[0], sorted[len(sorted)-1]
+	slices.Sort(vals)
+	cs.Min, cs.Max = vals[0], vals[len(vals)-1]
 	distinct := 1
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] != sorted[i-1] {
+	for i := 1; i < len(vals); i++ {
+		if vals[i] != vals[i-1] {
 			distinct++
 		}
 	}
 	cs.Distinct = distinct
 	b := HistogramBuckets
-	if b > len(sorted) {
-		b = len(sorted)
+	if b > len(vals) {
+		b = len(vals)
 	}
 	cs.Bounds = make([]int64, b)
 	for i := 0; i < b; i++ {
 		// Upper bound of bucket i covers rows up to rank (i+1)/b.
-		idx := (i+1)*len(sorted)/b - 1
-		cs.Bounds[i] = sorted[idx]
+		idx := (i+1)*len(vals)/b - 1
+		cs.Bounds[i] = vals[idx]
 	}
 	return cs
 }

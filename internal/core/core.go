@@ -154,12 +154,13 @@ type assembly struct {
 	items []item
 }
 
-// checkEstimates verifies that est was computed for the plan whose
+// CheckEstimates verifies that est was computed for the plan whose
 // preorder is nodes: one operator per node, and each operator's leaf run
 // either empty (at and above an aggregate) or exactly the node's own
 // leaves. Everything downstream indexes by node ID and leaf ordinal
-// without looking again.
-func checkEstimates(nodes []*engine.Node, est *sample.Estimates) error {
+// without looking again; System.Measure runs the same check before it
+// pairs operators with their estimates.
+func CheckEstimates(nodes []*engine.Node, est *sample.Estimates) error {
 	if len(est.Ops) != len(nodes) {
 		return fmt.Errorf("core: estimates hold %d operators, the plan has %d", len(est.Ops), len(nodes))
 	}
@@ -184,7 +185,7 @@ func checkEstimates(nodes []*engine.Node, est *sample.Estimates) error {
 // variables and build every operator's per-unit cost functions.
 func (p *Predictor) assemble(root *engine.Node, est *sample.Estimates) (*assembly, error) {
 	nodes := root.Nodes()
-	if err := checkEstimates(nodes, est); err != nil {
+	if err := CheckEstimates(nodes, est); err != nil {
 		return nil, err
 	}
 	a := &assembly{

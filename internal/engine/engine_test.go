@@ -196,16 +196,12 @@ func TestAggregateGroupBy(t *testing.T) {
 	db := testDB(100, 10)
 	plan := &Node{Kind: Aggregate, GroupCol: "b",
 		Left: &Node{Kind: SeqScan, Table: "r"}}
-	plan.Finalize()
-	res, err := Run(db, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, rows := aggregateRows(t, db, plan)
 	if res.M != 10 { // b has 10 distinct values
 		t.Errorf("groups=%v, want 10", res.M)
 	}
 	var total int64
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		total += r[1]
 	}
 	if total != 100 {
@@ -217,14 +213,30 @@ func TestScalarAggregate(t *testing.T) {
 	db := testDB(37, 10)
 	plan := &Node{Kind: Aggregate,
 		Left: &Node{Kind: SeqScan, Table: "r"}}
+	res, rows := aggregateRows(t, db, plan)
+	if res.M != 1 || len(rows) != 1 || rows[0][0] != 37 {
+		t.Errorf("scalar aggregate got M=%v rows=%v", res.M, rows)
+	}
+}
+
+// aggregateRows finalizes and runs plan, an aggregate, keeping its
+// output relation — the one-leaf relation a join above it would read —
+// and returns the result and that relation's rows in provenance order.
+func aggregateRows(t *testing.T, db *DB, plan *Node) (*OpResult, [][]int64) {
+	t.Helper()
 	plan.Finalize()
-	res, err := Run(db, plan)
+	res, rel, err := run(db, plan, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.M != 1 || res.Rows[0][0] != 37 {
-		t.Errorf("scalar aggregate got M=%v rows=%v", res.M, res.Rows)
+	if len(rel.leaves) != 1 || len(rel.prov) != int(res.M) {
+		t.Fatalf("aggregate relation has %d leaves and %d rows, M=%v", len(rel.leaves), len(rel.prov), res.M)
 	}
+	rows := make([][]int64, len(rel.prov))
+	for i, r := range rel.prov {
+		rows[i] = rel.leaves[0].Rows[r]
+	}
+	return res, rows
 }
 
 func TestFinalizeAssignsIDsAndLeaves(t *testing.T) {

@@ -3,7 +3,9 @@ package engine
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+	"sync"
 )
 
 // Counts are the resource counts of PostgreSQL's cost model, Equation (1)
@@ -40,13 +42,12 @@ func (c Counts) Get(u int) float64 {
 	}
 }
 
-// OpResult holds one operator's execution outcome: its output relation,
-// true cardinalities, selectivity X = M / Π|R| (Equation 3), and resource
-// counts.
+// OpResult holds one operator's execution outcome: its true input and
+// output cardinalities, selectivity X = M / Π|R| (Equation 3), and
+// resource counts. It holds no rows: the output relation lives only
+// while the operator's parent reads it.
 type OpResult struct {
 	Node *Node
-	Cols []string
-	Rows [][]int64
 
 	Nl, Nr      float64 // input cardinalities
 	M           float64 // output cardinality
@@ -90,85 +91,171 @@ func Run(db *DB, root *Node) (*OpResult, error) {
 	if err := root.Validate(); err != nil {
 		return nil, err
 	}
-	return runNode(db, root)
+	res, _, err := run(db, root, false)
+	return res, err
 }
 
-func runNode(db *DB, n *Node) (*OpResult, error) {
+// relation is an operator's output as provenance: the tables of its
+// leaves, left to right, and one flat block of row indices, stride
+// len(leaves). Row r is prov[r*k : (r+1)*k], entry o the index of the
+// row of leaves[o] that produced it. A joined tuple is the
+// concatenation of the leaf rows its provenance names, so none is ever
+// built: a column is read late, through the (leaf, column) its name
+// resolves to. An aggregate's output is a one-leaf relation over a small
+// table of its own.
+type relation struct {
+	leaves []*Table
+	prov   []int32
+}
+
+// keyed is a relation with one column resolved for hashing: the key of
+// row r is tab[prov[r*stride+ord]][ci].
+type keyed struct {
+	prov         []int32
+	stride, rows int
+	tab          [][]int64
+	ord, ci      int
+}
+
+// resolve keys the relation on the named column, found exactly as a
+// lookup over the concatenated column lists would find it: in the first
+// leaf, left to right, that carries the name. It reports false when no
+// leaf does.
+func (r *relation) resolve(name string) (keyed, bool) {
+	for o, t := range r.leaves {
+		if ci := t.ColIndex(name); ci >= 0 {
+			return keyed{r.prov, len(r.leaves), len(r.prov) / len(r.leaves), t.Rows, o, ci}, true
+		}
+	}
+	return keyed{}, false
+}
+
+func (k *keyed) key(r int) int64 { return k.tab[k.prov[r*k.stride+k.ord]][k.ci] }
+
+// scratch is the working memory of one scan, join or aggregate: nothing
+// in it outlives the call that took it from the pool.
+type scratch struct {
+	slots []Slot  // the join's or aggregate's hash table
+	next  []int32 // build row -> 1 + the previous build row with the same key; 0 ends the chain
+	sel   []int32 // a scan's selection vector; a join's hits as (probe row, chain head) pairs
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// build hashes every row of k into the table at load <= 1/2, the rows
+// of one key chained through next, and returns the shift that takes a
+// key's Fib to its home slot.
+func (sc *scratch) build(k *keyed) uint {
+	logSize := bits.Len(uint(2 * k.rows))
+	sc.slots = grow(sc.slots, 1<<logSize)
+	clear(sc.slots)
+	sc.next = grow(sc.next, k.rows)
+	slots, next, shift := sc.slots, sc.next, uint(64-logSize)
+	for b := range next {
+		key := k.key(b)
+		e := Find(slots, int(Fib(key)>>shift), key)
+		e.Key = key
+		next[b], e.Head = e.Head, int32(b+1)
+		e.Cnt++
+	}
+	return shift
+}
+
+// run executes the subtree at n. When keep is set it also returns the
+// operator's output relation, which only a parent that reads rows asks
+// for: the root's is never built, so a plan's topmost join only counts.
+func run(db *DB, n *Node, keep bool) (*OpResult, *relation, error) {
 	switch {
 	case n.Kind.IsScan():
-		return runScan(db, n)
+		return runScan(db, n, keep)
 	case n.Kind.IsJoin():
-		return runJoin(db, n)
+		return runJoin(db, n, keep)
 	case n.Kind == Aggregate:
-		return runAggregate(db, n)
+		return runAggregate(db, n, keep)
 	case n.Kind == Sort, n.Kind == Materialize:
-		return runPassThrough(db, n)
+		child, rel, err := run(db, n.Left, keep)
+		if err != nil {
+			return nil, nil, err
+		}
+		return &OpResult{
+			Node:        n,
+			Nl:          child.M,
+			M:           child.M,
+			LeafProduct: child.LeafProduct,
+			Selectivity: child.Selectivity,
+			Counts:      UnaryCounts(n.Kind, child.M),
+			Left:        child,
+		}, rel, nil
 	default:
-		return nil, fmt.Errorf("engine: cannot execute node kind %s", n.Kind)
+		return nil, nil, fmt.Errorf("engine: cannot execute node kind %s", n.Kind)
 	}
 }
 
-// leafProduct computes Π|R| over the node's leaf tables.
-func leafProduct(db *DB, n *Node) (float64, error) {
-	p := 1.0
-	for _, name := range n.LeafTables {
+// setLeafProduct sets a join's or aggregate's Π|R| over its node's leaf
+// tables and its selectivity X = M / Π|R|.
+func setLeafProduct(db *DB, res *OpResult) error {
+	res.LeafProduct = 1
+	for _, name := range res.Node.LeafTables {
 		t, err := db.Table(name)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		p *= float64(t.NumRows())
+		res.LeafProduct *= float64(t.NumRows())
 	}
-	return p, nil
+	if res.LeafProduct > 0 {
+		res.Selectivity = res.M / res.LeafProduct
+	}
+	return nil
 }
 
-func runScan(db *DB, n *Node) (*OpResult, error) {
+// runScan filters the table a predicate at a time into a selection
+// vector: every row, then what the predicates so far let through,
+// filtered in place.
+func runScan(db *DB, n *Node, keep bool) (*OpResult, *relation, error) {
 	t, err := db.Table(n.Table)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	idx := make([]int, len(n.Preds))
-	for i := range n.Preds {
-		idx[i] = t.ColIndex(n.Preds[i].Col)
-		if idx[i] < 0 {
-			return nil, fmt.Errorf("engine: predicate column %q not in table %q", n.Preds[i].Col, n.Table)
-		}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	nrows := t.NumRows()
+	sel, mIndex := grow(sc.sel, nrows), nrows // mIndex: tuples satisfying the index (first) predicate
+	for i := range sel {
+		sel[i] = int32(i)
 	}
-	var out [][]int64
-	mIndex := 0.0 // tuples satisfying the index (first) predicate
-	for _, row := range t.Rows {
-		if len(n.Preds) > 0 && !n.Preds[0].Matches(row[idx[0]]) {
-			continue
+	for pi := range n.Preds {
+		pred := &n.Preds[pi]
+		ci := t.ColIndex(pred.Col)
+		if ci < 0 {
+			return nil, nil, fmt.Errorf("engine: predicate column %q not in table %q", pred.Col, n.Table)
 		}
-		mIndex++
-		ok := true
-		for i := 1; i < len(n.Preds); i++ {
-			if !n.Preds[i].Matches(row[idx[i]]) {
-				ok = false
-				break
+		m := 0
+		for _, i := range sel {
+			sel[m] = i
+			if pred.Matches(t.Rows[i][ci]) {
+				m++
 			}
 		}
-		if ok {
-			out = append(out, row)
+		if sel = sel[:m]; pi == 0 {
+			mIndex = m
 		}
 	}
-	nrows := float64(t.NumRows())
-	if len(n.Preds) == 0 {
-		mIndex = nrows
+	sc.sel = sel
+	var rel *relation
+	if keep {
+		rel = &relation{leaves: []*Table{t}, prov: slices.Clone(sel)}
 	}
-	m := float64(len(out))
 	res := &OpResult{
 		Node:        n,
-		Cols:        t.Cols,
-		Rows:        out,
-		Nl:          nrows,
-		M:           m,
-		LeafProduct: nrows,
+		Nl:          float64(nrows),
+		M:           float64(len(sel)),
+		LeafProduct: float64(nrows),
+		Counts:      ScanCounts(n.Kind, float64(nrows), float64(mIndex), len(n.Preds)),
 	}
 	if nrows > 0 {
-		res.Selectivity = m / nrows
+		res.Selectivity = res.M / res.LeafProduct
 	}
-	res.Counts = ScanCounts(n.Kind, nrows, mIndex, len(n.Preds))
-	return res, nil
+	return res, rel, nil
 }
 
 // ScanCounts returns the resource counts of a table scan. For sequential
@@ -237,139 +324,131 @@ func UnaryCounts(kind NodeKind, nl float64) Counts {
 	}
 }
 
-func runJoin(db *DB, n *Node) (*OpResult, error) {
-	left, err := runNode(db, n.Left)
+// runJoin hash-joins the children's relations on the smaller side,
+// regardless of the nominal algorithm: it counts the output in a first
+// pass and, when the parent reads it, fills one exactly-sized block in
+// a second — left provenance then right, whichever side built.
+func runJoin(db *DB, n *Node, keep bool) (*OpResult, *relation, error) {
+	left, lrel, err := run(db, n.Left, true)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	right, err := runNode(db, n.Right)
+	right, rrel, err := run(db, n.Right, true)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	li := slices.Index(left.Cols, n.LeftCol)
-	ri := slices.Index(right.Cols, n.RightCol)
-	if li < 0 || ri < 0 {
-		return nil, fmt.Errorf("engine: join columns %q/%q not found", n.LeftCol, n.RightCol)
+	build, lok := lrel.resolve(n.LeftCol)
+	probe, rok := rrel.resolve(n.RightCol)
+	if !lok || !rok {
+		return nil, nil, fmt.Errorf("engine: join columns %q/%q not found", n.LeftCol, n.RightCol)
+	}
+	// bat and pat are where the build and probe sides' provenance land
+	// in an output row.
+	k, bat, pat := build.stride+probe.stride, 0, build.stride
+	if probe.rows < build.rows {
+		build, probe, bat, pat = probe, build, pat, bat
 	}
 
-	// Hash join on the smaller side regardless of the nominal algorithm.
-	rows := hashEquiJoin(left.Rows, right.Rows, li, ri)
-
-	lp, err := leafProduct(db, n)
-	if err != nil {
-		return nil, err
-	}
-	res := &OpResult{
-		Node:        n,
-		Cols:        append(append([]string{}, left.Cols...), right.Cols...),
-		Rows:        rows,
-		Nl:          left.M,
-		Nr:          right.M,
-		M:           float64(len(rows)),
-		LeafProduct: lp,
-		Left:        left,
-		Right:       right,
-	}
-	if lp > 0 {
-		res.Selectivity = res.M / lp
-	}
-	res.Counts = JoinCounts(n.Kind, left.M, right.M, res.M)
-	return res, nil
-}
-
-// hashEquiJoin joins two row sets on the given column indices,
-// concatenating matching rows.
-func hashEquiJoin(lrows, rrows [][]int64, li, ri int) [][]int64 {
-	// Build on the smaller input.
-	if len(lrows) <= len(rrows) {
-		ht := make(map[int64][][]int64, len(lrows))
-		for _, lr := range lrows {
-			ht[lr[li]] = append(ht[lr[li]], lr)
-		}
-		var out [][]int64
-		for _, rr := range rrows {
-			for _, lr := range ht[rr[ri]] {
-				out = append(out, concatRows(lr, rr))
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	shift := sc.build(&build)
+	slots, next, hits := sc.slots, sc.next, sc.sel[:0]
+	nOut := 0
+	for r := 0; r < probe.rows; r++ {
+		key := probe.key(r)
+		if e := Find(slots, int(Fib(key)>>shift), key); e.Head != 0 {
+			nOut += int(e.Cnt)
+			if keep {
+				hits = append(hits, int32(r), e.Head)
 			}
 		}
-		return out
 	}
-	ht := make(map[int64][][]int64, len(rrows))
-	for _, rr := range rrows {
-		ht[rr[ri]] = append(ht[rr[ri]], rr)
+	sc.sel = hits
+
+	var rel *relation
+	if keep {
+		out := make([]int32, nOut*k)
+		w := 0
+		for i := 0; i < len(hits); i += 2 {
+			r := int(hits[i])
+			pp := probe.prov[r*probe.stride : (r+1)*probe.stride]
+			for b := hits[i+1]; b != 0; b = next[b-1] {
+				row := out[w : w+k]
+				copy(row[bat:], build.prov[int(b-1)*build.stride:int(b)*build.stride])
+				copy(row[pat:], pp)
+				w += k
+			}
+		}
+		rel = &relation{leaves: append(slices.Clip(lrel.leaves), rrel.leaves...), prov: out}
 	}
-	var out [][]int64
-	for _, lr := range lrows {
-		for _, rr := range ht[lr[li]] {
-			out = append(out, concatRows(lr, rr))
+
+	res := &OpResult{
+		Node:   n,
+		Nl:     left.M,
+		Nr:     right.M,
+		M:      float64(nOut),
+		Counts: JoinCounts(n.Kind, left.M, right.M, float64(nOut)),
+		Left:   left,
+		Right:  right,
+	}
+	if err := setLeafProduct(db, res); err != nil {
+		return nil, nil, err
+	}
+	return res, rel, nil
+}
+
+// runAggregate counts the groups of its input through provenance: a
+// scalar aggregate is one group, COUNT(*) over the input; a grouped one
+// hashes the group column, one slot per group. When the parent reads
+// it, the output is a one-leaf relation over a table of (count) or
+// (group, count) rows, the groups in slot order.
+func runAggregate(db *DB, n *Node, keep bool) (*OpResult, *relation, error) {
+	child, rel, err := run(db, n.Left, n.GroupCol != "")
+	if err != nil {
+		return nil, nil, err
+	}
+	groups, cols, rows := 1, []string{"count"}, [][]int64{{int64(child.M)}}
+	if n.GroupCol != "" {
+		in, ok := rel.resolve(n.GroupCol)
+		if !ok {
+			return nil, nil, fmt.Errorf("engine: group column %q not found", n.GroupCol)
+		}
+		sc := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(sc)
+		sc.build(&in)
+		groups, cols, rows = 0, []string{"group", "count"}, nil
+		for _, e := range sc.slots {
+			if e.Head != 0 {
+				groups++
+			}
+		}
+		if keep {
+			block := make([]int64, 0, 2*groups)
+			rows = make([][]int64, 0, groups)
+			for _, e := range sc.slots {
+				if e.Head != 0 {
+					block = append(block, e.Key, int64(e.Cnt))
+					rows = append(rows, block[len(block)-2:])
+				}
+			}
 		}
 	}
-	return out
-}
-
-func concatRows(a, b []int64) []int64 {
-	out := make([]int64, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
-}
-
-func runPassThrough(db *DB, n *Node) (*OpResult, error) {
-	child, err := runNode(db, n.Left)
-	if err != nil {
-		return nil, err
+	var out *relation
+	if keep {
+		out = &relation{leaves: []*Table{NewTable("", cols, rows)}, prov: make([]int32, groups)}
+		for i := range out.prov {
+			out.prov[i] = int32(i)
+		}
 	}
 	res := &OpResult{
-		Node:        n,
-		Cols:        child.Cols,
-		Rows:        child.Rows,
-		Nl:          child.M,
-		M:           child.M,
-		LeafProduct: child.LeafProduct,
-		Selectivity: child.Selectivity,
-		Left:        child,
+		Node:   n,
+		Nl:     child.M,
+		M:      float64(groups),
+		Counts: UnaryCounts(Aggregate, child.M),
+		Left:   child,
 	}
-	res.Counts = UnaryCounts(n.Kind, child.M)
-	return res, nil
-}
-
-func runAggregate(db *DB, n *Node) (*OpResult, error) {
-	child, err := runNode(db, n.Left)
-	if err != nil {
-		return nil, err
+	if err := setLeafProduct(db, res); err != nil {
+		return nil, nil, err
 	}
-	var rows [][]int64
-	if n.GroupCol == "" {
-		// Scalar aggregate: COUNT(*) over the input.
-		rows = [][]int64{{int64(len(child.Rows))}}
-	} else {
-		gi := slices.Index(child.Cols, n.GroupCol)
-		if gi < 0 {
-			return nil, fmt.Errorf("engine: group column %q not found", n.GroupCol)
-		}
-		counts := make(map[int64]int64)
-		for _, r := range child.Rows {
-			counts[r[gi]]++
-		}
-		for k, v := range counts {
-			rows = append(rows, []int64{k, v})
-		}
-	}
-	lp, err := leafProduct(db, n)
-	if err != nil {
-		return nil, err
-	}
-	res := &OpResult{
-		Node:        n,
-		Cols:        []string{"group", "count"},
-		Rows:        rows,
-		Nl:          child.M,
-		M:           float64(len(rows)),
-		LeafProduct: lp,
-		Left:        child,
-	}
-	if lp > 0 {
-		res.Selectivity = res.M / lp
-	}
-	res.Counts = UnaryCounts(Aggregate, child.M)
-	return res, nil
+	return res, out, nil
 }

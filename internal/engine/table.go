@@ -1,14 +1,17 @@
 // Package engine is the in-memory relational execution substrate. It
 // provides integer-encoded tables, predicates, binary query-plan trees
-// (Section 2 of the paper), and an executor that — besides producing the
-// true output cardinalities — reports the PostgreSQL cost-model resource
-// counts n = (ns, nr, nt, ni, no) of Equation (1) for every operator.
+// (Section 2 of the paper), and an executor that computes every
+// operator's true cardinalities, selectivity and PostgreSQL cost-model
+// resource counts n = (ns, nr, nt, ni, no) of Equation (1).
 //
-// Joins are always evaluated hash-based for speed; the reported counts
-// follow each operator's nominal algorithm (a nested-loop join reports
-// Nl*Nr tuple comparisons even though the engine does not perform
-// quadratic work), so simulated cost is faithful without quadratic
-// wall-clock time.
+// The executor never builds a joined tuple: an intermediate relation is
+// provenance — row indices into its leaf tables — and the plan's root
+// relation is only counted. Joins are always evaluated hash-based for
+// speed, in the open-addressed table the sampling pass shares
+// (hash.go); the reported counts follow each operator's nominal
+// algorithm (a nested-loop join reports Nl*Nr tuple comparisons even
+// though the engine does not perform quadratic work), so simulated cost
+// is faithful without quadratic wall-clock time.
 package engine
 
 import (

@@ -216,8 +216,8 @@ func TestJoinPassMatchesNestedLoop(t *testing.T) {
 	}
 	sib := filterSiblings(3)
 	for _, k := range sib {
-		if fib(k)>>44 != 0xABCDE {
-			t.Fatalf("key %d hashes to %x", k, fib(k))
+		if engine.Fib(k)>>44 != 0xABCDE {
+			t.Fatalf("key %d hashes to %x", k, engine.Fib(k))
 		}
 	}
 	var pairs [][]int32

@@ -273,33 +273,11 @@ func unaryPass(n *engine.Node, child *Pass) *Pass {
 // outlives the call that took it from the pool, and nothing a Pass
 // keeps is ever carved from it.
 type scratch struct {
-	slots  []slot   // the join's open-addressed hash table
-	next   []int32  // build row -> 1 + the previous build row with the same key; 0 ends the chain
-	filter []uint64 // the join's probe filter: bit h>>fshift set for the hash h of every build key
-	match  []int32  // a join's hits as (probe row, chain head) pairs; a scan's selection vector
-	q      []int32  // Q_{k,j} tallies of one leaf
-}
-
-// slot is one entry of the join hash table: a key, the chain of build
-// rows holding it (head is 1 + the last such row, 0 marks a free slot)
-// and the chain's length.
-type slot struct {
-	key       int64
-	head, cnt int32
-}
-
-// fib is the Fibonacci hash of a join key. The slot of a key is the
-// product's top bits, its probe-filter bit a longer prefix of the same.
-func fib(key int64) uint64 { return uint64(key) * 0x9E3779B97F4A7C15 }
-
-// find returns the slot holding key, or the free slot where it belongs,
-// starting from the key's home slot s in a power-of-two table that
-// always has a free slot, then probing linearly.
-func find(slots []slot, s int, key int64) *slot {
-	for mask := len(slots) - 1; slots[s].head != 0 && slots[s].key != key; {
-		s = (s + 1) & mask
-	}
-	return &slots[s]
+	slots  []engine.Slot // the join's open-addressed hash table (the engine's kernel)
+	next   []int32       // build row -> 1 + the previous build row with the same key; 0 ends the chain
+	filter []uint64      // the join's probe filter: bit h>>fshift set for the hash h of every build key
+	match  []int32       // a join's hits as (probe row, chain head) pairs; a scan's selection vector
+	q      []int32       // Q_{k,j} tallies of one leaf
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -424,12 +402,12 @@ func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, e
 	slots, filter, next := sc.slots, sc.filter, sc.next
 	for b := 0; b < build.rows; b++ {
 		key := build.col[build.prov[b*build.stride+build.ord]]
-		h := fib(key)
+		h := engine.Fib(key)
 		filter[h>>fshift>>6] |= 1 << (h >> fshift & 63)
-		e := find(slots, int(h>>shift), key)
-		e.key = key
-		next[b], e.head = e.head, int32(b+1)
-		e.cnt++
+		e := engine.Find(slots, int(h>>shift), key)
+		e.Key = key
+		next[b], e.Head = e.Head, int32(b+1)
+		e.Cnt++
 	}
 
 	// Count: only probe keys whose filter bit is set are looked up, and
@@ -438,13 +416,13 @@ func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, e
 	nOut := 0
 	for r := 0; r < probe.rows; r++ {
 		key := probe.col[probe.prov[r*probe.stride+probe.ord]]
-		h := fib(key)
+		h := engine.Fib(key)
 		if filter[h>>fshift>>6]&(1<<(h>>fshift&63)) == 0 {
 			continue
 		}
-		if e := find(slots, int(h>>shift), key); e.head != 0 {
-			hits = append(hits, int32(r), e.head)
-			nOut += int(e.cnt)
+		if e := engine.Find(slots, int(h>>shift), key); e.Head != 0 {
+			hits = append(hits, int32(r), e.Head)
+			nOut += int(e.Cnt)
 		}
 	}
 	sc.match = hits

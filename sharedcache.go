@@ -29,9 +29,11 @@ const passCapacityFactor = 4
 // whole-plan section; the Subtree* counters cover the subplan-pass
 // section that AlternativesContext and ChoosePlanContext lean on when
 // candidate join orders share lower subtrees; the Run* counters cover
-// the run-result section memoizing plan executions (engine.Run), whose
-// keys are machine- and sampling-ratio-independent, so experiment grids
-// over several machine profiles execute each plan once.
+// the run-result section memoizing plan executions (engine.Run) —
+// per-operator cardinalities, selectivities and resource counts, never
+// rows, which the executor does not build — whose keys are machine- and
+// sampling-ratio-independent, so experiment grids over several machine
+// profiles execute each plan once.
 type CacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
@@ -313,10 +315,11 @@ func estimateNamespace(cfg Config) string {
 
 // runNamespace fingerprints everything that determines a plan execution
 // (engine.Run): the generated database only. Machine profile and
-// sampling ratio do not enter — run results (cardinalities, resource
-// counts, output relations) are identical across them — so experiment
-// grids over several machines or sampling ratios execute each distinct
-// plan once and share the result through the cache's run section.
+// sampling ratio do not enter — run results (cardinalities,
+// selectivities, resource counts) are identical across them — so
+// experiment grids over several machines or sampling ratios execute each
+// distinct plan once and share the result through the cache's run
+// section.
 func runNamespace(cfg Config) string {
 	return fmt.Sprintf("%v|%d", cfg.DB, cfg.Seed)
 }

@@ -323,10 +323,12 @@ func (d *defaultPredictor) Predict(ctx context.Context, p *Plan, est *Estimates)
 // simExecutor runs plans on the simulated hardware with the
 // deterministic per-call seeding Execute has always used. Plan runs
 // (engine.Run) go through the estimate cache's run section: the run
-// result is a pure function of the generated database and the plan, so
-// repeated executions — and executions by other Systems sharing the
-// cache, even on different machine profiles — reuse one run while each
-// call still draws its own deterministic measurement stream.
+// result — the plan's operator tree with each operator's cardinalities,
+// selectivity and resource counts, no rows — is a pure function of the
+// generated database and the plan, so repeated executions — and
+// executions by other Systems sharing the cache, even on different
+// machine profiles — reuse one run while each call still draws its own
+// deterministic measurement stream.
 type simExecutor struct {
 	db      *engine.DB
 	profile *hardware.Profile
@@ -351,34 +353,18 @@ func (x simExecutor) Execute(ctx context.Context, q *Query, p *Plan) (float64, e
 // section — and measures it with the deterministic per-call stream of
 // the configured version (see internal/rng). It is the single
 // implementation behind the default Executor and System.Measure, so
-// their measured times cannot diverge.
+// their measured times cannot diverge. The cache keeps engine.Run's
+// result tree as it comes: counts, cardinalities and selectivities,
+// never rows.
 func runSimulated(ctx context.Context, c *EstimateCache, ns string, db *engine.DB, profile *hardware.Profile, seed int64, ver rng.Version, q *Query, p *Plan) (*engine.OpResult, float64, error) {
 	k := p.key(&p.run, ns)
 	res, err := c.runs.get(ctx, k.key, k.hash, func() (*engine.OpResult, error) {
-		r, err := engine.Run(db, p.root)
-		if err != nil {
-			return nil, err
-		}
-		return stripRows(r), nil
+		return engine.Run(db, p.root)
 	})
 	if err != nil {
 		return nil, 0, err
 	}
 	return res, profile.MeasurePlanSeeded(res, ver, rng.ExecKey(seed, q.Name, p.sig)), nil
-}
-
-// stripRows drops the materialized relations from a freshly executed
-// result tree before it enters the run cache: measurement needs only
-// the per-operator Counts, and ground-truth reading (System.Measure)
-// the nodes, cardinalities, and selectivities — the row data is the
-// overwhelming bulk of an OpResult and must not be pinned by the LRU.
-// The tree was just built and is exclusively ours, so clearing in
-// place is safe.
-func stripRows(res *engine.OpResult) *engine.OpResult {
-	for _, op := range res.Results() {
-		op.Rows, op.Cols = nil, nil
-	}
-	return res
 }
 
 // ---------------------------------------------------------------------
