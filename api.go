@@ -475,8 +475,9 @@ func (s *System) PredictPlannedContext(ctx context.Context, q *Query, opts ...Ca
 }
 
 // ExecuteContext runs the query through the Executor stage (by default
-// the simulated hardware, measuring the 5-run average the paper uses)
-// and returns the measured running time in seconds. WithPlanHint
+// one run on the simulated hardware, the unit the predicted
+// distribution describes) and returns its running time in seconds.
+// Measure reports the paper's five-run mean instead. WithPlanHint
 // executes a specific alternative instead of the default plan.
 func (s *System) ExecuteContext(ctx context.Context, q *Query, opts ...CallOption) (float64, error) {
 	o := newCallOpts(opts)
@@ -580,13 +581,6 @@ func (s *System) Plan(q *Query) (string, error) {
 
 // ---------------------------------------------------------------------
 // Introspection over the shared layers.
-
-// runMeasured executes a built plan and measures it with the
-// deterministic per-call stream (see runSimulated); Measure uses it so
-// its Actual equals the default Executor's Execute.
-func (s *System) runMeasured(q *Query, p *Plan) (*engine.OpResult, float64, error) {
-	return runSimulated(context.Background(), s.estCache, s.runNS, s.db, s.profile, s.cfg.Seed, s.cfg.RNG, q, p)
-}
 
 // UnitDists returns the cost-unit distributions behind the current
 // predictor stage in hardware unit order (cs, cr, ct, ci, co) — the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 )
 
 // OpDetail pairs one selective operator's estimated selectivity
@@ -23,21 +24,22 @@ type OpDetail struct {
 // It is independent of the predictor variant, so ablation grids can
 // measure once per query and reuse.
 type Measurement struct {
-	Actual     float64 // measured running time in seconds (same as ExecuteContext)
+	Actual     float64 // five-run mean running time in seconds (ExecuteContext is its first run)
 	SampleCost float64 // simulated cost of the sampling pass
 	FullCost   float64 // simulated cost of the full run
 	Ops        []OpDetail
 }
 
-// Measure executes the query on the built-in simulator with the same
-// deterministic per-call seeding as the default Executor — so
-// Measure(q).Actual equals ExecuteContext(ctx, q) unless a custom
-// Executor stage is installed — and additionally reports the sampling
-// overhead and per-operator selectivity ground truth. The plan comes
-// from the Planner stage and the estimates from the Estimator stage
-// (which must be, or wrap, the built-in sampling estimator); estimates
-// that do not fit the plan — another plan's — are an error, as they are
-// for Predict.
+// Measure executes the query on the built-in simulator under the
+// paper's measurement protocol: Actual is the mean of
+// hardware.AverageRuns runs of the default Executor's deterministic
+// per-call stream, the first of which is what ExecuteContext(ctx, q)
+// returns unless a custom Executor stage is installed. It additionally
+// reports the sampling overhead and per-operator selectivity ground
+// truth. The plan comes from the Planner stage and the estimates from
+// the Estimator stage (which must be, or wrap, the built-in sampling
+// estimator); estimates that do not fit the plan — another plan's — are
+// an error, as they are for Predict.
 func (s *System) Measure(q *Query) (*Measurement, error) {
 	if q == nil {
 		return nil, errNilQuery
@@ -61,12 +63,12 @@ func (s *System) Measure(q *Query) (*Measurement, error) {
 	if err := core.CheckEstimates(p.root.Nodes(), est); err != nil {
 		return nil, err
 	}
-	res, actual, err := s.runMeasured(q, p)
+	res, err := runSimulated(ctx, s.estCache, s.runNS, s.db, p)
 	if err != nil {
 		return nil, err
 	}
 	m := &Measurement{
-		Actual:     actual,
+		Actual:     s.profile.MeasurePlanSeeded(res, s.cfg.RNG, rng.ExecKey(s.cfg.Seed, q.Name, p.sig)),
 		SampleCost: s.profile.ExpectedCost(est.TotalSampleCounts()),
 		FullCost:   s.profile.ExpectedCost(res.TotalCounts()),
 	}

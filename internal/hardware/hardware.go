@@ -186,12 +186,12 @@ func (p *Profile) opTreeTime(op *engine.OpResult, units *[NumUnits]float64, r *r
 	return t
 }
 
-// AverageRuns mirrors the paper's measurement protocol: run the query
-// Runs times with cold caches and average the measured times.
+// AverageRuns is the paper's measurement protocol, which only Measure
+// follows: run the query AverageRuns times and average the times.
 const AverageRuns = 5
 
 // MeasurePlan returns the "actual running time" of an executed plan:
-// the mean of AverageRuns independent realizations.
+// the mean of AverageRuns successive realizations of PlanTime on r.
 func (p *Profile) MeasurePlan(res *engine.OpResult, r *rand.Rand) float64 {
 	var sum float64
 	for i := 0; i < AverageRuns; i++ {

@@ -8,30 +8,35 @@ import (
 	"repro/internal/rng"
 )
 
-// MeasurePlanSeeded returns the "actual running time" of an executed
-// plan under measurement-stream version v, seeding the stream from key
-// (an rng.ExecKey). It is the versioned entry point the execution
-// pipeline uses:
-//
-//   - rng.V1 constructs the historical math/rand source — bit-for-bit
-//     the stream MeasurePlan has always consumed, so every pinned
-//     golden survives — at the historical cost (the ~607-word
-//     lagged-Fibonacci seeding ritual plus a heap-allocated generator
-//     per execution).
-//   - rng.V2 runs a counter-based splitmix64 stream on the stack
-//     through concrete-typed mirrors of the draw path: no seeding loop,
-//     no interface boxing, zero heap allocation per measurement
-//     (pinned by TestMeasurePlanSeededV2Allocs).
-//
-// Both versions implement the same measurement protocol: AverageRuns
-// realizations of PlanTime, cost units drawn once per run, per-operator
-// lognormal model error.
-func (p *Profile) MeasurePlanSeeded(res *engine.OpResult, v rng.Version, key int64) float64 {
+// RunPlanSeeded realizes one run of an executed plan — what every
+// execution is — on measurement-stream version v seeded from key (an
+// rng.ExecKey). rng.V1 is the historical math/rand source, with its
+// ~607-word seeding ritual and heap-allocated generator per run; rng.V2
+// a counter-based splitmix64 stream on the stack through concrete-typed
+// mirrors of the draw path, with zero heap allocation per run (pinned
+// by TestMeasurePlanSeededV2Allocs).
+func (p *Profile) RunPlanSeeded(res *engine.OpResult, v rng.Version, key int64) float64 {
 	if v == rng.V2 {
 		s := rng.NewStream(key)
-		return p.measurePlanStream(res, &s)
+		return p.planTimeStream(res, &s)
 	}
-	return p.MeasurePlan(res, rand.New(rand.NewSource(key)))
+	return p.PlanTime(res, rand.New(rand.NewSource(key)))
+}
+
+// MeasurePlanSeeded is the paper's measurement protocol, used by
+// System.Measure and internal/exper only: the mean of AverageRuns
+// successive runs of the stream RunPlanSeeded draws one run from, so
+// its first run is RunPlanSeeded's value.
+func (p *Profile) MeasurePlanSeeded(res *engine.OpResult, v rng.Version, key int64) float64 {
+	if v != rng.V2 {
+		return p.MeasurePlan(res, rand.New(rand.NewSource(key)))
+	}
+	s := rng.NewStream(key)
+	var sum float64
+	for i := 0; i < AverageRuns; i++ {
+		sum += p.planTimeStream(res, &s)
+	}
+	return sum / AverageRuns
 }
 
 // drawUnitStream mirrors drawUnit on the concrete V2 stream.
@@ -77,13 +82,4 @@ func (p *Profile) opTreeTimeStream(op *engine.OpResult, units *[NumUnits]float64
 		t = p.opTreeTimeStream(op.Right, units, s, t)
 	}
 	return t
-}
-
-// measurePlanStream mirrors MeasurePlan on the concrete V2 stream.
-func (p *Profile) measurePlanStream(res *engine.OpResult, s *rng.Stream) float64 {
-	var sum float64
-	for i := 0; i < AverageRuns; i++ {
-		sum += p.planTimeStream(res, s)
-	}
-	return sum / AverageRuns
 }

@@ -42,6 +42,40 @@ func TestMeasurePlanSeededV1BitCompatible(t *testing.T) {
 	}
 }
 
+// TestRunIsFirstMeasuredRun holds the execute/measure split on both
+// stream versions: MeasurePlanSeeded is the mean of AverageRuns
+// successive realizations on one stream, and the first of them is
+// RunPlanSeeded's, bit for bit.
+func TestRunIsFirstMeasuredRun(t *testing.T) {
+	p := PC1()
+	res := measureFixture(t)
+	for key := int64(-3); key < 40; key += 7 {
+		r := rand.New(rand.NewSource(key))
+		s := rng.NewStream(key)
+		realize := map[rng.Version]func() float64{
+			rng.V1: func() float64 { return p.PlanTime(res, r) },
+			rng.V2: func() float64 { return p.planTimeStream(res, &s) },
+		}
+		for v, next := range realize {
+			var runs [AverageRuns]float64
+			var sum float64
+			for i := range runs {
+				runs[i] = next()
+				sum += runs[i]
+			}
+			if got := p.RunPlanSeeded(res, v, key); got != runs[0] {
+				t.Errorf("v%d key %d: RunPlanSeeded = %v, first realization = %v", v+1, key, got, runs[0])
+			}
+			if got, want := p.MeasurePlanSeeded(res, v, key), sum/AverageRuns; got != want {
+				t.Errorf("v%d key %d: MeasurePlanSeeded = %v, mean of %d realizations = %v", v+1, key, got, AverageRuns, want)
+			}
+			if runs[0] == runs[1] {
+				t.Errorf("v%d key %d: successive realizations coincide at %v", v+1, key, runs[0])
+			}
+		}
+	}
+}
+
 // TestMeasurePlanSeededV2Deterministic: same (version, key) → same
 // measured time; distinct keys → distinct times.
 func TestMeasurePlanSeededV2Deterministic(t *testing.T) {
@@ -87,21 +121,27 @@ func TestMeasurePlanSeededVersionsAgreeInDistribution(t *testing.T) {
 	}
 }
 
-// TestMeasurePlanSeededV2Allocs pins the tentpole's zero-allocation
-// claim at the layer that owns the hot loop.
+// TestMeasurePlanSeededV2Allocs pins the v2 stream's zero-allocation
+// claim at the layer that owns the hot loop, for one run (every
+// execution) and for the five-run measurement.
 func TestMeasurePlanSeededV2Allocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
 	p := PC1()
 	res := measureFixture(t)
-	key := int64(0)
-	allocs := testing.AllocsPerRun(200, func() {
-		p.MeasurePlanSeeded(res, rng.V2, key)
-		key++
-	})
-	if allocs != 0 {
-		t.Errorf("v2 measurement path allocates %.1f/op, want 0", allocs)
+	for name, draw := range map[string]func(*engine.OpResult, rng.Version, int64) float64{
+		"RunPlanSeeded":     p.RunPlanSeeded,
+		"MeasurePlanSeeded": p.MeasurePlanSeeded,
+	} {
+		key := int64(0)
+		allocs := testing.AllocsPerRun(200, func() {
+			draw(res, rng.V2, key)
+			key++
+		})
+		if allocs != 0 {
+			t.Errorf("v2 %s allocates %.1f/op, want 0", name, allocs)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -232,13 +233,14 @@ var shippedPins = map[string]struct{ golden, sha256 string }{
 // report and the drift scenario's decision trace and calibration
 // stream (recorded at trace-level "decisions" with calibration
 // streaming on, exactly as `uaqp sim -trace -calib` writes them).
-// Re-pinned, with the v2 report files, when closed-form cost functions
-// moved predicted means and sigmas by at most 5.1e-8 relative; every
-// decision in the trace is unchanged.
+// Re-pinned, with the v2 report files, when an execution became one run
+// of its measurement stream instead of the paper's five-run mean: every
+// executed time and calibration observation moved, and with them the
+// decisions that read them. No scenario was re-seeded.
 const (
-	clusterReportSHA256 = "81023b705f10021d483b38ceb739a94092d64f669f4af024ee35e20c18674148"
-	driftTraceSHA256    = "512bafc0b826af9084e6adecee041581feec86a9dc997d954bdc639c714535c3"
-	driftCalibSHA256    = "dd00fc9ef13fcd6a3b8ffdd4caa4bba9c76afe7e6972dcf6a94ce17588dc5cfd"
+	clusterReportSHA256 = "98b14a7d079da97be567ab9a3bae601458e4466d27b86d100c3949bd2ddd2426"
+	driftTraceSHA256    = "f5b80461aba0401c9921d315b4a9beeb1411b16a002350231fbf604029096908"
+	driftCalibSHA256    = "a82844054e6a0fb8350654072c0066f9798bc715f7e551273064e35d0cd10a3e"
 )
 
 // TestShippedReportsPinned holds every shipped scenario's report to its
@@ -358,6 +360,44 @@ func TestTraceTallyMatchesReport(t *testing.T) {
 			}
 			if sc := fix.sc; sc.Shards != nil && sc.Shards.FrontDoor != nil && shed == 0 {
 				t.Error("a front-door scenario shed nothing: the Shed column is untested")
+			}
+		})
+	}
+}
+
+// coverageTolerance is how far a shipped scenario's overall observed
+// interval coverage may sit from nominal.
+const coverageTolerance = 0.05
+
+// coverageExceptions names the cells allowed past coverageTolerance,
+// each with its own bound. The cluster's 50 % interval covers about
+// 0.561 of one-run executions: the predictor is under-confident on
+// uniform data, a finding not yet attributed to a layer.
+var coverageExceptions = map[string]map[float64]float64{
+	"scenario-cluster.json": {0.5: 0.07},
+}
+
+// TestShippedCoverageNearNominal holds every shipped scenario's overall
+// calibration coverage within coverageTolerance of nominal at each
+// level. The predicted distribution describes one execution; an
+// execution that observed the paper's five-run mean instead covered the
+// cluster's intervals at 0.877 / 0.9997 / 1.000, and this test fails on
+// that.
+func TestShippedCoverageNearNominal(t *testing.T) {
+	for _, file := range shippedFiles(t) {
+		t.Run(file, func(t *testing.T) {
+			cal := shipped(t, file).rep.Calibration
+			if cal == nil || cal.Overall.N == 0 {
+				t.Fatal("no calibration observations")
+			}
+			for _, c := range cal.Overall.Coverage {
+				tol, ok := coverageExceptions[file][c.Nominal]
+				if !ok {
+					tol = coverageTolerance
+				}
+				if math.Abs(c.Observed-c.Nominal) > tol {
+					t.Errorf("nominal %v: observed coverage %.4f, more than %v off", c.Nominal, c.Observed, tol)
+				}
 			}
 		})
 	}

@@ -145,36 +145,6 @@ func TestWithVariantSharesCacheAndDiffers(t *testing.T) {
 	}
 }
 
-func TestMeasureMatchesExecute(t *testing.T) {
-	sys, err := Open(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs, err := sys.GenerateWorkload(workload.SelJoin, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range qs {
-		actual, err := sys.ExecuteContext(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := sys.Measure(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Actual != actual {
-			t.Errorf("%s: Measure.Actual=%v, Execute=%v", q.Name, m.Actual, actual)
-		}
-		if m.SampleCost <= 0 || m.FullCost <= 0 || m.SampleCost >= m.FullCost {
-			t.Errorf("%s: implausible costs sample=%v full=%v", q.Name, m.SampleCost, m.FullCost)
-		}
-		if len(m.Ops) == 0 {
-			t.Errorf("%s: no selectivity observations", q.Name)
-		}
-	}
-}
-
 func TestPredictionPerUnitSumsToMean(t *testing.T) {
 	sys, err := Open(DefaultConfig())
 	if err != nil {

@@ -328,7 +328,9 @@ func (d *defaultPredictor) Predict(ctx context.Context, p *Plan, est *Estimates)
 // generated database and the plan, so repeated executions — and
 // executions by other Systems sharing the cache, even on different
 // machine profiles — reuse one run while each call still draws its own
-// deterministic measurement stream.
+// deterministic measurement stream. An execution is one run of that
+// stream (hardware.RunPlanSeeded), the unit the predicted distribution
+// describes.
 type simExecutor struct {
 	db      *engine.DB
 	profile *hardware.Profile
@@ -345,26 +347,25 @@ func (x simExecutor) Execute(ctx context.Context, q *Query, p *Plan) (float64, e
 	if err := p.valid(); err != nil {
 		return 0, err
 	}
-	_, actual, err := runSimulated(ctx, x.cache, x.runNS, x.db, x.profile, x.seed, x.ver, q, p)
-	return actual, err
+	res, err := runSimulated(ctx, x.cache, x.runNS, x.db, p)
+	if err != nil {
+		return 0, err
+	}
+	return x.profile.RunPlanSeeded(res, x.ver, rng.ExecKey(x.seed, q.Name, p.sig)), nil
 }
 
-// runSimulated executes a built plan — memoized in the cache's run
-// section — and measures it with the deterministic per-call stream of
-// the configured version (see internal/rng). It is the single
-// implementation behind the default Executor and System.Measure, so
-// their measured times cannot diverge. The cache keeps engine.Run's
-// result tree as it comes: counts, cardinalities and selectivities,
-// never rows.
-func runSimulated(ctx context.Context, c *EstimateCache, ns string, db *engine.DB, profile *hardware.Profile, seed int64, ver rng.Version, q *Query, p *Plan) (*engine.OpResult, float64, error) {
+// runSimulated executes a built plan, memoized in the cache's run
+// section. It is the single plan run behind the default Executor and
+// System.Measure; both then draw from the same deterministic per-call
+// stream (see internal/rng), the Executor one realization and Measure
+// the mean of hardware.AverageRuns. The cache keeps engine.Run's result
+// tree as it comes: counts, cardinalities and selectivities, never
+// rows.
+func runSimulated(ctx context.Context, c *EstimateCache, ns string, db *engine.DB, p *Plan) (*engine.OpResult, error) {
 	k := p.key(&p.run, ns)
-	res, err := c.runs.get(ctx, k.key, k.hash, func() (*engine.OpResult, error) {
+	return c.runs.get(ctx, k.key, k.hash, func() (*engine.OpResult, error) {
 		return engine.Run(db, p.root)
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return res, profile.MeasurePlanSeeded(res, ver, rng.ExecKey(seed, q.Name, p.sig)), nil
 }
 
 // ---------------------------------------------------------------------
