@@ -612,14 +612,3 @@ func (s *System) CostUnits() []string {
 func (s *System) GenerateWorkload(b workload.Benchmark, n int) ([]*Query, error) {
 	return workload.Generate(b, s.cat, n, s.cfg.Seed+5)
 }
-
-// GenerateTrace produces n benchmark queries annotated with Poisson
-// arrival times at meanRate queries per virtual second — a replayable
-// workload trace (internal/sim's "trace" arrival process). The trace
-// seed folds stream into Config.Seed, so callers replaying several
-// traces over one catalog (e.g. one per simulated tenant) pass distinct
-// stream values to get independent arrival sequences; generation is
-// deterministic per (Config.Seed, stream).
-func (s *System) GenerateTrace(b workload.Benchmark, n int, meanRate float64, stream int64) ([]workload.TraceEntry, error) {
-	return workload.GenerateTrace(b, s.cat, n, s.cfg.Seed+5+stream, meanRate)
-}

@@ -482,7 +482,7 @@ func TestPublicSurface(t *testing.T) {
 	wantMethods := []string{
 		"AlternativesContext", "CacheStats", "ChoosePlanContext", "Config",
 		"CostUnits", "Estimator", "ExecuteContext", "Executor",
-		"GenerateTrace", "GenerateWorkload", "Measure", "Plan", "Planner",
+		"GenerateWorkload", "Measure", "Plan", "Planner",
 		"PredictAndRunContext", "PredictBatchContext", "PredictContext",
 		"PredictPlannedContext", "Predictor", "Recalibrate", "UnitDists",
 		"With", "WithDriftInjection", "WithMachine", "WithSamplingRatio",

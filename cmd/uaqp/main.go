@@ -27,7 +27,7 @@
 //	-burst B     front token-bucket capacity (default = rate)
 //	-predictive  front sheds hopeless submissions before spending tokens
 //	-trace FILE  sim decision-trace output file (JSONL, deterministic)
-//	-trace-level sim trace detail: off | decisions | full
+//	-trace-level sim trace detail: off | decisions | full (default decisions)
 //	-calib FILE  sim calibration-stream output file (JSONL, deterministic)
 package main
 
@@ -108,7 +108,7 @@ func simCmd(args []string) error {
 	router := fs.String("router", "", "override the scenario router: round-robin | least-queue | least-risk | least-risk-shared")
 	out := fs.String("o", "", "write the report to a file instead of stdout")
 	traceOut := fs.String("trace", "", "write the decision trace as JSONL to a file")
-	traceLevel := fs.String("trace-level", "", "decision trace detail: off | decisions | full (default: the scenario's trace_level, or decisions when -trace is set)")
+	traceLevel := fs.String("trace-level", "decisions", "decision trace detail -trace records: off | decisions | full")
 	calibOut := fs.String("calib", "", "write the calibration stream (one observed-vs-predicted event per executed request) as JSONL to a file")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the simulation to a file (inspect with go tool pprof)")
 	memProfile := fs.String("memprofile", "", "write a heap profile taken after the simulation to a file")
@@ -156,19 +156,9 @@ func simCmd(args []string) error {
 		sc.Router = *router
 	}
 
-	// Precedence: explicit -trace-level > the scenario's trace_level >
-	// "decisions" when -trace asks for a file.
-	level := trace.Off
-	if *traceLevel != "" {
-		if level, err = trace.ParseLevel(*traceLevel); err != nil {
-			return err
-		}
-	} else if sc.TraceLevel != "" {
-		if level, err = trace.ParseLevel(sc.TraceLevel); err != nil {
-			return err
-		}
-	} else if *traceOut != "" {
-		level = trace.Decisions
+	level, err := trace.ParseLevel(*traceLevel)
+	if err != nil {
+		return err
 	}
 
 	// A sink is attached only when its file was asked for, so a plain run

@@ -4,10 +4,13 @@
 // least-queue (load-aware, variance-blind), or least-risk — route to
 // the machine maximizing the predicted probability of meeting the
 // deadline, P(T_wait + T_q <= d), which folds in both the backlog's
-// predicted variance and the query's own. On heterogeneous
-// (machine-list) fleets the comparison adds least-risk-shared, the
-// ablation that runs the risk arithmetic with fleet-shared units: the
-// gap between it and least-risk is what per-machine calibration buys.
+// predicted variance and the query's own. When the scenario writes its
+// fleet as a machine list (the JSON form that can name profiles and
+// drift), the comparison adds least-risk-shared, the ablation that runs
+// the risk arithmetic with fleet-shared units: the gap between it and
+// least-risk is what per-machine calibration buys. The two JSON forms
+// of a fleet run identically; only this example's table reads which
+// one the file used.
 //
 //	go run ./examples/sim                                              # homogeneous showcase
 //	go run ./examples/sim -config examples/sim/scenario-hetero.json    # mixed-profile fleet

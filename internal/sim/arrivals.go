@@ -22,24 +22,23 @@ const (
 	// ProcessDiurnal is a nonhomogeneous Poisson process with sinusoidal
 	// intensity Rate*(1 + Amplitude*sin(2*pi*t/Period)) via thinning.
 	ProcessDiurnal = "diurnal"
-	// ProcessTrace replays an arrival-annotated workload trace: either a
-	// generated one (internal/workload.GenerateTrace; Rate sets its
-	// intensity) or an external JSON file (TraceFile, ingested via
-	// internal/workload.LoadTrace). Queries and times come from the
-	// trace instead of a pool + synthetic process.
+	// ProcessTrace replays an external JSON arrival trace (TraceFile,
+	// ingested via internal/workload.LoadTrace): arrival times and pool
+	// indexes come from the file instead of a synthetic process.
 	ProcessTrace = "trace"
 )
 
 // ArrivalSpec shapes one tenant's arrival process. Rate is the mean
-// arrival intensity in queries per virtual second for every process, so
-// scenarios can vary temporal structure at equal offered load.
+// arrival intensity in queries per virtual second for every synthetic
+// process, so scenarios can vary temporal structure at equal offered
+// load; a trace brings its own times.
 type ArrivalSpec struct {
 	Process string  `json:"process"`
 	Rate    float64 `json:"rate,omitempty"`
 	// TraceFile replays an external JSON arrival trace — an array of
 	// {"at": seconds, "query": poolIndex} entries resolved against the
-	// tenant's query pool (bench/queries) — instead of generating one.
-	// Setting it implies process "trace" and makes Rate unnecessary.
+	// tenant's query pool (bench/queries). Setting it implies process
+	// "trace" and makes Rate unnecessary; process "trace" requires it.
 	// Relative paths resolve against the scenario file's directory.
 	TraceFile string `json:"trace_file,omitempty"`
 	// Bursty knobs: fraction of time spent in ON phases (default 0.2)
@@ -69,6 +68,9 @@ func (a ArrivalSpec) normalized(horizon float64) (ArrivalSpec, error) {
 	}
 	if a.TraceFile != "" && a.Process != ProcessTrace {
 		return a, fmt.Errorf("trace_file %q set on a %q process (only \"trace\" replays files)", a.TraceFile, a.Process)
+	}
+	if a.Process == ProcessTrace && a.TraceFile == "" {
+		return a, fmt.Errorf("process \"trace\" needs a trace_file to replay")
 	}
 	if a.Rate < 0 || (a.Rate == 0 && a.TraceFile == "") {
 		return a, fmt.Errorf("arrival rate %g must be positive", a.Rate)

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	uaqetp "repro"
@@ -109,11 +108,10 @@ func runOn(sc *resolved, sys *uaqetp.System, cache *uaqetp.EstimateCache, sinks 
 	}
 	s := &simRun{
 		sc: sc, ctx: context.Background(), router: sc.Router, cache: cache,
-		perMachine: sc.Machines.Labeled(),
-		rec:        sinks.trace,
-		decisions:  sinks.trace != nil && sinks.trace.Enabled(trace.Decisions),
-		calibRec:   sinks.calib,
-		predMemo:   make(map[*uaqetp.Query]sharedPredEntry, 64),
+		rec:       sinks.trace,
+		decisions: sinks.trace != nil && sinks.trace.Enabled(trace.Decisions),
+		calibRec:  sinks.calib,
+		predMemo:  make(map[*uaqetp.Query]sharedPredEntry, 64),
 	}
 	s.expandTenants(sys)
 	s.sidOf = make([]int, len(fleet))
@@ -145,11 +143,8 @@ func runOn(sc *resolved, sys *uaqetp.System, cache *uaqetp.EstimateCache, sinks 
 		}
 		srv := serve.New(cfg)
 		ms := &machineState{
-			srv: srv, sys: msys[m], pending: make(map[uint64]pendingArrival), shard: shardName,
+			srv: srv, sys: msys[m], spec: fleet[m], pending: make(map[uint64]pendingArrival), shard: shardName,
 			acc: make([][hardware.NumUnits]calib.Accumulator, len(sc.Tenants)),
-		}
-		if s.perMachine {
-			ms.spec = fleet[m]
 		}
 		// Register each tenant's façade only on the machines of the
 		// shard(s) the directory places it on — every machine on flat
@@ -188,15 +183,6 @@ func runOn(sc *resolved, sys *uaqetp.System, cache *uaqetp.EstimateCache, sinks 
 
 	if err := s.buildArrivals(sys); err != nil {
 		return nil, err
-	}
-	// Execute each distinct template once before the loop. Nothing in
-	// the serial loop needs the warm cache; the pass stays because its
-	// lookups are counted in the report's cache section (every template's
-	// first execution misses here instead of inside the loop), so dropping
-	// it moves every pinned golden. Templates that fail to execute are
-	// simply skipped; the loop tallies such failures per arrival.
-	for _, q := range s.templates {
-		_, _ = sys.ExecuteContext(s.ctx, q)
 	}
 	if err := s.loop(); err != nil {
 		return nil, err
@@ -262,48 +248,26 @@ func (s *simRun) expandTenants(sys *uaqetp.System) {
 // depends only on the benchmark and pool size) but draw from it with
 // independent per-member RNG streams.
 func (s *simRun) buildArrivals(sys *uaqetp.System) error {
-	seen := make(map[*uaqetp.Query]bool)
-	note := func(q *uaqetp.Query) *uaqetp.Query {
-		if !seen[q] {
-			seen[q] = true
-			s.templates = append(s.templates, q)
-		}
-		return q
-	}
 	pools := make(map[int][]*uaqetp.Query)
 	for ti, ts := range s.tenants {
 		spec, bench := ts.spec, s.sc.bench[ts.group]
 		if spec.Arrivals.Process == ProcessTrace {
-			var entries []workload.TraceEntry
-			if spec.Arrivals.TraceFile != "" {
-				// External trace: recorded arrival times and template
-				// indexes, resolved against the tenant's query pool.
-				pool, err := sys.GenerateWorkload(bench, spec.Queries)
-				if err != nil {
-					return fmt.Errorf("sim: tenant %q workload: %w", spec.Name, err)
-				}
-				if entries, err = workload.LoadTrace(spec.Arrivals.TraceFile, pool); err != nil {
-					return fmt.Errorf("sim: tenant %q: %w", spec.Name, err)
-				}
-			} else {
-				n := int(math.Round(spec.Arrivals.Rate * s.sc.Horizon))
-				if n < 1 {
-					n = 1
-				}
-				// Each tenant replays its own generated trace stream: same
-				// catalog, independent arrival sequences.
-				var err error
-				entries, err = sys.GenerateTrace(bench, n, spec.Arrivals.Rate, arrivalSeed(s.sc.Seed, ti))
-				if err != nil {
-					return fmt.Errorf("sim: tenant %q trace: %w", spec.Name, err)
-				}
+			// External trace: recorded arrival times and template indexes,
+			// resolved against the tenant's query pool.
+			pool, err := sys.GenerateWorkload(bench, spec.Queries)
+			if err != nil {
+				return fmt.Errorf("sim: tenant %q workload: %w", spec.Name, err)
+			}
+			entries, err := workload.LoadTrace(spec.Arrivals.TraceFile, pool)
+			if err != nil {
+				return fmt.Errorf("sim: tenant %q: %w", spec.Name, err)
 			}
 			for k, e := range entries {
 				if e.At >= s.sc.Horizon {
 					break
 				}
 				s.arrivals = append(s.arrivals, arrival{
-					at: e.At, tenant: int32(ti), ord: int32(k), tmpl: note(e.Query),
+					at: e.At, tenant: int32(ti), ord: int32(k), tmpl: e.Query,
 				})
 			}
 			continue
@@ -321,7 +285,7 @@ func (s *simRun) buildArrivals(sys *uaqetp.System) error {
 		}
 		for k, at := range spec.Arrivals.times(&src, s.sc.Horizon) {
 			s.arrivals = append(s.arrivals, arrival{
-				at: at, tenant: int32(ti), ord: int32(k), tmpl: note(pool[src.Intn(len(pool))]),
+				at: at, tenant: int32(ti), ord: int32(k), tmpl: pool[src.Intn(len(pool))],
 			})
 		}
 	}

@@ -12,7 +12,9 @@
 // with optional unit-mean drift (see Fleet), each non-default machine a
 // cheap WithMachine sibling of one shared Open — own calibration,
 // predictor, and executor over shared database, samples, and cache.
-// Arrival processes include replaying external JSON traces
+// The two forms are spellings of one fleet: the same machines run,
+// route and report identically however they were written. Arrival
+// processes include replaying external JSON traces
 // (ArrivalSpec.TraceFile), so recorded workload shapes drive the same
 // scenarios as the synthetic processes.
 //
@@ -21,7 +23,7 @@
 // better admission, scheduling, and placement decisions. The least-risk
 // router places each query on the machine maximizing the predicted
 // probability of meeting its deadline, P(T_wait + T_q <= d), evaluated
-// with each machine's own calibrated units on labeled fleets — so slow
+// with each machine's own calibrated (and recalibrated) units — so slow
 // or drifted machines repel exactly the traffic they would fail — and
 // can be compared against distribution-blind policies (round-robin,
 // least-queue) and against fleet-shared-units risk routing
@@ -60,7 +62,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/hardware"
 	"repro/internal/serve"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -81,9 +82,9 @@ type Scenario struct {
 	// drift, count} specs. See Fleet.
 	Machines Fleet `json:"machines"`
 	// Router places each arrival on a machine: "round-robin",
-	// "least-queue", "least-risk" (default, per-machine predictions on
-	// labeled fleets), or "least-risk-shared" (the ablation: least-risk
-	// arithmetic with fleet-shared units).
+	// "least-queue", "least-risk" (default, per-machine predictions), or
+	// "least-risk-shared" (the ablation: least-risk arithmetic with
+	// fleet-shared units).
 	Router string `json:"router"`
 	// QueuePolicy orders admitted work on each machine: "risk-slack"
 	// (default), "edf", "sjf", or "fifo".
@@ -96,7 +97,7 @@ type Scenario struct {
 	// entries without one. Any registered profile name
 	// (hardware.ProfileByName); default PC1.
 	MachineProfile string `json:"machine_profile,omitempty"`
-	// SamplingRatio is the offline sample fraction; default 0.05.
+	// SamplingRatio is the offline sample fraction; 0 selects 0.05.
 	SamplingRatio float64 `json:"sampling_ratio,omitempty"`
 	// CacheCapacity bounds the fleet-wide shared estimate cache; 0
 	// selects the serve default.
@@ -108,13 +109,6 @@ type Scenario struct {
 	// recalibration cadence on every machine (serve.Config.RecalEvery);
 	// 0 disables it.
 	RecalEvery float64 `json:"recal_every,omitempty"`
-	// TraceLevel is the level `uaqp sim -trace` records at when no
-	// -trace-level is given: "off" (default), "decisions" (admissions +
-	// placements with candidate scoring vectors), or "full" (adds
-	// execution outcomes and recalibrations). Run validates it and
-	// otherwise records at whatever level the WithTrace recorder is
-	// enabled for.
-	TraceLevel string `json:"trace_level,omitempty"`
 	// Shards, when present, partitions the fleet into a sharded serving
 	// topology: a consistent-hash tenant directory over shards of
 	// machines, an optional front door (token bucket + predictive
@@ -139,7 +133,7 @@ type TenantSpec struct {
 	// arrival stream (per-member RNG seeds) and its own directory
 	// placement. 0 or 1 means a single tenant named exactly Name. The
 	// report aggregates the whole group under one TenantReport. Not
-	// compatible with trace arrivals.
+	// compatible with trace arrivals. Must not be negative.
 	Count int `json:"count,omitempty"`
 	// Class labels the group's SLO class in front-door counters and
 	// metrics; empty selects Name.
@@ -147,9 +141,8 @@ type TenantSpec struct {
 	// Bench selects the query pool: "micro", "seljoin", or "tpch".
 	Bench string `json:"bench"`
 	// Queries is the number of distinct queries in the pool that
-	// poisson/bursty/diurnal arrivals draw from; default 16. Trace
-	// processes ignore it — a trace replays ~rate*horizon
-	// arrival-annotated queries of its own.
+	// arrivals draw from — the pool a trace_file's indexes resolve
+	// against; 0 selects 16.
 	Queries int `json:"queries,omitempty"`
 	// Deadline is the per-request budget in virtual seconds; 0 lets the
 	// SLO default apply.
@@ -267,11 +260,21 @@ func (sc Scenario) resolve() (*resolved, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Zero selects a knob's default; a negative one is an error.
+	if sc.SamplingRatio < 0 {
+		return nil, fmt.Errorf("sim: sampling_ratio %g must not be negative", sc.SamplingRatio)
+	}
+	if sc.CacheCapacity < 0 {
+		return nil, fmt.Errorf("sim: cache_capacity %d must not be negative", sc.CacheCapacity)
+	}
+	if sc.MaxQueue < 0 {
+		return nil, fmt.Errorf("sim: max_queue %d must not be negative", sc.MaxQueue)
+	}
+	if sc.RecalEvery < 0 {
+		return nil, fmt.Errorf("sim: recal_every %g must not be negative", sc.RecalEvery)
+	}
 	if sc.SamplingRatio == 0 {
 		sc.SamplingRatio = 0.05
-	}
-	if _, err := trace.ParseLevel(sc.TraceLevel); err != nil {
-		return nil, fmt.Errorf("sim: trace_level: %w", err)
 	}
 	if sc.Shards != nil {
 		if err := sc.Shards.validate(len(fleet)); err != nil {
@@ -297,13 +300,13 @@ func (sc Scenario) resolve() (*resolved, error) {
 		if t.Count < 0 {
 			return nil, fmt.Errorf("sim: tenant %q: negative count %d", t.Name, t.Count)
 		}
-		if t.Count > 1 && t.Arrivals.Process == ProcessTrace {
-			return nil, fmt.Errorf("sim: tenant %q: count %d is not compatible with trace arrivals (a trace replays one tenant's stream)", t.Name, t.Count)
-		}
 		if bench[i], err = workload.ParseBenchmark(t.Bench); err != nil {
 			return nil, fmt.Errorf("sim: tenant %q: %w", t.Name, err)
 		}
-		if t.Queries <= 0 {
+		if t.Queries < 0 {
+			return nil, fmt.Errorf("sim: tenant %q: queries %d must not be negative", t.Name, t.Queries)
+		}
+		if t.Queries == 0 {
 			t.Queries = 16
 		}
 		if t.Deadline < 0 {
@@ -311,6 +314,9 @@ func (sc Scenario) resolve() (*resolved, error) {
 		}
 		if t.Arrivals, err = t.Arrivals.normalized(sc.Horizon); err != nil {
 			return nil, fmt.Errorf("sim: tenant %q: %w", t.Name, err)
+		}
+		if t.Count > 1 && t.Arrivals.Process == ProcessTrace {
+			return nil, fmt.Errorf("sim: tenant %q: count %d is not compatible with trace arrivals (a trace replays one tenant's stream)", t.Name, t.Count)
 		}
 	}
 	return &resolved{Scenario: sc, kind: kind, policy: policy, fleet: fleet, bench: bench}, nil

@@ -10,11 +10,12 @@ import (
 // Load must reject unknown top-level keys and tell the user what the
 // valid vocabulary is — a typo'd scenario silently falling back to
 // defaults is the worst failure mode a config loader can have. The
-// deleted "parallelism" and "rng" knobs are rejected like any typo, in
-// exactly the `unknown scenario key "..." (valid keys: ...)` shape
-// bench/'s tolerant loader matches to drop the keys it marks optional.
+// deleted "parallelism", "rng" and "trace_level" knobs are rejected
+// like any typo, in exactly the `unknown scenario key "..." (valid
+// keys: ...)` shape bench/'s tolerant loader matches to drop the keys
+// it marks optional.
 func TestLoadRejectsUnknownKeysWithListing(t *testing.T) {
-	for _, key := range []string{"hori_zon", "parallelism", "rng"} {
+	for _, key := range []string{"hori_zon", "parallelism", "rng", "trace_level"} {
 		path := filepath.Join(t.TempDir(), "sc.json")
 		if err := os.WriteFile(path, []byte(`{"name": "x", "`+key+`": 10}`), 0o644); err != nil {
 			t.Fatal(err)
@@ -30,7 +31,7 @@ func TestLoadRejectsUnknownKeysWithListing(t *testing.T) {
 		// The listing is derived from the struct tags, so it must track the
 		// schema: spot-check long-standing keys.
 		_, listing, _ := strings.Cut(msg, "(valid keys: ")
-		for _, valid := range []string{"horizon", "machines", "tenants", "trace_level"} {
+		for _, valid := range []string{"horizon", "machines", "tenants", "recal_every"} {
 			if !strings.Contains(listing, valid) {
 				t.Errorf("valid-key listing missing %q: %v", valid, err)
 			}

@@ -172,30 +172,6 @@ func TestTraceDecisionContent(t *testing.T) {
 	}
 }
 
-// TestTraceLevelFromScenario pins what Run does with the trace_level
-// scenario key: it validates it, and the level actually recorded is the
-// WithTrace recorder's (the key is `uaqp sim -trace`'s default).
-func TestTraceLevelFromScenario(t *testing.T) {
-	sc := testScenario()
-	sc.TraceLevel = "full"
-	_, events, err := runRecorded(sc, trace.Decisions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("decisions-level recorder recorded nothing")
-	}
-	for _, ev := range events {
-		if ev.Kind == trace.KindOutcome {
-			t.Fatal("decisions-level recorder received an outcome event")
-		}
-	}
-	sc.TraceLevel = "invalid"
-	if _, err := Run(sc); err == nil {
-		t.Fatal("invalid trace_level accepted")
-	}
-}
-
 // TestTraceJSONLRoundTripFile pins the CLI interchange: events written
 // as JSONL read back equal, through a real file.
 func TestTraceJSONLRoundTripFile(t *testing.T) {

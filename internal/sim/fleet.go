@@ -31,7 +31,8 @@ type MachineSpec struct {
 	// drifted from the start, exactly as before. Requires Drift != 0 and
 	// the scenario's recal_every to be set for detection to ever happen.
 	DriftAt float64 `json:"drift_at,omitempty"`
-	// Count expands this spec into Count identical machines; 0 means 1.
+	// Count expands this spec into Count identical machines; 0 means 1,
+	// and a negative count is an error.
 	Count int `json:"count,omitempty"`
 	// Spec inlines a full hardware profile (hardware.Spec JSON shape:
 	// name, units, model_err_sigma) instead of naming a registered one.
@@ -51,11 +52,10 @@ type MachineSpec struct {
 //	  {"profile": "PC1", "drift": 0.5}
 //	]
 //
-// The two forms differ in one observable beyond the schema: list-form
-// ("labeled") fleets carry per-machine profile labels into the Report
-// and route with per-machine predictions, while the count shorthand
-// keeps the fleet-shared prediction path (and report bytes) of a
-// homogeneous cluster.
+// The two forms are spellings of one fleet: "machines": 3 and
+// [{"count": 3}] resolve to the same machines, route the same way and
+// give byte-equal reports, every machine labeled with its profile.
+// Only Labeled tells them apart, for callers that describe the file.
 type Fleet struct {
 	count int
 	specs []MachineSpec
@@ -65,15 +65,16 @@ type Fleet struct {
 // scenario's machine_profile.
 func FleetOf(n int) Fleet { return Fleet{count: n} }
 
-// FleetList returns a labeled fleet from explicit machine specs.
+// FleetList returns a fleet written as a list of machine specs.
 func FleetList(specs ...MachineSpec) Fleet {
 	out := make([]MachineSpec, len(specs))
 	copy(out, specs)
 	return Fleet{specs: out}
 }
 
-// Labeled reports whether the fleet was given as an explicit machine
-// list rather than the count shorthand.
+// Labeled reports whether the fleet was written as a machine list
+// rather than the count shorthand. Nothing in the simulator reads it:
+// the two forms run identically.
 func (f Fleet) Labeled() bool { return f.specs != nil }
 
 // Size returns the number of machines the fleet expands to.
@@ -128,11 +129,14 @@ func (f Fleet) MarshalJSON() ([]byte, error) {
 // empty Profiles filled with defaultProfile) and validates every
 // profile name against the hardware registry and every drift against
 // its bounds. The zero Fleet resolves like the old "machines" default:
-// one machine of the default profile.
+// one machine of the default profile; a negative count is an error.
 func (f Fleet) resolve(defaultProfile string) ([]MachineSpec, error) {
 	if f.specs == nil {
 		n := f.count
-		if n <= 0 {
+		if n < 0 {
+			return nil, fmt.Errorf("sim: machines: negative count %d", n)
+		}
+		if n == 0 {
 			n = 1
 		}
 		out := make([]MachineSpec, n)

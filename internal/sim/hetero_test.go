@@ -2,10 +2,14 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/hardware"
+	"repro/internal/trace"
 )
 
 // heteroTestScenario is a small fast mixed-profile scenario for the
@@ -79,11 +83,10 @@ func TestSimHeterogeneousDeterministic(t *testing.T) {
 	}
 }
 
-// TestLabeledHomogeneousMatchesShorthand pins that the per-machine
-// prediction path degenerates correctly: a labeled fleet of identical
-// default-profile machines makes the same placement, admission, and
-// deadline decisions as the count shorthand — only the report's machine
-// labels (and cache traffic) differ.
+// TestLabeledHomogeneousMatchesShorthand pins that a fleet means the
+// same thing however it is written: two default-profile machines as the
+// count shorthand and as a one-entry machine list give byte-equal
+// reports — same routing, same cache traffic, same profile labels.
 func TestLabeledHomogeneousMatchesShorthand(t *testing.T) {
 	sc := testScenario()
 	sc.Machines = FleetOf(2)
@@ -96,15 +99,8 @@ func TestLabeledHomogeneousMatchesShorthand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(short.Tenants, labeled.Tenants) {
-		t.Errorf("tenant outcomes differ between shorthand and labeled homogeneous fleets:\n%+v\nvs\n%+v",
-			short.Tenants, labeled.Tenants)
-	}
-	if short.PerMachine[0].Profile != "" {
-		t.Error("count shorthand leaked a profile label into the report")
-	}
-	if labeled.PerMachine[0].Profile != "PC1" {
-		t.Errorf("labeled fleet machine 0 profile %q, want PC1", labeled.PerMachine[0].Profile)
+	if got, want := reportBytes(t, labeled), reportBytes(t, short); !bytes.Equal(got, want) {
+		t.Errorf("labeled homogeneous fleet's report (%d bytes) differs from the count shorthand's (%d bytes)", len(got), len(want))
 	}
 }
 
@@ -218,5 +214,74 @@ func TestFleetJSON(t *testing.T) {
 	}
 	if err := f.UnmarshalJSON([]byte(`[{"profile": "PC1", "dirft": 0.5}]`)); err == nil {
 		t.Error("typo'd drift field accepted")
+	}
+}
+
+// TestCountFleetRoutesOnRecalibratedUnits pins that a count fleet reads
+// each machine's own units, not only a labeled one's: on a homogeneous
+// fleet of a registered profile whose model error is far wider than its
+// calibration predicts, the recalibration cadence fires, and from the
+// moment a machine's tenant façade swaps in its recalibrated predictor,
+// that machine's least-risk candidates carry the façade's prediction;
+// until then every candidate carries the base System's.
+func TestCountFleetRoutesOnRecalibratedUnits(t *testing.T) {
+	const name = "test-wide-model-error"
+	if _, err := hardware.ProfileByName(name); err != nil {
+		p := hardware.PC1()
+		p.Name, p.ModelErrSigma = name, 0.6
+		if err := hardware.Register(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc := testScenario()
+	sc.MachineProfile = name
+	sc.RecalEvery = 2
+	rs, sys, cache := openScenario(t, sc)
+	buf := trace.NewBuffer(trace.Full)
+	if _, err := runOn(rs, sys, cache, runSinks{trace: buf}); err != nil {
+		t.Fatal(err)
+	}
+	pool, err := sys.GenerateWorkload(rs.bench[0], rs.Tenants[0].Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseMean := make(map[string]float64, len(pool))
+	for _, q := range pool {
+		pred, err := sys.PredictContext(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseMean[q.Name] = pred.Mean()
+	}
+	recalibrated := make(map[int]bool)
+	own := 0
+	for _, ev := range buf.Events() {
+		switch {
+		case ev.Kind == trace.KindRecalibration && ev.Recalibrated:
+			recalibrated[ev.Machine] = true
+		case ev.Kind == trace.KindPlacement:
+			// Arrivals are clones named tenant/template#ordinal.
+			_, tmpl, _ := strings.Cut(ev.Query, "/")
+			tmpl, _, _ = strings.Cut(tmpl, "#")
+			base, ok := baseMean[tmpl]
+			if !ok {
+				t.Fatalf("placement of %q, which is not in the pool", ev.Query)
+			}
+			for _, c := range ev.Candidates {
+				if recalibrated[c.Machine] {
+					own++
+					if c.PredMean == base {
+						t.Fatalf("seq %d: machine %d recalibrated, but its candidate carries the base prediction %g",
+							ev.Seq, c.Machine, base)
+					}
+				} else if c.PredMean != base {
+					t.Fatalf("seq %d: machine %d still on the base units, but its candidate predicts %g, base %g",
+						ev.Seq, c.Machine, c.PredMean, base)
+				}
+			}
+		}
+	}
+	if own == 0 {
+		t.Fatalf("no placement after a recalibration (recalibrated machines %v): the scenario no longer exercises the swap", recalibrated)
 	}
 }

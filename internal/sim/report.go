@@ -87,9 +87,8 @@ type TenantReport struct {
 }
 
 // MachineReport summarizes one simulated machine. Profile and Drift
-// label the machine's hardware on labeled (machine-list) fleets; on
-// count-shorthand fleets they are omitted, keeping the homogeneous
-// report byte-identical to the pre-heterogeneity schema.
+// label the machine's hardware however the fleet was written (Drift is
+// omitted when zero).
 type MachineReport struct {
 	Machine int     `json:"machine"`
 	Profile string  `json:"profile,omitempty"`

@@ -24,12 +24,12 @@ const (
 	// d), folding in the backlog's variance and the query's own
 	// predicted variance — the placement counterpart of ActiveSLA
 	// admission, and the policy that exploits the paper's distributions.
-	// On labeled (machine-list) fleets T_q is predicted per machine,
-	// through each machine's tenant façade: every machine's own
-	// calibrated — and recalibrated — units enter the risk, so slow or
-	// drifted machines repel traffic in proportion to how much of the
-	// deadline they would consume. On count-shorthand fleets every
-	// machine shares one prediction, the homogeneous fast path.
+	// T_q is predicted per machine, through each machine's tenant
+	// façade: every machine's own calibrated — and recalibrated — units
+	// enter the risk, so slow or drifted machines repel traffic in
+	// proportion to how much of the deadline they would consume, however
+	// the fleet was written. Machines still on the base System's units
+	// share its memoized prediction.
 	RouterLeastRisk = "least-risk"
 	// RouterLeastRiskShared is the ablation between least-queue and
 	// least-risk: the same risk arithmetic, but with one fleet-shared
@@ -94,50 +94,46 @@ func (s *simRun) route(ts *tenantState, ti int, q, tmpl *uaqetp.Query, deadline,
 		return best, nil
 
 	case RouterLeastRisk, RouterLeastRiskShared:
-		var shared *uaqetp.Prediction
-		if s.router == RouterLeastRiskShared || !s.perMachine {
-			var err error
-			if shared, err = s.sharedPred(ts, tmpl); err != nil {
-				return 0, fmt.Errorf("sim: route predict %q: %w", q.Name, err)
-			}
-		}
-		return s.routeLeastRisk(shared, ti, q, deadline, now, lo, hi)
+		return s.routeLeastRisk(ts, ti, q, tmpl, deadline, now, lo, hi)
 	}
 	return 0, fmt.Errorf("sim: unknown router %q", s.router)
 }
 
 // routeLeastRisk maximizes P(T_wait + T_q <= d) over the machines
-// [lo, hi). A non-nil shared is T_q as one fleet-shared prediction:
-// correct on homogeneous fleets (and byte-identical to the
-// pre-heterogeneity router there), an ablation on labeled ones. The
-// caller resolves it by template through the run-level memo
-// (sharedPred): the base System's predictor never swaps mid-run and
-// clones share their template's plan, so one map probe replaces the
-// per-arrival fingerprint-and-memo walk; the subsequent Submit on the
-// chosen machine still predicts through the stage memos. With shared
-// nil, T_q is each machine's own prediction, through the machine's
-// tenant façade:
-// the same query costs different time — with different uncertainty — on
-// different machines, and recalibrated units are read the moment they
-// swap in. The sampling pass behind every prediction is shared through
-// the fleet cache (estimates are machine-independent), so the
-// per-machine work is one analytic unit propagation each.
-func (s *simRun) routeLeastRisk(shared *uaqetp.Prediction, ti int, q *uaqetp.Query, deadline, now float64, lo, hi int) (int, error) {
+// [lo, hi). Under least-risk, T_q is each machine's own prediction:
+// a machine whose tenant façade has swapped in a predictor of its own —
+// a WithMachine sibling's units, or any machine's recalibrated ones —
+// predicts the arrival through that façade, so the same query costs
+// different time, with different uncertainty, on different machines,
+// and recalibrated units are read the moment they swap in. A machine
+// whose façade still runs the base System's predictor stage would
+// predict exactly what the base does, so it takes the base prediction
+// from the run-level memo (sharedPred): one map probe instead of a
+// per-arrival fingerprint-and-memo walk. Under least-risk-shared every
+// machine takes the base prediction — the fleet-shared-units ablation.
+// The sampling pass behind every prediction is shared through the
+// fleet cache (estimates are machine-independent), so the per-machine
+// work is one analytic unit propagation each.
+func (s *simRun) routeLeastRisk(ts *tenantState, ti int, q, tmpl *uaqetp.Query, deadline, now float64, lo, hi int) (int, error) {
 	// The CDF saturates once a machine is safely fast enough, so ties
 	// within riskEps — e.g. an idle fleet, where every machine is
 	// equally certain — break toward the least expected wait: among
 	// equally safe machines, spread the load instead of herding onto
 	// the first index.
 	capture := s.decisions
+	base := ts.sys.Predictor()
 	best, bestP, bestWait := lo, math.Inf(-1), math.Inf(1)
 	for m := lo; m < hi; m++ {
 		ms := s.machines[m]
-		pred := shared
-		if pred == nil {
-			var err error
-			if pred, err = ms.tenants[ti].System().PredictContext(s.ctx, q); err != nil {
-				return 0, fmt.Errorf("sim: route predict %q on machine %d: %w", q.Name, m, err)
-			}
+		var pred *uaqetp.Prediction
+		var err error
+		if s.router == RouterLeastRisk && ms.ownUnits(ti, base) {
+			pred, err = ms.tenants[ti].System().PredictContext(s.ctx, q)
+		} else {
+			pred, err = s.sharedPred(ts, tmpl)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("sim: route predict %q on machine %d: %w", q.Name, m, err)
 		}
 		qlen, wait, waitVar := ms.srv.QueueStateAt(now)
 		p := serve.PMeet(pred.Mean(), pred.Sigma(), wait, waitVar, deadline)
@@ -160,4 +156,20 @@ func (s *simRun) routeLeastRisk(shared *uaqetp.Prediction, ti int, q *uaqetp.Que
 		}
 	}
 	return best, nil
+}
+
+// ownUnits reports whether the machine predicts tenant ti on a
+// predictor stage other than base, the base System's: a WithMachine
+// sibling's units, or units the tenant's façade recalibrated. A machine
+// on the base stage whose server has not recalibrated anything answers
+// without reading the façade (10k-tenant fleets keep 10k cold façades
+// per machine); the simulator recalibrates only through the server's
+// automatic cadence, which LastAutoRecalibration counts.
+func (ms *machineState) ownUnits(ti int, base uaqetp.Predictor) bool {
+	if ms.sys.Predictor() == base {
+		if _, n := ms.srv.LastAutoRecalibration(); n == 0 {
+			return false
+		}
+	}
+	return ms.tenants[ti].System().Predictor() != base
 }

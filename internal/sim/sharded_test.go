@@ -299,8 +299,15 @@ func TestShardedValidation(t *testing.T) {
 		{func(sc *Scenario) { sc.Tenants[0].Count = -1 }, "negative count"},
 		{func(sc *Scenario) {
 			sc.Tenants[0].Count = 3
-			sc.Tenants[0].Arrivals = ArrivalSpec{Process: ProcessTrace, Rate: 2}
+			sc.Tenants[0].Arrivals = ArrivalSpec{TraceFile: "x.json"}
 		}, "trace arrivals"},
+		// Zero selects a default; a negative knob is rejected by name.
+		{func(sc *Scenario) { sc.Machines = FleetOf(-3) }, "machines: negative count -3"},
+		{func(sc *Scenario) { sc.Tenants[0].Queries = -1 }, "queries -1"},
+		{func(sc *Scenario) { sc.CacheCapacity = -1 }, "cache_capacity -1"},
+		{func(sc *Scenario) { sc.MaxQueue = -1 }, "max_queue -1"},
+		{func(sc *Scenario) { sc.RecalEvery = -1 }, "recal_every -1"},
+		{func(sc *Scenario) { sc.SamplingRatio = -0.1 }, "sampling_ratio -0.1"},
 	}
 	for i, c := range cases {
 		sc := testScenario()

@@ -233,12 +233,13 @@ var shippedPins = map[string]struct{ golden, sha256 string }{
 // report and the drift scenario's decision trace and calibration
 // stream (recorded at trace-level "decisions" with calibration
 // streaming on, exactly as `uaqp sim -trace -calib` writes them).
-// Re-pinned, with the v2 report files, when an execution became one run
-// of its measurement stream instead of the paper's five-run mean: every
-// executed time and calibration observation moved, and with them the
-// decisions that read them. No scenario was re-seeded.
+// The cluster hash and the v2 report files were re-pinned, with both
+// stream hashes unchanged, when the pre-loop warm-up pass went and
+// every machine's report began carrying its profile label: only the
+// cache counters, the fitness cache economy and score, the cache tier's
+// lookup counts and the added labels moved. No scenario was re-seeded.
 const (
-	clusterReportSHA256 = "98b14a7d079da97be567ab9a3bae601458e4466d27b86d100c3949bd2ddd2426"
+	clusterReportSHA256 = "a5d0eeed81898573b4b8f0cca26b5f7ebe0d8591819ade89caf1341276567279"
 	driftTraceSHA256    = "f5b80461aba0401c9921d315b4a9beeb1411b16a002350231fbf604029096908"
 	driftCalibSHA256    = "a82844054e6a0fb8350654072c0066f9798bc715f7e551273064e35d0cd10a3e"
 )

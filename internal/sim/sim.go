@@ -17,9 +17,8 @@ import (
 type machineState struct {
 	srv *serve.Server
 	sys *uaqetp.System
-	// spec labels the machine (resolved profile name + drift) on
-	// labeled fleets; zero on count-shorthand fleets, which keep the
-	// pre-heterogeneity report shape.
+	// spec is the machine's resolved spec: its profile name and drift
+	// label the report, its DriftAt schedules the drift window.
 	spec MachineSpec
 	// tenants are this machine's tenant façades in scenario tenant
 	// order: each carries the machine's units behind its own
@@ -85,22 +84,14 @@ type simRun struct {
 	cache    *uaqetp.EstimateCache
 	machines []*machineState
 	tenants  []*tenantState
-	// perMachine selects per-machine least-risk predictions (labeled
-	// fleets); count-shorthand fleets keep the fleet-shared prediction
-	// path, byte-identical to the homogeneous simulator.
-	perMachine bool
 
 	arrivals []arrival
 	cursor   int
 	frees    []freeEvent
 	freeSeq  uint64
-	// templates are the distinct pool queries the arrivals draw from,
-	// in first-appearance order; their plans are executed once up front
-	// (see the prewarm in runOn).
-	templates []*uaqetp.Query
-	// predMemo caches the base System's prediction per template: every
-	// tenant's façade-free prediction path (the front door's bestP
-	// bound, the shared-units router) resolves through the base System,
+	// predMemo caches the base System's prediction per template: the
+	// front door's bestP bound and every least-risk candidate still on
+	// the base predictor stage resolve through the base System,
 	// whose predictor never swaps mid-run, and clones share their
 	// template's plan fingerprint — so one probe of this map replaces
 	// re-deriving fingerprints and memo keys per arrival. Failures are

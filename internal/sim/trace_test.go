@@ -111,9 +111,10 @@ func TestTraceFileErrors(t *testing.T) {
 	}
 }
 
-// TestTraceFileImpliesProcess pins the schema sugar and its guard:
+// TestTraceFileImpliesProcess pins the schema sugar and its guards:
 // trace_file defaults the process to "trace" and needs no rate, while
-// combining a trace_file with a synthetic process is a config error.
+// combining a trace_file with a synthetic process, or asking for the
+// "trace" process without a file to replay, is a config error.
 func TestTraceFileImpliesProcess(t *testing.T) {
 	a, err := (ArrivalSpec{TraceFile: "x.json"}).normalized(10)
 	if err != nil {
@@ -127,5 +128,8 @@ func TestTraceFileImpliesProcess(t *testing.T) {
 	}
 	if _, err := (ArrivalSpec{Process: ProcessTrace, Rate: -1, TraceFile: "x.json"}).normalized(10); err == nil {
 		t.Error("negative rate accepted alongside a trace file")
+	}
+	if _, err := (ArrivalSpec{Process: ProcessTrace, Rate: 2}).normalized(10); err == nil {
+		t.Error("process \"trace\" accepted without a trace_file")
 	}
 }

@@ -3,50 +3,20 @@ package workload
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"sort"
 
-	"repro/internal/catalog"
 	"repro/internal/plan"
 )
 
 // TraceEntry is one arrival-annotated query: the query and the virtual
 // time (seconds from trace start) at which it arrives. Traces are the
 // replayable counterpart of the synthetic arrival processes in
-// internal/sim — a recorded or generated workload with its temporal
-// structure attached.
+// internal/sim — a recorded workload with its temporal structure
+// attached.
 type TraceEntry struct {
 	At    float64
 	Query *plan.Query
-}
-
-// GenerateTrace draws n benchmark queries (deterministically per seed,
-// like Generate) and annotates them with Poisson arrival times at
-// meanRate arrivals per virtual second, sorted by time. The query
-// sequence is shuffled relative to Generate's order so a trace replay
-// interleaves templates instead of walking them in generation order.
-// Generation is deterministic per (b, n, seed, meanRate).
-func GenerateTrace(b Benchmark, cat *catalog.Catalog, n int, seed int64, meanRate float64) ([]TraceEntry, error) {
-	if meanRate <= 0 {
-		return nil, fmt.Errorf("workload: non-positive trace arrival rate %g", meanRate)
-	}
-	queries, err := Generate(b, cat, n, seed)
-	if err != nil {
-		return nil, err
-	}
-	r := rand.New(rand.NewSource(seed ^ 0x7261636574)) // "tracer"-tagged stream, distinct from Generate's
-	perm := r.Perm(len(queries))
-	entries := make([]TraceEntry, 0, len(queries))
-	t := 0.0
-	for _, qi := range perm {
-		t += r.ExpFloat64() / meanRate
-		entries = append(entries, TraceEntry{At: t, Query: queries[qi]})
-	}
-	// Already time-ordered by construction; keep the invariant explicit
-	// for hand-built traces routed through Validate-style helpers.
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].At < entries[j].At })
-	return entries, nil
 }
 
 // RawTraceEntry is one record of an external JSON arrival trace: an
