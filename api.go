@@ -430,7 +430,7 @@ func (s *System) resolvePlan(ctx context.Context, q *Query, o callOpts) (*Plan, 
 		return nil, err
 	}
 	for _, p := range alts {
-		if p != nil && p.sig == o.planHint {
+		if p.String() == o.planHint {
 			return p, p.valid()
 		}
 	}
@@ -520,7 +520,7 @@ func (s *System) AlternativesContext(ctx context.Context, q *Query, opts ...Call
 		if err != nil {
 			return nil, err
 		}
-		choices = append(choices, PlanChoice{Plan: p.sig, Pred: pred})
+		choices = append(choices, PlanChoice{Plan: p.root.Sig, Pred: pred})
 	}
 	return choices, nil
 }

@@ -68,7 +68,7 @@ func (s *System) Measure(q *Query) (*Measurement, error) {
 		return nil, err
 	}
 	m := &Measurement{
-		Actual:     s.profile.MeasurePlanSeeded(res, s.cfg.RNG, rng.ExecKey(s.cfg.Seed, q.Name, p.sig)),
+		Actual:     s.profile.MeasurePlanSeeded(res, s.cfg.RNG, rng.ExecKey(s.cfg.Seed, q.Name, p.root.Sig)),
 		SampleCost: s.profile.ExpectedCost(est.TotalSampleCounts()),
 		FullCost:   s.profile.ExpectedCost(res.TotalCounts()),
 	}

@@ -50,7 +50,7 @@ func TestMeasureMatchesExecute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			key := rng.ExecKey(cfg.Seed, q.Name, p.sig)
+			key := rng.ExecKey(cfg.Seed, q.Name, p.root.Sig)
 			if first := sys.profile.RunPlanSeeded(res, v, key); actual != first {
 				t.Errorf("rng %v, %s: Execute=%v, first run of its stream=%v", v, q.Name, actual, first)
 			}

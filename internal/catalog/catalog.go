@@ -8,6 +8,7 @@ package catalog
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -158,6 +159,14 @@ func (cs *ColumnStats) fracLE(v int64) float64 {
 	return frac
 }
 
+// fracLT is the fraction with value < v: fracLE(v-1), but 0 at MinInt64.
+func (cs *ColumnStats) fracLT(v int64) float64 {
+	if v == math.MinInt64 {
+		return 0
+	}
+	return cs.fracLE(v - 1)
+}
+
 // Quantile returns an approximate value v such that a fraction q of the
 // rows have value <= v, from the equi-depth histogram. Workload
 // generators use it to construct predicates with target selectivities
@@ -189,7 +198,7 @@ func (c *Catalog) PredicateSelectivity(table string, p *engine.Predicate) (float
 	var sel float64
 	switch p.Op {
 	case engine.Lt:
-		sel = cs.fracLE(p.Lo - 1)
+		sel = cs.fracLT(p.Lo)
 	case engine.Le:
 		sel = cs.fracLE(p.Lo)
 	case engine.Eq:
@@ -197,11 +206,11 @@ func (c *Catalog) PredicateSelectivity(table string, p *engine.Predicate) (float
 			sel = 1 / float64(cs.Distinct)
 		}
 	case engine.Ge:
-		sel = 1 - cs.fracLE(p.Lo-1)
+		sel = 1 - cs.fracLT(p.Lo)
 	case engine.Gt:
 		sel = 1 - cs.fracLE(p.Lo)
 	case engine.Between:
-		sel = cs.fracLE(p.Hi) - cs.fracLE(p.Lo-1)
+		sel = cs.fracLE(p.Hi) - cs.fracLT(p.Lo)
 	default:
 		return 0, fmt.Errorf("catalog: unknown predicate op %v", p.Op)
 	}

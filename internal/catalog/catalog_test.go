@@ -106,6 +106,36 @@ func TestSelectivityBoundsClamped(t *testing.T) {
 	}
 }
 
+// TestSelectivityAtMinInt64 holds the operand MinInt64, which a /predict
+// body can carry: "< MinInt64" matches nothing, ">= MinInt64" everything,
+// and "between MinInt64 and h" what "<= h" does. Lo-1 wrapped to
+// MaxInt64 there and turned each answer around.
+func TestSelectivityAtMinInt64(t *testing.T) {
+	db := engine.NewDB()
+	db.Add(uniformTable("t", "x", 1000, 100, 4))
+	c := Build(db)
+	le50, err := c.PredicateSelectivity("t", &engine.Predicate{Col: "x", Op: engine.Le, Lo: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cse := range []struct {
+		p    engine.Predicate
+		want float64
+	}{
+		{engine.Predicate{Col: "x", Op: engine.Lt, Lo: math.MinInt64}, 0},
+		{engine.Predicate{Col: "x", Op: engine.Ge, Lo: math.MinInt64}, 1},
+		{engine.Predicate{Col: "x", Op: engine.Between, Lo: math.MinInt64, Hi: 50}, le50},
+	} {
+		got, err := c.PredicateSelectivity("t", &cse.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != cse.want {
+			t.Errorf("%v: selectivity %v, want %v", cse.p.String(), got, cse.want)
+		}
+	}
+}
+
 func TestJoinSelectivityFactor(t *testing.T) {
 	db := engine.NewDB()
 	db.Add(uniformTable("a", "x", 5000, 100, 5))

@@ -267,6 +267,18 @@ func TestFinalizeAssignsIDsAndLeaves(t *testing.T) {
 			t.Errorf("leaves=%v, want %v", plan.LeafTables, want)
 		}
 	}
+	// Each node stores its subtree's rendering; a changed node is
+	// re-finalized, and every signature above it follows.
+	order[2].Preds = []Predicate{{Col: "a", Op: Lt, Lo: 3}}
+	plan.Finalize()
+	for _, n := range order {
+		if n.Sig != n.String() {
+			t.Errorf("node %d stores %q, renders %q", n.ID, n.Sig, n.String())
+		}
+	}
+	if sig := "HashJoin(b = d)\n  HashJoin(a = c)\n    SeqScan(r | a < 3)\n    SeqScan(s)\n  SeqScan(u)\n"; plan.Sig != sig {
+		t.Errorf("root signature %q, want %q", plan.Sig, sig)
+	}
 }
 
 func TestIsDescendant(t *testing.T) {

@@ -210,7 +210,7 @@ func setLeafProduct(db *DB, res *OpResult) error {
 
 // runScan filters the table a predicate at a time into a selection
 // vector: every row, then what the predicates so far let through,
-// filtered in place.
+// filtered in place, each predicate one range compare per row.
 func runScan(db *DB, n *Node, keep bool) (*OpResult, *relation, error) {
 	t, err := db.Table(n.Table)
 	if err != nil {
@@ -230,10 +230,13 @@ func runScan(db *DB, n *Node, keep bool) (*OpResult, *relation, error) {
 			return nil, nil, fmt.Errorf("engine: predicate column %q not in table %q", pred.Col, n.Table)
 		}
 		m := 0
-		for _, i := range sel {
-			sel[m] = i
-			if pred.Matches(t.Rows[i][ci]) {
-				m++
+		if lo, hi, ok := pred.Range(); ok {
+			ulo, span := uint64(lo), uint64(hi)-uint64(lo)
+			for _, i := range sel {
+				sel[m] = i
+				if uint64(t.Rows[i][ci])-ulo <= span {
+					m++
+				}
 			}
 		}
 		if sel = sel[:m]; pi == 0 {

@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // NodeKind enumerates the physical operators.
 type NodeKind int
@@ -76,13 +73,16 @@ type Node struct {
 	// Finalize assigns the fields below.
 	ID         int      // preorder position, unique within the plan
 	LeafTables []string // R: table names under this subtree, left-to-right
+	Sig        string   // the subtree's String() at Finalize: the signature cache keys read
 }
 
-// Finalize assigns IDs in preorder and computes LeafTables bottom-up. It
-// must be called once on the root before execution or prediction and
-// returns the nodes in preorder.
+// Finalize assigns IDs in preorder, computes LeafTables bottom-up and
+// renders each node's Sig once. It must be called on the root before
+// execution or prediction, and again after any node of the tree is
+// changed; it returns the nodes in preorder.
 func (n *Node) Finalize() []*Node {
 	var order []*Node
+	var buf []byte
 	var walk func(x *Node)
 	walk = func(x *Node) {
 		x.ID = len(order)
@@ -101,6 +101,8 @@ func (n *Node) Finalize() []*Node {
 		default:
 			x.LeafTables = append([]string{}, x.Left.LeafTables...)
 		}
+		buf = x.appendTree(buf[:0], 0)
+		x.Sig = string(buf)
 	}
 	walk(n)
 	return order
@@ -143,46 +145,46 @@ func IsDescendant(a, d *Node) bool {
 	return find(a.Left) || find(a.Right)
 }
 
-// String renders the plan as an indented tree, e.g. for debugging and the
-// CLI's explain output.
-func (n *Node) String() string {
-	var b strings.Builder
-	var walk func(x *Node, depth int)
-	walk = func(x *Node, depth int) {
-		b.WriteString(strings.Repeat("  ", depth))
-		switch {
-		case x.Kind.IsScan():
-			fmt.Fprintf(&b, "%s(%s", x.Kind, x.Table)
-			for pi := range x.Preds {
-				if pi == 0 {
-					b.WriteString(" | ")
-				} else {
-					b.WriteString(" and ")
-				}
-				b.WriteString(x.Preds[pi].String())
-			}
-			b.WriteString(")")
-		case x.Kind.IsJoin():
-			fmt.Fprintf(&b, "%s(%s = %s)", x.Kind, x.LeftCol, x.RightCol)
-		case x.Kind == Aggregate:
-			if x.GroupCol == "" {
-				b.WriteString("Aggregate()")
-			} else {
-				fmt.Fprintf(&b, "Aggregate(group by %s)", x.GroupCol)
-			}
-		default:
-			b.WriteString(x.Kind.String())
-		}
-		b.WriteString("\n")
-		if x.Left != nil {
-			walk(x.Left, depth+1)
-		}
-		if x.Right != nil {
-			walk(x.Right, depth+1)
-		}
+// String renders the plan as an indented tree, one operator a line, e.g.
+// for debugging and the CLI's explain output. It renders afresh on every
+// call; Sig holds the rendering of the last Finalize, so a node changed
+// after Finalize must be re-finalized before its signature keys anything.
+func (n *Node) String() string { return string(n.appendTree(nil, 0)) }
+
+// appendTree appends the rendering of the subtree at n, n's own line
+// indented depth levels, to b.
+func (n *Node) appendTree(b []byte, depth int) []byte {
+	for i := 0; i < depth; i++ {
+		b = append(b, "  "...)
 	}
-	walk(n, 0)
-	return b.String()
+	b = append(b, n.Kind.String()...)
+	switch {
+	case n.Kind.IsScan():
+		b = append(append(b, '('), n.Table...)
+		for pi := range n.Preds {
+			if pi == 0 {
+				b = append(b, " | "...)
+			} else {
+				b = append(b, " and "...)
+			}
+			b = n.Preds[pi].appendTo(b)
+		}
+		b = append(b, ')')
+	case n.Kind.IsJoin():
+		b = append(append(append(append(append(b, '('), n.LeftCol...), " = "...), n.RightCol...), ')')
+	case n.Kind == Aggregate && n.GroupCol != "":
+		b = append(append(append(b, "(group by "...), n.GroupCol...), ')')
+	case n.Kind == Aggregate:
+		b = append(b, "()"...)
+	}
+	b = append(b, '\n')
+	if n.Left != nil {
+		b = n.Left.appendTree(b, depth+1)
+	}
+	if n.Right != nil {
+		b = n.Right.appendTree(b, depth+1)
+	}
+	return b
 }
 
 // Validate checks structural invariants: scans are leaves, unary nodes

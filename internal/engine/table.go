@@ -17,6 +17,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // TuplesPerPage is the fixed page fan-out used to convert row counts to
@@ -133,30 +134,49 @@ type Predicate struct {
 	Hi  int64
 }
 
-// Matches reports whether value v satisfies the predicate.
-func (p *Predicate) Matches(v int64) bool {
+// Range writes the predicate as one inclusive interval [lo, hi]; ok is
+// false when nothing satisfies it (< MinInt64, > MaxInt64, Between with
+// Lo > Hi). v lies in a non-empty [lo, hi] exactly when
+// uint64(v)-uint64(lo) <= uint64(hi)-uint64(lo), so a scan takes the
+// range once and pays one unsigned compare per tuple. An unknown Op
+// panics; the planner's selectivity estimate rejects it first.
+func (p *Predicate) Range() (lo, hi int64, ok bool) {
 	switch p.Op {
 	case Lt:
-		return v < p.Lo
+		return math.MinInt64, p.Lo - 1, p.Lo != math.MinInt64
 	case Le:
-		return v <= p.Lo
+		return math.MinInt64, p.Lo, true
 	case Eq:
-		return v == p.Lo
+		return p.Lo, p.Lo, true
 	case Ge:
-		return v >= p.Lo
+		return p.Lo, math.MaxInt64, true
 	case Gt:
-		return v > p.Lo
+		return p.Lo + 1, math.MaxInt64, p.Lo != math.MaxInt64
 	case Between:
-		return v >= p.Lo && v <= p.Hi
+		return p.Lo, p.Hi, p.Lo <= p.Hi
 	default:
 		panic(fmt.Sprintf("engine: unknown CmpOp %d", int(p.Op)))
 	}
 }
 
+// Matches reports whether value v satisfies the predicate, by the range
+// compare the scan loops run.
+func (p *Predicate) Matches(v int64) bool {
+	lo, hi, ok := p.Range()
+	return ok && uint64(v)-uint64(lo) <= uint64(hi)-uint64(lo)
+}
+
 // String implements fmt.Stringer.
-func (p *Predicate) String() string {
+func (p *Predicate) String() string { return string(p.appendTo(nil)) }
+
+// appendTo appends the predicate's rendering, e.g. "o_totalprice <=
+// 25000" or "l_quantity between 1 and 10", to b.
+func (p *Predicate) appendTo(b []byte) []byte {
+	b = append(b, p.Col...)
 	if p.Op == Between {
-		return fmt.Sprintf("%s between %d and %d", p.Col, p.Lo, p.Hi)
+		b = strconv.AppendInt(append(b, " between "...), p.Lo, 10)
+		return strconv.AppendInt(append(b, " and "...), p.Hi, 10)
 	}
-	return fmt.Sprintf("%s %s %d", p.Col, p.Op, p.Lo)
+	b = append(append(append(b, ' '), p.Op.String()...), ' ')
+	return strconv.AppendInt(b, p.Lo, 10)
 }

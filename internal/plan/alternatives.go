@@ -159,7 +159,7 @@ func Alternatives(q *Query, cat *catalog.Catalog, maxAlts int) ([]*engine.Node, 
 	if len(q.Tables) < 2 || maxAlts <= 1 {
 		return plans, nil
 	}
-	seen := map[string]bool{def.String(): true}
+	seen := map[string]bool{def.Sig: true}
 	for _, start := range q.Tables {
 		order, ok := connectedOrder(q, start)
 		if !ok {
@@ -169,8 +169,8 @@ func Alternatives(q *Query, cat *catalog.Catalog, maxAlts int) ([]*engine.Node, 
 		if err != nil {
 			continue
 		}
-		if s := p.String(); !seen[s] {
-			seen[s] = true
+		if !seen[p.Sig] {
+			seen[p.Sig] = true
 			plans = append(plans, p)
 			if len(plans) >= maxAlts {
 				break

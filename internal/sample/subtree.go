@@ -42,6 +42,11 @@ package sample
 // and the fill walks only the (probe row, chain head) hits. The variance
 // tally adds a precomputed rho^2 for each sample tuple no output row
 // names — bit for bit the d*d it stands for.
+//
+// Fixed work is done once. A scan predicate is one inclusive range
+// (engine.Predicate.Range), a tuple one unsigned compare against it, and
+// the leading predicate reads its column without the identity vector; a
+// memo key reads the signature its node stored at Finalize (Node.Sig).
 
 import (
 	"context"
@@ -101,12 +106,15 @@ type PassMemo func(key string, compute func() (*Pass, error)) (*Pass, error)
 
 // passKey renders the memo key of a subtree: its canonical signature
 // (operators, predicates, join order — the same rendering whole-plan
-// memo keys use) plus the sample-copy index assigned to each leaf, so a
-// subtree evaluated against different sample copies never aliases.
+// memo keys use, stored on the node at Finalize) plus the sample-copy
+// index assigned to each leaf, so a subtree evaluated against different
+// sample copies never aliases. The key is its one allocation.
 func passKey(n *engine.Node, copies []int) string {
+	const sep = "\x00copies="
 	var b strings.Builder
-	b.WriteString(n.String())
-	b.WriteString("\x00copies=")
+	b.Grow(len(n.Sig) + len(sep) + 4*len(copies)) // a comma and up to three digits a copy
+	b.WriteString(n.Sig)
+	b.WriteString(sep)
 	for i, c := range copies {
 		if i > 0 {
 			b.WriteByte(',')
@@ -293,17 +301,17 @@ func grow[T any](s []T, n int) []T {
 
 // scanPass evaluates one scan over its sample table in the local frame
 // (the scan is leaf ordinal 0 of its own subtree), a predicate at a time
-// over one column each.
+// over one column each, each predicate one range compare per tuple.
 func scanPass(n *engine.Node, st *Table, cat *catalog.Catalog) (*Pass, error) {
 	nTotal := st.N()
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	sc.match = grow(sc.match, nTotal)
 	// sel is the selection vector: every tuple until a predicate has
-	// spoken, then what the predicates so far let through, filtered a
-	// column at a time (in place from the second predicate on). mIndex
-	// counts what the leading predicate lets through — the tuples an
-	// index scan on it would fetch.
+	// spoken, then what the predicates so far let through. The leading
+	// predicate reads its column straight through; each later one
+	// filters sel in place. mIndex counts what the leading predicate lets
+	// through — the tuples an index scan on it would fetch.
 	sel, mIndex := st.all, nTotal
 	for pi := range n.Preds {
 		pred := &n.Preds[pi]
@@ -312,10 +320,23 @@ func scanPass(n *engine.Node, st *Table, cat *catalog.Catalog) (*Pass, error) {
 			return nil, fmt.Errorf("sample: predicate column %q not in %q", pred.Col, n.Table)
 		}
 		col, m := st.data[ci], 0
-		for _, i := range sel {
-			sc.match[m] = i
-			if pred.Matches(col[i]) {
-				m++
+		lo, hi, ok := pred.Range()
+		ulo, span := uint64(lo), uint64(hi)-uint64(lo)
+		switch {
+		case !ok:
+		case pi == 0:
+			for i, v := range col {
+				sc.match[m] = int32(i)
+				if uint64(v)-ulo <= span {
+					m++
+				}
+			}
+		default:
+			for _, i := range sel {
+				sc.match[m] = i
+				if uint64(col[i])-ulo <= span {
+					m++
+				}
 			}
 		}
 		sel = sc.match[:m]

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"slices"
 	"sync"
@@ -436,5 +437,52 @@ func TestPassOwnsItsRows(t *testing.T) {
 	wg.Wait()
 	if !slices.Equal(left.prov, leftRows) || !slices.Equal(right.prov, rightRows) {
 		t.Error("a kept child pass changed under later estimates")
+	}
+}
+
+// TestScanPassMatchesEngineAtEdges runs predicates at the edges of int64
+// — each Op at each edge operand, Between empty, a single value and the
+// full range — alone and behind a leading predicate, over a sample that
+// is the whole table: the pass must keep exactly the rows engine.Run
+// counts, so the leading predicate's column loop and the in-place filter
+// read each range as the engine's scan does.
+func TestScanPassMatchesEngineAtEdges(t *testing.T) {
+	vals := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	rows := make([][]int64, len(vals))
+	all := make([]int32, len(vals))
+	for i, v := range vals {
+		rows[i], all[i] = []int64{v, v}, int32(i)
+	}
+	db := engine.NewDB()
+	db.Add(engine.NewTable("t", []string{"x", "y"}, rows))
+	cat := catalog.Build(db)
+	st := &Table{Base: "t", cols: []string{"x", "y"}, data: [][]int64{vals, vals}, all: all}
+
+	var preds []engine.Predicate
+	for _, lo := range vals {
+		for _, op := range []engine.CmpOp{engine.Lt, engine.Le, engine.Eq, engine.Ge, engine.Gt} {
+			preds = append(preds, engine.Predicate{Col: "x", Op: op, Lo: lo})
+		}
+		for _, hi := range vals {
+			preds = append(preds, engine.Predicate{Col: "x", Op: engine.Between, Lo: lo, Hi: hi})
+		}
+	}
+	lead := engine.Predicate{Col: "y", Op: engine.Ge, Lo: -1}
+	for _, p := range preds {
+		for _, conj := range [][]engine.Predicate{{p}, {lead, p}} {
+			n := &engine.Node{Kind: engine.SeqScan, Table: "t", Preds: conj}
+			n.Finalize()
+			res, err := engine.Run(db, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pass, err := scanPass(n, st, cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := pass.rows(); got != int(res.M) {
+				t.Errorf("%s: pass keeps %d rows, engine.Run %g", n.Sig, got, res.M)
+			}
+		}
 	}
 }

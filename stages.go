@@ -25,15 +25,14 @@ import (
 	"repro/internal/stats"
 )
 
-// Plan is a compiled physical plan: an opaque pairing of the operator
-// tree with its canonical signature. Two Plans with equal String() are
-// structurally identical (same operators, predicates, and join order);
-// the signature is the currency of the plan-hint option and the
-// estimate caches. Plans are produced by a Planner — the zero value is
-// not a valid plan.
+// Plan is a compiled physical plan: an opaque handle on a finalized
+// operator tree, whose root's Sig is the plan's canonical signature. Two
+// Plans with equal String() are structurally identical (same operators,
+// predicates, and join order); the signature is the currency of the
+// plan-hint option and the estimate caches. Plans are produced by a
+// Planner — the zero value is not a valid plan.
 type Plan struct {
 	root *engine.Node
-	sig  string
 	// est and run memoize the plan's estimate- and run-section keys.
 	est, run atomic.Pointer[planKey]
 }
@@ -51,7 +50,7 @@ func (p *Plan) key(slot *atomic.Pointer[planKey], ns string) *planKey {
 	if k := slot.Load(); k != nil && k.ns == ns {
 		return k
 	}
-	key := ns + "\x00" + p.sig
+	key := ns + "\x00" + p.root.Sig
 	k := &planKey{ns: ns, key: key, hash: cache.Hash(key)}
 	slot.Store(k)
 	return k
@@ -59,10 +58,10 @@ func (p *Plan) key(slot *atomic.Pointer[planKey], ns string) *planKey {
 
 // String returns the plan's canonical signature (a rendered tree).
 func (p *Plan) String() string {
-	if p == nil {
+	if p == nil || p.root == nil {
 		return ""
 	}
-	return p.sig
+	return p.root.Sig
 }
 
 // valid rejects plans not produced by a Planner.
@@ -199,7 +198,7 @@ func (d *defaultPlanner) BuildPlan(ctx context.Context, q *Query) (*Plan, error)
 	if err != nil {
 		return nil, err
 	}
-	p = &Plan{root: n, sig: n.String()}
+	p = &Plan{root: n}
 	d.mu.Lock()
 	if d.memo == nil || len(d.memo) >= planMemoSize {
 		d.memo = make(map[string]*Plan, 64)
@@ -219,7 +218,7 @@ func (d *defaultPlanner) Alternatives(ctx context.Context, q *Query, maxAlts int
 	}
 	plans := make([]*Plan, 0, len(nodes))
 	for _, n := range nodes {
-		plans = append(plans, &Plan{root: n, sig: n.String()})
+		plans = append(plans, &Plan{root: n})
 	}
 	return plans, nil
 }
@@ -351,7 +350,7 @@ func (x simExecutor) Execute(ctx context.Context, q *Query, p *Plan) (float64, e
 	if err != nil {
 		return 0, err
 	}
-	return x.profile.RunPlanSeeded(res, x.ver, rng.ExecKey(x.seed, q.Name, p.sig)), nil
+	return x.profile.RunPlanSeeded(res, x.ver, rng.ExecKey(x.seed, q.Name, p.root.Sig)), nil
 }
 
 // runSimulated executes a built plan, memoized in the cache's run
