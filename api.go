@@ -346,9 +346,6 @@ func (s *System) WithSamplingRatio(sr float64) (*System, error) {
 	if sr == s.cfg.SamplingRatio {
 		return s, nil
 	}
-	if sr <= 0 {
-		return nil, fmt.Errorf("uaqetp: sampling ratio %g out of (0, 1]", sr)
-	}
 	samples, err := sample.Build(s.db, sr, sample.DefaultCopies, s.cfg.Seed+2)
 	if err != nil {
 		return nil, err

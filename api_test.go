@@ -48,6 +48,19 @@ func TestOpenRejectsBadMachine(t *testing.T) {
 	}
 }
 
+// TestSamplingRatioRejectsNaN: a NaN ratio fails every comparison, so
+// each entry point must reject it rather than draw minimum-size samples.
+func TestSamplingRatioRejectsNaN(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SamplingRatio = math.NaN()
+	if _, err := Open(cfg); err == nil {
+		t.Error("Open accepted a NaN sampling ratio")
+	}
+	if _, err := testSystem(t).WithSamplingRatio(math.NaN()); err == nil {
+		t.Error("WithSamplingRatio accepted NaN")
+	}
+}
+
 func TestPredictAndRun(t *testing.T) {
 	sys := testSystem(t)
 	pred, actual, err := sys.PredictAndRunContext(context.Background(), joinQuery())

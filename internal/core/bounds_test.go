@@ -24,24 +24,21 @@ func boundFixture() (scan, join *engine.Node, asm *assembly) {
 	}
 	asm.vars[scan.ID] = stats.NewNormal(0.3, 0.02)
 	asm.info[scan.ID] = varInfo{
-		leafOff:   0,
-		leafComp:  []float64{0.0004},
-		leafN:     []int{500},
-		numLeaves: 1,
+		leafOff:  0,
+		leafComp: []float64{0.0004},
+		leafN:    []int{500},
 	}
 	asm.vars[other.ID] = stats.NewNormal(1.0, 0)
 	asm.info[other.ID] = varInfo{
-		leafOff:   1,
-		leafComp:  []float64{0},
-		leafN:     []int{500},
-		numLeaves: 1,
+		leafOff:  1,
+		leafComp: []float64{0},
+		leafN:    []int{500},
 	}
 	asm.vars[join.ID] = stats.NewNormal(0.001, 0.0002)
 	asm.info[join.ID] = varInfo{
-		leafOff:   0,
-		leafComp:  []float64{3e-8, 1e-8},
-		leafN:     []int{500, 500},
-		numLeaves: 2,
+		leafOff:  0,
+		leafComp: []float64{3e-8, 1e-8},
+		leafN:    []int{500, 500},
 	}
 	return scan, join, asm
 }
@@ -106,11 +103,16 @@ func TestNoCovZeroesBoundedTerms(t *testing.T) {
 func TestQuadraticBoundsUseTheorems(t *testing.T) {
 	scan, join, asm := boundFixture()
 	p := New(nil, [5]stats.Normal{}, Config{})
-	// X^2 vs X'^2 triggers Theorem 9; X^2 vs X' triggers Theorem 10.
-	c99, b99 := p.covTerms(sqTerm(scan.ID, 1), sqTerm(join.ID, 1), asm)
-	c21, b21 := p.covTerms(sqTerm(scan.ID, 1), linTerm(join.ID, 1), asm)
-	if !b99 || !b21 || c99 < 0 || c21 < 0 {
-		t.Errorf("quadratic bounds: (%v,%v) (%v,%v)", c99, b99, c21, b21)
+	// X^2 vs X'^2 and X^2 vs X' are bounded, by Cauchy-Schwarz alone.
+	for _, c := range [][2]costmodel.Term{
+		{sqTerm(scan.ID, 1), sqTerm(join.ID, 1)},
+		{sqTerm(scan.ID, 1), linTerm(join.ID, 1)},
+	} {
+		cov, bounded := p.covTerms(c[0], c[1], asm)
+		cs := math.Sqrt(termVar(c[0], asm.vars) * termVar(c[1], asm.vars))
+		if !bounded || cov != cs {
+			t.Errorf("quadratic bound %v (bounded=%v), want Cauchy-Schwarz %v", cov, bounded, cs)
+		}
 	}
 }
 
@@ -127,6 +129,18 @@ func TestSharedLeaves(t *testing.T) {
 	}
 }
 
+func TestGRho(t *testing.T) {
+	if gRho(0) != 0 || gRho(1) != 0 {
+		t.Error("g(rho) should vanish at 0 and 1")
+	}
+	if math.Abs(gRho(0.5)-0.5) > 1e-15 {
+		t.Errorf("g(0.5) = %v, want 0.5", gRho(0.5))
+	}
+	if gRho(-0.1) != 0 || gRho(1.5) != 0 {
+		t.Error("out-of-range rho should clamp to 0")
+	}
+}
+
 func TestRestrictedVarSumsSharedComponents(t *testing.T) {
 	scan, join, asm := boundFixture()
 	// The join shares only leaf 0 with the scan.
@@ -138,40 +152,6 @@ func TestRestrictedVarSumsSharedComponents(t *testing.T) {
 	got = restrictedVar(&asm.info[scan.ID], &asm.info[join.ID])
 	if math.Abs(got-0.0004) > 1e-18 {
 		t.Errorf("restrictedVar = %v, want 4e-4", got)
-	}
-}
-
-func TestTheoremFFactorsBehave(t *testing.T) {
-	// f factors vanish as n grows and increase with shared relations m.
-	f9a := theorem9F(100, 1, 2, 3)
-	f9b := theorem9F(10000, 1, 2, 3)
-	if f9b >= f9a {
-		t.Errorf("theorem9F not decreasing in n: %v vs %v", f9a, f9b)
-	}
-	f9m1 := theorem9F(1000, 1, 3, 3)
-	f9m2 := theorem9F(1000, 2, 3, 3)
-	if f9m2 <= f9m1 {
-		t.Errorf("theorem9F not increasing in m: %v vs %v", f9m1, f9m2)
-	}
-	f10a := theorem10F(100, 1, 2, 2)
-	f10b := theorem10F(10000, 1, 2, 2)
-	if f10b >= f10a {
-		t.Errorf("theorem10F not decreasing in n: %v vs %v", f10a, f10b)
-	}
-}
-
-func TestGAndHRho(t *testing.T) {
-	if gRho(0) != 0 || gRho(1) != 0 {
-		t.Error("g(rho) should vanish at 0 and 1")
-	}
-	if math.Abs(gRho(0.5)-0.5) > 1e-15 {
-		t.Errorf("g(0.5) = %v, want 0.5", gRho(0.5))
-	}
-	if hRho(0.5) <= gRho(0.5) {
-		t.Errorf("h(0.5)=%v should exceed g(0.5)=%v", hRho(0.5), gRho(0.5))
-	}
-	if gRho(-0.1) != 0 || hRho(1.5) != 0 {
-		t.Error("out-of-range rho should clamp to 0")
 	}
 }
 

@@ -129,8 +129,6 @@ type varInfo struct {
 	leafOff  int
 	leafComp []float64
 	leafN    []int
-	// numLeaves is K, the number of leaf relations of the operator.
-	numLeaves int
 }
 
 // item is one (operator, cost-unit) component of t_q: a logical cost
@@ -194,7 +192,7 @@ func (p *Predictor) assemble(root *engine.Node, est *sample.Estimates) (*assembl
 		info:  make([]varInfo, len(nodes)),
 	}
 	selfRho := make([]float64, len(nodes))
-	for i, n := range nodes {
+	for i := range nodes {
 		e := &est.Ops[i]
 		selfRho[i] = e.Rho
 		v, lc := e.Var, e.LeafComp
@@ -202,12 +200,7 @@ func (p *Predictor) assemble(root *engine.Node, est *sample.Estimates) (*assembl
 			v, lc = 0, nil
 		}
 		a.vars[i] = stats.NormalFromVar(e.Rho, v)
-		a.info[i] = varInfo{
-			leafOff:   e.LeafOff,
-			leafComp:  lc,
-			leafN:     e.LeafN,
-			numLeaves: len(n.LeafTables),
-		}
+		a.info[i] = varInfo{leafOff: e.LeafOff, leafComp: lc, leafN: e.LeafN}
 	}
 
 	models, err := costmodel.BuildModels(root, p.Cat, selfRho)
@@ -376,51 +369,36 @@ func termVar(t costmodel.Term, vars []stats.Normal) float64 {
 
 // boundTermCov returns an upper bound for |Cov(a, b)| when the terms
 // involve correlated selectivity estimates from nested operators
-// (Section 5.3.2 and Appendix A.7/A.8). The bound is the minimum of the
-// Cauchy-Schwarz bound and, where the term shapes allow, the tighter
-// sample-variance (Theorem 7) and population (Theorems 8-10) bounds.
+// (Section 5.3.2 and Appendix A.7/A.8): the Cauchy-Schwarz bound, or for
+// two linear terms in estimates sharing leaves the sample-variance
+// (Theorem 7) or population (Theorem 8) bound where either is tighter.
+// The population bounds of squared terms (Theorems 9 and 10) are not
+// computed: on generated plans neither was ever the minimum.
 func (p *Predictor) boundTermCov(a, b costmodel.Term, asm *assembly) float64 {
 	// Cauchy-Schwarz: |Cov| <= sqrt(Var[a] Var[b]) — always applicable.
 	bound := math.Sqrt(termVar(a, asm.vars) * termVar(b, asm.vars))
-
-	// For single-variable terms, tighter bounds are available.
-	if a.NVars == 1 && b.NVars == 1 {
-		ia, ib := &asm.info[a.Vars[0]], &asm.info[b.Vars[0]]
-		rhoA, rhoB := asm.vars[a.Vars[0]].Mu, asm.vars[b.Vars[0]].Mu
-		coef := math.Abs(a.Coef * b.Coef)
-		m, n := sharedLeaves(ia, ib)
-		if n > 0 && m > 0 {
-			switch {
-			case a.Pows[0] == 1 && b.Pows[0] == 1:
-				// Theorem 7: |Cov(rho, rho')| <= sqrt(S^2(m,n) S'^2(m,n)),
-				// realized by restricting the leaf variance components of
-				// each estimate to the shared relations.
-				if t7 := coef * math.Sqrt(restrictedVar(ia, ib)*restrictedVar(ib, ia)); t7 < bound {
-					bound = t7
-				}
-				// Theorem 8: f(n,m) g(rho) g(rho').
-				f := 1 - math.Pow(1-1/float64(n), float64(m))
-				if t8 := coef * f * gRho(rhoA) * gRho(rhoB); t8 < bound {
-					bound = t8
-				}
-			case a.Pows[0] == 2 && b.Pows[0] == 2:
-				// Theorem 9.
-				f := theorem9F(n, m, ia.numLeaves, ib.numLeaves)
-				if t9 := coef * f * hRho(rhoA) * hRho(rhoB); t9 < bound {
-					bound = t9
-				}
-			default:
-				// Theorem 10 (one squared, one linear).
-				sq, ln, rhoSq, rhoLn := ia, ib, rhoA, rhoB
-				if b.Pows[0] == 2 {
-					sq, ln, rhoSq, rhoLn = ib, ia, rhoB, rhoA
-				}
-				f := theorem10F(n, m, sq.numLeaves, ln.numLeaves)
-				if t10 := coef * f * hRho(rhoSq) * gRho(rhoLn); t10 < bound {
-					bound = t10
-				}
-			}
-		}
+	if a.NVars != 1 || b.NVars != 1 || a.Pows[0] != 1 || b.Pows[0] != 1 {
+		return bound
+	}
+	ia, ib := &asm.info[a.Vars[0]], &asm.info[b.Vars[0]]
+	m, n := sharedLeaves(ia, ib)
+	if n == 0 || m == 0 {
+		return bound
+	}
+	coef := math.Abs(a.Coef * b.Coef)
+	// Theorem 7: |Cov(rho, rho')| <= sqrt(S^2(m,n) S'^2(m,n)), realized
+	// by restricting the leaf variance components of each estimate to the
+	// shared relations.
+	if t7 := coef * math.Sqrt(restrictedVar(ia, ib)*restrictedVar(ib, ia)); t7 < bound {
+		bound = t7
+	}
+	// Theorem 8: f(n,m) g(rho) g(rho'). It binds on estimates whose leaf
+	// sizes are whole relations (the histogram estimator's), never on
+	// sampled ones.
+	f := 1 - math.Pow(1-1/float64(n), float64(m))
+	rhoA, rhoB := asm.vars[a.Vars[0]].Mu, asm.vars[b.Vars[0]].Mu
+	if t8 := coef * f * gRho(rhoA) * gRho(rhoB); t8 < bound {
+		bound = t8
 	}
 	return bound
 }
@@ -462,29 +440,4 @@ func gRho(rho float64) float64 {
 		return 0
 	}
 	return math.Sqrt(v)
-}
-
-func hRho(rho float64) float64 {
-	v := rho * (1 - rho) * (rho - rho*rho + 1)
-	if v <= 0 {
-		return 0
-	}
-	return math.Sqrt(v)
-}
-
-// theorem9F is the f(n,m) factor of Theorem 9 for Cov(rho^2, rho'^2).
-func theorem9F(n, m, k, kp int) float64 {
-	fn := float64(n)
-	lead := 1 - math.Pow(1-1/fn, float64(k+kp-m))*
-		math.Pow(1-2/fn, float64(m))*math.Pow(1-3/fn, float64(m))
-	return lead * math.Sqrt(1-math.Pow(1-1/fn, float64(k))) *
-		math.Sqrt(1-math.Pow(1-1/fn, float64(kp)))
-}
-
-// theorem10F is the f(n,m) factor of Theorem 10 for Cov(rho^2, rho').
-func theorem10F(n, m, k, kp int) float64 {
-	fn := float64(n)
-	lead := 1 - math.Pow(1-1/fn, float64(k))*math.Pow(1-2/fn, float64(m))
-	return lead * math.Sqrt(1-math.Pow(1-1/fn, float64(k))) *
-		math.Sqrt(1-math.Pow(1-1/fn, float64(kp)))
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"hash"
+	"sync"
 	"testing"
 
 	"repro/internal/catalog"
@@ -140,11 +141,11 @@ func BenchmarkEstimateCold(b *testing.B) {
 }
 
 // TestPinnedPlansJoinBothWays checks that the plans behind the digests
-// exercise both build-side choices of the join — fewer rows on the left
-// and fewer on the right — so each is held against literals.
+// exercise both choices of the looked-up side of the join — the left
+// input and the right one — so each is held against literals.
 func TestPinnedPlansJoinBothWays(t *testing.T) {
 	plans, sdb, cat := genPlans(t, datagen.Uniform1G, 256)
-	leftSmaller, rightSmaller := 0, 0
+	lookedLeft, lookedRight := 0, 0
 	for _, p := range plans {
 		// The walk asks the memo once per operator, in postorder.
 		var post []*engine.Node
@@ -170,15 +171,56 @@ func TestPinnedPlansJoinBothWays(t *testing.T) {
 			if !n.Kind.IsJoin() || passes[n].tainted {
 				continue
 			}
-			switch l, r := passes[n.Left].rows(), passes[n.Right].rows(); {
-			case l < r:
-				leftSmaller++
-			case r < l:
-				rightSmaller++
+			if lookupRight(passes[n.Left], passes[n.Right]) {
+				lookedRight++
+			} else {
+				lookedLeft++
 			}
 		}
 	}
-	if leftSmaller == 0 || rightSmaller == 0 {
-		t.Errorf("joins with fewer rows on the left: %d, on the right: %d; want both", leftSmaller, rightSmaller)
+	if lookedLeft == 0 || lookedRight == 0 {
+		t.Errorf("joins looking up the left input: %d, the right: %d; want both", lookedLeft, lookedRight)
 	}
+	t.Logf("joins looking up the left input: %d, the right: %d", lookedLeft, lookedRight)
+}
+
+// TestConcurrentEstimateFreshSamples has several goroutines estimate the
+// same plans, in the same order, on one fresh sample DB, so the first
+// build of each table's key index is contended — and raced, under the
+// race detector — and requires every estimate to equal a sequential one
+// on a second fresh DB drawn the same way.
+func TestConcurrentEstimateFreshSamples(t *testing.T) {
+	plans, ref, cat := genPlans(t, datagen.Uniform1G, 16)
+	_, sdb, _ := genPlans(t, datagen.Uniform1G, 1)
+	digest := func(p *engine.Node, sdb *DB) string {
+		est, err := Estimate(p, sdb, cat)
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		h := sha256.New()
+		digestEstimates(h, est)
+		return fmt.Sprintf("%x", h.Sum(nil))
+	}
+	want := make([]string, len(plans))
+	for i, p := range plans {
+		want[i] = digest(p, ref)
+	}
+	const workers = 4
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i, p := range plans {
+				if got := digest(p, sdb); got != want[i] {
+					t.Errorf("plan %d: concurrent estimate %s, sequential %s", i, got, want[i])
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
 }

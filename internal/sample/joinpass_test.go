@@ -14,11 +14,13 @@ import (
 // joinSide is one child of a join under test: its leaves (relation
 // names, left to right), its provenance rows (one sample-tuple index per
 // leaf) and the column it joins on. Every relation has the columns "id"
-// and "k"+name.
+// and "k"+name. A side with all set is a scan keeping every tuple: its
+// provenance is its table's identity block itself.
 type joinSide struct {
 	leaves []string
 	rows   [][]int32
 	col    string
+	all    bool
 }
 
 // scanSide is the side of one relation whose provenance is rows, one
@@ -45,8 +47,9 @@ func upTo(n int) []int32 {
 // every sample tuple's term divided out, no shortcut — in the order the
 // sampling pass promises: leaves left to right, sample tuples by index.
 func nestedLoopJoin(n *engine.Node, left, right *Pass, cat *catalog.Catalog) ([]int32, OpEstimate, error) {
-	lcol, lord := left.column(n.LeftCol)
-	rcol, rord := right.column(n.RightCol)
+	lt, lc, lord := left.column(n.LeftCol)
+	rt, rc, rord := right.column(n.RightCol)
+	lcol, rcol := lt.data[lc], rt.data[rc]
 	nl, k := left.numLeaves, left.numLeaves+right.numLeaves
 	var out []int32
 	for i := 0; i < left.rows(); i++ {
@@ -119,8 +122,9 @@ func estimateBits(e OpEstimate) string {
 // checkJoin joins l and r over relations whose key columns are keys —
 // each relation's sample is the whole relation — with joinPass and with
 // the nested-loop reference, and requires the same provenance multiset
-// and the same estimate bit for bit.
-func checkJoin(t *testing.T, tag string, keys map[string][]int64, l, r joinSide) {
+// and the same estimate bit for bit. A non-empty looked names the first
+// leaf of the side the join must look up.
+func checkJoin(t *testing.T, tag string, keys map[string][]int64, l, r joinSide, looked string) {
 	t.Helper()
 	db := engine.NewDB()
 	tables := make(map[string]*Table, len(keys))
@@ -132,7 +136,7 @@ func checkJoin(t *testing.T, tag string, keys map[string][]int64, l, r joinSide)
 		}
 		cols := []string{"id", "k" + name}
 		db.Add(engine.NewTable(name, cols, rows))
-		tables[name] = &Table{Base: name, cols: cols, data: [][]int64{ids, ks}, all: upTo(len(ks))}
+		tables[name] = newTable(name, cols, [][]int64{ids, ks})
 	}
 	cat := catalog.Build(db)
 	side := func(s joinSide) (*Pass, *engine.Node) {
@@ -150,10 +154,16 @@ func checkJoin(t *testing.T, tag string, keys map[string][]int64, l, r joinSide)
 		for _, row := range s.rows {
 			p.prov = append(p.prov, row...)
 		}
+		if s.all {
+			p.prov = p.leaves[0].all
+		}
 		return p, n
 	}
 	lp, ln := side(l)
 	rp, rn := side(r)
+	if got := map[bool]string{false: l.leaves[0], true: r.leaves[0]}[lookupRight(lp, rp)]; looked != "" && got != looked {
+		t.Errorf("%s: the join looks up the side of %q, want %q", tag, got, looked)
+	}
 	n := &engine.Node{Kind: engine.HashJoin, LeftCol: l.col, RightCol: r.col, Left: ln, Right: rn}
 	n.Finalize()
 	got, err := joinPass(n, lp, rp, cat)
@@ -173,10 +183,10 @@ func checkJoin(t *testing.T, tag string, keys map[string][]int64, l, r joinSide)
 }
 
 // filterSiblings returns n distinct keys whose Fibonacci hashes share
-// their top 20 bits — one home slot and one probe-filter bit in any
-// table and filter of up to 2^20 entries, so all but one of them sit in
-// a slot that is not their home. Each is its hash times the inverse of
-// the (odd) Fibonacci multiplier mod 2^64, found by Newton's iteration.
+// their top 20 bits — one home slot in any index of up to 2^20 slots, so
+// all but one of them sit in a slot that is not their home and are
+// found by linear probing. Each is its hash times the inverse of the
+// (odd) Fibonacci multiplier mod 2^64, found by Newton's iteration.
 func filterSiblings(n int) []int64 {
 	const m = 0x9E3779B97F4A7C15
 	inv := uint64(m)
@@ -190,13 +200,17 @@ func filterSiblings(n int) []int64 {
 	return keys
 }
 
-// TestJoinPassMatchesNestedLoop holds the sampling-pass join — filtered
-// probe, match-list fill and zero-term tally — against a nested loop on
-// inputs chosen to break each: negative keys and keys at and beyond
-// 2^32, one heavily duplicated key, an empty build side, a probe side
-// that never hits, keys sharing a filter bit and home slot (in the table
-// and missing from it), a two-leaf child, and random joins. Every case
-// runs in both orientations, so each side is the build side once.
+// TestJoinPassMatchesNestedLoop holds the sampling-pass join — key
+// lookups, multiplicity filter, fill and zero-run tally — against a
+// nested loop on inputs chosen to break each: negative keys and keys at
+// and beyond 2^32, one heavily duplicated key, an empty side, an outer
+// side that never hits, keys sharing a home slot (in the index and
+// missing from it), and one case per kind of looked-up side: a scan that
+// keeps its whole table (no filter), a filtered side whose table holds
+// matching keys the filter drops, random subsets with repeats in random
+// order, and a two-leaf side, either under a one-leaf one (its table's
+// index) or against another two-leaf side (an index built per call).
+// Every case runs in both orientations.
 func TestJoinPassMatchesNestedLoop(t *testing.T) {
 	r := rand.New(rand.NewSource(28))
 	draw := func(n int, pool ...int64) []int64 {
@@ -225,23 +239,32 @@ func TestJoinPassMatchesNestedLoop(t *testing.T) {
 		pairs = append(pairs, []int32{int32(r.Intn(30)), int32(r.Intn(40))})
 	}
 	type joinCase struct {
-		name string
-		keys map[string][]int64
-		l, r joinSide
+		name   string
+		keys   map[string][]int64
+		l, r   joinSide
+		looked string
 	}
 	cases := []joinCase{
 		{"negative and wide keys", map[string][]int64{"a": draw(40, wide...), "b": draw(90, append(wide, 7, 1<<35)...)},
-			scanSide("a", upTo(40)...), scanSide("b", upTo(90)...)},
+			scanSide("a", upTo(40)...), scanSide("b", upTo(90)...), ""},
 		{"one heavy key", map[string][]int64{"a": draw(60, 7, 7, 7, 7, 7, 7, 7, 7, 7, 3), "b": draw(150, 7, 1, 2)},
-			scanSide("a", upTo(60)...), scanSide("b", upTo(150)...)},
-		{"empty build side", map[string][]int64{"a": draw(30, 1, 2, 3), "b": draw(50, 1, 2, 3)},
-			scanSide("a"), scanSide("b", upTo(50)...)},
-		{"all-miss probe", map[string][]int64{"a": evens, "b": odds},
-			scanSide("a", upTo(40)...), scanSide("b", upTo(120)...)},
-		{"filter-bit siblings", map[string][]int64{"a": {sib[0], sib[1], sib[0], 99}, "b": {sib[2], sib[1], sib[0], sib[2], 100, sib[1]}},
-			scanSide("a", 0, 1, 2, 3), scanSide("b", 0, 1, 2, 3, 4, 5)},
+			scanSide("a", upTo(60)...), scanSide("b", upTo(150)...), ""},
+		{"empty side", map[string][]int64{"a": draw(30, 1, 2, 3), "b": draw(50, 1, 2, 3)},
+			scanSide("a"), scanSide("b", upTo(50)...), ""},
+		{"all-miss outer", map[string][]int64{"a": evens, "b": odds},
+			scanSide("a", upTo(40)...), scanSide("b", upTo(120)...), ""},
+		{"home-slot siblings", map[string][]int64{"a": {sib[0], sib[1], sib[0], 99}, "b": {sib[2], sib[1], sib[0], sib[2], 100, sib[1]}},
+			scanSide("a", 0, 1, 2, 3), scanSide("b", 0, 1, 2, 3, 4, 5), ""},
 		{"two-leaf child", map[string][]int64{"c": draw(30, 1, 2), "d": draw(40, -3, 4, 1<<33, 9), "e": draw(70, -3, 4, 1<<33, 8)},
-			joinSide{leaves: []string{"c", "d"}, rows: pairs, col: "kd"}, scanSide("e", upTo(70)...)},
+			joinSide{leaves: []string{"c", "d"}, rows: pairs, col: "kd"}, scanSide("e", upTo(70)...), "e"},
+		{"identity side", map[string][]int64{"a": draw(30, 1, 2, 3, 4), "b": draw(200, 2, 3, 4, 5, 6)},
+			scanSide("a", 3, 0, 3, 7, 29), joinSide{leaves: []string{"b"}, col: "kb", all: true}, "b"},
+		{"filter drops matches", map[string][]int64{"a": {2, 1}, "b": {1, 2, 1, 2, 3, 1}},
+			scanSide("a", 0, 1), scanSide("b", 0, 4, 5), "b"},
+		{"two-leaf sides", map[string][]int64{"c": draw(30, 1, 2), "d": draw(40, -3, 4, 1<<33, 9),
+			"e": draw(30, 5, 6), "f": draw(40, -3, 4, 1<<33, 8)},
+			joinSide{leaves: []string{"c", "d"}, rows: pairs, col: "kd"},
+			joinSide{leaves: []string{"e", "f"}, rows: pairs[:35], col: "kf"}, "e"},
 	}
 	for i := 0; i < 20; i++ {
 		na, nb, dom := 1+r.Intn(200), 1+r.Intn(400), int64(1+r.Intn(300))
@@ -251,7 +274,8 @@ func TestJoinPassMatchesNestedLoop(t *testing.T) {
 				ks[j] = r.Int63n(dom) - dom/2
 			}
 		}
-		// Random subsets in random order, repeats allowed.
+		// Random subsets in random order, repeats allowed: the one with
+		// more rows is the looked-up side.
 		subset := func(n int) []int32 {
 			rows := make([]int32, r.Intn(n+1))
 			for j := range rows {
@@ -260,10 +284,10 @@ func TestJoinPassMatchesNestedLoop(t *testing.T) {
 			return rows
 		}
 		cases = append(cases, joinCase{fmt.Sprintf("random %d", i), keys,
-			scanSide("a", subset(na)...), scanSide("b", subset(nb)...)})
+			scanSide("a", subset(na)...), scanSide("b", subset(nb)...), ""})
 	}
 	for _, c := range cases {
-		checkJoin(t, c.name, c.keys, c.l, c.r)
-		checkJoin(t, c.name+" (swapped)", c.keys, c.r, c.l)
+		checkJoin(t, c.name, c.keys, c.l, c.r, c.looked)
+		checkJoin(t, c.name+" (swapped)", c.keys, c.r, c.l, c.looked)
 	}
 }

@@ -12,8 +12,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
@@ -29,10 +31,79 @@ type Table struct {
 	cols []string
 	data [][]int64 // data[c][i] is column cols[c] of sample tuple i
 	all  []int32   // 0..n-1: the provenance of a scan that keeps every tuple
+	// keys[c] is the key index of column c, built on a join's first
+	// lookup in that column; a column no join reads never gets one.
+	keys []lazyIndex
+}
+
+type lazyIndex struct {
+	once sync.Once
+	ix   keyIndex
+}
+
+// newTable wraps column-major sample data, every column n tuples long.
+func newTable(base string, cols []string, data [][]int64) *Table {
+	all := make([]int32, len(data[0]))
+	for i := range all {
+		all[i] = int32(i)
+	}
+	return &Table{Base: base, cols: cols, data: data, all: all, keys: make([]lazyIndex, len(cols))}
 }
 
 // N returns the sample size n_k.
 func (s *Table) N() int { return len(s.all) }
+
+// index returns the key index of column c, building it on first use.
+// It is immutable once built and safe to read from any goroutine.
+func (s *Table) index(c int) *keyIndex {
+	l := &s.keys[c]
+	l.once.Do(func() { l.ix.build(s.data[c]) })
+	return &l.ix
+}
+
+// keyIndex maps each distinct key of a column to the ascending positions
+// that hold it, laid out over the engine's hash-table kernel: a key's
+// slot holds Head = 1 + the offset of its run in idx and Cnt = the run's
+// length, at load <= 1/2 with linear probing.
+type keyIndex struct {
+	slots []engine.Slot
+	idx   []int32
+	shift uint // takes a key's Fib to its home slot
+}
+
+// build indexes keys, position i holding keys[i], reusing the capacity
+// ix already has: one pass counts each key's run, a walk over the slots
+// lays the runs out, and a second pass fills them in position order.
+func (ix *keyIndex) build(keys []int64) {
+	logSize := bits.Len(uint(2 * len(keys)))
+	ix.shift = uint(64 - logSize)
+	ix.slots = grow(ix.slots, 1<<logSize)
+	clear(ix.slots)
+	for _, key := range keys {
+		e := engine.Find(ix.slots, int(engine.Fib(key)>>ix.shift), key)
+		e.Key, e.Head = key, 1
+		e.Cnt++
+	}
+	off := int32(0)
+	for i := range ix.slots {
+		if e := &ix.slots[i]; e.Head != 0 {
+			e.Head, off, e.Cnt = 1+off, off+e.Cnt, 0
+		}
+	}
+	ix.idx = grow(ix.idx, len(keys))
+	for i, key := range keys {
+		e := engine.Find(ix.slots, int(engine.Fib(key)>>ix.shift), key)
+		ix.idx[e.Head-1+e.Cnt] = int32(i)
+		e.Cnt++
+	}
+}
+
+// run returns the bounds of key's run in idx; lo == hi when no position
+// holds key.
+func (ix *keyIndex) run(key int64) (lo, hi int32) {
+	e := engine.Find(ix.slots, int(engine.Fib(key)>>ix.shift), key)
+	return e.Head - 1, e.Head - 1 + e.Cnt
+}
 
 // DB holds the offline samples: one or more independent sample tables
 // per relation. Multiple copies let the estimator assign a different
@@ -52,7 +123,7 @@ const DefaultCopies = 2
 // every table at the given sampling ratio. At least minRows tuples are
 // kept per sample so tiny dimension tables remain estimable.
 func Build(db *engine.DB, ratio float64, copies int, seed int64) (*DB, error) {
-	if ratio <= 0 || ratio > 1 {
+	if !(ratio > 0 && ratio <= 1) { // written so that NaN fails too
 		return nil, fmt.Errorf("sample: ratio %v out of (0,1]", ratio)
 	}
 	if copies <= 0 {
@@ -84,16 +155,13 @@ func Build(db *engine.DB, ratio float64, copies int, seed int64) (*DB, error) {
 			for c := range data {
 				data[c] = flat[c*n : (c+1)*n : (c+1)*n]
 			}
-			all := make([]int32, n)
 			for i, j := range idx {
-				all[i] = int32(i)
 				row := t.Rows[j]
 				for c := range data {
 					data[c][i] = row[c]
 				}
 			}
-			out.Copies[name] = append(out.Copies[name],
-				&Table{Base: name, cols: t.Cols, data: data, all: all})
+			out.Copies[name] = append(out.Copies[name], newTable(name, t.Cols, data))
 		}
 	}
 	return out, nil

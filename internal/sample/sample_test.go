@@ -75,7 +75,7 @@ func TestBuildSampleSizes(t *testing.T) {
 
 func TestBuildRejectsBadRatio(t *testing.T) {
 	db := synthDB(100, 100, 10, 1)
-	for _, ratio := range []float64{0, -0.1, 1.5} {
+	for _, ratio := range []float64{0, -0.1, 1.5, math.NaN()} {
 		if _, err := Build(db, ratio, 1, 1); err == nil {
 			t.Errorf("ratio %v: expected error", ratio)
 		}

@@ -33,15 +33,21 @@ package sample
 // Row order inside a Pass is free: every float the pass emits is
 // computed from integer counts over the result multiset (|out|, the
 // Q_{k,j} tallies) and summed in leaf-ordinal / sample-index order,
-// never in row order. So a join hashes whichever side has fewer rows and
-// emits matches in chain order without moving a bit of any estimate.
+// never in row order. So a join may iterate either side and emit its
+// matches in lookup order without moving a bit of any estimate.
 //
-// Almost every probe misses, so a miss costs one hash and one bit test:
-// the build also sets one bit per key's hash prefix in a pooled filter of
-// ~32 bits per build row, a probe key whose bit is clear skips the table,
-// and the fill walks only the (probe row, chain head) hits. The variance
-// tally adds a precomputed rho^2 for each sample tuple no output row
-// names — bit for bit the d*d it stands for.
+// A join iterates one side and looks its keys up in a key index of the
+// other, almost always one leaf — a scan, or a unary over one, as every
+// right child of a left-deep plan is — whose rows are sample tuples of
+// one table. Each sample table keeps an immutable key index per join
+// column, built on first use, from a key to its ascending sample indices;
+// a run's tuples count as often as the side holds them (not counted at
+// all for a scan that keeps every tuple). Only a join of two multi-leaf
+// sides builds such an index per call, over its smaller side.
+// The variance tally reads only the nonzero Q_{k,j}, the leaf's column of
+// the result sorted into runs; the rho^2 of each sample tuple no output
+// row names is added a gap at a time by addRepeated — bit for bit the
+// sequential adds it stands for.
 //
 // Fixed work is done once. A scan predicate is one inclusive range
 // (engine.Predicate.Range), a tuple one unsigned compare against it, and
@@ -51,7 +57,7 @@ package sample
 import (
 	"context"
 	"fmt"
-	"math/bits"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -86,16 +92,24 @@ type Pass struct {
 func (p *Pass) rows() int { return len(p.prov) / p.numLeaves }
 
 // column resolves an output column of the subtree to the leaf that
-// supplies it and that leaf's column, exactly as a lookup over the
-// concatenated column lists would: the first leaf, left to right, that
-// carries the name. The ordinal is -1 when no leaf does.
-func (p *Pass) column(name string) (col []int64, ord int) {
+// supplies it — its sample table t, the column's index c in t and the
+// leaf's ordinal — exactly as a lookup over the concatenated column
+// lists would: the first leaf, left to right, that carries the name. The
+// ordinal is -1 when no leaf does.
+func (p *Pass) column(name string) (t *Table, c, ord int) {
 	for o, t := range p.leaves {
-		if i := slices.Index(t.cols, name); i >= 0 {
-			return t.data[i], o
+		if c := slices.Index(t.cols, name); c >= 0 {
+			return t, c, o
 		}
 	}
-	return nil, -1
+	return nil, -1, -1
+}
+
+// identity reports whether the pass keeps every tuple of its one leaf's
+// sample in order: its provenance is the table's identity block.
+func (p *Pass) identity() bool {
+	all := p.leaves[0].all
+	return p.numLeaves == 1 && len(p.prov) == len(all) && (len(all) == 0 || &p.prov[0] == &all[0])
 }
 
 // PassMemo memoizes subtree passes by key: return the cached Pass for
@@ -281,11 +295,11 @@ func unaryPass(n *engine.Node, child *Pass) *Pass {
 // outlives the call that took it from the pool, and nothing a Pass
 // keeps is ever carved from it.
 type scratch struct {
-	slots  []engine.Slot // the join's open-addressed hash table (the engine's kernel)
-	next   []int32       // build row -> 1 + the previous build row with the same key; 0 ends the chain
-	filter []uint64      // the join's probe filter: bit h>>fshift set for the hash h of every build key
-	match  []int32       // a join's hits as (probe row, chain head) pairs; a scan's selection vector
-	q      []int32       // Q_{k,j} tallies of one leaf
+	ix    keyIndex // a join's per-call index, when neither side is one leaf
+	keys  []int64  // the join keys that index is built from
+	match []int32  // a join's hits as (outer row, run) triples; a scan's selection vector
+	mult  []int32  // per sample tuple: how often the looked-up side holds it
+	ids   []int32  // one leaf's column of a join's result, sorted into runs
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -380,86 +394,119 @@ func scanPass(n *engine.Node, st *Table, cat *catalog.Catalog) (*Pass, error) {
 	}, nil
 }
 
+// lookupRight reports which input of a join is looked up, the other
+// being iterated: a side of one leaf, whose table's key index serves
+// the lookups; of two such, the one with more rows; of two sides of
+// several leaves, the one with fewer rows, indexed per call.
+func lookupRight(left, right *Pass) bool {
+	l, r := left.numLeaves == 1, right.numLeaves == 1
+	switch {
+	case l != r:
+		return r
+	case l:
+		return right.rows() >= left.rows()
+	}
+	return right.rows() < left.rows()
+}
+
 // joinPass joins two child passes in the local frame: the left child
 // keeps ordinals 0..nl-1, the right child's shift up by nl, so local
 // ordinal and provenance position coincide (Algorithm 1 lines 11-13 and
 // the Appendix A.7 components).
 func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, error) {
-	lcol, lord := left.column(n.LeftCol)
-	rcol, rord := right.column(n.RightCol)
+	lt, lc, lord := left.column(n.LeftCol)
+	rt, rc, rord := right.column(n.RightCol)
 	if lord < 0 || rord < 0 {
 		return nil, fmt.Errorf("sample: join columns %q/%q not found", n.LeftCol, n.RightCol)
 	}
 	nl, k := left.numLeaves, left.numLeaves+right.numLeaves
 
-	// The hash table is built over the side with fewer rows. at is where
-	// a side's provenance lands in an output row, whichever role it plays.
+	// One side is iterated, the other looked up. block holds a side's
+	// rows at stride — for a looked-up side, in the positions its index
+	// runs name — and at is where they land in an output row.
 	type side struct {
-		prov    []int32
-		stride  int
-		rows    int
-		col     []int64 // the join column of leaf ord
-		ord, at int
+		p      *Pass
+		block  []int32
+		stride int
+		t      *Table
+		c, ord int // the join column, in table t, of leaf ord
+		at     int
 	}
-	build := side{left.prov, nl, left.rows(), lcol, lord, 0}
-	probe := side{right.prov, k - nl, right.rows(), rcol, rord, nl}
-	if probe.rows < build.rows {
-		build, probe = probe, build
+	outer := side{left, left.prov, nl, lt, lc, lord, 0}
+	inner := side{right, right.prov, k - nl, rt, rc, rord, nl}
+	if !lookupRight(left, right) {
+		outer, inner = inner, outer
 	}
 
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 
-	// Build: an open-addressed key -> chain-head table at load <= 1/2,
-	// linear probing, the rows of one key chained through next; and the
-	// probe filter, 16 bits per slot (at least 64), one per hash prefix.
-	logSize := bits.Len(uint(2 * build.rows))
-	shift, fshift := uint(64-logSize), uint(64-max(logSize+4, 6))
-	sc.slots = grow(sc.slots, 1<<logSize)
-	clear(sc.slots)
-	sc.filter = grow(sc.filter, 1<<max(logSize-2, 0))
-	clear(sc.filter)
-	sc.next = grow(sc.next, build.rows)
-	slots, filter, next := sc.slots, sc.filter, sc.next
-	for b := 0; b < build.rows; b++ {
-		key := build.col[build.prov[b*build.stride+build.ord]]
-		h := engine.Fib(key)
-		filter[h>>fshift>>6] |= 1 << (h >> fshift & 63)
-		e := engine.Find(slots, int(h>>shift), key)
-		e.Key = key
-		next[b], e.Head = e.Head, int32(b+1)
-		e.Cnt++
+	// The index's runs name sample tuples of the inner side's one leaf —
+	// its rows are the table's rows, each as often as the side holds it
+	// (mult nil: exactly once) — or, indexed here, rows of the inner side.
+	var ix *keyIndex
+	var mult []int32
+	if inner.p.numLeaves == 1 {
+		ix = inner.t.index(inner.c)
+		if !inner.p.identity() {
+			sc.mult = grow(sc.mult, inner.t.N())
+			mult = sc.mult
+			clear(mult)
+			for _, j := range inner.block {
+				mult[j]++
+			}
+		}
+		inner.block, inner.stride = inner.t.all, 1
+	} else {
+		col := inner.t.data[inner.c]
+		sc.keys = grow(sc.keys, inner.p.rows())
+		for r := range sc.keys {
+			sc.keys[r] = col[inner.block[r*inner.stride+inner.ord]]
+		}
+		ix = &sc.ix
+		ix.build(sc.keys)
 	}
 
-	// Count: only probe keys whose filter bit is set are looked up, and
-	// only hits are kept, as (probe row, chain head) in probe order.
+	// Count: each outer row's key looked up once; the hits are kept as
+	// (outer row, run) triples, in outer order.
+	col := outer.t.data[outer.c]
 	hits := sc.match[:0]
 	nOut := 0
-	for r := 0; r < probe.rows; r++ {
-		key := probe.col[probe.prov[r*probe.stride+probe.ord]]
-		h := engine.Fib(key)
-		if filter[h>>fshift>>6]&(1<<(h>>fshift&63)) == 0 {
+	for r := 0; r < outer.p.rows(); r++ {
+		lo, hi := ix.run(col[outer.block[r*outer.stride+outer.ord]])
+		if lo == hi {
 			continue
 		}
-		if e := engine.Find(slots, int(h>>shift), key); e.Head != 0 {
-			hits = append(hits, int32(r), e.Head)
-			nOut += int(e.Cnt)
+		if mult == nil {
+			nOut += int(hi - lo)
+		} else {
+			for _, j := range ix.idx[lo:hi] {
+				nOut += int(mult[j])
+			}
 		}
+		hits = append(hits, int32(r), lo, hi)
 	}
 	sc.match = hits
 
 	// Fill: one exactly-sized block, left provenance then right, the hits
-	// in probe order and each one's build rows in chain order.
+	// in outer order and each one's inner rows in run order.
 	out := make([]int32, nOut*k)
 	w := 0
-	for i := 0; i < len(hits); i += 2 {
+	for i := 0; i < len(hits); i += 3 {
 		r := int(hits[i])
-		pp := probe.prov[r*probe.stride : (r+1)*probe.stride]
-		for b := hits[i+1]; b != 0; b = next[b-1] {
-			row := out[w : w+k]
-			copy(row[build.at:], build.prov[int(b-1)*build.stride:int(b)*build.stride])
-			copy(row[probe.at:], pp)
-			w += k
+		op := outer.block[r*outer.stride : (r+1)*outer.stride]
+		for _, j := range ix.idx[hits[i+1]:hits[i+2]] {
+			ip := inner.block[int(j)*inner.stride : int(j+1)*inner.stride]
+			times := int32(1)
+			if mult != nil {
+				times = mult[j]
+			}
+			for ; times > 0; times-- {
+				row := out[w : w+k]
+				copy(row[outer.at:], op)
+				copy(row[inner.at:], ip)
+				w += k
+			}
 		}
 	}
 
@@ -494,37 +541,42 @@ func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, e
 		}
 	} else {
 		for o, t := range leaves {
-			// Q_{k,j,n} accumulation (Algorithm 1 lines 11-13): one scan
-			// of the join result, incrementing a dense counter per sample
-			// tuple of the leaf, indexed by provenance (position o is
-			// local ordinal o; the sample-tuple index is always in
-			// [0, n_k) — tainted subtrees never reach joinPass). The
-			// counters are integers, so the order of this scan is
-			// immaterial; the float sum below runs over them in
-			// sample-index order — summing in row or map order would
-			// reorder the float additions and break the byte-identical
-			// determinism contract.
-			sc.q = grow(sc.q, t.N())
-			clear(sc.q)
-			for i := o; i < len(out); i += k {
-				sc.q[out[i]]++
+			// Q_{k,j,n} accumulation (Algorithm 1 lines 11-13): the
+			// leaf's column of the join result (position o is local
+			// ordinal o; the sample-tuple index is always in [0, n_k) —
+			// tainted subtrees never reach joinPass), sorted, so that
+			// each run is one sample tuple j and its length Q_{k,j}. The
+			// tallies are integers, so row order is immaterial; the float
+			// sum below runs over them in sample-index order — summing in
+			// row or map order would reorder the float additions and
+			// break the byte-identical determinism contract.
+			ids := grow(sc.ids, nOut)
+			sc.ids = ids
+			for i, r := o, 0; i < len(out); i, r = i+k, r+1 {
+				ids[r] = out[i]
 			}
+			slices.Sort(ids)
 			// Per-leaf variance component: V_k = (1/(n_k-1)) sum_j
 			// (Q_{k,j}/prod_{k'!=k} n_{k'} - rho)^2, W_k = V_k / n_k.
 			// Tuples j with Q_{k,j} = 0 — almost all of them — contribute
-			// d = 0/denom - rho = -rho, i.e. exactly rho^2: added without
-			// the division, at the same place in the same sum.
+			// d = 0/denom - rho = -rho, i.e. exactly rho^2: each gap
+			// between runs is added by addRepeated, bit for bit the
+			// sequential adds, at the same place in the same sum.
 			nk := float64(t.N())
 			denom, rr := prodN/nk, rho*rho
 			var ss float64
-			for _, q := range sc.q {
-				if q == 0 {
-					ss += rr
-					continue
+			next := 0 // the first sample index not yet summed
+			for lo := 0; lo < len(ids); {
+				j, hi := ids[lo], lo+1
+				for hi < len(ids) && ids[hi] == j {
+					hi++
 				}
-				d := float64(q)/denom - rho
+				ss = addRepeated(ss, rr, int(j)-next)
+				d := float64(hi-lo)/denom - rho
 				ss += d * d
+				next, lo = int(j)+1, hi
 			}
+			ss = addRepeated(ss, rr, t.N()-next)
 			vk := 0.0
 			if nk > 1 {
 				vk = ss / (nk - 1)
@@ -554,4 +606,39 @@ func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, e
 				float64(left.rows()), float64(right.rows()), float64(nOut)),
 		},
 	}, nil
+}
+
+// addRepeated returns s after m sequential additions s += x, bit for bit,
+// for non-negative s and x, in O(binades crossed) additions. Inside one
+// binade every sum rounds on the same grid of ulps, so an addition that
+// starts and ends there moves s by whole ulps, and the ties-to-even rule
+// leaves s even whenever x sits on a half ulp. After one such addition
+// has settled that parity, the next one's increment — exact, by Sterbenz
+// — repeats until an addition would leave the binade: those steps are
+// taken at once, on the bits, where a step counts ulps.
+func addRepeated(s, x float64, m int) float64 {
+	for m > 0 {
+		t := s + x
+		m--
+		if t == s {
+			return s // no addition moves s any more
+		}
+		sb, tb := math.Float64bits(s), math.Float64bits(t)
+		if m == 0 || tb>>52 != sb>>52 {
+			s = t // a crossing settles nothing
+			continue
+		}
+		s = t + x
+		m--
+		nb := math.Float64bits(s)
+		if nb>>52 != tb>>52 || nb == tb {
+			continue
+		}
+		// Steps of c ulps stay strictly inside while nb + j*c < end.
+		c, end := nb-tb, (tb>>52+1)<<52
+		j := min(uint64(m), (end-1-nb)/c)
+		s = math.Float64frombits(nb + j*c)
+		m -= int(j)
+	}
+	return s
 }

@@ -449,14 +449,13 @@ func TestPassOwnsItsRows(t *testing.T) {
 func TestScanPassMatchesEngineAtEdges(t *testing.T) {
 	vals := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
 	rows := make([][]int64, len(vals))
-	all := make([]int32, len(vals))
 	for i, v := range vals {
-		rows[i], all[i] = []int64{v, v}, int32(i)
+		rows[i] = []int64{v, v}
 	}
 	db := engine.NewDB()
 	db.Add(engine.NewTable("t", []string{"x", "y"}, rows))
 	cat := catalog.Build(db)
-	st := &Table{Base: "t", cols: []string{"x", "y"}, data: [][]int64{vals, vals}, all: all}
+	st := newTable("t", []string{"x", "y"}, [][]int64{vals, vals})
 
 	var preds []engine.Predicate
 	for _, lo := range vals {
