@@ -40,7 +40,7 @@ loc:
 # outside bench/ stays within the budget CHANGES.md records, and no
 # non-test file of internal/sim or internal/engine, nor stages.go, grows
 # past 500 lines.
-LOC_BUDGET = 15980
+LOC_BUDGET = 16009
 FILE_BUDGET = 500
 loc-check:
 	@n="$$($(LIB_GO) | xargs cat | wc -l)"; \

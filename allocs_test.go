@@ -83,12 +83,13 @@ func TestEstimateColdAllocs(t *testing.T) {
 
 // TestPredictColdAllocs is the sibling gate on the predictor itself: one
 // memo-less core.Predict of the same three-way join from estimates
-// computed beforehand. What it spends is one function, one coefficient
-// slice and one term list per cost function — the coefficients are read
-// off the cost model, and the one kind still fitted solves on the stack —
-// plus one slice each per plan for the variables, models and
-// per-operator results. The budget (the measured 88 plus a quarter)
-// catches a return of per-fit matrices or per-operator maps.
+// computed beforehand. What it spends is its result: the Prediction and
+// its per-operator slice. Cost functions and their terms are values, and
+// the preorder, variables, models and items live in a pooled scratch.
+// The budget (the measured 2 plus a quarter, rounded up) catches any
+// per-function, per-term or per-plan scratch allocation coming back (88
+// per call when each cost function allocated itself, its coefficients
+// and two term lists).
 func TestPredictColdAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -105,7 +106,7 @@ func TestPredictColdAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 110
+	const budget = 3
 	if perCall > budget {
 		t.Errorf("cold Predict allocates %.1f allocs/call, budget %d", perCall, budget)
 	}

@@ -51,12 +51,22 @@ func sqTerm(v int, coef float64) costmodel.Term {
 	return costmodel.Term{Coef: coef, Vars: [2]int{v}, Pows: [2]int{2}, NVars: 1}
 }
 
+// covOf runs covTerms on two terms, their moments computed first as
+// assemble computes them.
+func covOf(p *Predictor, a, b costmodel.Term, asm *assembly) (float64, bool) {
+	ca, cb := newCovTerm(a, asm.vars), newCovTerm(b, asm.vars)
+	return p.covTerms(&ca, &cb, asm)
+}
+
+// varOf returns Var[t] as covTerms' Cauchy-Schwarz bound reads it.
+func varOf(t costmodel.Term, asm *assembly) float64 { return newCovTerm(t, asm.vars).vr }
+
 func TestCovTermsIndependentVarsExact(t *testing.T) {
 	scan, join, asm := boundFixture()
 	_ = join
 	p := New(nil, [5]stats.Normal{}, Config{})
 	// Same variable: Cov(5X, 3X) = 15 sigma^2, exact.
-	cov, bounded := p.covTerms(linTerm(scan.ID, 5), linTerm(scan.ID, 3), asm)
+	cov, bounded := covOf(p, linTerm(scan.ID, 5), linTerm(scan.ID, 3), asm)
 	want := 15 * asm.vars[scan.ID].Var()
 	if bounded || math.Abs(cov-want) > 1e-15 {
 		t.Errorf("same-var cov = %v (bounded=%v), want %v exact", cov, bounded, want)
@@ -66,7 +76,7 @@ func TestCovTermsIndependentVarsExact(t *testing.T) {
 func TestCovTermsAncestorDescendantBounded(t *testing.T) {
 	scan, join, asm := boundFixture()
 	p := New(nil, [5]stats.Normal{}, Config{})
-	cov, bounded := p.covTerms(linTerm(scan.ID, 2), linTerm(join.ID, 4), asm)
+	cov, bounded := covOf(p, linTerm(scan.ID, 2), linTerm(join.ID, 4), asm)
 	if !bounded {
 		t.Fatal("expected a bounded covariance for nested operators")
 	}
@@ -74,7 +84,7 @@ func TestCovTermsAncestorDescendantBounded(t *testing.T) {
 		t.Errorf("bound %v negative", cov)
 	}
 	// Must not exceed Cauchy-Schwarz.
-	cs := math.Sqrt(termVar(linTerm(scan.ID, 2), asm.vars) * termVar(linTerm(join.ID, 4), asm.vars))
+	cs := math.Sqrt(varOf(linTerm(scan.ID, 2), asm) * varOf(linTerm(join.ID, 4), asm))
 	if cov > cs+1e-18 {
 		t.Errorf("bound %v exceeds Cauchy-Schwarz %v", cov, cs)
 	}
@@ -84,8 +94,8 @@ func TestTightBoundBelowCauchySchwarz(t *testing.T) {
 	scan, join, asm := boundFixture()
 	p := New(nil, [5]stats.Normal{}, Config{})
 	a, b := linTerm(scan.ID, 1), linTerm(join.ID, 1)
-	tight, _ := p.covTerms(a, b, asm)
-	loose := math.Sqrt(termVar(a, asm.vars) * termVar(b, asm.vars))
+	tight, _ := covOf(p, a, b, asm)
+	loose := math.Sqrt(varOf(a, asm) * varOf(b, asm))
 	if tight > loose+1e-18 {
 		t.Errorf("tight bound %v above Cauchy-Schwarz %v", tight, loose)
 	}
@@ -94,7 +104,7 @@ func TestTightBoundBelowCauchySchwarz(t *testing.T) {
 func TestNoCovZeroesBoundedTerms(t *testing.T) {
 	scan, join, asm := boundFixture()
 	p := New(nil, [5]stats.Normal{}, Config{Variant: NoCov})
-	cov, bounded := p.covTerms(linTerm(scan.ID, 1), linTerm(join.ID, 1), asm)
+	cov, bounded := covOf(p, linTerm(scan.ID, 1), linTerm(join.ID, 1), asm)
 	if cov != 0 || bounded {
 		t.Errorf("NoCov: cov=%v bounded=%v, want 0/false", cov, bounded)
 	}
@@ -108,8 +118,8 @@ func TestQuadraticBoundsUseTheorems(t *testing.T) {
 		{sqTerm(scan.ID, 1), sqTerm(join.ID, 1)},
 		{sqTerm(scan.ID, 1), linTerm(join.ID, 1)},
 	} {
-		cov, bounded := p.covTerms(c[0], c[1], asm)
-		cs := math.Sqrt(termVar(c[0], asm.vars) * termVar(c[1], asm.vars))
+		cov, bounded := covOf(p, c[0], c[1], asm)
+		cs := math.Sqrt(varOf(c[0], asm) * varOf(c[1], asm))
 		if !bounded || cov != cs {
 			t.Errorf("quadratic bound %v (bounded=%v), want Cauchy-Schwarz %v", cov, bounded, cs)
 		}

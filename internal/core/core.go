@@ -8,11 +8,19 @@
 // covariances through the additive cost model to produce the
 // distribution of likely running times t_q ~ N(E[t_q], Var[t_q])
 // (Section 5, Algorithms 2-3).
+//
+// A prediction allocates only its result: cost functions are values,
+// each item caches its covarying terms' moments, the Lemma 3 nesting
+// test reads Node.End, and per-call scratch is pooled. The pinned
+// digests hold every output's bits, so a rewrite here keeps each
+// floating-point operation and its order.
 package core
 
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/costmodel"
@@ -72,7 +80,11 @@ type OpPrediction struct {
 	NodeID int
 	Kind   engine.NodeKind
 	Mean   float64 // E[t_k]
-	Var    float64 // Var[t_k] (same-operator terms only)
+	// Var is the sum of Var[f c] over the operator's per-unit items. It
+	// is not Var[t_k]: it leaves out the covariances between the
+	// operator's own items (a join's CT and CO functions share Xl and
+	// Xr), which Prediction.Dist counts with the other cross-item terms.
+	Var float64
 }
 
 // Prediction is the distribution of likely running times for one query.
@@ -80,7 +92,8 @@ type Prediction struct {
 	// Dist is N(E[t_q], Var[t_q]); Dist.Mu is the point estimate the
 	// predictor of [48] would return.
 	Dist stats.Normal
-	// PerOperator breaks the mean and same-operator variance down.
+	// PerOperator breaks the mean down by operator, and beside it each
+	// operator's sum of per-unit item variances (see OpPrediction.Var).
 	PerOperator []OpPrediction
 	// CovDirect and CovBound split the cross-operator covariance mass
 	// into exactly computed terms and upper-bounded terms (Algorithm 3's
@@ -132,25 +145,66 @@ type varInfo struct {
 }
 
 // item is one (operator, cost-unit) component of t_q: a logical cost
-// function with its distribution under the selectivity variables.
+// function with its distribution under the selectivity variables, and
+// terms[:nterms], the function's terms that can covary with another's —
+// those with a variable and a nonzero coefficient, in term order.
 type item struct {
-	opID  int
-	unit  int
-	f     *costmodel.Func
-	mean  float64
-	vr    float64
-	terms []costmodel.Term
+	opID, unit int
+	f          costmodel.Func
+	mean, vr   float64
+	terms      [3]covTerm
+	nterms     int
+}
+
+// covTerm is a term with its moments, computed once per prediction.
+type covTerm struct {
+	costmodel.Term
+	mean, vr float64
+}
+
+// newCovTerm computes E[t] and Var[t] = E[t²] − E[t]² for a term with a
+// variable, its own variables mutually independent.
+func newCovTerm(t costmodel.Term, vars []stats.Normal) covTerm {
+	m, e2 := t.Mean(vars), t.Coef*t.Coef
+	for i := 0; i < t.NVars; i++ {
+		e2 *= vars[t.Vars[i]].Moment(2 * t.Pows[i])
+	}
+	v := e2 - m*m
+	if v < 0 {
+		v = 0
+	}
+	return covTerm{Term: t, mean: m, vr: v}
 }
 
 // assembly is the state shared by the analytic and Monte-Carlo
-// prediction paths. nodes, vars and info are indexed by node ID — the
-// operator's position in the plan's preorder.
+// prediction paths. nodes, vars, info and models are indexed by node ID
+// — the operator's position in the plan's preorder. An assembly comes
+// from assemblyPool and goes back by release.
 type assembly struct {
-	nodes []*engine.Node // plan preorder
-	vars  []stats.Normal
-	info  []varInfo
-	items []item
+	nodes   []*engine.Node // plan preorder
+	vars    []stats.Normal
+	info    []varInfo
+	items   []item
+	models  []costmodel.NodeModel
+	selfRho []float64
 }
+
+var assemblyPool = sync.Pool{New: func() any { return new(assembly) }}
+
+// release clears every reference into the plan and its estimates —
+// nodes, models, the estimates' leaf slices — and returns a to the pool.
+func (a *assembly) release() {
+	clear(a.nodes)
+	clear(a.info)
+	clear(a.models)
+	*a = assembly{nodes: a.nodes[:0], vars: a.vars[:0], info: a.info[:0],
+		items: a.items[:0], models: a.models[:0], selfRho: a.selfRho[:0]}
+	assemblyPool.Put(a)
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough; the contents are the caller's to overwrite.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // CheckEstimates verifies that est was computed for the plan whose
 // preorder is nodes: one operator per node, and each operator's leaf run
@@ -180,21 +234,21 @@ func CheckEstimates(nodes []*engine.Node, est *sample.Estimates) error {
 }
 
 // assemble runs the front half of Algorithm 2: collect the selectivity
-// variables and build every operator's per-unit cost functions.
+// variables and build every operator's per-unit cost functions, and with
+// each function its covarying terms and their moments. The assembly is
+// pooled: the caller releases it.
 func (p *Predictor) assemble(root *engine.Node, est *sample.Estimates) (*assembly, error) {
-	nodes := root.Nodes()
-	if err := CheckEstimates(nodes, est); err != nil {
+	a := assemblyPool.Get().(*assembly)
+	a.nodes = root.AppendNodes(a.nodes)
+	if err := CheckEstimates(a.nodes, est); err != nil {
+		a.release()
 		return nil, err
 	}
-	a := &assembly{
-		nodes: nodes,
-		vars:  make([]stats.Normal, len(nodes)),
-		info:  make([]varInfo, len(nodes)),
-	}
-	selfRho := make([]float64, len(nodes))
-	for i := range nodes {
+	n := len(a.nodes)
+	a.vars, a.info, a.selfRho = resize(a.vars, n), resize(a.info, n), resize(a.selfRho, n)
+	for i := range a.nodes {
 		e := &est.Ops[i]
-		selfRho[i] = e.Rho
+		a.selfRho[i] = e.Rho
 		v, lc := e.Var, e.LeafComp
 		if p.Cfg.Variant == NoVarX {
 			v, lc = 0, nil
@@ -203,25 +257,33 @@ func (p *Predictor) assemble(root *engine.Node, est *sample.Estimates) (*assembl
 		a.info[i] = varInfo{leafOff: e.LeafOff, leafComp: lc, leafN: e.LeafN}
 	}
 
-	models, err := costmodel.BuildModels(root, p.Cat, selfRho)
-	if err != nil {
+	var err error
+	if a.models, err = costmodel.BuildModels(a.models, root, p.Cat, a.selfRho); err != nil {
+		a.release()
 		return nil, err
 	}
-	for i := range nodes {
-		funcs, err := costmodel.FitNode(&models[i], a.vars)
+	var ts [4]costmodel.Term
+	for i := range a.nodes {
+		funcs, err := costmodel.FitNode(&a.models[i], a.vars)
 		if err != nil {
+			a.release()
 			return nil, err
 		}
-		for ui := 0; ui < hardware.NumUnits; ui++ {
-			f := funcs[ui]
+		for ui := range funcs {
+			f := &funcs[ui]
 			if f.IsZero() {
 				continue
 			}
-			m, v := f.Dist(a.vars)
-			a.items = append(a.items, item{
-				opID: i, unit: ui, f: f,
-				mean: m, vr: v, terms: f.Terms(),
-			})
+			a.items = append(a.items, item{opID: i, unit: ui, f: *f})
+			it := &a.items[len(a.items)-1]
+			it.mean, it.vr = f.Dist(a.vars)
+			nt := f.Terms(&ts)
+			for _, t := range ts[:nt] {
+				if t.NVars > 0 && t.Coef != 0 {
+					it.terms[it.nterms] = newCovTerm(t, a.vars)
+					it.nterms++
+				}
+			}
 		}
 	}
 	return a, nil
@@ -235,6 +297,7 @@ func (p *Predictor) Predict(root *engine.Node, est *sample.Estimates) (*Predicti
 	if err != nil {
 		return nil, err
 	}
+	defer asm.release()
 	items := asm.items
 	perOp := make([]OpPrediction, len(asm.nodes))
 	for i, n := range asm.nodes {
@@ -254,7 +317,8 @@ func (p *Predictor) Predict(root *engine.Node, est *sample.Estimates) (*Predicti
 	// alongside.
 	var mean float64
 	var perUnit [hardware.NumUnits]float64
-	for _, it := range items {
+	for i := range items {
+		it := &items[i]
 		t := it.mean * ec[it.unit]
 		mean += t
 		perOp[it.opID].Mean += t
@@ -266,14 +330,14 @@ func (p *Predictor) Predict(root *engine.Node, est *sample.Estimates) (*Predicti
 	// exact covariances and upper bounds.
 	var variance, covDirect, covBound float64
 	for i := range items {
-		a := items[i]
+		a := &items[i]
 		// Var[f c] = E[f]^2 Var[c] + E[c]^2 Var[f] + Var[c] Var[f].
 		v := a.mean*a.mean*vc[a.unit] + ec[a.unit]*ec[a.unit]*a.vr + vc[a.unit]*a.vr
 		variance += v
 		perOp[a.opID].Var += v
 		for j := i + 1; j < len(items); j++ {
-			b := items[j]
-			covF, bound := p.covFuncs(a.terms, b.terms, asm)
+			b := &items[j]
+			covF, bound := p.covFuncs(a, b, asm)
 			var contrib float64
 			if a.unit == b.unit {
 				// Cov(f c, f' c) = E[c]^2 Cov + Var[c](E[f]E[f'] + Cov).
@@ -304,12 +368,15 @@ func (p *Predictor) Predict(root *engine.Node, est *sample.Estimates) (*Predicti
 	}, nil
 }
 
-// covFuncs returns Cov(f_a, f_b) between two cost functions (as term
-// lists) and whether any upper bound was involved.
-func (p *Predictor) covFuncs(ta, tb []costmodel.Term, asm *assembly) (cov float64, bounded bool) {
-	for _, a := range ta {
-		for _, b := range tb {
-			c, bnd := p.covTerms(a, b, asm)
+// covFuncs returns Cov(f_a, f_b) between two items' cost functions, the
+// sum of covTerms over their covarying terms in term order, and whether
+// any upper bound was involved. Every other term pair adds an exact +0
+// to a sum that starts at +0 and so is never −0: leaving them out keeps
+// every bit.
+func (p *Predictor) covFuncs(a, b *item, asm *assembly) (cov float64, bounded bool) {
+	for i := range a.terms[:a.nterms] {
+		for j := range b.terms[:b.nterms] {
+			c, bnd := p.covTerms(&a.terms[i], &b.terms[j], asm)
 			cov += c
 			if bnd {
 				bounded = true
@@ -319,64 +386,40 @@ func (p *Predictor) covFuncs(ta, tb []costmodel.Term, asm *assembly) (cov float6
 	return cov, bounded
 }
 
-// covTerms computes or bounds Cov(a, b) for two monomials.
-func (p *Predictor) covTerms(a, b costmodel.Term, asm *assembly) (float64, bool) {
-	if a.NVars == 0 || b.NVars == 0 || a.Coef == 0 || b.Coef == 0 {
-		return 0, false
-	}
-	// Classify cross-variable pairs: exact when every pair of distinct
-	// variables across the two terms is independent (Lemma 3: dependence
-	// only along ancestor-descendant paths).
-	dependentUnknown := false
+// covTerms computes or bounds Cov(a, b) for two covarying terms. It is
+// exact when no variable of a is nested in a variable of b or the other
+// way round (Lemma 3: estimates depend only along ancestor-descendant
+// paths); a variable is its operator's node ID, and node d lies strictly
+// inside node v's subtree exactly when v < d < End(v).
+func (p *Predictor) covTerms(a, b *covTerm, asm *assembly) (float64, bool) {
+	nested := false
 	for i := 0; i < a.NVars; i++ {
 		for j := 0; j < b.NVars; j++ {
 			va, vb := a.Vars[i], b.Vars[j]
-			if va == vb {
-				continue
-			}
-			na, nb := asm.nodes[va], asm.nodes[vb]
-			if engine.IsDescendant(na, nb) || engine.IsDescendant(nb, na) {
-				dependentUnknown = true
+			if va < vb && vb < asm.nodes[va].End || vb < va && va < asm.nodes[vb].End {
+				nested = true
 			}
 		}
 	}
-	if !dependentUnknown {
-		return a.Cov(b, asm.vars), false
+	if !nested {
+		return a.CovGiven(b.Term, asm.vars, a.mean, b.mean), false
 	}
 	if p.Cfg.Variant == NoCov {
 		return 0, false
 	}
-	return p.boundTermCov(a, b, asm), true
-}
-
-// termVar returns Var[term] with the term's own variables mutually
-// independent.
-func termVar(t costmodel.Term, vars []stats.Normal) float64 {
-	if t.NVars == 0 {
-		return 0
-	}
-	e2 := t.Coef * t.Coef
-	for i := 0; i < t.NVars; i++ {
-		e2 *= vars[t.Vars[i]].Moment(2 * t.Pows[i])
-	}
-	m := t.Mean(vars)
-	v := e2 - m*m
-	if v < 0 {
-		v = 0
-	}
-	return v
+	return p.boundTermCov(a, b, math.Sqrt(a.vr*b.vr), asm), true
 }
 
 // boundTermCov returns an upper bound for |Cov(a, b)| when the terms
 // involve correlated selectivity estimates from nested operators
-// (Section 5.3.2 and Appendix A.7/A.8): the Cauchy-Schwarz bound, or for
-// two linear terms in estimates sharing leaves the sample-variance
-// (Theorem 7) or population (Theorem 8) bound where either is tighter.
-// The population bounds of squared terms (Theorems 9 and 10) are not
-// computed: on generated plans neither was ever the minimum.
-func (p *Predictor) boundTermCov(a, b costmodel.Term, asm *assembly) float64 {
-	// Cauchy-Schwarz: |Cov| <= sqrt(Var[a] Var[b]) — always applicable.
-	bound := math.Sqrt(termVar(a, asm.vars) * termVar(b, asm.vars))
+// (Section 5.3.2 and Appendix A.7/A.8): the Cauchy-Schwarz bound cs =
+// sqrt(Var[a] Var[b]), or for two linear terms in estimates sharing
+// leaves the sample-variance (Theorem 7) or population (Theorem 8) bound
+// where either is tighter. The population bounds of squared terms
+// (Theorems 9 and 10) are not computed: on generated plans neither was
+// ever the minimum.
+func (p *Predictor) boundTermCov(a, b *covTerm, cs float64, asm *assembly) float64 {
+	bound := cs
 	if a.NVars != 1 || b.NVars != 1 || a.Pows[0] != 1 || b.Pows[0] != 1 {
 		return bound
 	}

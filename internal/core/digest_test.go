@@ -18,11 +18,12 @@ import (
 )
 
 // genPlans generates nEach SelJoin and nEach TPCH queries against a
-// generated database of the given kind, planned with plan.Build, and
-// their memo-less sampling estimates (default ratio, default copies) —
-// the same plans on the same samples as internal/sample's digest test.
-// The SelJoin plans come first.
-func genPlans(tb testing.TB, kind datagen.DBKind, nEach int) ([]*engine.Node, []*sample.Estimates, *catalog.Catalog) {
+// generated database of the given kind, planned with
+// plan.Alternatives(q, cat, maxAlts) — maxAlts 1 is plan.Build's plan
+// alone — and their memo-less sampling estimates (default ratio, default
+// copies): with maxAlts 1, the same plans on the same samples as
+// internal/sample's digest test. The SelJoin plans come first.
+func genPlans(tb testing.TB, kind datagen.DBKind, nEach, maxAlts int) ([]*engine.Node, []*sample.Estimates, *catalog.Catalog) {
 	tb.Helper()
 	const seed = 11
 	db := datagen.Generate(datagen.ConfigFor(kind, seed))
@@ -39,16 +40,18 @@ func genPlans(tb testing.TB, kind datagen.DBKind, nEach int) ([]*engine.Node, []
 			tb.Fatal(err)
 		}
 		for _, q := range qs {
-			p, err := plan.Build(q, cat)
+			alts, err := plan.Alternatives(q, cat, maxAlts)
 			if err != nil {
 				tb.Fatalf("%v %s: %v", b, q.Name, err)
 			}
-			est, err := sample.Estimate(p, sdb, cat)
-			if err != nil {
-				tb.Fatalf("%v %s: %v", b, q.Name, err)
+			for _, p := range alts {
+				est, err := sample.Estimate(p, sdb, cat)
+				if err != nil {
+					tb.Fatalf("%v %s: %v", b, q.Name, err)
+				}
+				plans = append(plans, p)
+				ests = append(ests, est)
 			}
-			plans = append(plans, p)
-			ests = append(ests, est)
 		}
 	}
 	return plans, ests, cat
@@ -107,7 +110,7 @@ func TestPredictionDigestPinned(t *testing.T) {
 	}
 	units := pinnedUnits(t)
 	for _, kind := range []datagen.DBKind{datagen.Uniform1G, datagen.Skewed1G} {
-		plans, ests, cat := genPlans(t, kind, nEach)
+		plans, ests, cat := genPlans(t, kind, nEach, 1)
 		for _, v := range []Variant{All, NoVarC, NoVarX, NoCov} {
 			p := New(cat, units, Config{Variant: v})
 			for i, root := range plans {
@@ -142,11 +145,44 @@ func TestPredictionDigestPinned(t *testing.T) {
 	}
 }
 
+// pinnedAlternativesDigests are TestAlternativesPredictionDigestPinned's
+// literals, taken before the predictor's scratch was pooled.
+var pinnedAlternativesDigests = map[string]string{
+	"All":      "cbdd7572bd076c552d31e1f80579c01dec612406c8f2a4d095421b9031b95519",
+	"NoVar[c]": "a168119f92bb386eebdb5554633a0b0bac67d2ffdaaaeaae7421d7b7fc7b70b1",
+	"NoVar[X]": "9b2652803f834bfe65e4cd7824d0223eaa1b6b9656fb07c536696741a048505f",
+	"NoCov":    "8bbb46993554c42910833f452ca63980c23feee9dd1750d2db47f4c4df5ea29b",
+}
+
+// TestAlternativesPredictionDigestPinned covers the plans plan_choice
+// predicts: every join order plan.Alternatives offers (up to 8) for 32
+// SelJoin and 32 TPCH generated queries on skewed-1G, predicted under
+// every variant, every field of every Prediction hashed. Do not
+// re-capture without a reason in CHANGES.md.
+func TestAlternativesPredictionDigestPinned(t *testing.T) {
+	plans, ests, cat := genPlans(t, datagen.Skewed1G, 32, 8)
+	units := pinnedUnits(t)
+	for _, v := range []Variant{All, NoVarC, NoVarX, NoCov} {
+		p := New(cat, units, Config{Variant: v})
+		h := sha256.New()
+		for i, root := range plans {
+			pred, err := p.Predict(root, ests[i])
+			if err != nil {
+				t.Fatalf("%v plan %d: Predict: %v", v, i, err)
+			}
+			digestPrediction(h, pred)
+		}
+		if got, want := fmt.Sprintf("%x", h.Sum(nil)), pinnedAlternativesDigests[v.String()]; got != want {
+			t.Errorf("%v digest over %d plans %s, pinned %s", v, len(plans), got, want)
+		}
+	}
+}
+
 // BenchmarkPredictCold is the predictor by itself: one op is a Predict
 // of each of the oracle's 512 uniform-1G plans from estimates computed
 // outside the timer — no sampling pass, no cache, no harness.
 func BenchmarkPredictCold(b *testing.B) {
-	plans, ests, cat := genPlans(b, datagen.Uniform1G, 256)
+	plans, ests, cat := genPlans(b, datagen.Uniform1G, 256, 1)
 	p := New(cat, pinnedUnits(b), Config{})
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/sample"
 )
@@ -88,13 +89,18 @@ func (p *Predictor) PredictMonteCarlo(root *engine.Node, est *sample.Estimates, 
 	if err != nil {
 		return nil, err
 	}
-	// Mark the variables the cost functions actually reference: only
-	// those are drawn, in node-ID order.
+	defer a.release()
+	// Mark the variables the cost functions actually reference — every
+	// variable of every nonzero function, zero-coefficient terms
+	// included, not only the items' covarying terms: only those are
+	// drawn, in node-ID order.
 	used := make([]bool, len(a.vars))
-	for _, it := range a.items {
-		for _, t := range it.terms {
-			for i := 0; i < t.NVars; i++ {
-				used[t.Vars[i]] = true
+	var ts [4]costmodel.Term
+	for i := range a.items {
+		n := a.items[i].f.Terms(&ts)
+		for _, t := range ts[:n] {
+			for k := 0; k < t.NVars; k++ {
+				used[t.Vars[k]] = true
 			}
 		}
 	}
@@ -137,8 +143,8 @@ func (p *Predictor) PredictMonteCarlo(root *engine.Node, est *sample.Estimates, 
 			c[u] = v
 		}
 		var t float64
-		for _, it := range a.items {
-			t += it.f.Eval(draw) * c[it.unit]
+		for i := range a.items {
+			t += a.items[i].f.Eval(draw) * c[a.items[i].unit]
 		}
 		samples = append(samples, t)
 		acc.add(t)

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/costmodel"
 	"repro/internal/datagen"
 	"repro/internal/engine"
+	"repro/internal/hardware"
 	"repro/internal/sample"
+	"repro/internal/stats"
 )
 
 // TestMonteCarloMatchesAnalyticOnScan validates the analytic propagation
@@ -227,5 +231,48 @@ func TestMonteCarloRejectsMismatchedEstimates(t *testing.T) {
 		if mc, err := f.pred.PredictMonteCarlo(c.plan, est, MCOptions{Draws: 10, Seed: 51}); err == nil {
 			t.Errorf("%s operators than the plan: nil error, mean %v", name, mc.Mean())
 		}
+	}
+}
+
+// TestMonteCarloDrawsClampedIndexScan pins the Monte-Carlo stream on an
+// index scan whose probe interval lies past its clamp: the fetch count is
+// the whole table there, so every X-dependent function is C2 {0, k·SizeL}
+// and the scan's variable appears only with zero coefficients. It is
+// still drawn — every variable of every nonzero function is — so the
+// unit draws that follow keep their place in the RNG stream. The
+// literals were taken before the predictor cached its terms.
+func TestMonteCarloDrawsClampedIndexScan(t *testing.T) {
+	f := newFixture(t, All)
+	plan := &engine.Node{Kind: engine.IndexScan, Table: "lineitem",
+		Preds: []engine.Predicate{
+			{Col: "l_orderkey", Op: engine.Ge, Lo: 0},
+			{Col: "l_quantity", Op: engine.Le, Lo: 25},
+		}}
+	plan.Finalize()
+	est := &sample.Estimates{Ops: []sample.OpEstimate{{
+		Rho: 0.9, Var: 1e-4, LeafComp: []float64{1e-4}, LeafN: []int{600},
+	}}}
+	models, err := costmodel.BuildModels(nil, plan, f.cat, []float64{0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vars := []stats.Normal{stats.NormalFromVar(0.9, 1e-4)}
+	funcs, err := costmodel.FitNode(&models[0], vars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cr := funcs[hardware.CR]; cr.Kind != costmodel.C2 || cr.B[0] != 0 || cr.B[1] == 0 {
+		t.Fatalf("CR = %v %v, want C2 {0, SizeL}: the fixture no longer crosses the clamp", cr.Kind, cr.B)
+	}
+	mc, err := f.pred.PredictMonteCarlo(plan, est, MCOptions{Draws: 2000, Seed: 53})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantMean, wantVar = "0x1.55f01da614f1bp+03", "0x1.0bb8fa5c1c1ffp+03"
+	if got := fmt.Sprintf("%x", mc.MeanVal); got != wantMean {
+		t.Errorf("mean %s, pinned %s", got, wantMean)
+	}
+	if got := fmt.Sprintf("%x", mc.Variance); got != wantVar {
+		t.Errorf("variance %s, pinned %s", got, wantVar)
 	}
 }

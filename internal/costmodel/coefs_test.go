@@ -55,7 +55,7 @@ func genModels(tb testing.TB, kind datagen.DBKind, nEach int) []genModel {
 				selfRho[i] = e.Rho
 				g.vars[i] = stats.NormalFromVar(e.Rho, e.Var)
 			}
-			if g.models, err = BuildModels(p, cat, selfRho); err != nil {
+			if g.models, err = BuildModels(nil, p, cat, selfRho); err != nil {
 				tb.Fatalf("%v %s: %v", b, q.Name, err)
 			}
 			out = append(out, g)
@@ -104,7 +104,7 @@ func TestCoefsAreTheCostModel(t *testing.T) {
 							continue
 						}
 						xa := vars[m.VarA]
-						if m.coefs(hardware.Unit(ui), xa) == nil {
+						if _, ok := m.coefs(hardware.Unit(ui), xa); !ok {
 							fitted++
 							continue
 						}
@@ -148,10 +148,10 @@ func TestIndexScanBelowAndAboveTheClamp(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		x    stats.Normal
-		want []float64
+		want [2]float64
 	}{
-		{"below", stats.NewNormal(0.2, 0.01), []float64{2000, 0}},
-		{"above", stats.NewNormal(0.8, 0.01), []float64{0, 1000}},
+		{"below", stats.NewNormal(0.2, 0.01), [2]float64{2000, 0}},
+		{"above", stats.NewNormal(0.8, 0.01), [2]float64{0, 1000}},
 	} {
 		funcs, err := FitNode(indexScan(), []stats.Normal{c.x})
 		if err != nil {
@@ -172,7 +172,7 @@ func TestIndexScanBelowAndAboveTheClamp(t *testing.T) {
 func TestIndexScanAcrossTheClamp(t *testing.T) {
 	m := indexScan()
 	x := stats.NewNormal(0.5, 0.05)
-	if m.coefs(hardware.CR, x) != nil {
+	if _, ok := m.coefs(hardware.CR, x); ok {
 		t.Fatal("an interval across the clamp has closed-form coefficients")
 	}
 	funcs, err := FitNode(m, []stats.Normal{x})

@@ -61,28 +61,23 @@ func (k FuncKind) Binary() bool { return k == C5 || k == C6 }
 
 // Func is a logical cost function: a polynomial over one or two
 // selectivity random variables, identified by the plan-node IDs that own
-// them (a scan or join operator's output selectivity).
+// them (a scan or join operator's output selectivity). It is a value:
+// copying it copies its coefficients.
 type Func struct {
 	Kind FuncKind
-	// B holds the coefficients in the layout documented on FuncKind.
-	B []float64
+	// B holds the coefficients in the layout documented on FuncKind;
+	// entries past Kind.NumCoef() are zero.
+	B [4]float64
 	// VarA and VarB are the owning node IDs of Xl (or X) and Xr; -1 when
 	// unused. Constant functions have both -1.
 	VarA, VarB int
 }
 
 // Constant returns the constant cost function f = v.
-func Constant(v float64) *Func { return &Func{Kind: C1, B: []float64{v}, VarA: -1, VarB: -1} }
+func Constant(v float64) Func { return Func{Kind: C1, B: [4]float64{v}, VarA: -1, VarB: -1} }
 
 // IsZero reports whether the function is identically zero.
-func (f *Func) IsZero() bool {
-	for _, b := range f.B {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
-}
+func (f *Func) IsZero() bool { return f.B == [4]float64{} }
 
 // Eval evaluates the function at a variable assignment indexed by node
 // ID. x must cover every referenced VarA/VarB index.
@@ -115,38 +110,28 @@ type Term struct {
 	NVars int
 }
 
-// Terms expands the function into monomials (constants included).
-func (f *Func) Terms() []Term {
+// Terms expands the function into its monomials, one per coefficient in
+// B's order (zero coefficients included), the constant last: it fills
+// ts[:n] and returns n.
+func (f *Func) Terms(ts *[4]Term) (n int) {
+	lin := func(v int, c float64) Term { return Term{Coef: c, Vars: [2]int{v}, Pows: [2]int{1}, NVars: 1} }
 	switch f.Kind {
 	case C1:
-		return []Term{{Coef: f.B[0]}}
 	case C2, C3:
-		return []Term{
-			{Coef: f.B[0], Vars: [2]int{f.VarA}, Pows: [2]int{1}, NVars: 1},
-			{Coef: f.B[1]},
-		}
+		ts[0], n = lin(f.VarA, f.B[0]), 1
 	case C4:
-		return []Term{
-			{Coef: f.B[0], Vars: [2]int{f.VarA}, Pows: [2]int{2}, NVars: 1},
-			{Coef: f.B[1], Vars: [2]int{f.VarA}, Pows: [2]int{1}, NVars: 1},
-			{Coef: f.B[2]},
-		}
+		ts[0] = Term{Coef: f.B[0], Vars: [2]int{f.VarA}, Pows: [2]int{2}, NVars: 1}
+		ts[1], n = lin(f.VarA, f.B[1]), 2
 	case C5:
-		return []Term{
-			{Coef: f.B[0], Vars: [2]int{f.VarA}, Pows: [2]int{1}, NVars: 1},
-			{Coef: f.B[1], Vars: [2]int{f.VarB}, Pows: [2]int{1}, NVars: 1},
-			{Coef: f.B[2]},
-		}
+		ts[0], ts[1], n = lin(f.VarA, f.B[0]), lin(f.VarB, f.B[1]), 2
 	case C6:
-		return []Term{
-			{Coef: f.B[0], Vars: [2]int{f.VarA, f.VarB}, Pows: [2]int{1, 1}, NVars: 2},
-			{Coef: f.B[1], Vars: [2]int{f.VarA}, Pows: [2]int{1}, NVars: 1},
-			{Coef: f.B[2], Vars: [2]int{f.VarB}, Pows: [2]int{1}, NVars: 1},
-			{Coef: f.B[3]},
-		}
+		ts[0] = Term{Coef: f.B[0], Vars: [2]int{f.VarA, f.VarB}, Pows: [2]int{1, 1}, NVars: 2}
+		ts[1], ts[2], n = lin(f.VarA, f.B[1]), lin(f.VarB, f.B[2]), 3
 	default:
 		panic(fmt.Sprintf("costmodel: bad kind %d", int(f.Kind)))
 	}
+	ts[n] = Term{Coef: f.B[n]}
+	return n + 1
 }
 
 // Mean returns E[term] under independent normal variables, vars indexed
@@ -165,16 +150,16 @@ func (t Term) Mean(vars []stats.Normal) float64 {
 // sample tables). For C4 this reproduces Lemma 4; for C6, Lemma 8. vars
 // is indexed by node ID.
 func (f *Func) Dist(vars []stats.Normal) (mean, variance float64) {
-	terms := f.Terms()
-	for _, t := range terms {
-		mean += t.Mean(vars)
+	var ts [4]Term
+	var ms [4]float64
+	n := f.Terms(&ts)
+	for i, t := range ts[:n] {
+		ms[i] = t.Mean(vars)
+		mean += ms[i]
 	}
-	for i, a := range terms {
-		for j, b := range terms {
-			if i > j {
-				continue
-			}
-			c := a.Cov(b, vars)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			c := ts[i].CovGiven(ts[j], vars, ms[i], ms[j])
 			if i == j {
 				variance += c
 			} else {
@@ -193,6 +178,12 @@ func (f *Func) Dist(vars []stats.Normal) (mean, variance float64) {
 // of two operators neither of which is the other's ancestor (Lemma 3).
 // E[ab] factors per variable using normal moments up to 4.
 func (a Term) Cov(b Term, vars []stats.Normal) float64 {
+	return a.CovGiven(b, vars, a.Mean(vars), b.Mean(vars))
+}
+
+// CovGiven is Cov with the means ma = E[a] and mb = E[b] already known:
+// E[ab] − ma·mb, the same bits as Cov.
+func (a Term) CovGiven(b Term, vars []stats.Normal, ma, mb float64) float64 {
 	if a.NVars == 0 || b.NVars == 0 {
 		return 0
 	}
@@ -221,5 +212,5 @@ func (a Term) Cov(b Term, vars []stats.Normal) float64 {
 	for i := 0; i < n; i++ {
 		eab *= vars[ids[i]].Moment(pows[i])
 	}
-	return eab - a.Mean(vars)*b.Mean(vars)
+	return eab - ma*mb
 }

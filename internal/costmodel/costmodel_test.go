@@ -67,7 +67,7 @@ func TestBuildModelsVariables(t *testing.T) {
 		plan.Left.ID:  0.1,
 		plan.Right.ID: 1.0,
 	})
-	models, err := BuildModels(plan, cat, selfRho)
+	models, err := BuildModels(nil, plan, cat, selfRho)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestVarOwnerSkipsPassThrough(t *testing.T) {
 			Left: &engine.Node{Kind: engine.SeqScan, Table: "r",
 				Preds: []engine.Predicate{{Col: "b", Op: engine.Lt, Lo: 25}}}}}
 	plan.Finalize()
-	models, err := BuildModels(plan, cat, make([]float64, len(plan.Nodes())))
+	models, err := BuildModels(nil, plan, cat, make([]float64, len(plan.Nodes())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestVarOwnerSkipsPassThrough(t *testing.T) {
 func TestCountsMatchEngineFormulas(t *testing.T) {
 	_, cat, plan := env(t)
 	selfRho := byID(3, map[int]float64{plan.ID: 0.002, plan.Left.ID: 0.1, plan.Right.ID: 1.0})
-	models, _ := BuildModels(plan, cat, selfRho)
+	models, _ := BuildModels(nil, plan, cat, selfRho)
 
 	// Index scan at X = 0.1: engine formula with m = 500.
 	sc := models[plan.Left.ID].Counts(0.1, 0)
@@ -131,7 +131,7 @@ func TestCountsMatchEngineFormulas(t *testing.T) {
 func TestFitRecoversLinearExactly(t *testing.T) {
 	_, cat, plan := env(t)
 	selfRho := byID(3, map[int]float64{plan.ID: 0.002, plan.Left.ID: 0.1, plan.Right.ID: 1.0})
-	models, _ := BuildModels(plan, cat, selfRho)
+	models, _ := BuildModels(nil, plan, cat, selfRho)
 	vars := byID(3, map[int]stats.Normal{
 		plan.Left.ID:  stats.NewNormal(0.1, 0.01),
 		plan.Right.ID: stats.NewNormal(1.0, 0),
@@ -171,7 +171,7 @@ func TestFitSortQuadraticApproximation(t *testing.T) {
 		Left: &engine.Node{Kind: engine.SeqScan, Table: "r",
 			Preds: []engine.Predicate{{Col: "b", Op: engine.Lt, Lo: 25}}}}
 	plan.Finalize()
-	models, _ := BuildModels(plan, cat, make([]float64, len(plan.Nodes())))
+	models, _ := BuildModels(nil, plan, cat, make([]float64, len(plan.Nodes())))
 	scanID := plan.Left.ID
 	x := stats.NewNormal(0.5, 0.03)
 	vars := byID(2, map[int]stats.Normal{scanID: x})
@@ -200,7 +200,7 @@ func TestFitConstantSeqScan(t *testing.T) {
 	plan := &engine.Node{Kind: engine.SeqScan, Table: "r",
 		Preds: []engine.Predicate{{Col: "b", Op: engine.Lt, Lo: 25}}}
 	plan.Finalize()
-	models, _ := BuildModels(plan, cat, make([]float64, len(plan.Nodes())))
+	models, _ := BuildModels(nil, plan, cat, make([]float64, len(plan.Nodes())))
 	vars := []stats.Normal{stats.NewNormal(0.5, 0.05)}
 	funcs, err := FitNode(&models[plan.ID], vars)
 	if err != nil {
@@ -222,7 +222,7 @@ func TestFitConstantSeqScan(t *testing.T) {
 
 func TestDistMatchesLemma4(t *testing.T) {
 	// C4 variance must equal sigma^2[(b1+2 b0 mu)^2 + 2 b0^2 sigma^2].
-	f := &Func{Kind: C4, B: []float64{3, 2, 1}, VarA: 7, VarB: -1}
+	f := &Func{Kind: C4, B: [4]float64{3, 2, 1}, VarA: 7, VarB: -1}
 	x := stats.NewNormal(0.4, 0.05)
 	vars := []stats.Normal{7: x}
 	mean, variance := f.Dist(vars)
@@ -240,7 +240,7 @@ func TestDistMatchesLemma4(t *testing.T) {
 func TestDistMatchesLemma8(t *testing.T) {
 	// C6 variance must equal sigma_l^2(b0 mu_r + b1)^2 +
 	// sigma_r^2(b0 mu_l + b2)^2 + b0^2 sigma_l^2 sigma_r^2.
-	f := &Func{Kind: C6, B: []float64{5, 3, 2, 1}, VarA: 1, VarB: 2}
+	f := &Func{Kind: C6, B: [4]float64{5, 3, 2, 1}, VarA: 1, VarB: 2}
 	xl := stats.NewNormal(0.3, 0.04)
 	xr := stats.NewNormal(0.6, 0.07)
 	vars := []stats.Normal{1: xl, 2: xr}
@@ -253,13 +253,13 @@ func TestDistMatchesLemma8(t *testing.T) {
 }
 
 func TestDistLinearForms(t *testing.T) {
-	f := &Func{Kind: C3, B: []float64{10, 4}, VarA: 3, VarB: -1}
+	f := &Func{Kind: C3, B: [4]float64{10, 4}, VarA: 3, VarB: -1}
 	x := stats.NewNormal(0.2, 0.03)
 	mean, variance := f.Dist([]stats.Normal{3: x})
 	if !almostEq(mean, 10*0.2+4, 1e-12) || !almostEq(variance, 100*x.Var(), 1e-12) {
 		t.Errorf("C3 dist = (%v, %v)", mean, variance)
 	}
-	f5 := &Func{Kind: C5, B: []float64{10, 20, 4}, VarA: 1, VarB: 2}
+	f5 := &Func{Kind: C5, B: [4]float64{10, 20, 4}, VarA: 1, VarB: 2}
 	xl := stats.NewNormal(0.2, 0.03)
 	xr := stats.NewNormal(0.5, 0.01)
 	m5, v5 := f5.Dist([]stats.Normal{1: xl, 2: xr})
@@ -274,7 +274,7 @@ func TestDistLinearForms(t *testing.T) {
 func TestDistProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		fn := &Func{Kind: C5, B: []float64{r.Float64() * 100, r.Float64() * 100, r.Float64() * 10},
+		fn := &Func{Kind: C5, B: [4]float64{r.Float64() * 100, r.Float64() * 100, r.Float64() * 10},
 			VarA: 1, VarB: 2}
 		vars := []stats.Normal{
 			1: stats.NewNormal(r.Float64(), r.Float64()*0.1),
@@ -298,17 +298,22 @@ func TestTermsRoundTrip(t *testing.T) {
 		1: stats.NewNormal(0.3, 0.05),
 		2: stats.NewNormal(0.7, 0.02),
 	}
-	fns := []*Func{
+	fns := []Func{
 		Constant(5),
-		{Kind: C2, B: []float64{3, 1}, VarA: 1, VarB: -1},
-		{Kind: C4, B: []float64{2, 3, 4}, VarA: 1, VarB: -1},
-		{Kind: C5, B: []float64{1, 2, 3}, VarA: 1, VarB: 2},
-		{Kind: C6, B: []float64{1, 2, 3, 4}, VarA: 1, VarB: 2},
+		{Kind: C2, B: [4]float64{3, 1}, VarA: 1, VarB: -1},
+		{Kind: C4, B: [4]float64{2, 3, 4}, VarA: 1, VarB: -1},
+		{Kind: C5, B: [4]float64{1, 2, 3}, VarA: 1, VarB: 2},
+		{Kind: C6, B: [4]float64{1, 2, 3, 4}, VarA: 1, VarB: 2},
 	}
 	for _, fn := range fns {
 		mean, _ := fn.Dist(vars)
 		var sum float64
-		for _, tm := range fn.Terms() {
+		var ts [4]Term
+		n := fn.Terms(&ts)
+		if n != fn.Kind.NumCoef() {
+			t.Errorf("%v: %d terms, want %d", fn.Kind, n, fn.Kind.NumCoef())
+		}
+		for _, tm := range ts[:n] {
 			sum += tm.Mean(vars)
 		}
 		if !almostEq(mean, sum, 1e-12) {
@@ -318,7 +323,7 @@ func TestTermsRoundTrip(t *testing.T) {
 }
 
 func TestZeroAndConstant(t *testing.T) {
-	if !Constant(0).IsZero() {
+	if z := Constant(0); !z.IsZero() {
 		t.Error("Zero not zero")
 	}
 	c := Constant(3)

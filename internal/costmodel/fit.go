@@ -37,8 +37,8 @@ func probeInterval(x stats.Normal) (lo, hi float64) {
 // its exact coefficients (NodeModel.coefs); only Sort's N log N and an
 // index scan whose probe interval crosses the clamp are fitted, on the
 // probe grid (fitGrid). vars is indexed by node ID.
-func FitNode(m *NodeModel, vars []stats.Normal) ([hardware.NumUnits]*Func, error) {
-	var funcs [hardware.NumUnits]*Func
+func FitNode(m *NodeModel, vars []stats.Normal) ([hardware.NumUnits]Func, error) {
+	var funcs [hardware.NumUnits]Func
 	var xa, xb stats.Normal
 	okA, okB := m.VarA >= 0, m.VarB >= 0
 	if okA {
@@ -47,24 +47,25 @@ func FitNode(m *NodeModel, vars []stats.Normal) ([hardware.NumUnits]*Func, error
 	if okB {
 		xb = vars[m.VarB]
 	}
+	// An unused variable is the zero Normal: the counts at X = 0.
+	counts := m.Counts(xa.Mu, xb.Mu)
 	for ui := 0; ui < hardware.NumUnits; ui++ {
 		u := hardware.Unit(ui)
 		kind := m.KindFor(u)
 		switch {
 		case kind == C1:
-			// An unused variable is the zero Normal: the count at X = 0.
-			funcs[ui] = Constant(m.Counts(xa.Mu, xb.Mu).Get(ui))
+			funcs[ui] = Constant(counts.Get(ui))
 			continue
 		case kind.Binary() && !(okA && okB):
 			return funcs, fmt.Errorf("costmodel: node %d kind %v needs two variables", m.Node.ID, kind)
 		case !okA:
 			return funcs, fmt.Errorf("costmodel: node %d kind %v needs a variable", m.Node.ID, kind)
 		}
-		b := m.coefs(u, xa)
-		if b == nil {
+		b, ok := m.coefs(u, xa)
+		if !ok {
 			b = fitGrid(m, ui, kind, xa)
 		}
-		funcs[ui] = &Func{Kind: kind, B: b, VarA: m.VarA, VarB: m.VarB}
+		funcs[ui] = Func{Kind: kind, B: b, VarA: m.VarA, VarB: m.VarB}
 	}
 	return funcs, nil
 }
@@ -78,7 +79,7 @@ const gridW = 8
 // the W+1 points of x's probe grid. The variable is scaled by the
 // interval maximum while fitting, which keeps the normal equations
 // well-conditioned and preserves the sign constraints.
-func fitGrid(m *NodeModel, ui int, kind FuncKind, x stats.Normal) []float64 {
+func fitGrid(m *NodeModel, ui int, kind FuncKind, x stats.Normal) (out [4]float64) {
 	lo, hi := probeInterval(x)
 	scale := hi
 	if scale <= 0 {
@@ -105,7 +106,9 @@ func fitGrid(m *NodeModel, ui int, kind FuncKind, x stats.Normal) []float64 {
 	} else {
 		b[0] /= scale
 	}
-	return cleanCoefs(b[:n:n])
+	copy(out[:n], b[:n])
+	cleanCoefs(out[:n])
+	return out
 }
 
 // cleanCoefs zeroes numerical dust of a fit so downstream variance terms
@@ -114,7 +117,7 @@ func fitGrid(m *NodeModel, ui int, kind FuncKind, x stats.Normal) []float64 {
 // drops Sort's small negative intercept; keeping that intercept halves
 // the C4 fit error against Counts yet worsens the measured end-to-end
 // error, so the fitted path keeps the cleaning.
-func cleanCoefs(b []float64) []float64 {
+func cleanCoefs(b []float64) {
 	var scale float64
 	for _, v := range b {
 		scale = math.Max(scale, math.Abs(v))
@@ -125,5 +128,4 @@ func cleanCoefs(b []float64) []float64 {
 			b[i] = 0
 		}
 	}
-	return b
 }

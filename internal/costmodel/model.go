@@ -3,6 +3,7 @@ package costmodel
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
@@ -57,67 +58,68 @@ func varOwner(n *engine.Node) int {
 }
 
 // BuildModels constructs the NodeModel of every plan node, indexed by
-// node ID. selfRho holds each operator's estimated selectivity by node ID
-// (one entry per plan node, zero where unknown), used only to calibrate
-// Theta.
-func BuildModels(root *engine.Node, cat *catalog.Catalog, selfRho []float64) ([]NodeModel, error) {
-	models := make([]NodeModel, len(selfRho))
-	var walk func(n *engine.Node) error
-	walk = func(n *engine.Node) error {
-		size, err := cat.FullSize(n)
-		if err != nil {
-			return err
-		}
-		m := &models[n.ID]
-		*m = NodeModel{Node: n, VarA: -1, VarB: -1, Size: size}
-		switch {
-		case n.Kind.IsScan():
-			m.VarA = n.ID
-			m.SizeL = size
-			m.NumPreds = len(n.Preds)
-			m.ResidFactor = 1
-			for i := 1; i < len(n.Preds); i++ {
-				sel, err := cat.PredicateSelectivity(n.Table, &n.Preds[i])
-				if err != nil {
-					return err
-				}
-				if sel > 0 && sel < 1 {
-					m.ResidFactor *= sel
-				}
-			}
-		case n.Kind.IsJoin():
-			if err := walk(n.Left); err != nil {
-				return err
-			}
-			if err := walk(n.Right); err != nil {
-				return err
-			}
-			m.VarA = varOwner(n.Left)
-			m.VarB = varOwner(n.Right)
-			m.SizeL, m.SizeR = models[n.Left.ID].Size, models[n.Right.ID].Size
-			// Calibrate Theta at the estimated point; fall back to the
-			// optimizer's join selectivity factor (M = Nl*Nr*f implies
-			// Theta = f) when estimates are unavailable or degenerate.
-			xa, xb := selfRho[m.VarA], selfRho[m.VarB]
-			self := selfRho[n.ID]
-			if xa > 0 && xb > 0 && self > 0 {
-				m.Theta = self / (xa * xb)
-			} else if f, err := cat.JoinFactor(n); err == nil {
-				m.Theta = f
-			}
-		default: // unary
-			if err := walk(n.Left); err != nil {
-				return err
-			}
-			m.VarA = varOwner(n.Left)
-			m.SizeL = models[n.Left.ID].Size
-		}
-		return nil
-	}
-	if err := walk(root); err != nil {
+// node ID, in models when its capacity covers the plan (nil allocates).
+// selfRho holds each operator's estimated selectivity by node ID (one
+// entry per plan node, zero where unknown), used only to calibrate Theta.
+func BuildModels(models []NodeModel, root *engine.Node, cat *catalog.Catalog, selfRho []float64) ([]NodeModel, error) {
+	models = slices.Grow(models[:0], len(selfRho))[:len(selfRho)]
+	if err := buildModel(models, root, cat, selfRho); err != nil {
 		return nil, err
 	}
 	return models, nil
+}
+
+// buildModel fills models[n.ID] and the models of n's subtree.
+func buildModel(models []NodeModel, n *engine.Node, cat *catalog.Catalog, selfRho []float64) error {
+	size, err := cat.FullSize(n)
+	if err != nil {
+		return err
+	}
+	m := &models[n.ID]
+	*m = NodeModel{Node: n, VarA: -1, VarB: -1, Size: size}
+	switch {
+	case n.Kind.IsScan():
+		m.VarA = n.ID
+		m.SizeL = size
+		m.NumPreds = len(n.Preds)
+		m.ResidFactor = 1
+		for i := 1; i < len(n.Preds); i++ {
+			sel, err := cat.PredicateSelectivity(n.Table, &n.Preds[i])
+			if err != nil {
+				return err
+			}
+			if sel > 0 && sel < 1 {
+				m.ResidFactor *= sel
+			}
+		}
+	case n.Kind.IsJoin():
+		if err := buildModel(models, n.Left, cat, selfRho); err != nil {
+			return err
+		}
+		if err := buildModel(models, n.Right, cat, selfRho); err != nil {
+			return err
+		}
+		m.VarA = varOwner(n.Left)
+		m.VarB = varOwner(n.Right)
+		m.SizeL, m.SizeR = models[n.Left.ID].Size, models[n.Right.ID].Size
+		// Calibrate Theta at the estimated point; fall back to the
+		// optimizer's join selectivity factor (M = Nl*Nr*f implies
+		// Theta = f) when estimates are unavailable or degenerate.
+		xa, xb := selfRho[m.VarA], selfRho[m.VarB]
+		self := selfRho[n.ID]
+		if xa > 0 && xb > 0 && self > 0 {
+			m.Theta = self / (xa * xb)
+		} else if f, err := cat.JoinFactor(n); err == nil {
+			m.Theta = f
+		}
+	default: // unary
+		if err := buildModel(models, n.Left, cat, selfRho); err != nil {
+			return err
+		}
+		m.VarA = varOwner(n.Left)
+		m.SizeL = models[n.Left.ID].Size
+	}
+	return nil
 }
 
 // Counts invokes the cost model at hypothetical selectivities (xa, xb):
@@ -171,9 +173,10 @@ func (m *NodeModel) Counts(xa, xb float64) engine.Counts {
 
 // coefs returns the coefficients of unit u's cost function of kind
 // KindFor(u) — a non-constant kind — read off the matching case of Counts,
-// or nil where the count is not that polynomial over x's probe interval:
-// Sort's N log N, and an index scan whose interval crosses the clamp.
-func (m *NodeModel) coefs(u hardware.Unit, x stats.Normal) []float64 {
+// and ok false where the count is not that polynomial over x's probe
+// interval: Sort's N log N, and an index scan whose interval crosses the
+// clamp.
+func (m *NodeModel) coefs(u hardware.Unit, x stats.Normal) (b [4]float64, ok bool) {
 	switch m.Node.Kind {
 	case engine.IndexScan:
 		// NR = NT = NI = min(X·SizeL/ResidFactor, SizeL); NO is k = NumPreds−1 times that.
@@ -187,33 +190,33 @@ func (m *NodeModel) coefs(u hardware.Unit, x stats.Normal) []float64 {
 		}
 		switch lo, hi := probeInterval(x); {
 		case hi*perX <= m.SizeL:
-			return []float64{k * perX, 0}
+			return [4]float64{k * perX, 0}, true
 		case lo*perX >= m.SizeL:
-			return []float64{0, k * m.SizeL}
+			return [4]float64{0, k * m.SizeL}, true
 		}
-		return nil
+		return b, false
 	case engine.Sort:
 		if u == hardware.CO {
-			return nil // NO = Nl·log2(Nl)
+			return b, false // NO = Nl·log2(Nl)
 		}
-		return []float64{m.SizeL, 0} // NT = Xl·SizeL
+		return [4]float64{m.SizeL, 0}, true // NT = Xl·SizeL
 	case engine.Materialize:
-		return []float64{m.SizeL, 0} // NT = Xl·SizeL
+		return [4]float64{m.SizeL, 0}, true // NT = Xl·SizeL
 	case engine.Aggregate:
 		if u == hardware.CO {
-			return []float64{2 * m.SizeL, 0} // NO = 2·Xl·SizeL
+			return [4]float64{2 * m.SizeL, 0}, true // NO = 2·Xl·SizeL
 		}
-		return []float64{m.SizeL, 0} // NT = Xl·SizeL
+		return [4]float64{m.SizeL, 0}, true // NT = Xl·SizeL
 	case engine.HashJoin, engine.MergeJoin:
 		if u == hardware.CO {
-			return []float64{m.SizeL, m.SizeR, 0} // NO = Xl·SizeL + Xr·SizeR
+			return [4]float64{m.SizeL, m.SizeR, 0}, true // NO = Xl·SizeL + Xr·SizeR
 		}
-		return []float64{m.Theta * m.Size, m.SizeL, m.SizeR, 0} // NT = NO + Theta·Xl·Xr·Size
+		return [4]float64{m.Theta * m.Size, m.SizeL, m.SizeR, 0}, true // NT = NO + Theta·Xl·Xr·Size
 	default: // engine.NestLoopJoin: KindFor has rejected every other kind
 		if u == hardware.CO {
-			return []float64{m.SizeL * m.SizeR, 0, 0, 0} // NO = Xl·SizeL · Xr·SizeR
+			return [4]float64{m.SizeL * m.SizeR, 0, 0, 0}, true // NO = Xl·SizeL · Xr·SizeR
 		}
-		return []float64{m.Theta * m.Size, m.SizeL, m.SizeR, 0} // NT = Xl·SizeL + Xr·SizeR + Theta·Xl·Xr·Size
+		return [4]float64{m.Theta * m.Size, m.SizeL, m.SizeR, 0}, true // NT = Xl·SizeL + Xr·SizeR + Theta·Xl·Xr·Size
 	}
 }
 

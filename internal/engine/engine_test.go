@@ -281,19 +281,6 @@ func TestFinalizeAssignsIDsAndLeaves(t *testing.T) {
 	}
 }
 
-func TestIsDescendant(t *testing.T) {
-	inner := &Node{Kind: SeqScan, Table: "r"}
-	mid := &Node{Kind: Sort, Left: inner}
-	root := &Node{Kind: Aggregate, Left: mid}
-	root.Finalize()
-	if !IsDescendant(root, inner) || !IsDescendant(root, mid) || !IsDescendant(mid, inner) {
-		t.Error("descendant relations missed")
-	}
-	if IsDescendant(inner, root) || IsDescendant(root, root) {
-		t.Error("false descendant relations")
-	}
-}
-
 func TestValidateRejectsMalformedPlans(t *testing.T) {
 	bad := []*Node{
 		{Kind: SeqScan}, // no table

@@ -72,12 +72,15 @@ type Node struct {
 
 	// Finalize assigns the fields below.
 	ID         int      // preorder position, unique within the plan
+	End        int      // one past the subtree's last preorder position: the subtree is IDs [ID, End)
 	LeafTables []string // R: table names under this subtree, left-to-right
 	Sig        string   // the subtree's String() at Finalize: the signature cache keys read
 }
 
-// Finalize assigns IDs in preorder, computes LeafTables bottom-up and
-// renders each node's Sig once. It must be called on the root before
+// Finalize assigns IDs in preorder, computes End and LeafTables
+// bottom-up and renders each node's Sig once. A node d lies strictly
+// inside the subtree of a (d ∈ Desc(a) in the paper's notation) exactly
+// when a.ID < d.ID < a.End. Finalize must be called on the root before
 // execution or prediction, and again after any node of the tree is
 // changed; it returns the nodes in preorder.
 func (n *Node) Finalize() []*Node {
@@ -93,6 +96,7 @@ func (n *Node) Finalize() []*Node {
 		if x.Right != nil {
 			walk(x.Right)
 		}
+		x.End = len(order)
 		switch {
 		case x.Kind.IsScan():
 			x.LeafTables = []string{x.Table}
@@ -110,39 +114,19 @@ func (n *Node) Finalize() []*Node {
 
 // Nodes returns the plan's operators in preorder. The plan must be
 // finalized.
-func (n *Node) Nodes() []*Node {
-	var order []*Node
-	var walk func(x *Node)
-	walk = func(x *Node) {
-		order = append(order, x)
-		if x.Left != nil {
-			walk(x.Left)
-		}
-		if x.Right != nil {
-			walk(x.Right)
-		}
-	}
-	walk(n)
-	return order
-}
+func (n *Node) Nodes() []*Node { return n.AppendNodes(nil) }
 
-// IsDescendant reports whether d lies strictly inside the subtree rooted
-// at a (d ∈ Desc(a) in the paper's notation).
-func IsDescendant(a, d *Node) bool {
-	if a == d {
-		return false
+// AppendNodes appends the plan's operators in preorder to dst and returns
+// the extended slice.
+func (n *Node) AppendNodes(dst []*Node) []*Node {
+	dst = append(dst, n)
+	if n.Left != nil {
+		dst = n.Left.AppendNodes(dst)
 	}
-	var find func(x *Node) bool
-	find = func(x *Node) bool {
-		if x == nil {
-			return false
-		}
-		if x == d {
-			return true
-		}
-		return find(x.Left) || find(x.Right)
+	if n.Right != nil {
+		dst = n.Right.AppendNodes(dst)
 	}
-	return find(a.Left) || find(a.Right)
+	return dst
 }
 
 // String renders the plan as an indented tree, one operator a line, e.g.

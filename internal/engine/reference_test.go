@@ -367,6 +367,44 @@ func TestRunMatchesReference(t *testing.T) {
 	}
 }
 
+// isDescendant is TestFinalizeEnd's oracle: whether d lies strictly
+// inside the subtree rooted at a, by walking it.
+func isDescendant(a, d *engine.Node) bool {
+	var find func(x *engine.Node) bool
+	find = func(x *engine.Node) bool {
+		return x != nil && (x == d || find(x.Left) || find(x.Right))
+	}
+	return find(a.Left) || find(a.Right)
+}
+
+// TestFinalizeEnd holds the O(1) nesting test the predictor uses for
+// Lemma 3, a.ID < d.ID < a.End, to a walk of a's subtree on every
+// ordered node pair of generated plans (all their join orders) and of
+// the hand-built shapes, including a unary chain.
+func TestFinalizeEnd(t *testing.T) {
+	_, cat := smallDB(datagen.Skewed1G)
+	plans := append(generatedPlans(t, cat, 32, workload.Micro, workload.SelJoin, workload.TPCH), handBuiltPlans()...)
+	plans = append(plans, &engine.Node{Kind: engine.Aggregate,
+		Left: &engine.Node{Kind: engine.Sort, Left: &engine.Node{Kind: engine.SeqScan, Table: "r"}}})
+	pairs := 0
+	for i, p := range plans {
+		order := p.Finalize()
+		if p.End != len(order) {
+			t.Fatalf("plan %d: root End %d, %d nodes", i, p.End, len(order))
+		}
+		for _, a := range order {
+			for _, d := range order {
+				if got, want := a.ID < d.ID && d.ID < a.End, isDescendant(a, d); got != want {
+					t.Fatalf("plan %d: node %d [%d, %d) contains %d: %v, the walk says %v\n%s",
+						i, a.ID, a.ID, a.End, d.ID, got, want, p)
+				}
+				pairs++
+			}
+		}
+	}
+	t.Logf("%d plans, %d node pairs", len(plans), pairs)
+}
+
 // threeJoinPlan is TestRunAllocs' fixed plan: three hash joins over
 // four scans of two tables of rows rows each, keyed so that the output
 // grows with rows.
