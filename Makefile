@@ -38,14 +38,15 @@ loc:
 
 # loc-check keeps the collapse from regrowing silently: non-test Go
 # outside bench/ stays within the budget CHANGES.md records, and no
-# non-test file of internal/sim or internal/engine, nor stages.go, grows
-# past 500 lines.
-LOC_BUDGET = 16009
+# non-test file outside bench/ grows past 500 lines, except the three
+# already over it (FILE_BUDGET_EXEMPT).
+LOC_BUDGET = 15896
 FILE_BUDGET = 500
+FILE_BUDGET_EXEMPT = api.go internal/serve/serve.go internal/sample/subtree.go
 loc-check:
 	@n="$$($(LIB_GO) | xargs cat | wc -l)"; \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then echo "non-test Go outside bench/: $$n lines, budget $(LOC_BUDGET)"; exit 1; fi
-	@for f in $$(git ls-files 'internal/sim/*.go' 'internal/engine/*.go' stages.go | grep -v _test.go); do \
+	@for f in $$($(LIB_GO) | grep -vxF $(FILE_BUDGET_EXEMPT:%=-e %)); do \
 		n="$$(wc -l < "$$f")"; \
 		if [ "$$n" -gt $(FILE_BUDGET) ]; then echo "$$f: $$n lines, budget $(FILE_BUDGET)"; exit 1; fi; \
 	done

@@ -267,11 +267,12 @@ type System struct {
 // units against the simulated machine, draws the offline samples, and
 // wires the four built-in pipeline stages (System.With replaces them).
 func Open(cfg Config) (*System, error) {
+	def := DefaultConfig()
 	if cfg.Machine == "" {
-		cfg.Machine = "PC1"
+		cfg.Machine = def.Machine
 	}
 	if cfg.SamplingRatio <= 0 {
-		cfg.SamplingRatio = 0.05
+		cfg.SamplingRatio = def.SamplingRatio
 	}
 	profile, err := hardware.ProfileByName(cfg.Machine)
 	if err != nil {

@@ -99,12 +99,12 @@ func TestCoefsAreTheCostModel(t *testing.T) {
 						t.Fatal(err)
 					}
 					for ui, f := range funcs {
-						k := m.KindFor(hardware.Unit(ui))
+						xa := vars[m.VarA]
+						k, _, exact := m.kindFor(hardware.Unit(ui), xa)
 						if k == C1 {
 							continue
 						}
-						xa := vars[m.VarA]
-						if _, ok := m.coefs(hardware.Unit(ui), xa); !ok {
+						if !exact {
 							fitted++
 							continue
 						}
@@ -172,7 +172,7 @@ func TestIndexScanBelowAndAboveTheClamp(t *testing.T) {
 func TestIndexScanAcrossTheClamp(t *testing.T) {
 	m := indexScan()
 	x := stats.NewNormal(0.5, 0.05)
-	if _, ok := m.coefs(hardware.CR, x); ok {
+	if _, _, exact := m.kindFor(hardware.CR, x); exact {
 		t.Fatal("an interval across the clamp has closed-form coefficients")
 	}
 	funcs, err := FitNode(m, []stats.Normal{x})

@@ -1,7 +1,10 @@
 // Package costmodel implements the logical cost functions of Section 4:
 // the six canonical function types C1–C6 (C1'–C6' when rewritten over
 // selectivities) and the optimizer-side analytic cost model that maps
-// selectivities to the resource counts n of Equation (1). The paper fits
+// selectivities to the resource counts n of Equation (1). That model is
+// the engine's own count formulas (engine.ScanCounts, JoinCounts,
+// UnaryCounts) at the cardinalities the selectivities imply; only the
+// sequential scan's page count is its own, left unrounded. The paper fits
 // the coefficients b by probing an opaque cost model; this one is owned,
 // and every count but two is already the polynomial of its type, so its
 // coefficients are read off in closed form. The two exceptions — Sort's

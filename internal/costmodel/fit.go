@@ -32,11 +32,12 @@ func probeInterval(x stats.Normal) (lo, hi float64) {
 	return lo, hi
 }
 
-// FitNode returns the five per-unit cost functions of one operator. A
-// count that is already the polynomial of the kind KindFor assigns keeps
-// its exact coefficients (NodeModel.coefs); only Sort's N log N and an
-// index scan whose probe interval crosses the clamp are fitted, on the
-// probe grid (fitGrid). vars is indexed by node ID.
+// FitNode returns the five per-unit cost functions of one operator, each
+// of the kind kindFor assigns. A constant (C1) is Counts at the estimate;
+// a count that is already the polynomial of its kind keeps the exact
+// coefficients kindFor reads off; only Sort's N log N and an index scan
+// whose probe interval crosses the clamp are fitted, on the probe grid
+// (fitGrid). vars is indexed by node ID.
 func FitNode(m *NodeModel, vars []stats.Normal) ([hardware.NumUnits]Func, error) {
 	var funcs [hardware.NumUnits]Func
 	var xa, xb stats.Normal
@@ -50,8 +51,7 @@ func FitNode(m *NodeModel, vars []stats.Normal) ([hardware.NumUnits]Func, error)
 	// An unused variable is the zero Normal: the counts at X = 0.
 	counts := m.Counts(xa.Mu, xb.Mu)
 	for ui := 0; ui < hardware.NumUnits; ui++ {
-		u := hardware.Unit(ui)
-		kind := m.KindFor(u)
+		kind, b, exact := m.kindFor(hardware.Unit(ui), xa)
 		switch {
 		case kind == C1:
 			funcs[ui] = Constant(counts.Get(ui))
@@ -61,8 +61,7 @@ func FitNode(m *NodeModel, vars []stats.Normal) ([hardware.NumUnits]Func, error)
 		case !okA:
 			return funcs, fmt.Errorf("costmodel: node %d kind %v needs a variable", m.Node.ID, kind)
 		}
-		b, ok := m.coefs(u, xa)
-		if !ok {
+		if !exact {
 			b = fitGrid(m, ui, kind, xa)
 		}
 		funcs[ui] = Func{Kind: kind, B: b, VarA: m.VarA, VarB: m.VarB}

@@ -124,62 +124,48 @@ func buildModel(models []NodeModel, n *engine.Node, cat *catalog.Catalog, selfRh
 
 // Counts invokes the cost model at hypothetical selectivities (xa, xb):
 // the optimizer's estimate of the resource counts this operator would
-// incur. xb is ignored for unary operators and scans.
+// incur — the engine's own count formulas at the cardinalities the
+// selectivities imply. xb is ignored for unary operators and scans.
 func (m *NodeModel) Counts(xa, xb float64) engine.Counts {
 	n := m.Node
-	switch n.Kind {
-	case engine.SeqScan:
-		rows := m.SizeL
-		return engine.Counts{
-			NS: rows / engine.TuplesPerPage,
-			NT: rows,
-			NO: rows * float64(m.NumPreds),
-		}
-	case engine.IndexScan:
+	switch {
+	case n.Kind == engine.SeqScan:
+		c := engine.ScanCounts(n.Kind, m.SizeL, 0, m.NumPreds)
+		// The one count of its own: the page count stays unrounded,
+		// where the engine reads whole pages. It is a constant (C1) cost,
+		// and every pinned prediction was made with it unrounded.
+		c.NS = m.SizeL / engine.TuplesPerPage
+		return c
+	case n.Kind == engine.IndexScan:
 		// The index fetches the tuples satisfying the index predicate;
 		// with residual selectivity ResidFactor, that is M / ResidFactor.
 		mIdx := xa * m.SizeL
 		if m.ResidFactor > 0 {
 			mIdx /= m.ResidFactor
 		}
-		if mIdx > m.SizeL {
-			mIdx = m.SizeL
-		}
-		return engine.Counts{
-			NR: mIdx, NT: mIdx, NI: mIdx,
-			NO: mIdx * float64(m.NumPreds-1),
-		}
-	case engine.Sort:
-		nl := xa * m.SizeL
-		return engine.Counts{NT: nl, NO: nl * math.Log2(math.Max(nl, 2))}
-	case engine.Materialize:
-		nl := xa * m.SizeL
-		return engine.Counts{NT: nl}
-	case engine.Aggregate:
-		nl := xa * m.SizeL
-		return engine.Counts{NT: nl, NO: 2 * nl}
-	case engine.HashJoin, engine.MergeJoin:
-		nl, nr := xa*m.SizeL, xb*m.SizeR
-		mOut := m.Theta * xa * xb * m.Size
-		return engine.Counts{NT: nl + nr + mOut, NO: nl + nr}
-	case engine.NestLoopJoin:
-		nl, nr := xa*m.SizeL, xb*m.SizeR
-		mOut := m.Theta * xa * xb * m.Size
-		return engine.Counts{NT: nl + nr + mOut, NO: nl * nr}
+		return engine.ScanCounts(n.Kind, m.SizeL, math.Min(mIdx, m.SizeL), m.NumPreds)
+	case n.Kind.IsJoin():
+		return engine.JoinCounts(n.Kind, xa*m.SizeL, xb*m.SizeR, m.Theta*xa*xb*m.Size)
 	default:
-		panic(fmt.Sprintf("costmodel: counts for %v", n.Kind))
+		return engine.UnaryCounts(n.Kind, xa*m.SizeL)
 	}
 }
 
-// coefs returns the coefficients of unit u's cost function of kind
-// KindFor(u) — a non-constant kind — read off the matching case of Counts,
-// and ok false where the count is not that polynomial over x's probe
-// interval: Sort's N log N, and an index scan whose interval crosses the
-// clamp.
-func (m *NodeModel) coefs(u hardware.Unit, x stats.Normal) (b [4]float64, ok bool) {
+// kindFor returns the canonical cost-function type of unit u of this
+// operator (the classification of Section 4.1) and, where the count is
+// exactly that polynomial over x's probe interval, its coefficients read
+// off Counts, with exact true. A C1 count is constant in X, read off
+// Counts at the estimate; Sort's N log N and an index scan whose interval
+// crosses the clamp are not polynomials there (exact false).
+func (m *NodeModel) kindFor(u hardware.Unit, x stats.Normal) (kind FuncKind, b [4]float64, exact bool) {
 	switch m.Node.Kind {
+	case engine.SeqScan: // every count constant in X
 	case engine.IndexScan:
-		// NR = NT = NI = min(X·SizeL/ResidFactor, SizeL); NO is k = NumPreds−1 times that.
+		if u == hardware.CS {
+			break
+		}
+		// NR = NT = NI = min(X·SizeL/ResidFactor, SizeL); NO, the residual
+		// predicate evaluations, is k = NumPreds−1 times that.
 		k := 1.0
 		if u == hardware.CO {
 			k = float64(m.NumPreds - 1)
@@ -190,88 +176,45 @@ func (m *NodeModel) coefs(u hardware.Unit, x stats.Normal) (b [4]float64, ok boo
 		}
 		switch lo, hi := probeInterval(x); {
 		case hi*perX <= m.SizeL:
-			return [4]float64{k * perX, 0}, true
+			return C2, [4]float64{k * perX, 0}, true
 		case lo*perX >= m.SizeL:
-			return [4]float64{0, k * m.SizeL}, true
+			return C2, [4]float64{0, k * m.SizeL}, true
 		}
-		return b, false
-	case engine.Sort:
-		if u == hardware.CO {
-			return b, false // NO = Nl·log2(Nl)
-		}
-		return [4]float64{m.SizeL, 0}, true // NT = Xl·SizeL
-	case engine.Materialize:
-		return [4]float64{m.SizeL, 0}, true // NT = Xl·SizeL
-	case engine.Aggregate:
-		if u == hardware.CO {
-			return [4]float64{2 * m.SizeL, 0}, true // NO = 2·Xl·SizeL
-		}
-		return [4]float64{m.SizeL, 0}, true // NT = Xl·SizeL
-	case engine.HashJoin, engine.MergeJoin:
-		if u == hardware.CO {
-			return [4]float64{m.SizeL, m.SizeR, 0}, true // NO = Xl·SizeL + Xr·SizeR
-		}
-		return [4]float64{m.Theta * m.Size, m.SizeL, m.SizeR, 0}, true // NT = NO + Theta·Xl·Xr·Size
-	default: // engine.NestLoopJoin: KindFor has rejected every other kind
-		if u == hardware.CO {
-			return [4]float64{m.SizeL * m.SizeR, 0, 0, 0}, true // NO = Xl·SizeL · Xr·SizeR
-		}
-		return [4]float64{m.Theta * m.Size, m.SizeL, m.SizeR, 0}, true // NT = Xl·SizeL + Xr·SizeR + Theta·Xl·Xr·Size
-	}
-}
-
-// KindFor returns the canonical cost-function type of unit u of
-// this operator (the classification of Section 4.1).
-func (m *NodeModel) KindFor(u hardware.Unit) FuncKind {
-	switch m.Node.Kind {
-	case engine.SeqScan:
-		return C1 // all counts constant in X
-	case engine.IndexScan:
-		switch u {
-		case hardware.CR, hardware.CT, hardware.CI, hardware.CO:
-			// All proportional to the index fetch count (CO covers the
-			// residual predicate evaluations; it is zero when the
-			// scan has a single predicate).
-			return C2
-		default:
-			return C1
-		}
+		return C2, b, false
 	case engine.Sort:
 		switch u {
 		case hardware.CT:
-			return C3
+			return C3, [4]float64{m.SizeL, 0}, true // NT = Xl·SizeL
 		case hardware.CO:
-			return C4 // N log N approximated by a quadratic
-		default:
-			return C1
+			return C4, b, false // NO = Nl·log2(Nl), fitted by a quadratic
 		}
 	case engine.Materialize:
 		if u == hardware.CT {
-			return C3
+			return C3, [4]float64{m.SizeL, 0}, true // NT = Xl·SizeL
 		}
-		return C1
 	case engine.Aggregate:
-		if u == hardware.CT || u == hardware.CO {
-			return C3
+		switch u {
+		case hardware.CT:
+			return C3, [4]float64{m.SizeL, 0}, true // NT = Xl·SizeL
+		case hardware.CO:
+			return C3, [4]float64{2 * m.SizeL, 0}, true // NO = 2·Xl·SizeL
 		}
-		return C1
 	case engine.HashJoin, engine.MergeJoin:
 		switch u {
 		case hardware.CT:
-			return C6 // Nl + Nr + M with M ∝ Xl*Xr
+			return C6, [4]float64{m.Theta * m.Size, m.SizeL, m.SizeR, 0}, true // NT = NO + Theta·Xl·Xr·Size
 		case hardware.CO:
-			return C5
-		default:
-			return C1
+			return C5, [4]float64{m.SizeL, m.SizeR, 0}, true // NO = Xl·SizeL + Xr·SizeR
 		}
 	case engine.NestLoopJoin:
 		switch u {
-		case hardware.CT, hardware.CO:
-			return C6
-		default:
-			return C1
+		case hardware.CT:
+			return C6, [4]float64{m.Theta * m.Size, m.SizeL, m.SizeR, 0}, true // NT = Xl·SizeL + Xr·SizeR + Theta·Xl·Xr·Size
+		case hardware.CO:
+			return C6, [4]float64{m.SizeL * m.SizeR, 0, 0, 0}, true // NO = Xl·SizeL · Xr·SizeR
 		}
 	default:
 		panic(fmt.Sprintf("costmodel: kind for %v", m.Node.Kind))
 	}
+	return C1, b, false // every other count is constant in X
 }

@@ -265,9 +265,11 @@ func runScan(db *DB, n *Node, keep bool) (*OpResult, *relation, error) {
 // scans every tuple is read and every predicate of the conjunction is
 // evaluated on it; for index scans mIndex tuples satisfy the index
 // predicate and are fetched, with the residual predicates evaluated on
-// the fetched tuples. The same formulas drive the cost model probes in
-// internal/costmodel, so the optimizer's model and the engine agree by
-// construction (the residual model error lives in internal/hardware).
+// the fetched tuples. internal/costmodel's cost model calls this and the
+// other two count functions, so the optimizer's model and the engine
+// agree by construction (the residual model error lives in
+// internal/hardware) with one difference: the model's sequential-scan
+// page count is nrows / TuplesPerPage, not rounded up to whole pages.
 func ScanCounts(kind NodeKind, nrows, mIndex float64, numPreds int) Counts {
 	switch kind {
 	case SeqScan:

@@ -28,130 +28,40 @@ func BuildOrdered(q *Query, cat *catalog.Catalog, order []string) (*engine.Node,
 		}
 		delete(want, t)
 	}
-
-	predsByTable := make(map[string][]engine.Predicate)
-	for _, p := range q.Preds {
-		tab, _, err := cat.FindColumn(p.Col)
-		if err != nil {
-			return nil, err
-		}
-		predsByTable[tab] = append(predsByTable[tab], p)
-	}
-
-	scan := func(tname string) (*engine.Node, float64, error) {
-		ts, err := cat.Table(tname)
-		if err != nil {
-			return nil, 0, err
-		}
-		node := &engine.Node{Kind: engine.SeqScan, Table: tname}
-		card := float64(ts.Rows)
-		if ps := predsByTable[tname]; len(ps) > 0 {
-			sels := make([]float64, len(ps))
-			for i := range ps {
-				sel, err := cat.PredicateSelectivity(tname, &ps[i])
-				if err != nil {
-					return nil, 0, err
-				}
-				sels[i] = sel
-			}
-			sortPredsBySel(ps, sels)
-			node.Preds = append([]engine.Predicate{}, ps...)
-			for _, s := range sels {
-				card *= s
-			}
-			if sels[0] < IndexScanThreshold {
-				node.Kind = engine.IndexScan
-			}
-		}
-		return node, card, nil
-	}
-
-	cur, card, err := scan(order[0])
+	o, err := prepare(q, cat)
 	if err != nil {
 		return nil, err
 	}
-	inTree := map[string]bool{order[0]: true}
-	used := make([]bool, len(q.Joins))
-	for _, next := range order[1:] {
-		// Find an unused join condition connecting the tree to next.
-		found := -1
-		var cond JoinCond
-		for ji, jc := range q.Joins {
-			if used[ji] {
-				continue
-			}
-			switch {
-			case inTree[jc.LeftTable] && jc.RightTable == next:
-				found, cond = ji, jc
-			case inTree[jc.RightTable] && jc.LeftTable == next:
-				found = ji
-				cond = JoinCond{
-					LeftTable: jc.RightTable, LeftCol: jc.RightCol,
-					RightTable: jc.LeftTable, RightCol: jc.LeftCol,
-				}
-			}
-			if found >= 0 {
-				break
-			}
-		}
-		if found < 0 {
-			return nil, fmt.Errorf("plan: order %v disconnects at %q", order, next)
-		}
-		used[found] = true
-		inner, innerCard, err := scan(next)
-		if err != nil {
-			return nil, err
-		}
-		f, err := cat.JoinSelectivityFactor(cond.LeftTable, cond.LeftCol, cond.RightTable, cond.RightCol)
-		if err != nil {
-			return nil, err
-		}
-		kind := engine.HashJoin
-		right := inner
-		if innerCard < NestLoopThreshold {
-			kind = engine.NestLoopJoin
-			right = &engine.Node{Kind: engine.Materialize, Left: inner}
-		}
-		cur = &engine.Node{
-			Kind: kind, LeftCol: cond.LeftCol, RightCol: cond.RightCol,
-			Left: cur, Right: right,
-		}
-		card *= innerCard * f
-		inTree[next] = true
-	}
-	_ = card
-
-	root := cur
-	if q.Agg != nil {
-		if q.Agg.SortInput {
-			root = &engine.Node{Kind: engine.Sort, Left: root}
-		}
-		root = &engine.Node{Kind: engine.Aggregate, GroupCol: q.Agg.GroupCol, Left: root}
-	}
-	root.Finalize()
-	if err := root.Validate(); err != nil {
-		return nil, err
-	}
-	return root, nil
+	return o.ordered(order)
 }
 
-// sortPredsBySel sorts preds (and sels, kept aligned) ascending by
-// estimated selectivity.
-func sortPredsBySel(preds []engine.Predicate, sels []float64) {
-	for i := 1; i < len(preds); i++ {
-		for j := i; j > 0 && sels[j] < sels[j-1]; j-- {
-			preds[j], preds[j-1] = preds[j-1], preds[j]
-			sels[j], sels[j-1] = sels[j-1], sels[j]
+// ordered builds the plan of a valid order: each table joins on the
+// first condition that connects it to the tree.
+func (o *optimizer) ordered(order []string) (*engine.Node, error) {
+	step := 0
+	return o.leftDeep(order[0], func(in map[string]bool) (int, error) {
+		step++
+		for ji, jc := range o.q.Joins {
+			if _, next, ok := orient(jc, in); ok && next == order[step] {
+				return ji, nil
+			}
 		}
-	}
+		return -1, fmt.Errorf("plan: order %v disconnects at %q", order, order[step])
+	})
 }
 
 // Alternatives enumerates distinct left-deep join orders for the query:
-// every valid rotation starting from each table, joined greedily by
-// connectivity. At most maxAlts plans are returned, the default greedy
-// plan first. Single-table queries return just the default plan.
+// from each table, the order that joins at every step the first
+// condition adding a table. At most maxAlts plans are returned, the
+// default greedy plan first. Single-table queries return just the
+// default plan. The access paths are chosen once and shared by every
+// order.
 func Alternatives(q *Query, cat *catalog.Catalog, maxAlts int) ([]*engine.Node, error) {
-	def, err := Build(q, cat)
+	o, err := prepare(q, cat)
+	if err != nil {
+		return nil, err
+	}
+	def, err := o.greedy()
 	if err != nil {
 		return nil, err
 	}
@@ -159,15 +69,13 @@ func Alternatives(q *Query, cat *catalog.Catalog, maxAlts int) ([]*engine.Node, 
 	if len(q.Tables) < 2 || maxAlts <= 1 {
 		return plans, nil
 	}
+	// The default plan applied every condition, so the join graph is a
+	// tree over the query's tables and every start yields a plan.
 	seen := map[string]bool{def.Sig: true}
 	for _, start := range q.Tables {
-		order, ok := connectedOrder(q, start)
-		if !ok {
-			continue
-		}
-		p, err := BuildOrdered(q, cat, order)
+		p, err := o.leftDeep(start, o.firstConnected)
 		if err != nil {
-			continue
+			return nil, err
 		}
 		if !seen[p.Sig] {
 			seen[p.Sig] = true
@@ -180,31 +88,13 @@ func Alternatives(q *Query, cat *catalog.Catalog, maxAlts int) ([]*engine.Node, 
 	return plans, nil
 }
 
-// connectedOrder produces a join order starting at start by repeatedly
-// appending any table connected to the current prefix.
-func connectedOrder(q *Query, start string) ([]string, bool) {
-	order := []string{start}
-	in := map[string]bool{start: true}
-	for len(order) < len(q.Tables) {
-		added := false
-		for _, jc := range q.Joins {
-			var next string
-			switch {
-			case in[jc.LeftTable] && !in[jc.RightTable]:
-				next = jc.RightTable
-			case in[jc.RightTable] && !in[jc.LeftTable]:
-				next = jc.LeftTable
-			default:
-				continue
-			}
-			order = append(order, next)
-			in[next] = true
-			added = true
-			break
-		}
-		if !added {
-			return nil, false
+// firstConnected picks the first condition that adds a table to the
+// tree.
+func (o *optimizer) firstConnected(in map[string]bool) (int, error) {
+	for ji, jc := range o.q.Joins {
+		if _, _, ok := orient(jc, in); ok {
+			return ji, nil
 		}
 	}
-	return order, true
+	return -1, fmt.Errorf("plan: query %q join graph is disconnected", o.q.Name)
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -235,5 +236,58 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 	if p1.String() != p2.String() {
 		t.Errorf("plans differ:\n%s\nvs\n%s", p1, p2)
+	}
+}
+
+// TestPredicateOnUnlistedTableFails: a predicate on a table the query
+// does not list used to be dropped, planning a different query.
+func TestPredicateOnUnlistedTableFails(t *testing.T) {
+	_, cat := testEnv(t)
+	q := &Query{
+		Name:   "stray",
+		Tables: []string{"orders"},
+		Preds:  []engine.Predicate{{Col: "p_size", Op: engine.Le, Lo: 3}},
+	}
+	for name, build := range map[string]func() (*engine.Node, error){
+		"Build":        func() (*engine.Node, error) { return Build(q, cat) },
+		"BuildOrdered": func() (*engine.Node, error) { return BuildOrdered(q, cat, []string{"orders"}) },
+		"Alternatives": func() (*engine.Node, error) { _, err := Alternatives(q, cat, 4); return nil, err },
+	} {
+		_, err := build()
+		if err == nil || !strings.Contains(err.Error(), `"p_size"`) || !strings.Contains(err.Error(), `"part"`) {
+			t.Errorf("%s: error %v, want one naming p_size and part", name, err)
+		}
+	}
+}
+
+// TestUnappliedJoinConditionsFail: a condition a left-deep plan cannot
+// apply — a second condition between two tables, one closing a cycle,
+// one naming a table the query does not list — used to be dropped.
+func TestUnappliedJoinConditionsFail(t *testing.T) {
+	_, cat := testEnv(t)
+	ol := JoinCond{LeftTable: "orders", LeftCol: "o_orderkey", RightTable: "lineitem", RightCol: "l_orderkey"}
+	co := JoinCond{LeftTable: "customer", LeftCol: "c_custkey", RightTable: "orders", RightCol: "o_custkey"}
+	for _, c := range []struct {
+		name   string
+		tables []string
+		extra  JoinCond
+	}{
+		{"parallel", []string{"orders", "lineitem"},
+			JoinCond{LeftTable: "orders", LeftCol: "o_custkey", RightTable: "lineitem", RightCol: "l_partkey"}},
+		{"cycle", []string{"customer", "orders", "lineitem"},
+			JoinCond{LeftTable: "lineitem", LeftCol: "l_suppkey", RightTable: "customer", RightCol: "c_custkey"}},
+		{"unlisted", []string{"orders", "lineitem"}, co},
+	} {
+		q := &Query{Name: c.name, Tables: c.tables, Joins: []JoinCond{ol, c.extra}}
+		if len(c.tables) == 3 {
+			q.Joins = []JoinCond{co, ol, c.extra}
+		}
+		want := c.extra.String()
+		if _, err := Build(q, cat); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Build error %v, want one naming %s", c.name, err, want)
+		}
+		if _, err := BuildOrdered(q, cat, c.tables); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: BuildOrdered error %v, want one naming %s", c.name, err, want)
+		}
 	}
 }

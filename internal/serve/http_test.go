@@ -159,6 +159,14 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid query: status %d, want 400", resp.StatusCode)
 	}
+	// A predicate on a table the query does not list is an error, not a
+	// prediction for the query without it.
+	stray := &uaqetp.Query{Name: "stray", Tables: []string{"orders"},
+		Preds: []uaqetp.Predicate{{Col: "p_size", Op: uaqetp.Le, Lo: 3}}}
+	resp, body := postJSON(t, ts, "/predict", PredictRequest{Tenant: "alpha", Query: stray})
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("p_size")) {
+		t.Errorf("predicate on an unlisted table: status %d %s, want 400 naming p_size", resp.StatusCode, body)
+	}
 }
 
 func TestDispatcherDrainsQueue(t *testing.T) {

@@ -74,11 +74,11 @@ type SLO struct {
 	Quantile float64 `json:"quantile"`
 }
 
-// normalized fills zero fields with defaults and rejects out-of-range
+// Normalized fills zero fields with defaults and rejects out-of-range
 // values: a zero field means "use the default", but an explicit
 // Confidence or Quantile outside (0, 1) is an error rather than being
 // silently replaced with something looser.
-func (s SLO) normalized() (SLO, error) {
+func (s SLO) Normalized() (SLO, error) {
 	if s.Confidence == 0 {
 		s.Confidence = 0.95
 	}
@@ -100,15 +100,17 @@ func (s SLO) normalized() (SLO, error) {
 	return s, nil
 }
 
+// DefaultCacheCapacity bounds the estimate cache a server creates when
+// Config gives it none: sampling passes across all tenants.
+const DefaultCacheCapacity = 1024
+
 // Config sizes the server.
 type Config struct {
-	// CacheCapacity bounds the shared estimate cache (sampling passes
-	// across all tenants); 0 selects 1024. Ignored when Cache is set.
-	CacheCapacity int
 	// Cache, when non-nil, is an externally owned estimate cache the
-	// server shares instead of creating its own — the hook the cluster
-	// simulator (internal/sim) uses to let a fleet of servers share one
-	// cache, like co-located tenants do within one server.
+	// server shares instead of creating its own of DefaultCacheCapacity
+	// entries — the hook the cluster simulator (internal/sim) uses to
+	// let a fleet of servers share one cache, like co-located tenants do
+	// within one server.
 	Cache *uaqetp.EstimateCache
 	// MaxQueue bounds admitted-but-unexecuted requests; a full queue
 	// rejects further admissions (backpressure). 0 selects 1024.
@@ -134,9 +136,6 @@ type Config struct {
 }
 
 func (c Config) normalized() Config {
-	if c.CacheCapacity <= 0 {
-		c.CacheCapacity = 1024
-	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 1024
 	}
@@ -231,7 +230,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.normalized()
 	c := cfg.Cache
 	if c == nil {
-		c = uaqetp.NewEstimateCache(cfg.CacheCapacity)
+		c = uaqetp.NewEstimateCache(DefaultCacheCapacity)
 	}
 	return &Server{
 		cfg:       cfg,
@@ -253,18 +252,19 @@ func (s *Server) AddTenant(name string, sysCfg uaqetp.Config, slo SLO) (*Tenant,
 	if name == "" {
 		return nil, fmt.Errorf("serve: empty tenant name")
 	}
-	nslo, err := slo.normalized()
+	nslo, err := slo.Normalized()
 	if err != nil {
 		return nil, err
 	}
 	sysCfg.Cache = s.cache
 	// Apply Open's own defaulting before the dedup lookup, so
 	// equivalent but differently-spelled configs share one System.
+	def := uaqetp.DefaultConfig()
 	if sysCfg.Machine == "" {
-		sysCfg.Machine = "PC1"
+		sysCfg.Machine = def.Machine
 	}
 	if sysCfg.SamplingRatio <= 0 {
-		sysCfg.SamplingRatio = 0.05
+		sysCfg.SamplingRatio = def.SamplingRatio
 	}
 
 	s.mu.RLock()
@@ -315,7 +315,7 @@ func (s *Server) AddTenantSystem(name string, sys *uaqetp.System, slo SLO) (*Ten
 	if sys == nil {
 		return nil, fmt.Errorf("serve: nil system for tenant %q", name)
 	}
-	nslo, err := slo.normalized()
+	nslo, err := slo.Normalized()
 	if err != nil {
 		return nil, err
 	}

@@ -311,11 +311,11 @@ func TestSLORejectsNaN(t *testing.T) {
 		{DefaultDeadline: nan},
 		{DefaultDeadline: math.Inf(-1)},
 	} {
-		if _, err := slo.normalized(); err == nil {
+		if _, err := slo.Normalized(); err == nil {
 			t.Errorf("SLO %+v accepted", slo)
 		}
 	}
-	if _, err := (SLO{}).normalized(); err != nil {
+	if _, err := (SLO{}).Normalized(); err != nil {
 		t.Errorf("zero SLO refused: %v", err)
 	}
 }
@@ -325,7 +325,7 @@ func TestSLORejectsNaN(t *testing.T) {
 // the per-shard LRUs must evict (counted in the aggregated stats) and
 // the server must keep answering correctly.
 func TestServeCacheEvictionUnderConcurrentTenants(t *testing.T) {
-	srv, _ := newTestServer(t, Config{CacheCapacity: 4})
+	srv, _ := newTestServer(t, Config{Cache: uaqetp.NewEstimateCache(4)})
 	ta, _ := srv.Tenant("alpha")
 	qs, err := ta.sys.GenerateWorkload(workload.SelJoin, 24)
 	if err != nil {

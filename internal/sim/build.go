@@ -24,7 +24,7 @@ import (
 func openBase(sc *resolved) (*uaqetp.System, *uaqetp.EstimateCache, error) {
 	cacheCap := sc.CacheCapacity
 	if cacheCap <= 0 {
-		cacheCap = 1024
+		cacheCap = serve.DefaultCacheCapacity
 	}
 	cache := uaqetp.NewEstimateCache(cacheCap)
 	if sc.Shards != nil && sc.Shards.CacheTier != nil {
@@ -113,7 +113,9 @@ func runOn(sc *resolved, sys *uaqetp.System, cache *uaqetp.EstimateCache, sinks 
 		calibRec:  sinks.calib,
 		predMemo:  make(map[*uaqetp.Query]sharedPredEntry, 64),
 	}
-	s.expandTenants(sys)
+	if err := s.expandTenants(sys); err != nil {
+		return nil, err
+	}
 	s.sidOf = make([]int, len(fleet))
 	if sc.Shards != nil {
 		sh, err := buildSharded(sc.Scenario, len(fleet), s.tenants)
@@ -206,19 +208,16 @@ func arrivalSeed(seed int64, tenant int) int64 {
 // stream and directory placement, all aggregating under the group's
 // TenantReport. Scenarios without Count expand to exactly the legacy
 // one-state-per-spec list, member index == spec index.
-func (s *simRun) expandTenants(sys *uaqetp.System) {
+func (s *simRun) expandTenants(sys *uaqetp.System) error {
 	for gi := range s.sc.Tenants {
 		spec := s.sc.Tenants[gi]
+		slo, err := spec.SLO.Normalized()
+		if err != nil {
+			return fmt.Errorf("sim: tenant %q: %w", spec.Name, err)
+		}
 		eff := spec.Deadline
 		if eff == 0 {
-			eff = spec.SLO.DefaultDeadline
-		}
-		if eff == 0 {
-			eff = 1.0
-		}
-		conf := spec.SLO.Confidence
-		if conf == 0 {
-			conf = 0.95
+			eff = slo.DefaultDeadline
 		}
 		class := spec.Class
 		if class == "" {
@@ -235,10 +234,11 @@ func (s *simRun) expandTenants(sys *uaqetp.System) {
 			}
 			s.tenants = append(s.tenants, &tenantState{
 				spec: spec, name: name, group: gi, class: class,
-				confidence: conf, sys: sys, effDeadline: eff,
+				confidence: slo.Confidence, sys: sys, effDeadline: eff,
 			})
 		}
 	}
+	return nil
 }
 
 // buildArrivals draws every tenant member's arrival sequence into one

@@ -59,6 +59,7 @@ import (
 	"sort"
 	"strings"
 
+	uaqetp "repro"
 	"repro/internal/datagen"
 	"repro/internal/hardware"
 	"repro/internal/serve"
@@ -100,7 +101,7 @@ type Scenario struct {
 	// SamplingRatio is the offline sample fraction; 0 selects 0.05.
 	SamplingRatio float64 `json:"sampling_ratio,omitempty"`
 	// CacheCapacity bounds the fleet-wide shared estimate cache; 0
-	// selects the serve default.
+	// selects serve.DefaultCacheCapacity.
 	CacheCapacity int `json:"cache_capacity,omitempty"`
 	// MaxQueue bounds each machine's admitted-work queue; 0 selects the
 	// serve default.
@@ -251,7 +252,7 @@ func (sc Scenario) resolve() (*resolved, error) {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	if sc.MachineProfile == "" {
-		sc.MachineProfile = "PC1"
+		sc.MachineProfile = uaqetp.DefaultConfig().Machine
 	}
 	if _, err := hardware.ProfileByName(sc.MachineProfile); err != nil {
 		return nil, fmt.Errorf("sim: machine_profile: %w", err)
@@ -274,7 +275,7 @@ func (sc Scenario) resolve() (*resolved, error) {
 		return nil, fmt.Errorf("sim: recal_every %g must not be negative", sc.RecalEvery)
 	}
 	if sc.SamplingRatio == 0 {
-		sc.SamplingRatio = 0.05
+		sc.SamplingRatio = uaqetp.DefaultConfig().SamplingRatio
 	}
 	if sc.Shards != nil {
 		if err := sc.Shards.validate(len(fleet)); err != nil {
