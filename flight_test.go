@@ -21,7 +21,7 @@ func TestFlightCancelDoesNotFailWaiters(t *testing.T) {
 	started := make(chan struct{})
 	computerDone := make(chan error, 1)
 	go func() {
-		_, err := g.get(ctxA, "k", cache.Hash("k"), func() (int, error) {
+		_, err := g.get(ctxA, keyRecord("k", nil), func() (int, error) {
 			close(started)
 			<-ctxA.Done() // simulate a compute aborted by its caller's cancellation
 			return 0, ctxA.Err()
@@ -35,7 +35,7 @@ func TestFlightCancelDoesNotFailWaiters(t *testing.T) {
 	var waiterErr error
 	go func() {
 		defer close(waiterDone)
-		waiterVal, waiterErr = g.get(context.Background(), "k", cache.Hash("k"), func() (int, error) {
+		waiterVal, waiterErr = g.get(context.Background(), keyRecord("k", nil), func() (int, error) {
 			return 42, nil
 		})
 	}()
@@ -68,7 +68,7 @@ func TestFlightWaiterAbandonsOnOwnCancel(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
-		g.get(context.Background(), "k", cache.Hash("k"), func() (int, error) {
+		g.get(context.Background(), keyRecord("k", nil), func() (int, error) {
 			close(started)
 			<-release
 			return 1, nil
@@ -79,7 +79,7 @@ func TestFlightWaiterAbandonsOnOwnCancel(t *testing.T) {
 	ctxB, cancelB := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := g.get(ctxB, "k", cache.Hash("k"), func() (int, error) { return 2, nil })
+		_, err := g.get(ctxB, keyRecord("k", nil), func() (int, error) { return 2, nil })
 		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond)

@@ -372,6 +372,8 @@ func (s *Server) Predict(ctx context.Context, tenant string, q *uaqetp.Query) (*
 }
 
 // TenantStats summarizes one tenant's traffic and calibration drift.
+// Counters fills everything but Drift and LastRecalibrationDrift;
+// Server.Stats adds those two.
 type TenantStats struct {
 	Name            string `json:"name"`
 	Predictions     uint64 `json:"predictions"`
@@ -408,7 +410,27 @@ type Stats struct {
 	Tenants       []TenantStats `json:"tenants"`
 }
 
-// Stats snapshots the shared cache, the queue, and every tenant.
+// Counters snapshots the tenant's name and traffic counters: a
+// TenantStats without the drift report, which is the expensive part of
+// Stats. Each counter is read atomically on its own, so a snapshot
+// taken while requests are in flight need not be mutually consistent.
+func (t *Tenant) Counters() TenantStats {
+	return TenantStats{
+		Name:               t.name,
+		Predictions:        t.predictions.Load(),
+		Admitted:           t.admitted.Load(),
+		Rejected:           t.rejected.Load(),
+		Executed:           t.executed.Load(),
+		ExecFailed:         t.execFailed.Load(),
+		DeadlinesMet:       t.deadlinesMet.Load(),
+		DeadlinesMissed:    t.deadlinesMissed.Load(),
+		Recalibrations:     t.recalibrations.Load(),
+		AutoRecalibrations: t.autoRecals.Load(),
+	}
+}
+
+// Stats snapshots the shared cache, the queue, and every tenant: each
+// tenant's Counters plus its drift reports, sorted by name.
 func (s *Server) Stats() Stats {
 	s.qmu.Lock()
 	qlen, clock := s.queue.Len(), s.clock
@@ -421,20 +443,10 @@ func (s *Server) Stats() Stats {
 	}
 	s.mu.RLock()
 	for _, t := range s.tenants {
-		st.Tenants = append(st.Tenants, TenantStats{
-			Name:                   t.name,
-			Predictions:            t.predictions.Load(),
-			Admitted:               t.admitted.Load(),
-			Rejected:               t.rejected.Load(),
-			Executed:               t.executed.Load(),
-			ExecFailed:             t.execFailed.Load(),
-			DeadlinesMet:           t.deadlinesMet.Load(),
-			DeadlinesMissed:        t.deadlinesMissed.Load(),
-			Recalibrations:         t.recalibrations.Load(),
-			AutoRecalibrations:     t.autoRecals.Load(),
-			Drift:                  t.feedback.report(),
-			LastRecalibrationDrift: t.lastRecalDrift.Load(),
-		})
+		ts := t.Counters()
+		ts.Drift = t.feedback.report()
+		ts.LastRecalibrationDrift = t.lastRecalDrift.Load()
+		st.Tenants = append(st.Tenants, ts)
 	}
 	s.mu.RUnlock()
 	sort.Slice(st.Tenants, func(i, j int) bool { return st.Tenants[i].Name < st.Tenants[j].Name })

@@ -114,16 +114,24 @@ func (f *Front) handlePlace(w http.ResponseWriter, r *http.Request) {
 	}{Tenant: tenant, Shard: s, Addr: f.addrs[s]})
 }
 
-// post sends body to the placed shard's endpoint. When the shard cannot
-// be reached it answers 502 itself and returns nil; the caller closes a
-// non-nil response's body.
-func (f *Front) post(w http.ResponseWriter, shard, path string, body []byte) *http.Response {
+// post sends body to the placed shard's endpoint under the client
+// request's context, so a client that disconnects cancels the hop and,
+// through the shard's own request context, the shard's prediction work.
+// When the shard cannot be reached it answers 502 itself and returns
+// nil; the caller closes a non-nil response's body.
+func (f *Front) post(w http.ResponseWriter, r *http.Request, shard, path string, body []byte) *http.Response {
 	addr, ok := f.addrs[shard]
 	if !ok || addr == "" {
 		serve.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %q has no registered address", shard))
 		return nil
 	}
-	resp, err := f.client.Post(addr+path, "application/json", bytes.NewReader(body))
+	hop, err := http.NewRequestWithContext(r.Context(), http.MethodPost, addr+path, bytes.NewReader(body))
+	if err != nil {
+		serve.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %q: %v", shard, err))
+		return nil
+	}
+	hop.Header.Set("Content-Type", "application/json")
+	resp, err := f.client.Do(hop)
 	if err != nil {
 		serve.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %q: %v", shard, err))
 		return nil
@@ -193,7 +201,7 @@ func (f *Front) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	body, _ := json.Marshal(serve.PredictRequest{Tenant: req.Tenant, Query: req.Query})
 	shardName := f.place(req.Tenant)
-	if resp := f.post(w, shardName, "/predict", body); resp != nil {
+	if resp := f.post(w, r, shardName, "/predict", body); resp != nil {
 		defer resp.Body.Close()
 		f.relay(w, shardName, resp.StatusCode, resp.Body)
 	}
@@ -238,7 +246,7 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		sreq.ShedBelow = confidence
 	}
 	body, _ := json.Marshal(sreq)
-	resp := f.post(w, shardName, "/submit", body)
+	resp := f.post(w, r, shardName, "/submit", body)
 	if resp == nil {
 		f.fd.Refund(class, "")
 		return

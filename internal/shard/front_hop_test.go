@@ -2,14 +2,18 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	uaqetp "repro"
 	"repro/internal/serve"
@@ -364,5 +368,73 @@ func TestFrontConcurrentSubmitsReconcile(t *testing.T) {
 	fx.front.fd.mu.Unlock()
 	if math.Abs(tokens-(1000-workers*each/2)) > 1e-3 {
 		t.Errorf("%v tokens left, want one spent per forwarded submit", tokens)
+	}
+}
+
+// TestFrontHopCarriesClientContext: the shard hop runs under the client
+// request's context, so a client that gives up cancels the shard's
+// request at once instead of leaving the shard working and the front
+// waiting out its client timeout. The shard here blocks until its
+// request context ends.
+func TestFrontHopCarriesClientContext(t *testing.T) {
+	for _, path := range []string{"/predict", "/submit"} {
+		t.Run(path, func(t *testing.T) {
+			entered := make(chan struct{}, 1)
+			canceled := make(chan struct{}, 1)
+			release := make(chan struct{})
+			backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				// A server watches for a client's disconnect only once
+				// the request body is consumed, as a real shard's is.
+				io.Copy(io.Discard, r.Body)
+				entered <- struct{}{}
+				select {
+				case <-r.Context().Done():
+					canceled <- struct{}{}
+				case <-release:
+				}
+			}))
+			defer backend.Close()
+			file := &File{Seed: 42}
+			file.Register("shard-0", backend.URL)
+			front, err := NewFront(file, FrontConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(front.Handler())
+			defer ts.Close()
+			// Deferred after the closes so it runs first: a hop that
+			// ignored the cancellation still ends before they wait on it.
+			defer close(release)
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+path,
+				strings.NewReader(`{"tenant": "alpha", "query": {"Name": "q"}}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				resp, err := http.DefaultClient.Do(req)
+				if err == nil {
+					resp.Body.Close()
+				}
+				done <- err
+			}()
+			select {
+			case <-entered:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the request never reached the shard")
+			}
+			cancel()
+			select {
+			case <-canceled:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the shard's request context was not canceled after the client gave up")
+			}
+			if err := <-done; err == nil {
+				t.Error("the canceled client request returned no error")
+			}
+		})
 	}
 }

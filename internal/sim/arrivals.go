@@ -102,22 +102,21 @@ func (a ArrivalSpec) normalized(horizon float64) (ArrivalSpec, error) {
 	return a, nil
 }
 
-// times draws the arrival instants in [0, horizon), sorted, for the
-// synthetic processes (trace replay produces its own times). The draw
-// is deterministic per stream state.
-func (a ArrivalSpec) times(r *rng.Stream, horizon float64) []float64 {
+// times appends the arrival instants in [0, horizon), sorted, for the
+// synthetic processes (trace replay produces its own times) to out. The
+// draw is deterministic per stream state.
+func (a ArrivalSpec) times(out []float64, r *rng.Stream, horizon float64) []float64 {
 	switch a.Process {
 	case ProcessBursty:
-		return burstyTimes(r, horizon, a.Rate, a.OnFraction, a.Cycle)
+		return burstyTimes(out, r, horizon, a.Rate, a.OnFraction, a.Cycle)
 	case ProcessDiurnal:
-		return diurnalTimes(r, horizon, a.Rate, a.Amplitude, a.Period)
+		return diurnalTimes(out, r, horizon, a.Rate, a.Amplitude, a.Period)
 	default:
-		return poissonTimes(r, horizon, a.Rate)
+		return poissonTimes(out, r, horizon, a.Rate)
 	}
 }
 
-func poissonTimes(r *rng.Stream, horizon, rate float64) []float64 {
-	var out []float64
+func poissonTimes(out []float64, r *rng.Stream, horizon, rate float64) []float64 {
 	for t := r.ExpFloat64() / rate; t < horizon; t += r.ExpFloat64() / rate {
 		out = append(out, t)
 	}
@@ -128,11 +127,10 @@ func poissonTimes(r *rng.Stream, horizon, rate float64) []float64 {
 // during ON phases at rate/onFraction, so the long-run mean rate is
 // rate. The process starts in an ON phase so short horizons still carry
 // a burst.
-func burstyTimes(r *rng.Stream, horizon, rate, onFraction, cycle float64) []float64 {
+func burstyTimes(out []float64, r *rng.Stream, horizon, rate, onFraction, cycle float64) []float64 {
 	onRate := rate / onFraction
 	meanOn := onFraction * cycle
 	meanOff := (1 - onFraction) * cycle
-	var out []float64
 	on := true
 	for t := 0.0; t < horizon; on = !on {
 		var dur float64
@@ -154,9 +152,8 @@ func burstyTimes(r *rng.Stream, horizon, rate, onFraction, cycle float64) []floa
 
 // diurnalTimes thins a homogeneous process at the peak intensity down
 // to the sinusoidal profile.
-func diurnalTimes(r *rng.Stream, horizon, rate, amp, period float64) []float64 {
+func diurnalTimes(out []float64, r *rng.Stream, horizon, rate, amp, period float64) []float64 {
 	peak := rate * (1 + amp)
-	var out []float64
 	for t := r.ExpFloat64() / peak; t < horizon; t += r.ExpFloat64() / peak {
 		lam := rate * (1 + amp*math.Sin(2*math.Pi*t/period))
 		if r.Float64()*peak < lam {

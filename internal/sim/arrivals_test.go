@@ -2,9 +2,11 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
+	uaqetp "repro"
 	"repro/internal/rng"
 )
 
@@ -30,7 +32,7 @@ func TestArrivalProcessesMeanRate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		times := spec.times(stream(42), horizon)
+		times := spec.times(nil, stream(42), horizon)
 		got := float64(len(times)) / horizon
 		if math.Abs(got-rate) > 0.25*rate {
 			t.Errorf("%s: observed rate %.3f, want ~%.1f", name, got, rate)
@@ -54,8 +56,8 @@ func TestArrivalsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := spec.times(stream(7), 100)
-	b := spec.times(stream(7), 100)
+	a := spec.times(nil, stream(7), 100)
+	b := spec.times(nil, stream(7), 100)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -89,9 +91,51 @@ func TestBurstyIsBurstier(t *testing.T) {
 	}
 	pois, _ := ArrivalSpec{Process: ProcessPoisson, Rate: rate}.normalized(horizon)
 	burst, _ := ArrivalSpec{Process: ProcessBursty, Rate: rate, OnFraction: 0.2, Cycle: 40}.normalized(horizon)
-	cvP := cv(pois.times(stream(3), horizon))
-	cvB := cv(burst.times(stream(3), horizon))
+	cvP := cv(pois.times(nil, stream(3), horizon))
+	cvB := cv(burst.times(nil, stream(3), horizon))
 	if cvB <= cvP*1.2 {
 		t.Errorf("bursty CV %.3f not clearly above poisson CV %.3f", cvB, cvP)
+	}
+}
+
+// TestArrivalOrderMatchesComparator: compareArrivals sorts generated
+// arrivals, many of them tied in time (signed zeros included), into
+// exactly the order the reflective sort.Slice comparator it replaced
+// gives — element for element, template pointer included.
+func TestArrivalOrderMatchesComparator(t *testing.T) {
+	src := stream(11)
+	tmpls := make([]uaqetp.Query, 8)
+	times := []float64{math.Copysign(0, -1), 0, 0.25, 0.25, 0.5, 1, 1, 2}
+	for trial := 0; trial < 50; trial++ {
+		var arrs []arrival
+		for ti := 0; ti < 1+src.Intn(40); ti++ {
+			for k := 0; k < src.Intn(12); k++ {
+				arrs = append(arrs, arrival{
+					at: times[src.Intn(len(times))], tenant: int32(ti), ord: int32(k),
+					tmpl: &tmpls[src.Intn(len(tmpls))],
+				})
+			}
+		}
+		for i := len(arrs) - 1; i > 0; i-- {
+			j := src.Intn(i + 1)
+			arrs[i], arrs[j] = arrs[j], arrs[i]
+		}
+		want := slices.Clone(arrs)
+		sort.Slice(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			if a.at != b.at {
+				return a.at < b.at
+			}
+			if a.tenant != b.tenant {
+				return a.tenant < b.tenant
+			}
+			return a.ord < b.ord
+		})
+		slices.SortFunc(arrs, compareArrivals)
+		for i := range arrs {
+			if arrs[i] != want[i] || math.Signbit(arrs[i].at) != math.Signbit(want[i].at) {
+				t.Fatalf("trial %d, position %d: %+v, want %+v", trial, i, arrs[i], want[i])
+			}
+		}
 	}
 }

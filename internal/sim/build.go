@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	uaqetp "repro"
@@ -101,6 +104,18 @@ func machineSystems(sc *resolved, base *uaqetp.System) ([]*uaqetp.System, []*uaq
 // fleet (servers, queues, clocks, per-machine sibling Systems) is
 // rebuilt fresh per call.
 func runOn(sc *resolved, sys *uaqetp.System, cache *uaqetp.EstimateCache, sinks runSinks) (*Report, error) {
+	s, err := newRun(sc, sys, cache, sinks)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.loop(); err != nil {
+		return nil, err
+	}
+	return s.report(), nil
+}
+
+// newRun builds a run's fleet, tenants and arrivals, ready for loop.
+func newRun(sc *resolved, sys *uaqetp.System, cache *uaqetp.EstimateCache, sinks runSinks) (*simRun, error) {
 	fleet := sc.fleet
 	msys, msws, err := machineSystems(sc, sys)
 	if err != nil {
@@ -186,10 +201,7 @@ func runOn(sc *resolved, sys *uaqetp.System, cache *uaqetp.EstimateCache, sinks 
 	if err := s.buildArrivals(sys); err != nil {
 		return nil, err
 	}
-	if err := s.loop(); err != nil {
-		return nil, err
-	}
-	return s.report(), nil
+	return s, nil
 }
 
 // arrivalSeed derives one tenant's arrival RNG seed from the scenario
@@ -243,14 +255,27 @@ func (s *simRun) expandTenants(sys *uaqetp.System) error {
 
 // buildArrivals draws every tenant member's arrival sequence into one
 // sorted slice — template references only; queries are cloned when the
-// event fires — and sizes each member's latency series for its share.
+// event fires — and sizes each group's latency samples for its share.
 // Members of a Count group share one generated query pool (the pool
 // depends only on the benchmark and pool size) but draw from it with
 // independent per-member RNG streams.
 func (s *simRun) buildArrivals(sys *uaqetp.System) error {
+	// Every synthetic process's mean rate is Rate, so the expected total
+	// plus four Poisson standard deviations sizes the slice; a trace or
+	// an unlucky burst grows it.
+	var expect float64
+	for _, ts := range s.tenants {
+		if ts.spec.Arrivals.Process != ProcessTrace {
+			expect += ts.spec.Arrivals.Rate * s.sc.Horizon
+		}
+	}
+	s.arrivals = make([]arrival, 0, int(expect+4*math.Sqrt(expect))+1)
+	counts := make([]int, len(s.sc.Tenants))
 	pools := make(map[int][]*uaqetp.Query)
+	var times []float64
 	for ti, ts := range s.tenants {
 		spec, bench := ts.spec, s.sc.bench[ts.group]
+		before := len(s.arrivals)
 		if spec.Arrivals.Process == ProcessTrace {
 			// External trace: recorded arrival times and template indexes,
 			// resolved against the tenant's query pool.
@@ -270,6 +295,7 @@ func (s *simRun) buildArrivals(sys *uaqetp.System) error {
 					at: e.At, tenant: int32(ti), ord: int32(k), tmpl: e.Query,
 				})
 			}
+			counts[ts.group] += len(s.arrivals) - before
 			continue
 		}
 		// One counter-based stream per tenant: no seeding ritual, which
@@ -283,34 +309,39 @@ func (s *simRun) buildArrivals(sys *uaqetp.System) error {
 			}
 			pools[ts.group] = pool
 		}
-		for k, at := range spec.Arrivals.times(&src, s.sc.Horizon) {
+		times = spec.Arrivals.times(times[:0], &src, s.sc.Horizon)
+		for k, at := range times {
 			s.arrivals = append(s.arrivals, arrival{
 				at: at, tenant: int32(ti), ord: int32(k), tmpl: pool[src.Intn(len(pool))],
 			})
 		}
+		counts[ts.group] += len(s.arrivals) - before
 	}
-	// One global deterministic order: by time, ties by (tenant,
-	// ordinal) — the order the event loop consumes through its cursor.
-	sort.Slice(s.arrivals, func(i, j int) bool {
-		a, b := s.arrivals[i], s.arrivals[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.tenant != b.tenant {
-			return a.tenant < b.tenant
-		}
-		return a.ord < b.ord
-	})
-	// Preallocate each tenant's latency series at its arrival count (an
-	// upper bound: rejected work records nothing), so million-event
-	// runs never regrow them.
-	counts := make([]int, len(s.tenants))
-	for _, a := range s.arrivals {
-		counts[a.tenant]++
-	}
-	for ti, ts := range s.tenants {
-		ts.latencies = make([]float64, 0, counts[ti])
-		ts.queueWaits = make([]float64, 0, counts[ti])
+	slices.SortFunc(s.arrivals, compareArrivals)
+	// Size each group's samples at its arrival count (an upper bound:
+	// rejected work records nothing), so million-event runs never
+	// regrow them.
+	s.groupLat = make([][]float64, len(counts))
+	s.groupQW = make([][]float64, len(counts))
+	for g, n := range counts {
+		s.groupLat[g] = make([]float64, 0, n)
+		s.groupQW[g] = make([]float64, 0, n)
 	}
 	return nil
+}
+
+// compareArrivals is the one global deterministic order the event loop
+// consumes through its cursor: by time, ties by (tenant, ordinal). No
+// two arrivals share a (tenant, ordinal), so the order is total and any
+// correct sort yields the same slice.
+func compareArrivals(a, b arrival) int {
+	switch {
+	case a.at < b.at:
+		return -1
+	case a.at > b.at:
+		return 1
+	case a.tenant != b.tenant:
+		return cmp.Compare(a.tenant, b.tenant)
+	}
+	return cmp.Compare(a.ord, b.ord)
 }

@@ -286,8 +286,8 @@ func (s *simRun) stepMachine(m int) {
 		if p, found := ms.pending[s.out.ID]; found {
 			delete(ms.pending, s.out.ID)
 			ts := s.tenants[p.tenant]
-			ts.latencies = append(ts.latencies, s.out.Finish-p.at)
-			ts.queueWaits = append(ts.queueWaits, s.out.Start-p.at)
+			s.groupLat[ts.group] = append(s.groupLat[ts.group], s.out.Finish-p.at)
+			s.groupQW[ts.group] = append(s.groupQW[ts.group], s.out.Start-p.at)
 			// The outcome is one calibration observation, attributed to
 			// the member's tenant group like the report's per-tenant rows.
 			ms.acc[ts.group][s.out.Unit].Observe(s.out.PredMean, s.out.PredSigma, s.out.Elapsed)

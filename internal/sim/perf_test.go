@@ -96,3 +96,57 @@ func TestEventDispatchAllocs(t *testing.T) {
 	}
 	t.Logf("event dispatch: %.1f allocs/event", perEvent)
 }
+
+// TestReportAllocs is the alloc gate on the report: simRun.report reads
+// each registered (member, machine) pair's counters from the tenant
+// handles the run already holds, so what it allocates scales with
+// tenant groups, machines and shards, never with the number of members.
+// The same sharded fleet, carrying the same offered load, is reported
+// once with 100 members and once with 10,000; both must stay within the
+// budget, and the larger may not allocate more than the smaller.
+func TestReportAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	measure := func(members int) float64 {
+		sc := Scenario{
+			Name: "report-allocs", Seed: 3, Horizon: 10, Machines: FleetOf(8),
+			Router: RouterLeastRisk, DB: "uniform-1G",
+			Shards: &ShardsSpec{
+				Count: 4, VNodes: 64,
+				FrontDoor: &FrontDoorSpec{Rate: 300, Burst: 60, Predictive: true},
+				CacheTier: &CacheTierSpec{LocalFraction: 0.75, RemoteLatency: 0.002},
+			},
+			Tenants: []TenantSpec{{
+				Name: "grid", Count: members, Bench: "seljoin", Queries: 8, Deadline: 1.2,
+				SLO:      serve.SLO{Confidence: 0.9, DefaultDeadline: 1.2, Quantile: 0.9},
+				Arrivals: ArrivalSpec{Process: ProcessPoisson, Rate: 200 / float64(members)},
+			}},
+		}
+		rs, sys, cache := openScenario(t, sc)
+		s, err := newRun(rs, sys, cache, runSinks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.loop(); err != nil {
+			t.Fatal(err)
+		}
+		if s.processed == 0 {
+			t.Fatalf("%d members: the run processed no events", members)
+		}
+		return testing.AllocsPerRun(5, func() { s.report() })
+	}
+	small, large := measure(100), measure(10000)
+	// 42 measured at 10,000 members, plus a quarter.
+	const budget = 52
+	if large > budget {
+		t.Errorf("report of a 10,000-member run allocates %.0f times, budget %d", large, budget)
+	}
+	if large > small {
+		t.Errorf("report allocates %.0f times with 10,000 members and %.0f with 100: it grows with the member count", large, small)
+	}
+	t.Logf("report: %.0f allocs at 100 members, %.0f at 10,000", small, large)
+}

@@ -3,11 +3,11 @@ package sim
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"sort"
 
 	uaqetp "repro"
 	"repro/internal/calib"
-	"repro/internal/serve"
 	"repro/internal/shard"
 )
 
@@ -24,30 +24,31 @@ type Quantiles struct {
 	Max  float64 `json:"max"`
 }
 
+// summarize sorts xs in place and summarizes it. The mean sums in
+// ascending order, so equal multisets give equal bytes.
 func summarize(xs []float64) Quantiles {
+	slices.Sort(xs)
 	q := Quantiles{N: len(xs)}
 	if len(xs) == 0 {
 		return q
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
 	var sum float64
-	for _, x := range sorted {
+	for _, x := range xs {
 		sum += x
 	}
 	rank := func(p float64) float64 {
-		i := int(math.Ceil(p*float64(len(sorted)))) - 1
+		i := int(math.Ceil(p*float64(len(xs)))) - 1
 		if i < 0 {
 			i = 0
 		}
-		return sorted[i]
+		return xs[i]
 	}
-	q.Mean = sum / float64(len(sorted))
+	q.Mean = sum / float64(len(xs))
 	q.P50 = rank(0.50)
 	q.P90 = rank(0.90)
 	q.P95 = rank(0.95)
 	q.P99 = rank(0.99)
-	q.Max = sorted[len(sorted)-1]
+	q.Max = xs[len(xs)-1]
 	return q
 }
 
@@ -274,55 +275,48 @@ func (s *simRun) report() *Report {
 		Cache:       s.cache.Stats(),
 	}
 
-	// Per-machine stats, snapshotted once each.
-	perMachine := make([]serve.Stats, len(s.machines))
 	for m, ms := range s.machines {
-		st := ms.srv.Stats()
-		perMachine[m] = st
+		clock := ms.srv.Clock()
 		mr := MachineReport{
 			Machine:  m,
 			Profile:  ms.spec.Profile,
 			Drift:    ms.spec.Drift,
 			DriftAt:  ms.spec.DriftAt,
 			Executed: ms.executed,
-			Clock:    st.Clock,
+			Clock:    clock,
 			BusyTime: ms.busyTime,
 		}
 		if ms.spec.DriftAt > 0 && s.detectedAt[m] >= 0 {
 			mr.DriftDetectedAt = s.detectedAt[m]
 		}
-		if st.Clock > 0 {
-			mr.Utilization = ms.busyTime / st.Clock
+		if clock > 0 {
+			mr.Utilization = ms.busyTime / clock
 		}
 		rep.PerMachine = append(rep.PerMachine, mr)
-		if st.Clock > rep.MakeSpan {
-			rep.MakeSpan = st.Clock
+		if clock > rep.MakeSpan {
+			rep.MakeSpan = clock
 		}
 	}
 
 	// Aggregate per group (one TenantReport per TenantSpec, covering all
-	// its expanded members): serve-side counters are matched to members
-	// through a name index rather than a per-tenant fleet scan, so a
-	// 10k-tenant run aggregates in one pass over the per-machine stats.
-	// Every sum is over integers (or sorted by summarize), so the result
-	// is independent of member and machine iteration order.
+	// its expanded members) from the tenant handles the machines already
+	// hold: ms.tenants[ti] is member ti's façade on that machine (nil off
+	// the member's shard), so the walk reads each registered (member,
+	// machine) pair's counters once and builds no per-member state. Every
+	// sum is over integers, and the latency samples are sorted by
+	// summarize, so the result is independent of member and machine
+	// iteration order.
 	groups := make([]TenantReport, len(s.sc.Tenants))
-	groupLat := make([][]float64, len(groups))
-	groupQW := make([][]float64, len(groups))
 	for gi := range groups {
 		groups[gi].Name = s.sc.Tenants[gi].Name
 	}
-	memberOf := make(map[string]int, len(s.tenants))
-	for _, ts := range s.tenants {
-		memberOf[ts.name] = ts.group
-	}
-	for m := range s.machines {
-		for _, st := range perMachine[m].Tenants {
-			gi, ok := memberOf[st.Name]
-			if !ok {
+	for _, ms := range s.machines {
+		for ti, t := range ms.tenants {
+			if t == nil {
 				continue
 			}
-			tr := &groups[gi]
+			st := t.Counters()
+			tr := &groups[s.tenants[ti].group]
 			tr.Admitted += int(st.Admitted)
 			tr.Rejected += int(st.Rejected)
 			tr.Executed += int(st.Executed)
@@ -333,14 +327,10 @@ func (s *simRun) report() *Report {
 			tr.AutoRecalibrations += st.AutoRecalibrations
 		}
 	}
-	var fleetMet, fleetSubmitted int
-	var fleetLat []float64
 	for _, ts := range s.tenants {
-		fleetLat = append(fleetLat, ts.latencies...)
 		groups[ts.group].Shed += ts.shed
-		groupLat[ts.group] = append(groupLat[ts.group], ts.latencies...)
-		groupQW[ts.group] = append(groupQW[ts.group], ts.queueWaits...)
 	}
+	var fleetMet, fleetSubmitted int
 	for gi := range groups {
 		tr := &groups[gi]
 		tr.Submitted = tr.Admitted + tr.Rejected + tr.Shed
@@ -350,8 +340,8 @@ func (s *simRun) report() *Report {
 		if tr.Executed > 0 {
 			tr.AttainmentExecuted = float64(tr.DeadlinesMet) / float64(tr.Executed)
 		}
-		tr.Latency = summarize(groupLat[gi])
-		tr.QueueWait = summarize(groupQW[gi])
+		tr.Latency = summarize(s.groupLat[gi])
+		tr.QueueWait = summarize(s.groupQW[gi])
 		fleetMet += tr.DeadlinesMet
 		fleetSubmitted += tr.Submitted
 	}
@@ -359,7 +349,13 @@ func (s *simRun) report() *Report {
 	if fleetSubmitted > 0 {
 		rep.SLOAttainment = float64(fleetMet) / float64(fleetSubmitted)
 	}
-	rep.Latency = summarize(fleetLat)
+	// The fleet's latency sample is the union of the groups': with one
+	// group it is that group's, summarized already.
+	if len(groups) == 1 {
+		rep.Latency = groups[0].Latency
+	} else {
+		rep.Latency = summarize(slices.Concat(s.groupLat...))
+	}
 	sort.Slice(rep.Tenants, func(i, j int) bool { return rep.Tenants[i].Name < rep.Tenants[j].Name })
 	rep.Calibration = s.calibrationReport()
 	rep.DriftWindow = s.driftWindow()

@@ -1,0 +1,93 @@
+package sim
+
+import (
+	"slices"
+	"testing"
+)
+
+// TestReportCountersMatchServerStats holds the report's tenant counters
+// to an independent oracle: on short runs of the shipped bursty,
+// heterogeneous and sharded scenarios, each group's counters equal the
+// sums over every machine's serve.Stats() entries of the group's
+// members, matched by name, and each machine's clock equals its
+// Stats().Clock. The fleet latency equals a summary of the groups'
+// concatenated samples, also where one group's summary stands in for it.
+func TestReportCountersMatchServerStats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for _, tc := range []struct {
+		file    string
+		horizon float64
+	}{
+		{"scenario.json", 20},
+		{"scenario-hetero.json", 20},
+		{"scenario-sharded.json", 5},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			sc := loadShipped(t, tc.file)
+			sc.Horizon = tc.horizon
+			rs, sys, cache := openScenario(t, sc)
+			s, err := newRun(rs, sys, cache, runSinks{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.loop(); err != nil {
+				t.Fatal(err)
+			}
+			rep := s.report()
+
+			groupOf := make(map[string]int, len(s.tenants))
+			for _, ts := range s.tenants {
+				groupOf[ts.name] = ts.group
+			}
+			want := make(map[string]TenantReport, len(s.sc.Tenants))
+			var registered int
+			for m, ms := range s.machines {
+				st := ms.srv.Stats()
+				if rep.PerMachine[m].Clock != st.Clock {
+					t.Errorf("machine %d: clock %g, Stats says %g", m, rep.PerMachine[m].Clock, st.Clock)
+				}
+				for _, ts := range st.Tenants {
+					gi, ok := groupOf[ts.Name]
+					if !ok {
+						t.Fatalf("machine %d serves %q, a tenant the run never expanded", m, ts.Name)
+					}
+					registered++
+					name := s.sc.Tenants[gi].Name
+					tr := want[name]
+					tr.Admitted += int(ts.Admitted)
+					tr.Rejected += int(ts.Rejected)
+					tr.Executed += int(ts.Executed)
+					tr.ExecFailed += int(ts.ExecFailed)
+					tr.DeadlinesMet += int(ts.DeadlinesMet)
+					tr.DeadlinesMissed += int(ts.DeadlinesMissed)
+					tr.Recalibrations += ts.Recalibrations
+					tr.AutoRecalibrations += ts.AutoRecalibrations
+					want[name] = tr
+				}
+			}
+			if registered == 0 || len(rep.Tenants) != len(s.sc.Tenants) {
+				t.Fatalf("%d registered tenants, %d report rows for %d groups", registered, len(rep.Tenants), len(s.sc.Tenants))
+			}
+			var executed int
+			for _, got := range rep.Tenants {
+				w := want[got.Name]
+				executed += got.Executed
+				if got.Admitted != w.Admitted || got.Rejected != w.Rejected || got.Executed != w.Executed ||
+					got.ExecFailed != w.ExecFailed || got.DeadlinesMet != w.DeadlinesMet ||
+					got.DeadlinesMissed != w.DeadlinesMissed || got.Recalibrations != w.Recalibrations ||
+					got.AutoRecalibrations != w.AutoRecalibrations {
+					t.Errorf("group %s: report %+v, machines' Stats sum to %+v", got.Name, got, w)
+				}
+			}
+			if executed == 0 {
+				t.Fatal("nothing executed: the oracle compares zeros")
+			}
+
+			if got, want := rep.Latency, summarize(slices.Concat(s.groupLat...)); got != want {
+				t.Errorf("fleet latency %+v, summary of the concatenated samples %+v", got, want)
+			}
+		})
+	}
+}

@@ -71,9 +71,7 @@ type tenantState struct {
 	sys         *uaqetp.System
 	effDeadline float64
 	// shed counts front-door refusals (before placement).
-	shed       int
-	latencies  []float64
-	queueWaits []float64
+	shed int
 }
 
 // simRun is the mutable state of one simulation.
@@ -89,6 +87,12 @@ type simRun struct {
 	cursor   int
 	frees    []freeEvent
 	freeSeq  uint64
+
+	// groupLat and groupQW are each tenant group's end-to-end latency
+	// and queue-wait samples, one per executed request, in execution
+	// order; the report sorts them in place.
+	groupLat, groupQW [][]float64
+
 	// predMemo caches the base System's prediction per template: the
 	// front door's bestP bound and every least-risk candidate still on
 	// the base predictor stage resolve through the base System,

@@ -156,7 +156,7 @@ func TestPlanKeyUnderConcurrentNamespaces(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				si := (g + i) % len(systems)
 				ns := systems[si].estNS
-				if k := plan.key(&plan.est, ns); k.key != ns+"\x00"+plan.root.Sig || k.hash != cache.Hash(k.key) {
+				if k := plan.key(&plan.est, ns, nil); k.key != ns+"\x00"+plan.root.Sig || k.hash != cache.Hash(k.key) {
 					t.Errorf("key under %q: %q %#x", ns, k.key, k.hash)
 					return
 				}

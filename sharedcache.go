@@ -65,6 +65,28 @@ func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
+// planKey is a cache key record: the key (a plan's ns+"\x00"+sig, or a
+// subtree pass's namespaced key) with its cache.Hash and, when it was
+// built for a tiered cache, its tier hash under that cache's seed.
+type planKey struct {
+	ns, key string
+	hash    uint64
+	// tierHash is cache.SeededHash(tierSeed, key), valid when tiered.
+	tierHash uint64
+	tierSeed int64
+	tiered   bool
+}
+
+// newKey builds the key record of key (namespace ns) for a cache whose
+// tier tally is tier; a nil tier leaves the tier hash unset.
+func newKey(ns, key string, tier *tierTally) planKey {
+	k := planKey{ns: ns, key: key, hash: cache.Hash(key)}
+	if tier != nil {
+		k.tierHash, k.tierSeed, k.tiered = cache.SeededHash(tier.cfg.Seed, key), tier.cfg.Seed, true
+	}
+	return k
+}
+
 // section is one keyed memo of an EstimateCache: a sharded LRU with a
 // flight group in front that coalesces concurrent computations per key —
 // one caller computes, everyone else waits for its result and, having
@@ -95,11 +117,12 @@ func newSection[V any](capacity int, tier *tierTally) *section[V] {
 	}
 }
 
-// get returns the cached value for key, whose cache.Hash is h,
-// computing and caching it via compute on a miss. Concurrent callers
-// with the same key wait for one computation instead of racing.
-func (s *section[V]) get(ctx context.Context, key string, h uint64, compute func() (V, error)) (V, error) {
-	s.tier.classify(key)
+// get returns the cached value for k's key, computing and caching it
+// via compute on a miss. Concurrent callers with the same key wait for
+// one computation instead of racing.
+func (s *section[V]) get(ctx context.Context, k *planKey, compute func() (V, error)) (V, error) {
+	s.tier.classify(k)
+	key, h := k.key, k.hash
 	for {
 		if v, ok := s.lru.Get(key, h); ok {
 			return v, nil
@@ -274,13 +297,24 @@ func NewTieredCache(cfg TierConfig) *EstimateCache {
 	return newCache(cfg.Capacity, t)
 }
 
-// classify tallies one lookup of key; a nil tally (no tier model)
-// counts nothing.
-func (t *tierTally) classify(key string) {
+// hashed reports whether k carries its tier hash under t's seed; with
+// no tier model there is nothing to carry.
+func (t *tierTally) hashed(k *planKey) bool {
+	return t == nil || k.tiered && k.tierSeed == t.cfg.Seed
+}
+
+// classify tallies one lookup of k's key, by the tier hash k carries
+// when it was built for this seed; a nil tally (no tier model) counts
+// nothing.
+func (t *tierTally) classify(k *planKey) {
 	if t == nil {
 		return
 	}
-	if cache.SeededHash(t.cfg.Seed, key) < t.threshold {
+	h := k.tierHash
+	if !t.hashed(k) {
+		h = cache.SeededHash(t.cfg.Seed, k.key)
+	}
+	if h < t.threshold {
 		t.local.Add(1)
 	} else {
 		t.remote.Add(1)

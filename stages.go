@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cache"
 	"repro/internal/calibrate"
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -37,23 +36,17 @@ type Plan struct {
 	est, run atomic.Pointer[planKey]
 }
 
-// planKey is a plan's cache key ns+"\x00"+sig with its cache.Hash.
-type planKey struct {
-	ns, key string
-	hash    uint64
-}
-
-// key returns the plan's key under namespace ns, memoized in slot. A
-// System has one estimate and one run namespace, so a slot recomputes
-// only when Systems with different namespaces share the plan.
-func (p *Plan) key(slot *atomic.Pointer[planKey], ns string) *planKey {
-	if k := slot.Load(); k != nil && k.ns == ns {
+// key returns the plan's key record under namespace ns for a cache
+// with tier tally tier, memoized in slot. A System has one estimate and
+// one run namespace and one cache, so a slot recomputes only when
+// Systems with different namespaces or tier seeds share the plan.
+func (p *Plan) key(slot *atomic.Pointer[planKey], ns string, tier *tierTally) *planKey {
+	if k := slot.Load(); k != nil && k.ns == ns && tier.hashed(k) {
 		return k
 	}
-	key := ns + "\x00" + p.root.Sig
-	k := &planKey{ns: ns, key: key, hash: cache.Hash(key)}
-	slot.Store(k)
-	return k
+	k := newKey(ns, ns+"\x00"+p.root.Sig, tier)
+	slot.Store(&k)
+	return &k
 }
 
 // String returns the plan's canonical signature (a rendered tree).
@@ -238,8 +231,8 @@ func (d *defaultEstimator) Estimate(ctx context.Context, p *Plan) (*Estimates, e
 	if err := p.valid(); err != nil {
 		return nil, err
 	}
-	k := p.key(&p.est, d.ns)
-	return d.cache.plans.get(ctx, k.key, k.hash, func() (*Estimates, error) {
+	k := p.key(&p.est, d.ns, d.cache.tier)
+	return d.cache.plans.get(ctx, k, func() (*Estimates, error) {
 		est, err := sample.EstimateMemo(ctx, p.root, d.samples, d.cat, d.passMemo(ctx))
 		if err != nil {
 			return nil, err
@@ -253,8 +246,8 @@ func (d *defaultEstimator) Estimate(ctx context.Context, p *Plan) (*Estimates, e
 // waiter coalesced onto a canceled computation can retry on its own.
 func (d *defaultEstimator) passMemo(ctx context.Context) sample.PassMemo {
 	return func(key string, compute func() (*sample.Pass, error)) (*sample.Pass, error) {
-		key = d.ns + "\x00" + key
-		return d.cache.passes.get(ctx, key, cache.Hash(key), compute)
+		k := newKey(d.ns, d.ns+"\x00"+key, d.cache.tier)
+		return d.cache.passes.get(ctx, &k, compute)
 	}
 }
 
@@ -361,8 +354,8 @@ func (x simExecutor) Execute(ctx context.Context, q *Query, p *Plan) (float64, e
 // tree as it comes: counts, cardinalities and selectivities, never
 // rows.
 func runSimulated(ctx context.Context, c *EstimateCache, ns string, db *engine.DB, p *Plan) (*engine.OpResult, error) {
-	k := p.key(&p.run, ns)
-	return c.runs.get(ctx, k.key, k.hash, func() (*engine.OpResult, error) {
+	k := p.key(&p.run, ns, c.tier)
+	return c.runs.get(ctx, k, func() (*engine.OpResult, error) {
 		return engine.Run(db, p.root)
 	})
 }

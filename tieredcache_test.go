@@ -9,6 +9,13 @@ import (
 	"repro/internal/cache"
 )
 
+// keyRecord is the key record a lookup of key in a cache with tier
+// tally tier carries.
+func keyRecord(key string, tier *tierTally) *planKey {
+	k := newKey("", key, tier)
+	return &k
+}
+
 // TestTieredCacheClassification pins the tier model: classification is
 // a pure function of (key, seed), the extremes of LocalFraction send
 // every lookup to one tier, and the modeled remote cost is exactly
@@ -21,10 +28,10 @@ func TestTieredCacheClassification(t *testing.T) {
 	allRemote := NewTieredCache(TierConfig{LocalFraction: 0, RemoteLatency: 0.01, Seed: 7})
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("k%03d", i)
-		if _, err := allLocal.plans.get(ctx, key, cache.Hash(key), compute); err != nil {
+		if _, err := allLocal.plans.get(ctx, keyRecord(key, nil), compute); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := allRemote.plans.get(ctx, key, cache.Hash(key), compute); err != nil {
+		if _, err := allRemote.plans.get(ctx, keyRecord(key, nil), compute); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,6 +59,7 @@ func TestTieredCacheClassification(t *testing.T) {
 // non-zero), which keys classify as local (bit i of the mask = key i)
 // and the resulting counts are literals captured at commit 6dfc722,
 // where classify ran fnv.New64a over the seed bytes and []byte(key).
+// The keys carry their tier hash, as a plan's memoized key does.
 func TestTieredCacheClassificationPinned(t *testing.T) {
 	ctx := context.Background()
 	compute := func() (*Estimates, error) { return &Estimates{}, nil }
@@ -68,7 +76,7 @@ func TestTieredCacheClassificationPinned(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			before, _ := c.TierStats()
 			key := fmt.Sprintf("uniform-1G|0.05|%d\x00join(scan(t%d),scan(t%d))", i%3, i, i*i)
-			if _, err := c.plans.get(ctx, key, cache.Hash(key), compute); err != nil {
+			if _, err := c.plans.get(ctx, keyRecord(key, c.tier), compute); err != nil {
 				t.Fatal(err)
 			}
 			if after, _ := c.TierStats(); after.LocalLookups > before.LocalLookups {
@@ -79,6 +87,56 @@ func TestTieredCacheClassificationPinned(t *testing.T) {
 		if mask != want.mask || st.LocalLookups != want.local || st.RemoteLookups != want.remote {
 			t.Errorf("seed %d: local mask %#016x (%d local / %d remote), want %#016x (%d / %d)",
 				want.seed, mask, st.LocalLookups, st.RemoteLookups, want.mask, want.local, want.remote)
+		}
+	}
+}
+
+// TestTierHashMemo: a key record classifies by the tier hash it carries
+// only under the seed it was built for; under any other seed, or built
+// without one, the tally hashes the key itself, so every key lands in
+// the same tier however its record was made. A plan's memoized record
+// is rebuilt when the plan is looked up under another seed.
+func TestTierHashMemo(t *testing.T) {
+	ctx := context.Background()
+	compute := func() (*Estimates, error) { return &Estimates{}, nil }
+	caches := []*EstimateCache{
+		NewTieredCache(TierConfig{LocalFraction: 0.5, Seed: 7}),
+		NewTieredCache(TierConfig{LocalFraction: 0.5, Seed: -3}),
+	}
+	for i := 0; i < 64; i++ {
+		key := fmt.Sprintf("ns\x00sig-%d", i)
+		var tiers [2][3]bool
+		for ci, c := range caches {
+			for bi, tier := range []*tierTally{c.tier, caches[1-ci].tier, nil} {
+				before, _ := c.TierStats()
+				if _, err := c.plans.get(ctx, keyRecord(key, tier), compute); err != nil {
+					t.Fatal(err)
+				}
+				after, _ := c.TierStats()
+				tiers[ci][bi] = after.LocalLookups > before.LocalLookups
+			}
+			if tiers[ci][1] != tiers[ci][0] || tiers[ci][2] != tiers[ci][0] {
+				t.Errorf("seed %d, key %q: local %v by its own record, %v by another seed's, %v untiered",
+					c.tier.cfg.Seed, key, tiers[ci][0], tiers[ci][1], tiers[ci][2])
+			}
+		}
+	}
+
+	sys, err := Open(Config{DB: Uniform1G, SamplingRatio: 0.05, Seed: 11, Cache: caches[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := sys.Planner().BuildPlan(ctx, joinQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range caches {
+		k := p.key(&p.est, "ns", c.tier)
+		if !k.tiered || k.tierSeed != c.tier.cfg.Seed || k.tierHash != cache.SeededHash(c.tier.cfg.Seed, k.key) {
+			t.Errorf("plan key under seed %d: %+v", c.tier.cfg.Seed, k)
+		}
+		if again := p.key(&p.est, "ns", c.tier); again != k {
+			t.Errorf("plan key under seed %d rebuilt on a repeat lookup", c.tier.cfg.Seed)
 		}
 	}
 }
@@ -101,7 +159,7 @@ func TestTieredCacheDeterministicSplit(t *testing.T) {
 
 	serial := NewTieredCache(cfg)
 	for _, k := range keys {
-		if _, err := serial.plans.get(ctx, k, cache.Hash(k), compute); err != nil {
+		if _, err := serial.plans.get(ctx, keyRecord(k, nil), compute); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,7 +170,7 @@ func TestTieredCacheDeterministicSplit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(keys); i += 8 {
-				if _, err := parallel.plans.get(ctx, keys[i], cache.Hash(keys[i]), compute); err != nil {
+				if _, err := parallel.plans.get(ctx, keyRecord(keys[i], nil), compute); err != nil {
 					t.Error(err)
 				}
 			}
