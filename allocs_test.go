@@ -100,7 +100,7 @@ func TestPredictColdAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := core.New(sys.cat, sys.cal.Units, core.Config{})
+	pred := core.New(sys.cat, sys.cal.Units, core.All)
 	perCall := testing.AllocsPerRun(100, func() {
 		if _, err := pred.Predict(p.root, est); err != nil {
 			t.Fatal(err)

@@ -111,7 +111,7 @@ func TestProbabilityQueries(t *testing.T) {
 	if p := pred.Dist.CDF(pred.Mean()); math.Abs(p-0.5) > 1e-9 {
 		t.Errorf("CDF(mean) = %v", p)
 	}
-	if p := pred.Dist.Prob(pred.Mean()-pred.Sigma(), pred.Mean()+pred.Sigma()); math.Abs(p-0.6827) > 0.001 {
+	if p := pred.Dist.CDF(pred.Mean()+pred.Sigma()) - pred.Dist.CDF(pred.Mean()-pred.Sigma()); math.Abs(p-0.6827) > 0.001 {
 		t.Errorf("one-sigma mass = %v", p)
 	}
 }

@@ -80,13 +80,13 @@ func ablEnvGet(b *testing.B) *ablEnv {
 // predictAll runs the predictor over the shared workload and returns the
 // per-query (sigma, |error|) correlation and the mean relative error of
 // the point estimate.
-func (e *ablEnv) predictAll(b *testing.B, cfg core.Config, sr float64, copies int) (rs, meanRel float64) {
+func (e *ablEnv) predictAll(b *testing.B, v core.Variant, sr float64, copies int) (rs, meanRel float64) {
 	b.Helper()
 	sdb, err := sample.Build(e.db, sr, copies, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pred := core.New(e.cat, e.cal.Units, cfg)
+	pred := core.New(e.cat, e.cal.Units, v)
 	var sigmas, errs, rels []float64
 	for i, p := range e.plans {
 		est, err := sample.Estimate(p, sdb, e.cat)
@@ -121,8 +121,8 @@ func ablPrintf(key, format string, args ...interface{}) {
 func BenchmarkAblationCovarianceBounds(b *testing.B) {
 	e := ablEnvGet(b)
 	for i := 0; i < b.N; i++ {
-		tightRS, _ := e.predictAll(b, core.Config{Variant: core.All}, 0.01, 2)
-		noneRS, _ := e.predictAll(b, core.Config{Variant: core.NoCov}, 0.01, 2)
+		tightRS, _ := e.predictAll(b, core.All, 0.01, 2)
+		noneRS, _ := e.predictAll(b, core.NoCov, 0.01, 2)
 		ablPrintf("cov", "\n===== ablation: covariance bounds (TPCH, skewed 1G, SR=0.01) =====\n"+
 			"tight (Thm 7-10): r_s=%.4f\nno covariances:  r_s=%.4f\n",
 			tightRS, noneRS)
@@ -135,8 +135,8 @@ func BenchmarkAblationCovarianceBounds(b *testing.B) {
 func BenchmarkAblationSampleCopies(b *testing.B) {
 	e := ablEnvGet(b)
 	for i := 0; i < b.N; i++ {
-		oneRS, oneRel := e.predictAll(b, core.Config{Variant: core.All}, 0.05, 1)
-		twoRS, twoRel := e.predictAll(b, core.Config{Variant: core.All}, 0.05, 2)
+		oneRS, oneRel := e.predictAll(b, core.All, 0.05, 1)
+		twoRS, twoRel := e.predictAll(b, core.All, 0.05, 2)
 		ablPrintf("copies", "\n===== ablation: sample tables per relation =====\n"+
 			"1 copy:  r_s=%.4f mean-rel-err=%.4f\n2 copies: r_s=%.4f mean-rel-err=%.4f\n",
 			oneRS, oneRel, twoRS, twoRel)
@@ -154,7 +154,7 @@ func BenchmarkAblationEstimators(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pred := core.New(e.cat, e.cal.Units, core.Config{Variant: core.All})
+		pred := core.New(e.cat, e.cal.Units, core.All)
 		type estimator struct {
 			name string
 			run  func(p *engine.Node) (*sample.Estimates, error)
@@ -200,7 +200,7 @@ func BenchmarkAblationMonteCarlo(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pred := core.New(e.cat, e.cal.Units, core.Config{Variant: core.All})
+		pred := core.New(e.cat, e.cal.Units, core.All)
 		var ratios, meanDiffs []float64
 		for _, p := range e.plans[:10] {
 			est, err := sample.Estimate(p, sdb, e.cat)

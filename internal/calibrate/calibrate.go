@@ -13,7 +13,6 @@
 package calibrate
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -22,25 +21,22 @@ import (
 	"repro/internal/stats"
 )
 
-// Config controls the calibration procedure.
+// tableSizes are the row counts of the calibration relations; using
+// several sizes gives independent observations like the paper's
+// "different R's" (Example 3).
+var tableSizes = [...]int{2000, 5000, 10000, 20000, 50000}
+
+// repetitions is the number of runs per (query, size) pair.
+const repetitions = 12
+
+// Config controls the calibration procedure: the seed of its run-to-run
+// noise. The relation sizes and the repetition count are fixed.
 type Config struct {
-	// TableSizes are the row counts of the calibration relations; using
-	// several sizes gives independent observations like the paper's
-	// "different R's" (Example 3).
-	TableSizes []int
-	// Repetitions per (query, size) pair.
-	Repetitions int
-	Seed        int64
+	Seed int64
 }
 
-// DefaultConfig matches a modest but stable calibration run.
-func DefaultConfig(seed int64) Config {
-	return Config{
-		TableSizes:  []int{2000, 5000, 10000, 20000, 50000},
-		Repetitions: 12,
-		Seed:        seed,
-	}
-}
+// DefaultConfig is the calibration run seeded by seed.
+func DefaultConfig(seed int64) Config { return Config{Seed: seed} }
 
 // Result holds the calibrated distribution of each cost unit and the raw
 // per-run observations behind it.
@@ -52,20 +48,9 @@ type Result struct {
 // Dist returns the calibrated distribution of unit u.
 func (r *Result) Dist(u hardware.Unit) stats.Normal { return r.Units[u] }
 
-// Means returns the five calibrated means in unit order.
-func (r *Result) Means() [hardware.NumUnits]float64 {
-	var m [hardware.NumUnits]float64
-	for i := range m {
-		m[i] = r.Units[i].Mu
-	}
-	return m
-}
-
-// Run calibrates all five cost units against the given hardware profile.
+// Run calibrates all five cost units against the given hardware
+// profile. It cannot fail; the error result is kept for its callers.
 func Run(p *hardware.Profile, cfg Config) (*Result, error) {
-	if len(cfg.TableSizes) == 0 || cfg.Repetitions <= 0 {
-		return nil, fmt.Errorf("calibrate: empty configuration")
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := &Result{}
 
@@ -74,9 +59,9 @@ func Run(p *hardware.Profile, cfg Config) (*Result, error) {
 	}
 
 	// Q1 — in-memory sequential scan: tau = nt*ct (pages cached: ns = 0).
-	for _, n := range cfg.TableSizes {
+	for _, n := range tableSizes {
 		nt := float64(n)
-		for rep := 0; rep < cfg.Repetitions; rep++ {
+		for rep := 0; rep < repetitions; rep++ {
 			tau := observe(engine.Counts{NT: nt})
 			res.Observations[hardware.CT] = append(res.Observations[hardware.CT], tau/nt)
 		}
@@ -84,10 +69,10 @@ func Run(p *hardware.Profile, cfg Config) (*Result, error) {
 	ctHat := summarize(res, hardware.CT)
 
 	// Q2 — cold sequential scan: tau = ns*cs + nt*ct.
-	for _, n := range cfg.TableSizes {
+	for _, n := range tableSizes {
 		nt := float64(n)
 		ns := math.Ceil(nt / engine.TuplesPerPage)
-		for rep := 0; rep < cfg.Repetitions; rep++ {
+		for rep := 0; rep < repetitions; rep++ {
 			tau := observe(engine.Counts{NS: ns, NT: nt})
 			cs := (tau - nt*ctHat.Mu) / ns
 			res.Observations[hardware.CS] = append(res.Observations[hardware.CS], cs)
@@ -96,9 +81,9 @@ func Run(p *hardware.Profile, cfg Config) (*Result, error) {
 	summarize(res, hardware.CS)
 
 	// Q3 — in-memory full index scan: tau = nt*ct + ni*ci.
-	for _, n := range cfg.TableSizes {
+	for _, n := range tableSizes {
 		nt := float64(n)
-		for rep := 0; rep < cfg.Repetitions; rep++ {
+		for rep := 0; rep < repetitions; rep++ {
 			tau := observe(engine.Counts{NT: nt, NI: nt})
 			ci := (tau - nt*ctHat.Mu) / nt
 			res.Observations[hardware.CI] = append(res.Observations[hardware.CI], ci)
@@ -107,9 +92,9 @@ func Run(p *hardware.Profile, cfg Config) (*Result, error) {
 	ciHat := summarize(res, hardware.CI)
 
 	// Q4 — cold index scan: tau = nr*cr + nt*ct + ni*ci.
-	for _, n := range cfg.TableSizes {
+	for _, n := range tableSizes {
 		m := float64(n)
-		for rep := 0; rep < cfg.Repetitions; rep++ {
+		for rep := 0; rep < repetitions; rep++ {
 			tau := observe(engine.Counts{NR: m, NT: m, NI: m})
 			cr := (tau - m*ctHat.Mu - m*ciHat.Mu) / m
 			res.Observations[hardware.CR] = append(res.Observations[hardware.CR], cr)
@@ -118,10 +103,10 @@ func Run(p *hardware.Profile, cfg Config) (*Result, error) {
 	summarize(res, hardware.CR)
 
 	// Q5 — in-memory sort: tau = nt*ct + no*co with no = n*log2(n).
-	for _, n := range cfg.TableSizes {
+	for _, n := range tableSizes {
 		nt := float64(n)
 		no := nt * math.Log2(math.Max(nt, 2))
-		for rep := 0; rep < cfg.Repetitions; rep++ {
+		for rep := 0; rep < repetitions; rep++ {
 			tau := observe(engine.Counts{NT: nt, NO: no})
 			co := (tau - nt*ctHat.Mu) / no
 			res.Observations[hardware.CO] = append(res.Observations[hardware.CO], co)

@@ -75,22 +75,12 @@ func TestCalibrationOrderingPreserved(t *testing.T) {
 	}
 }
 
-func TestCalibrationRejectsEmptyConfig(t *testing.T) {
-	if _, err := Run(hardware.PC1(), Config{}); err == nil {
-		t.Error("expected error on empty config")
-	}
-}
-
-func TestMeansAccessor(t *testing.T) {
+func TestDistAccessor(t *testing.T) {
 	res, err := Run(hardware.PC1(), DefaultConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := res.Means()
-	for i := range m {
-		if m[i] != res.Units[i].Mu {
-			t.Errorf("Means()[%d] mismatch", i)
-		}
+	for i := range res.Units {
 		if res.Dist(hardware.Unit(i)) != res.Units[i] {
 			t.Errorf("Dist(%d) mismatch", i)
 		}

@@ -22,19 +22,19 @@ func boundFixture() (scan, join *engine.Node, asm *assembly) {
 		vars:  make([]stats.Normal, 3),
 		info:  make([]varInfo, 3),
 	}
-	asm.vars[scan.ID] = stats.NewNormal(0.3, 0.02)
+	asm.vars[scan.ID] = stats.Normal{Mu: 0.3, Sigma: 0.02}
 	asm.info[scan.ID] = varInfo{
 		leafOff:  0,
 		leafComp: []float64{0.0004},
 		leafN:    []int{500},
 	}
-	asm.vars[other.ID] = stats.NewNormal(1.0, 0)
+	asm.vars[other.ID] = stats.Normal{Mu: 1.0, Sigma: 0}
 	asm.info[other.ID] = varInfo{
 		leafOff:  1,
 		leafComp: []float64{0},
 		leafN:    []int{500},
 	}
-	asm.vars[join.ID] = stats.NewNormal(0.001, 0.0002)
+	asm.vars[join.ID] = stats.Normal{Mu: 0.001, Sigma: 0.0002}
 	asm.info[join.ID] = varInfo{
 		leafOff:  0,
 		leafComp: []float64{3e-8, 1e-8},
@@ -64,7 +64,7 @@ func varOf(t costmodel.Term, asm *assembly) float64 { return newCovTerm(t, asm.v
 func TestCovTermsIndependentVarsExact(t *testing.T) {
 	scan, join, asm := boundFixture()
 	_ = join
-	p := New(nil, [5]stats.Normal{}, Config{})
+	p := New(nil, [5]stats.Normal{}, All)
 	// Same variable: Cov(5X, 3X) = 15 sigma^2, exact.
 	cov, bounded := covOf(p, linTerm(scan.ID, 5), linTerm(scan.ID, 3), asm)
 	want := 15 * asm.vars[scan.ID].Var()
@@ -75,7 +75,7 @@ func TestCovTermsIndependentVarsExact(t *testing.T) {
 
 func TestCovTermsAncestorDescendantBounded(t *testing.T) {
 	scan, join, asm := boundFixture()
-	p := New(nil, [5]stats.Normal{}, Config{})
+	p := New(nil, [5]stats.Normal{}, All)
 	cov, bounded := covOf(p, linTerm(scan.ID, 2), linTerm(join.ID, 4), asm)
 	if !bounded {
 		t.Fatal("expected a bounded covariance for nested operators")
@@ -92,7 +92,7 @@ func TestCovTermsAncestorDescendantBounded(t *testing.T) {
 
 func TestTightBoundBelowCauchySchwarz(t *testing.T) {
 	scan, join, asm := boundFixture()
-	p := New(nil, [5]stats.Normal{}, Config{})
+	p := New(nil, [5]stats.Normal{}, All)
 	a, b := linTerm(scan.ID, 1), linTerm(join.ID, 1)
 	tight, _ := covOf(p, a, b, asm)
 	loose := math.Sqrt(varOf(a, asm) * varOf(b, asm))
@@ -103,7 +103,7 @@ func TestTightBoundBelowCauchySchwarz(t *testing.T) {
 
 func TestNoCovZeroesBoundedTerms(t *testing.T) {
 	scan, join, asm := boundFixture()
-	p := New(nil, [5]stats.Normal{}, Config{Variant: NoCov})
+	p := New(nil, [5]stats.Normal{}, NoCov)
 	cov, bounded := covOf(p, linTerm(scan.ID, 1), linTerm(join.ID, 1), asm)
 	if cov != 0 || bounded {
 		t.Errorf("NoCov: cov=%v bounded=%v, want 0/false", cov, bounded)
@@ -112,7 +112,7 @@ func TestNoCovZeroesBoundedTerms(t *testing.T) {
 
 func TestQuadraticBoundsUseTheorems(t *testing.T) {
 	scan, join, asm := boundFixture()
-	p := New(nil, [5]stats.Normal{}, Config{})
+	p := New(nil, [5]stats.Normal{}, All)
 	// X^2 vs X'^2 and X^2 vs X' are bounded, by Cauchy-Schwarz alone.
 	for _, c := range [][2]costmodel.Term{
 		{sqTerm(scan.ID, 1), sqTerm(join.ID, 1)},

@@ -58,21 +58,17 @@ func (v Variant) String() string {
 	}
 }
 
-// Config tunes the predictor.
-type Config struct {
+// Predictor holds the calibrated state shared across predictions.
+type Predictor struct {
+	Cat     *catalog.Catalog
+	Units   [hardware.NumUnits]stats.Normal // calibrated cost units
 	Variant Variant
 }
 
-// Predictor holds the calibrated state shared across predictions.
-type Predictor struct {
-	Cat   *catalog.Catalog
-	Units [hardware.NumUnits]stats.Normal // calibrated cost units
-	Cfg   Config
-}
-
-// New constructs a predictor from a catalog and calibrated cost units.
-func New(cat *catalog.Catalog, units [hardware.NumUnits]stats.Normal, cfg Config) *Predictor {
-	return &Predictor{Cat: cat, Units: units, Cfg: cfg}
+// New constructs a predictor of variant v from a catalog and calibrated
+// cost units.
+func New(cat *catalog.Catalog, units [hardware.NumUnits]stats.Normal, v Variant) *Predictor {
+	return &Predictor{Cat: cat, Units: units, Variant: v}
 }
 
 // OpPrediction is the per-operator share of the prediction.
@@ -250,7 +246,7 @@ func (p *Predictor) assemble(root *engine.Node, est *sample.Estimates) (*assembl
 		e := &est.Ops[i]
 		a.selfRho[i] = e.Rho
 		v, lc := e.Var, e.LeafComp
-		if p.Cfg.Variant == NoVarX {
+		if p.Variant == NoVarX {
 			v, lc = 0, nil
 		}
 		a.vars[i] = stats.NormalFromVar(e.Rho, v)
@@ -308,7 +304,7 @@ func (p *Predictor) Predict(root *engine.Node, est *sample.Estimates) (*Predicti
 	var ec, vc [hardware.NumUnits]float64
 	for i := 0; i < hardware.NumUnits; i++ {
 		ec[i] = p.Units[i].Mu
-		if p.Cfg.Variant != NoVarC {
+		if p.Variant != NoVarC {
 			vc[i] = p.Units[i].Var()
 		}
 	}
@@ -404,7 +400,7 @@ func (p *Predictor) covTerms(a, b *covTerm, asm *assembly) (float64, bool) {
 	if !nested {
 		return a.CovGiven(b.Term, asm.vars, a.mean, b.mean), false
 	}
-	if p.Cfg.Variant == NoCov {
+	if p.Variant == NoCov {
 		return 0, false
 	}
 	return p.boundTermCov(a, b, math.Sqrt(a.vr*b.vr), asm), true

@@ -34,12 +34,10 @@ func newFixture(t *testing.T, variant Variant) *fixture {
 		t.Fatal(err)
 	}
 	return &fixture{
-		db:  db,
-		cat: cat,
-		hw:  hw,
-		pred: New(cat, cal.Units, Config{
-			Variant: variant,
-		}),
+		db:   db,
+		cat:  cat,
+		hw:   hw,
+		pred: New(cat, cal.Units, variant),
 	}
 }
 
@@ -177,7 +175,7 @@ func TestVariantOrdering(t *testing.T) {
 func TestNoVarCKillsUnitVariance(t *testing.T) {
 	// With deterministic selectivities AND NoVarC, variance must be ~0.
 	f := newFixture(t, NoVarC)
-	f.pred.Cfg.Variant = NoVarC
+	f.pred.Variant = NoVarC
 	plan := scanQuery()
 	// A pure seq scan has constant cost functions: all X-variance is
 	// irrelevant, so NoVarC alone should zero the variance.
@@ -369,7 +367,7 @@ func TestPassOwnsItsRowsUnderPredict(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, v := range []Variant{All, NoVarC, NoVarX, NoCov} {
-				p := New(f.cat, f.pred.Units, Config{Variant: v})
+				p := New(f.cat, f.pred.Units, v)
 				if _, err := p.Predict(c.root, c.est); err != nil {
 					t.Error(err)
 					return

@@ -112,7 +112,7 @@ func TestPredictionDigestPinned(t *testing.T) {
 	for _, kind := range []datagen.DBKind{datagen.Uniform1G, datagen.Skewed1G} {
 		plans, ests, cat := genPlans(t, kind, nEach, 1)
 		for _, v := range []Variant{All, NoVarC, NoVarX, NoCov} {
-			p := New(cat, units, Config{Variant: v})
+			p := New(cat, units, v)
 			for i, root := range plans {
 				pred, err := p.Predict(root, ests[i])
 				if err != nil {
@@ -163,7 +163,7 @@ func TestAlternativesPredictionDigestPinned(t *testing.T) {
 	plans, ests, cat := genPlans(t, datagen.Skewed1G, 32, 8)
 	units := pinnedUnits(t)
 	for _, v := range []Variant{All, NoVarC, NoVarX, NoCov} {
-		p := New(cat, units, Config{Variant: v})
+		p := New(cat, units, v)
 		h := sha256.New()
 		for i, root := range plans {
 			pred, err := p.Predict(root, ests[i])
@@ -183,7 +183,7 @@ func TestAlternativesPredictionDigestPinned(t *testing.T) {
 // outside the timer — no sampling pass, no cache, no harness.
 func BenchmarkPredictCold(b *testing.B) {
 	plans, ests, cat := genPlans(b, datagen.Uniform1G, 256, 1)
-	p := New(cat, pinnedUnits(b), Config{})
+	p := New(cat, pinnedUnits(b), All)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

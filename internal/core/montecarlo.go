@@ -118,7 +118,7 @@ func (p *Predictor) PredictMonteCarlo(root *engine.Node, est *sample.Estimates, 
 				continue
 			}
 			v := x.Mu
-			if x.Sigma > 0 && p.Cfg.Variant != NoVarX {
+			if x.Sigma > 0 && p.Variant != NoVarX {
 				v = x.Mu + x.Sigma*rng.NormFloat64()
 				if v < 0 {
 					v = 0
@@ -134,7 +134,7 @@ func (p *Predictor) PredictMonteCarlo(root *engine.Node, est *sample.Estimates, 
 		for u := 0; u < 5; u++ {
 			cu := p.Units[u]
 			v := cu.Mu
-			if cu.Sigma > 0 && p.Cfg.Variant != NoVarC {
+			if cu.Sigma > 0 && p.Variant != NoVarC {
 				v = cu.Mu + cu.Sigma*rng.NormFloat64()
 				if v < 0 {
 					v = 0

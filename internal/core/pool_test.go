@@ -25,7 +25,7 @@ func predictionBits(pred *Prediction) string {
 // an assembly.
 func TestConcurrentPredictBitEqual(t *testing.T) {
 	plans, ests, cat := genPlans(t, datagen.Uniform1G, 32, 1)
-	p := New(cat, pinnedUnits(t), Config{})
+	p := New(cat, pinnedUnits(t), All)
 	run := func(i int) (string, error) {
 		pred, err := p.Predict(plans[i], ests[i])
 		if err != nil {
@@ -76,7 +76,7 @@ func TestConcurrentPredictBitEqual(t *testing.T) {
 // predicts again.
 func TestAssemblyPoolRetainsNoReferences(t *testing.T) {
 	plans, ests, cat := genPlans(t, datagen.Uniform1G, 2, 1)
-	p := New(cat, pinnedUnits(t), Config{})
+	p := New(cat, pinnedUnits(t), All)
 	for attempt := 0; attempt < 8; attempt++ {
 		if _, err := p.Predict(plans[3], ests[3]); err != nil {
 			t.Fatal(err)

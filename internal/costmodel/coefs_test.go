@@ -89,7 +89,7 @@ func TestCoefsAreTheCostModel(t *testing.T) {
 				if zero {
 					vars = make([]stats.Normal, len(g.vars))
 					for i, v := range g.vars {
-						vars[i] = stats.NewNormal(v.Mu, 0)
+						vars[i] = stats.Normal{Mu: v.Mu, Sigma: 0}
 					}
 				}
 				for i := range g.models {
@@ -150,8 +150,8 @@ func TestIndexScanBelowAndAboveTheClamp(t *testing.T) {
 		x    stats.Normal
 		want [2]float64
 	}{
-		{"below", stats.NewNormal(0.2, 0.01), [2]float64{2000, 0}},
-		{"above", stats.NewNormal(0.8, 0.01), [2]float64{0, 1000}},
+		{"below", stats.Normal{Mu: 0.2, Sigma: 0.01}, [2]float64{2000, 0}},
+		{"above", stats.Normal{Mu: 0.8, Sigma: 0.01}, [2]float64{0, 1000}},
 	} {
 		funcs, err := FitNode(indexScan(), []stats.Normal{c.x})
 		if err != nil {
@@ -171,7 +171,7 @@ func TestIndexScanBelowAndAboveTheClamp(t *testing.T) {
 // residuals that sum to zero.
 func TestIndexScanAcrossTheClamp(t *testing.T) {
 	m := indexScan()
-	x := stats.NewNormal(0.5, 0.05)
+	x := stats.Normal{Mu: 0.5, Sigma: 0.05}
 	if _, _, exact := m.kindFor(hardware.CR, x); exact {
 		t.Fatal("an interval across the clamp has closed-form coefficients")
 	}
@@ -201,7 +201,7 @@ func TestIndexScanAcrossTheClamp(t *testing.T) {
 func TestCleanCoefsKeepsTrueCoefficients(t *testing.T) {
 	m := &NodeModel{Node: &engine.Node{Kind: engine.HashJoin}, VarA: 1, VarB: 2,
 		SizeL: 5e6, SizeR: 600, Size: 3e9, Theta: 800}
-	vars := []stats.Normal{{}, stats.NewNormal(0.3, 0.05), stats.NewNormal(0.5, 0.05)}
+	vars := []stats.Normal{{}, stats.Normal{Mu: 0.3, Sigma: 0.05}, stats.Normal{Mu: 0.5, Sigma: 0.05}}
 	funcs, err := FitNode(m, vars)
 	if err != nil {
 		t.Fatal(err)

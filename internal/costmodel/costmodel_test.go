@@ -133,8 +133,8 @@ func TestFitRecoversLinearExactly(t *testing.T) {
 	selfRho := byID(3, map[int]float64{plan.ID: 0.002, plan.Left.ID: 0.1, plan.Right.ID: 1.0})
 	models, _ := BuildModels(nil, plan, cat, selfRho)
 	vars := byID(3, map[int]stats.Normal{
-		plan.Left.ID:  stats.NewNormal(0.1, 0.01),
-		plan.Right.ID: stats.NewNormal(1.0, 0),
+		plan.Left.ID:  stats.Normal{Mu: 0.1, Sigma: 0.01},
+		plan.Right.ID: stats.Normal{Mu: 1.0, Sigma: 0},
 	})
 
 	// Index scan: nr = M = X*5000, so C2 with b0 = 5000, b1 = 0.
@@ -173,7 +173,7 @@ func TestFitSortQuadraticApproximation(t *testing.T) {
 	plan.Finalize()
 	models, _ := BuildModels(nil, plan, cat, make([]float64, len(plan.Nodes())))
 	scanID := plan.Left.ID
-	x := stats.NewNormal(0.5, 0.03)
+	x := stats.Normal{Mu: 0.5, Sigma: 0.03}
 	vars := byID(2, map[int]stats.Normal{scanID: x})
 	funcs, err := FitNode(&models[plan.ID], vars)
 	if err != nil {
@@ -201,7 +201,7 @@ func TestFitConstantSeqScan(t *testing.T) {
 		Preds: []engine.Predicate{{Col: "b", Op: engine.Lt, Lo: 25}}}
 	plan.Finalize()
 	models, _ := BuildModels(nil, plan, cat, make([]float64, len(plan.Nodes())))
-	vars := []stats.Normal{stats.NewNormal(0.5, 0.05)}
+	vars := []stats.Normal{stats.Normal{Mu: 0.5, Sigma: 0.05}}
 	funcs, err := FitNode(&models[plan.ID], vars)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestFitConstantSeqScan(t *testing.T) {
 func TestDistMatchesLemma4(t *testing.T) {
 	// C4 variance must equal sigma^2[(b1+2 b0 mu)^2 + 2 b0^2 sigma^2].
 	f := &Func{Kind: C4, B: [4]float64{3, 2, 1}, VarA: 7, VarB: -1}
-	x := stats.NewNormal(0.4, 0.05)
+	x := stats.Normal{Mu: 0.4, Sigma: 0.05}
 	vars := []stats.Normal{7: x}
 	mean, variance := f.Dist(vars)
 	s2 := x.Var()
@@ -241,8 +241,8 @@ func TestDistMatchesLemma8(t *testing.T) {
 	// C6 variance must equal sigma_l^2(b0 mu_r + b1)^2 +
 	// sigma_r^2(b0 mu_l + b2)^2 + b0^2 sigma_l^2 sigma_r^2.
 	f := &Func{Kind: C6, B: [4]float64{5, 3, 2, 1}, VarA: 1, VarB: 2}
-	xl := stats.NewNormal(0.3, 0.04)
-	xr := stats.NewNormal(0.6, 0.07)
+	xl := stats.Normal{Mu: 0.3, Sigma: 0.04}
+	xr := stats.Normal{Mu: 0.6, Sigma: 0.07}
 	vars := []stats.Normal{1: xl, 2: xr}
 	_, variance := f.Dist(vars)
 	sl2, sr2 := xl.Var(), xr.Var()
@@ -254,14 +254,14 @@ func TestDistMatchesLemma8(t *testing.T) {
 
 func TestDistLinearForms(t *testing.T) {
 	f := &Func{Kind: C3, B: [4]float64{10, 4}, VarA: 3, VarB: -1}
-	x := stats.NewNormal(0.2, 0.03)
+	x := stats.Normal{Mu: 0.2, Sigma: 0.03}
 	mean, variance := f.Dist([]stats.Normal{3: x})
 	if !almostEq(mean, 10*0.2+4, 1e-12) || !almostEq(variance, 100*x.Var(), 1e-12) {
 		t.Errorf("C3 dist = (%v, %v)", mean, variance)
 	}
 	f5 := &Func{Kind: C5, B: [4]float64{10, 20, 4}, VarA: 1, VarB: 2}
-	xl := stats.NewNormal(0.2, 0.03)
-	xr := stats.NewNormal(0.5, 0.01)
+	xl := stats.Normal{Mu: 0.2, Sigma: 0.03}
+	xr := stats.Normal{Mu: 0.5, Sigma: 0.01}
 	m5, v5 := f5.Dist([]stats.Normal{1: xl, 2: xr})
 	if !almostEq(m5, 10*0.2+20*0.5+4, 1e-12) ||
 		!almostEq(v5, 100*xl.Var()+400*xr.Var(), 1e-12) {
@@ -277,8 +277,8 @@ func TestDistProperty(t *testing.T) {
 		fn := &Func{Kind: C5, B: [4]float64{r.Float64() * 100, r.Float64() * 100, r.Float64() * 10},
 			VarA: 1, VarB: 2}
 		vars := []stats.Normal{
-			1: stats.NewNormal(r.Float64(), r.Float64()*0.1),
-			2: stats.NewNormal(r.Float64(), r.Float64()*0.1),
+			1: stats.Normal{Mu: r.Float64(), Sigma: r.Float64() * 0.1},
+			2: stats.Normal{Mu: r.Float64(), Sigma: r.Float64() * 0.1},
 		}
 		mean, variance := fn.Dist(vars)
 		if variance < 0 {
@@ -295,8 +295,8 @@ func TestDistProperty(t *testing.T) {
 func TestTermsRoundTrip(t *testing.T) {
 	// Sum of term means equals Dist mean for every kind.
 	vars := []stats.Normal{
-		1: stats.NewNormal(0.3, 0.05),
-		2: stats.NewNormal(0.7, 0.02),
+		1: stats.Normal{Mu: 0.3, Sigma: 0.05},
+		2: stats.Normal{Mu: 0.7, Sigma: 0.02},
 	}
 	fns := []Func{
 		Constant(5),
@@ -337,15 +337,15 @@ func TestZeroAndConstant(t *testing.T) {
 }
 
 func TestProbeIntervalClamps(t *testing.T) {
-	lo, hi := probeInterval(stats.NewNormal(0.01, 0.05))
+	lo, hi := probeInterval(stats.Normal{Mu: 0.01, Sigma: 0.05})
 	if lo != 0 {
 		t.Errorf("lo = %v, want 0", lo)
 	}
-	lo, hi = probeInterval(stats.NewNormal(0.99, 0.05))
+	lo, hi = probeInterval(stats.Normal{Mu: 0.99, Sigma: 0.05})
 	if hi != 1 {
 		t.Errorf("hi = %v, want 1", hi)
 	}
-	lo, hi = probeInterval(stats.NewNormal(0.5, 0))
+	lo, hi = probeInterval(stats.Normal{Mu: 0.5, Sigma: 0})
 	if hi <= lo {
 		t.Errorf("degenerate interval [%v,%v]", lo, hi)
 	}

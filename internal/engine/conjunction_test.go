@@ -78,7 +78,7 @@ func TestConjunctionMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		db := conjDB(500+r.Intn(500), seed)
-		tbl := db.MustTable("t")
+		tbl := db.Tables["t"]
 		preds := []Predicate{
 			{Col: "x", Op: Lt, Lo: int64(10 + r.Intn(90))},
 			{Col: "z", Op: Ge, Lo: int64(r.Intn(50))},

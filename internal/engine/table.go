@@ -82,16 +82,6 @@ func (db *DB) Table(name string) (*Table, error) {
 	return t, nil
 }
 
-// MustTable is Table but panics on unknown names; used where the plan was
-// already validated.
-func (db *DB) MustTable(name string) *Table {
-	t, err := db.Table(name)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // CmpOp enumerates comparison operators for scan predicates.
 type CmpOp int
 

@@ -79,7 +79,7 @@ func TestBuildTwoWayJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	li := db.MustTable("lineitem")
+	li := db.Tables["lineitem"]
 	// FK join: every lineitem matches exactly one order.
 	if res.M != float64(li.NumRows()) {
 		t.Errorf("join cardinality %v, want %d", res.M, li.NumRows())

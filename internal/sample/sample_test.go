@@ -381,7 +381,7 @@ func threeWayDB(seed int64, n, dom int) (*engine.DB, *engine.Node) {
 // #{t1: b1 = a2} * #{t3: a3 = b2} row pairs. It never materializes the
 // result, which at 2000 rows per table is ~55M rows.
 func threeWaySelectivity(db *engine.DB) float64 {
-	t1, t2, t3 := db.MustTable("t1"), db.MustTable("t2"), db.MustTable("t3")
+	t1, t2, t3 := db.Tables["t1"], db.Tables["t2"], db.Tables["t3"]
 	b1, a3 := map[int64]float64{}, map[int64]float64{}
 	for _, row := range t1.Rows {
 		b1[row[1]]++

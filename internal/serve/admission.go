@@ -23,6 +23,7 @@ type Request struct {
 	// ShedBelow is the routing tier's predictive shed, run here to save
 	// it a hop: with an explicit Deadline, a query whose zero-wait
 	// P(T_q <= Deadline) is below ShedBelow gets Verdict "shed-predictive".
+	// It must lie in [0, 1); 0 turns the shed off.
 	ShedBelow float64 `json:"shed_below,omitempty"`
 }
 
@@ -135,6 +136,9 @@ func (s *Server) Submit(ctx context.Context, req Request) (Decision, error) {
 	}
 	if req.Deadline < 0 {
 		return Decision{}, fmt.Errorf("serve: negative deadline %g", req.Deadline)
+	}
+	if !(req.ShedBelow >= 0 && req.ShedBelow < 1) { // NaN fails too
+		return Decision{}, fmt.Errorf("serve: shed_below %g out of [0, 1)", req.ShedBelow)
 	}
 	deadline := req.Deadline
 	if deadline == 0 {
@@ -376,7 +380,7 @@ func (s *Server) stepOneLocked(out *Outcome) (bool, error) {
 			Met: out.Met, PredMean: out.PredMean, PredSigma: out.PredSigma,
 		})
 	}
-	it.tenant.feedback.record(it.pred, elapsed, it.plan.String())
+	it.tenant.feedback.record(out, it.plan.String())
 	releaseQueued(it)
 	return true, nil
 }

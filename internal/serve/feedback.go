@@ -4,7 +4,6 @@ import (
 	"sort"
 	"sync"
 
-	uaqetp "repro"
 	"repro/internal/calib"
 	"repro/internal/hardware"
 )
@@ -63,12 +62,12 @@ func (f *feedback) reset() {
 	f.sigs = make(map[string]*sigAgg)
 }
 
-// record adds one (prediction, observation) pair for a plan signature.
-func (f *feedback) record(pred *uaqetp.Prediction, observed float64, plansig string) {
-	unit := pred.DominantUnit()
+// record adds one executed request's (prediction, observation) pair,
+// as its Outcome carries it, for a plan signature.
+func (f *feedback) record(out *Outcome, plansig string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.units[unit].Observe(pred.Mean(), pred.Sigma(), observed)
+	f.units[out.Unit].Observe(out.PredMean, out.PredSigma, out.Elapsed)
 	sg := f.sigs[plansig]
 	if sg == nil {
 		if len(f.sigs) >= maxTrackedSignatures {
@@ -78,8 +77,8 @@ func (f *feedback) record(pred *uaqetp.Prediction, observed float64, plansig str
 		f.sigs[plansig] = sg
 	}
 	sg.n++
-	sg.sumObs += observed
-	sg.sumPred += pred.Mean()
+	sg.sumObs += out.Elapsed
+	sg.sumPred += out.PredMean
 }
 
 // CoveragePoint compares nominal and observed central-interval

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -251,5 +252,28 @@ func TestHTTPOversizeBody(t *testing.T) {
 	resp, body = postJSON(t, ts, "/submit", Request{Tenant: "alpha", Query: qs[0], Deadline: 100})
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("submit after oversize: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestHTTPSubmitShedBelowOutOfRange: /submit answers 400 for a
+// shed_below outside [0, 1) — 1.5 would shed every request that has a
+// deadline, and -0.1 would be silently ignored — and Submit refuses NaN
+// through the same check, before it predicts anything.
+func TestHTTPSubmitShedBelowOutOfRange(t *testing.T) {
+	srv, qs := newTestServer(t, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, sb := range []float64{1.5, -0.1} {
+		resp, body := postJSON(t, ts, "/submit", Request{Tenant: "alpha", Query: qs[0], Deadline: 100, ShedBelow: sb})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("shed_below %g: status %d, want 400: %s", sb, resp.StatusCode, body)
+		}
+	}
+	if _, err := srv.Submit(context.Background(), Request{Tenant: "alpha", Query: qs[0], Deadline: 100, ShedBelow: math.NaN()}); err == nil {
+		t.Error("shed_below NaN accepted")
+	}
+	if st := srv.Stats(); st.QueueLen != 0 || st.Tenants[0].Predictions != 0 {
+		t.Errorf("refused submits moved the server: queue %d, alpha predictions %d", st.QueueLen, st.Tenants[0].Predictions)
 	}
 }

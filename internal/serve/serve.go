@@ -241,21 +241,16 @@ func New(cfg Config) *Server {
 	}
 }
 
-// AddTenant opens a System for the tenant on the server's shared cache.
-// The Cache field of sysCfg is overridden; everything else is honored.
-// Tenants with identical configs share one underlying System
-// — each behind its own façade (uaqetp.System.With), so per-tenant
-// predictor swaps stay per-tenant — and the expensive Open runs outside
-// the server lock, so adding a tenant never stalls requests already
-// being served.
+// AddTenant opens a System for the tenant on the server's shared cache
+// and registers it through AddTenantSystem. The Cache field of sysCfg
+// is overridden; everything else is honored. Tenants with identical
+// configs share one underlying System — each behind its own façade, so
+// per-tenant predictor swaps stay per-tenant — and the expensive Open
+// runs outside the server lock, so adding a tenant never stalls
+// requests already being served. The System is opened before the name
+// and SLO are checked, so a refused tenant still leaves its System
+// ready for the next tenant with the same config.
 func (s *Server) AddTenant(name string, sysCfg uaqetp.Config, slo SLO) (*Tenant, error) {
-	if name == "" {
-		return nil, fmt.Errorf("serve: empty tenant name")
-	}
-	nslo, err := slo.Normalized()
-	if err != nil {
-		return nil, err
-	}
 	sysCfg.Cache = s.cache
 	// Apply Open's own defaulting before the dedup lookup, so
 	// equivalent but differently-spelled configs share one System.
@@ -268,36 +263,24 @@ func (s *Server) AddTenant(name string, sysCfg uaqetp.Config, slo SLO) (*Tenant,
 	}
 
 	s.mu.RLock()
-	_, exists := s.tenants[name]
 	sys := s.systems[sysCfg]
 	s.mu.RUnlock()
-	if exists {
-		return nil, fmt.Errorf("serve: tenant %q already exists", name)
-	}
 	if sys == nil {
 		// Open without the lock; a concurrent AddTenant with the same
-		// config may race to a second Open, in which case one deterministic
-		// duplicate wins the map and the other is dropped — harmless.
-		if sys, err = uaqetp.Open(sysCfg); err != nil {
+		// config may race to a second Open, in which case the first to
+		// reach the map wins and the other System is dropped — harmless.
+		opened, err := uaqetp.Open(sysCfg)
+		if err != nil {
 			return nil, fmt.Errorf("serve: open tenant %q: %w", name, err)
 		}
+		s.mu.Lock()
+		if sys = s.systems[sysCfg]; sys == nil {
+			sys = opened
+			s.systems[sysCfg] = sys
+		}
+		s.mu.Unlock()
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.tenants[name]; ok {
-		return nil, fmt.Errorf("serve: tenant %q already exists", name)
-	}
-	if prev, ok := s.systems[sysCfg]; ok {
-		sys = prev
-	} else {
-		s.systems[sysCfg] = sys
-	}
-	// Each tenant gets its own façade with an independent predictor
-	// handle over the shared layers.
-	t := &Tenant{name: name, slo: nslo, sys: sys.With(), feedback: newFeedback()}
-	s.tenants[name] = t
-	return t, nil
+	return s.AddTenantSystem(name, sys, slo)
 }
 
 // AddTenantSystem registers a tenant over an already opened System.
@@ -306,8 +289,8 @@ func (s *Server) AddTenant(name string, sysCfg uaqetp.Config, slo SLO) (*Tenant,
 // handing the same façade to two servers; the server wraps the System
 // in a fresh façade (System.With) so per-tenant predictor swaps stay
 // local. The cluster simulator uses this to give every simulated
-// machine a façade over one expensive Open per tenant config instead of
-// re-generating the database per machine.
+// machine one tenant per tenant group over one expensive Open instead
+// of re-generating the database per machine.
 func (s *Server) AddTenantSystem(name string, sys *uaqetp.System, slo SLO) (*Tenant, error) {
 	if name == "" {
 		return nil, fmt.Errorf("serve: empty tenant name")

@@ -366,6 +366,12 @@ func syntheticPrediction(mu, sigma float64) *uaqetp.Prediction {
 	return p
 }
 
+// observed is the Outcome the drain path hands the feedback loop for a
+// request predicted as pred that ran for elapsed seconds.
+func observed(pred *uaqetp.Prediction, elapsed float64) *Outcome {
+	return &Outcome{Elapsed: elapsed, PredMean: pred.Mean(), PredSigma: pred.Sigma(), Unit: pred.DominantUnit()}
+}
+
 func TestFeedbackWellCalibratedNoAdvice(t *testing.T) {
 	f := newFeedback()
 	// Observations at the predicted mean sit inside every central
@@ -389,7 +395,7 @@ func TestFeedbackWellCalibratedNoAdvice(t *testing.T) {
 		obs = append(obs, quant(0.99)) // outside 95%
 	}
 	for i, o := range obs {
-		f.record(syntheticPrediction(mu, sigma), o, fmt.Sprintf("plan-%d", i%3))
+		f.record(observed(syntheticPrediction(mu, sigma), o), fmt.Sprintf("plan-%d", i%3))
 	}
 	rep := f.report()
 	if rep.Observations != len(obs) || rep.PlanSignatures != 3 {
@@ -409,7 +415,7 @@ func TestFeedbackDriftAdvisesRecalibration(t *testing.T) {
 	// if the dominant cost unit's true mean drifted upward since
 	// calibration: coverage collapses to 0 at every level.
 	for i := 0; i < driftMinSamples+4; i++ {
-		f.record(syntheticPrediction(1.0, 0.1), 2.0, "hot-plan")
+		f.record(observed(syntheticPrediction(1.0, 0.1), 2.0), "hot-plan")
 	}
 	rep := f.report()
 	if !rep.RecalibrationAdvised {
@@ -435,7 +441,7 @@ func TestFeedbackDriftAdvisesRecalibration(t *testing.T) {
 func TestFeedbackBelowMinSamplesStaysQuiet(t *testing.T) {
 	f := newFeedback()
 	for i := 0; i < driftMinSamples-1; i++ {
-		f.record(syntheticPrediction(1.0, 0.1), 2.0, "hot-plan")
+		f.record(observed(syntheticPrediction(1.0, 0.1), 2.0), "hot-plan")
 	}
 	if rep := f.report(); rep.RecalibrationAdvised {
 		t.Error("recalibration advised below the sample floor")

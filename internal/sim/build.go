@@ -122,13 +122,13 @@ func newRun(sc *resolved, sys *uaqetp.System, cache *uaqetp.EstimateCache, sinks
 		return nil, err
 	}
 	s := &simRun{
-		sc: sc, ctx: context.Background(), router: sc.Router, cache: cache,
+		sc: sc, ctx: context.Background(), router: sc.Router, sys: sys, cache: cache,
 		rec:       sinks.trace,
 		decisions: sinks.trace != nil && sinks.trace.Enabled(trace.Decisions),
 		calibRec:  sinks.calib,
 		predMemo:  make(map[*uaqetp.Query]sharedPredEntry, 64),
 	}
-	if err := s.expandTenants(sys); err != nil {
+	if err := s.expandTenants(); err != nil {
 		return nil, err
 	}
 	s.sidOf = make([]int, len(fleet))
@@ -160,23 +160,17 @@ func newRun(sc *resolved, sys *uaqetp.System, cache *uaqetp.EstimateCache, sinks
 		}
 		srv := serve.New(cfg)
 		ms := &machineState{
-			srv: srv, sys: msys[m], spec: fleet[m], pending: make(map[uint64]pendingArrival), shard: shardName,
-			acc: make([][hardware.NumUnits]calib.Accumulator, len(sc.Tenants)),
+			srv: srv, spec: fleet[m], pending: make(map[uint64]pendingArrival), shard: shardName,
+			tenants: make([]*serve.Tenant, len(s.groups)),
+			acc:     make([][hardware.NumUnits]calib.Accumulator, len(s.groups)),
 		}
-		// Register each tenant's façade only on the machines of the
-		// shard(s) the directory places it on — every machine on flat
-		// fleets. Off-shard slots stay nil: routing never reads them,
-		// because placement confines a tenant's arrivals to its shard.
-		for ti, ts := range s.tenants {
-			if s.sh != nil && !s.sh.onShard(ti, s.sidOf[m]) {
-				ms.tenants = append(ms.tenants, nil)
-				continue
-			}
-			t, err := srv.AddTenantSystem(ts.name, msys[m], ts.spec.SLO)
-			if err != nil {
+		// One serving tenant per group on every machine: a group's
+		// members differ only in name and arrival stream, which the
+		// server never reads.
+		for gi, spec := range sc.Tenants {
+			if ms.tenants[gi], err = srv.AddTenantSystem(spec.Name, msys[m], spec.SLO); err != nil {
 				return nil, fmt.Errorf("sim: machine %d: %w", m, err)
 			}
-			ms.tenants = append(ms.tenants, t)
 		}
 		s.machines = append(s.machines, ms)
 	}
@@ -198,7 +192,7 @@ func newRun(sc *resolved, sys *uaqetp.System, cache *uaqetp.EstimateCache, sinks
 	}
 	sort.SliceStable(s.flips, func(i, j int) bool { return s.flips[i].at < s.flips[j].at })
 
-	if err := s.buildArrivals(sys); err != nil {
+	if err := s.buildArrivals(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -215,39 +209,32 @@ func arrivalSeed(seed int64, tenant int) int64 {
 }
 
 // expandTenants materializes the scenario's tenant specs into the
-// run's member list: one tenantState per spec, or Count members per
-// group — each named "spec.Name/0000"…, each with its own arrival
-// stream and directory placement, all aggregating under the group's
-// TenantReport. Scenarios without Count expand to exactly the legacy
-// one-state-per-spec list, member index == spec index.
-func (s *simRun) expandTenants(sys *uaqetp.System) error {
-	for gi := range s.sc.Tenants {
-		spec := s.sc.Tenants[gi]
+// run's groups, one per spec, and its member list: one tenantState per
+// spec, or Count members per group — each named "spec.Name/0000"…, each
+// with its own arrival stream and directory placement, all serving and
+// aggregating under the group's tenant. Scenarios without Count expand
+// to exactly one member per spec, member index == spec index.
+func (s *simRun) expandTenants() error {
+	s.groups = make([]groupState, len(s.sc.Tenants))
+	for gi, spec := range s.sc.Tenants {
 		slo, err := spec.SLO.Normalized()
 		if err != nil {
 			return fmt.Errorf("sim: tenant %q: %w", spec.Name, err)
 		}
-		eff := spec.Deadline
-		if eff == 0 {
-			eff = slo.DefaultDeadline
+		g := &s.groups[gi]
+		g.class, g.confidence, g.effDeadline = spec.Class, slo.Confidence, spec.Deadline
+		if g.class == "" {
+			g.class = spec.Name
 		}
-		class := spec.Class
-		if class == "" {
-			class = spec.Name
+		if g.effDeadline == 0 {
+			g.effDeadline = slo.DefaultDeadline
 		}
-		n := spec.Count
-		if n < 1 {
-			n = 1
+		if spec.Count <= 1 {
+			s.tenants = append(s.tenants, tenantState{name: spec.Name, group: gi})
+			continue
 		}
-		for k := 0; k < n; k++ {
-			name := spec.Name
-			if spec.Count > 1 {
-				name = fmt.Sprintf("%s/%04d", spec.Name, k)
-			}
-			s.tenants = append(s.tenants, &tenantState{
-				spec: spec, name: name, group: gi, class: class,
-				confidence: slo.Confidence, sys: sys, effDeadline: eff,
-			})
+		for k := 0; k < spec.Count; k++ {
+			s.tenants = append(s.tenants, tenantState{name: fmt.Sprintf("%s/%04d", spec.Name, k), group: gi})
 		}
 	}
 	return nil
@@ -259,14 +246,14 @@ func (s *simRun) expandTenants(sys *uaqetp.System) error {
 // Members of a Count group share one generated query pool (the pool
 // depends only on the benchmark and pool size) but draw from it with
 // independent per-member RNG streams.
-func (s *simRun) buildArrivals(sys *uaqetp.System) error {
+func (s *simRun) buildArrivals() error {
 	// Every synthetic process's mean rate is Rate, so the expected total
 	// plus four Poisson standard deviations sizes the slice; a trace or
 	// an unlucky burst grows it.
 	var expect float64
 	for _, ts := range s.tenants {
-		if ts.spec.Arrivals.Process != ProcessTrace {
-			expect += ts.spec.Arrivals.Rate * s.sc.Horizon
+		if arr := s.sc.Tenants[ts.group].Arrivals; arr.Process != ProcessTrace {
+			expect += arr.Rate * s.sc.Horizon
 		}
 	}
 	s.arrivals = make([]arrival, 0, int(expect+4*math.Sqrt(expect))+1)
@@ -274,12 +261,12 @@ func (s *simRun) buildArrivals(sys *uaqetp.System) error {
 	pools := make(map[int][]*uaqetp.Query)
 	var times []float64
 	for ti, ts := range s.tenants {
-		spec, bench := ts.spec, s.sc.bench[ts.group]
+		spec, bench := &s.sc.Tenants[ts.group], s.sc.bench[ts.group]
 		before := len(s.arrivals)
 		if spec.Arrivals.Process == ProcessTrace {
 			// External trace: recorded arrival times and template indexes,
 			// resolved against the tenant's query pool.
-			pool, err := sys.GenerateWorkload(bench, spec.Queries)
+			pool, err := s.sys.GenerateWorkload(bench, spec.Queries)
 			if err != nil {
 				return fmt.Errorf("sim: tenant %q workload: %w", spec.Name, err)
 			}
@@ -304,7 +291,7 @@ func (s *simRun) buildArrivals(sys *uaqetp.System) error {
 		pool := pools[ts.group]
 		if pool == nil {
 			var err error
-			if pool, err = sys.GenerateWorkload(bench, spec.Queries); err != nil {
+			if pool, err = s.sys.GenerateWorkload(bench, spec.Queries); err != nil {
 				return fmt.Errorf("sim: tenant %q workload: %w", ts.name, err)
 			}
 			pools[ts.group] = pool

@@ -117,9 +117,10 @@ type Scenario struct {
 	// rebalance. See ShardsSpec. Absent, the scenario is the flat
 	// pre-sharding fleet with byte-identical reports.
 	Shards *ShardsSpec `json:"shards,omitempty"`
-	// Tenants are the traffic sources; every tenant exists on every
-	// machine of its shard (the router spreads its arrivals across
-	// them — across the whole fleet when the scenario is unsharded).
+	// Tenants are the traffic sources; every tenant group is one
+	// serving tenant on every machine, and the router spreads its
+	// arrivals across the machines of each member's shard — across the
+	// whole fleet when the scenario is unsharded.
 	Tenants []TenantSpec `json:"tenants"`
 }
 
@@ -129,12 +130,19 @@ type TenantSpec struct {
 	// Name must be unique within the scenario. With Count > 1 it is
 	// the group prefix: members are named "name/0000", "name/0001", …
 	Name string `json:"name"`
-	// Count expands this spec into Count tenants sharing the SLO,
+	// Count expands this spec into Count members sharing the SLO,
 	// benchmark, and arrival shape but each with its own independent
 	// arrival stream (per-member RNG seeds) and its own directory
 	// placement. 0 or 1 means a single tenant named exactly Name. The
 	// report aggregates the whole group under one TenantReport. Not
 	// compatible with trace arrivals. Must not be negative.
+	//
+	// A group is served as one tenant named Name on every machine: its
+	// members submit under it, so admission, outcome and recalibration
+	// trace events and the calibration stream name the group, while
+	// placement and front-door events name the member, as every query
+	// name does. Under recal_every the members therefore share one
+	// feedback loop per machine.
 	Count int `json:"count,omitempty"`
 	// Class labels the group's SLO class in front-door counters and
 	// metrics; empty selects Name.

@@ -49,11 +49,12 @@ func freeLess(a, b freeEvent) bool {
 	return a.seq < b.seq
 }
 
-// pendingArrival remembers when an admitted request arrived (and whose
-// it was), so outcomes can be turned into end-to-end latencies.
+// pendingArrival remembers when an admitted request arrived (and which
+// tenant group's it was), so outcomes can be turned into end-to-end
+// latencies.
 type pendingArrival struct {
-	tenant int
-	at     float64
+	group int
+	at    float64
 }
 
 // cloneQuery gives one arrival its own copy of a pool query under a
@@ -190,12 +191,14 @@ func (s *simRun) loop() error {
 }
 
 // handleArrival clones the arrival's template, passes the fleet's
-// front door (sharded topologies only), routes it within its tenant's
-// shard, and runs admission on the chosen machine at event time. Its
-// trace emissions land in call order: the placement event, then
-// whatever the clock advance and the admission make the server emit.
+// front door (sharded topologies only), routes it within its member's
+// shard, and runs admission on the chosen machine at event time, under
+// the group's serving tenant. Its trace emissions land in call order:
+// the placement event, then whatever the clock advance and the
+// admission make the server emit.
 func (s *simRun) handleArrival(a arrival) error {
 	ts := s.tenants[a.tenant]
+	g := &s.groups[ts.group]
 	q := cloneQuery(a.tmpl, ts.name, int(a.ord))
 	lo, hi, sid := 0, len(s.machines), 0
 	shardName := ""
@@ -211,24 +214,24 @@ func (s *simRun) handleArrival(a arrival) error {
 			// are tallied by server-side admission exactly as when
 			// unsharded).
 			bestP := 1.0
-			if fd.Predictive() && ts.effDeadline > 0 {
-				bestP = s.bestPIn(ts, a.tmpl, ts.effDeadline, a.at, lo, hi)
+			if fd.Predictive() && g.effDeadline > 0 {
+				bestP = s.bestPIn(a.tmpl, g.effDeadline, a.at, lo, hi)
 			}
-			if v := fd.Admit(ts.class, a.at, bestP, ts.confidence); v != shard.VerdictAdmit {
-				ts.shed++
+			if v := fd.Admit(g.class, a.at, bestP, g.confidence); v != shard.VerdictAdmit {
+				g.shed++
 				if s.decisions {
 					s.rec.Record(&trace.Event{
 						Kind: trace.KindAdmission, At: a.at, Machine: -1, Shard: shardName,
 						Tenant: ts.name, Query: q.Name,
 						Verdict: string(v), Reason: "front-door",
-						Deadline: ts.effDeadline, PMeet: bestP, Threshold: ts.confidence,
+						Deadline: g.effDeadline, PMeet: bestP, Threshold: g.confidence,
 					})
 				}
 				return nil
 			}
 		}
 	}
-	m, err := s.route(ts, int(a.tenant), q, a.tmpl, ts.effDeadline, a.at, lo, hi, sid)
+	m, err := s.route(ts.group, q, a.tmpl, g.effDeadline, a.at, lo, hi, sid)
 	if err != nil {
 		return err
 	}
@@ -246,7 +249,7 @@ func (s *simRun) handleArrival(a arrival) error {
 	}
 	ms.srv.AdvanceClock(a.at)
 	dec, err := ms.srv.Submit(s.ctx, serve.Request{
-		Tenant: ts.name, Query: q, Deadline: ts.spec.Deadline,
+		Tenant: s.sc.Tenants[ts.group].Name, Query: q, Deadline: s.sc.Tenants[ts.group].Deadline,
 	})
 	if err != nil {
 		// An unpredictable query is already tallied as a rejection
@@ -254,7 +257,7 @@ func (s *simRun) handleArrival(a arrival) error {
 		return nil
 	}
 	if dec.Admitted {
-		ms.pending[dec.ID] = pendingArrival{tenant: int(a.tenant), at: a.at}
+		ms.pending[dec.ID] = pendingArrival{group: ts.group, at: a.at}
 		if !ms.busy {
 			s.stepMachine(m)
 		}
@@ -285,12 +288,11 @@ func (s *simRun) stepMachine(m int) {
 		ms.executed++
 		if p, found := ms.pending[s.out.ID]; found {
 			delete(ms.pending, s.out.ID)
-			ts := s.tenants[p.tenant]
-			s.groupLat[ts.group] = append(s.groupLat[ts.group], s.out.Finish-p.at)
-			s.groupQW[ts.group] = append(s.groupQW[ts.group], s.out.Start-p.at)
+			s.groupLat[p.group] = append(s.groupLat[p.group], s.out.Finish-p.at)
+			s.groupQW[p.group] = append(s.groupQW[p.group], s.out.Start-p.at)
 			// The outcome is one calibration observation, attributed to
-			// the member's tenant group like the report's per-tenant rows.
-			ms.acc[ts.group][s.out.Unit].Observe(s.out.PredMean, s.out.PredSigma, s.out.Elapsed)
+			// its tenant group like the report's per-tenant rows.
+			ms.acc[p.group][s.out.Unit].Observe(s.out.PredMean, s.out.PredSigma, s.out.Elapsed)
 			if s.calibRec != nil && s.calibRec.Enabled(trace.Full) {
 				s.calibRec.Record(&trace.Event{
 					Kind: trace.KindCalibration, At: s.out.Finish, Machine: m, Shard: ms.shard,

@@ -299,24 +299,16 @@ func (s *simRun) report() *Report {
 	}
 
 	// Aggregate per group (one TenantReport per TenantSpec, covering all
-	// its expanded members) from the tenant handles the machines already
-	// hold: ms.tenants[ti] is member ti's façade on that machine (nil off
-	// the member's shard), so the walk reads each registered (member,
-	// machine) pair's counters once and builds no per-member state. Every
-	// sum is over integers, and the latency samples are sorted by
-	// summarize, so the result is independent of member and machine
+	// its expanded members) from the group's serving tenant on each
+	// machine. Every sum is over integers, and the latency samples are
+	// sorted by summarize, so the result is independent of machine
 	// iteration order.
-	groups := make([]TenantReport, len(s.sc.Tenants))
+	groups := make([]TenantReport, len(s.groups))
 	for gi := range groups {
-		groups[gi].Name = s.sc.Tenants[gi].Name
-	}
-	for _, ms := range s.machines {
-		for ti, t := range ms.tenants {
-			if t == nil {
-				continue
-			}
-			st := t.Counters()
-			tr := &groups[s.tenants[ti].group]
+		tr := &groups[gi]
+		tr.Name, tr.Shed = s.sc.Tenants[gi].Name, s.groups[gi].shed
+		for _, ms := range s.machines {
+			st := ms.tenants[gi].Counters()
 			tr.Admitted += int(st.Admitted)
 			tr.Rejected += int(st.Rejected)
 			tr.Executed += int(st.Executed)
@@ -326,9 +318,6 @@ func (s *simRun) report() *Report {
 			tr.Recalibrations += st.Recalibrations
 			tr.AutoRecalibrations += st.AutoRecalibrations
 		}
-	}
-	for _, ts := range s.tenants {
-		groups[ts.group].Shed += ts.shed
 	}
 	var fleetMet, fleetSubmitted int
 	for gi := range groups {

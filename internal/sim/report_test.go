@@ -7,10 +7,10 @@ import (
 
 // TestReportCountersMatchServerStats holds the report's tenant counters
 // to an independent oracle: on short runs of the shipped bursty,
-// heterogeneous and sharded scenarios, each group's counters equal the
-// sums over every machine's serve.Stats() entries of the group's
-// members, matched by name, and each machine's clock equals its
-// Stats().Clock. The fleet latency equals a summary of the groups'
+// heterogeneous and sharded scenarios, each machine serves exactly one
+// tenant per group, named after the group; each group's counters equal
+// the sums over every machine's serve.Stats() entries, matched by name;
+// and each machine's clock equals its Stats().Clock. The fleet latency equals a summary of the groups'
 // concatenated samples, also where one group's summary stands in for it.
 func TestReportCountersMatchServerStats(t *testing.T) {
 	if testing.Short() {
@@ -37,9 +37,9 @@ func TestReportCountersMatchServerStats(t *testing.T) {
 			}
 			rep := s.report()
 
-			groupOf := make(map[string]int, len(s.tenants))
-			for _, ts := range s.tenants {
-				groupOf[ts.name] = ts.group
+			groupOf := make(map[string]int, len(s.sc.Tenants))
+			for gi, spec := range s.sc.Tenants {
+				groupOf[spec.Name] = gi
 			}
 			want := make(map[string]TenantReport, len(s.sc.Tenants))
 			var registered int
@@ -48,13 +48,15 @@ func TestReportCountersMatchServerStats(t *testing.T) {
 				if rep.PerMachine[m].Clock != st.Clock {
 					t.Errorf("machine %d: clock %g, Stats says %g", m, rep.PerMachine[m].Clock, st.Clock)
 				}
+				if len(st.Tenants) != len(s.sc.Tenants) {
+					t.Errorf("machine %d serves %d tenants, want one per group (%d)", m, len(st.Tenants), len(s.sc.Tenants))
+				}
 				for _, ts := range st.Tenants {
-					gi, ok := groupOf[ts.Name]
-					if !ok {
-						t.Fatalf("machine %d serves %q, a tenant the run never expanded", m, ts.Name)
+					if _, ok := groupOf[ts.Name]; !ok {
+						t.Fatalf("machine %d serves %q, which names no tenant group", m, ts.Name)
 					}
 					registered++
-					name := s.sc.Tenants[gi].Name
+					name := ts.Name
 					tr := want[name]
 					tr.Admitted += int(ts.Admitted)
 					tr.Rejected += int(ts.Rejected)

@@ -24,11 +24,11 @@ const (
 	// d), folding in the backlog's variance and the query's own
 	// predicted variance — the placement counterpart of ActiveSLA
 	// admission, and the policy that exploits the paper's distributions.
-	// T_q is predicted per machine, through each machine's tenant
-	// façade: every machine's own calibrated — and recalibrated — units
-	// enter the risk, so slow or drifted machines repel traffic in
-	// proportion to how much of the deadline they would consume, however
-	// the fleet was written. Machines still on the base System's units
+	// T_q is predicted per machine, through the serving tenant of the
+	// arrival's group on that machine: every machine's own calibrated —
+	// and recalibrated — units enter the risk, so slow or drifted
+	// machines repel traffic in proportion to how much of the deadline
+	// they would consume, however the fleet was written. Machines still on the base System's units
 	// share its memoized prediction.
 	RouterLeastRisk = "least-risk"
 	// RouterLeastRiskShared is the ablation between least-queue and
@@ -50,16 +50,16 @@ func Routers() []string {
 	return []string{RouterRoundRobin, RouterLeastQueue, RouterLeastRisk, RouterLeastRiskShared}
 }
 
-// route picks the machine for an arrival at virtual time now, among
-// the machines [lo, hi) of shard sid — the whole fleet (shard 0) on
-// unsharded runs. All policies break ties toward the lowest machine
-// index, keeping placement deterministic.
+// route picks the machine for an arrival of tenant group group at
+// virtual time now, among the machines [lo, hi) of shard sid — the
+// whole fleet (shard 0) on unsharded runs. All policies break ties
+// toward the lowest machine index, keeping placement deterministic.
 //
 // When decision tracing is on, every policy leaves its per-machine
 // candidate scoring vector in s.cands (machine order) and the reason
 // the winner won in s.tieBreak; capturing is pure observation — the
 // comparisons and the chosen machine are identical with tracing off.
-func (s *simRun) route(ts *tenantState, ti int, q, tmpl *uaqetp.Query, deadline, now float64, lo, hi, sid int) (int, error) {
+func (s *simRun) route(group int, q, tmpl *uaqetp.Query, deadline, now float64, lo, hi, sid int) (int, error) {
 	capture := s.decisions
 	if capture {
 		s.cands = s.cands[:0]
@@ -94,43 +94,44 @@ func (s *simRun) route(ts *tenantState, ti int, q, tmpl *uaqetp.Query, deadline,
 		return best, nil
 
 	case RouterLeastRisk, RouterLeastRiskShared:
-		return s.routeLeastRisk(ts, ti, q, tmpl, deadline, now, lo, hi)
+		return s.routeLeastRisk(group, q, tmpl, deadline, now, lo, hi)
 	}
 	return 0, fmt.Errorf("sim: unknown router %q", s.router)
 }
 
 // routeLeastRisk maximizes P(T_wait + T_q <= d) over the machines
 // [lo, hi). Under least-risk, T_q is each machine's own prediction:
-// a machine whose tenant façade has swapped in a predictor of its own —
+// a machine whose group tenant has swapped in a predictor of its own —
 // a WithMachine sibling's units, or any machine's recalibrated ones —
-// predicts the arrival through that façade, so the same query costs
-// different time, with different uncertainty, on different machines,
-// and recalibrated units are read the moment they swap in. A machine
-// whose façade still runs the base System's predictor stage would
-// predict exactly what the base does, so it takes the base prediction
-// from the run-level memo (sharedPred): one map probe instead of a
-// per-arrival fingerprint-and-memo walk. Under least-risk-shared every
-// machine takes the base prediction — the fleet-shared-units ablation.
-// The sampling pass behind every prediction is shared through the
-// fleet cache (estimates are machine-independent), so the per-machine
-// work is one analytic unit propagation each.
-func (s *simRun) routeLeastRisk(ts *tenantState, ti int, q, tmpl *uaqetp.Query, deadline, now float64, lo, hi int) (int, error) {
+// predicts the arrival through that tenant's System, so the same query
+// costs different time, with different uncertainty, on different
+// machines, and recalibrated units are read the moment they swap in. A
+// machine whose tenant still runs the base System's predictor stage
+// would predict exactly what the base does, so it takes the base
+// prediction from the run-level memo (sharedPred): one map probe
+// instead of a per-arrival fingerprint-and-memo walk. Under
+// least-risk-shared every machine takes the base prediction — the
+// fleet-shared-units ablation. The sampling pass behind every
+// prediction is shared through the fleet cache (estimates are
+// machine-independent), so the per-machine work is one analytic unit
+// propagation each.
+func (s *simRun) routeLeastRisk(group int, q, tmpl *uaqetp.Query, deadline, now float64, lo, hi int) (int, error) {
 	// The CDF saturates once a machine is safely fast enough, so ties
 	// within riskEps — e.g. an idle fleet, where every machine is
 	// equally certain — break toward the least expected wait: among
 	// equally safe machines, spread the load instead of herding onto
 	// the first index.
 	capture := s.decisions
-	base := ts.sys.Predictor()
+	base := s.sys.Predictor()
 	best, bestP, bestWait := lo, math.Inf(-1), math.Inf(1)
 	for m := lo; m < hi; m++ {
 		ms := s.machines[m]
 		var pred *uaqetp.Prediction
 		var err error
-		if s.router == RouterLeastRisk && ms.ownUnits(ti, base) {
-			pred, err = ms.tenants[ti].System().PredictContext(s.ctx, q)
+		if own := ms.tenants[group].System(); s.router == RouterLeastRisk && own.Predictor() != base {
+			pred, err = own.PredictContext(s.ctx, q)
 		} else {
-			pred, err = s.sharedPred(ts, tmpl)
+			pred, err = s.sharedPred(tmpl)
 		}
 		if err != nil {
 			return 0, fmt.Errorf("sim: route predict %q on machine %d: %w", q.Name, m, err)
@@ -156,20 +157,4 @@ func (s *simRun) routeLeastRisk(ts *tenantState, ti int, q, tmpl *uaqetp.Query, 
 		}
 	}
 	return best, nil
-}
-
-// ownUnits reports whether the machine predicts tenant ti on a
-// predictor stage other than base, the base System's: a WithMachine
-// sibling's units, or units the tenant's façade recalibrated. A machine
-// on the base stage whose server has not recalibrated anything answers
-// without reading the façade (10k-tenant fleets keep 10k cold façades
-// per machine); the simulator recalibrates only through the server's
-// automatic cadence, which LastAutoRecalibration counts.
-func (ms *machineState) ownUnits(ti int, base uaqetp.Predictor) bool {
-	if ms.sys.Predictor() == base {
-		if _, n := ms.srv.LastAutoRecalibration(); n == 0 {
-			return false
-		}
-	}
-	return ms.tenants[ti].System().Predictor() != base
 }

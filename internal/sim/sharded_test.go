@@ -143,9 +143,9 @@ func TestShardedSingleShardDegeneratesToFlat(t *testing.T) {
 // threaded through the epoch table).
 func TestShardedRebalanceEpochs(t *testing.T) {
 	const n = 4000
-	tenants := make([]*tenantState, n)
+	tenants := make([]tenantState, n)
 	for i := range tenants {
-		tenants[i] = &tenantState{name: fmt.Sprintf("tenant-%04d", i)}
+		tenants[i] = tenantState{name: fmt.Sprintf("tenant-%04d", i)}
 	}
 	sc := Scenario{Seed: 3, Shards: &ShardsSpec{Count: 4, AddShardAt: 10}}
 	sh, err := buildSharded(sc, 8, tenants)

@@ -119,7 +119,7 @@ type shardedRun struct {
 
 // buildSharded materializes the scenario's shards block over nMachines
 // machines and the expanded tenant list.
-func buildSharded(sc Scenario, nMachines int, tenants []*tenantState) (*shardedRun, error) {
+func buildSharded(sc Scenario, nMachines int, tenants []tenantState) (*shardedRun, error) {
 	spec := *sc.Shards
 	sh := &shardedRun{spec: spec}
 	for i := 0; i < spec.Count; i++ {
@@ -192,17 +192,6 @@ func (sh *shardedRun) placeAt(ti int, at float64) int {
 	return int(sh.epochs[0].place[ti])
 }
 
-// onShard reports whether tenant ti is placed on shard sidx in any
-// epoch — the machines that must carry its façade.
-func (sh *shardedRun) onShard(ti, sidx int) bool {
-	for _, e := range sh.epochs {
-		if int(e.place[ti]) == sidx {
-			return true
-		}
-	}
-	return false
-}
-
 // bestPIn is the front door's predictive bound: the best
 // P(T_wait + T_q <= d) across the shard's machines, with the
 // fleet-shared prediction of T_q and each machine's own queue state —
@@ -212,8 +201,8 @@ func (sh *shardedRun) onShard(ti, sidx int) bool {
 // per-arrival cost drops to one map probe. A prediction failure
 // returns 1 (the request is forwarded; admission will tally the
 // failure exactly as on unsharded runs).
-func (s *simRun) bestPIn(ts *tenantState, tmpl *uaqetp.Query, deadline, now float64, lo, hi int) float64 {
-	pred, err := s.sharedPred(ts, tmpl)
+func (s *simRun) bestPIn(tmpl *uaqetp.Query, deadline, now float64, lo, hi int) float64 {
+	pred, err := s.sharedPred(tmpl)
 	if err != nil {
 		return 1
 	}

@@ -16,12 +16,12 @@ import (
 // or the base itself for default machines).
 type machineState struct {
 	srv *serve.Server
-	sys *uaqetp.System
 	// spec is the machine's resolved spec: its profile name and drift
 	// label the report, its DriftAt schedules the drift window.
 	spec MachineSpec
-	// tenants are this machine's tenant façades in scenario tenant
-	// order: each carries the machine's units behind its own
+	// tenants holds one serving tenant per tenant group, in scenario
+	// order: every member of a Count group submits under the group's
+	// tenant. Each carries the machine's units behind its own
 	// hot-swappable predictor handle, so per-machine routing sees
 	// recalibrations the moment they land.
 	tenants  []*serve.Tenant
@@ -57,31 +57,39 @@ func (r *machineRecorder) Record(ev *trace.Event) {
 	r.Recorder.Record(ev)
 }
 
-// tenantState is one traffic source: a single TenantSpec, or one member
-// of a Count-expanded group.
-type tenantState struct {
-	spec TenantSpec
-	// name is the member's unique name ("spec.Name/0007" in groups,
-	// spec.Name itself otherwise); group indexes the TenantSpec this
-	// member aggregates under; class is the front door's SLO class.
-	name        string
-	group       int
+// groupState is what the event loop derives from one TenantSpec, shared
+// by every member of a Count group: the SLO class the front door counts
+// it in, its confidence floor and effective deadline, and how many of
+// its arrivals the front door shed before placement.
+type groupState struct {
 	class       string
 	confidence  float64
-	sys         *uaqetp.System
 	effDeadline float64
-	// shed counts front-door refusals (before placement).
-	shed int
+	shed        int
+}
+
+// tenantState is one traffic source: a single TenantSpec, or one member
+// of a Count-expanded group. A member owns only its name ("spec.Name/
+// 0007" in groups, spec.Name itself otherwise), which places it in the
+// shard directory and names its queries, and its arrival stream, drawn
+// from its index; group indexes the TenantSpec it serves under.
+type tenantState struct {
+	name  string
+	group int
 }
 
 // simRun is the mutable state of one simulation.
 type simRun struct {
-	sc       *resolved
-	ctx      context.Context
-	router   string
-	cache    *uaqetp.EstimateCache
+	sc     *resolved
+	ctx    context.Context
+	router string
+	cache  *uaqetp.EstimateCache
+	// sys is the base System: the fleet-shared predictions resolve
+	// through it.
+	sys      *uaqetp.System
 	machines []*machineState
-	tenants  []*tenantState
+	groups   []groupState
+	tenants  []tenantState
 
 	arrivals []arrival
 	cursor   int
@@ -216,11 +224,11 @@ type sharedPredEntry struct {
 // through the run-level memo keyed by the arrival's template (see the
 // predMemo field for why one map probe is equivalent to predicting the
 // clone).
-func (s *simRun) sharedPred(ts *tenantState, tmpl *uaqetp.Query) (*uaqetp.Prediction, error) {
+func (s *simRun) sharedPred(tmpl *uaqetp.Query) (*uaqetp.Prediction, error) {
 	if e, ok := s.predMemo[tmpl]; ok {
 		return e.pred, e.err
 	}
-	pred, err := ts.sys.PredictContext(s.ctx, tmpl)
+	pred, err := s.sys.PredictContext(s.ctx, tmpl)
 	s.predMemo[tmpl] = sharedPredEntry{pred, err}
 	return pred, err
 }

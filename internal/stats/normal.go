@@ -18,16 +18,6 @@ type Normal struct {
 	Sigma float64 // standard deviation (>= 0)
 }
 
-// NewNormal returns N(mu, sigma^2). It panics if sigma is negative or not
-// finite, since every construction site in this repository derives sigma
-// from a variance that must already be non-negative.
-func NewNormal(mu, sigma float64) Normal {
-	if sigma < 0 || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
-		panic(fmt.Sprintf("stats: invalid sigma %v", sigma))
-	}
-	return Normal{Mu: mu, Sigma: sigma}
-}
-
 // NormalFromVar returns N(mu, variance), clamping tiny negative variances
 // (numerical noise from covariance subtraction) to zero.
 func NormalFromVar(mu, variance float64) Normal {
@@ -40,19 +30,6 @@ func NormalFromVar(mu, variance float64) Normal {
 // Var returns the variance sigma^2.
 func (n Normal) Var() float64 { return n.Sigma * n.Sigma }
 
-// PDF evaluates the probability density at x. For a point mass it returns
-// +Inf at the mean and 0 elsewhere.
-func (n Normal) PDF(x float64) float64 {
-	if n.Sigma == 0 {
-		if x == n.Mu {
-			return math.Inf(1)
-		}
-		return 0
-	}
-	z := (x - n.Mu) / n.Sigma
-	return math.Exp(-0.5*z*z) / (n.Sigma * math.Sqrt(2*math.Pi))
-}
-
 // CDF evaluates P(X <= x).
 func (n Normal) CDF(x float64) float64 {
 	if n.Sigma == 0 {
@@ -62,14 +39,6 @@ func (n Normal) CDF(x float64) float64 {
 		return 0
 	}
 	return 0.5 * math.Erfc(-(x-n.Mu)/(n.Sigma*math.Sqrt2))
-}
-
-// Prob returns P(a <= X <= b). It returns 0 when b < a.
-func (n Normal) Prob(a, b float64) float64 {
-	if b < a {
-		return 0
-	}
-	return n.CDF(b) - n.CDF(a)
 }
 
 // Quantile returns the p-th quantile (inverse CDF), p in [0,1]. The
@@ -192,23 +161,3 @@ func VarX2(x Normal) float64 {
 // CovProductLeft returns Cov(X*Y, X) = mu_y sigma_x^2 for independent
 // normal X, Y.
 func CovProductLeft(x, y Normal) float64 { return y.Mu * x.Var() }
-
-// Sum returns the distribution of the sum of independent normals.
-func Sum(ns ...Normal) Normal {
-	var mu, v float64
-	for _, n := range ns {
-		mu += n.Mu
-		v += n.Var()
-	}
-	return NormalFromVar(mu, v)
-}
-
-// Scale returns the distribution of a*X for normal X.
-func (n Normal) Scale(a float64) Normal {
-	return Normal{Mu: a * n.Mu, Sigma: math.Abs(a) * n.Sigma}
-}
-
-// Shift returns the distribution of X + b.
-func (n Normal) Shift(b float64) Normal {
-	return Normal{Mu: n.Mu + b, Sigma: n.Sigma}
-}

@@ -391,7 +391,7 @@ func (h *predictorHandle) load() *predictorState { return h.v.Load() }
 // variant over the given units.
 func defaultPredictorState(cat *catalog.Catalog, units [hardware.NumUnits]stats.Normal, v Variant) *predictorState {
 	return &predictorState{
-		stage: &defaultPredictor{pred: core.New(cat, units, core.Config{Variant: v})},
+		stage: &defaultPredictor{pred: core.New(cat, units, v)},
 		units: &units,
 	}
 }
