@@ -264,37 +264,44 @@ type Outcome struct {
 }
 
 // StepOneInto executes the highest-priority admitted request (smallest
-// policy key) at the current virtual clock, records the observation in
-// the tenant's feedback loop, and writes the outcome into caller-owned
-// storage: ok reports whether a request was consumed (false with a nil
-// error means the queue was empty), and out is meaningful only when ok.
-// On an execution failure out is a skeleton (ID/Tenant/Query/Deadline;
-// no times) returned alongside the error. Unlike DrainOne it does NOT
-// advance the clock past the execution: the outcome's Finish is the
-// instant the work would complete, and the caller decides when (and
-// whether) the clock gets there. This is the primitive the
-// discrete-event simulator steps servers with — it advances each
-// machine's clock to event time via AdvanceClock and schedules a
-// completion event at Finish, reusing one Outcome across steps so the
-// steady-state drain path is allocation-free — while DrainOne keeps the
-// historical back-to-back drain semantics.
+// policy key) at the current virtual clock and writes the outcome into
+// caller-owned storage: ok reports whether a request was consumed
+// (false with a nil error means the queue was empty), and out is
+// meaningful only when ok. On an execution failure out is a skeleton
+// (ID/Tenant/Query/Deadline; no times) returned alongside the error.
+// Unlike DrainOne it does NOT advance the clock past the execution: the
+// outcome's Finish is the instant the work would complete, and the
+// caller decides when (and whether) the clock gets there. This is the
+// primitive the discrete-event simulator steps servers with — it
+// advances each machine's clock to event time via AdvanceClock and
+// schedules a completion event at Finish, reusing one Outcome across
+// steps so the steady-state drain path is allocation-free — while
+// DrainOne keeps the historical back-to-back drain semantics.
+//
+// StepOneInto records the observation in the tenant's feedback loop
+// only when Config.RecalEvery is set: the cadence policy is the one
+// reader of that loop inside the server, and a driver stepping
+// servers itself reads each Outcome it is handed. Without a cadence the
+// drift reports in Stats stay empty for work stepped here.
 func (s *Server) StepOneInto(out *Outcome) (ok bool, err error) {
 	s.drainMu.Lock()
 	defer s.drainMu.Unlock()
-	return s.stepOneLocked(out)
+	return s.stepOneLocked(out, s.cfg.RecalEvery > 0)
 }
 
 // DrainOne is StepOneInto plus advancing the virtual clock to the
 // outcome's Finish: queued work drains back-to-back on a single virtual
-// server. Drains are serialized on their own lock, so a background
-// dispatcher racing an explicit /drain cannot reorder work or perturb
-// deadline outcomes; Submit stays responsive because it only needs the
-// brief queue lock.
+// server. It always records the observation in the tenant's feedback
+// loop: it is the live path behind Drain, /drain and the dispatcher,
+// whose drift reports /stats and /recalibrate read. Drains are
+// serialized on their own lock, so a background dispatcher racing an
+// explicit /drain cannot reorder work or perturb deadline outcomes;
+// Submit stays responsive because it only needs the brief queue lock.
 func (s *Server) DrainOne() (*Outcome, error) {
 	s.drainMu.Lock()
 	defer s.drainMu.Unlock()
 	var out Outcome
-	ok, err := s.stepOneLocked(&out)
+	ok, err := s.stepOneLocked(&out, true)
 	if !ok {
 		return nil, err
 	}
@@ -306,8 +313,9 @@ func (s *Server) DrainOne() (*Outcome, error) {
 	return &out, err
 }
 
-// stepOneLocked is StepOneInto with drainMu held by the caller.
-func (s *Server) stepOneLocked(out *Outcome) (bool, error) {
+// stepOneLocked is StepOneInto with drainMu held by the caller; record
+// says whether the observation feeds the tenant's feedback loop.
+func (s *Server) stepOneLocked(out *Outcome, record bool) (bool, error) {
 	s.qmu.Lock()
 	if s.queue.Len() == 0 {
 		s.qmu.Unlock()
@@ -380,7 +388,9 @@ func (s *Server) stepOneLocked(out *Outcome) (bool, error) {
 			Met: out.Met, PredMean: out.PredMean, PredSigma: out.PredSigma,
 		})
 	}
-	it.tenant.feedback.record(out, it.plan.String())
+	if record {
+		it.tenant.feedback.record(out, it.plan.String())
+	}
 	releaseQueued(it)
 	return true, nil
 }

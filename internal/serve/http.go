@@ -3,7 +3,11 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"log"
 	"net/http"
+	"runtime/debug"
 
 	uaqetp "repro"
 )
@@ -33,7 +37,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /recalibrate", s.handleRecalibrate)
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	return mux
+	return Recover(mux)
 }
 
 // The JSON edge — response writer, error body, body limit and strict
@@ -57,6 +61,55 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 // of both tiers uses.
 func WriteError(w http.ResponseWriter, status int, msg string) {
 	WriteJSON(w, status, httpError{Error: msg})
+}
+
+// Recover wraps h so that a handler panic answers 500 with the JSON
+// error body instead of dropping the connection, which a client (or the
+// front relaying a shard's reply) would read as EOF. It logs the panic
+// with its stack; when the handler had already started its response,
+// logging is all it can do. http.ErrAbortHandler, net/http's own way to
+// abort a response, is re-panicked.
+func Recover(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		tw := &trackingWriter{ResponseWriter: w}
+		defer func() {
+			v := recover()
+			if v == nil {
+				return
+			}
+			if v == http.ErrAbortHandler {
+				panic(v)
+			}
+			log.Printf("serve: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
+			if !tw.wrote {
+				WriteError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", v))
+			}
+		}()
+		h.ServeHTTP(tw, r)
+	})
+}
+
+// trackingWriter records whether a response has started. It forwards
+// ReadFrom, so a body the front relays still copies through the
+// server's pooled buffers instead of a fresh 32 KiB one per request.
+type trackingWriter struct {
+	http.ResponseWriter
+	wrote bool
+}
+
+func (w *trackingWriter) WriteHeader(status int) {
+	w.wrote = true
+	w.ResponseWriter.WriteHeader(status)
+}
+
+func (w *trackingWriter) Write(b []byte) (int, error) {
+	w.wrote = true
+	return w.ResponseWriter.Write(b)
+}
+
+func (w *trackingWriter) ReadFrom(src io.Reader) (int64, error) {
+	w.wrote = true
+	return io.Copy(w.ResponseWriter, src)
 }
 
 // errStatus maps a service error onto an HTTP status: unknown tenants

@@ -16,7 +16,10 @@
 //     plan signature and reports calibration drift — observed vs.
 //     predicted quantile coverage, attributed to the cost unit
 //     dominating each query — surfacing when recalibration via
-//     internal/calibrate is warranted;
+//     internal/calibrate is warranted. The drain path (DrainOne, Drain,
+//     /drain, the dispatcher) always records; StepOneInto records only
+//     under a recalibration cadence (Config.RecalEvery), the one reader
+//     an externally stepped server has;
 //   - a live recalibration action closing that loop: each tenant's
 //     System is a façade with its own hot-swappable predictor handle,
 //     so Recalibrate re-runs internal/calibrate off the drift report
@@ -122,7 +125,10 @@ type Config struct {
 	// seconds: every time the virtual clock crosses a multiple of it,
 	// the server checks each tenant's drift report and recalibrates the
 	// tenants whose reports advise it (closing the feedback loop without
-	// a manual /recalibrate). 0 disables the automatic policy.
+	// a manual /recalibrate). 0 disables the automatic policy. It also
+	// decides whether StepOneInto feeds the drift loop: only with a
+	// cadence set, since without one nothing in a stepped server reads
+	// it (DrainOne records either way).
 	RecalEvery float64
 	// Trace, when non-nil, receives structured decision events:
 	// admission verdicts (trace.Decisions), execution outcomes and
@@ -413,7 +419,9 @@ func (t *Tenant) Counters() TenantStats {
 }
 
 // Stats snapshots the shared cache, the queue, and every tenant: each
-// tenant's Counters plus its drift reports, sorted by name.
+// tenant's Counters plus its drift reports, sorted by name. The drift
+// reports count work drained through DrainOne, and work stepped through
+// StepOneInto only when Config.RecalEvery is set.
 func (s *Server) Stats() Stats {
 	s.qmu.Lock()
 	qlen, clock := s.queue.Len(), s.clock

@@ -506,7 +506,9 @@ func TestAdmittedPlanIsExecuted(t *testing.T) {
 	}
 	planner := &rotatingPlanner{inner: sys.Planner()}
 	exec := &recordingExecutor{inner: sys.Executor()}
-	srv := New(Config{})
+	// StepOneInto feeds the drift loop only under a cadence; this one
+	// never fires, because StepOneInto never advances the clock.
+	srv := New(Config{RecalEvery: 1e9})
 	if _, err := srv.AddTenantSystem("t", sys.With(uaqetp.WithPlanner(planner), uaqetp.WithExecutor(exec)),
 		SLO{Confidence: 0.5, DefaultDeadline: 1e6}); err != nil {
 		t.Fatal(err)

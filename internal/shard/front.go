@@ -85,7 +85,7 @@ func (f *Front) Handler() http.Handler {
 	mux.HandleFunc("POST /submit", f.handleSubmit)
 	mux.HandleFunc("GET /place", f.handlePlace)
 	mux.HandleFunc("GET /metrics", f.handleMetrics)
-	return mux
+	return serve.Recover(mux)
 }
 
 func (f *Front) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -190,16 +190,16 @@ func (s *simRun) loop() error {
 	return nil
 }
 
-// handleArrival clones the arrival's template, passes the fleet's
-// front door (sharded topologies only), routes it within its member's
-// shard, and runs admission on the chosen machine at event time, under
-// the group's serving tenant. Its trace emissions land in call order:
-// the placement event, then whatever the clock advance and the
-// admission make the server emit.
+// handleArrival passes the arrival through the fleet's front door
+// (sharded topologies only), clones its template once admitted there
+// (a shed arrival's clone names only its trace event), routes it within
+// its member's shard, and runs admission on the chosen machine at event
+// time, under the group's serving tenant. Its trace emissions land in
+// call order: the placement event, then whatever the clock advance and
+// the admission make the server emit.
 func (s *simRun) handleArrival(a arrival) error {
 	ts := s.tenants[a.tenant]
 	g := &s.groups[ts.group]
-	q := cloneQuery(a.tmpl, ts.name, int(a.ord))
 	lo, hi, sid := 0, len(s.machines), 0
 	shardName := ""
 	if s.sh != nil {
@@ -222,7 +222,7 @@ func (s *simRun) handleArrival(a arrival) error {
 				if s.decisions {
 					s.rec.Record(&trace.Event{
 						Kind: trace.KindAdmission, At: a.at, Machine: -1, Shard: shardName,
-						Tenant: ts.name, Query: q.Name,
+						Tenant: ts.name, Query: cloneQuery(a.tmpl, ts.name, int(a.ord)).Name,
 						Verdict: string(v), Reason: "front-door",
 						Deadline: g.effDeadline, PMeet: bestP, Threshold: g.confidence,
 					})
@@ -231,6 +231,7 @@ func (s *simRun) handleArrival(a arrival) error {
 			}
 		}
 	}
+	q := cloneQuery(a.tmpl, ts.name, int(a.ord))
 	m, err := s.route(ts.group, q, a.tmpl, g.effDeadline, a.at, lo, hi, sid)
 	if err != nil {
 		return err

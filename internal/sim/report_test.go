@@ -93,3 +93,55 @@ func TestReportCountersMatchServerStats(t *testing.T) {
 		})
 	}
 }
+
+// TestMachinesKeepNoDriftFeedbackWithoutCadence checks who keeps the
+// calibration record. Without recal_every no machine's server feeds its
+// drift loop, since nothing would read it, while the report's
+// calibration section, the simulator's own, counts every execution.
+// With recal_every set, the servers record again for their cadence.
+func TestMachinesKeepNoDriftFeedbackWithoutCadence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	observations := func(sc Scenario) (drift, executed int, calibrated int64) {
+		rs, sys, cache := openScenario(t, sc)
+		s, err := newRun(rs, sys, cache, runSinks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.loop(); err != nil {
+			t.Fatal(err)
+		}
+		for _, ms := range s.machines {
+			for _, ts := range ms.srv.Stats().Tenants {
+				drift += ts.Drift.Observations
+			}
+		}
+		rep := s.report()
+		for _, tr := range rep.Tenants {
+			executed += tr.Executed
+		}
+		if rep.Calibration != nil {
+			calibrated = rep.Calibration.Overall.N
+		}
+		return drift, executed, calibrated
+	}
+
+	sc := testScenario()
+	sc.Horizon = 5
+	drift, executed, calibrated := observations(sc)
+	if executed == 0 {
+		t.Fatal("nothing executed")
+	}
+	if drift != 0 {
+		t.Errorf("without recal_every the servers recorded %d drift observations, want 0", drift)
+	}
+	if calibrated != int64(executed) {
+		t.Errorf("report calibration counts %d observations, want one per execution (%d)", calibrated, executed)
+	}
+
+	sc.RecalEvery = 1e9
+	if drift, executed, _ := observations(sc); drift != executed {
+		t.Errorf("under recal_every the servers recorded %d drift observations, want one per execution (%d)", drift, executed)
+	}
+}

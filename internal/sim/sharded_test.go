@@ -318,3 +318,39 @@ func TestShardedValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestFrontDoorEventsNameTheArrival: a request shed at the front door
+// is never cloned, yet its trace event names it exactly as an admitted
+// arrival's query is named, member/template#ordinal, and no two
+// arrivals share a name across front-door and placement events.
+func TestFrontDoorEventsNameTheArrival(t *testing.T) {
+	sc := shardedScenario()
+	sc.Horizon = 5
+	_, events, err := runRecorded(sc, trace.Decisions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]bool)
+	var shed int
+	for _, ev := range events {
+		frontDoor := ev.Kind == trace.KindAdmission && ev.Reason == "front-door"
+		if !frontDoor && ev.Kind != trace.KindPlacement {
+			continue
+		}
+		if frontDoor {
+			shed++
+		}
+		rest, ok := strings.CutPrefix(ev.Query, ev.Tenant+"/")
+		_, ord, hash := strings.Cut(rest, "#")
+		if !ok || !hash || len(ord) < 5 || strings.Trim(ord, "0123456789") != "" {
+			t.Fatalf("%s event names %q for member %q, want member/template#ordinal", ev.Kind, ev.Query, ev.Tenant)
+		}
+		if seen[ev.Query] {
+			t.Fatalf("two arrivals named %q", ev.Query)
+		}
+		seen[ev.Query] = true
+	}
+	if shed == 0 {
+		t.Fatal("nothing shed at the front door: the check is vacuous")
+	}
+}
