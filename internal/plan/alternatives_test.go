@@ -20,70 +20,9 @@ func altQuery() *Query {
 	}
 }
 
-func TestBuildOrderedRespectsOrder(t *testing.T) {
-	db, cat := testEnv(t)
-	q := altQuery()
-	p, err := BuildOrdered(q, cat, []string{"lineitem", "orders", "customer"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Leftmost leaf must be lineitem.
-	if p.LeafTables[0] != "lineitem" {
-		t.Errorf("leftmost leaf %q, want lineitem:\n%s", p.LeafTables[0], p)
-	}
-	res, err := engine.Run(db, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.M <= 0 {
-		t.Error("ordered plan produced empty result")
-	}
-}
-
-func TestBuildOrderedSameResultAsDefault(t *testing.T) {
-	db, cat := testEnv(t)
-	q := altQuery()
-	def, err := Build(q, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alt, err := BuildOrdered(q, cat, []string{"lineitem", "orders", "customer"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := engine.Run(db, def)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := engine.Run(db, alt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.M != r2.M {
-		t.Errorf("join orders disagree on cardinality: %v vs %v", r1.M, r2.M)
-	}
-}
-
-func TestBuildOrderedRejectsDisconnected(t *testing.T) {
-	_, cat := testEnv(t)
-	q := altQuery()
-	// customer -> lineitem skips orders: not connected at step 2.
-	if _, err := BuildOrdered(q, cat, []string{"customer", "lineitem", "orders"}); err == nil {
-		t.Error("expected error for disconnected order")
-	}
-}
-
-func TestBuildOrderedRejectsWrongTables(t *testing.T) {
-	_, cat := testEnv(t)
-	q := altQuery()
-	if _, err := BuildOrdered(q, cat, []string{"customer", "orders"}); err == nil {
-		t.Error("expected error for short order")
-	}
-	if _, err := BuildOrdered(q, cat, []string{"customer", "orders", "part"}); err == nil {
-		t.Error("expected error for foreign table")
-	}
-}
-
+// TestAlternativesDistinctAndEquivalent: every alternative join order
+// is a distinct plan with the default plan's (the first one's) result
+// cardinality.
 func TestAlternativesDistinctAndEquivalent(t *testing.T) {
 	db, cat := testEnv(t)
 	q := altQuery()

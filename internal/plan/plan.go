@@ -4,7 +4,7 @@
 // index scans for selective predicates), joins are ordered left-deep by
 // estimated output cardinality, and small inner inputs may use a
 // nested-loop join behind a materialize. Every plan of a query — the
-// greedy default, a given join order, each alternative — is made by the
+// greedy default and each alternative — is made by the
 // same three steps: the access paths, chosen once per query; the
 // left-deep join loop, with its one hash-or-nested-loop rule; and the
 // finish, which adds the aggregate.
@@ -99,23 +99,24 @@ type optimizer struct {
 // pushed as one conjunction, ordered most selective first by a stable
 // insertion sort, so the leading one can serve as the index condition;
 // the scan is an index scan when that one's estimated selectivity is
-// below IndexScanThreshold. A predicate on a table the query does not
-// list is an error, as is a join condition over unknown columns.
+// below IndexScanThreshold. A predicate or group column on an unlisted
+// table is an error, as is a join condition over unknown columns.
 func prepare(q *Query, cat *catalog.Catalog) (*optimizer, error) {
 	if len(q.Tables) == 0 {
 		return nil, fmt.Errorf("plan: query %q has no tables", q.Name)
 	}
 	byTable := make(map[string][]engine.Predicate)
 	for _, p := range q.Preds {
-		tab, _, err := cat.FindColumn(p.Col)
+		tab, err := listedTable(q, cat, "predicate", p.Col)
 		if err != nil {
-			return nil, fmt.Errorf("plan: query %q: %w", q.Name, err)
-		}
-		if !slices.Contains(q.Tables, tab) {
-			return nil, fmt.Errorf("plan: query %q: predicate column %q belongs to table %q, which the query does not list",
-				q.Name, p.Col, tab)
+			return nil, err
 		}
 		byTable[tab] = append(byTable[tab], p)
+	}
+	if q.Agg != nil && q.Agg.GroupCol != "" {
+		if _, err := listedTable(q, cat, "group", q.Agg.GroupCol); err != nil {
+			return nil, err
+		}
 	}
 	o := &optimizer{q: q, paths: make(map[string]access, len(q.Tables)), factors: make([]float64, len(q.Joins))}
 	for _, t := range q.Tables {
@@ -156,6 +157,20 @@ func prepare(q *Query, cat *catalog.Catalog) (*optimizer, error) {
 		o.factors[ji] = f
 	}
 	return o, nil
+}
+
+// listedTable returns the table owning col, or an error naming the
+// column's role (what) when the query does not list that table.
+func listedTable(q *Query, cat *catalog.Catalog, what, col string) (string, error) {
+	tab, _, err := cat.FindColumn(col)
+	if err != nil {
+		return "", fmt.Errorf("plan: query %q: %w", q.Name, err)
+	}
+	if !slices.Contains(q.Tables, tab) {
+		return "", fmt.Errorf("plan: query %q: %s column %q belongs to table %q, which the query does not list",
+			q.Name, what, col, tab)
+	}
+	return tab, nil
 }
 
 // orient returns jc with the tree's side on the left and the table it

@@ -250,7 +250,6 @@ func TestPredicateOnUnlistedTableFails(t *testing.T) {
 	}
 	for name, build := range map[string]func() (*engine.Node, error){
 		"Build":        func() (*engine.Node, error) { return Build(q, cat) },
-		"BuildOrdered": func() (*engine.Node, error) { return BuildOrdered(q, cat, []string{"orders"}) },
 		"Alternatives": func() (*engine.Node, error) { _, err := Alternatives(q, cat, 4); return nil, err },
 	} {
 		_, err := build()
@@ -285,9 +284,6 @@ func TestUnappliedJoinConditionsFail(t *testing.T) {
 		want := c.extra.String()
 		if _, err := Build(q, cat); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: Build error %v, want one naming %s", c.name, err, want)
-		}
-		if _, err := BuildOrdered(q, cat, c.tables); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: BuildOrdered error %v, want one naming %s", c.name, err, want)
 		}
 	}
 }

@@ -168,6 +168,15 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("p_size")) {
 		t.Errorf("predicate on an unlisted table: status %d %s, want 400 naming p_size", resp.StatusCode, body)
 	}
+	// So is an aggregate grouping on such a table: it used to be
+	// admitted, and its execution could only fail.
+	group := &uaqetp.Query{Name: "stray-group", Tables: []string{"orders", "lineitem"},
+		Joins: []uaqetp.JoinCond{{LeftTable: "orders", LeftCol: "o_orderkey", RightTable: "lineitem", RightCol: "l_orderkey"}},
+		Agg:   &uaqetp.AggSpec{GroupCol: "c_custkey"}}
+	resp, body = postJSON(t, ts, "/submit", Request{Tenant: "alpha", Query: group})
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("c_custkey")) {
+		t.Errorf("group column on an unlisted table: status %d %s, want 400 naming c_custkey", resp.StatusCode, body)
+	}
 }
 
 func TestDispatcherDrainsQueue(t *testing.T) {

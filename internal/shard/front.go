@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	uaqetp "repro"
 	"repro/internal/serve"
 )
 
@@ -43,6 +42,11 @@ type Front struct {
 	tenantShard map[string]string // distinct tenants seen → placed shard
 }
 
+// hopIdleConnsPerHost is the front's idle-connection pool per shard,
+// sized past the clients a front has in flight: net/http's default of 2
+// made most hops dial (8 clients × 30 /predict opened 81 connections).
+const hopIdleConnsPerHost = 64
+
 // NewFront builds the routing tier from a directory file.
 func NewFront(file *File, cfg FrontConfig) (*Front, error) {
 	dir, err := file.Directory()
@@ -53,12 +57,14 @@ func NewFront(file *File, cfg FrontConfig) (*Front, error) {
 	if !(cfg.Confidence > 0 && cfg.Confidence < 1) {
 		return nil, fmt.Errorf("shard: front confidence %g out of (0, 1)", cfg.Confidence)
 	}
+	hop := http.DefaultTransport.(*http.Transport).Clone()
+	hop.MaxIdleConnsPerHost = hopIdleConnsPerHost
 	return &Front{
 		dir:         dir,
 		addrs:       file.Addrs(),
 		fd:          NewFrontDoor(cfg.FrontDoor),
 		cfg:         cfg,
-		client:      &http.Client{Timeout: 60 * time.Second},
+		client:      &http.Client{Timeout: 60 * time.Second, Transport: hop},
 		start:       time.Now(),
 		forwarded:   make(map[string]uint64),
 		tenantShard: make(map[string]string),
@@ -78,6 +84,11 @@ func (f *Front) Directory() *Directory { return f.dir }
 //	                   a shard's "verdict": "shed-predictive" returns the token
 //	GET  /place     ?tenant=name                              -> the shard owning the tenant
 //	GET  /metrics   directory + front-door counters (Prometheus text)
+//
+// The front decodes only the envelope, answering its errors before any
+// token or hop. The query goes to the shard undecoded, only compacted:
+// the shard alone decodes and validates it, its error answer is relayed
+// verbatim, and a refused submit's token comes back.
 func (f *Front) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", f.handleHealthz)
@@ -114,18 +125,25 @@ func (f *Front) handlePlace(w http.ResponseWriter, r *http.Request) {
 	}{Tenant: tenant, Shard: s, Addr: f.addrs[s]})
 }
 
-// post sends body to the placed shard's endpoint under the client
+// post sends req to the placed shard's endpoint under the client
 // request's context, so a client that disconnects cancels the hop and,
 // through the shard's own request context, the shard's prediction work.
 // When the shard cannot be reached it answers 502 itself and returns
 // nil; the caller closes a non-nil response's body.
-func (f *Front) post(w http.ResponseWriter, r *http.Request, shard, path string, body []byte) *http.Response {
+func (f *Front) post(w http.ResponseWriter, r *http.Request, shard, path string, req hopRequest) *http.Response {
 	addr, ok := f.addrs[shard]
 	if !ok || addr == "" {
 		serve.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %q has no registered address", shard))
 		return nil
 	}
-	hop, err := http.NewRequestWithContext(r.Context(), http.MethodPost, addr+path, bytes.NewReader(body))
+	// Unescaped, so the query keeps the client's characters: escaping <, >
+	// and & sixfold could push a body under the 1 MiB limit past the
+	// shard's. Encode cannot fail on a query the decoder has validated.
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	enc.SetEscapeHTML(false)
+	enc.Encode(req)
+	hop, err := http.NewRequestWithContext(r.Context(), http.MethodPost, addr+path, &body)
 	if err != nil {
 		serve.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %q: %v", shard, err))
 		return nil
@@ -150,16 +168,27 @@ func (f *Front) relay(w http.ResponseWriter, shard string, status int, body io.R
 	io.Copy(w, body)
 }
 
+// frontRequest is the client's /predict or /submit body. Query stays
+// undecoded: the front forwards it and never reads it.
 type frontRequest struct {
-	Tenant   string        `json:"tenant"`
-	Query    *uaqetp.Query `json:"query"`
-	Deadline float64       `json:"deadline,omitempty"`
+	Tenant   string          `json:"tenant"`
+	Query    json.RawMessage `json:"query"`
+	Deadline float64         `json:"deadline,omitempty"`
 	// Class labels the submission's SLO class in the front-door
 	// counters; empty selects the tenant name.
 	Class string `json:"class,omitempty"`
 	// Confidence, in (0, 1), overrides the front's predictive-shed
 	// confidence for this submission; 0 keeps the front's.
 	Confidence float64 `json:"confidence,omitempty"`
+}
+
+// hopRequest is the body of both hops (serve.PredictRequest and
+// serve.Request); a /predict hop leaves Deadline and ShedBelow zero.
+type hopRequest struct {
+	Tenant    string          `json:"tenant"`
+	Query     json.RawMessage `json:"query"`
+	Deadline  float64         `json:"deadline,omitempty"`
+	ShedBelow float64         `json:"shed_below,omitempty"`
 }
 
 // maxTrackedTenants bounds the distinct-tenant tally of a long-lived
@@ -199,9 +228,8 @@ func (f *Front) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, _ := json.Marshal(serve.PredictRequest{Tenant: req.Tenant, Query: req.Query})
 	shardName := f.place(req.Tenant)
-	if resp := f.post(w, r, shardName, "/predict", body); resp != nil {
+	if resp := f.post(w, r, shardName, "/predict", hopRequest{Tenant: req.Tenant, Query: req.Query}); resp != nil {
 		defer resp.Body.Close()
 		f.relay(w, shardName, resp.StatusCode, resp.Body)
 	}
@@ -241,12 +269,11 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	sreq := serve.Request{Tenant: req.Tenant, Query: req.Query, Deadline: req.Deadline}
+	hreq := hopRequest{Tenant: req.Tenant, Query: req.Query, Deadline: req.Deadline}
 	if f.fd.Predictive() && req.Deadline > 0 {
-		sreq.ShedBelow = confidence
+		hreq.ShedBelow = confidence
 	}
-	body, _ := json.Marshal(sreq)
-	resp := f.post(w, r, shardName, "/submit", body)
+	resp := f.post(w, r, shardName, "/submit", hreq)
 	if resp == nil {
 		f.fd.Refund(class, "")
 		return

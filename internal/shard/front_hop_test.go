@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -22,15 +23,22 @@ import (
 )
 
 // hopFixture is a real serve.Server shard behind a Front, with a
-// counting middleware on the shard: every request the shard sees adds
-// one to hops.
+// recording middleware on the shard: every request the shard sees adds
+// one to hops, leaves its body in lastBody and, when hold is set, calls
+// it before serving; every connection the shard accepts adds one to
+// conns.
 type hopFixture struct {
 	srv      *serve.Server
 	front    *Front
 	url      string // the front
 	shardURL string
 	hops     atomic.Int64
+	conns    atomic.Int64
 	qs       []*uaqetp.Query // generated SelJoin and TPCH queries
+
+	mu       sync.Mutex
+	lastBody []byte
+	hold     func()
 }
 
 func newHopFixture(t *testing.T, cfg FrontConfig) *hopFixture {
@@ -48,10 +56,28 @@ func newHopFixture(t *testing.T, cfg FrontConfig) *hopFixture {
 		fx.qs = append(fx.qs, qs...)
 	}
 	h := fx.srv.Handler()
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	backend := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fx.hops.Add(1)
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		fx.mu.Lock()
+		fx.lastBody = body
+		hold := fx.hold
+		fx.mu.Unlock()
+		if hold != nil {
+			hold()
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
 		h.ServeHTTP(w, r)
 	}))
+	backend.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			fx.conns.Add(1)
+		}
+	}
+	backend.Start()
 	t.Cleanup(backend.Close)
 	fx.shardURL = backend.URL
 	file := &File{Seed: 42}
