@@ -11,6 +11,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // predFingerprint renders every float of a prediction via its exact bit
@@ -227,4 +229,54 @@ func TestEstimateMemoHits(t *testing.T) {
 	if h1 != h0+1 {
 		t.Errorf("second Predict did not hit the memo: hits %d -> %d", h0, h1)
 	}
+}
+
+// TestConcurrentExecutionsShareOnePlanKey: many goroutines execute
+// distinctly named queries through one shared Plan, so they fill and
+// read its stream-key memo at once (run with -race). Every execution
+// equals the same query executed alone on a fresh Plan over the same
+// tree, and every memoized key equals rng.ExecKey.
+func TestConcurrentExecutionsShareOnePlanKey(t *testing.T) {
+	sys := testSystem(t)
+	ctx := context.Background()
+	q := joinQuery()
+	shared, err := sys.Planner().BuildPlan(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := simExecutor{db: sys.db, profile: sys.profile, seed: sys.cfg.Seed, cache: sys.estCache, runNS: sys.runNS, ver: RNGv2}
+	const workers, perWorker = 8, 200
+	names := make([]string, workers*perWorker)
+	want := make([]float64, len(names))
+	for i := range names {
+		names[i] = fmt.Sprintf("tenant/%s#%05d", q.Name, i)
+		qi := *q
+		qi.Name = names[i]
+		if want[i], err = x.Execute(ctx, &qi, &Plan{root: shared.root}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(names); i += workers {
+				qi := *q
+				qi.Name = names[i]
+				got, err := x.Execute(ctx, &qi, shared)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != want[i] {
+					t.Errorf("%s on the shared plan: %v, alone on a fresh plan: %v", names[i], got, want[i])
+				}
+				if k, ref := shared.execKey(sys.cfg.Seed, names[i]), rng.ExecKey(sys.cfg.Seed, names[i], shared.root.Sig); k != ref {
+					t.Errorf("%s: memoized key %d, rng.ExecKey %d", names[i], k, ref)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/rng"
 )
 
 // OpDetail pairs one selective operator's estimated selectivity
@@ -68,7 +67,7 @@ func (s *System) Measure(q *Query) (*Measurement, error) {
 		return nil, err
 	}
 	m := &Measurement{
-		Actual:     s.profile.MeasurePlanSeeded(res, s.cfg.RNG, rng.ExecKey(s.cfg.Seed, q.Name, p.root.Sig)),
+		Actual:     s.profile.MeasurePlanSeeded(res, s.cfg.RNG, p.execKey(s.cfg.Seed, q.Name)),
 		SampleCost: s.profile.ExpectedCost(est.TotalSampleCounts()),
 		FullCost:   s.profile.ExpectedCost(res.TotalCounts()),
 	}

@@ -12,11 +12,24 @@
 // by both versions and is bit-identical to the pre-seam execSeed, so
 // v1 and v2 executions of the same (seed, query, plan) differ only in
 // generator, never in seeding.
+//
+// ExecKey hashes qname·\x00·plansig with FNV-1a, and the plan half is
+// memoized per plan (PlanKey) by a low-byte identity: an FNV-1a step
+// XORs a byte into the state, which moves only the state's low 8 bits,
+// so x ^ b = x + δ(x mod 256, b); and multiplying mod 2⁶⁴ derives the
+// product's low 8 bits from the factors' low 8 bits alone. By
+// induction, hashing a fixed suffix s from any state x ends at
+//
+//	x·P^|s| + C_s[x mod 256]  (mod 2⁶⁴)
+//
+// where P is the FNV prime and C_s is a 256-entry table that depends
+// on s only.
 package rng
 
 import (
 	"math"
 	"math/bits"
+	"sync/atomic"
 )
 
 // Version selects a System's measurement-stream generation. The zero
@@ -47,23 +60,65 @@ const (
 // incrementally. Two Systems with the same Config measure the same time
 // for the same query; distinct queries get well-separated streams.
 func ExecKey(seed int64, qname, plansig string) int64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(qname); i++ {
-		h ^= uint64(qname[i])
-		h *= fnvPrime64
-	}
 	// The \x00 separator: XOR with zero is the identity, so only the
 	// multiply survives.
-	h *= fnvPrime64
-	for i := 0; i < len(plansig); i++ {
-		h ^= uint64(plansig[i])
+	return finish(seed, fnv1a(fnv1a(fnvOffset64, qname)*fnvPrime64, plansig))
+}
+
+// fnv1a continues an FNV-1a hash from state h over the bytes of s.
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
 		h *= fnvPrime64
 	}
+	return h
+}
+
+// finish mixes the seed into a query-and-plan hash: XOR seed+3, then the
+// splitmix finalizer.
+func finish(seed int64, h uint64) int64 {
 	z := uint64(seed+3) ^ h
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9
 	z ^= z >> 27
 	return int64(z)
+}
+
+// PlanKey is ExecKey with its plan half memoized: one per plan
+// signature, shared by every execution of that plan, so a key costs the
+// hash of the query name plus one multiply and one load. It keeps
+// P^|s| for ExecKey's suffix s = \x00·plansig and fills C_s (see the
+// package doc) lazily: a miss hashes s from the state x as ExecKey does
+// and stores h_end − x·P^|s|. Entries are read and written atomically,
+// and racing writers store the same value. A PlanKey is about 2 KiB.
+type PlanKey struct {
+	sig string
+	pow uint64           // P^(1+len(sig))
+	set [4]atomic.Uint64 // bit r set once c[r] is filled
+	c   [256]atomic.Uint64
+}
+
+// NewPlanKey returns the memo for plan signature plansig, empty.
+func NewPlanKey(plansig string) *PlanKey {
+	pow := uint64(fnvPrime64)
+	for range len(plansig) {
+		pow *= fnvPrime64
+	}
+	return &PlanKey{sig: plansig, pow: pow}
+}
+
+// Key equals ExecKey(seed, qname, plansig) for the memo's plansig.
+func (k *PlanKey) Key(seed int64, qname string) int64 {
+	x := fnv1a(fnvOffset64, qname)
+	r := uint8(x)
+	bit := uint64(1) << (r & 63)
+	if k.set[r>>6].Load()&bit != 0 {
+		return finish(seed, x*k.pow+k.c[r].Load())
+	}
+	h := fnv1a(x*fnvPrime64, k.sig)
+	k.c[r].Store(h - x*k.pow)
+	k.set[r>>6].Or(bit)
+	return finish(seed, h)
 }
 
 // Stream is the V2 generator: splitmix64 over a counter, with a cached

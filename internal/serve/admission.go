@@ -25,6 +25,14 @@ type Request struct {
 	// P(T_q <= Deadline) is below ShedBelow gets Verdict "shed-predictive".
 	// It must lie in [0, 1); 0 turns the shed off.
 	ShedBelow float64 `json:"shed_below,omitempty"`
+	// Plan, when set, is the plan Submit predicts and later executes
+	// instead of building one for Query, so an in-process caller that
+	// submits one template many times resolves it once. It must come
+	// from the tenant System's planner (Tenant.System().Planner()
+	// .BuildPlan of Query, or of a query differing only in Name): Submit
+	// does not check it. Nil lets Submit build the plan. No HTTP body
+	// can set it.
+	Plan *uaqetp.Plan `json:"-"`
 }
 
 // Decision is the admission controller's verdict on one request. For a
@@ -146,7 +154,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (Decision, error) {
 	}
 
 	t.predictions.Add(1)
-	pred, plan, err := t.sys.PredictPlannedContext(ctx, req.Query)
+	pred, plan, err := t.predict(ctx, req.Query, req.Plan)
 	if err != nil {
 		// An unpredictable query is a rejected submission: keep
 		// admitted+rejected reconcilable against submission traffic.
@@ -219,6 +227,27 @@ func (s *Server) Submit(ctx context.Context, req Request) (Decision, error) {
 	d.QueueLen = s.queue.Len()
 	s.traceAdmission(t, req.Query.Name, &d)
 	return d, nil
+}
+
+// predict resolves q's plan on the tenant's System unless the caller
+// did, then estimates and predicts it on one predictor load, as
+// System.PredictPlannedContext does.
+func (t *Tenant) predict(ctx context.Context, q *uaqetp.Query, plan *uaqetp.Plan) (*uaqetp.Prediction, *uaqetp.Plan, error) {
+	if plan == nil {
+		var err error
+		if plan, err = t.sys.Planner().BuildPlan(ctx, q); err != nil {
+			return nil, nil, err
+		}
+	}
+	est, err := t.sys.Estimator().Estimate(ctx, plan)
+	if err != nil {
+		return nil, nil, err
+	}
+	pred, err := t.sys.Predictor().Predict(ctx, plan, est)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pred, plan, nil
 }
 
 // traceAdmission emits the decision as a trace event (caller holds

@@ -8,6 +8,7 @@ import (
 	"log"
 	"net/http"
 	"runtime/debug"
+	"sync/atomic"
 
 	uaqetp "repro"
 )
@@ -37,7 +38,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /recalibrate", s.handleRecalibrate)
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	return Recover(mux)
+	return Recover(mux, &s.panics)
 }
 
 // The JSON edge — response writer, error body, body limit and strict
@@ -67,9 +68,10 @@ func WriteError(w http.ResponseWriter, status int, msg string) {
 // error body instead of dropping the connection, which a client (or the
 // front relaying a shard's reply) would read as EOF. It logs the panic
 // with its stack; when the handler had already started its response,
-// logging is all it can do. http.ErrAbortHandler, net/http's own way to
-// abort a response, is re-panicked.
-func Recover(h http.Handler) http.Handler {
+// logging is all it can do. Either way the panic is counted in panics,
+// which /metrics exposes. http.ErrAbortHandler, net/http's own way to
+// abort a response, is re-panicked and not counted.
+func Recover(h http.Handler, panics *atomic.Uint64) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		tw := &trackingWriter{ResponseWriter: w}
 		defer func() {
@@ -80,6 +82,7 @@ func Recover(h http.Handler) http.Handler {
 			if v == http.ErrAbortHandler {
 				panic(v)
 			}
+			panics.Add(1)
 			log.Printf("serve: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
 			if !tw.wrote {
 				WriteError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", v))
@@ -121,16 +124,16 @@ func errStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// maxBodyBytes bounds how much of a request body a handler reads: a
+// MaxBodyBytes bounds how much of a request body a handler reads: a
 // query is a few hundred bytes of JSON, so 1 MiB refuses nothing real
 // while keeping one request from buffering an arbitrarily large document.
-const maxBodyBytes = 1 << 20
+const MaxBodyBytes = 1 << 20
 
 // DecodeBody decodes the JSON request body into v, rejecting unknown
-// fields; it answers 413 for a body over maxBodyBytes and 400 for
+// fields; it answers 413 for a body over MaxBodyBytes and 400 for
 // anything else that does not decode, and reports whether it decoded.
 func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		status := http.StatusBadRequest

@@ -238,7 +238,7 @@ func TestHTTPOversizeBody(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	huge := `{"tenant":"alpha","query":{"Name":"` + strings.Repeat("x", 2*maxBodyBytes) + `"}}`
+	huge := `{"tenant":"alpha","query":{"Name":"` + strings.Repeat("x", 2*MaxBodyBytes) + `"}}`
 	for _, path := range []string{"/submit", "/predict"} {
 		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(huge))
 		if err != nil {

@@ -26,6 +26,8 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	mw.gauge("uaqp_clock_virtual_seconds", "Current virtual clock.", st.Clock)
 	mw.gauge("uaqp_queue_wait_mean_seconds", "Predicted mean queue wait T_wait (backlog plus in-flight residual).", st.QueueWaitMean)
 	mw.gauge("uaqp_queue_wait_var", "Predicted variance of the queue wait.", st.QueueWaitVar)
+	mw.head("uaqp_recovered_panics_total", "Handler panics recovered (answered 500 unless the response had started).", "counter")
+	mw.printf("uaqp_recovered_panics_total %d\n", s.panics.Load())
 
 	// The shared estimate cache, one section per label: the sampling-pass
 	// ("estimate"), join-subtree ("subtree"), and run-result ("run")

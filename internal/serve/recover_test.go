@@ -3,9 +3,11 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	uaqetp "repro"
@@ -39,8 +41,8 @@ func panickingTenant(t *testing.T) (*Server, *uaqetp.Query) {
 }
 
 // TestHandlerPanicAnswers500: a panic inside a request answers 500 with
-// the usual JSON error body rather than dropping the connection, and
-// the server keeps serving.
+// the usual JSON error body rather than dropping the connection, the
+// server keeps serving, and /metrics counts the panic.
 func TestHandlerPanicAnswers500(t *testing.T) {
 	srv, q := panickingTenant(t)
 	ts := httptest.NewServer(srv.Handler())
@@ -62,28 +64,60 @@ func TestHandlerPanicAnswers500(t *testing.T) {
 	if hz.StatusCode != http.StatusOK {
 		t.Errorf("/healthz after the panic: %d, want 200", hz.StatusCode)
 	}
+	if got := metricLine(t, ts.URL, "uaqp_recovered_panics_total"); got != "uaqp_recovered_panics_total 1" {
+		t.Errorf("/metrics after one panic: %q", got)
+	}
+}
+
+// metricLine scrapes url's /metrics and returns the sample line of the
+// unlabeled metric name ("" when absent).
+func metricLine(t *testing.T, url, name string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, name+" ") {
+			return line
+		}
+	}
+	return ""
 }
 
 // TestRecoverLeavesStartedResponses: a handler that panics after it
-// started answering keeps its own status (only a log line is added),
-// and http.ErrAbortHandler still aborts.
+// started answering keeps its own status (only a log line and the
+// count are added), and http.ErrAbortHandler still aborts, uncounted.
 func TestRecoverLeavesStartedResponses(t *testing.T) {
+	var panics atomic.Uint64
 	started := Recover(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusAccepted, "partial")
 		panic("after the header")
-	}))
+	}), &panics)
 	rec := httptest.NewRecorder()
 	started.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
 	if rec.Code != http.StatusAccepted || strings.Contains(rec.Body.String(), "error") {
 		t.Errorf("started response became %d %q, want the handler's own 202", rec.Code, rec.Body)
 	}
 
+	if n := panics.Load(); n != 1 {
+		t.Errorf("%d panics counted, want 1", n)
+	}
+
 	aborted := Recover(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic(http.ErrAbortHandler)
-	}))
+	}), &panics)
 	defer func() {
 		if v := recover(); v != http.ErrAbortHandler {
 			t.Errorf("recovered %v, want http.ErrAbortHandler re-panicked", v)
+		}
+		if n := panics.Load(); n != 1 {
+			t.Errorf("%d panics counted after an abort, want 1", n)
 		}
 	}()
 	aborted.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/", nil))

@@ -228,6 +228,9 @@ type Server struct {
 	autoRecalMu     sync.Mutex
 	autoRecalCount  uint64
 	lastAutoRecalAt float64
+
+	// panics counts the handler panics Recover caught.
+	panics atomic.Uint64
 }
 
 // New returns an empty server with a fresh shared estimate cache (or

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/serve"
@@ -40,6 +41,8 @@ type Front struct {
 	mu          sync.Mutex
 	forwarded   map[string]uint64 // completed forwards per shard
 	tenantShard map[string]string // distinct tenants seen → placed shard
+
+	panics atomic.Uint64 // handler panics serve.Recover caught
 }
 
 // hopIdleConnsPerHost is the front's idle-connection pool per shard,
@@ -96,7 +99,7 @@ func (f *Front) Handler() http.Handler {
 	mux.HandleFunc("POST /submit", f.handleSubmit)
 	mux.HandleFunc("GET /place", f.handlePlace)
 	mux.HandleFunc("GET /metrics", f.handleMetrics)
-	return serve.Recover(mux)
+	return serve.Recover(mux, &f.panics)
 }
 
 func (f *Front) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -125,25 +128,41 @@ func (f *Front) handlePlace(w http.ResponseWriter, r *http.Request) {
 	}{Tenant: tenant, Shard: s, Addr: f.addrs[s]})
 }
 
-// post sends req to the placed shard's endpoint under the client
+// hopBody encodes req as the hop's body. The shard reads at most
+// serve.MaxBodyBytes, the limit the front decoded the client's body
+// under, and the hop can outgrow the client's body: shed_below is added
+// and the tenant and deadline are re-encoded. A hop body over the limit
+// is answered 413 here, before any token or hop, so no body the front
+// forwards is refused by the shard for its size; ok is false once it
+// has answered.
+func hopBody(w http.ResponseWriter, req hopRequest) (body *bytes.Buffer, ok bool) {
+	// Unescaped, so the query keeps the client's characters: escaping <,
+	// > and & would grow it sixfold. Encode cannot fail on a query the
+	// decoder has validated.
+	body = new(bytes.Buffer)
+	enc := json.NewEncoder(body)
+	enc.SetEscapeHTML(false)
+	enc.Encode(req)
+	if body.Len() > serve.MaxBodyBytes {
+		serve.WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf(
+			"bad request body: forwarded, it would be %d bytes, over the shards' limit of %d", body.Len(), serve.MaxBodyBytes))
+		return nil, false
+	}
+	return body, true
+}
+
+// post sends a hop body to the placed shard's endpoint under the client
 // request's context, so a client that disconnects cancels the hop and,
 // through the shard's own request context, the shard's prediction work.
 // When the shard cannot be reached it answers 502 itself and returns
 // nil; the caller closes a non-nil response's body.
-func (f *Front) post(w http.ResponseWriter, r *http.Request, shard, path string, req hopRequest) *http.Response {
+func (f *Front) post(w http.ResponseWriter, r *http.Request, shard, path string, body *bytes.Buffer) *http.Response {
 	addr, ok := f.addrs[shard]
 	if !ok || addr == "" {
 		serve.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %q has no registered address", shard))
 		return nil
 	}
-	// Unescaped, so the query keeps the client's characters: escaping <, >
-	// and & sixfold could push a body under the 1 MiB limit past the
-	// shard's. Encode cannot fail on a query the decoder has validated.
-	var body bytes.Buffer
-	enc := json.NewEncoder(&body)
-	enc.SetEscapeHTML(false)
-	enc.Encode(req)
-	hop, err := http.NewRequestWithContext(r.Context(), http.MethodPost, addr+path, &body)
+	hop, err := http.NewRequestWithContext(r.Context(), http.MethodPost, addr+path, body)
 	if err != nil {
 		serve.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %q: %v", shard, err))
 		return nil
@@ -228,8 +247,12 @@ func (f *Front) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	body, ok := hopBody(w, hopRequest{Tenant: req.Tenant, Query: req.Query})
+	if !ok {
+		return
+	}
 	shardName := f.place(req.Tenant)
-	if resp := f.post(w, r, shardName, "/predict", hopRequest{Tenant: req.Tenant, Query: req.Query}); resp != nil {
+	if resp := f.post(w, r, shardName, "/predict", body); resp != nil {
 		defer resp.Body.Close()
 		f.relay(w, shardName, resp.StatusCode, resp.Body)
 	}
@@ -254,9 +277,17 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"deadline %g must not be negative, confidence %g must be in (0, 1) or 0", req.Deadline, req.Confidence))
 		return
 	}
-	shardName := f.place(req.Tenant)
 	class := cmp.Or(req.Class, req.Tenant)
 	confidence := cmp.Or(req.Confidence, f.cfg.Confidence)
+	hreq := hopRequest{Tenant: req.Tenant, Query: req.Query, Deadline: req.Deadline}
+	if f.fd.Predictive() && req.Deadline > 0 {
+		hreq.ShedBelow = confidence
+	}
+	body, ok := hopBody(w, hreq)
+	if !ok {
+		return
+	}
+	shardName := f.place(req.Tenant)
 
 	// A token is reserved before the one shard hop. The predictive bound
 	// is optimistic, P(T_q <= d) with zero queue wait, so the shard checks
@@ -269,11 +300,7 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	hreq := hopRequest{Tenant: req.Tenant, Query: req.Query, Deadline: req.Deadline}
-	if f.fd.Predictive() && req.Deadline > 0 {
-		hreq.ShedBelow = confidence
-	}
-	resp := f.post(w, r, shardName, "/submit", hreq)
+	resp := f.post(w, r, shardName, "/submit", body)
 	if resp == nil {
 		f.fd.Refund(class, "")
 		return
@@ -317,6 +344,7 @@ func (f *Front) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, s := range shards {
 		fmt.Fprintf(w, "uaqp_front_shard_tenants{shard=%q} %d\n", s, tenants[s])
 	}
+	fmt.Fprintf(w, "# HELP uaqp_front_recovered_panics_total Handler panics recovered (answered 500 unless the response had started).\n# TYPE uaqp_front_recovered_panics_total counter\nuaqp_front_recovered_panics_total %d\n", f.panics.Load())
 	fmt.Fprintf(w, "# HELP uaqp_front_forwarded_total Requests forwarded, by shard.\n# TYPE uaqp_front_forwarded_total counter\n")
 	for _, s := range shards {
 		fmt.Fprintf(w, "uaqp_front_forwarded_total{shard=%q} %d\n", s, forwarded[s])

@@ -464,3 +464,50 @@ func TestFrontHopCarriesClientContext(t *testing.T) {
 		})
 	}
 }
+
+// TestFrontHopFitsShardLimit: the hop adds shed_below and a newline to
+// the client's compact body, so a /submit at the size limit would reach
+// the shard over it. The front answers such a body 413 itself, before
+// any token or hop, and forwards the largest body whose hop is exactly
+// at the limit, which the shard reads whole.
+func TestFrontHopFitsShardLimit(t *testing.T) {
+	fx := newHopFixture(t, FrontConfig{FrontDoor: FrontDoorConfig{Predictive: true}, Confidence: 0.9})
+	body := func(n int) string {
+		const head, tail = `{"tenant":"alpha","query":{"Name":"`, `"},"deadline":1}`
+		return head + strings.Repeat("x", n-len(head)-len(tail)) + tail
+	}
+	send := func(b string) (int, string) {
+		resp, err := http.Post(fx.url+"/submit", "application/json", strings.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatalf("undecodable reply (status %d): %v", resp.StatusCode, err)
+		}
+		return resp.StatusCode, e.Error
+	}
+
+	status, msg := send(body(serve.MaxBodyBytes))
+	if status != http.StatusRequestEntityTooLarge || fx.hops.Load() != 0 {
+		t.Errorf("a %d-byte body: status %d after %d hops (%q), want the front's 413 and no hop", serve.MaxBodyBytes, status, fx.hops.Load(), msg)
+	}
+	if c := fx.counters("alpha"); c.Admitted != 0 {
+		t.Errorf("a refused body moved the front door: %+v", c)
+	}
+
+	hop := len(`,"shed_below":0.9` + "\n")
+	status, msg = send(body(serve.MaxBodyBytes - hop))
+	fx.mu.Lock()
+	forwarded := len(fx.lastBody)
+	fx.mu.Unlock()
+	if fx.hops.Load() != 1 || forwarded != serve.MaxBodyBytes {
+		t.Fatalf("a %d-byte body: %d hops, last hop %d bytes, want one hop of %d", serve.MaxBodyBytes-hop, fx.hops.Load(), forwarded, serve.MaxBodyBytes)
+	}
+	if status == http.StatusRequestEntityTooLarge {
+		t.Errorf("the shard refused a forwarded body for its size: %q", msg)
+	}
+}

@@ -3,8 +3,10 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -30,7 +32,8 @@ func (panickingTransport) RoundTrip(*http.Request) (*http.Response, error) {
 // TestFrontPanicAnswers500: a /predict that panics, on the shard (the
 // tenant's predictor) or in the front itself (its hop), reaches the
 // client as a 500 with the JSON error body naming the panic rather than
-// a dropped connection or a 502, and the front keeps serving.
+// a dropped connection or a 502, the front keeps serving, and the tier
+// that panicked counts it on its /metrics.
 func TestFrontPanicAnswers500(t *testing.T) {
 	sys, err := uaqetp.Open(uaqetp.DefaultConfig())
 	if err != nil {
@@ -54,9 +57,11 @@ func TestFrontPanicAnswers500(t *testing.T) {
 	for _, tc := range []struct {
 		name, panic string
 		client      *http.Client
+		// The panics each tier's /metrics gains from the request.
+		shardPanics, frontPanics int
 	}{
-		{"shard", "predictor stub panics", nil},
-		{"front", "transport stub panics", &http.Client{Transport: panickingTransport{}}},
+		{"shard", "predictor stub panics", nil, 1, 0},
+		{"front", "transport stub panics", &http.Client{Transport: panickingTransport{}}, 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			file := &File{Seed: 42}
@@ -70,6 +75,7 @@ func TestFrontPanicAnswers500(t *testing.T) {
 			}
 			ts := httptest.NewServer(front.Handler())
 			defer ts.Close()
+			shardBefore := panicCount(t, backend.URL, "uaqp_recovered_panics_total")
 
 			resp, err := http.Post(ts.URL+"/predict", "application/json", strings.NewReader(string(body)))
 			if err != nil {
@@ -94,6 +100,37 @@ func TestFrontPanicAnswers500(t *testing.T) {
 			if hz.StatusCode != http.StatusOK {
 				t.Errorf("/healthz after the panic: %d, want 200", hz.StatusCode)
 			}
+			if got := panicCount(t, backend.URL, "uaqp_recovered_panics_total") - shardBefore; got != tc.shardPanics {
+				t.Errorf("the shard counted %d panics, want %d", got, tc.shardPanics)
+			}
+			if got := panicCount(t, ts.URL, "uaqp_front_recovered_panics_total"); got != tc.frontPanics {
+				t.Errorf("the front counted %d panics, want %d", got, tc.frontPanics)
+			}
 		})
 	}
+}
+
+// panicCount scrapes url's /metrics for the unlabeled counter name.
+func panicCount(t *testing.T, url, name string) int {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics has no %s", name)
+	return 0
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	uaqetp "repro"
 	"repro/internal/rng"
 )
 
@@ -104,7 +103,7 @@ func TestBurstyIsBurstier(t *testing.T) {
 // gives — element for element, template pointer included.
 func TestArrivalOrderMatchesComparator(t *testing.T) {
 	src := stream(11)
-	tmpls := make([]uaqetp.Query, 8)
+	tmpls := make([]template, 8)
 	times := []float64{math.Copysign(0, -1), 0, 0.25, 0.25, 0.5, 1, 1, 2}
 	for trial := 0; trial < 50; trial++ {
 		var arrs []arrival

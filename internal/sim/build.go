@@ -126,7 +126,6 @@ func newRun(sc *resolved, sys *uaqetp.System, cache *uaqetp.EstimateCache, sinks
 		rec:       sinks.trace,
 		decisions: sinks.trace != nil && sinks.trace.Enabled(trace.Decisions),
 		calibRec:  sinks.calib,
-		predMemo:  make(map[*uaqetp.Query]sharedPredEntry, 64),
 	}
 	if err := s.expandTenants(); err != nil {
 		return nil, err
@@ -258,7 +257,7 @@ func (s *simRun) buildArrivals() error {
 	}
 	s.arrivals = make([]arrival, 0, int(expect+4*math.Sqrt(expect))+1)
 	counts := make([]int, len(s.sc.Tenants))
-	pools := make(map[int][]*uaqetp.Query)
+	pools := make(map[int][]*template)
 	var times []float64
 	for ti, ts := range s.tenants {
 		spec, bench := &s.sc.Tenants[ts.group], s.sc.bench[ts.group]
@@ -266,20 +265,24 @@ func (s *simRun) buildArrivals() error {
 		if spec.Arrivals.Process == ProcessTrace {
 			// External trace: recorded arrival times and template indexes,
 			// resolved against the tenant's query pool.
-			pool, err := s.sys.GenerateWorkload(bench, spec.Queries)
+			qs, pool, err := s.templates(bench, spec.Queries)
 			if err != nil {
 				return fmt.Errorf("sim: tenant %q workload: %w", spec.Name, err)
 			}
-			entries, err := workload.LoadTrace(spec.Arrivals.TraceFile, pool)
+			entries, err := workload.LoadTrace(spec.Arrivals.TraceFile, qs)
 			if err != nil {
 				return fmt.Errorf("sim: tenant %q: %w", spec.Name, err)
+			}
+			byQuery := make(map[*uaqetp.Query]*template, len(pool))
+			for _, tp := range pool {
+				byQuery[tp.q] = tp
 			}
 			for k, e := range entries {
 				if e.At >= s.sc.Horizon {
 					break
 				}
 				s.arrivals = append(s.arrivals, arrival{
-					at: e.At, tenant: int32(ti), ord: int32(k), tmpl: e.Query,
+					at: e.At, tenant: int32(ti), ord: int32(k), tmpl: byQuery[e.Query],
 				})
 			}
 			counts[ts.group] += len(s.arrivals) - before
@@ -291,7 +294,7 @@ func (s *simRun) buildArrivals() error {
 		pool := pools[ts.group]
 		if pool == nil {
 			var err error
-			if pool, err = s.sys.GenerateWorkload(bench, spec.Queries); err != nil {
+			if _, pool, err = s.templates(bench, spec.Queries); err != nil {
 				return fmt.Errorf("sim: tenant %q workload: %w", ts.name, err)
 			}
 			pools[ts.group] = pool
@@ -315,6 +318,21 @@ func (s *simRun) buildArrivals() error {
 		s.groupQW[g] = make([]float64, 0, n)
 	}
 	return nil
+}
+
+// templates generates a pool of n bench queries and plans each once
+// through the base System's planner (see template).
+func (s *simRun) templates(bench workload.Benchmark, n int) ([]*uaqetp.Query, []*template, error) {
+	qs, err := s.sys.GenerateWorkload(bench, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	pool := make([]*template, len(qs))
+	for i, q := range qs {
+		plan, _ := s.sys.Planner().BuildPlan(s.ctx, q) // on failure nil: Submit plans and rejects it
+		pool[i] = &template{q: q, plan: plan}
+	}
+	return qs, pool, nil
 }
 
 // compareArrivals is the one global deterministic order the event loop

@@ -32,7 +32,22 @@ type arrival struct {
 	at     float64
 	tenant int32
 	ord    int32
-	tmpl   *uaqetp.Query
+	tmpl   *template
+}
+
+// template is one pool query with what its arrivals share. plan is
+// built once through the base System's planner, which every machine's
+// tenant System shares; it is nil when the query fails to plan, so
+// Submit plans it itself and rejects the arrival as before. pred is the
+// base System's prediction, memoized on first use (a failure too): the
+// base predictor never swaps mid-run and clones share their template's
+// plan, so it stands for predicting the clone.
+type template struct {
+	q         *uaqetp.Query
+	plan      *uaqetp.Plan
+	predicted bool
+	pred      *uaqetp.Prediction
+	predErr   error
 }
 
 // freeEvent is a machine finishing its in-flight query.
@@ -222,7 +237,7 @@ func (s *simRun) handleArrival(a arrival) error {
 				if s.decisions {
 					s.rec.Record(&trace.Event{
 						Kind: trace.KindAdmission, At: a.at, Machine: -1, Shard: shardName,
-						Tenant: ts.name, Query: cloneQuery(a.tmpl, ts.name, int(a.ord)).Name,
+						Tenant: ts.name, Query: cloneQuery(a.tmpl.q, ts.name, int(a.ord)).Name,
 						Verdict: string(v), Reason: "front-door",
 						Deadline: g.effDeadline, PMeet: bestP, Threshold: g.confidence,
 					})
@@ -231,7 +246,7 @@ func (s *simRun) handleArrival(a arrival) error {
 			}
 		}
 	}
-	q := cloneQuery(a.tmpl, ts.name, int(a.ord))
+	q := cloneQuery(a.tmpl.q, ts.name, int(a.ord))
 	m, err := s.route(ts.group, q, a.tmpl, g.effDeadline, a.at, lo, hi, sid)
 	if err != nil {
 		return err
@@ -251,6 +266,7 @@ func (s *simRun) handleArrival(a arrival) error {
 	ms.srv.AdvanceClock(a.at)
 	dec, err := ms.srv.Submit(s.ctx, serve.Request{
 		Tenant: s.sc.Tenants[ts.group].Name, Query: q, Deadline: s.sc.Tenants[ts.group].Deadline,
+		Plan: a.tmpl.plan,
 	})
 	if err != nil {
 		// An unpredictable query is already tallied as a rejection

@@ -59,7 +59,7 @@ func Routers() []string {
 // candidate scoring vector in s.cands (machine order) and the reason
 // the winner won in s.tieBreak; capturing is pure observation — the
 // comparisons and the chosen machine are identical with tracing off.
-func (s *simRun) route(group int, q, tmpl *uaqetp.Query, deadline, now float64, lo, hi, sid int) (int, error) {
+func (s *simRun) route(group int, q *uaqetp.Query, tmpl *template, deadline, now float64, lo, hi, sid int) (int, error) {
 	capture := s.decisions
 	if capture {
 		s.cands = s.cands[:0]
@@ -108,14 +108,13 @@ func (s *simRun) route(group int, q, tmpl *uaqetp.Query, deadline, now float64, 
 // machines, and recalibrated units are read the moment they swap in. A
 // machine whose tenant still runs the base System's predictor stage
 // would predict exactly what the base does, so it takes the base
-// prediction from the run-level memo (sharedPred): one map probe
-// instead of a per-arrival fingerprint-and-memo walk. Under
+// prediction memoized on the arrival's template (sharedPred). Under
 // least-risk-shared every machine takes the base prediction — the
 // fleet-shared-units ablation. The sampling pass behind every
 // prediction is shared through the fleet cache (estimates are
 // machine-independent), so the per-machine work is one analytic unit
 // propagation each.
-func (s *simRun) routeLeastRisk(group int, q, tmpl *uaqetp.Query, deadline, now float64, lo, hi int) (int, error) {
+func (s *simRun) routeLeastRisk(group int, q *uaqetp.Query, tmpl *template, deadline, now float64, lo, hi int) (int, error) {
 	// The CDF saturates once a machine is safely fast enough, so ties
 	// within riskEps — e.g. an idle fleet, where every machine is
 	// equally certain — break toward the least expected wait: among

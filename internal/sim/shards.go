@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	uaqetp "repro"
 	"repro/internal/serve"
 	"repro/internal/shard"
 )
@@ -196,12 +195,10 @@ func (sh *shardedRun) placeAt(ti int, at float64) int {
 // P(T_wait + T_q <= d) across the shard's machines, with the
 // fleet-shared prediction of T_q and each machine's own queue state —
 // the same arithmetic as the least-risk-shared router. The prediction
-// resolves by template through the run-level memo (sharedPred): clones
-// share their template's plan, so the bound is identical while the
-// per-arrival cost drops to one map probe. A prediction failure
-// returns 1 (the request is forwarded; admission will tally the
-// failure exactly as on unsharded runs).
-func (s *simRun) bestPIn(tmpl *uaqetp.Query, deadline, now float64, lo, hi int) float64 {
+// is the one memoized on the arrival's template (sharedPred). A
+// prediction failure returns 1 (the request is forwarded; admission
+// will tally the failure exactly as on unsharded runs).
+func (s *simRun) bestPIn(tmpl *template, deadline, now float64, lo, hi int) float64 {
 	pred, err := s.sharedPred(tmpl)
 	if err != nil {
 		return 1

@@ -101,15 +101,6 @@ type simRun struct {
 	// order; the report sorts them in place.
 	groupLat, groupQW [][]float64
 
-	// predMemo caches the base System's prediction per template: the
-	// front door's bestP bound and every least-risk candidate still on
-	// the base predictor stage resolve through the base System,
-	// whose predictor never swaps mid-run, and clones share their
-	// template's plan fingerprint — so one probe of this map replaces
-	// re-deriving fingerprints and memo keys per arrival. Failures are
-	// memoized too (a template that cannot be predicted never will be).
-	predMemo map[*uaqetp.Query]sharedPredEntry
-
 	processed int
 	// out is the scratch Outcome the drain path fills in place.
 	out serve.Outcome
@@ -213,22 +204,12 @@ func Run(sc Scenario, opts ...RunOption) (*Report, error) {
 	return runOn(rs, sys, cache, sinks)
 }
 
-// sharedPredEntry is one memoized base-System prediction (or its
-// sticky failure).
-type sharedPredEntry struct {
-	pred *uaqetp.Prediction
-	err  error
-}
-
-// sharedPred resolves the base System's prediction for an arrival
-// through the run-level memo keyed by the arrival's template (see the
-// predMemo field for why one map probe is equivalent to predicting the
-// clone).
-func (s *simRun) sharedPred(tmpl *uaqetp.Query) (*uaqetp.Prediction, error) {
-	if e, ok := s.predMemo[tmpl]; ok {
-		return e.pred, e.err
+// sharedPred returns the base System's prediction for an arrival of
+// tmpl, memoized on the template (see template).
+func (s *simRun) sharedPred(tmpl *template) (*uaqetp.Prediction, error) {
+	if !tmpl.predicted {
+		tmpl.pred, tmpl.predErr = s.sys.PredictContext(s.ctx, tmpl.q)
+		tmpl.predicted = true
 	}
-	pred, err := s.sys.PredictContext(s.ctx, tmpl)
-	s.predMemo[tmpl] = sharedPredEntry{pred, err}
-	return pred, err
+	return tmpl.pred, tmpl.predErr
 }

@@ -34,6 +34,20 @@ type Plan struct {
 	root *engine.Node
 	// est and run memoize the plan's estimate- and run-section keys.
 	est, run atomic.Pointer[planKey]
+	// exec memoizes the plan half of every execution's stream key,
+	// created on the first execution.
+	exec atomic.Pointer[rng.PlanKey]
+}
+
+// execKey is rng.ExecKey(seed, qname, p.root.Sig), through the plan's
+// memo of the signature half.
+func (p *Plan) execKey(seed int64, qname string) int64 {
+	k := p.exec.Load()
+	if k == nil {
+		p.exec.CompareAndSwap(nil, rng.NewPlanKey(p.root.Sig))
+		k = p.exec.Load()
+	}
+	return k.Key(seed, qname)
 }
 
 // key returns the plan's key record under namespace ns for a cache
@@ -128,9 +142,9 @@ const planMemoSize = 512
 // catalog — the query name feeds only error messages — so two queries
 // with equal fingerprints share one compiled *Plan. The memo is shared
 // across every façade derived from one Open (plans do not depend on
-// machine profile or sampling ratio), which is what makes per-arrival
-// planning in the simulator effectively free. Like the prediction memo
-// it is a plain map reset at its cap. Cached plans are shared and
+// machine profile or sampling ratio), so a plan one façade built serves
+// every other (the simulator plans each template once on its base
+// System). Like the prediction memo it is a plain map reset at its cap. Cached plans are shared and
 // read-only; nothing downstream mutates an operator tree.
 type defaultPlanner struct {
 	cat *catalog.Catalog
@@ -343,7 +357,7 @@ func (x simExecutor) Execute(ctx context.Context, q *Query, p *Plan) (float64, e
 	if err != nil {
 		return 0, err
 	}
-	return x.profile.RunPlanSeeded(res, x.ver, rng.ExecKey(x.seed, q.Name, p.root.Sig)), nil
+	return x.profile.RunPlanSeeded(res, x.ver, p.execKey(x.seed, q.Name)), nil
 }
 
 // runSimulated executes a built plan, memoized in the cache's run
