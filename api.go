@@ -457,9 +457,10 @@ func (s *System) PredictContext(ctx context.Context, q *Query, opts ...CallOptio
 }
 
 // PredictPlannedContext returns the prediction together with the plan it
-// was made for, so serving-path callers resolve the physical plan once:
-// the serving layer executes exactly that plan later through
-// Executor().Execute and attributes feedback to its String().
+// was made for, so a caller that goes on to execute resolves the
+// physical plan once and runs exactly the plan that was predicted, as
+// PredictAndRunContext does. (The serving layer predicts through its
+// tenant's stages directly, on a plan it may already hold.)
 func (s *System) PredictPlannedContext(ctx context.Context, q *Query, opts ...CallOption) (*Prediction, *Plan, error) {
 	p, err := s.resolvePlan(ctx, q, newCallOpts(opts))
 	if err != nil {

@@ -3,16 +3,17 @@
 // FrontDoor that sheds load before placement (token bucket plus
 // predictive admission), and an HTTP front that routes tenant traffic
 // to `uaqp serve -shard` processes registered in a static directory
-// file. The topology is validated first in internal/sim — the same
-// Directory and FrontDoor drive the simulator's sharded scenarios —
-// then realized over HTTP (examples/shard), so the simulator and the
-// real serving path share one cluster abstraction.
+// file. The topology is fixed for a directory's lifetime: a changed
+// shard set is a new Directory, built by a restarted front or a new
+// simulation. The same Directory and FrontDoor drive the simulator's
+// sharded scenarios (internal/sim) and the HTTP path (examples/shard),
+// so the simulator and the real serving path share one cluster
+// abstraction.
 package shard
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/cache"
 )
@@ -22,6 +23,11 @@ import (
 // handful of shards split the key space within a few percent of even.
 const DefaultVNodes = 128
 
+// MaxVNodes bounds the virtual-node count per shard. Balance stops
+// improving long before it; the bound keeps a mistyped directory file
+// from building a ring of billions of entries at startup.
+const MaxVNodes = 4096
+
 // ringEntry is one virtual node on the hash ring.
 type ringEntry struct {
 	hash  uint64
@@ -29,32 +35,37 @@ type ringEntry struct {
 }
 
 // Directory places tenants over serving shards with a consistent-hash
-// ring of virtual nodes. Placement is a pure function of (shard set,
-// vnodes, seed, tenant): rebuilding a directory from the same inputs —
-// in any order, on any GOMAXPROCS — yields byte-identical placements,
-// which is what lets the simulator report on 10k-tenant topologies
-// deterministically. Adding or removing a shard moves only the tenants
-// whose arc the change captures (≈ 1/N of them), never reshuffling the
-// rest.
+// ring of virtual nodes. It is immutable once built, so any number of
+// goroutines may call Place without locking. Placement is a pure
+// function of (shard set, vnodes, seed, tenant): rebuilding a
+// directory from the same inputs — in any order, on any GOMAXPROCS —
+// yields byte-identical placements, which is what lets the simulator
+// report on 10k-tenant topologies deterministically. A directory over
+// one more shard moves only the tenants whose arcs the new shard's
+// virtual nodes capture (≈ 1/N of them), never reshuffling the rest,
+// so a front restarted over a grown directory file keeps most
+// placements.
 type Directory struct {
-	mu     sync.RWMutex
-	vnodes int
 	seed   int64
 	shards []string // sorted
 	ring   []ringEntry
 }
 
 // NewDirectory builds a directory over the given shard names. vnodes
-// < 1 selects DefaultVNodes. Shard names must be non-empty and unique;
-// order does not matter (the ring is built from the sorted set).
+// 0 selects DefaultVNodes; a negative count or one above MaxVNodes is
+// an error. Shard names must be non-empty and unique; order does not
+// matter (the ring is built from the sorted set).
 func NewDirectory(shards []string, vnodes int, seed int64) (*Directory, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("shard: directory needs at least one shard")
 	}
-	if vnodes < 1 {
+	if vnodes < 0 || vnodes > MaxVNodes {
+		return nil, fmt.Errorf("shard: vnodes %d out of [0, %d]", vnodes, MaxVNodes)
+	}
+	if vnodes == 0 {
 		vnodes = DefaultVNodes
 	}
-	d := &Directory{vnodes: vnodes, seed: seed}
+	d := &Directory{seed: seed}
 	seen := make(map[string]bool, len(shards))
 	for _, s := range shards {
 		if s == "" {
@@ -67,21 +78,11 @@ func NewDirectory(shards []string, vnodes int, seed int64) (*Directory, error) {
 		d.shards = append(d.shards, s)
 	}
 	sort.Strings(d.shards)
-	d.rebuild()
-	return d, nil
-}
-
-// rebuild recomputes the ring from the sorted shard set; callers hold
-// the write lock (or own the directory exclusively).
-func (d *Directory) rebuild() {
-	d.ring = d.ring[:0]
-	if cap(d.ring) < len(d.shards)*d.vnodes {
-		d.ring = make([]ringEntry, 0, len(d.shards)*d.vnodes)
-	}
+	d.ring = make([]ringEntry, 0, len(d.shards)*vnodes)
 	for _, s := range d.shards {
-		for v := 0; v < d.vnodes; v++ {
+		for v := 0; v < vnodes; v++ {
 			d.ring = append(d.ring, ringEntry{
-				hash:  cache.SeededHash(d.seed, fmt.Sprintf("%s#%d", s, v)),
+				hash:  cache.SeededHash(seed, fmt.Sprintf("%s#%d", s, v)),
 				shard: s,
 			})
 		}
@@ -94,14 +95,13 @@ func (d *Directory) rebuild() {
 		// name so the ring order is still a pure function of the inputs.
 		return d.ring[i].shard < d.ring[j].shard
 	})
+	return d, nil
 }
 
 // Place returns the shard owning tenant: the first virtual node at or
 // clockwise of the tenant's hash.
 func (d *Directory) Place(tenant string) string {
 	h := cache.SeededHash(d.seed, tenant)
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	i := sort.Search(len(d.ring), func(i int) bool { return d.ring[i].hash >= h })
 	if i == len(d.ring) {
 		i = 0
@@ -109,46 +109,8 @@ func (d *Directory) Place(tenant string) string {
 	return d.ring[i].shard
 }
 
-// Add inserts a shard and rebuilds the ring; only tenants on arcs the
-// new shard's virtual nodes capture move to it.
-func (d *Directory) Add(shard string) error {
-	if shard == "" {
-		return fmt.Errorf("shard: empty shard name")
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	i := sort.SearchStrings(d.shards, shard)
-	if i < len(d.shards) && d.shards[i] == shard {
-		return fmt.Errorf("shard: duplicate shard %q", shard)
-	}
-	d.shards = append(d.shards, "")
-	copy(d.shards[i+1:], d.shards[i:])
-	d.shards[i] = shard
-	d.rebuild()
-	return nil
-}
-
-// Remove deletes a shard and rebuilds the ring; its tenants scatter to
-// the next virtual node clockwise of each vacated arc.
-func (d *Directory) Remove(shard string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.shards) == 1 {
-		return fmt.Errorf("shard: cannot remove the last shard")
-	}
-	i := sort.SearchStrings(d.shards, shard)
-	if i == len(d.shards) || d.shards[i] != shard {
-		return fmt.Errorf("shard: unknown shard %q", shard)
-	}
-	d.shards = append(d.shards[:i], d.shards[i+1:]...)
-	d.rebuild()
-	return nil
-}
-
 // Shards returns the sorted shard names.
 func (d *Directory) Shards() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	out := make([]string, len(d.shards))
 	copy(out, d.shards)
 	return out

@@ -2,7 +2,10 @@ package shard
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -96,50 +99,38 @@ func TestDirectoryBalance(t *testing.T) {
 	}
 }
 
-// TestDirectoryMinimalMovement pins the consistent-hashing property:
-// adding a fifth shard to a four-shard ring moves roughly 1/5 of the
-// tenants — all of them to the new shard — and removing it restores
-// the original placement exactly.
+// TestDirectoryMinimalMovement pins the consistent-hashing property
+// over two independent builds: a directory over the same four shards
+// plus a fifth places roughly 1/5 of the tenants differently, and
+// every tenant that moves moves to the new shard. A front restarted
+// over a directory file that grew by one registration relies on it.
 func TestDirectoryMinimalMovement(t *testing.T) {
 	tenants := tenantNames(10000)
-	d, err := NewDirectory([]string{"s0", "s1", "s2", "s3"}, 0, 99)
+	four, err := NewDirectory([]string{"s0", "s1", "s2", "s3"}, 0, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := make([]string, len(tenants))
-	for i, tn := range tenants {
-		before[i] = d.Place(tn)
-	}
-
-	if err := d.Add("s4"); err != nil {
+	five, err := NewDirectory([]string{"s0", "s1", "s2", "s3", "s4"}, 0, 99)
+	if err != nil {
 		t.Fatal(err)
 	}
 	moved := 0
-	for i, tn := range tenants {
-		after := d.Place(tn)
-		if after != before[i] {
+	for _, tn := range tenants {
+		before, after := four.Place(tn), five.Place(tn)
+		if after != before {
 			moved++
 			if after != "s4" {
-				t.Fatalf("tenant %s moved %s -> %s: movement not confined to the new shard", tn, before[i], after)
+				t.Fatalf("tenant %s moved %s -> %s: movement not confined to the new shard", tn, before, after)
 			}
 		}
 	}
 	// Expected moved fraction is 1/5; allow a generous band around it.
 	if frac := float64(moved) / float64(len(tenants)); frac < 0.10 || frac > 0.32 {
-		t.Errorf("moved fraction %.3f far from 1/5 on shard add", frac)
-	}
-
-	if err := d.Remove("s4"); err != nil {
-		t.Fatal(err)
-	}
-	for i, tn := range tenants {
-		if got := d.Place(tn); got != before[i] {
-			t.Fatalf("tenant %s on %s after add+remove, want original %s", tn, got, before[i])
-		}
+		t.Errorf("moved fraction %.3f far from 1/5 with a fifth shard", frac)
 	}
 }
 
-// TestDirectoryValidation pins the constructor and mutation errors.
+// TestDirectoryValidation pins the constructor errors.
 func TestDirectoryValidation(t *testing.T) {
 	if _, err := NewDirectory(nil, 0, 1); err == nil {
 		t.Error("empty shard set accepted")
@@ -150,17 +141,56 @@ func TestDirectoryValidation(t *testing.T) {
 	if _, err := NewDirectory([]string{""}, 0, 1); err == nil {
 		t.Error("empty shard name accepted")
 	}
-	d, err := NewDirectory([]string{"a"}, 0, 1)
+}
+
+// TestDirectoryVNodesBounds: 0 selects DefaultVNodes and MaxVNodes is
+// accepted, while a negative count or one above MaxVNodes is an error
+// returned before any ring is built — a billion-vnode request must not
+// allocate a billion ring entries first. The cases run smallest first
+// and stop at the first failure, so a directory that builds before it
+// checks fails on MaxVNodes+1 (a few thousand entries) and never
+// reaches the billion.
+func TestDirectoryVNodesBounds(t *testing.T) {
+	for _, v := range []int{-1, -64, MaxVNodes + 1, 1_000_000_000} {
+		var err error
+		allocs := testing.AllocsPerRun(1, func() {
+			_, err = NewDirectory([]string{"a", "b"}, v, 1)
+		})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("vnodes %d", v)) {
+			t.Fatalf("vnodes %d: err = %v, want it rejected by value", v, err)
+		}
+		if allocs > 8 {
+			t.Fatalf("vnodes %d: %v allocations before the error, want the check first", v, allocs)
+		}
+	}
+	for v, want := range map[int]int{0: DefaultVNodes, MaxVNodes: MaxVNodes} {
+		d, err := NewDirectory([]string{"a", "b"}, v, 1)
+		if err != nil {
+			t.Fatalf("vnodes %d: %v", v, err)
+		}
+		if len(d.ring) != 2*want {
+			t.Errorf("vnodes %d: ring of %d entries, want %d", v, len(d.ring), 2*want)
+		}
+	}
+}
+
+// TestDirectoryFileVNodes: a directory file with a negative vnodes
+// loads (registration rewrites it untouched), but building its
+// directory — and so a front over it — fails naming the count.
+func TestDirectoryFileVNodes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dir.json")
+	body := `{"seed": 1, "vnodes": -64, "shards": [{"name": "a", "addr": "http://127.0.0.1:1"}]}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Add("a"); err == nil {
-		t.Error("duplicate Add accepted")
+	if _, err := f.Directory(); err == nil || !strings.Contains(err.Error(), "vnodes -64") {
+		t.Errorf("Directory() over vnodes -64: err = %v, want it rejected", err)
 	}
-	if err := d.Remove("zzz"); err == nil {
-		t.Error("Remove of unknown shard accepted")
-	}
-	if err := d.Remove("a"); err == nil {
-		t.Error("Remove of last shard accepted")
+	if _, err := NewFront(f, FrontConfig{}); err == nil || !strings.Contains(err.Error(), "vnodes -64") {
+		t.Errorf("NewFront over vnodes -64: err = %v, want it rejected", err)
 	}
 }

@@ -15,8 +15,7 @@ func stream(seed int64) *rng.Stream {
 	return &s
 }
 
-// TestArrivalProcessesMeanRate checks that every synthetic process
-// delivers the configured mean rate (within sampling tolerance over a
+// TestArrivalProcessesMeanRate checks that both processes deliver the configured mean rate (within sampling tolerance over a
 // long horizon), so scenarios comparing temporal structure hold offered
 // load constant.
 func TestArrivalProcessesMeanRate(t *testing.T) {
@@ -24,7 +23,6 @@ func TestArrivalProcessesMeanRate(t *testing.T) {
 	specs := map[string]ArrivalSpec{
 		"poisson": {Process: ProcessPoisson, Rate: rate},
 		"bursty":  {Process: ProcessBursty, Rate: rate, OnFraction: 0.2, Cycle: 40},
-		"diurnal": {Process: ProcessDiurnal, Rate: rate, Amplitude: 0.8, Period: 500},
 	}
 	for name, spec := range specs {
 		spec, err := spec.normalized(horizon)

@@ -64,7 +64,7 @@ func machineSystems(sc *resolved, base *uaqetp.System) ([]*uaqetp.System, []*uaq
 	out := make([]*uaqetp.System, len(sc.fleet))
 	sws := make([]*uaqetp.TruthSwitch, len(sc.fleet))
 	for m, spec := range sc.fleet {
-		if spec.Spec == nil && spec.Profile == sc.MachineProfile && spec.Drift == 0 {
+		if spec.Profile == sc.MachineProfile && spec.Drift == 0 {
 			out[m] = base
 			continue
 		}
@@ -132,17 +132,13 @@ func newRun(sc *resolved, sys *uaqetp.System, cache *uaqetp.EstimateCache, sinks
 	}
 	s.sidOf = make([]int, len(fleet))
 	if sc.Shards != nil {
-		sh, err := buildSharded(sc.Scenario, len(fleet), s.tenants)
-		if err != nil {
-			return nil, err
-		}
-		s.sh = sh
-		for si, r := range sh.ranges {
+		s.sh = buildSharded(*sc.Shards, sc.dir, len(fleet), s.tenants)
+		for si, r := range s.sh.ranges {
 			for m := r[0]; m < r[1]; m++ {
 				s.sidOf[m] = si
 			}
 		}
-		s.rrNexts = make([]int, sh.spec.Count)
+		s.rrNexts = make([]int, sc.Shards.Count)
 	} else {
 		s.rrNexts = make([]int, 1)
 	}
@@ -246,55 +242,26 @@ func (s *simRun) expandTenants() error {
 // depends only on the benchmark and pool size) but draw from it with
 // independent per-member RNG streams.
 func (s *simRun) buildArrivals() error {
-	// Every synthetic process's mean rate is Rate, so the expected total
-	// plus four Poisson standard deviations sizes the slice; a trace or
-	// an unlucky burst grows it.
+	// Both processes' mean rate is Rate, so the expected total plus four
+	// Poisson standard deviations sizes the slice; an unlucky burst
+	// grows it.
 	var expect float64
 	for _, ts := range s.tenants {
-		if arr := s.sc.Tenants[ts.group].Arrivals; arr.Process != ProcessTrace {
-			expect += arr.Rate * s.sc.Horizon
-		}
+		expect += s.sc.Tenants[ts.group].Arrivals.Rate * s.sc.Horizon
 	}
 	s.arrivals = make([]arrival, 0, int(expect+4*math.Sqrt(expect))+1)
 	counts := make([]int, len(s.sc.Tenants))
 	pools := make(map[int][]*template)
 	var times []float64
 	for ti, ts := range s.tenants {
-		spec, bench := &s.sc.Tenants[ts.group], s.sc.bench[ts.group]
-		before := len(s.arrivals)
-		if spec.Arrivals.Process == ProcessTrace {
-			// External trace: recorded arrival times and template indexes,
-			// resolved against the tenant's query pool.
-			qs, pool, err := s.templates(bench, spec.Queries)
-			if err != nil {
-				return fmt.Errorf("sim: tenant %q workload: %w", spec.Name, err)
-			}
-			entries, err := workload.LoadTrace(spec.Arrivals.TraceFile, qs)
-			if err != nil {
-				return fmt.Errorf("sim: tenant %q: %w", spec.Name, err)
-			}
-			byQuery := make(map[*uaqetp.Query]*template, len(pool))
-			for _, tp := range pool {
-				byQuery[tp.q] = tp
-			}
-			for k, e := range entries {
-				if e.At >= s.sc.Horizon {
-					break
-				}
-				s.arrivals = append(s.arrivals, arrival{
-					at: e.At, tenant: int32(ti), ord: int32(k), tmpl: byQuery[e.Query],
-				})
-			}
-			counts[ts.group] += len(s.arrivals) - before
-			continue
-		}
+		spec := &s.sc.Tenants[ts.group]
 		// One counter-based stream per tenant: no seeding ritual, which
 		// at 10k tenants is measurable.
 		src := rng.NewStream(arrivalSeed(s.sc.Seed, ti))
 		pool := pools[ts.group]
 		if pool == nil {
 			var err error
-			if _, pool, err = s.templates(bench, spec.Queries); err != nil {
+			if pool, err = s.templates(s.sc.bench[ts.group], spec.Queries); err != nil {
 				return fmt.Errorf("sim: tenant %q workload: %w", ts.name, err)
 			}
 			pools[ts.group] = pool
@@ -305,7 +272,7 @@ func (s *simRun) buildArrivals() error {
 				at: at, tenant: int32(ti), ord: int32(k), tmpl: pool[src.Intn(len(pool))],
 			})
 		}
-		counts[ts.group] += len(s.arrivals) - before
+		counts[ts.group] += len(times)
 	}
 	slices.SortFunc(s.arrivals, compareArrivals)
 	// Size each group's samples at its arrival count (an upper bound:
@@ -322,17 +289,17 @@ func (s *simRun) buildArrivals() error {
 
 // templates generates a pool of n bench queries and plans each once
 // through the base System's planner (see template).
-func (s *simRun) templates(bench workload.Benchmark, n int) ([]*uaqetp.Query, []*template, error) {
+func (s *simRun) templates(bench workload.Benchmark, n int) ([]*template, error) {
 	qs, err := s.sys.GenerateWorkload(bench, n)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	pool := make([]*template, len(qs))
 	for i, q := range qs {
 		plan, _ := s.sys.Planner().BuildPlan(s.ctx, q) // on failure nil: Submit plans and rejects it
 		pool[i] = &template{q: q, plan: plan}
 	}
-	return qs, pool, nil
+	return pool, nil
 }
 
 // compareArrivals is the one global deterministic order the event loop

@@ -13,10 +13,7 @@
 // cheap WithMachine sibling of one shared Open — own calibration,
 // predictor, and executor over shared database, samples, and cache.
 // The two forms are spellings of one fleet: the same machines run,
-// route and report identically however they were written. Arrival
-// processes include replaying external JSON traces
-// (ArrivalSpec.TraceFile), so recorded workload shapes drive the same
-// scenarios as the synthetic processes.
+// route and report identically however they were written.
 //
 // The simulator is the scenario harness for the paper's core claim:
 // predicted running-time *distributions* — not point estimates — buy
@@ -53,7 +50,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"sort"
@@ -63,6 +59,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/hardware"
 	"repro/internal/serve"
+	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
@@ -113,9 +110,9 @@ type Scenario struct {
 	// Shards, when present, partitions the fleet into a sharded serving
 	// topology: a consistent-hash tenant directory over shards of
 	// machines, an optional front door (token bucket + predictive
-	// shedding), an optional modeled cache tier, and an optional mid-run
-	// rebalance. See ShardsSpec. Absent, the scenario is the flat
-	// pre-sharding fleet with byte-identical reports.
+	// shedding) and an optional modeled cache tier. See ShardsSpec.
+	// Absent, the scenario is the flat pre-sharding fleet with
+	// byte-identical reports.
 	Shards *ShardsSpec `json:"shards,omitempty"`
 	// Tenants are the traffic sources; every tenant group is one
 	// serving tenant on every machine, and the router spreads its
@@ -134,8 +131,8 @@ type TenantSpec struct {
 	// benchmark, and arrival shape but each with its own independent
 	// arrival stream (per-member RNG seeds) and its own directory
 	// placement. 0 or 1 means a single tenant named exactly Name. The
-	// report aggregates the whole group under one TenantReport. Not
-	// compatible with trace arrivals. Must not be negative.
+	// report aggregates the whole group under one TenantReport. Must
+	// not be negative.
 	//
 	// A group is served as one tenant named Name on every machine: its
 	// members submit under it, so admission, outcome and recalibration
@@ -150,8 +147,7 @@ type TenantSpec struct {
 	// Bench selects the query pool: "micro", "seljoin", or "tpch".
 	Bench string `json:"bench"`
 	// Queries is the number of distinct queries in the pool that
-	// arrivals draw from — the pool a trace_file's indexes resolve
-	// against; 0 selects 16.
+	// arrivals draw from; 0 selects 16.
 	Queries int `json:"queries,omitempty"`
 	// Deadline is the per-request budget in virtual seconds; 0 lets the
 	// SLO default apply.
@@ -166,9 +162,7 @@ type TenantSpec struct {
 // Load reads a Scenario from a JSON file, rejecting unknown fields —
 // top-level typos are reported with the full valid-key vocabulary
 // (same idiom as hardware.ParseProfile), so a misspelled knob like
-// "trace_levle" fails loudly instead of silently no-opping. Relative
-// trace_file paths resolve against the scenario file's directory, so a
-// scenario and its traces travel together.
+// "trace_levle" fails loudly instead of silently no-opping.
 func Load(path string) (Scenario, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -193,12 +187,6 @@ func Load(path string) (Scenario, error) {
 	var sc Scenario
 	if err := dec.Decode(&sc); err != nil {
 		return Scenario{}, fmt.Errorf("sim: parse %s: %w", path, err)
-	}
-	dir := filepath.Dir(path)
-	for i := range sc.Tenants {
-		if tf := sc.Tenants[i].Arrivals.TraceFile; tf != "" && !filepath.IsAbs(tf) {
-			sc.Tenants[i].Arrivals.TraceFile = filepath.Join(dir, tf)
-		}
 	}
 	return sc, nil
 }
@@ -232,6 +220,9 @@ type resolved struct {
 	fleet []MachineSpec
 	// bench[i] is Tenants[i].Bench.
 	bench []workload.Benchmark
+	// dir is the tenant directory over Shards' shards; nil when the
+	// scenario is unsharded.
+	dir *shard.Directory
 }
 
 // resolve fills defaults, validates the scenario and parses its names.
@@ -285,9 +276,13 @@ func (sc Scenario) resolve() (*resolved, error) {
 	if sc.SamplingRatio == 0 {
 		sc.SamplingRatio = uaqetp.DefaultConfig().SamplingRatio
 	}
+	var dir *shard.Directory
 	if sc.Shards != nil {
 		if err := sc.Shards.validate(len(fleet)); err != nil {
 			return nil, err
+		}
+		if dir, err = shard.NewDirectory(shardNames(sc.Shards.Count), sc.Shards.VNodes, sc.Seed); err != nil {
+			return nil, fmt.Errorf("sim: shards: %w", err)
 		}
 	}
 	if len(sc.Tenants) == 0 {
@@ -324,9 +319,6 @@ func (sc Scenario) resolve() (*resolved, error) {
 		if t.Arrivals, err = t.Arrivals.normalized(sc.Horizon); err != nil {
 			return nil, fmt.Errorf("sim: tenant %q: %w", t.Name, err)
 		}
-		if t.Count > 1 && t.Arrivals.Process == ProcessTrace {
-			return nil, fmt.Errorf("sim: tenant %q: count %d is not compatible with trace arrivals (a trace replays one tenant's stream)", t.Name, t.Count)
-		}
 	}
-	return &resolved{Scenario: sc, kind: kind, policy: policy, fleet: fleet, bench: bench}, nil
+	return &resolved{Scenario: sc, kind: kind, policy: policy, fleet: fleet, bench: bench, dir: dir}, nil
 }

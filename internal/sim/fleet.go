@@ -34,11 +34,6 @@ type MachineSpec struct {
 	// Count expands this spec into Count identical machines; 0 means 1,
 	// and a negative count is an error.
 	Count int `json:"count,omitempty"`
-	// Spec inlines a full hardware profile (hardware.Spec JSON shape:
-	// name, units, model_err_sigma) instead of naming a registered one.
-	// Mutually exclusive with Profile; the inline name labels the
-	// machine in reports.
-	Spec *hardware.Spec `json:"spec,omitempty"`
 }
 
 // Fleet is a scenario's machine list. In JSON it is either a bare count
@@ -111,7 +106,7 @@ func (f *Fleet) UnmarshalJSON(b []byte) error {
 	dec.DisallowUnknownFields()
 	var specs []MachineSpec
 	if err := dec.Decode(&specs); err != nil {
-		return fmt.Errorf("machines must be a count or a list of {profile, drift, drift_at, count, spec}: %w", err)
+		return fmt.Errorf("machines must be a count or a list of {profile, drift, drift_at, count}: %w", err)
 	}
 	*f = Fleet{specs: specs}
 	return nil
@@ -153,21 +148,11 @@ func (f Fleet) resolve(defaultProfile string) ([]MachineSpec, error) {
 		if spec.Count < 0 {
 			return nil, fmt.Errorf("sim: machine %d: negative count %d", i, spec.Count)
 		}
-		if spec.Spec != nil {
-			if spec.Profile != "" {
-				return nil, fmt.Errorf("sim: machine %d: profile %q and an inline spec are mutually exclusive", i, spec.Profile)
-			}
-			if _, err := hardware.FromSpec(*spec.Spec); err != nil {
-				return nil, fmt.Errorf("sim: machine %d: %w", i, err)
-			}
-			spec.Profile = spec.Spec.Name
-		} else {
-			if spec.Profile == "" {
-				spec.Profile = defaultProfile
-			}
-			if _, err := hardware.ProfileByName(spec.Profile); err != nil {
-				return nil, fmt.Errorf("sim: machine %d: %w", i, err)
-			}
+		if spec.Profile == "" {
+			spec.Profile = defaultProfile
+		}
+		if _, err := hardware.ProfileByName(spec.Profile); err != nil {
+			return nil, fmt.Errorf("sim: machine %d: %w", i, err)
 		}
 		if spec.Drift <= -1 {
 			return nil, fmt.Errorf("sim: machine %d: drift %g must be above -1", i, spec.Drift)
@@ -182,7 +167,7 @@ func (f Fleet) resolve(defaultProfile string) ([]MachineSpec, error) {
 		if n == 0 {
 			n = 1
 		}
-		one := MachineSpec{Profile: spec.Profile, Drift: spec.Drift, DriftAt: spec.DriftAt, Count: 1, Spec: spec.Spec}
+		one := MachineSpec{Profile: spec.Profile, Drift: spec.Drift, DriftAt: spec.DriftAt, Count: 1}
 		for k := 0; k < n; k++ {
 			out = append(out, one)
 		}
@@ -193,13 +178,7 @@ func (f Fleet) resolve(defaultProfile string) ([]MachineSpec, error) {
 // profileFor materializes the (possibly drifted) hardware profile of
 // one resolved machine spec.
 func (m MachineSpec) profileFor() (*hardware.Profile, error) {
-	var p *hardware.Profile
-	var err error
-	if m.Spec != nil {
-		p, err = hardware.FromSpec(*m.Spec)
-	} else {
-		p, err = hardware.ProfileByName(m.Profile)
-	}
+	p, err := hardware.ProfileByName(m.Profile)
 	if err != nil {
 		return nil, err
 	}

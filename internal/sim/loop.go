@@ -218,7 +218,7 @@ func (s *simRun) handleArrival(a arrival) error {
 	lo, hi, sid := 0, len(s.machines), 0
 	shardName := ""
 	if s.sh != nil {
-		sid = s.sh.placeAt(int(a.tenant), a.at)
+		sid = int(s.sh.place[a.tenant])
 		lo, hi = s.sh.ranges[sid][0], s.sh.ranges[sid][1]
 		shardName = s.sh.names[sid]
 		if fd := s.sh.front; fd != nil {

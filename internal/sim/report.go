@@ -223,8 +223,7 @@ type ShardReport struct {
 	// [MachineLo, MachineHi).
 	MachineLo int `json:"machine_lo"`
 	MachineHi int `json:"machine_hi"`
-	// Tenants is how many tenants the directory places on this shard
-	// in the final topology (after any add/remove rebalance).
+	// Tenants is how many tenants the directory places on this shard.
 	Tenants  int `json:"tenants"`
 	Executed int `json:"executed"`
 }
@@ -245,15 +244,11 @@ type FrontDoorReport struct {
 
 // ShardsReport is the sharded-topology section of a Report.
 type ShardsReport struct {
-	Count  int `json:"count"`
-	VNodes int `json:"vnodes"`
-	// AddShardAt/RemoveShardAt echo a mid-run rebalance, when the
-	// scenario scheduled one.
-	AddShardAt    float64           `json:"add_shard_at,omitempty"`
-	RemoveShardAt float64           `json:"remove_shard_at,omitempty"`
-	PerShard      []ShardReport     `json:"per_shard"`
-	FrontDoor     *FrontDoorReport  `json:"front_door,omitempty"`
-	CacheTier     *uaqetp.TierStats `json:"cache_tier,omitempty"`
+	Count     int               `json:"count"`
+	VNodes    int               `json:"vnodes"`
+	PerShard  []ShardReport     `json:"per_shard"`
+	FrontDoor *FrontDoorReport  `json:"front_door,omitempty"`
+	CacheTier *uaqetp.TierStats `json:"cache_tier,omitempty"`
 }
 
 // JSON renders the report with stable indentation — the byte-level

@@ -2,13 +2,13 @@ package sim
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/serve"
+	"repro/internal/shard"
 	"repro/internal/trace"
 )
 
@@ -136,53 +136,6 @@ func TestShardedSingleShardDegeneratesToFlat(t *testing.T) {
 	}
 }
 
-// TestShardedRebalanceEpochs pins the directory rebalance wiring: with
-// add_shard_at the last shard starts empty, joins at the scheduled
-// time, and takes over roughly 1/N of the tenants — every mover moves
-// *to* the new shard (consistent hashing's minimal-movement property,
-// threaded through the epoch table).
-func TestShardedRebalanceEpochs(t *testing.T) {
-	const n = 4000
-	tenants := make([]tenantState, n)
-	for i := range tenants {
-		tenants[i] = tenantState{name: fmt.Sprintf("tenant-%04d", i)}
-	}
-	sc := Scenario{Seed: 3, Shards: &ShardsSpec{Count: 4, AddShardAt: 10}}
-	sh, err := buildSharded(sc, 8, tenants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sh.epochs) != 2 || sh.epochs[1].from != 10 {
-		t.Fatalf("epochs %+v, want base + rebalance at t=10", sh.epochs)
-	}
-	moved := 0
-	for ti := range tenants {
-		before, after := sh.epochs[0].place[ti], sh.epochs[1].place[ti]
-		if before == 3 {
-			t.Fatalf("tenant %d on the not-yet-joined shard before the rebalance", ti)
-		}
-		if before != after {
-			moved++
-			if after != 3 {
-				t.Fatalf("tenant %d moved %d -> %d, not to the joining shard", ti, before, after)
-			}
-		}
-	}
-	frac := float64(moved) / n
-	if frac < 0.15 || frac > 0.35 {
-		t.Fatalf("rebalance moved fraction %.3f, want ~1/4", frac)
-	}
-	// placeAt reads the epoch in effect at the query's arrival time.
-	for ti := range tenants {
-		if got := sh.placeAt(ti, 9.99); got != int(sh.epochs[0].place[ti]) {
-			t.Fatalf("placeAt before rebalance read the wrong epoch")
-		}
-		if got := sh.placeAt(ti, 10); got != int(sh.epochs[1].place[ti]) {
-			t.Fatalf("placeAt at rebalance time read the wrong epoch")
-		}
-	}
-}
-
 // TestPredictiveSheddingBeatsTokenOnly is the pinned acceptance
 // comparison: under flash load — a storm tenant whose deadline no
 // machine can meet, competing for front-door tokens with a feasible
@@ -288,19 +241,15 @@ func TestShardedValidation(t *testing.T) {
 	}{
 		{func(sc *Scenario) { sc.Shards = &ShardsSpec{Count: 0} }, "at least 1"},
 		{func(sc *Scenario) { sc.Shards = &ShardsSpec{Count: 5} }, "cannot form"},
-		{func(sc *Scenario) { sc.Shards = &ShardsSpec{Count: 2, VNodes: -1} }, "vnodes"},
-		{func(sc *Scenario) { sc.Shards = &ShardsSpec{Count: 2, AddShardAt: 5, RemoveShardAt: 5} }, "mutually exclusive"},
-		{func(sc *Scenario) { sc.Shards = &ShardsSpec{Count: 1, AddShardAt: 5} }, "at least 2 shards"},
+		// The vnodes rule is the directory's own, checked at resolve.
+		{func(sc *Scenario) { sc.Shards = &ShardsSpec{Count: 2, VNodes: -1} }, "vnodes -1"},
+		{func(sc *Scenario) { sc.Shards = &ShardsSpec{Count: 2, VNodes: shard.MaxVNodes + 1} }, "vnodes"},
 		{func(sc *Scenario) { sc.Shards = &ShardsSpec{Count: 2, FrontDoor: &FrontDoorSpec{Rate: -1}} }, "front_door"},
 		{func(sc *Scenario) { sc.Shards = &ShardsSpec{Count: 2, CacheTier: &CacheTierSpec{LocalFraction: 1.5}} }, "local_fraction"},
 		{func(sc *Scenario) {
 			sc.Shards = &ShardsSpec{Count: 2, CacheTier: &CacheTierSpec{LocalFraction: 0.5, RemoteLatency: -1}}
 		}, "remote_latency"},
 		{func(sc *Scenario) { sc.Tenants[0].Count = -1 }, "negative count"},
-		{func(sc *Scenario) {
-			sc.Tenants[0].Count = 3
-			sc.Tenants[0].Arrivals = ArrivalSpec{TraceFile: "x.json"}
-		}, "trace arrivals"},
 		// Zero selects a default; a negative knob is rejected by name.
 		{func(sc *Scenario) { sc.Machines = FleetOf(-3) }, "machines: negative count -3"},
 		{func(sc *Scenario) { sc.Tenants[0].Queries = -1 }, "queries -1"},

@@ -35,26 +35,16 @@ type CacheTierSpec struct {
 // ShardsSpec partitions the scenario fleet into a sharded serving
 // topology: machines are split into Count contiguous shards, a
 // consistent-hash directory (VNodes virtual nodes per shard, seeded by
-// the scenario seed) places each tenant on one shard, and arrivals
-// route only within their tenant's shard. Optionally the topology
-// rebalances mid-run: with AddShardAt the last shard starts outside
-// the directory (its machines idle) and joins at that virtual time;
-// with RemoveShardAt the last shard leaves the directory at that time
-// (admitted work still drains). At most one of the two may be set.
+// the scenario seed) places each tenant on one shard for the whole
+// run, and arrivals route only within their tenant's shard.
 type ShardsSpec struct {
 	// Count is the number of shards; the fleet must have at least this
 	// many machines. Machines are assigned contiguously (shard 0 gets
 	// the first len/Count machines, and so on).
 	Count int `json:"count"`
 	// VNodes is the directory's virtual-node count per shard; 0
-	// selects shard.DefaultVNodes.
+	// selects shard.DefaultVNodes (shard.NewDirectory bounds it).
 	VNodes int `json:"vnodes,omitempty"`
-	// AddShardAt, in virtual seconds, holds the last shard out of the
-	// directory until that time (requires Count >= 2).
-	AddShardAt float64 `json:"add_shard_at,omitempty"`
-	// RemoveShardAt, in virtual seconds, removes the last shard from
-	// the directory at that time (requires Count >= 2).
-	RemoveShardAt float64 `json:"remove_shard_at,omitempty"`
 	// FrontDoor, when present, sheds load fleet-wide before placement.
 	FrontDoor *FrontDoorSpec `json:"front_door,omitempty"`
 	// CacheTier, when present, models the fleet cache as two tiers.
@@ -67,18 +57,6 @@ func (s *ShardsSpec) validate(machines int) error {
 	}
 	if machines < s.Count {
 		return fmt.Errorf("sim: %d machines cannot form %d shards", machines, s.Count)
-	}
-	if s.VNodes < 0 {
-		return fmt.Errorf("sim: shards vnodes %d must not be negative", s.VNodes)
-	}
-	if s.AddShardAt < 0 || s.RemoveShardAt < 0 {
-		return fmt.Errorf("sim: shard add/remove times must not be negative")
-	}
-	if s.AddShardAt > 0 && s.RemoveShardAt > 0 {
-		return fmt.Errorf("sim: add_shard_at and remove_shard_at are mutually exclusive")
-	}
-	if (s.AddShardAt > 0 || s.RemoveShardAt > 0) && s.Count < 2 {
-		return fmt.Errorf("sim: a shard rebalance needs at least 2 shards")
 	}
 	if fd := s.FrontDoor; fd != nil {
 		if fd.Rate < 0 || fd.Burst < 0 {
@@ -96,34 +74,33 @@ func (s *ShardsSpec) validate(machines int) error {
 	return nil
 }
 
-// placeEpoch is one topology state: the directory's placement of every
-// expanded tenant, in effect from time from.
-type placeEpoch struct {
-	from  float64
-	place []int32 // expanded tenant index -> shard index
+// shardNames names a topology's shards in index order.
+func shardNames(count int) []string {
+	names := make([]string, count)
+	for i := range names {
+		names[i] = fmt.Sprintf("shard-%d", i)
+	}
+	return names
 }
 
 // shardedRun is a simulation's sharded topology: shard names, the
-// contiguous machine range per shard, the precomputed placement epochs
-// (base topology plus at most one rebalance), and the front door.
-// Placements are precomputed through shard.Directory before the event
-// loop, so the loop's per-arrival work is one epoch lookup.
+// contiguous machine range per shard, every expanded tenant's shard,
+// and the front door. Placements are precomputed through the scenario's
+// shard.Directory before the event loop, so the loop's per-arrival
+// work is one slice index.
 type shardedRun struct {
 	spec   ShardsSpec
 	names  []string
 	ranges [][2]int
-	epochs []placeEpoch
+	place  []int32 // expanded tenant index -> shard index
 	front  *shard.FrontDoor
 }
 
 // buildSharded materializes the scenario's shards block over nMachines
-// machines and the expanded tenant list.
-func buildSharded(sc Scenario, nMachines int, tenants []tenantState) (*shardedRun, error) {
-	spec := *sc.Shards
-	sh := &shardedRun{spec: spec}
-	for i := 0; i < spec.Count; i++ {
-		sh.names = append(sh.names, fmt.Sprintf("shard-%d", i))
-	}
+// machines and the expanded tenant list, placing every tenant through
+// dir.
+func buildSharded(spec ShardsSpec, dir *shard.Directory, nMachines int, tenants []tenantState) *shardedRun {
+	sh := &shardedRun{spec: spec, names: shardNames(spec.Count)}
 	// Contiguous machine ranges; the first nMachines%Count shards get
 	// one extra machine.
 	base, extra := nMachines/spec.Count, nMachines%spec.Count
@@ -141,34 +118,9 @@ func buildSharded(sc Scenario, nMachines int, tenants []tenantState) (*shardedRu
 	for i, n := range sh.names {
 		index[n] = int32(i)
 	}
-	placeAll := func(d *shard.Directory) []int32 {
-		out := make([]int32, len(tenants))
-		for ti, ts := range tenants {
-			out[ti] = index[d.Place(ts.name)]
-		}
-		return out
-	}
-
-	initial := sh.names
-	if spec.AddShardAt > 0 {
-		initial = sh.names[:spec.Count-1]
-	}
-	dir, err := shard.NewDirectory(initial, spec.VNodes, sc.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("sim: shards: %w", err)
-	}
-	sh.epochs = []placeEpoch{{from: 0, place: placeAll(dir)}}
-	switch {
-	case spec.AddShardAt > 0:
-		if err := dir.Add(sh.names[spec.Count-1]); err != nil {
-			return nil, fmt.Errorf("sim: shards: %w", err)
-		}
-		sh.epochs = append(sh.epochs, placeEpoch{from: spec.AddShardAt, place: placeAll(dir)})
-	case spec.RemoveShardAt > 0:
-		if err := dir.Remove(sh.names[spec.Count-1]); err != nil {
-			return nil, fmt.Errorf("sim: shards: %w", err)
-		}
-		sh.epochs = append(sh.epochs, placeEpoch{from: spec.RemoveShardAt, place: placeAll(dir)})
+	sh.place = make([]int32, len(tenants))
+	for ti, ts := range tenants {
+		sh.place[ti] = index[dir.Place(ts.name)]
 	}
 
 	if spec.FrontDoor != nil {
@@ -177,18 +129,7 @@ func buildSharded(sc Scenario, nMachines int, tenants []tenantState) (*shardedRu
 			Predictive: spec.FrontDoor.Predictive,
 		})
 	}
-	return sh, nil
-}
-
-// placeAt returns the shard owning expanded tenant ti at virtual time
-// at.
-func (sh *shardedRun) placeAt(ti int, at float64) int {
-	for i := len(sh.epochs) - 1; i > 0; i-- {
-		if at >= sh.epochs[i].from {
-			return int(sh.epochs[i].place[ti])
-		}
-	}
-	return int(sh.epochs[0].place[ti])
+	return sh
 }
 
 // bestPIn is the front door's predictive bound: the best
@@ -220,13 +161,9 @@ func (s *simRun) shardsReport() *ShardsReport {
 	if vn == 0 {
 		vn = shard.DefaultVNodes
 	}
-	rep := &ShardsReport{
-		Count: sh.spec.Count, VNodes: vn,
-		AddShardAt: sh.spec.AddShardAt, RemoveShardAt: sh.spec.RemoveShardAt,
-	}
-	final := sh.epochs[len(sh.epochs)-1].place
+	rep := &ShardsReport{Count: sh.spec.Count, VNodes: vn}
 	counts := make([]int, sh.spec.Count)
-	for _, si := range final {
+	for _, si := range sh.place {
 		counts[si]++
 	}
 	for i := range sh.names {

@@ -253,7 +253,6 @@ func TestScenarioValidation(t *testing.T) {
 		func(sc *Scenario) { sc.Machines = FleetList(MachineSpec{Drift: -1}) },
 		func(sc *Scenario) { sc.Machines = FleetList(MachineSpec{Count: -2}) },
 		func(sc *Scenario) { sc.Machines = FleetList() },
-		func(sc *Scenario) { sc.Tenants[0].Arrivals.TraceFile = "t.json" },
 	}
 	for i, mutate := range cases {
 		sc := testScenario()
@@ -264,6 +263,17 @@ func TestScenarioValidation(t *testing.T) {
 	}
 	if _, err := testScenario().resolve(); err != nil {
 		t.Errorf("valid scenario rejected: %v", err)
+	}
+
+	// The deleted processes fail like any unknown one, listing what is
+	// accepted.
+	for _, process := range []string{"diurnal", "trace"} {
+		sc := testScenario()
+		sc.Tenants[0].Arrivals.Process = process
+		want := `unknown arrival process "` + process + `" (want poisson, bursty)`
+		if _, err := sc.resolve(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("process %q: err = %v, want %q", process, err, want)
+		}
 	}
 
 	// Unknown profile names surface the registered vocabulary instead of
