@@ -76,8 +76,8 @@
 // # Heterogeneous machines
 //
 // The machine a System predicts for is a first-class value: a
-// hardware.Profile, constructible from a JSON spec or derived from a
-// preset (Scale, WithDrift). System.WithMachine derives a cheap sibling
+// hardware.Profile, constructible from a JSON spec or drifted from a
+// preset (WithDrift). System.WithMachine derives a cheap sibling
 // System for a different machine — sharing the database, catalog,
 // samples, and estimate cache, owning its own calibration, predictor
 // handle, and executor — so a heterogeneous fleet costs one Open plus
@@ -185,7 +185,7 @@ type Config struct {
 	DB DBKind
 	// Machine names a registered hardware profile (hardware.ProfileByName;
 	// the presets are "PC1" and "PC2"). Parameterized profiles — JSON
-	// specs, Scale/WithDrift derivations — enter through System.WithMachine
+	// specs, WithDrift derivations — enter through System.WithMachine
 	// instead of this field.
 	Machine string
 	// SamplingRatio is the offline sample size as a fraction of each

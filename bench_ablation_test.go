@@ -116,7 +116,7 @@ func ablPrintf(key, format string, args ...interface{}) {
 }
 
 // BenchmarkAblationCovarianceBounds compares the tight covariance bounds
-// (Theorem 7/8-10, the paper's contribution) against dropping covariances
+// (Theorem 7, the paper's contribution) against dropping covariances
 // entirely (NoCov).
 func BenchmarkAblationCovarianceBounds(b *testing.B) {
 	e := ablEnvGet(b)
@@ -124,7 +124,7 @@ func BenchmarkAblationCovarianceBounds(b *testing.B) {
 		tightRS, _ := e.predictAll(b, core.All, 0.01, 2)
 		noneRS, _ := e.predictAll(b, core.NoCov, 0.01, 2)
 		ablPrintf("cov", "\n===== ablation: covariance bounds (TPCH, skewed 1G, SR=0.01) =====\n"+
-			"tight (Thm 7-10): r_s=%.4f\nno covariances:  r_s=%.4f\n",
+			"tight (Thm 7):   r_s=%.4f\nno covariances: r_s=%.4f\n",
 			tightRS, noneRS)
 	}
 }
@@ -140,53 +140,6 @@ func BenchmarkAblationSampleCopies(b *testing.B) {
 		ablPrintf("copies", "\n===== ablation: sample tables per relation =====\n"+
 			"1 copy:  r_s=%.4f mean-rel-err=%.4f\n2 copies: r_s=%.4f mean-rel-err=%.4f\n",
 			oneRS, oneRel, twoRS, twoRel)
-	}
-}
-
-// BenchmarkAblationEstimators compares the paper's sampling-based
-// selectivity estimator against the histogram-based alternative named as
-// future work in Section 3.2, in terms of the sigma-vs-error rank
-// correlation over the shared workload.
-func BenchmarkAblationEstimators(b *testing.B) {
-	e := ablEnvGet(b)
-	for i := 0; i < b.N; i++ {
-		sdb, err := sample.Build(e.db, 0.05, 2, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pred := core.New(e.cat, e.cal.Units, core.All)
-		type estimator struct {
-			name string
-			run  func(p *engine.Node) (*sample.Estimates, error)
-		}
-		estimators := []estimator{
-			{"sampling", func(p *engine.Node) (*sample.Estimates, error) {
-				return sample.Estimate(p, sdb, e.cat)
-			}},
-			{"histogram", func(p *engine.Node) (*sample.Estimates, error) {
-				return sample.EstimateHistogram(p, e.cat, sample.HistogramOpts{})
-			}},
-		}
-		var lines string
-		for _, est := range estimators {
-			var sigmas, errs []float64
-			for qi, p := range e.plans {
-				es, err := est.run(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pr, err := pred.Predict(p, es)
-				if err != nil {
-					b.Fatal(err)
-				}
-				actual := e.hw.ExpectedCost(e.runs[qi].TotalCounts())
-				sigmas = append(sigmas, pr.Sigma())
-				errs = append(errs, math.Abs(pr.Mean()-actual))
-			}
-			lines += fmt.Sprintf("%-10s r_s=%.4f mean-err=%.4fs\n",
-				est.name, stats.Spearman(sigmas, errs), stats.Mean(errs))
-		}
-		ablPrintf("estimators", "\n===== ablation: sampling vs histogram selectivity estimator =====\n%s", lines)
 	}
 }
 

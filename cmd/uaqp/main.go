@@ -24,7 +24,7 @@
 //	-shard NAME  serve as the named shard, registering in -dir
 //	-dir FILE    static shard-directory file (serve registration, front routing)
 //	-rate R      front token-bucket refill rate, requests/second (0 = unlimited)
-//	-burst B     front token-bucket capacity (default = rate)
+//	-burst B     front token-bucket capacity (default = rate, at least 1)
 //	-predictive  front sheds hopeless submissions before spending tokens
 //	-trace FILE  sim decision-trace output file (JSONL, deterministic)
 //	-trace-level sim trace detail: off | decisions | full (default decisions)
@@ -189,10 +189,6 @@ func simCmd(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "sim: %d calibration events -> %s\n", len(evs), *calibOut)
 	}
-	fmt.Fprintf(os.Stderr, "sim: fitness %.4f (attainment %.4f, fairness %.4f, p95 %.3fs, util %.3f)\n",
-		rep.Fitness.Score, rep.Fitness.Attainment, rep.Fitness.Fairness,
-		rep.Fitness.LatencyP95, rep.Fitness.Utilization)
-
 	data, err := rep.JSON()
 	if err != nil {
 		return err
@@ -343,7 +339,7 @@ func frontCmd(args []string) error {
 	addr := fs.String("addr", ":8090", "listen address")
 	dirFile := fs.String("dir", "", "shard directory file (written by `uaqp serve -shard`)")
 	rate := fs.Float64("rate", 0, "token-bucket refill rate, requests/second (0 = unlimited)")
-	burst := fs.Float64("burst", 0, "token-bucket capacity (0 = rate)")
+	burst := fs.Float64("burst", 0, "token-bucket capacity (0 = rate, at least 1)")
 	predictive := fs.Bool("predictive", false, "shed hopeless submissions before spending tokens")
 	confidence := fs.Float64("confidence", 0.5, "predictive-shed confidence for submissions without one")
 	if err := fs.Parse(args); err != nil {

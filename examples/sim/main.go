@@ -36,7 +36,7 @@ import (
 	"repro/internal/sim"
 )
 
-const rowFormat = "%-18s %-10s %-8s %-6s %-6s %-8s %-8s %-10s\n"
+const rowFormat = "%-18s %-10s %-6s %-6s %-8s %-8s %-10s\n"
 
 // printRow prints one run's fleet-wide totals under label.
 func printRow(label string, rep *sim.Report) {
@@ -50,8 +50,8 @@ func printRow(label string, rep *sim.Report) {
 			p90 = t.Latency.P90
 		}
 	}
-	fmt.Printf("%-18s %-10.4f %-8.4f %-6d %-6d %-8d %-8.3f %-10.2f\n",
-		label, rep.SLOAttainment, rep.Fitness.Score, adm, rej, missed, p90, rep.MakeSpan)
+	fmt.Printf("%-18s %-10.4f %-6d %-6d %-8d %-8.3f %-10.2f\n",
+		label, rep.SLOAttainment, adm, rej, missed, p90, rep.MakeSpan)
 }
 
 func main() {
@@ -65,7 +65,7 @@ func main() {
 	fmt.Printf("Scenario %q: %d machines, %d tenants, horizon %gs, seed %d\n",
 		sc.Name, sc.Machines.Size(), len(sc.Tenants), sc.Horizon, sc.Seed)
 	fmt.Println()
-	fmt.Printf(rowFormat, "router", "attainment", "fitness", "adm", "rej", "missed", "p90 lat", "makespan")
+	fmt.Printf(rowFormat, "router", "attainment", "adm", "rej", "missed", "p90 lat", "makespan")
 
 	routers := []string{sim.RouterRoundRobin, sim.RouterLeastQueue, sim.RouterLeastRisk}
 	if sc.Machines.Labeled() {
@@ -95,7 +95,7 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Printf("Queue policies (router %s, %d machines):\n", sc.Router, sc.Machines.Size())
-	fmt.Printf(rowFormat, "queue_policy", "attainment", "fitness", "adm", "rej", "missed", "p90 lat", "makespan")
+	fmt.Printf(rowFormat, "queue_policy", "attainment", "adm", "rej", "missed", "p90 lat", "makespan")
 	for _, policy := range []string{serve.FIFO.Name, serve.EDF.Name, serve.RiskSlack.Name, serve.SJF.Name} {
 		sc.QueuePolicy = policy
 		rep, err := sim.Run(sc)

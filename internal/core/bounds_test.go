@@ -25,20 +25,20 @@ func boundFixture() (scan, join *engine.Node, asm *assembly) {
 	asm.vars[scan.ID] = stats.Normal{Mu: 0.3, Sigma: 0.02}
 	asm.info[scan.ID] = varInfo{
 		leafOff:  0,
+		leafLen:  1,
 		leafComp: []float64{0.0004},
-		leafN:    []int{500},
 	}
 	asm.vars[other.ID] = stats.Normal{Mu: 1.0, Sigma: 0}
 	asm.info[other.ID] = varInfo{
 		leafOff:  1,
+		leafLen:  1,
 		leafComp: []float64{0},
-		leafN:    []int{500},
 	}
 	asm.vars[join.ID] = stats.Normal{Mu: 0.001, Sigma: 0.0002}
 	asm.info[join.ID] = varInfo{
 		leafOff:  0,
+		leafLen:  2,
 		leafComp: []float64{3e-8, 1e-8},
-		leafN:    []int{500, 500},
 	}
 	return scan, join, asm
 }
@@ -128,26 +128,12 @@ func TestQuadraticBoundsUseTheorems(t *testing.T) {
 
 func TestSharedLeaves(t *testing.T) {
 	scan, join, asm := boundFixture()
-	m, n := sharedLeaves(&asm.info[scan.ID], &asm.info[join.ID])
-	if m != 1 || n != 500 {
-		t.Errorf("sharedLeaves = (%d, %d), want (1, 500)", m, n)
+	if m := sharedLeaves(&asm.info[scan.ID], &asm.info[join.ID]); m != 1 {
+		t.Errorf("sharedLeaves = %d, want 1", m)
 	}
 	// Disjoint leaf sets share nothing.
-	m, n = sharedLeaves(&asm.info[scan.ID], &varInfo{leafOff: 9, leafN: []int{100}})
-	if m != 0 || n != 0 {
-		t.Errorf("disjoint sharedLeaves = (%d, %d)", m, n)
-	}
-}
-
-func TestGRho(t *testing.T) {
-	if gRho(0) != 0 || gRho(1) != 0 {
-		t.Error("g(rho) should vanish at 0 and 1")
-	}
-	if math.Abs(gRho(0.5)-0.5) > 1e-15 {
-		t.Errorf("g(0.5) = %v, want 0.5", gRho(0.5))
-	}
-	if gRho(-0.1) != 0 || gRho(1.5) != 0 {
-		t.Error("out-of-range rho should clamp to 0")
+	if m := sharedLeaves(&asm.info[scan.ID], &varInfo{leafOff: 9, leafLen: 1}); m != 0 {
+		t.Errorf("disjoint sharedLeaves = %d", m)
 	}
 }
 

@@ -128,16 +128,15 @@ func (p *Prediction) DominantUnit() hardware.Unit {
 // random variable (one operator), beside its distribution and its node:
 // its run of the plan's leaf ordinals.
 type varInfo struct {
-	// The operator's leaves are the ordinals [leafOff, leafOff+len(leafN))
-	// with leafN[i] the sample size of leaf leafOff+i, as produced by the
-	// estimator and shared with it — read-only. leafComp holds the
-	// per-leaf variance components over the same run (restricted sums
-	// give the S^2_{rho}(m,n) bounds of Theorem 7), or is empty when the
-	// variant ignores selectivity variance. Two operators' shared leaves
-	// are the intersection of their runs.
-	leafOff  int
-	leafComp []float64
-	leafN    []int
+	// The operator's leaves are the ordinals [leafOff, leafOff+leafLen);
+	// two operators' shared leaves are the intersection of their runs.
+	// leafComp holds the per-leaf variance components over the same run,
+	// as produced by the estimator and shared with it — read-only
+	// (restricted sums give the S^2_{rho}(m,n) bounds of Theorem 7) — or
+	// is nil when the variant ignores selectivity variance. The run keeps
+	// its length then, so leafLen is not len(leafComp).
+	leafOff, leafLen int
+	leafComp         []float64
 }
 
 // item is one (operator, cost-unit) component of t_q: a logical cost
@@ -218,7 +217,7 @@ func CheckEstimates(nodes []*engine.Node, est *sample.Estimates) error {
 			return fmt.Errorf("core: node at preorder position %d has ID %d (plan not finalized)", i, n.ID)
 		}
 		e := &est.Ops[i]
-		if k := len(e.LeafN); len(e.LeafComp) != k || k != 0 && (k != len(n.LeafTables) || e.LeafOff != off) {
+		if k := len(e.LeafComp); k != 0 && (k != len(n.LeafTables) || e.LeafOff != off) {
 			return fmt.Errorf("core: estimate of node %d (%v) covers %d leaves from ordinal %d, the operator has %d from %d",
 				i, n.Kind, k, e.LeafOff, len(n.LeafTables), off)
 		}
@@ -250,7 +249,7 @@ func (p *Predictor) assemble(root *engine.Node, est *sample.Estimates) (*assembl
 			v, lc = 0, nil
 		}
 		a.vars[i] = stats.NormalFromVar(e.Rho, v)
-		a.info[i] = varInfo{leafOff: e.LeafOff, leafComp: lc, leafN: e.LeafN}
+		a.info[i] = varInfo{leafOff: e.LeafOff, leafLen: len(e.LeafComp), leafComp: lc}
 	}
 
 	var err error
@@ -408,38 +407,28 @@ func (p *Predictor) covTerms(a, b *covTerm, asm *assembly) (float64, bool) {
 
 // boundTermCov returns an upper bound for |Cov(a, b)| when the terms
 // involve correlated selectivity estimates from nested operators
-// (Section 5.3.2 and Appendix A.7/A.8): the Cauchy-Schwarz bound cs =
+// (Section 5.3.2 and Appendix A.7): the Cauchy-Schwarz bound cs =
 // sqrt(Var[a] Var[b]), or for two linear terms in estimates sharing
-// leaves the sample-variance (Theorem 7) or population (Theorem 8) bound
-// where either is tighter. The population bounds of squared terms
-// (Theorems 9 and 10) are not computed: on generated plans neither was
-// ever the minimum.
+// leaves the sample-variance bound of Theorem 7 where it is tighter.
+// Theorem 8's population bound f(n,m) g(rho) g(rho') is not computed:
+// it binds only when the leaf sizes n are whole relations, which no
+// sampled estimate has. Nor are the population bounds of squared terms
+// (Theorems 9 and 10): on generated plans neither was ever the minimum.
 func (p *Predictor) boundTermCov(a, b *covTerm, cs float64, asm *assembly) float64 {
-	bound := cs
 	if a.NVars != 1 || b.NVars != 1 || a.Pows[0] != 1 || b.Pows[0] != 1 {
-		return bound
+		return cs
 	}
 	ia, ib := &asm.info[a.Vars[0]], &asm.info[b.Vars[0]]
-	m, n := sharedLeaves(ia, ib)
-	if n == 0 || m == 0 {
-		return bound
+	if sharedLeaves(ia, ib) == 0 {
+		return cs
 	}
-	coef := math.Abs(a.Coef * b.Coef)
 	// Theorem 7: |Cov(rho, rho')| <= sqrt(S^2(m,n) S'^2(m,n)), realized
 	// by restricting the leaf variance components of each estimate to the
 	// shared relations.
-	if t7 := coef * math.Sqrt(restrictedVar(ia, ib)*restrictedVar(ib, ia)); t7 < bound {
-		bound = t7
+	if t7 := math.Abs(a.Coef*b.Coef) * math.Sqrt(restrictedVar(ia, ib)*restrictedVar(ib, ia)); t7 < cs {
+		return t7
 	}
-	// Theorem 8: f(n,m) g(rho) g(rho'). It binds on estimates whose leaf
-	// sizes are whole relations (the histogram estimator's), never on
-	// sampled ones.
-	f := 1 - math.Pow(1-1/float64(n), float64(m))
-	rhoA, rhoB := asm.vars[a.Vars[0]].Mu, asm.vars[b.Vars[0]].Mu
-	if t8 := coef * f * gRho(rhoA) * gRho(rhoB); t8 < bound {
-		bound = t8
-	}
-	return bound
+	return cs
 }
 
 // overlap intersects the leaf runs [aOff, aOff+aLen) and [bOff, bOff+bLen).
@@ -448,35 +437,21 @@ func overlap(aOff, aLen, bOff, bLen int) (lo, hi int) {
 	return max(aOff, bOff), min(aOff+aLen, bOff+bLen)
 }
 
-// sharedLeaves returns m = |R ∩ R'| and the smallest shared sample size.
-func sharedLeaves(a, b *varInfo) (m, n int) {
-	lo, hi := overlap(a.leafOff, len(a.leafN), b.leafOff, len(b.leafN))
-	if hi <= lo {
-		return 0, 0
-	}
-	n = math.MaxInt
-	for k := lo; k < hi; k++ {
-		n = min(n, a.leafN[k-a.leafOff], b.leafN[k-b.leafOff])
-	}
-	return hi - lo, n
+// sharedLeaves returns m = |R ∩ R'|, the number of leaf relations two
+// operators share.
+func sharedLeaves(a, b *varInfo) int {
+	lo, hi := overlap(a.leafOff, a.leafLen, b.leafOff, b.leafLen)
+	return max(hi-lo, 0)
 }
 
 // restrictedVar returns S^2_rho(m, n): the variance components of `of`
 // restricted to the leaf relations it shares with `with` (Appendix A.7),
 // summed in ascending leaf ordinal.
 func restrictedVar(of, with *varInfo) float64 {
-	lo, hi := overlap(of.leafOff, len(of.leafComp), with.leafOff, len(with.leafN))
+	lo, hi := overlap(of.leafOff, len(of.leafComp), with.leafOff, with.leafLen)
 	var s float64
 	for k := lo; k < hi; k++ {
 		s += of.leafComp[k-of.leafOff]
 	}
 	return s
-}
-
-func gRho(rho float64) float64 {
-	v := rho * (1 - rho)
-	if v <= 0 {
-		return 0
-	}
-	return math.Sqrt(v)
 }

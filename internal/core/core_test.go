@@ -302,10 +302,10 @@ func TestVariantStrings(t *testing.T) {
 
 // TestPassOwnsItsRowsUnderPredict pins the sharing contract of the
 // sample → core hand-off: one memoized Pass spliced into two plans at
-// different leaf offsets hands both the same LeafComp/LeafN arrays (only
+// different leaf offsets hands both the same LeafComp array (only
 // LeafOff is a plan's own), and predicting either plan — both at once,
-// under every variant, so the race detector sees any write — leaves them
-// as the Pass made them.
+// under every variant, so the race detector sees any write — leaves it
+// as the Pass made it.
 func TestPassOwnsItsRowsUnderPredict(t *testing.T) {
 	f := newFixture(t, All)
 	sdb, err := sample.Build(f.db, 0.05, 2, 47)
@@ -349,14 +349,14 @@ func TestPassOwnsItsRowsUnderPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := &estFirst.Ops[first.Left.ID], &estSecond.Ops[second.Right.ID]
-	if a.LeafOff != 0 || b.LeafOff != 1 || len(a.LeafComp) != 2 || len(a.LeafN) != 2 {
-		t.Fatalf("shared join spliced at offsets %d and %d with %d/%d leaves, want 0 and 1 with 2/2",
-			a.LeafOff, b.LeafOff, len(a.LeafComp), len(a.LeafN))
+	if a.LeafOff != 0 || b.LeafOff != 1 || len(a.LeafComp) != 2 {
+		t.Fatalf("shared join spliced at offsets %d and %d with %d leaves, want 0 and 1 with 2",
+			a.LeafOff, b.LeafOff, len(a.LeafComp))
 	}
-	if &a.LeafComp[0] != &b.LeafComp[0] || &a.LeafN[0] != &b.LeafN[0] {
-		t.Fatal("the two plans hold copies of the shared Pass's leaf slices, not the slices")
+	if &a.LeafComp[0] != &b.LeafComp[0] {
+		t.Fatal("the two plans hold copies of the shared Pass's leaf slice, not the slice")
 	}
-	comp, ns := slices.Clone(a.LeafComp), slices.Clone(a.LeafN)
+	comp := slices.Clone(a.LeafComp)
 
 	var wg sync.WaitGroup
 	for _, c := range []struct {
@@ -379,14 +379,14 @@ func TestPassOwnsItsRowsUnderPredict(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if !slices.Equal(a.LeafComp, comp) || !slices.Equal(a.LeafN, ns) {
-		t.Error("a prediction wrote to the Pass's leaf slices")
+	if !slices.Equal(a.LeafComp, comp) {
+		t.Error("a prediction wrote to the Pass's leaf slice")
 	}
 }
 
-// TestPredictAboveMidTreeAggregate runs both estimators' estimates of a
-// join above an aggregate — tainted by both, so its leaf run is empty —
-// through the up-front estimate check and the predictor.
+// TestPredictAboveMidTreeAggregate runs the estimates of a join above an
+// aggregate — tainted by it, so its leaf run is empty — through the
+// up-front estimate check and the predictor.
 func TestPredictAboveMidTreeAggregate(t *testing.T) {
 	f := newFixture(t, All)
 	plan := &engine.Node{
@@ -396,17 +396,11 @@ func TestPredictAboveMidTreeAggregate(t *testing.T) {
 		Right: &engine.Node{Kind: engine.SeqScan, Table: "supplier"},
 	}
 	plan.Finalize()
-	hist, err := sample.EstimateHistogram(plan, f.cat, sample.HistogramOpts{})
+	pred, err := f.pred.Predict(plan, f.estimates(t, plan, 0.05, 49))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, est := range map[string]*sample.Estimates{"sampling": f.estimates(t, plan, 0.05, 49), "histogram": hist} {
-		pred, err := f.pred.Predict(plan, est)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if pred.Mean() <= 0 || len(pred.PerOperator) != 4 {
-			t.Errorf("%s: mean %v over %d operators", name, pred.Mean(), len(pred.PerOperator))
-		}
+	if pred.Mean() <= 0 || len(pred.PerOperator) != 4 {
+		t.Errorf("mean %v over %d operators", pred.Mean(), len(pred.PerOperator))
 	}
 }

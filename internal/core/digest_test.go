@@ -89,17 +89,15 @@ var pinnedPredictionDigests = map[string]string{
 	"NoVar[c]":   "2adc52009f626e32ecf66b29a5dae274ca9a56ee1f71f4b2bb495fbeb19ab156",
 	"NoVar[X]":   "e0222303458a9ea989d2d1b07c229170e6b6c043ac5048839f71a7da867839cd",
 	"NoCov":      "0124038df631fb15ef5029f40238c9d2712c446e3f8376a3f41eda3de64de8f2",
-	"histogram":  "f2aada61d4acd33518eeb39c29070108b9a97b7d7c5456de3bbbd444937012ae",
 	"montecarlo": "f93499ad6ac675cf5f5884bf09445d2d7a8f8682f4015d39ab3b9601dfcf61bd",
 }
 
 // TestPredictionDigestPinned is the predictor's oracle on inputs nobody
 // wrote: 256 SelJoin and 256 TPCH generated plans on uniform-1G and on
 // skewed-1G samples, predicted under every variant, every field of every
-// Prediction hashed;
-// plus, on the first 32 plans of each set, the histogram estimator's
-// estimates through every configuration and a fixed-seed 2,000-draw
-// Monte-Carlo prediction (mean, variance) under every variant. A change
+// Prediction hashed; plus, on the first 32 plans of each set, a
+// fixed-seed 2,000-draw Monte-Carlo prediction (mean, variance) under
+// every variant. A change
 // to sample, costmodel or core must leave the literals untouched; do not
 // re-capture without a reason in CHANGES.md.
 func TestPredictionDigestPinned(t *testing.T) {
@@ -122,14 +120,6 @@ func TestPredictionDigestPinned(t *testing.T) {
 				if i%nEach >= nSmall {
 					continue
 				}
-				hist, err := sample.EstimateHistogram(root, cat, sample.HistogramOpts{})
-				if err != nil {
-					t.Fatalf("%v plan %d: EstimateHistogram: %v", kind, i, err)
-				}
-				if pred, err = p.Predict(root, hist); err != nil {
-					t.Fatalf("%v %v plan %d: Predict(histogram): %v", kind, v, i, err)
-				}
-				digestPrediction(digests["histogram"], pred)
 				mc, err := p.PredictMonteCarlo(root, ests[i], MCOptions{Draws: 2000, Seed: int64(i)})
 				if err != nil {
 					t.Fatalf("%v %v plan %d: PredictMonteCarlo: %v", kind, v, i, err)

@@ -250,7 +250,7 @@ func TestMonteCarloDrawsClampedIndexScan(t *testing.T) {
 		}}
 	plan.Finalize()
 	est := &sample.Estimates{Ops: []sample.OpEstimate{{
-		Rho: 0.9, Var: 1e-4, LeafComp: []float64{1e-4}, LeafN: []int{600},
+		Rho: 0.9, Var: 1e-4, LeafComp: []float64{1e-4},
 	}}}
 	models, err := costmodel.BuildModels(nil, plan, f.cat, []float64{0.9})
 	if err != nil {

@@ -99,8 +99,8 @@ func TestAssemblyPoolRetainsNoReferences(t *testing.T) {
 			}
 		}
 		for i, v := range a.info[:cap(a.info)] {
-			if v.leafComp != nil || v.leafN != nil {
-				t.Errorf("info[%d] retains the estimate's leaf slices", i)
+			if v.leafComp != nil {
+				t.Errorf("info[%d] retains the estimate's leaf slice", i)
 			}
 		}
 		return

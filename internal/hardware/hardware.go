@@ -6,8 +6,8 @@
 //
 // A machine is a Profile — a plain data value (per-unit means and
 // coefficients of variation, one model-error sigma) constructible from
-// a JSON Spec, derivable from another profile (Scale, WithDrift), or
-// looked up by name in the registry (ProfileByName, Register). The
+// a JSON Spec, drifted from another profile (WithDrift), or looked up
+// by name in the registry (ProfileByName, Register). The
 // paper's two physical machines survive as the preset profiles PC1 and
 // PC2, themselves defined as specs.
 //
@@ -69,7 +69,7 @@ var Units = [NumUnits]Unit{CS, CR, CT, CI, CO}
 // Profile is a plain comparable value — two profiles with equal fields
 // are the same machine — constructed from a preset (PC1, PC2), a JSON
 // Spec (FromSpec, ParseProfile), the registry (ProfileByName), or
-// derived from another profile (Scale, WithDrift).
+// drifted from another profile (WithDrift).
 type Profile struct {
 	Name string
 	// True distribution of each cost unit; the calibration framework

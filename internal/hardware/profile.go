@@ -1,9 +1,8 @@
 package hardware
 
 // Profiles as data: the JSON Spec a Profile is constructible from, the
-// name registry behind ProfileByName, and the derivation helpers
-// (Scale, WithDrift) that synthesize heterogeneous fleets from a few
-// base machines.
+// name registry behind ProfileByName, and WithDrift, which derives a
+// drifted machine from a base one for heterogeneous fleets.
 
 import (
 	"bytes"
@@ -113,23 +112,6 @@ func (p *Profile) Spec() Spec {
 		sp.Units[u.String()] = UnitSpec{Mean: d.Mu, Sigma: d.Sigma}
 	}
 	return sp
-}
-
-// Scale derives an f-times-slower (factor > 1) or -faster (factor < 1)
-// machine: every unit mean and sigma is multiplied by factor, so
-// relative variability is preserved; the model-error term is unchanged.
-// The derived profile is named "<name>*<factor>".
-func (p *Profile) Scale(factor float64) (*Profile, error) {
-	if factor <= 0 {
-		return nil, fmt.Errorf("hardware: scale factor %g must be positive", factor)
-	}
-	d := *p
-	d.Name = fmt.Sprintf("%s*%g", p.Name, factor)
-	for i := range d.True {
-		d.True[i].Mu *= factor
-		d.True[i].Sigma *= factor
-	}
-	return &d, nil
 }
 
 // WithDrift derives a machine whose unit means have drifted by the

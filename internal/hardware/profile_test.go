@@ -74,24 +74,8 @@ func TestFromSpecValidation(t *testing.T) {
 	}
 }
 
-func TestScaleAndDrift(t *testing.T) {
+func TestWithDrift(t *testing.T) {
 	p := PC1()
-	slow, err := p.Scale(1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < NumUnits; i++ {
-		if slow.True[i].Mu != 1.5*p.True[i].Mu || slow.True[i].Sigma != 1.5*p.True[i].Sigma {
-			t.Errorf("unit %v not uniformly scaled", Unit(i))
-		}
-	}
-	if slow.Name != "PC1*1.5" || slow.ModelErrSigma != p.ModelErrSigma {
-		t.Errorf("scaled profile labeled %q, model err %g", slow.Name, slow.ModelErrSigma)
-	}
-	if _, err := p.Scale(0); err == nil {
-		t.Error("zero scale accepted")
-	}
-
 	drifted, err := p.WithDrift(0.3)
 	if err != nil {
 		t.Fatal(err)
@@ -127,11 +111,9 @@ func TestRegistry(t *testing.T) {
 		t.Errorf("unknown-profile error does not list registered profiles: %s", msg)
 	}
 
-	custom, err := PC2().Scale(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	custom := PC2()
 	custom.Name = "test-custom"
+	custom.True[CS].Mu *= 2
 	if err := Register(custom); err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/catalog"
 	"repro/internal/engine"
 )
 
@@ -46,7 +45,7 @@ func upTo(n int) []int32 {
 // compared, and the estimate computed from the result the plain way —
 // every sample tuple's term divided out, no shortcut — in the order the
 // sampling pass promises: leaves left to right, sample tuples by index.
-func nestedLoopJoin(n *engine.Node, left, right *Pass, cat *catalog.Catalog) ([]int32, OpEstimate, error) {
+func nestedLoopJoin(n *engine.Node, left, right *Pass) ([]int32, OpEstimate) {
 	lt, lc, lord := left.column(n.LeftCol)
 	rt, rc, rord := right.column(n.RightCol)
 	lcol, rcol := lt.data[lc], rt.data[rc]
@@ -63,10 +62,9 @@ func nestedLoopJoin(n *engine.Node, left, right *Pass, cat *catalog.Catalog) ([]
 	}
 	nOut := len(out) / k
 	leaves := slices.Concat(left.leaves, right.leaves)
-	leafN, leafComp := make([]int, k), make([]float64, k)
+	leafComp := make([]float64, k)
 	prodN := 1.0
-	for o, t := range leaves {
-		leafN[o] = t.N()
+	for _, t := range leaves {
 		prodN *= float64(t.N())
 	}
 	rho := float64(nOut) / prodN
@@ -96,11 +94,10 @@ func nestedLoopJoin(n *engine.Node, left, right *Pass, cat *catalog.Catalog) ([]
 			leafComp[o] = totalVar / float64(k)
 		}
 	}
-	full, err := cat.FullSize(n)
 	return out, OpEstimate{
-		Rho: rho, Var: totalVar, LeafComp: leafComp, LeafN: leafN, EstCard: rho * full,
+		Rho: rho, Var: totalVar, LeafComp: leafComp,
 		SampleCounts: engine.JoinCounts(n.Kind, float64(left.rows()), float64(right.rows()), float64(nOut)),
-	}, err
+	}
 }
 
 // sortedRows splits a provenance block of stride k into rows, sorted.
@@ -115,8 +112,8 @@ func sortedRows(prov []int32, k int) [][]int32 {
 
 // estimateBits renders every number of an estimate exactly.
 func estimateBits(e OpEstimate) string {
-	return fmt.Sprintf("rho=%x var=%x card=%x comp=%x n=%v counts=%x off=%d opt=%v",
-		e.Rho, e.Var, e.EstCard, e.LeafComp, e.LeafN, e.SampleCounts, e.LeafOff, e.FromOptimizer)
+	return fmt.Sprintf("rho=%x var=%x comp=%x counts=%x off=%d opt=%v",
+		e.Rho, e.Var, e.LeafComp, e.SampleCounts, e.LeafOff, e.FromOptimizer)
 }
 
 // checkJoin joins l and r over relations whose key columns are keys —
@@ -126,19 +123,14 @@ func estimateBits(e OpEstimate) string {
 // leaf of the side the join must look up.
 func checkJoin(t *testing.T, tag string, keys map[string][]int64, l, r joinSide, looked string) {
 	t.Helper()
-	db := engine.NewDB()
 	tables := make(map[string]*Table, len(keys))
 	for name, ks := range keys {
-		rows := make([][]int64, len(ks))
 		ids := make([]int64, len(ks))
-		for i, k := range ks {
-			rows[i], ids[i] = []int64{int64(i), k}, int64(i)
+		for i := range ks {
+			ids[i] = int64(i)
 		}
-		cols := []string{"id", "k" + name}
-		db.Add(engine.NewTable(name, cols, rows))
-		tables[name] = newTable(name, cols, [][]int64{ids, ks})
+		tables[name] = newTable(name, []string{"id", "k" + name}, [][]int64{ids, ks})
 	}
-	cat := catalog.Build(db)
 	side := func(s joinSide) (*Pass, *engine.Node) {
 		p := &Pass{numLeaves: len(s.leaves), prov: []int32{}}
 		var n *engine.Node
@@ -166,14 +158,11 @@ func checkJoin(t *testing.T, tag string, keys map[string][]int64, l, r joinSide,
 	}
 	n := &engine.Node{Kind: engine.HashJoin, LeftCol: l.col, RightCol: r.col, Left: ln, Right: rn}
 	n.Finalize()
-	got, err := joinPass(n, lp, rp, cat)
+	got, err := joinPass(n, lp, rp)
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
-	prov, want, err := nestedLoopJoin(n, lp, rp, cat)
-	if err != nil {
-		t.Fatalf("%s: %v", tag, err)
-	}
+	prov, want := nestedLoopJoin(n, lp, rp)
 	if g, w := sortedRows(got.prov, got.numLeaves), sortedRows(prov, got.numLeaves); !slices.EqualFunc(g, w, slices.Equal) {
 		t.Errorf("%s: %d rows, nested loop %d (or the multisets differ)", tag, len(g), len(w))
 	}

@@ -175,26 +175,21 @@ type OpEstimate struct {
 	Var float64
 
 	// The operator's leaves are the plan's leaf ordinals
-	// [LeafOff, LeafOff+len(LeafN)): LeafComp[i] is the contribution W_k
-	// of leaf k = LeafOff+i to Var, so Var = sum_i LeafComp[i], and
-	// LeafN[i] its sample size n_k. Restricting the sum to the leaves
-	// shared with another operator gives the S^2_{rho}(m, n) bound of
-	// Theorem 7 (Appendix A.7). Both slices are empty at and above an
-	// aggregate. They belong to the immutable Pass that computed them and
-	// are shared by every plan it is spliced into — only LeafOff is the
-	// plan's own — so nobody may write to them.
+	// [LeafOff, LeafOff+len(LeafComp)): LeafComp[i] is the contribution
+	// W_k of leaf k = LeafOff+i to Var, so Var = sum_i LeafComp[i].
+	// Restricting the sum to the leaves shared with another operator
+	// gives the S^2_{rho}(m, n) bound of Theorem 7 (Appendix A.7).
+	// LeafComp is empty at and above an aggregate. It belongs to the
+	// immutable Pass that computed it and is shared by every plan it is
+	// spliced into — only LeafOff is the plan's own — so nobody may
+	// write to it.
 	LeafOff  int
 	LeafComp []float64
-	LeafN    []int
 
 	// FromOptimizer marks operators (aggregates, and everything above
 	// them) whose estimate falls back to the optimizer's cardinality
 	// estimate with zero variance (Algorithm 1 lines 3-5).
 	FromOptimizer bool
-
-	// EstCard is the estimated output cardinality rho * Pi |R| over the
-	// full (not sample) relations.
-	EstCard float64
 
 	// SampleCounts are the resource counts this operator incurred while
 	// running over the samples, for the runtime-overhead experiments.

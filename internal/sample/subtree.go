@@ -223,11 +223,11 @@ func EstimateMemo(ctx context.Context, root *engine.Node, sdb *DB, cat *catalog.
 		p, err := memo(passKey(n, leafCopy[off:off+k]), func() (*Pass, error) {
 			switch {
 			case n.Kind.IsScan():
-				return scanPass(n, leafTable[off], cat)
+				return scanPass(n, leafTable[off])
 			case n.Kind.IsJoin() && (left.tainted || right.tainted):
 				return optimizerPass(n, k, engine.Counts{}, cat)
 			case n.Kind.IsJoin():
-				return joinPass(n, left, right, cat)
+				return joinPass(n, left, right)
 			case n.Kind == engine.Aggregate:
 				return optimizerPass(n, k, engine.UnaryCounts(n.Kind, float64(left.rows())), cat)
 			default: // Sort, Materialize: pass-through, same selectivity variable
@@ -275,7 +275,6 @@ func optimizerPass(n *engine.Node, numLeaves int, counts engine.Counts, cat *cat
 		est: OpEstimate{
 			Rho:           rho,
 			FromOptimizer: true,
-			EstCard:       card,
 			SampleCounts:  counts,
 		},
 	}, nil
@@ -316,7 +315,7 @@ func grow[T any](s []T, n int) []T {
 // scanPass evaluates one scan over its sample table in the local frame
 // (the scan is leaf ordinal 0 of its own subtree), a predicate at a time
 // over one column each, each predicate one range compare per tuple.
-func scanPass(n *engine.Node, st *Table, cat *catalog.Catalog) (*Pass, error) {
+func scanPass(n *engine.Node, st *Table) (*Pass, error) {
 	nTotal := st.N()
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
@@ -375,10 +374,6 @@ func scanPass(n *engine.Node, st *Table, cat *catalog.Catalog) (*Pass, error) {
 		rho = 0.5 / float64(nTotal)
 		v = rho * rho
 	}
-	full, err := cat.FullSize(n)
-	if err != nil {
-		return nil, err
-	}
 	return &Pass{
 		prov:      prov,
 		leaves:    []*Table{st},
@@ -387,8 +382,6 @@ func scanPass(n *engine.Node, st *Table, cat *catalog.Catalog) (*Pass, error) {
 			Rho:          rho,
 			Var:          v,
 			LeafComp:     []float64{v},
-			LeafN:        []int{nTotal},
-			EstCard:      rho * full,
 			SampleCounts: engine.ScanCounts(n.Kind, float64(nTotal), float64(mIndex), len(n.Preds)),
 		},
 	}, nil
@@ -413,7 +406,7 @@ func lookupRight(left, right *Pass) bool {
 // keeps ordinals 0..nl-1, the right child's shift up by nl, so local
 // ordinal and provenance position coincide (Algorithm 1 lines 11-13 and
 // the Appendix A.7 components).
-func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, error) {
+func joinPass(n *engine.Node, left, right *Pass) (*Pass, error) {
 	lt, lc, lord := left.column(n.LeftCol)
 	rt, rc, rord := right.column(n.RightCol)
 	if lord < 0 || rord < 0 {
@@ -511,11 +504,9 @@ func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, e
 	}
 
 	leaves := append(append(make([]*Table, 0, k), left.leaves...), right.leaves...)
-	leafN := make([]int, k)
 	// rho_n = |out| / Pi_k n_k, accumulated in left-to-right leaf order.
 	prodN := 1.0
-	for o, t := range leaves {
-		leafN[o] = t.N()
+	for _, t := range leaves {
 		prodN *= float64(t.N())
 	}
 	rho := float64(nOut) / prodN
@@ -587,11 +578,6 @@ func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, e
 		}
 	}
 
-	full, err := cat.FullSize(n)
-	if err != nil {
-		return nil, err
-	}
-
 	return &Pass{
 		prov:      out,
 		leaves:    leaves,
@@ -600,8 +586,6 @@ func joinPass(n *engine.Node, left, right *Pass, cat *catalog.Catalog) (*Pass, e
 			Rho:      rho,
 			Var:      totalVar,
 			LeafComp: leafComp,
-			LeafN:    leafN,
-			EstCard:  rho * full,
 			SampleCounts: engine.JoinCounts(n.Kind,
 				float64(left.rows()), float64(right.rows()), float64(nOut)),
 		},

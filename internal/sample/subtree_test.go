@@ -93,9 +93,9 @@ func sameEstimates(t *testing.T, tag string, a, b *Estimates) {
 	}
 	for id := range a.Ops {
 		ea, eb := &a.Ops[id], &b.Ops[id]
-		if ea.Rho != eb.Rho || ea.Var != eb.Var || ea.EstCard != eb.EstCard {
-			t.Errorf("%s: node %d rho/var/card (%v,%v,%v) vs (%v,%v,%v)",
-				tag, id, ea.Rho, ea.Var, ea.EstCard, eb.Rho, eb.Var, eb.EstCard)
+		if ea.Rho != eb.Rho || ea.Var != eb.Var {
+			t.Errorf("%s: node %d rho/var (%v,%v) vs (%v,%v)",
+				tag, id, ea.Rho, ea.Var, eb.Rho, eb.Var)
 		}
 		if ea.FromOptimizer != eb.FromOptimizer {
 			t.Errorf("%s: node %d FromOptimizer %v vs %v", tag, id, ea.FromOptimizer, eb.FromOptimizer)
@@ -103,18 +103,13 @@ func sameEstimates(t *testing.T, tag string, a, b *Estimates) {
 		if ea.LeafOff != eb.LeafOff {
 			t.Errorf("%s: node %d LeafOff %d vs %d", tag, id, ea.LeafOff, eb.LeafOff)
 		}
-		if len(ea.LeafComp) != len(eb.LeafComp) || len(ea.LeafN) != len(eb.LeafN) {
-			t.Fatalf("%s: node %d leaf runs sized (%d,%d) vs (%d,%d)",
-				tag, id, len(ea.LeafComp), len(ea.LeafN), len(eb.LeafComp), len(eb.LeafN))
+		if len(ea.LeafComp) != len(eb.LeafComp) {
+			t.Fatalf("%s: node %d leaf runs sized %d vs %d",
+				tag, id, len(ea.LeafComp), len(eb.LeafComp))
 		}
 		for k, v := range ea.LeafComp {
 			if v != eb.LeafComp[k] {
 				t.Errorf("%s: node %d LeafComp[%d] %v vs %v", tag, id, k, v, eb.LeafComp[k])
-			}
-		}
-		for k, v := range ea.LeafN {
-			if v != eb.LeafN[k] {
-				t.Errorf("%s: node %d LeafN[%d] %d vs %d", tag, id, k, v, eb.LeafN[k])
 			}
 		}
 		if ea.SampleCounts != eb.SampleCounts {
@@ -129,7 +124,6 @@ type pinnedOp struct {
 	id       int
 	rho      float64
 	v        float64
-	card     float64
 	fromOpt  bool
 	leafOff  int
 	leafComp []float64
@@ -143,34 +137,34 @@ type pinnedOp struct {
 // bit for bit.
 var pinnedEstimates = [][]pinnedOp{
 	{ // plan 0
-		{id: 0, rho: 0x1p+00, v: 0x0p+00, card: 0x1.f4p+09, fromOpt: false, leafComp: []float64{0x0p+00}},
+		{id: 0, rho: 0x1p+00, v: 0x0p+00, fromOpt: false, leafComp: []float64{0x0p+00}},
 	},
 	{ // plan 1
-		{id: 0, rho: 0x1.8a3d70a3d70a4p-02, v: 0x1.365881a1554fcp-10, card: 0x1.81p+08, fromOpt: false, leafComp: []float64{0x1.365881a1554fcp-10}},
+		{id: 0, rho: 0x1.8a3d70a3d70a4p-02, v: 0x1.365881a1554fcp-10, fromOpt: false, leafComp: []float64{0x1.365881a1554fcp-10}},
 	},
 	{ // plan 2
-		{id: 0, rho: 0x1.e6e978d4fdf3bp-06, v: 0x1.6bed4e43ece47p-17, card: 0x1.737cp+14, fromOpt: false, leafComp: []float64{0x1.4dc5ba9161fa9p-17, 0x1.e2793b28ae9e2p-21}},
-		{id: 1, rho: 0x1.8a3d70a3d70a4p-02, v: 0x1.365881a1554fcp-10, card: 0x1.81p+08, fromOpt: false, leafComp: []float64{0x1.365881a1554fcp-10}},
-		{id: 2, rho: 0x1p+00, v: 0x0p+00, card: 0x1.9p+09, fromOpt: false, leafOff: 1, leafComp: []float64{0x0p+00}},
+		{id: 0, rho: 0x1.e6e978d4fdf3bp-06, v: 0x1.6bed4e43ece47p-17, fromOpt: false, leafComp: []float64{0x1.4dc5ba9161fa9p-17, 0x1.e2793b28ae9e2p-21}},
+		{id: 1, rho: 0x1.8a3d70a3d70a4p-02, v: 0x1.365881a1554fcp-10, fromOpt: false, leafComp: []float64{0x1.365881a1554fcp-10}},
+		{id: 2, rho: 0x1p+00, v: 0x0p+00, fromOpt: false, leafOff: 1, leafComp: []float64{0x0p+00}},
 	},
 	{ // plan 3
-		{id: 0, rho: 0x1.4a38327674d16p-09, v: 0x1.84efcf1531f2cp-24, card: 0x1.ec10cp+20, fromOpt: false, leafComp: []float64{0x1.3c60290113741p-24, 0x1.389e136f7919p-27, 0x1.0bdf1d317adccp-27}},
-		{id: 1, rho: 0x1.e6e978d4fdf3bp-06, v: 0x1.6bed4e43ece47p-17, card: 0x1.737cp+14, fromOpt: false, leafComp: []float64{0x1.4dc5ba9161fa9p-17, 0x1.e2793b28ae9e2p-21}},
-		{id: 2, rho: 0x1.8a3d70a3d70a4p-02, v: 0x1.365881a1554fcp-10, card: 0x1.81p+08, fromOpt: false, leafComp: []float64{0x1.365881a1554fcp-10}},
-		{id: 3, rho: 0x1p+00, v: 0x0p+00, card: 0x1.9p+09, fromOpt: false, leafOff: 1, leafComp: []float64{0x0p+00}},
-		{id: 4, rho: 0x1p+00, v: 0x0p+00, card: 0x1.f4p+09, fromOpt: false, leafOff: 2, leafComp: []float64{0x0p+00}},
+		{id: 0, rho: 0x1.4a38327674d16p-09, v: 0x1.84efcf1531f2cp-24, fromOpt: false, leafComp: []float64{0x1.3c60290113741p-24, 0x1.389e136f7919p-27, 0x1.0bdf1d317adccp-27}},
+		{id: 1, rho: 0x1.e6e978d4fdf3bp-06, v: 0x1.6bed4e43ece47p-17, fromOpt: false, leafComp: []float64{0x1.4dc5ba9161fa9p-17, 0x1.e2793b28ae9e2p-21}},
+		{id: 2, rho: 0x1.8a3d70a3d70a4p-02, v: 0x1.365881a1554fcp-10, fromOpt: false, leafComp: []float64{0x1.365881a1554fcp-10}},
+		{id: 3, rho: 0x1p+00, v: 0x0p+00, fromOpt: false, leafOff: 1, leafComp: []float64{0x0p+00}},
+		{id: 4, rho: 0x1p+00, v: 0x0p+00, fromOpt: false, leafOff: 2, leafComp: []float64{0x0p+00}},
 	},
 	{ // plan 4
-		{id: 0, rho: 0x1.4ced916872b02p-04, v: 0x1.3210be5981138p-17, card: 0x1.fc02p+15, fromOpt: false, leafComp: []float64{0x1.f19cba043b0eep-18, 0x1.ca130abb1c605p-20}},
-		{id: 1, rho: 0x1.4ced916872b02p-04, v: 0x1.3210be5981138p-17, card: 0x1.fc02p+15, fromOpt: false, leafComp: []float64{0x1.f19cba043b0eep-18, 0x1.ca130abb1c605p-20}},
-		{id: 2, rho: 0x1p+00, v: 0x0p+00, card: 0x1.f4p+09, fromOpt: false, leafComp: []float64{0x0p+00}},
-		{id: 3, rho: 0x1p+00, v: 0x0p+00, card: 0x1.9p+09, fromOpt: false, leafOff: 1, leafComp: []float64{0x0p+00}},
+		{id: 0, rho: 0x1.4ced916872b02p-04, v: 0x1.3210be5981138p-17, fromOpt: false, leafComp: []float64{0x1.f19cba043b0eep-18, 0x1.ca130abb1c605p-20}},
+		{id: 1, rho: 0x1.4ced916872b02p-04, v: 0x1.3210be5981138p-17, fromOpt: false, leafComp: []float64{0x1.f19cba043b0eep-18, 0x1.ca130abb1c605p-20}},
+		{id: 2, rho: 0x1p+00, v: 0x0p+00, fromOpt: false, leafComp: []float64{0x0p+00}},
+		{id: 3, rho: 0x1p+00, v: 0x0p+00, fromOpt: false, leafOff: 1, leafComp: []float64{0x0p+00}},
 	},
 	{ // plan 5
-		{id: 0, rho: 0x1.0624dd2f1a9fcp-10, v: 0x0p+00, card: 0x1.9p+09, fromOpt: true, leafComp: nil},
-		{id: 1, rho: 0x1.89374bc6a7efap-07, v: 0x0p+00, card: 0x1.8p+03, fromOpt: true, leafComp: nil},
-		{id: 2, rho: 0x1p+00, v: 0x0p+00, card: 0x1.f4p+09, fromOpt: false, leafComp: []float64{0x0p+00}},
-		{id: 3, rho: 0x1p+00, v: 0x0p+00, card: 0x1.9p+09, fromOpt: false, leafOff: 1, leafComp: []float64{0x0p+00}},
+		{id: 0, rho: 0x1.0624dd2f1a9fcp-10, v: 0x0p+00, fromOpt: true, leafComp: nil},
+		{id: 1, rho: 0x1.89374bc6a7efap-07, v: 0x0p+00, fromOpt: true, leafComp: nil},
+		{id: 2, rho: 0x1p+00, v: 0x0p+00, fromOpt: false, leafComp: []float64{0x0p+00}},
+		{id: 3, rho: 0x1p+00, v: 0x0p+00, fromOpt: false, leafOff: 1, leafComp: []float64{0x0p+00}},
 	},
 }
 
@@ -182,13 +176,13 @@ func matchesPinned(t *testing.T, tag string, want []pinnedOp, est *Estimates) {
 	}
 	for _, w := range want {
 		e := &est.Ops[w.id]
-		if e.Rho != w.rho || e.Var != w.v || e.EstCard != w.card || e.FromOptimizer != w.fromOpt {
-			t.Errorf("%s: node %d rho/var/card/fromOpt (%x,%x,%x,%v), pinned (%x,%x,%x,%v)",
-				tag, w.id, e.Rho, e.Var, e.EstCard, e.FromOptimizer, w.rho, w.v, w.card, w.fromOpt)
+		if e.Rho != w.rho || e.Var != w.v || e.FromOptimizer != w.fromOpt {
+			t.Errorf("%s: node %d rho/var/fromOpt (%x,%x,%v), pinned (%x,%x,%v)",
+				tag, w.id, e.Rho, e.Var, e.FromOptimizer, w.rho, w.v, w.fromOpt)
 		}
-		if len(e.LeafComp) != len(w.leafComp) || len(e.LeafN) != len(w.leafComp) {
-			t.Fatalf("%s: node %d has %d leaf components and %d sample sizes, pinned %d",
-				tag, w.id, len(e.LeafComp), len(e.LeafN), len(w.leafComp))
+		if len(e.LeafComp) != len(w.leafComp) {
+			t.Fatalf("%s: node %d has %d leaf components, pinned %d",
+				tag, w.id, len(e.LeafComp), len(w.leafComp))
 		}
 		if len(w.leafComp) > 0 && e.LeafOff != w.leafOff {
 			t.Errorf("%s: node %d leaf run starts at %d, pinned %d", tag, w.id, e.LeafOff, w.leafOff)
@@ -346,9 +340,9 @@ func TestEstimateMemoWarmPassComputesNothing(t *testing.T) {
 
 // TestEmptyRelationIsAnError pins the defined answer for a relation
 // without rows: its sample is empty, a selectivity over it is 0/0, and
-// the pass must say so instead of handing Rho = +Inf, Var = +Inf and
-// EstCard = NaN to the predictor with a nil error — for the scan and
-// for a join above it.
+// the pass must say so instead of handing Rho = +Inf and Var = +Inf to
+// the predictor with a nil error — for the scan and for a join above
+// it.
 func TestEmptyRelationIsAnError(t *testing.T) {
 	db := synthDB(200, 0, 8, 5)
 	cat := catalog.Build(db)
@@ -414,7 +408,7 @@ func TestPassOwnsItsRows(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			got, err := joinPass(top, left, right, cat)
+			got, err := joinPass(top, left, right)
 			if err != nil {
 				t.Error(err)
 				return
@@ -454,7 +448,6 @@ func TestScanPassMatchesEngineAtEdges(t *testing.T) {
 	}
 	db := engine.NewDB()
 	db.Add(engine.NewTable("t", []string{"x", "y"}, rows))
-	cat := catalog.Build(db)
 	st := newTable("t", []string{"x", "y"}, [][]int64{vals, vals})
 
 	var preds []engine.Predicate
@@ -475,7 +468,7 @@ func TestScanPassMatchesEngineAtEdges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pass, err := scanPass(n, st, cat)
+			pass, err := scanPass(n, st)
 			if err != nil {
 				t.Fatal(err)
 			}

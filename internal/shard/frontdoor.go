@@ -29,7 +29,8 @@ type FrontDoorConfig struct {
 	// <= 0 disables the token bucket (no throttle shedding).
 	Rate float64 `json:"rate"`
 	// Burst is the bucket capacity (and initial fill); < 1 selects
-	// Rate (a one-second burst).
+	// Rate (a one-second burst), or 1 when Rate is below 1, so the
+	// bucket can always hold the whole token a request spends.
 	Burst float64 `json:"burst"`
 	// Predictive enables hopelessness shedding: a submission whose
 	// best fleet-wide P(T_wait + T_q <= d) falls below its SLO
@@ -74,7 +75,7 @@ type FrontDoor struct {
 // NewFrontDoor returns a front door per cfg; the bucket starts full.
 func NewFrontDoor(cfg FrontDoorConfig) *FrontDoor {
 	if cfg.Burst < 1 {
-		cfg.Burst = cfg.Rate
+		cfg.Burst = max(cfg.Rate, 1)
 	}
 	return &FrontDoor{
 		cfg:     cfg,

@@ -44,6 +44,30 @@ func TestFrontDoorTokenBucket(t *testing.T) {
 	}
 }
 
+// TestFrontDoorSubUnitRate pins the default burst under a rate below
+// one request per second: the bucket must still hold a whole token, so
+// requests spaced farther apart than 1/Rate are all admitted, and
+// closer ones at Rate per second.
+func TestFrontDoorSubUnitRate(t *testing.T) {
+	sparse := NewFrontDoor(FrontDoorConfig{Rate: 0.5})
+	for i := 0; i < 100; i++ {
+		if v := sparse.Admit("gold", float64(10*i), 1, 0.5); v != VerdictAdmit {
+			t.Fatalf("request %d at t=%ds, rate 0.5/s: %s", i, 10*i, v)
+		}
+	}
+	dense := NewFrontDoor(FrontDoorConfig{Rate: 0.5, Burst: 0.25})
+	admitted := 0
+	for i := 0; i < 10; i++ {
+		if dense.Admit("gold", float64(i), 1, 0.5) == VerdictAdmit {
+			admitted++
+		}
+	}
+	// The full bucket at t=0, then one token every 2 s: t = 0, 2, 4, 6, 8.
+	if admitted != 5 {
+		t.Errorf("one request a second at rate 0.5/s: %d of 10 admitted, want 5", admitted)
+	}
+}
+
 // TestFrontDoorPredictiveBeforeTokens pins the check order that makes
 // predictive shedding pay off: a hopeless request is shed without
 // spending a token, so the token it would have burned still admits a

@@ -50,14 +50,14 @@ func BenchmarkSimPoisson(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var events int
-	var fitness float64
+	var attainment float64
 	for i := 0; i < b.N; i++ {
 		rep, err := runOn(rs, sys, cache, runSinks{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		events += rep.Events
-		fitness = rep.Fitness.Score
+		attainment = rep.SLOAttainment
 	}
 	b.StopTimer()
 	if b.Elapsed() > 0 {
@@ -66,7 +66,7 @@ func BenchmarkSimPoisson(b *testing.B) {
 	// Deterministic per (scenario, seed): policy quality is reported next
 	// to raw speed, so a change that makes the simulator faster by making
 	// its decisions worse shows in the same output.
-	b.ReportMetric(fitness, "fitness")
+	b.ReportMetric(attainment, "attainment")
 }
 
 // BenchmarkSimHeterogeneous measures per-machine routing throughput on
@@ -102,20 +102,20 @@ func BenchmarkSimHeterogeneous(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var events int
-	var fitness float64
+	var attainment float64
 	for i := 0; i < b.N; i++ {
 		rep, err := runOn(rs, sys, cache, runSinks{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		events += rep.Events
-		fitness = rep.Fitness.Score
+		attainment = rep.SLOAttainment
 	}
 	b.StopTimer()
 	if b.Elapsed() > 0 {
 		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 	}
-	b.ReportMetric(fitness, "fitness")
+	b.ReportMetric(attainment, "attainment")
 }
 
 // BenchmarkSimDrift measures the calibration observatory end to end: a
@@ -167,7 +167,7 @@ func BenchmarkSimDrift(b *testing.B) {
 	if b.Elapsed() > 0 {
 		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 	}
-	b.ReportMetric(rep.Fitness.Score, "fitness")
+	b.ReportMetric(rep.SLOAttainment, "attainment")
 	if cal := rep.Calibration; cal != nil {
 		b.ReportMetric(cal.Overall.MAPE, "mape")
 		for _, cp := range cal.Overall.Coverage {
@@ -218,20 +218,20 @@ func BenchmarkSimSharded(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var events int
-	var fitness float64
+	var attainment float64
 	for i := 0; i < b.N; i++ {
 		rep, err := runOn(rs, sys, cache, runSinks{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		events += rep.Events
-		fitness = rep.Fitness.Score
+		attainment = rep.SLOAttainment
 	}
 	b.StopTimer()
 	if b.Elapsed() > 0 {
 		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 	}
-	b.ReportMetric(fitness, "fitness")
+	b.ReportMetric(attainment, "attainment")
 }
 
 // BenchmarkSimCluster is the million-event shape in miniature: the
@@ -264,18 +264,18 @@ func BenchmarkSimCluster(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var events int
-	var fitness float64
+	var attainment float64
 	for i := 0; i < b.N; i++ {
 		rep, err := runOn(rs, sys, cache, runSinks{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		events += rep.Events
-		fitness = rep.Fitness.Score
+		attainment = rep.SLOAttainment
 	}
 	b.StopTimer()
 	if b.Elapsed() > 0 {
 		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 	}
-	b.ReportMetric(fitness, "fitness")
+	b.ReportMetric(attainment, "attainment")
 }

@@ -190,13 +190,8 @@ type Report struct {
 	// SLOAttainment is deadlines met over submitted, fleet-wide.
 	SLOAttainment float64 `json:"slo_attainment"`
 	// Latency summarizes end-to-end latency (queue wait included) over
-	// every executed query fleet-wide — the sample the fitness latency
-	// penalty reads.
-	Latency Quantiles `json:"latency"`
-	// Fitness is the weighted multi-objective score of this report
-	// under DefaultFitnessWeights; re-score with ComputeFitness to
-	// re-weigh.
-	Fitness    Fitness           `json:"fitness"`
+	// every executed query fleet-wide.
+	Latency    Quantiles         `json:"latency"`
 	Tenants    []TenantReport    `json:"tenants"`
 	PerMachine []MachineReport   `json:"per_machine"`
 	Cache      uaqetp.CacheStats `json:"cache"`
@@ -346,6 +341,5 @@ func (s *simRun) report() *Report {
 	if s.sh != nil {
 		rep.Shards = s.shardsReport()
 	}
-	rep.Fitness = ComputeFitness(rep, DefaultFitnessWeights())
 	return rep
 }

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"math"
 	"slices"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // TestReportCountersMatchServerStats holds the report's tenant counters
@@ -143,5 +146,35 @@ func TestMachinesKeepNoDriftFeedbackWithoutCadence(t *testing.T) {
 	sc.RecalEvery = 1e9
 	if drift, executed, _ := observations(sc); drift != executed {
 		t.Errorf("under recal_every the servers recorded %d drift observations, want one per execution (%d)", drift, executed)
+	}
+}
+
+func TestJainIndexEdges(t *testing.T) {
+	cases := []struct {
+		name string
+		xs   []float64
+		want float64
+	}{
+		{"empty is fair", nil, 1},
+		{"all zero is fair", []float64{0, 0, 0}, 1},
+		{"equal is fair", []float64{0.7, 0.7, 0.7, 0.7}, 1},
+		{"single taker is 1/n", []float64{1, 0, 0, 0}, 0.25},
+		// (1+0.5)^2 / (2 * (1 + 0.25)) = 2.25/2.5.
+		{"known two-point value", []float64{1, 0.5}, 0.9},
+	}
+	for _, c := range cases {
+		if got := stats.JainIndex(c.xs); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("%s: stats.JainIndex(%v) = %v, want %v", c.name, c.xs, got, c.want)
+		}
+	}
+	// The index is scale-invariant: doubling every allocation changes
+	// nothing about its fairness.
+	a := stats.JainIndex([]float64{0.2, 0.4, 0.8})
+	b := stats.JainIndex([]float64{0.4, 0.8, 1.6})
+	if math.Abs(a-b) > 1e-12 {
+		t.Errorf("JainIndex not scale-invariant: %v vs %v", a, b)
+	}
+	if a <= 1.0/3 || a >= 1 {
+		t.Errorf("unequal allocation index %v outside (1/n, 1)", a)
 	}
 }

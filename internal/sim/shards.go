@@ -14,7 +14,8 @@ type FrontDoorSpec struct {
 	// Rate is the fleet-wide token refill rate in requests per virtual
 	// second; <= 0 disables the token bucket.
 	Rate float64 `json:"rate"`
-	// Burst is the bucket capacity; < 1 selects Rate.
+	// Burst is the bucket capacity; < 1 selects Rate, or 1 when Rate
+	// is below 1.
 	Burst float64 `json:"burst,omitempty"`
 	// Predictive sheds a submission before placement when its best
 	// P(T_wait + T_q <= d) across its shard's machines is below the

@@ -236,10 +236,12 @@ var shippedPins = map[string]struct{ golden, sha256 string }{
 // The cluster hash and the v2 report files were re-pinned, with both
 // stream hashes unchanged, when the pre-loop warm-up pass went and
 // every machine's report began carrying its profile label: only the
-// cache counters, the fitness cache economy and score, the cache tier's
-// lookup counts and the added labels moved. No scenario was re-seeded.
+// cache counters, the cache tier's lookup counts and the added labels
+// moved. They were re-pinned again when the report's "fitness" block
+// went: each is its predecessor with that block cut out, byte for byte.
+// No scenario was re-seeded.
 const (
-	clusterReportSHA256 = "a5d0eeed81898573b4b8f0cca26b5f7ebe0d8591819ade89caf1341276567279"
+	clusterReportSHA256 = "176bc64dc114a491db8014c64ad846911b23b96a1626b124c39f15b57428dbd6"
 	driftTraceSHA256    = "f5b80461aba0401c9921d315b4a9beeb1411b16a002350231fbf604029096908"
 	driftCalibSHA256    = "a82844054e6a0fb8350654072c0066f9798bc715f7e551273064e35d0cd10a3e"
 )
