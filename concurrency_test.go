@@ -272,7 +272,7 @@ func TestConcurrentExecutionsShareOnePlanKey(t *testing.T) {
 				if got != want[i] {
 					t.Errorf("%s on the shared plan: %v, alone on a fresh plan: %v", names[i], got, want[i])
 				}
-				if k, ref := shared.execKey(sys.cfg.Seed, names[i]), rng.ExecKey(sys.cfg.Seed, names[i], shared.root.Sig); k != ref {
+				if k, ref := shared.execKey(sys.cfg.Seed, rng.NameOf(names[i])), rng.ExecKey(sys.cfg.Seed, names[i], shared.root.Sig); k != ref {
 					t.Errorf("%s: memoized key %d, rng.ExecKey %d", names[i], k, ref)
 				}
 			}

@@ -40,14 +40,19 @@ func (t *TruthSwitch) Switched() bool { return t.flag.Load() }
 // switch changes *which profile* measures, never the random stream.
 type switchExecutor struct {
 	sw            *TruthSwitch
-	before, after Executor
+	before, after simExecutor
+}
+
+// current is the executor measuring now.
+func (x *switchExecutor) current() simExecutor {
+	if x.sw.Switched() {
+		return x.after
+	}
+	return x.before
 }
 
 func (x *switchExecutor) Execute(ctx context.Context, q *Query, p *Plan) (float64, error) {
-	if x.sw.Switched() {
-		return x.after.Execute(ctx, q, p)
-	}
-	return x.before.Execute(ctx, q, p)
+	return x.current().Execute(ctx, q, p)
 }
 
 // WithDriftInjection derives, from a System on a drifted profile

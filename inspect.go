@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 )
 
 // OpDetail pairs one selective operator's estimated selectivity
@@ -67,7 +68,7 @@ func (s *System) Measure(q *Query) (*Measurement, error) {
 		return nil, err
 	}
 	m := &Measurement{
-		Actual:     s.profile.MeasurePlanSeeded(res, s.cfg.RNG, p.execKey(s.cfg.Seed, q.Name)),
+		Actual:     s.profile.MeasurePlanSeeded(res, s.cfg.RNG, p.execKey(s.cfg.Seed, rng.NameOf(q.Name))),
 		SampleCost: s.profile.ExpectedCost(est.TotalSampleCounts()),
 		FullCost:   s.profile.ExpectedCost(res.TotalCounts()),
 	}

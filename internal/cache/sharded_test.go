@@ -128,3 +128,51 @@ func TestShardedConcurrent(t *testing.T) {
 		t.Errorf("snapshot holds %d entries, capacity 64", s.Entries)
 	}
 }
+
+// TestShardedHashCollision: keys the caller puts under one hash are
+// told apart by the key itself. Two distinct keys under one hash both
+// come back with their own values; and over a random run of gets and
+// puts on five keys sharing two hashes, through one shard of capacity 3,
+// every get answers and every counter reads exactly what a string-keyed
+// LRU of that capacity answers and counts.
+func TestShardedHashCollision(t *testing.T) {
+	pair := NewSharded[string](8, 1)
+	pair.Put("a", 42, "va")
+	pair.Put("b", 42, "vb")
+	if va, okA := pair.Get("a", 42); !okA || va != "va" {
+		t.Fatalf("Get(a) = %q, %v; want va", va, okA)
+	}
+	if vb, okB := pair.Get("b", 42); !okB || vb != "vb" {
+		t.Fatalf("Get(b) = %q, %v; want vb", vb, okB)
+	}
+	if _, ok := pair.Get("c", 42); ok {
+		t.Fatal("Get(c) hit under a hash only a and b were put under")
+	}
+
+	c := NewSharded[int](3, 1)
+	ref := NewLRU[string, int](3)
+	keys := []string{"a", "b", "c", "d", "e"}
+	hashOf := map[string]uint64{"a": 7, "b": 7, "c": 7, "d": 1 << 40, "e": 1 << 40}
+	src := uint64(1)
+	for i := 0; i < 5000; i++ {
+		src = src*6364136223846793005 + 1442695040888963407
+		k := keys[(src>>33)%uint64(len(keys))]
+		if (src>>20)%3 == 0 {
+			c.Put(k, hashOf[k], i)
+			ref.Put(k, i)
+			continue
+		}
+		v, ok := c.Get(k, hashOf[k])
+		rv, rok := ref.Get(k)
+		if v != rv || ok != rok {
+			t.Fatalf("op %d: Get(%s) = %d, %v; string-keyed LRU %d, %v", i, k, v, ok, rv, rok)
+		}
+	}
+	got, want := c.Snapshot(), ref.Snapshot()
+	if got != want {
+		t.Fatalf("counters %+v, string-keyed LRU %+v", got, want)
+	}
+	if got.Evictions == 0 || got.Hits == 0 || got.Misses == 0 {
+		t.Fatalf("counters %+v: the run exercised too little", got)
+	}
+}

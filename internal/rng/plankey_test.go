@@ -11,15 +11,16 @@ import (
 func warmPlanKey(plansig string) *PlanKey {
 	k := NewPlanKey(plansig)
 	for b := 0; b < 256; b++ {
-		k.Key(-1, string([]byte{byte(b)}))
+		k.Key(-1, NameOf(string([]byte{byte(b)})))
 	}
 	return k
 }
 
 // FuzzExecKeyMemo holds PlanKey to its definition, ExecKey, for any
 // (seed, name, signature): on a cold memo (the call fills its entry),
-// again on the entry it just filled, and on a memo whose whole table
-// was filled by other names under another seed.
+// again on the entry it just filled, on a memo whose whole table was
+// filled by other names under another seed, and with the name hashed
+// in two pieces.
 func FuzzExecKeyMemo(f *testing.F) {
 	f.Add(int64(0), "", "")
 	f.Add(int64(1), "q", "sig")
@@ -30,14 +31,18 @@ func FuzzExecKeyMemo(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, qname, plansig string) {
 		want := ExecKey(seed, qname, plansig)
 		k := NewPlanKey(plansig)
-		if got := k.Key(seed, qname); got != want {
+		if got := k.Key(seed, NameOf(qname)); got != want {
 			t.Fatalf("cold Key(%d, %q) for %q = %d, want %d", seed, qname, plansig, got, want)
 		}
-		if got := k.Key(seed, qname); got != want {
+		if got := k.Key(seed, NameOf(qname)); got != want {
 			t.Fatalf("Key(%d, %q) for %q on its own entry = %d, want %d", seed, qname, plansig, got, want)
 		}
-		if got := warmPlanKey(plansig).Key(seed, qname); got != want {
+		if got := warmPlanKey(plansig).Key(seed, NameOf(qname)); got != want {
 			t.Fatalf("warm Key(%d, %q) for %q = %d, want %d", seed, qname, plansig, got, want)
+		}
+		half := len(qname) / 2
+		if got := k.Key(seed, NameOf(qname[:half]).Add(qname[half:])); got != want {
+			t.Fatalf("Key(%d, NameOf(%q).Add(%q)) for %q = %d, want %d", seed, qname[:half], qname[half:], plansig, got, want)
 		}
 	})
 }
@@ -53,7 +58,7 @@ func TestPlanKeyMatchesExecKey(t *testing.T) {
 		for i := 0; i < 4096; i++ {
 			seed := int64(s.Uint64())
 			name := "grid/" + strconv.Itoa(s.Intn(10000)) + "/q" + strconv.Itoa(p) + "#" + strconv.Itoa(i)
-			if got, want := k.Key(seed, name), ExecKey(seed, name, sig); got != want {
+			if got, want := k.Key(seed, NameOf(name)), ExecKey(seed, name, sig); got != want {
 				t.Fatalf("Key(%d, %q) for %q = %d, want %d", seed, name, sig, got, want)
 			}
 		}
@@ -66,8 +71,25 @@ func TestPlanKeyHitAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	k := warmPlanKey("J(J(S(t0),S(t1)),S(t2))")
+	name := NameOf("tenant/template#00042")
 	var sink int64
-	if n := testing.AllocsPerRun(1000, func() { sink += k.Key(5, "tenant/template#00042") }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { sink += k.Key(5, name) }); n != 0 {
 		t.Errorf("memo hit: %v allocs/call, want 0", n)
+	}
+}
+
+// TestAddDecimalMatchesFormatted: AddDecimal hashes exactly the bytes of
+// strconv's formatting, left-padded with zeros to the width.
+func TestAddDecimalMatchesFormatted(t *testing.T) {
+	for _, v := range []uint64{0, 7, 10, 99999, 100000, 1<<32 - 1, 1<<64 - 1} {
+		for _, width := range []int{0, 1, 5, 20} {
+			digits := strconv.FormatUint(v, 10)
+			for len(digits) < width {
+				digits = "0" + digits
+			}
+			if got, want := NameOf("m/q#").AddDecimal(v, width), NameOf("m/q#"+digits); got != want {
+				t.Errorf("AddDecimal(%d, %d) = %#x, want the state after %q, %#x", v, width, got, digits, want)
+			}
+		}
 	}
 }

@@ -84,6 +84,40 @@ func finish(seed int64, h uint64) int64 {
 	return int64(z)
 }
 
+// Name is the FNV-1a state of an execution name hashed so far:
+// ExecKey's query half, kept as a state so a caller that names many
+// executions alike hashes their shared prefix once and each name's own
+// tail only. NameOf(a).Add(b) == NameOf(a + b).
+type Name uint64
+
+// NameOf returns the state after hashing s.
+func NameOf(s string) Name { return Name(fnv1a(fnvOffset64, s)) }
+
+// Add continues the state over the bytes of s.
+func (n Name) Add(s string) Name { return Name(fnv1a(uint64(n), s)) }
+
+// AddDecimal continues the state over v's decimal digits, zero-padded
+// on the left to width (at most 20): the bytes strconv formats v as,
+// after the padding, without building them as a string.
+func (n Name) AddDecimal(v uint64, width int) Name {
+	var buf [20]byte
+	i := len(buf)
+	for {
+		i--
+		buf[i] = byte('0' + v%10)
+		v /= 10
+		if v == 0 && len(buf)-i >= width {
+			break
+		}
+	}
+	h := uint64(n)
+	for _, c := range buf[i:] {
+		h ^= uint64(c)
+		h *= fnvPrime64
+	}
+	return Name(h)
+}
+
 // PlanKey is ExecKey with its plan half memoized: one per plan
 // signature, shared by every execution of that plan, so a key costs the
 // hash of the query name plus one multiply and one load. It keeps
@@ -107,9 +141,10 @@ func NewPlanKey(plansig string) *PlanKey {
 	return &PlanKey{sig: plansig, pow: pow}
 }
 
-// Key equals ExecKey(seed, qname, plansig) for the memo's plansig.
-func (k *PlanKey) Key(seed int64, qname string) int64 {
-	x := fnv1a(fnvOffset64, qname)
+// Key equals ExecKey(seed, qname, plansig) for the memo's plansig,
+// given name = NameOf(qname): the name arrives hashed.
+func (k *PlanKey) Key(seed int64, name Name) int64 {
+	x := uint64(name)
 	r := uint8(x)
 	bit := uint64(1) << (r & 63)
 	if k.set[r>>6].Load()&bit != 0 {

@@ -33,6 +33,15 @@ type Request struct {
 	// does not check it. Nil lets Submit build the plan. No HTTP body
 	// can set it.
 	Plan *uaqetp.Plan `json:"-"`
+	// Exec, when set, names this execution of Query, so an in-process
+	// caller can submit one shared Query many times and still have each
+	// execution measure on a stream of its own: the built-in executor
+	// keys it by the hashed name (uaqetp.ExecuteAs), and the name is
+	// built only for a trace event or an error; the Outcome carries
+	// Query.Name. With no Plan, Submit plans a copy of Query under the
+	// name, so a planner error names the execution. The zero value names
+	// the execution Query.Name. No HTTP body can set it.
+	Exec uaqetp.ExecName `json:"-"`
 }
 
 // Decision is the admission controller's verdict on one request. For a
@@ -67,7 +76,8 @@ type Decision struct {
 }
 
 // queued is one admitted request awaiting execution, with the plan
-// admission predicted — the plan the drain path executes. Instances
+// admission predicted — the plan the drain path executes — and the
+// request's execution name. Instances
 // cycle through queuedPool: Submit takes one from the pool, the drain
 // path returns it after the outcome is recorded. releaseQueued zeroes
 // every field before Put, so the pool holds only dead shells.
@@ -75,6 +85,7 @@ type queued struct {
 	id          uint64
 	tenant      *Tenant
 	query       *uaqetp.Query
+	exec        uaqetp.ExecName
 	pred        *uaqetp.Prediction
 	plan        *uaqetp.Plan
 	absDeadline float64 // virtual clock value the query must finish by
@@ -154,7 +165,11 @@ func (s *Server) Submit(ctx context.Context, req Request) (Decision, error) {
 	}
 
 	t.predictions.Add(1)
-	pred, plan, err := t.predict(ctx, req.Query, req.Plan)
+	pq := req.Query
+	if req.Plan == nil {
+		pq = req.Exec.Query(req.Query)
+	}
+	pred, plan, err := t.predict(ctx, pq, req.Plan)
 	if err != nil {
 		// An unpredictable query is a rejected submission: keep
 		// admitted+rejected reconcilable against submission traffic.
@@ -162,12 +177,12 @@ func (s *Server) Submit(ctx context.Context, req Request) (Decision, error) {
 		if rec := s.cfg.Trace; rec != nil && rec.Enabled(trace.Decisions) {
 			rec.Record(&trace.Event{
 				Kind: trace.KindAdmission, At: s.Clock(), Tenant: t.name,
-				Query: req.Query.Name, Verdict: "reject",
+				Query: req.Exec.Of(req.Query), Verdict: "reject",
 				Reason: "predict: " + err.Error(), Deadline: deadline,
 				Threshold: t.slo.Confidence,
 			})
 		}
-		return Decision{}, fmt.Errorf("serve: predict %q: %w", req.Query.Name, err)
+		return Decision{}, fmt.Errorf("serve: predict %q: %w", req.Exec.Of(req.Query), err)
 	}
 
 	d := Decision{
@@ -207,7 +222,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (Decision, error) {
 	if !d.Admitted {
 		t.rejected.Add(1)
 		d.QueueLen = s.queue.Len()
-		s.traceAdmission(t, req.Query.Name, &d)
+		s.traceAdmission(t, &req, &d)
 		return d, nil
 	}
 	t.admitted.Add(1)
@@ -218,6 +233,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (Decision, error) {
 		id:          d.ID,
 		tenant:      t,
 		query:       req.Query,
+		exec:        req.Exec,
 		pred:        pred,
 		plan:        plan,
 		absDeadline: s.clock + deadline,
@@ -225,7 +241,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (Decision, error) {
 	}
 	heap.Push(&s.queue, it)
 	d.QueueLen = s.queue.Len()
-	s.traceAdmission(t, req.Query.Name, &d)
+	s.traceAdmission(t, &req, &d)
 	return d, nil
 }
 
@@ -250,10 +266,11 @@ func (t *Tenant) predict(ctx context.Context, q *uaqetp.Query, plan *uaqetp.Plan
 	return pred, plan, nil
 }
 
-// traceAdmission emits the decision as a trace event (caller holds
-// qmu, so At reads the clock directly). The Enabled gate keeps the
-// disabled path allocation-free.
-func (s *Server) traceAdmission(t *Tenant, query string, d *Decision) {
+// traceAdmission emits the decision on req as a trace event (caller
+// holds qmu, so At reads the clock directly). The Enabled gate keeps
+// the disabled path allocation-free: the execution's name is built
+// past it.
+func (s *Server) traceAdmission(t *Tenant, req *Request, d *Decision) {
 	rec := s.cfg.Trace
 	if rec == nil || !rec.Enabled(trace.Decisions) {
 		return
@@ -263,7 +280,7 @@ func (s *Server) traceAdmission(t *Tenant, query string, d *Decision) {
 		verdict = "admit"
 	}
 	rec.Record(&trace.Event{
-		Kind: trace.KindAdmission, At: s.clock, Tenant: t.name, Query: query,
+		Kind: trace.KindAdmission, At: s.clock, Tenant: t.name, Query: req.Exec.Of(req.Query),
 		ID: d.ID, Verdict: verdict, Reason: d.Reason, Deadline: d.Deadline,
 		PredMean: d.PredMean, PredSigma: d.PredSigma,
 		QueueWaitMean: d.QueueWaitMean, QueueWaitSigma: d.QueueWaitSigma,
@@ -273,8 +290,13 @@ func (s *Server) traceAdmission(t *Tenant, query string, d *Decision) {
 
 // Outcome is the result of executing one admitted request.
 type Outcome struct {
-	ID      uint64  `json:"id"`
-	Tenant  string  `json:"tenant"`
+	ID     uint64 `json:"id"`
+	Tenant string `json:"tenant"`
+	// Query is the Name of the request's Query, traced or not. A request
+	// submitted under an Exec name carries its template's Name here: the
+	// execution's own name is built only for the Full-level outcome
+	// event and an execution error, so a caller that records nothing
+	// builds no name per outcome.
 	Query   string  `json:"query"`
 	Start   float64 `json:"start"`   // virtual clock at execution start
 	Finish  float64 `json:"finish"`  // virtual clock at completion
@@ -363,7 +385,7 @@ func (s *Server) stepOneLocked(out *Outcome, record bool) (bool, error) {
 
 	// A queued request outlives the Submit that admitted it, so it
 	// executes under no caller's context.
-	elapsed, err := it.tenant.sys.Executor().Execute(context.Background(), it.query, it.plan)
+	elapsed, err := uaqetp.ExecuteAs(context.Background(), it.tenant.sys.Executor(), it.query, it.exec, it.plan)
 	if err != nil {
 		// The request is consumed either way: count the failure so
 		// admitted == executed + failed + queued stays balanced, and
@@ -372,14 +394,15 @@ func (s *Server) stepOneLocked(out *Outcome, record bool) (bool, error) {
 		// so drivers tracking admissions by ID can release theirs.
 		it.tenant.execFailed.Add(1)
 		*out = Outcome{ID: it.id, Tenant: it.tenant.name, Query: it.query.Name, Deadline: it.absDeadline}
+		name := it.exec.Of(it.query)
 		if rec := s.cfg.Trace; rec != nil && rec.Enabled(trace.Full) {
 			rec.Record(&trace.Event{
 				Kind: trace.KindOutcome, At: s.Clock(), Tenant: out.Tenant,
-				Query: out.Query, ID: out.ID, Deadline: out.Deadline,
+				Query: name, ID: out.ID, Deadline: out.Deadline,
 				Reason: "execute: " + err.Error(),
 			})
 		}
-		err = fmt.Errorf("serve: execute %q: %w", it.query.Name, err)
+		err = fmt.Errorf("serve: execute %q: %w", name, err)
 		releaseQueued(it)
 		return true, err
 	}
@@ -412,7 +435,7 @@ func (s *Server) stepOneLocked(out *Outcome, record bool) (bool, error) {
 	if rec := s.cfg.Trace; rec != nil && rec.Enabled(trace.Full) {
 		rec.Record(&trace.Event{
 			Kind: trace.KindOutcome, At: out.Finish, Tenant: out.Tenant,
-			Query: out.Query, ID: out.ID, Deadline: out.Deadline,
+			Query: it.exec.Of(it.query), ID: out.ID, Deadline: out.Deadline,
 			Start: out.Start, Finish: out.Finish, Elapsed: out.Elapsed,
 			Met: out.Met, PredMean: out.PredMean, PredSigma: out.PredSigma,
 		})

@@ -146,6 +146,10 @@ func (f *FrontDoor) Refund(class string, shed Verdict) {
 // skip computing bestP when it is not).
 func (f *FrontDoor) Predictive() bool { return f.cfg.Predictive }
 
+// Burst is the bucket's capacity as resolved: the configured Burst, or
+// the default an unset one selects.
+func (f *FrontDoor) Burst() float64 { return f.cfg.Burst }
+
 // Counters snapshots the per-class tallies sorted by class, the stable
 // order reports and metrics pages need (nil before any submission).
 func (f *FrontDoor) Counters() []ClassCounters {

@@ -108,7 +108,7 @@ func TestArrivalOrderMatchesComparator(t *testing.T) {
 		for ti := 0; ti < 1+src.Intn(40); ti++ {
 			for k := 0; k < src.Intn(12); k++ {
 				arrs = append(arrs, arrival{
-					at: times[src.Intn(len(times))], tenant: int32(ti), ord: int32(k),
+					at: times[src.Intn(len(times))], tenant: int32(ti), ord: uint32(k),
 					tmpl: &tmpls[src.Intn(len(tmpls))],
 				})
 			}

@@ -225,19 +225,25 @@ func (s *simRun) expandTenants() error {
 			g.effDeadline = slo.DefaultDeadline
 		}
 		if spec.Count <= 1 {
-			s.tenants = append(s.tenants, tenantState{name: spec.Name, group: gi})
+			s.tenants = append(s.tenants, newMember(spec.Name, gi))
 			continue
 		}
 		for k := 0; k < spec.Count; k++ {
-			s.tenants = append(s.tenants, tenantState{name: fmt.Sprintf("%s/%04d", spec.Name, k), group: gi})
+			s.tenants = append(s.tenants, newMember(fmt.Sprintf("%s/%04d", spec.Name, k), gi))
 		}
 	}
 	return nil
 }
 
+// newMember is the member named name of group gi.
+func newMember(name string, gi int) tenantState {
+	return tenantState{name: name, exec: uaqetp.NewExecMember(name), group: gi}
+}
+
 // buildArrivals draws every tenant member's arrival sequence into one
-// sorted slice — template references only; queries are cloned when the
-// event fires — and sizes each group's latency samples for its share.
+// sorted slice — template references and ordinals only, which name an
+// execution when the event fires — and sizes each group's latency
+// samples for its share.
 // Members of a Count group share one generated query pool (the pool
 // depends only on the benchmark and pool size) but draw from it with
 // independent per-member RNG streams.
@@ -269,7 +275,7 @@ func (s *simRun) buildArrivals() error {
 		times = spec.Arrivals.times(times[:0], &src, s.sc.Horizon)
 		for k, at := range times {
 			s.arrivals = append(s.arrivals, arrival{
-				at: at, tenant: int32(ti), ord: int32(k), tmpl: pool[src.Intn(len(pool))],
+				at: at, tenant: int32(ti), ord: uint32(k), tmpl: pool[src.Intn(len(pool))],
 			})
 		}
 		counts[ts.group] += len(times)

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"math"
-	"strconv"
-	"strings"
 
 	uaqetp "repro"
 	"repro/internal/serve"
@@ -14,34 +12,34 @@ import (
 // The event engine holds the two discrete event kinds in separate
 // structures shaped for their sizes. Arrivals — the bulk, potentially
 // millions — are drawn up front, sorted once, and consumed through a
-// cursor: no heap traffic, no per-event allocation, and the query clone
-// each arrival needs is made lazily at processing time, so a
-// million-arrival scenario never holds a million cloned queries at
-// once. Completions (one in-flight query per machine, so at most
-// #machines outstanding) live in a small value-based binary heap over a
-// reused backing slice.
+// cursor: no heap traffic, no per-event allocation. An arrival submits
+// its template's shared query and plan under an execution name hashed
+// from its member, template and ordinal (uaqetp.ExecName): no query is
+// copied and no name is built unless a trace records it. Completions
+// (one in-flight query per machine, so at most #machines outstanding)
+// live in a small value-based binary heap over a reused backing slice.
 //
 // The merged order is (time, tie: arrivals first, then completion push
 // order) — exactly the order the previous pointer-heap produced, where
 // arrivals were assigned the lowest sequence numbers up front.
 
-// arrival is one query arriving at the router: a template reference
-// plus placement, cloned into a uniquely named query only when the
-// event fires.
+// arrival is one query arriving at the router: a template reference,
+// the member it comes from and its ordinal among the member's arrivals,
+// which name its execution.
 type arrival struct {
 	at     float64
 	tenant int32
-	ord    int32
+	ord    uint32
 	tmpl   *template
 }
 
-// template is one pool query with what its arrivals share. plan is
+// template is one pool query with what its arrivals share: every
+// arrival submits q itself, under an execution name of its own. plan is
 // built once through the base System's planner, which every machine's
 // tenant System shares; it is nil when the query fails to plan, so
 // Submit plans it itself and rejects the arrival as before. pred is the
 // base System's prediction, memoized on first use (a failure too): the
-// base predictor never swaps mid-run and clones share their template's
-// plan, so it stands for predicting the clone.
+// base predictor never swaps mid-run, so it stands for every arrival's.
 type template struct {
 	q         *uaqetp.Query
 	plan      *uaqetp.Plan
@@ -70,30 +68,6 @@ func freeLess(a, b freeEvent) bool {
 type pendingArrival struct {
 	group int
 	at    float64
-}
-
-// cloneQuery gives one arrival its own copy of a pool query under a
-// unique name (tenant/template#ordinal, ordinal zero-padded to five
-// digits). The plan (and therefore every cached sampling pass and run
-// result) is unchanged — only the executor's measurement stream, which
-// is seeded per query name, differs — so repeated arrivals of the same
-// template draw independent deterministic running times instead of
-// replaying one number.
-func cloneQuery(base *uaqetp.Query, tenant string, ordinal int) *uaqetp.Query {
-	q := *base
-	o := strconv.Itoa(ordinal)
-	var b strings.Builder
-	b.Grow(len(tenant) + len(base.Name) + len(o) + 7)
-	b.WriteString(tenant)
-	b.WriteByte('/')
-	b.WriteString(base.Name)
-	b.WriteByte('#')
-	for i := len(o); i < 5; i++ {
-		b.WriteByte('0')
-	}
-	b.WriteString(o)
-	q.Name = b.String()
-	return &q
 }
 
 // pushFree schedules a machine completion, assigning the next sequence
@@ -206,14 +180,15 @@ func (s *simRun) loop() error {
 }
 
 // handleArrival passes the arrival through the fleet's front door
-// (sharded topologies only), clones its template once admitted there
-// (a shed arrival's clone names only its trace event), routes it within
-// its member's shard, and runs admission on the chosen machine at event
-// time, under the group's serving tenant. Its trace emissions land in
-// call order: the placement event, then whatever the clock advance and
-// the admission make the server emit.
+// (sharded topologies only), routes it within its member's shard, and
+// runs admission on the chosen machine at event time, under the group's
+// serving tenant. Its trace emissions land in call order: the placement
+// event, then whatever the clock advance and the admission make the
+// server emit; only they build the execution's name.
 func (s *simRun) handleArrival(a arrival) error {
-	ts := s.tenants[a.tenant]
+	ts := &s.tenants[a.tenant]
+	q := a.tmpl.q
+	name := ts.exec.Exec(q, a.ord)
 	g := &s.groups[ts.group]
 	lo, hi, sid := 0, len(s.machines), 0
 	shardName := ""
@@ -237,7 +212,7 @@ func (s *simRun) handleArrival(a arrival) error {
 				if s.decisions {
 					s.rec.Record(&trace.Event{
 						Kind: trace.KindAdmission, At: a.at, Machine: -1, Shard: shardName,
-						Tenant: ts.name, Query: cloneQuery(a.tmpl.q, ts.name, int(a.ord)).Name,
+						Tenant: ts.name, Query: name.Of(q),
 						Verdict: string(v), Reason: "front-door",
 						Deadline: g.effDeadline, PMeet: bestP, Threshold: g.confidence,
 					})
@@ -246,8 +221,7 @@ func (s *simRun) handleArrival(a arrival) error {
 			}
 		}
 	}
-	q := cloneQuery(a.tmpl.q, ts.name, int(a.ord))
-	m, err := s.route(ts.group, q, a.tmpl, g.effDeadline, a.at, lo, hi, sid)
+	m, err := s.route(ts.group, a.tmpl, g.effDeadline, a.at, lo, hi, sid)
 	if err != nil {
 		return err
 	}
@@ -255,7 +229,7 @@ func (s *simRun) handleArrival(a arrival) error {
 	if s.decisions {
 		ev := trace.Event{
 			Kind: trace.KindPlacement, At: a.at, Machine: m, Shard: shardName,
-			Tenant: ts.name, Query: q.Name,
+			Tenant: ts.name, Query: name.Of(q),
 			Router: s.router, TieBreak: s.tieBreak,
 		}
 		if len(s.cands) > 0 {
@@ -266,7 +240,7 @@ func (s *simRun) handleArrival(a arrival) error {
 	ms.srv.AdvanceClock(a.at)
 	dec, err := ms.srv.Submit(s.ctx, serve.Request{
 		Tenant: s.sc.Tenants[ts.group].Name, Query: q, Deadline: s.sc.Tenants[ts.group].Deadline,
-		Plan: a.tmpl.plan,
+		Plan: a.tmpl.plan, Exec: name,
 	})
 	if err != nil {
 		// An unpredictable query is already tallied as a rejection

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/serve"
@@ -63,10 +64,11 @@ func TestAllRejectedTenantReport(t *testing.T) {
 // (arrival routing + admission or completion + next-request execution)
 // must stay within a fixed allocation budget. The seed trajectory spent
 // ~300 allocs/event; with each request planned once and its cache keys
-// memoized on the plan, an event allocates ~2.1 times (mostly the
-// arrival's query clone and its name; the measurement stream allocates
-// nothing). The budget of 4 catches a per-request fingerprint,
-// key or option struct coming back.
+// memoized on the plan and each execution named by hash, an event
+// allocates ~0.8 times: the run's set-up and report spread over its
+// events (TestUntracedArrivalAllocs holds an arrival itself at zero).
+// The budget of 4 catches a per-request fingerprint, key or option
+// struct coming back.
 func TestEventDispatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -149,4 +151,49 @@ func TestReportAllocs(t *testing.T) {
 		t.Errorf("report allocates %.0f times with 10,000 members and %.0f with 100: it grows with the member count", large, small)
 	}
 	t.Logf("report: %.0f allocs at 100 members, %.0f at 10,000", small, large)
+}
+
+// TestUntracedArrivalAllocs pins what an untraced arrival allocates
+// with the caches warm: nothing. An arrival — named by hash, routed,
+// admitted and started on its machine — submits its template's shared
+// query under an execution name it never builds. The event loop of a
+// 200-second run, 800 arrivals and their completions, allocates about
+// 10 times, all of it growth: the server's queue, the pending-admission
+// map, the completion heap and a queued-request pool miss. A query
+// copied or a name built per arrival (2 to 3 allocations each) would
+// exceed the budget a hundredfold.
+func TestUntracedArrivalAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, router := range []string{RouterRoundRobin, RouterLeastRisk} {
+		sc := testScenario()
+		sc.Router = router
+		sc.Horizon = 200
+		rs, sys, cache := openScenario(t, sc)
+		if _, err := runOn(rs, sys, cache, runSinks{}); err != nil {
+			t.Fatal(err)
+		}
+		s, err := newRun(rs, sys, cache, runSinks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := s.loop(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		allocs := after.Mallocs - before.Mallocs
+		// 8 to 12 measured, with room for the runtime's growth policies.
+		const budget = 16
+		if allocs > budget {
+			t.Errorf("%s: %d arrivals allocate %d times, budget %d: an arrival allocates again", router, len(s.arrivals), allocs, budget)
+		}
+		t.Logf("%s: %d allocs over %d arrivals", router, allocs, len(s.arrivals))
+	}
 }

@@ -229,7 +229,9 @@ type ClassReport = shard.ClassCounters
 // FrontDoorReport summarizes the fleet's intake valve: configuration
 // plus per-SLO-class verdict counters, classes sorted by name.
 type FrontDoorReport struct {
-	Rate       float64 `json:"rate"`
+	Rate float64 `json:"rate"`
+	// Burst is the bucket capacity the front door resolved: the
+	// scenario's burst, or max(rate, 1) when it set none.
 	Burst      float64 `json:"burst"`
 	Predictive bool    `json:"predictive"`
 	// AdmissionFairness is shard.AdmissionFairness over Classes.

@@ -59,7 +59,7 @@ func Routers() []string {
 // candidate scoring vector in s.cands (machine order) and the reason
 // the winner won in s.tieBreak; capturing is pure observation — the
 // comparisons and the chosen machine are identical with tracing off.
-func (s *simRun) route(group int, q *uaqetp.Query, tmpl *template, deadline, now float64, lo, hi, sid int) (int, error) {
+func (s *simRun) route(group int, tmpl *template, deadline, now float64, lo, hi, sid int) (int, error) {
 	capture := s.decisions
 	if capture {
 		s.cands = s.cands[:0]
@@ -94,7 +94,7 @@ func (s *simRun) route(group int, q *uaqetp.Query, tmpl *template, deadline, now
 		return best, nil
 
 	case RouterLeastRisk, RouterLeastRiskShared:
-		return s.routeLeastRisk(group, q, tmpl, deadline, now, lo, hi)
+		return s.routeLeastRisk(group, tmpl, deadline, now, lo, hi)
 	}
 	return 0, fmt.Errorf("sim: unknown router %q", s.router)
 }
@@ -114,7 +114,7 @@ func (s *simRun) route(group int, q *uaqetp.Query, tmpl *template, deadline, now
 // prediction is shared through the fleet cache (estimates are
 // machine-independent), so the per-machine work is one analytic unit
 // propagation each.
-func (s *simRun) routeLeastRisk(group int, q *uaqetp.Query, tmpl *template, deadline, now float64, lo, hi int) (int, error) {
+func (s *simRun) routeLeastRisk(group int, tmpl *template, deadline, now float64, lo, hi int) (int, error) {
 	// The CDF saturates once a machine is safely fast enough, so ties
 	// within riskEps — e.g. an idle fleet, where every machine is
 	// equally certain — break toward the least expected wait: among
@@ -128,12 +128,12 @@ func (s *simRun) routeLeastRisk(group int, q *uaqetp.Query, tmpl *template, dead
 		var pred *uaqetp.Prediction
 		var err error
 		if own := ms.tenants[group].System(); s.router == RouterLeastRisk && own.Predictor() != base {
-			pred, err = own.PredictContext(s.ctx, q)
+			pred, err = own.PredictContext(s.ctx, tmpl.q)
 		} else {
 			pred, err = s.sharedPred(tmpl)
 		}
 		if err != nil {
-			return 0, fmt.Errorf("sim: route predict %q on machine %d: %w", q.Name, m, err)
+			return 0, fmt.Errorf("sim: route predict %q on machine %d: %w", tmpl.q.Name, m, err)
 		}
 		qlen, wait, waitVar := ms.srv.QueueStateAt(now)
 		p := serve.PMeet(pred.Mean(), pred.Sigma(), wait, waitVar, deadline)

@@ -268,10 +268,28 @@ func TestShardedValidation(t *testing.T) {
 	}
 }
 
+// TestFrontDoorReportsResolvedBurst: a front door whose scenario omits
+// burst reports the capacity its bucket holds, max(rate, 1), not the
+// zero it was given.
+func TestFrontDoorReportsResolvedBurst(t *testing.T) {
+	for _, c := range []struct{ rate, want float64 }{{300, 300}, {0.5, 1}} {
+		sc := shardedScenario()
+		sc.Horizon = 2
+		sc.Shards.FrontDoor = &FrontDoorSpec{Rate: c.rate, Predictive: true}
+		rep, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.Shards.FrontDoor.Burst; got != c.want {
+			t.Errorf("rate %g with burst omitted: report says burst %g, want %g", c.rate, got, c.want)
+		}
+	}
+}
+
 // TestFrontDoorEventsNameTheArrival: a request shed at the front door
-// is never cloned, yet its trace event names it exactly as an admitted
-// arrival's query is named, member/template#ordinal, and no two
-// arrivals share a name across front-door and placement events.
+// never reaches a server, yet its trace event names it exactly as an
+// admitted arrival's execution is named, member/template#ordinal, and
+// no two arrivals share a name across front-door and placement events.
 func TestFrontDoorEventsNameTheArrival(t *testing.T) {
 	sc := shardedScenario()
 	sc.Horizon = 5

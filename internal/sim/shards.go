@@ -181,7 +181,7 @@ func (s *simRun) shardsReport() *ShardsReport {
 	if fd := sh.front; fd != nil {
 		classes := fd.Counters()
 		rep.FrontDoor = &FrontDoorReport{
-			Rate: sh.spec.FrontDoor.Rate, Burst: sh.spec.FrontDoor.Burst,
+			Rate: sh.spec.FrontDoor.Rate, Burst: fd.Burst(),
 			Predictive:        sh.spec.FrontDoor.Predictive,
 			AdmissionFairness: shard.AdmissionFairness(classes), Classes: classes,
 		}

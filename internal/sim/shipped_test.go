@@ -275,6 +275,27 @@ func TestShippedReportsPinned(t *testing.T) {
 	}
 }
 
+// TestUntracedReportsPinned holds the untraced path to the same
+// goldens: every fixture run carries both sinks, and an untraced
+// arrival is the one that names its execution without ever building the
+// name, so this is what would catch the two paths measuring apart. The
+// cluster, pinned by hash, runs only in the fixture.
+func TestUntracedReportsPinned(t *testing.T) {
+	for _, file := range shippedFiles(t) {
+		golden := shippedPins[file].golden
+		if golden == "" {
+			continue
+		}
+		t.Run(file, func(t *testing.T) {
+			rep, err := Run(loadShipped(t, file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareGolden(t, reportBytes(t, rep), golden)
+		})
+	}
+}
+
 // TestV2DriftStreamHashes pins the drift scenario's instrumented
 // streams: the report must be unperturbed by a Decisions-level trace,
 // and the decision trace and calibration stream must match their

@@ -71,10 +71,12 @@ type groupState struct {
 // tenantState is one traffic source: a single TenantSpec, or one member
 // of a Count-expanded group. A member owns only its name ("spec.Name/
 // 0007" in groups, spec.Name itself otherwise), which places it in the
-// shard directory and names its queries, and its arrival stream, drawn
-// from its index; group indexes the TenantSpec it serves under.
+// shard directory and, hashed once into exec, names its executions, and
+// its arrival stream, drawn from its index; group indexes the TenantSpec
+// it serves under.
 type tenantState struct {
 	name  string
+	exec  uaqetp.ExecMember
 	group int
 }
 

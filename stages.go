@@ -39,15 +39,15 @@ type Plan struct {
 	exec atomic.Pointer[rng.PlanKey]
 }
 
-// execKey is rng.ExecKey(seed, qname, p.root.Sig), through the plan's
-// memo of the signature half.
-func (p *Plan) execKey(seed int64, qname string) int64 {
+// execKey is rng.ExecKey(seed, qname, p.root.Sig) for name =
+// rng.NameOf(qname), through the plan's memo of the signature half.
+func (p *Plan) execKey(seed int64, name rng.Name) int64 {
 	k := p.exec.Load()
 	if k == nil {
 		p.exec.CompareAndSwap(nil, rng.NewPlanKey(p.root.Sig))
 		k = p.exec.Load()
 	}
-	return k.Key(seed, qname)
+	return k.Key(seed, name)
 }
 
 // key returns the plan's key record under namespace ns for a cache
@@ -324,54 +324,6 @@ func (d *defaultPredictor) Predict(ctx context.Context, p *Plan, est *Estimates)
 	d.memo[k] = out
 	d.mu.Unlock()
 	return out, nil
-}
-
-// simExecutor runs plans on the simulated hardware with the
-// deterministic per-call seeding Execute has always used. Plan runs
-// (engine.Run) go through the estimate cache's run section: the run
-// result — the plan's operator tree with each operator's cardinalities,
-// selectivity and resource counts, no rows — is a pure function of the
-// generated database and the plan, so repeated executions — and
-// executions by other Systems sharing the cache, even on different
-// machine profiles — reuse one run while each call still draws its own
-// deterministic measurement stream. An execution is one run of that
-// stream (hardware.RunPlanSeeded), the unit the predicted distribution
-// describes.
-type simExecutor struct {
-	db      *engine.DB
-	profile *hardware.Profile
-	seed    int64
-	cache   *EstimateCache
-	runNS   string
-	ver     rng.Version
-}
-
-func (x simExecutor) Execute(ctx context.Context, q *Query, p *Plan) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if err := p.valid(); err != nil {
-		return 0, err
-	}
-	res, err := runSimulated(ctx, x.cache, x.runNS, x.db, p)
-	if err != nil {
-		return 0, err
-	}
-	return x.profile.RunPlanSeeded(res, x.ver, p.execKey(x.seed, q.Name)), nil
-}
-
-// runSimulated executes a built plan, memoized in the cache's run
-// section. It is the single plan run behind the default Executor and
-// System.Measure; both then draw from the same deterministic per-call
-// stream (see internal/rng), the Executor one realization and Measure
-// the mean of hardware.AverageRuns. The cache keeps engine.Run's result
-// tree as it comes: counts, cardinalities and selectivities, never
-// rows.
-func runSimulated(ctx context.Context, c *EstimateCache, ns string, db *engine.DB, p *Plan) (*engine.OpResult, error) {
-	k := p.key(&p.run, ns, c.tier)
-	return c.runs.get(ctx, k, func() (*engine.OpResult, error) {
-		return engine.Run(db, p.root)
-	})
 }
 
 // ---------------------------------------------------------------------
