@@ -452,16 +452,16 @@ func (s *System) predictResolved(ctx context.Context, p *Plan, stage Predictor) 
 // WithPlanHint predicts a specific alternative instead of the default
 // plan.
 func (s *System) PredictContext(ctx context.Context, q *Query, opts ...CallOption) (*Prediction, error) {
-	pred, _, err := s.PredictPlannedContext(ctx, q, opts...)
+	pred, _, err := s.predictPlannedContext(ctx, q, opts...)
 	return pred, err
 }
 
-// PredictPlannedContext returns the prediction together with the plan it
-// was made for, so a caller that goes on to execute resolves the
-// physical plan once and runs exactly the plan that was predicted, as
-// PredictAndRunContext does. (The serving layer predicts through its
-// tenant's stages directly, on a plan it may already hold.)
-func (s *System) PredictPlannedContext(ctx context.Context, q *Query, opts ...CallOption) (*Prediction, *Plan, error) {
+// predictPlannedContext returns the prediction together with the plan it
+// was made for, so PredictAndRunContext resolves the physical plan once
+// and runs exactly the plan that was predicted. (The serving layer
+// predicts through its tenant's stages directly, on a plan it may
+// already hold.)
+func (s *System) predictPlannedContext(ctx context.Context, q *Query, opts ...CallOption) (*Prediction, *Plan, error) {
 	p, err := s.resolvePlan(ctx, q, newCallOpts(opts))
 	if err != nil {
 		return nil, nil, err
@@ -554,7 +554,7 @@ func (s *System) ChoosePlanContext(ctx context.Context, q *Query, opts ...CallOp
 // PredictAndRunContext is a convenience helper returning both the
 // prediction and the measured time of the one plan it resolves.
 func (s *System) PredictAndRunContext(ctx context.Context, q *Query, opts ...CallOption) (*Prediction, float64, error) {
-	pred, p, err := s.PredictPlannedContext(ctx, q, opts...)
+	pred, p, err := s.predictPlannedContext(ctx, q, opts...)
 	if err != nil {
 		return nil, 0, err
 	}

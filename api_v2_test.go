@@ -229,7 +229,7 @@ func TestPlanHint(t *testing.T) {
 			break
 		}
 	}
-	pred, plan, err := sys.PredictPlannedContext(ctx, q, WithPlanHint(target.Plan), WithMaxAlts(6))
+	pred, plan, err := sys.predictPlannedContext(ctx, q, WithPlanHint(target.Plan), WithMaxAlts(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func TestNilQueryIsAnError(t *testing.T) {
 		call func() error
 	}{
 		{"PredictContext", func() error { _, err := sys.PredictContext(ctx, nil); return err }},
-		{"PredictPlannedContext", func() error { _, _, err := sys.PredictPlannedContext(ctx, nil); return err }},
+		{"predictPlannedContext", func() error { _, _, err := sys.predictPlannedContext(ctx, nil); return err }},
 		{"ExecuteContext", func() error { _, err := sys.ExecuteContext(ctx, nil); return err }},
 		{"AlternativesContext", func() error { _, err := sys.AlternativesContext(ctx, nil); return err }},
 		{"ChoosePlanContext", func() error { _, _, err := sys.ChoosePlanContext(ctx, nil); return err }},
@@ -484,8 +484,8 @@ func TestPublicSurface(t *testing.T) {
 		"CostUnits", "Estimator", "ExecuteContext", "Executor",
 		"GenerateWorkload", "Measure", "Plan", "Planner",
 		"PredictAndRunContext", "PredictBatchContext", "PredictContext",
-		"PredictPlannedContext", "Predictor", "Recalibrate", "UnitDists",
-		"With", "WithDriftInjection", "WithMachine", "WithSamplingRatio",
+		"Predictor", "Recalibrate", "UnitDists", "With",
+		"WithDriftInjection", "WithMachine", "WithSamplingRatio",
 		"WithVariant",
 	}
 	if !reflect.DeepEqual(methods, wantMethods) {

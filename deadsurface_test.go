@@ -11,12 +11,13 @@ import (
 	"testing"
 )
 
-// liveWithoutCaller lists the exported functions and methods that
-// TestNoDeadExportedSurface keeps although no non-test code refers to
-// them, each with its reason. A function is named "dir.Name", a method
-// "dir.Recv.Name" (dir is the package directory's last element; the
-// root package is "uaqetp"); an interface method any type may implement
-// is "*.Name".
+// liveWithoutCaller lists the exported names that
+// TestNoDeadExportedSurface keeps although nothing reads them (no
+// non-test code at all, or, under internal/, no other package's), each
+// with its reason. A function, constant or variable is named
+// "dir.Name", a method "dir.Recv.Name" (dir is the package directory's
+// last element; the root package is "uaqetp"); an interface method any
+// type may implement is "*.Name".
 var liveWithoutCaller = map[string]string{
 	// Reference oracles: each is the slow or exact computation tests
 	// hold the fast path to.
@@ -29,13 +30,16 @@ var liveWithoutCaller = map[string]string{
 	"trace.ReadJSONL":                   "reference oracle: reads a written stream back for round-trip tests; a fuzz target of ROADMAP item 6 (b)",
 	"trace.TallyByTenant":               "reference oracle: per-tenant tallies of a trace, held to the report's counters",
 	// Entries ROADMAP earmarks for a later decision.
-	"stats.VarX2":           "ROADMAP item 14 (c): a Gaussian moment helper the exact covariances will read",
-	"stats.CovXX2":          "ROADMAP item 14 (c): a Gaussian moment helper the exact covariances will read",
-	"stats.CovProductLeft":  "ROADMAP item 14 (c): a Gaussian moment helper the exact covariances will read",
-	"stats.ProductVar":      "ROADMAP item 14 (c): a Gaussian moment helper the exact covariances will read",
-	"hardware.ParseProfile": "ROADMAP item 6 (b): a fuzz target, and the JSON form of a profile",
-	"exper.Lab.RunGrid":     "ROADMAP item 8's verdict: carries the Lab's tested concurrency contract",
-	"sim.FleetList":         "ROADMAP item 8's verdict: the Go form of a scenario's machines list",
+	"stats.VarX2":          "ROADMAP item 14 (c): a Gaussian moment helper the exact covariances will read",
+	"stats.CovXX2":         "ROADMAP item 14 (c): a Gaussian moment helper the exact covariances will read",
+	"stats.CovProductLeft": "ROADMAP item 14 (c): a Gaussian moment helper the exact covariances will read",
+	"stats.ProductVar":     "ROADMAP item 14 (c): a Gaussian moment helper the exact covariances will read",
+	"exper.Lab.RunGrid":    "ROADMAP item 8's verdict: carries the Lab's tested concurrency contract",
+	"sim.FleetList":        "ROADMAP item 8's verdict: the Go form of a scenario's machines list",
+	// Vocabulary that tests and callers build on.
+	"hardware.PC1": "the paper's two machines, which every package's tests build on",
+	"hardware.PC2": "the paper's two machines, which every package's tests build on",
+	"trace.Off":    "the zero value of the exported Level enum: what ParseLevel returns for \"\" and \"off\", and what a caller's own Recorder compares against",
 	// Test seams: options that swap one pipeline stage for a stub.
 	"uaqetp.WithPlanner":   "test seam: swaps the planner stage",
 	"uaqetp.WithEstimator": "test seam: swaps the estimator stage",
@@ -46,25 +50,32 @@ var liveWithoutCaller = map[string]string{
 	"*.MarshalJSON":   "json.Marshaler",
 	"*.UnmarshalJSON": "json.Unmarshaler",
 	"*.ReadFrom":      "io.ReaderFrom",
+	"*.Push":          "container/heap.Interface",
+	"*.Pop":           "container/heap.Interface",
 }
 
 // TestNoDeadExportedSurface parses every non-test Go file of the module
-// and fails for each exported function or method declared outside
-// bench/, cmd/ and examples/ whose name no non-test code outside its own
-// declaration refers to: as a call (Name(...)), a selector (x.Name) or a
-// value (a registry entry such as exper.Reports'). Exported surface
-// nothing reads is a candidate for removal, not for keeping. The match
-// is by name, so it errs towards keeping; liveWithoutCaller holds the
-// rest, and an entry there that names nothing, or something that has a
-// reader, fails too.
+// and fails for each exported name nothing reads. Outside bench/, cmd/
+// and examples/, an exported function or method is dead when no non-test
+// code outside its own declaration refers to it: as a call (Name(...)),
+// a selector (x.Name) or a value (a registry entry such as
+// exper.Reports'). Under internal/, an exported function, method,
+// constant or variable is dead unless non-test code of another package
+// (bench/, cmd/ and examples/ included) names it in a selector: a name
+// only its own package reads is the package's, not its surface. The
+// match is by name, so it errs towards keeping; liveWithoutCaller holds
+// the rest, and an entry there that names nothing, or something that
+// has a reader, fails too.
 func TestNoDeadExportedSurface(t *testing.T) {
 	type decl struct {
-		key, file  string
-		start, end token.Pos
+		key, file, dir string
+		internal       bool
+		start, end     token.Pos
 	}
 	type ref struct {
-		file string
-		pos  token.Pos
+		file, dir string
+		pos       token.Pos
+		sel       bool
 	}
 	var decls []decl
 	refs := make(map[string][]ref)
@@ -87,23 +98,44 @@ func TestNoDeadExportedSurface(t *testing.T) {
 			return err
 		}
 		top, _, _ := strings.Cut(filepath.ToSlash(path), "/")
-		pkg := filepath.Base(filepath.Dir(path))
+		checked := top != "bench" && top != "cmd" && top != "examples"
+		internal := top == "internal"
+		dir := filepath.Dir(path)
+		pkg := filepath.Base(dir)
 		if pkg == "." {
 			pkg = "uaqetp"
+		}
+		add := func(key string, n ast.Node) {
+			decls = append(decls, decl{key, path, dir, internal, n.Pos(), n.End()})
+		}
+		// Package-level constants and variables, under internal/ only.
+		for _, gd := range f.Decls {
+			gd, ok := gd.(*ast.GenDecl)
+			if !internal || !ok || gd.Tok != token.CONST && gd.Tok != token.VAR {
+				continue
+			}
+			for _, sp := range gd.Specs {
+				for _, id := range sp.(*ast.ValueSpec).Names {
+					if id.IsExported() {
+						add(pkg+"."+id.Name, sp)
+					}
+				}
+			}
 		}
 		// Names that declare rather than refer: functions, fields,
 		// parameters, types, variables and composite-literal keys.
 		declaring := make(map[*ast.Ident]bool)
+		selected := make(map[*ast.Ident]bool)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				declaring[n.Name] = true
-				if top != "bench" && top != "cmd" && top != "examples" && n.Name.IsExported() {
+				if checked && n.Name.IsExported() {
 					key := pkg + "." + n.Name.Name
 					if n.Recv != nil {
 						key = pkg + "." + recvName(n.Recv.List[0].Type) + "." + n.Name.Name
 					}
-					decls = append(decls, decl{key, path, n.Pos(), n.End()})
+					add(key, n)
 				}
 			case *ast.Field:
 				for _, id := range n.Names {
@@ -119,9 +151,11 @@ func TestNoDeadExportedSurface(t *testing.T) {
 				if id, ok := n.Key.(*ast.Ident); ok {
 					declaring[id] = true
 				}
+			case *ast.SelectorExpr:
+				selected[n.Sel] = true
 			case *ast.Ident:
 				if !declaring[n] {
-					refs[n.Name] = append(refs[n.Name], ref{path, n.Pos()})
+					refs[n.Name] = append(refs[n.Name], ref{path, dir, n.Pos(), selected[n]})
 				}
 			}
 			return true
@@ -137,7 +171,8 @@ func TestNoDeadExportedSurface(t *testing.T) {
 		name := d.key[strings.LastIndex(d.key, ".")+1:]
 		live := false
 		for _, r := range refs[name] {
-			if r.file != d.file || r.pos < d.start || r.pos >= d.end {
+			if d.internal && r.sel && r.dir != d.dir ||
+				!d.internal && (r.file != d.file || r.pos < d.start || r.pos >= d.end) {
 				live = true
 				break
 			}
@@ -159,11 +194,11 @@ func TestNoDeadExportedSurface(t *testing.T) {
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
-		t.Errorf("exported %s: nothing outside its declaration refers to it; delete it, or list it with a reason in liveWithoutCaller", d)
+		t.Errorf("exported %s: nothing outside its package (under internal/) or its declaration reads it; unexport or delete it, or list it with a reason in liveWithoutCaller", d)
 	}
 	for key := range liveWithoutCaller {
 		if !matched[key] {
-			t.Errorf("liveWithoutCaller lists %s, which no unread exported function or method declares", key)
+			t.Errorf("liveWithoutCaller lists %s, which no unread exported name declares", key)
 		}
 	}
 }

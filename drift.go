@@ -31,8 +31,8 @@ type TruthSwitch struct {
 // Switch makes the drift take effect. Idempotent.
 func (t *TruthSwitch) Switch() { t.flag.Store(true) }
 
-// Switched reports whether the drift has taken effect.
-func (t *TruthSwitch) Switched() bool { return t.flag.Load() }
+// switched reports whether the drift has taken effect.
+func (t *TruthSwitch) switched() bool { return t.flag.Load() }
 
 // switchExecutor routes Execute through the pre-drift executor until
 // the switch fires, then through the post-drift one. Both sides use
@@ -45,7 +45,7 @@ type switchExecutor struct {
 
 // current is the executor measuring now.
 func (x *switchExecutor) current() simExecutor {
-	if x.sw.Switched() {
+	if x.sw.switched() {
 		return x.after
 	}
 	return x.before
@@ -90,7 +90,7 @@ func (s *System) WithDriftInjection(before *hardware.Profile) (*System, *TruthSw
 	derived := s.With(WithExecutor(&switchExecutor{sw: sw, before: preExec, after: after}))
 	derived.pred = newPredictorHandle(defaultPredictorState(s.cat, cal.Units, s.cfg.Variant))
 	derived.truth = func() *hardware.Profile {
-		if sw.Switched() {
+		if sw.switched() {
 			return s.profile
 		}
 		return &prof

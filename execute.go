@@ -57,7 +57,7 @@ func (x simExecutor) run(ctx context.Context, q *Query, n ExecName, p *Plan) (fl
 // section. It is the single plan run behind the default Executor and
 // System.Measure; both then draw from the same deterministic per-call
 // stream (see internal/rng), the Executor one realization and Measure
-// the mean of hardware.AverageRuns. The cache keeps engine.Run's result
+// the mean of five (hardware.MeasurePlanSeeded). The cache keeps engine.Run's result
 // tree as it comes: counts, cardinalities and selectivities, never
 // rows.
 func runSimulated(ctx context.Context, c *EstimateCache, ns string, db *engine.DB, p *Plan) (*engine.OpResult, error) {

@@ -32,7 +32,7 @@ type Measurement struct {
 
 // Measure executes the query on the built-in simulator under the
 // paper's measurement protocol: Actual is the mean of
-// hardware.AverageRuns runs of the default Executor's deterministic
+// five runs (hardware.MeasurePlanSeeded) of the default Executor's deterministic
 // per-call stream, the first of which is what ExecuteContext(ctx, q)
 // returns unless a custom Executor stage is installed. It additionally
 // reports the sampling overhead and per-operator selectivity ground

@@ -15,7 +15,7 @@ import (
 
 // TestMeasureMatchesExecute holds the execute/measure split on a v1 and
 // a v2 System: ExecuteContext is one run of the per-call measurement
-// stream, and Measure(q).Actual is the mean of hardware.AverageRuns runs
+// stream, and Measure(q).Actual is the mean of five runs
 // of that same stream, so the execution is, bit for bit, the first run
 // the measurement averages (internal/hardware's
 // TestRunIsFirstMeasuredRun holds the stream's side). The plan is run

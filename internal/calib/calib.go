@@ -26,17 +26,17 @@ import (
 	"repro/internal/stats"
 )
 
-// CoverageLevels are the nominal central-interval probability masses
+// coverageLevels are the nominal central-interval probability masses
 // tracked by every accumulator, in ascending order. They mirror the
 // serving layer's drift feedback so "coverage at 90%" means the same
 // thing in a drift advisory, a sim report, and a /metrics scrape.
-var CoverageLevels = [3]float64{0.5, 0.9, 0.95}
+var coverageLevels = [3]float64{0.5, 0.9, 0.95}
 
 // zLo and zHi bound the standard-normal central interval at each
-// CoverageLevels entry, computed once: [μ+σ·zLo[i], μ+σ·zHi[i]] is
+// coverageLevels entry, computed once: [μ+σ·zLo[i], μ+σ·zHi[i]] is
 // stats.Normal.Interval's arithmetic for N(μ, σ²) at level i.
-var zLo, zHi = func() (lo, hi [len(CoverageLevels)]float64) {
-	for i, level := range CoverageLevels {
+var zLo, zHi = func() (lo, hi [len(coverageLevels)]float64) {
+	for i, level := range coverageLevels {
 		lo[i], hi[i] = stats.StdNormalQuantile((1-level)/2), stats.StdNormalQuantile(1-(1-level)/2)
 	}
 	return lo, hi
@@ -62,8 +62,8 @@ type Accumulator struct {
 	sumAbsRel float64
 	relN      int64
 	// within[i] counts observations inside the predicted central
-	// interval at CoverageLevels[i].
-	within [len(CoverageLevels)]int64
+	// interval at coverageLevels[i].
+	within [len(coverageLevels)]int64
 }
 
 // Observe folds one (predicted, observed) pair into the aggregate.
@@ -85,7 +85,7 @@ func (a *Accumulator) Observe(predMean, predSigma, observed float64) {
 	if predSigma > 0 {
 		a.sumZ += (observed - predMean) / predSigma
 	}
-	for i := range CoverageLevels {
+	for i := range coverageLevels {
 		// The z are finite, so σ == 0 collapses the interval to μ with no
 		// branch, matching Normal.Quantile's σ == 0 case.
 		if lo, hi := predMean+predSigma*zLo[i], predMean+predSigma*zHi[i]; observed >= lo && observed <= hi {
@@ -156,14 +156,14 @@ type Metrics struct {
 	// times; zero when fewer than two observations or either side is
 	// constant.
 	PearsonR float64 `json:"pearson_r"`
-	// Coverage holds one point per CoverageLevels entry, in order.
+	// Coverage holds one point per coverageLevels entry, in order.
 	Coverage []CoveragePoint `json:"coverage"`
 }
 
 // Metrics summarizes the accumulator.
 func (a *Accumulator) Metrics() Metrics {
-	m := Metrics{N: a.n, Coverage: make([]CoveragePoint, len(CoverageLevels))}
-	for i, level := range CoverageLevels {
+	m := Metrics{N: a.n, Coverage: make([]CoveragePoint, len(coverageLevels))}
+	for i, level := range coverageLevels {
 		m.Coverage[i].Nominal = level
 	}
 	if a.n == 0 {
@@ -179,7 +179,7 @@ func (a *Accumulator) Metrics() Metrics {
 		r := a.cPO / math.Sqrt(a.m2P*a.m2O)
 		m.PearsonR = math.Max(-1, math.Min(1, r))
 	}
-	for i := range CoverageLevels {
+	for i := range coverageLevels {
 		m.Coverage[i].Observed = float64(a.within[i]) / n
 		m.Coverage[i].Drift = m.Coverage[i].Observed - m.Coverage[i].Nominal
 	}

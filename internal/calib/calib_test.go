@@ -172,7 +172,7 @@ func TestMetricsFiniteOnTinyCounts(t *testing.T) {
 	var empty Accumulator
 	m := empty.Metrics()
 	check("empty", m)
-	if m.N != 0 || len(m.Coverage) != len(CoverageLevels) {
+	if m.N != 0 || len(m.Coverage) != len(coverageLevels) {
 		t.Fatalf("empty metrics malformed: %+v", m)
 	}
 
@@ -226,13 +226,13 @@ func TestCoverageMatchesNormalInterval(t *testing.T) {
 	sigmas := []float64{0, math.SmallestNonzeroFloat64, 1e-310, 1e-9, 0.1, 1, 3.7, 1e150, math.MaxFloat64 / 4}
 	mus := []float64{-1e6, -2.5, -math.SmallestNonzeroFloat64, 0, 1e-300, 0.75, 1, 42, 1e200}
 	var got Accumulator
-	var want [len(CoverageLevels)]int64
+	var want [len(coverageLevels)]int64
 	n := 0
 	for _, mu := range mus {
 		for _, sigma := range sigmas {
 			dist := stats.Normal{Mu: mu, Sigma: sigma}
 			var obs []float64
-			for _, level := range CoverageLevels {
+			for _, level := range coverageLevels {
 				lo, hi := dist.Interval(level)
 				for _, b := range []float64{lo, hi} {
 					obs = append(obs, b, math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1)))
@@ -242,7 +242,7 @@ func TestCoverageMatchesNormalInterval(t *testing.T) {
 			for _, o := range obs {
 				got.Observe(mu, sigma, o)
 				n++
-				for i, level := range CoverageLevels {
+				for i, level := range coverageLevels {
 					if lo, hi := dist.Interval(level); o >= lo && o <= hi {
 						want[i]++
 					}

@@ -15,15 +15,15 @@ import (
 	"repro/internal/engine"
 )
 
-// HistogramBuckets is the number of equi-depth buckets per column.
-const HistogramBuckets = 64
+// histogramBuckets is the number of equi-depth buckets per column.
+const histogramBuckets = 64
 
 // ColumnStats summarizes one column.
 type ColumnStats struct {
 	Min, Max int64
 	Distinct int
 	// Bounds are the equi-depth bucket upper bounds (ascending,
-	// HistogramBuckets entries; each bucket holds ~1/B of the rows).
+	// histogramBuckets entries; each bucket holds ~1/B of the rows).
 	Bounds []int64
 	rows   int
 }
@@ -77,7 +77,7 @@ func buildColumn(vals []int64) *ColumnStats {
 		}
 	}
 	cs.Distinct = distinct
-	b := HistogramBuckets
+	b := histogramBuckets
 	if b > len(vals) {
 		b = len(vals)
 	}
@@ -244,9 +244,9 @@ func (c *Catalog) JoinSelectivityFactor(ltab, lcol, rtab, rcol string) (float64,
 	return 1 / float64(d), nil
 }
 
-// GroupCount estimates the number of groups when grouping rows of table
+// groupCount estimates the number of groups when grouping rows of table
 // by col, capped by the input cardinality.
-func (c *Catalog) GroupCount(table, col string, inputRows float64) (float64, error) {
+func (c *Catalog) groupCount(table, col string, inputRows float64) (float64, error) {
 	if col == "" {
 		return 1, nil
 	}
@@ -346,7 +346,7 @@ func (c *Catalog) Cardinality(n *engine.Node) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		return c.GroupCount(tab, n.GroupCol, in)
+		return c.groupCount(tab, n.GroupCol, in)
 	default: // Sort, Materialize
 		return c.Cardinality(n.Left)
 	}

@@ -154,18 +154,18 @@ func TestGroupCount(t *testing.T) {
 	db := engine.NewDB()
 	db.Add(uniformTable("t", "x", 10000, 42, 7))
 	c := Build(db)
-	g, err := c.GroupCount("t", "x", 10000)
+	g, err := c.groupCount("t", "x", 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g != 42 {
 		t.Errorf("groups=%v, want 42", g)
 	}
-	capped, _ := c.GroupCount("t", "x", 5)
+	capped, _ := c.groupCount("t", "x", 5)
 	if capped != 5 {
 		t.Errorf("capped groups=%v, want 5", capped)
 	}
-	scalar, _ := c.GroupCount("t", "", 10000)
+	scalar, _ := c.groupCount("t", "", 10000)
 	if scalar != 1 {
 		t.Errorf("scalar groups=%v, want 1", scalar)
 	}

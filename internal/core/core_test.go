@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -13,6 +12,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/hardware"
+	"repro/internal/rng"
 	"repro/internal/sample"
 	"repro/internal/stats"
 )
@@ -99,7 +99,7 @@ func TestPredictScanMeanTracksActual(t *testing.T) {
 	f := newFixture(t, All)
 	plan := scanQuery()
 	pred, res := f.predict(t, plan, 0.05, 3)
-	actual := f.hw.MeasurePlan(res, rand.New(rand.NewSource(4)))
+	actual := f.hw.MeasurePlanSeeded(res, rng.V1, 4)
 	if pred.Mean() <= 0 || pred.Sigma() <= 0 {
 		t.Fatalf("degenerate prediction %v", pred.Dist)
 	}
@@ -113,7 +113,7 @@ func TestPredictJoinMeanTracksActual(t *testing.T) {
 	f := newFixture(t, All)
 	plan := joinQuery()
 	pred, res := f.predict(t, plan, 0.05, 5)
-	actual := f.hw.MeasurePlan(res, rand.New(rand.NewSource(6)))
+	actual := f.hw.MeasurePlanSeeded(res, rng.V1, 6)
 	rel := math.Abs(pred.Mean()-actual) / actual
 	if rel > 1.0 {
 		t.Errorf("join: predicted %v vs actual %v (rel %.2f)", pred.Mean(), actual, rel)
@@ -281,7 +281,7 @@ func TestPredictWithAggregatePlan(t *testing.T) {
 				Preds: []engine.Predicate{{Col: "l_shipdate", Op: engine.Le, Lo: 1500}}}}}
 	plan.Finalize()
 	pred, res := f.predict(t, plan, 0.05, 37)
-	actual := f.hw.MeasurePlan(res, rand.New(rand.NewSource(38)))
+	actual := f.hw.MeasurePlanSeeded(res, rng.V1, 38)
 	if pred.Mean() <= 0 {
 		t.Fatal("non-positive mean")
 	}

@@ -14,14 +14,14 @@ import (
 // MCOptions configures the Monte-Carlo prediction path.
 type MCOptions struct {
 	// Draws is the number of (c, X) realizations; 0 selects
-	// DefaultMCDraws.
+	// defaultMCDraws.
 	Draws int
 	Seed  int64
 }
 
-// DefaultMCDraws keeps the Monte-Carlo path comfortably accurate while
+// defaultMCDraws keeps the Monte-Carlo path comfortably accurate while
 // still fast (each draw is a handful of polynomial evaluations).
-const DefaultMCDraws = 20000
+const defaultMCDraws = 20000
 
 // MCPrediction is an empirical distribution of likely running times.
 type MCPrediction struct {
@@ -83,7 +83,7 @@ func (m *MCPrediction) Prob(a, b float64) float64 {
 // verifies.
 func (p *Predictor) PredictMonteCarlo(root *engine.Node, est *sample.Estimates, opt MCOptions) (*MCPrediction, error) {
 	if opt.Draws <= 0 {
-		opt.Draws = DefaultMCDraws
+		opt.Draws = defaultMCDraws
 	}
 	a, err := p.assemble(root, est)
 	if err != nil {

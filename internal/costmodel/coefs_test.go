@@ -101,7 +101,7 @@ func TestCoefsAreTheCostModel(t *testing.T) {
 					for ui, f := range funcs {
 						xa := vars[m.VarA]
 						k, _, exact := m.kindFor(hardware.Unit(ui), xa)
-						if k == C1 {
+						if k == c1 {
 							continue
 						}
 						if !exact {
@@ -110,13 +110,13 @@ func TestCoefsAreTheCostModel(t *testing.T) {
 						}
 						closed++
 						ptsB := []float64{0}
-						if k.Binary() {
+						if k.binary() {
 							ptsB = gridOf(vars[m.VarB])
 						}
 						for _, pa := range gridOf(xa) {
 							for _, pb := range ptsB {
 								x[m.VarA] = pa
-								if k.Binary() {
+								if k.binary() {
 									x[m.VarB] = pb
 								}
 								if got, want := f.Eval(x), m.Counts(pa, pb).Get(ui); !almostEq(got, want, 1e-12) {
@@ -159,7 +159,7 @@ func TestIndexScanBelowAndAboveTheClamp(t *testing.T) {
 		}
 		for _, u := range []hardware.Unit{hardware.CR, hardware.CT, hardware.CI, hardware.CO} {
 			// NumPreds−1 = 1 residual predicate: NO equals the fetch count.
-			if f := funcs[u]; f.Kind != C2 || f.B[0] != c.want[0] || f.B[1] != c.want[1] {
+			if f := funcs[u]; f.Kind != c2 || f.B[0] != c.want[0] || f.B[1] != c.want[1] {
 				t.Errorf("%s: unit %v = %v %v, want C2 %v", c.name, u, f.Kind, f.B, c.want)
 			}
 		}
@@ -180,7 +180,7 @@ func TestIndexScanAcrossTheClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := funcs[hardware.CR]
-	if f.Kind != C2 || !(f.B[0] > 0 && f.B[0] < 2000) {
+	if f.Kind != c2 || !(f.B[0] > 0 && f.B[0] < 2000) {
 		t.Fatalf("fit %v %v, want C2 with slope in (0, 2000)", f.Kind, f.B)
 	}
 	var sum, scale float64

@@ -26,12 +26,12 @@ type FuncKind int
 // Cost function types (Section 4.1). The variable names follow the
 // rewritten forms: X is a selectivity in [0,1].
 const (
-	C1 FuncKind = iota // f = b0
-	C2                 // f = b0*X + b1            (X = own output selectivity)
-	C3                 // f = b0*Xl + b1           (unary, input selectivity)
-	C4                 // f = b0*Xl^2 + b1*Xl + b2 (nonlinear unary)
-	C5                 // f = b0*Xl + b1*Xr + b2   (linear binary)
-	C6                 // f = b0*Xl*Xr + b1*Xl + b2*Xr + b3
+	c1 FuncKind = iota // f = b0
+	c2                 // f = b0*X + b1            (X = own output selectivity)
+	c3                 // f = b0*Xl + b1           (unary, input selectivity)
+	c4                 // f = b0*Xl^2 + b1*Xl + b2 (nonlinear unary)
+	c5                 // f = b0*Xl + b1*Xr + b2   (linear binary)
+	c6                 // f = b0*Xl*Xr + b1*Xl + b2*Xr + b3
 )
 
 // String implements fmt.Stringer.
@@ -43,24 +43,24 @@ func (k FuncKind) String() string {
 	return fmt.Sprintf("FuncKind(%d)", int(k))
 }
 
-// NumCoef returns the number of coefficients of the kind.
-func (k FuncKind) NumCoef() int {
+// numCoef returns the number of coefficients of the kind.
+func (k FuncKind) numCoef() int {
 	switch k {
-	case C1:
+	case c1:
 		return 1
-	case C2, C3:
+	case c2, c3:
 		return 2
-	case C4, C5:
+	case c4, c5:
 		return 3
-	case C6:
+	case c6:
 		return 4
 	default:
 		panic(fmt.Sprintf("costmodel: bad kind %d", int(k)))
 	}
 }
 
-// Binary reports whether the kind takes two selectivity variables.
-func (k FuncKind) Binary() bool { return k == C5 || k == C6 }
+// binary reports whether the kind takes two selectivity variables.
+func (k FuncKind) binary() bool { return k == c5 || k == c6 }
 
 // Func is a logical cost function: a polynomial over one or two
 // selectivity random variables, identified by the plan-node IDs that own
@@ -69,15 +69,15 @@ func (k FuncKind) Binary() bool { return k == C5 || k == C6 }
 type Func struct {
 	Kind FuncKind
 	// B holds the coefficients in the layout documented on FuncKind;
-	// entries past Kind.NumCoef() are zero.
+	// entries past Kind.numCoef() are zero.
 	B [4]float64
 	// VarA and VarB are the owning node IDs of Xl (or X) and Xr; -1 when
 	// unused. Constant functions have both -1.
 	VarA, VarB int
 }
 
-// Constant returns the constant cost function f = v.
-func Constant(v float64) Func { return Func{Kind: C1, B: [4]float64{v}, VarA: -1, VarB: -1} }
+// constant returns the constant cost function f = v.
+func constant(v float64) Func { return Func{Kind: c1, B: [4]float64{v}, VarA: -1, VarB: -1} }
 
 // IsZero reports whether the function is identically zero.
 func (f *Func) IsZero() bool { return f.B == [4]float64{} }
@@ -86,16 +86,16 @@ func (f *Func) IsZero() bool { return f.B == [4]float64{} }
 // ID. x must cover every referenced VarA/VarB index.
 func (f *Func) Eval(x []float64) float64 {
 	switch f.Kind {
-	case C1:
+	case c1:
 		return f.B[0]
-	case C2, C3:
+	case c2, c3:
 		return f.B[0]*x[f.VarA] + f.B[1]
-	case C4:
+	case c4:
 		xa := x[f.VarA]
 		return f.B[0]*xa*xa + f.B[1]*xa + f.B[2]
-	case C5:
+	case c5:
 		return f.B[0]*x[f.VarA] + f.B[1]*x[f.VarB] + f.B[2]
-	case C6:
+	case c6:
 		xa, xb := x[f.VarA], x[f.VarB]
 		return f.B[0]*xa*xb + f.B[1]*xa + f.B[2]*xb + f.B[3]
 	default:
@@ -119,15 +119,15 @@ type Term struct {
 func (f *Func) Terms(ts *[4]Term) (n int) {
 	lin := func(v int, c float64) Term { return Term{Coef: c, Vars: [2]int{v}, Pows: [2]int{1}, NVars: 1} }
 	switch f.Kind {
-	case C1:
-	case C2, C3:
+	case c1:
+	case c2, c3:
 		ts[0], n = lin(f.VarA, f.B[0]), 1
-	case C4:
+	case c4:
 		ts[0] = Term{Coef: f.B[0], Vars: [2]int{f.VarA}, Pows: [2]int{2}, NVars: 1}
 		ts[1], n = lin(f.VarA, f.B[1]), 2
-	case C5:
+	case c5:
 		ts[0], ts[1], n = lin(f.VarA, f.B[0]), lin(f.VarB, f.B[1]), 2
-	case C6:
+	case c6:
 		ts[0] = Term{Coef: f.B[0], Vars: [2]int{f.VarA, f.VarB}, Pows: [2]int{1, 1}, NVars: 2}
 		ts[1], ts[2], n = lin(f.VarA, f.B[1]), lin(f.VarB, f.B[2]), 3
 	default:

@@ -142,7 +142,7 @@ func TestFitRecoversLinearExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nr := funcs[hardware.CR]; nr.Kind != C2 || nr.B[0] != 5000 || nr.B[1] != 0 {
+	if nr := funcs[hardware.CR]; nr.Kind != c2 || nr.B[0] != 5000 || nr.B[1] != 0 {
 		t.Errorf("index scan nr fit: %+v", nr)
 	}
 
@@ -152,7 +152,7 @@ func TestFitRecoversLinearExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	nt := jf[hardware.CT]
-	if nt.Kind != C6 {
+	if nt.Kind != c6 {
 		t.Fatalf("join nt kind %v", nt.Kind)
 	}
 	theta := 0.002 / 0.1
@@ -160,7 +160,7 @@ func TestFitRecoversLinearExactly(t *testing.T) {
 		t.Errorf("join nt coefficients %v", nt.B)
 	}
 	// no = Nl + Nr -> C5 exact.
-	if no := jf[hardware.CO]; no.Kind != C5 || no.B[0] != 5000 || no.B[1] != 3000 || no.B[2] != 0 {
+	if no := jf[hardware.CO]; no.Kind != c5 || no.B[0] != 5000 || no.B[1] != 3000 || no.B[2] != 0 {
 		t.Errorf("join no fit %+v", no)
 	}
 }
@@ -180,7 +180,7 @@ func TestFitSortQuadraticApproximation(t *testing.T) {
 		t.Fatal(err)
 	}
 	no := funcs[hardware.CO]
-	if no.Kind != C4 {
+	if no.Kind != c4 {
 		t.Fatalf("sort no kind %v", no.Kind)
 	}
 	// The quadratic should track N log2 N within a few percent on the
@@ -207,7 +207,7 @@ func TestFitConstantSeqScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ui, f := range funcs {
-		if f.Kind != C1 {
+		if f.Kind != c1 {
 			t.Errorf("unit %v: kind %v, want C1", hardware.Unit(ui), f.Kind)
 		}
 	}
@@ -222,7 +222,7 @@ func TestFitConstantSeqScan(t *testing.T) {
 
 func TestDistMatchesLemma4(t *testing.T) {
 	// C4 variance must equal sigma^2[(b1+2 b0 mu)^2 + 2 b0^2 sigma^2].
-	f := &Func{Kind: C4, B: [4]float64{3, 2, 1}, VarA: 7, VarB: -1}
+	f := &Func{Kind: c4, B: [4]float64{3, 2, 1}, VarA: 7, VarB: -1}
 	x := stats.Normal{Mu: 0.4, Sigma: 0.05}
 	vars := []stats.Normal{7: x}
 	mean, variance := f.Dist(vars)
@@ -240,7 +240,7 @@ func TestDistMatchesLemma4(t *testing.T) {
 func TestDistMatchesLemma8(t *testing.T) {
 	// C6 variance must equal sigma_l^2(b0 mu_r + b1)^2 +
 	// sigma_r^2(b0 mu_l + b2)^2 + b0^2 sigma_l^2 sigma_r^2.
-	f := &Func{Kind: C6, B: [4]float64{5, 3, 2, 1}, VarA: 1, VarB: 2}
+	f := &Func{Kind: c6, B: [4]float64{5, 3, 2, 1}, VarA: 1, VarB: 2}
 	xl := stats.Normal{Mu: 0.3, Sigma: 0.04}
 	xr := stats.Normal{Mu: 0.6, Sigma: 0.07}
 	vars := []stats.Normal{1: xl, 2: xr}
@@ -253,13 +253,13 @@ func TestDistMatchesLemma8(t *testing.T) {
 }
 
 func TestDistLinearForms(t *testing.T) {
-	f := &Func{Kind: C3, B: [4]float64{10, 4}, VarA: 3, VarB: -1}
+	f := &Func{Kind: c3, B: [4]float64{10, 4}, VarA: 3, VarB: -1}
 	x := stats.Normal{Mu: 0.2, Sigma: 0.03}
 	mean, variance := f.Dist([]stats.Normal{3: x})
 	if !almostEq(mean, 10*0.2+4, 1e-12) || !almostEq(variance, 100*x.Var(), 1e-12) {
 		t.Errorf("C3 dist = (%v, %v)", mean, variance)
 	}
-	f5 := &Func{Kind: C5, B: [4]float64{10, 20, 4}, VarA: 1, VarB: 2}
+	f5 := &Func{Kind: c5, B: [4]float64{10, 20, 4}, VarA: 1, VarB: 2}
 	xl := stats.Normal{Mu: 0.2, Sigma: 0.03}
 	xr := stats.Normal{Mu: 0.5, Sigma: 0.01}
 	m5, v5 := f5.Dist([]stats.Normal{1: xl, 2: xr})
@@ -274,7 +274,7 @@ func TestDistLinearForms(t *testing.T) {
 func TestDistProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		fn := &Func{Kind: C5, B: [4]float64{r.Float64() * 100, r.Float64() * 100, r.Float64() * 10},
+		fn := &Func{Kind: c5, B: [4]float64{r.Float64() * 100, r.Float64() * 100, r.Float64() * 10},
 			VarA: 1, VarB: 2}
 		vars := []stats.Normal{
 			1: stats.Normal{Mu: r.Float64(), Sigma: r.Float64() * 0.1},
@@ -299,19 +299,19 @@ func TestTermsRoundTrip(t *testing.T) {
 		2: stats.Normal{Mu: 0.7, Sigma: 0.02},
 	}
 	fns := []Func{
-		Constant(5),
-		{Kind: C2, B: [4]float64{3, 1}, VarA: 1, VarB: -1},
-		{Kind: C4, B: [4]float64{2, 3, 4}, VarA: 1, VarB: -1},
-		{Kind: C5, B: [4]float64{1, 2, 3}, VarA: 1, VarB: 2},
-		{Kind: C6, B: [4]float64{1, 2, 3, 4}, VarA: 1, VarB: 2},
+		constant(5),
+		{Kind: c2, B: [4]float64{3, 1}, VarA: 1, VarB: -1},
+		{Kind: c4, B: [4]float64{2, 3, 4}, VarA: 1, VarB: -1},
+		{Kind: c5, B: [4]float64{1, 2, 3}, VarA: 1, VarB: 2},
+		{Kind: c6, B: [4]float64{1, 2, 3, 4}, VarA: 1, VarB: 2},
 	}
 	for _, fn := range fns {
 		mean, _ := fn.Dist(vars)
 		var sum float64
 		var ts [4]Term
 		n := fn.Terms(&ts)
-		if n != fn.Kind.NumCoef() {
-			t.Errorf("%v: %d terms, want %d", fn.Kind, n, fn.Kind.NumCoef())
+		if n != fn.Kind.numCoef() {
+			t.Errorf("%v: %d terms, want %d", fn.Kind, n, fn.Kind.numCoef())
 		}
 		for _, tm := range ts[:n] {
 			sum += tm.Mean(vars)
@@ -323,10 +323,10 @@ func TestTermsRoundTrip(t *testing.T) {
 }
 
 func TestZeroAndConstant(t *testing.T) {
-	if z := Constant(0); !z.IsZero() {
+	if z := constant(0); !z.IsZero() {
 		t.Error("Zero not zero")
 	}
-	c := Constant(3)
+	c := constant(3)
 	if c.IsZero() || c.Eval(nil) != 3 {
 		t.Error("Constant wrong")
 	}

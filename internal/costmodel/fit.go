@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/hardware"
-	"repro/internal/solve"
 	"repro/internal/stats"
 )
 
@@ -53,10 +52,10 @@ func FitNode(m *NodeModel, vars []stats.Normal) ([hardware.NumUnits]Func, error)
 	for ui := 0; ui < hardware.NumUnits; ui++ {
 		kind, b, exact := m.kindFor(hardware.Unit(ui), xa)
 		switch {
-		case kind == C1:
-			funcs[ui] = Constant(counts.Get(ui))
+		case kind == c1:
+			funcs[ui] = constant(counts.Get(ui))
 			continue
-		case kind.Binary() && !(okA && okB):
+		case kind.binary() && !(okA && okB):
 			return funcs, fmt.Errorf("costmodel: node %d kind %v needs two variables", m.Node.ID, kind)
 		case !okA:
 			return funcs, fmt.Errorf("costmodel: node %d kind %v needs a variable", m.Node.ID, kind)
@@ -84,22 +83,22 @@ func fitGrid(m *NodeModel, ui int, kind FuncKind, x stats.Normal) (out [4]float6
 	if scale <= 0 {
 		scale = 1
 	}
-	var rows [gridW + 1][solve.MaxCoef]float64
+	var rows [gridW + 1][maxCoef]float64
 	var y [gridW + 1]float64
 	for i := range rows {
 		xi := lo + (hi-lo)*float64(i)/gridW
 		v := xi / scale
-		if kind == C4 {
-			rows[i] = [solve.MaxCoef]float64{v * v, v, 1}
+		if kind == c4 {
+			rows[i] = [maxCoef]float64{v * v, v, 1}
 		} else {
-			rows[i] = [solve.MaxCoef]float64{v, 1}
+			rows[i] = [maxCoef]float64{v, 1}
 		}
 		y[i] = m.Counts(xi, 0).Get(ui)
 	}
-	n := kind.NumCoef()
-	b := solve.NNLS(rows[:], y[:], n)
+	n := kind.numCoef()
+	b := nnls(rows[:], y[:], n)
 	// Undo the variable scaling.
-	if kind == C4 {
+	if kind == c4 {
 		b[0] /= scale * scale
 		b[1] /= scale
 	} else {

@@ -176,45 +176,45 @@ func (m *NodeModel) kindFor(u hardware.Unit, x stats.Normal) (kind FuncKind, b [
 		}
 		switch lo, hi := probeInterval(x); {
 		case hi*perX <= m.SizeL:
-			return C2, [4]float64{k * perX, 0}, true
+			return c2, [4]float64{k * perX, 0}, true
 		case lo*perX >= m.SizeL:
-			return C2, [4]float64{0, k * m.SizeL}, true
+			return c2, [4]float64{0, k * m.SizeL}, true
 		}
-		return C2, b, false
+		return c2, b, false
 	case engine.Sort:
 		switch u {
 		case hardware.CT:
-			return C3, [4]float64{m.SizeL, 0}, true // NT = Xl·SizeL
+			return c3, [4]float64{m.SizeL, 0}, true // NT = Xl·SizeL
 		case hardware.CO:
-			return C4, b, false // NO = Nl·log2(Nl), fitted by a quadratic
+			return c4, b, false // NO = Nl·log2(Nl), fitted by a quadratic
 		}
 	case engine.Materialize:
 		if u == hardware.CT {
-			return C3, [4]float64{m.SizeL, 0}, true // NT = Xl·SizeL
+			return c3, [4]float64{m.SizeL, 0}, true // NT = Xl·SizeL
 		}
 	case engine.Aggregate:
 		switch u {
 		case hardware.CT:
-			return C3, [4]float64{m.SizeL, 0}, true // NT = Xl·SizeL
+			return c3, [4]float64{m.SizeL, 0}, true // NT = Xl·SizeL
 		case hardware.CO:
-			return C3, [4]float64{2 * m.SizeL, 0}, true // NO = 2·Xl·SizeL
+			return c3, [4]float64{2 * m.SizeL, 0}, true // NO = 2·Xl·SizeL
 		}
 	case engine.HashJoin, engine.MergeJoin:
 		switch u {
 		case hardware.CT:
-			return C6, [4]float64{m.Theta * m.Size, m.SizeL, m.SizeR, 0}, true // NT = NO + Theta·Xl·Xr·Size
+			return c6, [4]float64{m.Theta * m.Size, m.SizeL, m.SizeR, 0}, true // NT = NO + Theta·Xl·Xr·Size
 		case hardware.CO:
-			return C5, [4]float64{m.SizeL, m.SizeR, 0}, true // NO = Xl·SizeL + Xr·SizeR
+			return c5, [4]float64{m.SizeL, m.SizeR, 0}, true // NO = Xl·SizeL + Xr·SizeR
 		}
 	case engine.NestLoopJoin:
 		switch u {
 		case hardware.CT:
-			return C6, [4]float64{m.Theta * m.Size, m.SizeL, m.SizeR, 0}, true // NT = Xl·SizeL + Xr·SizeR + Theta·Xl·Xr·Size
+			return c6, [4]float64{m.Theta * m.Size, m.SizeL, m.SizeR, 0}, true // NT = Xl·SizeL + Xr·SizeR + Theta·Xl·Xr·Size
 		case hardware.CO:
-			return C6, [4]float64{m.SizeL * m.SizeR, 0, 0, 0}, true // NO = Xl·SizeL · Xr·SizeR
+			return c6, [4]float64{m.SizeL * m.SizeR, 0, 0, 0}, true // NO = Xl·SizeL · Xr·SizeR
 		}
 	default:
 		panic(fmt.Sprintf("costmodel: kind for %v", m.Node.Kind))
 	}
-	return C1, b, false // every other count is constant in X
+	return c1, b, false // every other count is constant in X
 }

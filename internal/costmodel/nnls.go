@@ -1,23 +1,24 @@
-// Package solve is the least-squares solve behind the two cost functions
-// that are fitted rather than read from the cost model (Section 4.2):
-// at most MaxCoef coefficients on a handful of probe points, solved
-// exactly on caller-owned arrays with no allocation.
-package solve
+package costmodel
+
+// The least-squares solve behind the two cost functions that are fitted
+// rather than read from the cost model (Section 4.2): at most maxCoef
+// coefficients on a handful of probe points, solved exactly on
+// caller-owned arrays with no allocation.
 
 import "math"
 
-// MaxCoef is the most coefficients a fitted cost function has: C4's
+// maxCoef is the most coefficients a fitted cost function has: C4's
 // X², X and 1.
-const MaxCoef = 3
+const maxCoef = 3
 
-// NNLS solves the quadratic program of Section 4.2: minimize ||A b − y||
-// over the first n ≤ MaxCoef columns of rows, with every coefficient but
+// nnls solves the quadratic program of Section 4.2: minimize ||A b − y||
+// over the first n ≤ maxCoef columns of rows, with every coefficient but
 // the last (the intercept) non-negative. The optimum is the unconstrained
 // least-squares solution of its own face of the orthant, so with at most
 // two constrained coefficients it is found exactly by solving each of the
 // ≤ 4 faces and keeping the sign-feasible solution of least residual.
-func NNLS(rows [][MaxCoef]float64, y []float64, n int) [MaxCoef]float64 {
-	var best [MaxCoef]float64
+func nnls(rows [][maxCoef]float64, y []float64, n int) [maxCoef]float64 {
+	var best [maxCoef]float64
 	bestRes := math.Inf(1)
 	for fixed := 0; fixed < 1<<(n-1); fixed++ {
 		b, ok := lsq(rows, y, n, fixed)
@@ -36,7 +37,7 @@ func NNLS(rows [][MaxCoef]float64, y []float64, n int) [MaxCoef]float64 {
 }
 
 // residual returns ||A b − y||² over the first n columns of rows.
-func residual(rows [][MaxCoef]float64, y []float64, b [MaxCoef]float64, n int) float64 {
+func residual(rows [][maxCoef]float64, y []float64, b [maxCoef]float64, n int) float64 {
 	var res float64
 	for i := range rows {
 		d := y[i]
@@ -52,8 +53,8 @@ func residual(rows [][MaxCoef]float64, y []float64, b [MaxCoef]float64, n int) f
 // those in the bit set fixed, which stay 0, by Cholesky with a small
 // trace-scaled ridge that keeps a nearly flat probe well-posed. ok is
 // false when the system is singular.
-func lsq(rows [][MaxCoef]float64, y []float64, n, fixed int) (b [MaxCoef]float64, ok bool) {
-	var cols [MaxCoef]int
+func lsq(rows [][maxCoef]float64, y []float64, n, fixed int) (b [maxCoef]float64, ok bool) {
+	var cols [maxCoef]int
 	k := 0
 	for j := 0; j < n; j++ {
 		if fixed&(1<<j) == 0 {
@@ -62,8 +63,8 @@ func lsq(rows [][MaxCoef]float64, y []float64, n, fixed int) (b [MaxCoef]float64
 		}
 	}
 	// The lower triangle of G = AᵀA, and r = Aᵀy, over the free columns.
-	var g, l [MaxCoef][MaxCoef]float64
-	var r, z [MaxCoef]float64
+	var g, l [maxCoef][maxCoef]float64
+	var r, z [maxCoef]float64
 	var tr float64
 	for a := 0; a < k; a++ {
 		for c := 0; c <= a; c++ {

@@ -1,4 +1,4 @@
-package solve
+package costmodel
 
 import (
 	"math"
@@ -7,20 +7,16 @@ import (
 	"testing/quick"
 )
 
-// gridW is the number of subintervals of the probe grids the tests fit
-// on, as in the cost-function fit.
-const gridW = 8
-
 // probe lays out the C2 (n = 2: v, 1) or C4 (n = 3: v², v, 1) rows at
 // the gridW+1 points of [lo, hi], with v scaled by hi, and the counts
 // y = mag·(c0·v² + c1·v + c2) there.
-func probe(n int, lo, hi float64, c [3]float64, mag float64) (rows [gridW + 1][MaxCoef]float64, y [gridW + 1]float64) {
+func probe(n int, lo, hi float64, c [3]float64, mag float64) (rows [gridW + 1][maxCoef]float64, y [gridW + 1]float64) {
 	for i := range rows {
 		v := (lo + (hi-lo)*float64(i)/gridW) / hi
 		if n == 3 {
-			rows[i] = [MaxCoef]float64{v * v, v, 1}
+			rows[i] = [maxCoef]float64{v * v, v, 1}
 		} else {
-			rows[i] = [MaxCoef]float64{v, 1}
+			rows[i] = [maxCoef]float64{v, 1}
 		}
 		y[i] = mag * (c[0]*v*v + c[1]*v + c[2])
 	}
@@ -30,12 +26,12 @@ func probe(n int, lo, hi float64, c [3]float64, mag float64) (rows [gridW + 1][M
 // TestLeastSquaresExact: an overdetermined but consistent system recovers
 // its coefficients, a negative one included, when no column is held at 0.
 func TestLeastSquaresExact(t *testing.T) {
-	var rows [6][MaxCoef]float64
+	var rows [6][maxCoef]float64
 	var y [6]float64
 	want := [2]float64{2.5, -1}
 	for i := range rows {
 		x := float64(i)
-		rows[i] = [MaxCoef]float64{x, 1}
+		rows[i] = [maxCoef]float64{x, 1}
 		y[i] = want[0]*x + want[1]
 	}
 	got, ok := lsq(rows[:], y[:], 2, 0)
@@ -49,25 +45,25 @@ func TestLeastSquaresExact(t *testing.T) {
 	}
 }
 
-// TestNNLSMatchesUnconstrainedWhenInterior feeds NNLS counts that are
+// TestNNLSMatchesUnconstrainedWhenInterior feeds nnls counts that are
 // exactly a combination of its columns with non-negative constrained
 // coefficients: no constraint binds, and it returns the combination up to
 // the normal equations' conditioning and their ridge.
 func TestNNLSMatchesUnconstrainedWhenInterior(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	var rows [20][MaxCoef]float64
+	var rows [20][maxCoef]float64
 	var y [20]float64
-	truth := [MaxCoef]float64{1.5, 0.7, 2.0}
+	truth := [maxCoef]float64{1.5, 0.7, 2.0}
 	for i := range rows {
 		for j := range truth {
 			rows[i][j] = r.Float64()
 			y[i] += rows[i][j] * truth[j]
 		}
 	}
-	got := NNLS(rows[:], y[:], 3)
+	got := nnls(rows[:], y[:], 3)
 	for j := range truth {
 		if math.Abs(got[j]-truth[j]) > 1e-6 {
-			t.Fatalf("random rows: NNLS = %v, want %v", got, truth)
+			t.Fatalf("random rows: nnls = %v, want %v", got, truth)
 		}
 	}
 	for _, c := range []struct {
@@ -81,10 +77,10 @@ func TestNNLSMatchesUnconstrainedWhenInterior(t *testing.T) {
 		var pc [3]float64 // as c0·v² + c1·v + c2
 		copy(pc[3-c.n:], c.want[:c.n])
 		rows, y := probe(c.n, 0.4, 1, pc, 1)
-		b := NNLS(rows[:], y[:], c.n)
+		b := nnls(rows[:], y[:], c.n)
 		for j := 0; j < c.n; j++ {
 			if math.Abs(b[j]-c.want[j]) > 1e-7*math.Abs(c.want[0]+c.want[1]+c.want[2]) {
-				t.Errorf("grid n=%d: NNLS = %v, want %v", c.n, b[:c.n], c.want[:c.n])
+				t.Errorf("grid n=%d: nnls = %v, want %v", c.n, b[:c.n], c.want[:c.n])
 				break
 			}
 		}
@@ -92,45 +88,45 @@ func TestNNLSMatchesUnconstrainedWhenInterior(t *testing.T) {
 }
 
 // TestNNLSClampsNegative: where the unconstrained optimum has a negative
-// constrained coefficient, NNLS holds it at exactly 0 and refits the rest.
+// constrained coefficient, nnls holds it at exactly 0 and refits the rest.
 func TestNNLSClampsNegative(t *testing.T) {
 	// A falling line: slope clamped, intercept the mean of y.
-	var rows [3][MaxCoef]float64
+	var rows [3][maxCoef]float64
 	y := [3]float64{-1, -2, -3}
 	for i := range rows {
-		rows[i] = [MaxCoef]float64{float64(i), 1}
+		rows[i] = [maxCoef]float64{float64(i), 1}
 	}
-	if got := NNLS(rows[:], y[:], 2); got[0] != 0 || math.Abs(got[1]+2) > 1e-9 {
-		t.Errorf("falling line: NNLS = %v, want [0 -2]", got[:2])
+	if got := nnls(rows[:], y[:], 2); got[0] != 0 || math.Abs(got[1]+2) > 1e-9 {
+		t.Errorf("falling line: nnls = %v, want [0 -2]", got[:2])
 	}
 	// A concave count: the X² coefficient is clamped.
 	grid, gy := probe(3, 0.2, 1, [3]float64{-1, 2, 0}, 1)
-	if got := NNLS(grid[:], gy[:], 3); got[0] != 0 || got[1] < 0 {
-		t.Errorf("concave count: NNLS = %v, want a zero X² coefficient", got)
+	if got := nnls(grid[:], gy[:], 3); got[0] != 0 || got[1] < 0 {
+		t.Errorf("concave count: nnls = %v, want a zero X² coefficient", got)
 	}
 }
 
 // TestNNLSFreeIntercept: y = -3 + 0·x, slope constrained >= 0, intercept
 // free to go negative.
 func TestNNLSFreeIntercept(t *testing.T) {
-	var rows [5][MaxCoef]float64
+	var rows [5][maxCoef]float64
 	var y [5]float64
 	for i := range rows {
-		rows[i] = [MaxCoef]float64{float64(i), 1}
+		rows[i] = [maxCoef]float64{float64(i), 1}
 		y[i] = -3
 	}
-	if got := NNLS(rows[:], y[:], 2); math.Abs(got[0]) > 1e-8 || math.Abs(got[1]+3) > 1e-6 {
-		t.Errorf("NNLS = %v, want [0 -3]", got[:2])
+	if got := nnls(rows[:], y[:], 2); math.Abs(got[0]) > 1e-8 || math.Abs(got[1]+3) > 1e-6 {
+		t.Errorf("nnls = %v, want [0 -3]", got[:2])
 	}
 }
 
-// Property: NNLS never violates a sign constraint and never returns a
+// Property: nnls never violates a sign constraint and never returns a
 // worse residual than the zero vector.
 func TestNNLSProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		m, n := 8+r.Intn(10), 1+r.Intn(MaxCoef)
-		rows := make([][MaxCoef]float64, m)
+		m, n := 8+r.Intn(10), 1+r.Intn(maxCoef)
+		rows := make([][maxCoef]float64, m)
 		y := make([]float64, m)
 		for i := range rows {
 			for j := 0; j < n; j++ {
@@ -138,13 +134,13 @@ func TestNNLSProperty(t *testing.T) {
 			}
 			y[i] = r.NormFloat64()
 		}
-		b := NNLS(rows, y, n)
+		b := nnls(rows, y, n)
 		for j := 0; j < n-1; j++ {
 			if b[j] < 0 {
 				return false
 			}
 		}
-		return residual(rows, y, b, n) <= residual(rows, y, [MaxCoef]float64{}, n)+1e-9
+		return residual(rows, y, b, n) <= residual(rows, y, [maxCoef]float64{}, n)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -165,7 +161,7 @@ func TestNNLSKKT(t *testing.T) {
 		hi := lo + (1-lo)*math.Max(r.Float64(), 1e-3)
 		c := [3]float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
 		rows, y := probe(n, lo, hi, c, math.Pow(10, 6*r.Float64()))
-		b := NNLS(rows[:], y[:], n)
+		b := nnls(rows[:], y[:], n)
 		for j := 0; j < n; j++ {
 			// grad_j = Σ_i A_ij (A_i·b − y_i), against the scale of its terms.
 			var grad, scale float64

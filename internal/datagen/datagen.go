@@ -23,7 +23,7 @@ import (
 // Config controls database generation.
 type Config struct {
 	// ScaleFactor multiplies the TPC-H base row counts (SF 1 = 6M
-	// lineitem rows). Scale1GB and Scale10GB are the defaults used by the
+	// lineitem rows). scale1GB and scale10GB are the defaults used by the
 	// experiment harness.
 	ScaleFactor float64
 	// Zipf skew: 0 = uniform, 1 = the paper's skewed databases.
@@ -36,8 +36,8 @@ type Config struct {
 // so experiments complete quickly in-memory while preserving the 10x
 // size ratio.
 const (
-	Scale1GB  = 0.004
-	Scale10GB = 0.04
+	scale1GB  = 0.004
+	scale10GB = 0.04
 )
 
 // DateDays is the span of the order/ship date domain in days
@@ -58,7 +58,7 @@ const (
 // nation) do not scale.
 func Generate(cfg Config) *engine.DB {
 	if cfg.ScaleFactor <= 0 {
-		cfg.ScaleFactor = Scale1GB
+		cfg.ScaleFactor = scale1GB
 	}
 	g := &generator{cfg: cfg, r: rand.New(rand.NewSource(cfg.Seed)), zipf: map[int]*rand.Zipf{}}
 	db := engine.NewDB()
@@ -287,13 +287,13 @@ func ParseKind(s string) (DBKind, error) {
 func ConfigFor(kind DBKind, seed int64) Config {
 	switch kind {
 	case Uniform1G:
-		return Config{ScaleFactor: Scale1GB, Z: 0, Seed: seed}
+		return Config{ScaleFactor: scale1GB, Z: 0, Seed: seed}
 	case Skewed1G:
-		return Config{ScaleFactor: Scale1GB, Z: 1, Seed: seed}
+		return Config{ScaleFactor: scale1GB, Z: 1, Seed: seed}
 	case Uniform10G:
-		return Config{ScaleFactor: Scale10GB, Z: 0, Seed: seed}
+		return Config{ScaleFactor: scale10GB, Z: 0, Seed: seed}
 	case Skewed10G:
-		return Config{ScaleFactor: Scale10GB, Z: 1, Seed: seed}
+		return Config{ScaleFactor: scale10GB, Z: 1, Seed: seed}
 	default:
 		panic(fmt.Sprintf("datagen: unknown DBKind %d", int(kind)))
 	}

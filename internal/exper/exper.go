@@ -72,8 +72,8 @@ type RunResult struct {
 	MeanOverhead float64
 }
 
-// Sigmas returns the predicted standard deviations in query order.
-func (r *RunResult) Sigmas() []float64 {
+// sigmas returns the predicted standard deviations in query order.
+func (r *RunResult) sigmas() []float64 {
 	out := make([]float64, len(r.Outcomes))
 	for i, o := range r.Outcomes {
 		out[i] = o.PredSigma
@@ -81,8 +81,8 @@ func (r *RunResult) Sigmas() []float64 {
 	return out
 }
 
-// Errors returns the actual prediction errors in query order.
-func (r *RunResult) Errors() []float64 {
+// errors returns the actual prediction errors in query order.
+func (r *RunResult) errors() []float64 {
 	out := make([]float64, len(r.Outcomes))
 	for i, o := range r.Outcomes {
 		out[i] = o.Err
@@ -309,8 +309,8 @@ func (l *Lab) run(s Setting) (*RunResult, error) {
 		res.Outcomes = append(res.Outcomes, out)
 	}
 
-	res.RS = stats.Spearman(res.Sigmas(), res.Errors())
-	res.RP = stats.Pearson(res.Sigmas(), res.Errors())
+	res.RS = stats.Spearman(res.sigmas(), res.errors())
+	res.RP = stats.Pearson(res.sigmas(), res.errors())
 	res.Dn = stats.Dn(res.NormalizedErrors(), nil)
 	res.MeanOverhead = stats.Mean(overheads)
 	return res, nil
@@ -336,8 +336,8 @@ type SelectivityMetrics struct {
 	NumLargeErrObs int
 }
 
-// ComputeSelectivityMetrics aggregates all operator observations.
-func ComputeSelectivityMetrics(r *RunResult, threshold float64) SelectivityMetrics {
+// computeSelectivityMetrics aggregates all operator observations.
+func computeSelectivityMetrics(r *RunResult, threshold float64) SelectivityMetrics {
 	var estSigma, absErr, est, truth, relErrs []float64
 	var largeSigma, largeErr []float64
 	for _, o := range r.Outcomes {

@@ -73,7 +73,7 @@ func TestRunTPCHWithAggregates(t *testing.T) {
 		t.Fatal("no outcomes")
 	}
 	// Selectivity observations exist (scans and joins below aggregates).
-	m := ComputeSelectivityMetrics(res, 0.2)
+	m := computeSelectivityMetrics(res, 0.2)
 	if m.NumObs == 0 {
 		t.Error("no selectivity observations")
 	}
@@ -244,7 +244,7 @@ func TestSelectivityMetricsThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := ComputeSelectivityMetrics(res, 0.2)
+	m := computeSelectivityMetrics(res, 0.2)
 	if m.NumLargeErrObs > m.NumObs {
 		t.Errorf("large-error obs %d > total %d", m.NumLargeErrObs, m.NumObs)
 	}

@@ -39,10 +39,10 @@ func (z Sizing) setting(b workload.Benchmark, db datagen.DBKind, machine string,
 	}
 }
 
-// Table1CostUnits prints the calibrated cost units (mean and standard
+// table1CostUnits prints the calibrated cost units (mean and standard
 // deviation) per machine — the content of Table 1 realized on the
 // simulated hardware.
-func Table1CostUnits(w io.Writer, lab *Lab, z Sizing) error {
+func table1CostUnits(w io.Writer, lab *Lab, z Sizing) error {
 	fmt.Fprintln(w, "Table 1: calibrated cost units (seconds per operation)")
 	fmt.Fprintf(w, "%-8s %-6s %-14s %-14s\n", "machine", "unit", "mean", "stddev")
 	for _, m := range machines {
@@ -71,9 +71,9 @@ var figure2Panels = []struct {
 	{"(c) TPCH, Skewed 10GB, PC1", workload.TPCH, datagen.Skewed10G, "PC1"},
 }
 
-// Figure2Correlation regenerates Figure 2: r_s and r_p versus sampling
+// figure2Correlation regenerates Figure 2: r_s and r_p versus sampling
 // ratio for the three panels.
-func Figure2Correlation(w io.Writer, lab *Lab, z Sizing) error {
+func figure2Correlation(w io.Writer, lab *Lab, z Sizing) error {
 	fmt.Fprintln(w, "Figure 2: r_s and r_p of the benchmark queries")
 	for _, p := range figure2Panels {
 		fmt.Fprintln(w, p.label)
@@ -89,10 +89,10 @@ func Figure2Correlation(w io.Writer, lab *Lab, z Sizing) error {
 	return nil
 }
 
-// Figure3OutlierRobustness regenerates Figure 3: scatter data for the
+// figure3OutlierRobustness regenerates Figure 3: scatter data for the
 // two cases plus the correlation coefficients before and after removing
 // the largest-sigma point (the paper's outlier discussion).
-func Figure3OutlierRobustness(w io.Writer, lab *Lab, z Sizing) error {
+func figure3OutlierRobustness(w io.Writer, lab *Lab, z Sizing) error {
 	fmt.Fprintln(w, "Figure 3: robustness of r_s and r_p with respect to outliers")
 	cases := []struct {
 		label   string
@@ -109,7 +109,7 @@ func Figure3OutlierRobustness(w io.Writer, lab *Lab, z Sizing) error {
 		if err != nil {
 			return err
 		}
-		sig, errs := res.Sigmas(), res.Errors()
+		sig, errs := res.sigmas(), res.errors()
 		fmt.Fprintf(w, "%s: r_s=%.4f r_p=%.4f\n", c.label,
 			stats.Spearman(sig, errs), stats.Pearson(sig, errs))
 		slope, icpt := stats.BestFitLine(sig, errs)
@@ -133,9 +133,9 @@ func Figure3OutlierRobustness(w io.Writer, lab *Lab, z Sizing) error {
 	return nil
 }
 
-// Figure4Dn regenerates Figure 4: D_n versus sampling ratio for the
+// figure4Dn regenerates Figure 4: D_n versus sampling ratio for the
 // three benchmarks over uniform 10GB databases on both machines.
-func Figure4Dn(w io.Writer, lab *Lab, z Sizing) error {
+func figure4Dn(w io.Writer, lab *Lab, z Sizing) error {
 	fmt.Fprintln(w, "Figure 4: D_n of the benchmark queries over uniform TPC-H 10GB databases")
 	for _, b := range workload.Benchmarks {
 		fmt.Fprintf(w, "(%s)\n", b)
@@ -155,9 +155,9 @@ func Figure4Dn(w io.Writer, lab *Lab, z Sizing) error {
 	return nil
 }
 
-// Figure5PrAlpha regenerates Figure 5: the proximity of Pr_n(alpha) and
+// figure5PrAlpha regenerates Figure 5: the proximity of Pr_n(alpha) and
 // Pr(alpha) for the three benchmarks (uniform 10GB, PC2, SR=0.05).
-func Figure5PrAlpha(w io.Writer, lab *Lab, z Sizing) error {
+func figure5PrAlpha(w io.Writer, lab *Lab, z Sizing) error {
 	fmt.Fprintln(w, "Figure 5: proximity of Pr_n(alpha) and Pr(alpha) (Uniform 10GB, PC2, SR=0.05)")
 	grid := stats.DefaultAlphaGrid
 	for _, b := range workload.Benchmarks {
@@ -175,9 +175,9 @@ func Figure5PrAlpha(w io.Writer, lab *Lab, z Sizing) error {
 	return nil
 }
 
-// Figure6MoreScatter regenerates Figure 6: the both-good and
+// figure6MoreScatter regenerates Figure 6: the both-good and
 // both-mediocre correlation cases.
-func Figure6MoreScatter(w io.Writer, lab *Lab, z Sizing) error {
+func figure6MoreScatter(w io.Writer, lab *Lab, z Sizing) error {
 	fmt.Fprintln(w, "Figure 6: more case studies on correlations")
 	cases := []struct {
 		label string
@@ -193,7 +193,7 @@ func Figure6MoreScatter(w io.Writer, lab *Lab, z Sizing) error {
 			return err
 		}
 		fmt.Fprintf(w, "%s: r_s=%.4f r_p=%.4f\n", c.label, res.RS, res.RP)
-		sig, errs := res.Sigmas(), res.Errors()
+		sig, errs := res.sigmas(), res.errors()
 		slope, icpt := stats.BestFitLine(sig, errs)
 		fmt.Fprintf(w, "  best-fit: err = %.4f*sigma + %.4g\n", slope, icpt)
 		for i := range sig {
@@ -227,9 +227,9 @@ func ablation(w io.Writer, lab *Lab, z Sizing, db datagen.DBKind, machine string
 	return nil
 }
 
-// Figure8Ablations regenerates Figure 8: the four predictor variants on
+// figure8Ablations regenerates Figure 8: the four predictor variants on
 // uniform databases in terms of r_s.
-func Figure8Ablations(w io.Writer, lab *Lab, z Sizing) error {
+func figure8Ablations(w io.Writer, lab *Lab, z Sizing) error {
 	fmt.Fprintln(w, "Figure 8: comparison of four alternatives in terms of r_s (uniform databases)")
 	if err := ablation(w, lab, z, datagen.Uniform1G, "PC2"); err != nil {
 		return err
@@ -237,9 +237,9 @@ func Figure8Ablations(w io.Writer, lab *Lab, z Sizing) error {
 	return ablation(w, lab, z, datagen.Uniform10G, "PC1")
 }
 
-// Figure10AblationsSkew regenerates Figure 10 (Appendix C.3): the
+// figure10AblationsSkew regenerates Figure 10 (Appendix C.3): the
 // ablations over skewed databases.
-func Figure10AblationsSkew(w io.Writer, lab *Lab, z Sizing) error {
+func figure10AblationsSkew(w io.Writer, lab *Lab, z Sizing) error {
 	fmt.Fprintln(w, "Figure 10: comparison of four alternatives in terms of r_s (skewed databases)")
 	if err := ablation(w, lab, z, datagen.Skewed1G, "PC1"); err != nil {
 		return err
@@ -247,9 +247,9 @@ func Figure10AblationsSkew(w io.Writer, lab *Lab, z Sizing) error {
 	return ablation(w, lab, z, datagen.Skewed10G, "PC2")
 }
 
-// Figure9Overhead regenerates Figure 9: relative overhead of sampling
+// figure9Overhead regenerates Figure 9: relative overhead of sampling
 // for TPCH queries on PC1 over the four databases.
-func Figure9Overhead(w io.Writer, lab *Lab, z Sizing) error {
+func figure9Overhead(w io.Writer, lab *Lab, z Sizing) error {
 	fmt.Fprintln(w, "Figure 9: relative overhead of TPCH queries on PC1")
 	fmt.Fprintf(w, "%-8s", "SR")
 	for _, db := range allDBs {
@@ -270,9 +270,9 @@ func Figure9Overhead(w io.Writer, lab *Lab, z Sizing) error {
 	return nil
 }
 
-// Figure11OverheadAll regenerates Figure 11 (Appendix C.4): relative
+// figure11OverheadAll regenerates Figure 11 (Appendix C.4): relative
 // overhead for all benchmarks on both machines.
-func Figure11OverheadAll(w io.Writer, lab *Lab, z Sizing) error {
+func figure11OverheadAll(w io.Writer, lab *Lab, z Sizing) error {
 	fmt.Fprintln(w, "Figure 11: relative overhead of benchmark queries")
 	for _, m := range machines {
 		for _, b := range workload.Benchmarks {
@@ -298,16 +298,16 @@ func Figure11OverheadAll(w io.Writer, lab *Lab, z Sizing) error {
 	return nil
 }
 
-// Figure12SelectivityScatter regenerates Figure 12 (Appendix C.5): the
+// figure12SelectivityScatter regenerates Figure 12 (Appendix C.5): the
 // estimated versus actual selectivities (skewed 1GB, PC1, SR=0.05).
-func Figure12SelectivityScatter(w io.Writer, lab *Lab, z Sizing) error {
+func figure12SelectivityScatter(w io.Writer, lab *Lab, z Sizing) error {
 	fmt.Fprintln(w, "Figure 12: estimated vs actual selectivities (Skewed 1GB, PC1, SR=0.05)")
 	for _, b := range workload.Benchmarks {
 		res, err := lab.Run(z.setting(b, datagen.Skewed1G, "PC1", 0.05, core.All))
 		if err != nil {
 			return err
 		}
-		m := ComputeSelectivityMetrics(res, 0.2)
+		m := computeSelectivityMetrics(res, 0.2)
 		fmt.Fprintf(w, "(%s) r_s=%.4f r_p=%.4f over %d operators\n", b, m.SelRS, m.SelRP, m.NumObs)
 		var pts []OpObservation
 		for _, o := range res.Outcomes {
@@ -326,17 +326,17 @@ func (z Sizing) gridCell(lab *Lab, b workload.Benchmark, db datagen.DBKind, m st
 	return lab.Run(z.setting(b, db, m, sr, core.All))
 }
 
-// Table4CorrelationGrid regenerates Table 4: r_s (r_p) for every
+// table4CorrelationGrid regenerates Table 4: r_s (r_p) for every
 // benchmark, machine, database, and sampling ratio.
-func Table4CorrelationGrid(w io.Writer, lab *Lab, z Sizing) error {
+func table4CorrelationGrid(w io.Writer, lab *Lab, z Sizing) error {
 	fmt.Fprintln(w, "Table 4: r_s (r_p) of the benchmark queries")
 	return gridTable(w, lab, z, func(r *RunResult) string {
 		return fmt.Sprintf("%.4f (%.4f)", r.RS, r.RP)
 	})
 }
 
-// Table5DnGrid regenerates Table 5: D_n over the same grid.
-func Table5DnGrid(w io.Writer, lab *Lab, z Sizing) error {
+// table5DnGrid regenerates Table 5: D_n over the same grid.
+func table5DnGrid(w io.Writer, lab *Lab, z Sizing) error {
 	fmt.Fprintln(w, "Table 5: D_n of the benchmark queries")
 	return gridTable(w, lab, z, func(r *RunResult) string {
 		return fmt.Sprintf("%.4f", r.Dn)
@@ -389,7 +389,7 @@ func selGrid(w io.Writer, lab *Lab, z Sizing, cell func(SelectivityMetrics) stri
 					if err != nil {
 						return err
 					}
-					fmt.Fprintf(w, " %-18s", cell(ComputeSelectivityMetrics(res, 0.2)))
+					fmt.Fprintf(w, " %-18s", cell(computeSelectivityMetrics(res, 0.2)))
 				}
 			}
 			fmt.Fprintln(w)
@@ -398,36 +398,36 @@ func selGrid(w io.Writer, lab *Lab, z Sizing, cell func(SelectivityMetrics) stri
 	return nil
 }
 
-// Table6SelErrCorrelation regenerates Table 6: correlations between the
+// table6SelErrCorrelation regenerates Table 6: correlations between the
 // estimated and actual errors in selectivity estimates.
-func Table6SelErrCorrelation(w io.Writer, lab *Lab, z Sizing) error {
+func table6SelErrCorrelation(w io.Writer, lab *Lab, z Sizing) error {
 	fmt.Fprintln(w, "Table 6: r_s (r_p) between estimated and actual errors in selectivity estimates")
 	return selGrid(w, lab, z, func(m SelectivityMetrics) string {
 		return fmt.Sprintf("%.4f (%.4f)", m.ErrRS, m.ErrRP)
 	})
 }
 
-// Table7SelCorrelation regenerates Table 7: correlations between the
+// table7SelCorrelation regenerates Table 7: correlations between the
 // estimated and actual selectivities.
-func Table7SelCorrelation(w io.Writer, lab *Lab, z Sizing) error {
+func table7SelCorrelation(w io.Writer, lab *Lab, z Sizing) error {
 	fmt.Fprintln(w, "Table 7: r_s (r_p) between estimated and actual selectivities")
 	return selGrid(w, lab, z, func(m SelectivityMetrics) string {
 		return fmt.Sprintf("%.4f (%.4f)", m.SelRS, m.SelRP)
 	})
 }
 
-// Table8SelRelError regenerates Table 8: mean relative errors in the
+// table8SelRelError regenerates Table 8: mean relative errors in the
 // selectivity estimates.
-func Table8SelRelError(w io.Writer, lab *Lab, z Sizing) error {
+func table8SelRelError(w io.Writer, lab *Lab, z Sizing) error {
 	fmt.Fprintln(w, "Table 8: relative errors in the selectivity estimates")
 	return selGrid(w, lab, z, func(m SelectivityMetrics) string {
 		return fmt.Sprintf("%.4f", m.MeanRelErr)
 	})
 }
 
-// Table9LargeErrCorrelation regenerates Table 9: correlations of
+// table9LargeErrCorrelation regenerates Table 9: correlations of
 // selectivity estimates restricted to relative errors above 0.2.
-func Table9LargeErrCorrelation(w io.Writer, lab *Lab, z Sizing) error {
+func table9LargeErrCorrelation(w io.Writer, lab *Lab, z Sizing) error {
 	fmt.Fprintln(w, "Table 9: r_s (r_p) of selectivity estimates with relative errors above 0.2")
 	return selGrid(w, lab, z, func(m SelectivityMetrics) string {
 		if m.NumLargeErrObs < 3 {
@@ -446,23 +446,23 @@ type Report struct {
 
 // Reports lists every regenerable table and figure in evaluation order.
 var Reports = []Report{
-	{"table1", "calibrated cost units per machine", Table1CostUnits},
-	{"figure2", "r_s/r_p vs sampling ratio, three panels", Figure2Correlation},
-	{"figure3", "outlier robustness of r_s vs r_p", Figure3OutlierRobustness},
-	{"figure4", "D_n vs sampling ratio, uniform 10GB", Figure4Dn},
-	{"figure5", "Pr_n(alpha) vs Pr(alpha) curves", Figure5PrAlpha},
-	{"figure6", "more correlation case studies", Figure6MoreScatter},
-	{"figure8", "ablations (uniform databases)", Figure8Ablations},
-	{"figure9", "sampling overhead, TPCH on PC1", Figure9Overhead},
-	{"figure10", "ablations (skewed databases)", Figure10AblationsSkew},
-	{"figure11", "sampling overhead, all benchmarks", Figure11OverheadAll},
-	{"figure12", "estimated vs actual selectivities", Figure12SelectivityScatter},
-	{"table4", "full r_s (r_p) grid", Table4CorrelationGrid},
-	{"table5", "full D_n grid", Table5DnGrid},
-	{"table6", "selectivity error correlations", Table6SelErrCorrelation},
-	{"table7", "selectivity correlations", Table7SelCorrelation},
-	{"table8", "mean relative selectivity errors", Table8SelRelError},
-	{"table9", "large-error selectivity correlations", Table9LargeErrCorrelation},
+	{"table1", "calibrated cost units per machine", table1CostUnits},
+	{"figure2", "r_s/r_p vs sampling ratio, three panels", figure2Correlation},
+	{"figure3", "outlier robustness of r_s vs r_p", figure3OutlierRobustness},
+	{"figure4", "D_n vs sampling ratio, uniform 10GB", figure4Dn},
+	{"figure5", "Pr_n(alpha) vs Pr(alpha) curves", figure5PrAlpha},
+	{"figure6", "more correlation case studies", figure6MoreScatter},
+	{"figure8", "ablations (uniform databases)", figure8Ablations},
+	{"figure9", "sampling overhead, TPCH on PC1", figure9Overhead},
+	{"figure10", "ablations (skewed databases)", figure10AblationsSkew},
+	{"figure11", "sampling overhead, all benchmarks", figure11OverheadAll},
+	{"figure12", "estimated vs actual selectivities", figure12SelectivityScatter},
+	{"table4", "full r_s (r_p) grid", table4CorrelationGrid},
+	{"table5", "full D_n grid", table5DnGrid},
+	{"table6", "selectivity error correlations", table6SelErrCorrelation},
+	{"table7", "selectivity correlations", table7SelCorrelation},
+	{"table8", "mean relative selectivity errors", table8SelRelError},
+	{"table9", "large-error selectivity correlations", table9LargeErrCorrelation},
 }
 
 // ReportByID returns the named report.

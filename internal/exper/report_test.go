@@ -23,7 +23,7 @@ func TestReportByID(t *testing.T) {
 
 func TestTable1Renders(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Table1CostUnits(&buf, NewLab(), tinySizing()); err != nil {
+	if err := table1CostUnits(&buf, NewLab(), tinySizing()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -36,7 +36,7 @@ func TestTable1Renders(t *testing.T) {
 
 func TestFigure3Renders(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Figure3OutlierRobustness(&buf, NewLab(), tinySizing()); err != nil {
+	if err := figure3OutlierRobustness(&buf, NewLab(), tinySizing()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -51,7 +51,7 @@ func TestFigure5Renders(t *testing.T) {
 	// Uses the 10GB database, so keep the cell tiny.
 	z := Sizing{QueriesPerCell: 6, Seed: 1}
 	var buf bytes.Buffer
-	if err := Figure5PrAlpha(&buf, NewLab(), z); err != nil {
+	if err := figure5PrAlpha(&buf, NewLab(), z); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -65,7 +65,7 @@ func TestFigure5Renders(t *testing.T) {
 func TestFigure9Renders(t *testing.T) {
 	z := Sizing{QueriesPerCell: 4, Seed: 1}
 	var buf bytes.Buffer
-	if err := Figure9Overhead(&buf, NewLab(), z); err != nil {
+	if err := figure9Overhead(&buf, NewLab(), z); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -80,11 +80,11 @@ func TestGridTablesShareRunsViaMemoization(t *testing.T) {
 	lab := NewLab()
 	z := Sizing{QueriesPerCell: 3, Seed: 1}
 	var t4, t5 bytes.Buffer
-	if err := Table4CorrelationGrid(&t4, lab, z); err != nil {
+	if err := table4CorrelationGrid(&t4, lab, z); err != nil {
 		t.Fatal(err)
 	}
 	runsAfterT4 := len(lab.runCache)
-	if err := Table5DnGrid(&t5, lab, z); err != nil {
+	if err := table5DnGrid(&t5, lab, z); err != nil {
 		t.Fatal(err)
 	}
 	if len(lab.runCache) != runsAfterT4 {

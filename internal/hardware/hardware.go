@@ -5,11 +5,10 @@
 // model function g (error source (iii) of Section 1).
 //
 // A machine is a Profile — a plain data value (per-unit means and
-// coefficients of variation, one model-error sigma) constructible from
-// a JSON Spec, drifted from another profile (WithDrift), or looked up
-// by name in the registry (ProfileByName, Register). The
-// paper's two physical machines survive as the preset profiles PC1 and
-// PC2, themselves defined as specs.
+// standard deviations, one model-error sigma). The paper's two physical
+// machines are the literal profiles PC1 and PC2 (ProfileByName looks
+// them up by name); every other machine is drifted from one of them
+// (WithDrift).
 //
 // The paper ran PostgreSQL 9.0.4 on physical machines; this simulator is
 // the documented substitution (see DESIGN.md §3). Prediction-side code —
@@ -67,9 +66,8 @@ var Units = [NumUnits]Unit{CS, CR, CT, CI, CO}
 // distribution of each cost unit in seconds per operation, and the
 // standard deviation of the per-operator log-scale model error. A
 // Profile is a plain comparable value — two profiles with equal fields
-// are the same machine — constructed from a preset (PC1, PC2), a JSON
-// Spec (FromSpec, ParseProfile), the registry (ProfileByName), or
-// drifted from another profile (WithDrift).
+// are the same machine — one of the paper's two machines (PC1, PC2,
+// ProfileByName) or drifted from one (WithDrift).
 type Profile struct {
 	Name string
 	// True distribution of each cost unit; the calibration framework
@@ -81,41 +79,6 @@ type Profile struct {
 	// the logical cost functions miss).
 	ModelErrSigma float64
 }
-
-// The preset machines of the paper's experiments, as data. PC1 is the
-// slower machine (dual 1.86 GHz CPU, 4 GB); PC2 (8-core 2.40 GHz,
-// 16 GB) has roughly 2x cheaper CPU units, moderately cheaper I/O, and
-// slightly tighter variation.
-var (
-	pc1Spec = Spec{
-		Name: "PC1",
-		Units: map[string]UnitSpec{
-			"cs": {Mean: 80e-6, Sigma: 14e-6},   // sequential page read
-			"cr": {Mean: 900e-6, Sigma: 220e-6}, // random page read
-			"ct": {Mean: 1.0e-6, Sigma: 0.18e-6},
-			"ci": {Mean: 2.5e-6, Sigma: 0.50e-6},
-			"co": {Mean: 1.4e-6, Sigma: 0.26e-6},
-		},
-		ModelErrSigma: 0.12,
-	}
-	pc2Spec = Spec{
-		Name: "PC2",
-		Units: map[string]UnitSpec{
-			"cs": {Mean: 60e-6, Sigma: 9e-6},
-			"cr": {Mean: 700e-6, Sigma: 150e-6},
-			"ct": {Mean: 0.45e-6, Sigma: 0.07e-6},
-			"ci": {Mean: 1.1e-6, Sigma: 0.19e-6},
-			"co": {Mean: 0.6e-6, Sigma: 0.10e-6},
-		},
-		ModelErrSigma: 0.10,
-	}
-)
-
-// PC1 returns the slower machine of the paper (dual 1.86 GHz CPU, 4 GB).
-func PC1() *Profile { return mustFromSpec(pc1Spec) }
-
-// PC2 returns the faster machine (8-core 2.40 GHz, 16 GB).
-func PC2() *Profile { return mustFromSpec(pc2Spec) }
 
 // drawUnit samples one realization of cost unit u.
 func (p *Profile) drawUnit(u Unit, r *rand.Rand) float64 {
@@ -146,13 +109,13 @@ func (p *Profile) OperatorTime(counts engine.Counts, r *rand.Rand) float64 {
 	return t
 }
 
-// PlanTime realizes the total running time of an executed plan. The
+// planTime realizes the total running time of an executed plan. The
 // cost units are drawn once per run — they model the machine state
 // (disk layout, cache temperature, background load) during that
 // execution, the "fluctuations in the system state" of Section 1 — and
 // shared by all operators; each operator additionally gets an
 // independent lognormal model-error factor for the imperfection of g.
-func (p *Profile) PlanTime(res *engine.OpResult, r *rand.Rand) float64 {
+func (p *Profile) planTime(res *engine.OpResult, r *rand.Rand) float64 {
 	var units [NumUnits]float64
 	for i := 0; i < NumUnits; i++ {
 		units[i] = p.drawUnit(Unit(i), r)
@@ -186,18 +149,18 @@ func (p *Profile) opTreeTime(op *engine.OpResult, units *[NumUnits]float64, r *r
 	return t
 }
 
-// AverageRuns is the paper's measurement protocol, which only Measure
-// follows: run the query AverageRuns times and average the times.
-const AverageRuns = 5
+// averageRuns is the paper's measurement protocol, which only Measure
+// follows: run the query averageRuns times and average the times.
+const averageRuns = 5
 
-// MeasurePlan returns the "actual running time" of an executed plan:
-// the mean of AverageRuns successive realizations of PlanTime on r.
-func (p *Profile) MeasurePlan(res *engine.OpResult, r *rand.Rand) float64 {
+// measurePlan returns the "actual running time" of an executed plan:
+// the mean of averageRuns successive realizations of planTime on r.
+func (p *Profile) measurePlan(res *engine.OpResult, r *rand.Rand) float64 {
 	var sum float64
-	for i := 0; i < AverageRuns; i++ {
-		sum += p.PlanTime(res, r)
+	for i := 0; i < averageRuns; i++ {
+		sum += p.planTime(res, r)
 	}
-	return sum / AverageRuns
+	return sum / averageRuns
 }
 
 // ExpectedCost returns the deterministic cost sum_c n_c * mu_c of a count

@@ -90,8 +90,8 @@ func TestMeasurePlanAveragesRuns(t *testing.T) {
 	r2 := rand.New(rand.NewSource(3))
 	var singles, averaged []float64
 	for i := 0; i < 300; i++ {
-		singles = append(singles, p.PlanTime(res, r1))
-		averaged = append(averaged, p.MeasurePlan(res, r2))
+		singles = append(singles, p.planTime(res, r1))
+		averaged = append(averaged, p.measurePlan(res, r2))
 	}
 	vs, va := stats.Variance(singles), stats.Variance(averaged)
 	if va >= vs {

@@ -20,23 +20,23 @@ func (p *Profile) RunPlanSeeded(res *engine.OpResult, v rng.Version, key int64) 
 		s := rng.NewStream(key)
 		return p.planTimeStream(res, &s)
 	}
-	return p.PlanTime(res, rand.New(rand.NewSource(key)))
+	return p.planTime(res, rand.New(rand.NewSource(key)))
 }
 
 // MeasurePlanSeeded is the paper's measurement protocol, used by
-// System.Measure and internal/exper only: the mean of AverageRuns
+// System.Measure and internal/exper only: the mean of averageRuns
 // successive runs of the stream RunPlanSeeded draws one run from, so
 // its first run is RunPlanSeeded's value.
 func (p *Profile) MeasurePlanSeeded(res *engine.OpResult, v rng.Version, key int64) float64 {
 	if v != rng.V2 {
-		return p.MeasurePlan(res, rand.New(rand.NewSource(key)))
+		return p.measurePlan(res, rand.New(rand.NewSource(key)))
 	}
 	s := rng.NewStream(key)
 	var sum float64
-	for i := 0; i < AverageRuns; i++ {
+	for i := 0; i < averageRuns; i++ {
 		sum += p.planTimeStream(res, &s)
 	}
-	return sum / AverageRuns
+	return sum / averageRuns
 }
 
 // drawUnitStream mirrors drawUnit on the concrete V2 stream.
@@ -50,7 +50,7 @@ func (p *Profile) drawUnitStream(u Unit, s *rng.Stream) float64 {
 	return v
 }
 
-// planTimeStream mirrors PlanTime on the concrete V2 stream, walking
+// planTimeStream mirrors planTime on the concrete V2 stream, walking
 // the result tree directly (same preorder as Results, no slice).
 func (p *Profile) planTimeStream(res *engine.OpResult, s *rng.Stream) float64 {
 	var units [NumUnits]float64

@@ -35,7 +35,7 @@ func TestMeasurePlanSeededV1BitCompatible(t *testing.T) {
 	p := PC1()
 	res := measureFixture(t)
 	for key := int64(-3); key < 40; key += 7 {
-		want := p.MeasurePlan(res, rand.New(rand.NewSource(key)))
+		want := p.measurePlan(res, rand.New(rand.NewSource(key)))
 		if got := p.MeasurePlanSeeded(res, rng.V1, key); got != want {
 			t.Fatalf("key %d: v1 seeded = %v, historical = %v", key, got, want)
 		}
@@ -43,7 +43,7 @@ func TestMeasurePlanSeededV1BitCompatible(t *testing.T) {
 }
 
 // TestRunIsFirstMeasuredRun holds the execute/measure split on both
-// stream versions: MeasurePlanSeeded is the mean of AverageRuns
+// stream versions: MeasurePlanSeeded is the mean of averageRuns
 // successive realizations on one stream, and the first of them is
 // RunPlanSeeded's, bit for bit.
 func TestRunIsFirstMeasuredRun(t *testing.T) {
@@ -53,11 +53,11 @@ func TestRunIsFirstMeasuredRun(t *testing.T) {
 		r := rand.New(rand.NewSource(key))
 		s := rng.NewStream(key)
 		realize := map[rng.Version]func() float64{
-			rng.V1: func() float64 { return p.PlanTime(res, r) },
+			rng.V1: func() float64 { return p.planTime(res, r) },
 			rng.V2: func() float64 { return p.planTimeStream(res, &s) },
 		}
 		for v, next := range realize {
-			var runs [AverageRuns]float64
+			var runs [averageRuns]float64
 			var sum float64
 			for i := range runs {
 				runs[i] = next()
@@ -66,8 +66,8 @@ func TestRunIsFirstMeasuredRun(t *testing.T) {
 			if got := p.RunPlanSeeded(res, v, key); got != runs[0] {
 				t.Errorf("v%d key %d: RunPlanSeeded = %v, first realization = %v", v+1, key, got, runs[0])
 			}
-			if got, want := p.MeasurePlanSeeded(res, v, key), sum/AverageRuns; got != want {
-				t.Errorf("v%d key %d: MeasurePlanSeeded = %v, mean of %d realizations = %v", v+1, key, got, AverageRuns, want)
+			if got, want := p.MeasurePlanSeeded(res, v, key), sum/averageRuns; got != want {
+				t.Errorf("v%d key %d: MeasurePlanSeeded = %v, mean of %d realizations = %v", v+1, key, got, averageRuns, want)
 			}
 			if runs[0] == runs[1] {
 				t.Errorf("v%d key %d: successive realizations coincide at %v", v+1, key, runs[0])

@@ -48,13 +48,13 @@ type Query struct {
 	Agg    *AggSpec
 }
 
-// IndexScanThreshold is the estimated selectivity below which the builder
+// indexScanThreshold is the estimated selectivity below which the builder
 // prefers an index scan over a sequential scan.
-const IndexScanThreshold = 0.08
+const indexScanThreshold = 0.08
 
-// NestLoopThreshold is the estimated inner cardinality below which the
+// nestLoopThreshold is the estimated inner cardinality below which the
 // builder may choose a nested-loop join.
-const NestLoopThreshold = 200.0
+const nestLoopThreshold = 200.0
 
 // String renders the condition as "lt.lc = rt.rc".
 func (jc JoinCond) String() string {
@@ -99,7 +99,7 @@ type optimizer struct {
 // pushed as one conjunction, ordered most selective first by a stable
 // insertion sort, so the leading one can serve as the index condition;
 // the scan is an index scan when that one's estimated selectivity is
-// below IndexScanThreshold. A predicate or group column on an unlisted
+// below indexScanThreshold. A predicate or group column on an unlisted
 // table is an error, as is a join condition over unknown columns.
 func prepare(q *Query, cat *catalog.Catalog) (*optimizer, error) {
 	if len(q.Tables) == 0 {
@@ -140,7 +140,7 @@ func prepare(q *Query, cat *catalog.Catalog) (*optimizer, error) {
 		a := access{scan: engine.Node{Kind: engine.SeqScan, Table: t}, card: float64(ts.Rows)}
 		if len(ps) > 0 {
 			a.scan.Preds = ps
-			if sels[0] < IndexScanThreshold {
+			if sels[0] < indexScanThreshold {
 				a.scan.Kind = engine.IndexScan
 			}
 		}
@@ -223,7 +223,7 @@ func (o *optimizer) greedy() (*engine.Node, error) {
 // (an applied condition has both its tables there, so orient skips it).
 // Each join is a hash join, or a nested-loop join over a
 // Materialize when the added table's estimated cardinality is below
-// NestLoopThreshold. A condition the plan cannot apply — one closing a
+// nestLoopThreshold. A condition the plan cannot apply — one closing a
 // cycle, or naming a table the query does not list — is an error.
 func (o *optimizer) leftDeep(first string, pick func(in map[string]bool) (int, error)) (*engine.Node, error) {
 	root := o.paths[first].node()
@@ -237,7 +237,7 @@ func (o *optimizer) leftDeep(first string, pick func(in map[string]bool) (int, e
 		cond, next, _ := orient(o.q.Joins[ji], in)
 		a := o.paths[next]
 		root = &engine.Node{Kind: engine.HashJoin, LeftCol: cond.LeftCol, RightCol: cond.RightCol, Left: root, Right: a.node()}
-		if a.card < NestLoopThreshold {
+		if a.card < nestLoopThreshold {
 			root.Kind = engine.NestLoopJoin
 			root.Right = &engine.Node{Kind: engine.Materialize, Left: root.Right}
 		}

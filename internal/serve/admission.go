@@ -247,7 +247,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (Decision, error) {
 
 // predict resolves q's plan on the tenant's System unless the caller
 // did, then estimates and predicts it on one predictor load, as
-// System.PredictPlannedContext does.
+// System.PredictAndRunContext does.
 func (t *Tenant) predict(ctx context.Context, q *uaqetp.Query, plan *uaqetp.Plan) (*uaqetp.Prediction, *uaqetp.Plan, error) {
 	if plan == nil {
 		var err error
@@ -320,14 +320,14 @@ type Outcome struct {
 // (false with a nil error means the queue was empty), and out is
 // meaningful only when ok. On an execution failure out is a skeleton
 // (ID/Tenant/Query/Deadline; no times) returned alongside the error.
-// Unlike DrainOne it does NOT advance the clock past the execution: the
+// Unlike Drain it does NOT advance the clock past the execution: the
 // outcome's Finish is the instant the work would complete, and the
 // caller decides when (and whether) the clock gets there. This is the
 // primitive the discrete-event simulator steps servers with — it
 // advances each machine's clock to event time via AdvanceClock and
 // schedules a completion event at Finish, reusing one Outcome across
 // steps so the steady-state drain path is allocation-free — while
-// DrainOne keeps the historical back-to-back drain semantics.
+// Drain keeps the historical back-to-back drain semantics.
 //
 // StepOneInto records the observation in the tenant's feedback loop
 // only when Config.RecalEvery is set: the cadence policy is the one
@@ -338,30 +338,6 @@ func (s *Server) StepOneInto(out *Outcome) (ok bool, err error) {
 	s.drainMu.Lock()
 	defer s.drainMu.Unlock()
 	return s.stepOneLocked(out, s.cfg.RecalEvery > 0)
-}
-
-// DrainOne is StepOneInto plus advancing the virtual clock to the
-// outcome's Finish: queued work drains back-to-back on a single virtual
-// server. It always records the observation in the tenant's feedback
-// loop: it is the live path behind Drain, /drain and the dispatcher,
-// whose drift reports /stats and /recalibrate read. Drains are
-// serialized on their own lock, so a background dispatcher racing an
-// explicit /drain cannot reorder work or perturb deadline outcomes;
-// Submit stays responsive because it only needs the brief queue lock.
-func (s *Server) DrainOne() (*Outcome, error) {
-	s.drainMu.Lock()
-	defer s.drainMu.Unlock()
-	var out Outcome
-	ok, err := s.stepOneLocked(&out, true)
-	if !ok {
-		return nil, err
-	}
-	if err == nil {
-		// Advance while still holding drainMu so a concurrent drain
-		// cannot step the next request against a stale clock.
-		s.AdvanceClock(out.Finish)
-	}
-	return &out, err
 }
 
 // stepOneLocked is StepOneInto with drainMu held by the caller; record
@@ -448,17 +424,35 @@ func (s *Server) stepOneLocked(out *Outcome, record bool) (bool, error) {
 }
 
 // Drain executes every queued request in priority order and returns the
-// outcomes.
+// outcomes: each step is StepOneInto plus advancing the virtual clock
+// to the outcome's Finish, so queued work drains back-to-back on a
+// single virtual server. It always records the observation in the
+// tenant's feedback loop: it is the live path behind /drain and the
+// dispatcher, whose drift reports /stats and /recalibrate read. Each
+// step holds drainMu once, so a background dispatcher racing an
+// explicit /drain cannot reorder work or perturb deadline outcomes;
+// Submit stays responsive because it only needs the brief queue lock.
+// On an execution failure Drain stops and returns the outcomes so far
+// with the error.
 func (s *Server) Drain() ([]Outcome, error) {
+	step := func(out *Outcome) (bool, error) {
+		s.drainMu.Lock()
+		defer s.drainMu.Unlock()
+		ok, err := s.stepOneLocked(out, true)
+		if ok && err == nil {
+			// Advance while still holding drainMu so a concurrent drain
+			// cannot step the next request against a stale clock.
+			s.AdvanceClock(out.Finish)
+		}
+		return ok, err
+	}
 	var outs []Outcome
 	for {
-		out, err := s.DrainOne()
-		if err != nil {
+		var out Outcome
+		ok, err := step(&out)
+		if !ok || err != nil {
 			return outs, err
 		}
-		if out == nil {
-			return outs, nil
-		}
-		outs = append(outs, *out)
+		outs = append(outs, out)
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // The feedback loop tracks the calibration observatory's coverage
-// levels (calib.CoverageLevels): a well-calibrated predictor sees
+// levels (calib's coverage levels): a well-calibrated predictor sees
 // ~50%, ~90%, and ~95% of observations inside the corresponding
 // predicted central intervals.
 

@@ -118,7 +118,7 @@ func (w *trackingWriter) ReadFrom(src io.Reader) (int64, error) {
 // errStatus maps a service error onto an HTTP status: unknown tenants
 // are 404, everything else a client error.
 func errStatus(err error) int {
-	if errors.Is(err, ErrUnknownTenant) {
+	if errors.Is(err, errUnknownTenant) {
 		return http.StatusNotFound
 	}
 	return http.StatusBadRequest
@@ -151,7 +151,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, struct {
 		Status  string   `json:"status"`
 		Tenants []string `json:"tenants"`
-	}{Status: "ok", Tenants: s.TenantNames()})
+	}{Status: "ok", Tenants: s.tenantNames()})
 }
 
 // PredictRequest is the /predict body.

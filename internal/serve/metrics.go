@@ -7,7 +7,7 @@ import (
 	"strconv"
 )
 
-// WriteMetrics renders a point-in-time snapshot of the server in the
+// writeMetrics renders a point-in-time snapshot of the server in the
 // Prometheus text exposition format (version 0.0.4), hand-written so
 // the serving layer stays dependency-free. The vocabulary mirrors the
 // simulator's Report: the same counters (admissions, rejections,
@@ -18,7 +18,7 @@ import (
 // Output ordering is fixed (metrics in declaration order, tenants and
 // cache sections sorted by label), so consecutive scrapes of an idle
 // server are byte-identical.
-func (s *Server) WriteMetrics(w io.Writer) error {
+func (s *Server) writeMetrics(w io.Writer) error {
 	st := s.Stats()
 	mw := &metricsWriter{w: w}
 
@@ -169,7 +169,7 @@ func formatValue(v float64) string {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.WriteMetrics(w); err != nil {
+	if err := s.writeMetrics(w); err != nil {
 		// Headers are gone; nothing to do but log-level silence — the
 		// scrape will be truncated and the scraper retries.
 		return

@@ -106,7 +106,7 @@ func TestMetricsCacheTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := srv.WriteMetrics(&buf); err != nil {
+	if err := srv.writeMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
 	tier, ok := cache.TierStats()

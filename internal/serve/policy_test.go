@@ -116,16 +116,16 @@ func TestStepOneHoldsClock(t *testing.T) {
 		t.Fatalf("residual not cleared after clock caught up: wait=%v", wait)
 	}
 
-	// DrainOne keeps the classic semantics: clock lands on the finish.
-	out2, err := srv.DrainOne()
+	// Drain keeps the classic semantics: clock lands on the finish.
+	outs, err := srv.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out2 == nil {
-		t.Fatal("second queued request vanished")
+	if len(outs) != 1 {
+		t.Fatalf("Drain ran %d requests, want the one still queued", len(outs))
 	}
-	if c := srv.Clock(); c != out2.Finish {
-		t.Fatalf("DrainOne left clock at %v, want %v", c, out2.Finish)
+	if c := srv.Clock(); c != outs[0].Finish {
+		t.Fatalf("Drain left clock at %v, want %v", c, outs[0].Finish)
 	}
 }
 

@@ -16,8 +16,8 @@
 //     plan signature and reports calibration drift — observed vs.
 //     predicted quantile coverage, attributed to the cost unit
 //     dominating each query — surfacing when recalibration via
-//     internal/calibrate is warranted. The drain path (DrainOne, Drain,
-//     /drain, the dispatcher) always records; StepOneInto records only
+//     internal/calibrate is warranted. The drain path (Drain, /drain,
+//     the dispatcher) always records; StepOneInto records only
 //     under a recalibration cadence (Config.RecalEvery), the one reader
 //     an externally stepped server has;
 //   - a live recalibration action closing that loop: each tenant's
@@ -128,7 +128,7 @@ type Config struct {
 	// a manual /recalibrate). 0 disables the automatic policy. It also
 	// decides whether StepOneInto feeds the drift loop: only with a
 	// cadence set, since without one nothing in a stepped server reads
-	// it (DrainOne records either way).
+	// it (Drain records either way).
 	RecalEvery float64
 	// Trace, when non-nil, receives structured decision events:
 	// admission verdicts (trace.Decisions), execution outcomes and
@@ -198,7 +198,7 @@ type Server struct {
 
 	// qmu guards the admitted-work queue, the virtual clock, and the
 	// queue's aggregate predicted backlog; drainMu serializes whole
-	// pop-execute-advance drain steps (see DrainOne).
+	// pop-execute-advance drain steps (see Drain).
 	qmu     sync.Mutex
 	drainMu sync.Mutex
 	queue   requestHeap
@@ -321,9 +321,9 @@ func (s *Server) AddTenantSystem(name string, sys *uaqetp.System, slo SLO) (*Ten
 	return t, nil
 }
 
-// ErrUnknownTenant reports a request against a tenant that was never
+// errUnknownTenant reports a request against a tenant that was never
 // added; the HTTP layer maps it to 404.
-var ErrUnknownTenant = errors.New("unknown tenant")
+var errUnknownTenant = errors.New("unknown tenant")
 
 // Tenant returns the named tenant.
 func (s *Server) Tenant(name string) (*Tenant, error) {
@@ -331,13 +331,13 @@ func (s *Server) Tenant(name string) (*Tenant, error) {
 	defer s.mu.RUnlock()
 	t, ok := s.tenants[name]
 	if !ok {
-		return nil, fmt.Errorf("serve: %w %q", ErrUnknownTenant, name)
+		return nil, fmt.Errorf("serve: %w %q", errUnknownTenant, name)
 	}
 	return t, nil
 }
 
-// TenantNames returns the tenant names in sorted order.
-func (s *Server) TenantNames() []string {
+// tenantNames returns the tenant names in sorted order.
+func (s *Server) tenantNames() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	names := make([]string, 0, len(s.tenants))
@@ -423,7 +423,7 @@ func (t *Tenant) Counters() TenantStats {
 
 // Stats snapshots the shared cache, the queue, and every tenant: each
 // tenant's Counters plus its drift reports, sorted by name. The drift
-// reports count work drained through DrainOne, and work stepped through
+// reports count work drained through Drain, and work stepped through
 // StepOneInto only when Config.RecalEvery is set.
 func (s *Server) Stats() Stats {
 	s.qmu.Lock()
@@ -533,7 +533,7 @@ func (s *Server) maybeAutoRecalibrate() {
 	if !due {
 		return
 	}
-	for _, name := range s.TenantNames() {
+	for _, name := range s.tenantNames() {
 		t, err := s.Tenant(name)
 		if err != nil {
 			continue

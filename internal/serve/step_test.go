@@ -12,7 +12,7 @@ import (
 
 // runTenant registers one tenant over sys on a fresh server, submits
 // every query with a deadline nothing misses, runs the queue dry
-// through DrainOne (drain) or through StepOneInto with the clock
+// through Drain (drain) or through StepOneInto with the clock
 // advanced to each finish, and returns the tenant's stats.
 func runTenant(t *testing.T, sys *uaqetp.System, cfg Config, qs []*uaqetp.Query, drain bool) TenantStats {
 	t.Helper()
@@ -25,26 +25,22 @@ func runTenant(t *testing.T, sys *uaqetp.System, cfg Config, qs []*uaqetp.Query,
 			t.Fatalf("submit %s: %+v, %v", q.Name, d, err)
 		}
 	}
-	for {
-		if drain {
-			out, err := srv.DrainOne()
+	if drain {
+		if _, err := srv.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		for {
+			var out Outcome
+			ok, err := srv.StepOneInto(&out)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if out == nil {
+			if !ok {
 				break
 			}
-			continue
+			srv.AdvanceClock(out.Finish)
 		}
-		var out Outcome
-		ok, err := srv.StepOneInto(&out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		srv.AdvanceClock(out.Finish)
 	}
 	st := srv.Stats().Tenants[0]
 	if st.Executed != uint64(len(qs)) {
@@ -55,7 +51,7 @@ func runTenant(t *testing.T, sys *uaqetp.System, cfg Config, qs []*uaqetp.Query,
 
 // TestStepOneIntoFeedbackFollowsCadence pins who feeds the drift loop:
 // StepOneInto records only under a recalibration cadence, then exactly
-// what DrainOne records, and DrainOne records with or without one.
+// what Drain records, and Drain records with or without one.
 func TestStepOneIntoFeedbackFollowsCadence(t *testing.T) {
 	sys, err := uaqetp.Open(uaqetp.DefaultConfig())
 	if err != nil {
@@ -88,12 +84,12 @@ func TestStepOneIntoFeedbackFollowsCadence(t *testing.T) {
 		t.Errorf("StepOneInto under RecalEvery recorded %d observations, want %d", stepped.Drift.Observations, len(qs))
 	}
 	if a, b := driftJSON(stepped), driftJSON(drained); a != b {
-		t.Errorf("drift after StepOneInto\n%s\ndiffers from drift after DrainOne\n%s", a, b)
+		t.Errorf("drift after StepOneInto\n%s\ndiffers from drift after Drain\n%s", a, b)
 	}
 
-	// (c) DrainOne is the live path: it records without a cadence too.
+	// (c) Drain is the live path: it records without a cadence too.
 	if a, b := driftJSON(runTenant(t, sys, Config{}, qs, true)), driftJSON(drained); a != b {
-		t.Errorf("DrainOne without RecalEvery recorded\n%s\nwant\n%s", a, b)
+		t.Errorf("Drain without RecalEvery recorded\n%s\nwant\n%s", a, b)
 	}
 }
 

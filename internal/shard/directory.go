@@ -23,10 +23,10 @@ import (
 // handful of shards split the key space within a few percent of even.
 const DefaultVNodes = 128
 
-// MaxVNodes bounds the virtual-node count per shard. Balance stops
+// maxVNodes bounds the virtual-node count per shard. Balance stops
 // improving long before it; the bound keeps a mistyped directory file
 // from building a ring of billions of entries at startup.
-const MaxVNodes = 4096
+const maxVNodes = 4096
 
 // ringEntry is one virtual node on the hash ring.
 type ringEntry struct {
@@ -52,15 +52,15 @@ type Directory struct {
 }
 
 // NewDirectory builds a directory over the given shard names. vnodes
-// 0 selects DefaultVNodes; a negative count or one above MaxVNodes is
+// 0 selects DefaultVNodes; a negative count or one above maxVNodes is
 // an error. Shard names must be non-empty and unique; order does not
 // matter (the ring is built from the sorted set).
 func NewDirectory(shards []string, vnodes int, seed int64) (*Directory, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("shard: directory needs at least one shard")
 	}
-	if vnodes < 0 || vnodes > MaxVNodes {
-		return nil, fmt.Errorf("shard: vnodes %d out of [0, %d]", vnodes, MaxVNodes)
+	if vnodes < 0 || vnodes > maxVNodes {
+		return nil, fmt.Errorf("shard: vnodes %d out of [0, %d]", vnodes, maxVNodes)
 	}
 	if vnodes == 0 {
 		vnodes = DefaultVNodes

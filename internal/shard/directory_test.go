@@ -143,15 +143,15 @@ func TestDirectoryValidation(t *testing.T) {
 	}
 }
 
-// TestDirectoryVNodesBounds: 0 selects DefaultVNodes and MaxVNodes is
-// accepted, while a negative count or one above MaxVNodes is an error
+// TestDirectoryVNodesBounds: 0 selects DefaultVNodes and maxVNodes is
+// accepted, while a negative count or one above maxVNodes is an error
 // returned before any ring is built — a billion-vnode request must not
 // allocate a billion ring entries first. The cases run smallest first
 // and stop at the first failure, so a directory that builds before it
-// checks fails on MaxVNodes+1 (a few thousand entries) and never
+// checks fails on maxVNodes+1 (a few thousand entries) and never
 // reaches the billion.
 func TestDirectoryVNodesBounds(t *testing.T) {
-	for _, v := range []int{-1, -64, MaxVNodes + 1, 1_000_000_000} {
+	for _, v := range []int{-1, -64, maxVNodes + 1, 1_000_000_000} {
 		var err error
 		allocs := testing.AllocsPerRun(1, func() {
 			_, err = NewDirectory([]string{"a", "b"}, v, 1)
@@ -163,7 +163,7 @@ func TestDirectoryVNodesBounds(t *testing.T) {
 			t.Fatalf("vnodes %d: %v allocations before the error, want the check first", v, allocs)
 		}
 	}
-	for v, want := range map[int]int{0: DefaultVNodes, MaxVNodes: MaxVNodes} {
+	for v, want := range map[int]int{0: DefaultVNodes, maxVNodes: maxVNodes} {
 		d, err := NewDirectory([]string{"a", "b"}, v, 1)
 		if err != nil {
 			t.Fatalf("vnodes %d: %v", v, err)

@@ -74,8 +74,8 @@ func (f *File) Register(name, addr string) {
 	f.Shards = append(f.Shards, FileShard{Name: name, Addr: addr})
 }
 
-// Addrs returns the shard-name → address map.
-func (f *File) Addrs() map[string]string {
+// addrs returns the shard-name → address map.
+func (f *File) addrs() map[string]string {
 	out := make(map[string]string, len(f.Shards))
 	for _, s := range f.Shards {
 		out[s.Name] = s.Addr

@@ -64,7 +64,7 @@ func NewFront(file *File, cfg FrontConfig) (*Front, error) {
 	hop.MaxIdleConnsPerHost = hopIdleConnsPerHost
 	return &Front{
 		dir:         dir,
-		addrs:       file.Addrs(),
+		addrs:       file.addrs(),
 		fd:          NewFrontDoor(cfg.FrontDoor),
 		cfg:         cfg,
 		client:      &http.Client{Timeout: 60 * time.Second, Transport: hop},
@@ -302,7 +302,7 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := f.post(w, r, shardName, "/submit", body)
 	if resp == nil {
-		f.fd.Refund(class, "")
+		f.fd.refund(class, "")
 		return
 	}
 	defer resp.Body.Close()
@@ -313,7 +313,7 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		data, _ := io.ReadAll(resp.Body) // a short read is relayed as read, as relay's io.Copy does
 		var d serve.Decision
 		if json.Unmarshal(data, &d) == nil && d.Verdict == string(VerdictShedPredictive) {
-			f.fd.Refund(class, VerdictShedPredictive)
+			f.fd.refund(class, VerdictShedPredictive)
 			serve.WriteJSON(w, http.StatusTooManyRequests, shedResponse{
 				Verdict: VerdictShedPredictive, Reason: d.Reason, Shard: shardName, PMeet: d.PMeet,
 			})
@@ -322,7 +322,7 @@ func (f *Front) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		reply = bytes.NewReader(data)
 	default:
 		// No shard accepted the request (unknown tenant, bad query).
-		f.fd.Refund(class, "")
+		f.fd.refund(class, "")
 	}
 	f.relay(w, shardName, resp.StatusCode, reply)
 }

@@ -60,7 +60,7 @@ type ClassCounters struct {
 // Order of checks is deliberate: predictive first, so hopeless
 // requests never consume tokens, then the bucket. The HTTP front learns
 // the bound only from its one shard hop, so it reserves a token (bestP
-// 1) and Refunds it when the shard sheds: a hopeless request still costs
+// 1) and refunds it when the shard sheds: a hopeless request still costs
 // no token, but one meeting an empty bucket is throttled without a hop.
 // Deterministic given a deterministic call sequence.
 type FrontDoor struct {
@@ -125,11 +125,11 @@ func (f *FrontDoor) Admit(class string, now, bestP, confidence float64) Verdict 
 	return VerdictAdmit
 }
 
-// Refund undoes an Admit that returned VerdictAdmit: the token goes
+// refund undoes an Admit that returned VerdictAdmit: the token goes
 // back to the bucket (never past Burst) and the class's admission is
 // recounted as shed — as a predictive shed for VerdictShedPredictive,
 // under no verdict for any other (a request no shard accepted).
-func (f *FrontDoor) Refund(class string, shed Verdict) {
+func (f *FrontDoor) refund(class string, shed Verdict) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.cfg.Rate > 0 {

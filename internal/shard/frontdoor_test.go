@@ -116,7 +116,7 @@ func TestFrontDoorUnlimited(t *testing.T) {
 	}
 }
 
-// TestFrontDoorRefund pins what Refund undoes: the reserved token comes
+// TestFrontDoorRefund pins what refund undoes: the reserved token comes
 // back, but never past Burst, and the admission is recounted as a
 // predictive shed or, for any other verdict, not tallied at all.
 func TestFrontDoorRefund(t *testing.T) {
@@ -130,8 +130,8 @@ func TestFrontDoorRefund(t *testing.T) {
 	if v := fd.Admit("storm", 100, 0.1, 0.5); v != VerdictShedPredictive {
 		t.Fatalf("hopeless request: %s", v)
 	}
-	fd.Refund("shed", VerdictShedPredictive)
-	fd.Refund("gone", "")
+	fd.refund("shed", VerdictShedPredictive)
+	fd.refund("gone", "")
 	for i := 0; i < 2; i++ {
 		if v := fd.Admit("gold", 100, 1, 0.5); v != VerdictAdmit {
 			t.Fatalf("request %d within burst: %s", i, v)

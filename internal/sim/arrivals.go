@@ -8,17 +8,22 @@ import (
 
 // The arrival processes.
 const (
-	// ProcessPoisson is a homogeneous Poisson process at Rate.
-	ProcessPoisson = "poisson"
-	// ProcessBursty is a Markov-modulated on/off Poisson process: the
+	// processPoisson is a homogeneous Poisson process at Rate.
+	processPoisson = "poisson"
+	// processBursty is a Markov-modulated on/off Poisson process: the
 	// source alternates exponentially-distributed ON and OFF phases and
 	// emits only during ON phases, at Rate/OnFraction — so the mean rate
 	// over time equals Rate and burstiness is an orthogonal knob. This
 	// is the traffic that separates distribution-aware admission and
 	// placement from point-estimate policies: equal average load, much
 	// heavier transients.
-	ProcessBursty = "bursty"
+	processBursty = "bursty"
 )
+
+// maxBurstCycles bounds a bursty stream's mean ON/OFF cycles over the
+// horizon, horizon/cycle: the draw loop pays for every phase, whether
+// or not it emits an arrival. The shipped scenarios run 3.75 to 5.
+const maxBurstCycles = 1000
 
 // ArrivalSpec shapes one tenant's arrival process. Rate is the mean
 // arrival intensity in queries per virtual second of either process,
@@ -36,9 +41,9 @@ type ArrivalSpec struct {
 // normalized fills defaults (given the scenario horizon) and validates.
 func (a ArrivalSpec) normalized(horizon float64) (ArrivalSpec, error) {
 	if a.Process == "" {
-		a.Process = ProcessPoisson
+		a.Process = processPoisson
 	}
-	if a.Process != ProcessPoisson && a.Process != ProcessBursty {
+	if a.Process != processPoisson && a.Process != processBursty {
 		return a, fmt.Errorf("unknown arrival process %q (want poisson, bursty)", a.Process)
 	}
 	if a.Rate <= 0 {
@@ -56,13 +61,16 @@ func (a ArrivalSpec) normalized(horizon float64) (ArrivalSpec, error) {
 	if a.Cycle <= 0 {
 		return a, fmt.Errorf("cycle %g must be positive", a.Cycle)
 	}
+	if a.Process == processBursty && !(horizon/a.Cycle <= maxBurstCycles) {
+		return a, fmt.Errorf("cycle %g: horizon/cycle = %g ON/OFF cycles, above the bound of %d", a.Cycle, horizon/a.Cycle, maxBurstCycles)
+	}
 	return a, nil
 }
 
 // times appends the arrival instants in [0, horizon), sorted, to out.
 // The draw is deterministic per stream state.
 func (a ArrivalSpec) times(out []float64, r *rng.Stream, horizon float64) []float64 {
-	if a.Process == ProcessBursty {
+	if a.Process == processBursty {
 		return burstyTimes(out, r, horizon, a.Rate, a.OnFraction, a.Cycle)
 	}
 	return poissonTimes(out, r, horizon, a.Rate)

@@ -21,8 +21,8 @@ func stream(seed int64) *rng.Stream {
 func TestArrivalProcessesMeanRate(t *testing.T) {
 	const horizon, rate = 4000.0, 2.0
 	specs := map[string]ArrivalSpec{
-		"poisson": {Process: ProcessPoisson, Rate: rate},
-		"bursty":  {Process: ProcessBursty, Rate: rate, OnFraction: 0.2, Cycle: 40},
+		"poisson": {Process: processPoisson, Rate: rate},
+		"bursty":  {Process: processBursty, Rate: rate, OnFraction: 0.2, Cycle: 40},
 	}
 	for name, spec := range specs {
 		spec, err := spec.normalized(horizon)
@@ -49,7 +49,7 @@ func TestArrivalProcessesMeanRate(t *testing.T) {
 // TestArrivalsDeterministic: the same stream key reproduces the same
 // arrival instants.
 func TestArrivalsDeterministic(t *testing.T) {
-	spec, err := ArrivalSpec{Process: ProcessBursty, Rate: 3}.normalized(100)
+	spec, err := ArrivalSpec{Process: processBursty, Rate: 3}.normalized(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +86,8 @@ func TestBurstyIsBurstier(t *testing.T) {
 		}
 		return math.Sqrt(ss/float64(len(gaps))) / mean
 	}
-	pois, _ := ArrivalSpec{Process: ProcessPoisson, Rate: rate}.normalized(horizon)
-	burst, _ := ArrivalSpec{Process: ProcessBursty, Rate: rate, OnFraction: 0.2, Cycle: 40}.normalized(horizon)
+	pois, _ := ArrivalSpec{Process: processPoisson, Rate: rate}.normalized(horizon)
+	burst, _ := ArrivalSpec{Process: processBursty, Rate: rate, OnFraction: 0.2, Cycle: 40}.normalized(horizon)
 	cvP := cv(pois.times(nil, stream(3), horizon))
 	cvB := cv(burst.times(nil, stream(3), horizon))
 	if cvB <= cvP*1.2 {

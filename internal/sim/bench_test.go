@@ -42,7 +42,7 @@ func BenchmarkSimPoisson(b *testing.B) {
 			Queries:  8,
 			Deadline: 1.2,
 			SLO:      serve.SLO{Confidence: 0.9, DefaultDeadline: 1.2, Quantile: 0.9},
-			Arrivals: ArrivalSpec{Process: ProcessPoisson, Rate: 6},
+			Arrivals: ArrivalSpec{Process: processPoisson, Rate: 6},
 		}},
 	}
 	rs, sys, cache := openScenario(b, sc)
@@ -94,7 +94,7 @@ func BenchmarkSimHeterogeneous(b *testing.B) {
 			Queries:  8,
 			Deadline: 1.2,
 			SLO:      serve.SLO{Confidence: 0.9, DefaultDeadline: 1.2, Quantile: 0.9},
-			Arrivals: ArrivalSpec{Process: ProcessPoisson, Rate: 6},
+			Arrivals: ArrivalSpec{Process: processPoisson, Rate: 6},
 		}},
 	}
 	rs, sys, cache := openScenario(b, sc)
@@ -146,7 +146,7 @@ func BenchmarkSimDrift(b *testing.B) {
 			Queries:  8,
 			Deadline: 1.2,
 			SLO:      serve.SLO{Confidence: 0.9, DefaultDeadline: 1.2, Quantile: 0.9},
-			Arrivals: ArrivalSpec{Process: ProcessPoisson, Rate: 6},
+			Arrivals: ArrivalSpec{Process: processPoisson, Rate: 6},
 		}},
 	}
 	rs, sys, cache := openScenario(b, sc)
@@ -210,7 +210,7 @@ func BenchmarkSimSharded(b *testing.B) {
 			Queries:  8,
 			Deadline: 1.2,
 			SLO:      serve.SLO{Confidence: 0.9, DefaultDeadline: 1.2, Quantile: 0.9},
-			Arrivals: ArrivalSpec{Process: ProcessPoisson, Rate: 0.02},
+			Arrivals: ArrivalSpec{Process: processPoisson, Rate: 0.02},
 		}},
 	}
 	rs, sys, cache := openScenario(b, sc)
@@ -256,7 +256,7 @@ func BenchmarkSimCluster(b *testing.B) {
 			Queries:  16,
 			Deadline: 2.0,
 			SLO:      serve.SLO{Confidence: 0.9, DefaultDeadline: 2.0, Quantile: 0.9},
-			Arrivals: ArrivalSpec{Process: ProcessPoisson, Rate: 1500},
+			Arrivals: ArrivalSpec{Process: processPoisson, Rate: 1500},
 		}},
 	}
 	rs, sys, cache := openScenario(b, sc)

@@ -92,8 +92,8 @@ type Scenario struct {
 	DB string `json:"db"`
 	// MachineProfile is the default hardware profile: the whole fleet's
 	// under the count shorthand, and the fallback for machine-list
-	// entries without one. Any registered profile name
-	// (hardware.ProfileByName); default PC1.
+	// entries without one: "PC1" (the default) or "PC2"
+	// (hardware.ProfileByName).
 	MachineProfile string `json:"machine_profile,omitempty"`
 	// SamplingRatio is the offline sample fraction; 0 selects 0.05.
 	SamplingRatio float64 `json:"sampling_ratio,omitempty"`
@@ -160,9 +160,9 @@ type TenantSpec struct {
 }
 
 // Load reads a Scenario from a JSON file, rejecting unknown fields —
-// top-level typos are reported with the full valid-key vocabulary
-// (same idiom as hardware.ParseProfile), so a misspelled knob like
-// "trace_levle" fails loudly instead of silently no-opping.
+// top-level typos are reported with the full valid-key vocabulary, so a
+// misspelled knob like "trace_levle" fails loudly instead of silently
+// no-opping.
 func Load(path string) (Scenario, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -208,6 +208,24 @@ func scenarioKeys() []string {
 	return keys
 }
 
+// Bounds on what a scenario may ask the simulator to build, each with at
+// least 10× headroom over the largest shipped or bench scenario
+// (scenario-cluster.json: 1,000 machines and 1,000,000 expected
+// arrivals; the bench's sharded scenario: 10,000 tenant members; pools
+// of 16 queries). resolve rejects a scenario past one before anything
+// is allocated for it.
+const (
+	// maxMachines bounds the expanded fleet.
+	maxMachines = 10_000
+	// maxMembers bounds the expanded tenant members, Σ max(count, 1).
+	maxMembers = 100_000
+	// maxQueries bounds a tenant's query pool.
+	maxQueries = 256
+	// maxArrivals bounds the expected arrivals, Σ members × rate ×
+	// horizon.
+	maxArrivals = 10_000_000
+)
+
 // resolved is a validated scenario: the Scenario with its defaults
 // filled, plus every name in it parsed to the value it denotes. resolve
 // is the only place a name is parsed; openBase, runOn, buildArrivals and
@@ -239,8 +257,8 @@ func (sc Scenario) resolve() (*resolved, error) {
 	if sc.Router == "" {
 		sc.Router = RouterLeastRisk
 	}
-	if !slices.Contains(Routers(), sc.Router) {
-		return nil, fmt.Errorf("sim: unknown router %q (registered: %s)", sc.Router, strings.Join(Routers(), ", "))
+	if !slices.Contains(routers(), sc.Router) {
+		return nil, fmt.Errorf("sim: unknown router %q (registered: %s)", sc.Router, strings.Join(routers(), ", "))
 	}
 	policy, err := serve.QueuePolicyByName(sc.QueuePolicy)
 	if err != nil {
@@ -292,6 +310,8 @@ func (sc Scenario) resolve() (*resolved, error) {
 	sc.Tenants = append([]TenantSpec(nil), sc.Tenants...)
 	bench := make([]workload.Benchmark, len(sc.Tenants))
 	seen := make(map[string]bool, len(sc.Tenants))
+	members := 0
+	var expected float64 // arrivals, Σ members × rate × horizon
 	for i := range sc.Tenants {
 		t := &sc.Tenants[i]
 		if t.Name == "" {
@@ -304,11 +324,19 @@ func (sc Scenario) resolve() (*resolved, error) {
 		if t.Count < 0 {
 			return nil, fmt.Errorf("sim: tenant %q: negative count %d", t.Name, t.Count)
 		}
+		n := max(t.Count, 1)
+		if n > maxMembers-members {
+			return nil, fmt.Errorf("sim: tenant %q: count %d takes the scenario past %d tenant members", t.Name, t.Count, maxMembers)
+		}
+		members += n
 		if bench[i], err = workload.ParseBenchmark(t.Bench); err != nil {
 			return nil, fmt.Errorf("sim: tenant %q: %w", t.Name, err)
 		}
 		if t.Queries < 0 {
 			return nil, fmt.Errorf("sim: tenant %q: queries %d must not be negative", t.Name, t.Queries)
+		}
+		if t.Queries > maxQueries {
+			return nil, fmt.Errorf("sim: tenant %q: queries %d above the bound of %d", t.Name, t.Queries, maxQueries)
 		}
 		if t.Queries == 0 {
 			t.Queries = 16
@@ -319,6 +347,10 @@ func (sc Scenario) resolve() (*resolved, error) {
 		if t.Arrivals, err = t.Arrivals.normalized(sc.Horizon); err != nil {
 			return nil, fmt.Errorf("sim: tenant %q: %w", t.Name, err)
 		}
+		expected += float64(n) * t.Arrivals.Rate * sc.Horizon
+	}
+	if !(expected <= maxArrivals) {
+		return nil, fmt.Errorf("sim: tenants expect %g arrivals (count × arrivals.rate × horizon), above the bound of %d", expected, maxArrivals)
 	}
 	return &resolved{Scenario: sc, kind: kind, policy: policy, fleet: fleet, bench: bench, dir: dir}, nil
 }

@@ -71,7 +71,7 @@ func TestRouterErrorListsVocabulary(t *testing.T) {
 	if !strings.Contains(msg, `"teleport"`) || !strings.Contains(msg, "registered:") {
 		t.Errorf("router error does not follow the registered-vocabulary style: %v", err)
 	}
-	for _, r := range Routers() {
+	for _, r := range routers() {
 		if !strings.Contains(msg, r) {
 			t.Errorf("router error missing %q from the vocabulary: %v", r, err)
 		}
@@ -203,6 +203,98 @@ func TestShippedScenariosCoverVocabulary(t *testing.T) {
 	for key := range passThroughKeys {
 		if !slices.Contains(keys, key) {
 			t.Errorf("pass-through key %q is not a scenario key", key)
+		}
+	}
+}
+
+// TestResolveBoundsScenarioSize: a size field past its bound is an error
+// from resolve naming the field and the bound, before anything is
+// allocated for it (a fleet of 2⁶² machines used to panic in makeslice,
+// a rate of 1e300 in sizing the arrivals, and a bursty cycle of 1e-300
+// spun in the phase loop); at the bound, and for every shipped and
+// bench scenario, it resolves.
+func TestResolveBoundsScenarioSize(t *testing.T) {
+	const huge = 1 << 62
+	tenant := func(sc *Scenario) *TenantSpec { return &sc.Tenants[0] }
+	cases := []struct {
+		name   string
+		mutate func(*Scenario)
+		want   string // "" resolves
+	}{
+		{"machines", func(sc *Scenario) { sc.Machines = FleetOf(huge) }, "machines: 4611686018427387904 above the bound of 10000"},
+		{"machines past", func(sc *Scenario) { sc.Machines = FleetOf(maxMachines + 1) }, "above the bound of 10000"},
+		{"machines at", func(sc *Scenario) { sc.Machines = FleetOf(maxMachines) }, ""},
+		{"machine list count", func(sc *Scenario) { sc.Machines = FleetList(MachineSpec{Count: huge}) },
+			"machine 0: count 4611686018427387904 takes the fleet past 10000 machines"},
+		{"machine list sum", func(sc *Scenario) {
+			sc.Machines = FleetList(MachineSpec{Count: 6000}, MachineSpec{Profile: "PC2", Count: 6000})
+		}, "machine 1: count 6000 takes the fleet past 10000 machines"},
+		{"machine list at", func(sc *Scenario) {
+			sc.Machines = FleetList(MachineSpec{Count: 5000}, MachineSpec{Profile: "PC2", Count: 5000})
+		}, ""},
+		{"tenant count", func(sc *Scenario) { tenant(sc).Count = huge }, `tenant "alpha": count 4611686018427387904 takes the scenario past 100000 tenant members`},
+		{"tenant count sum", func(sc *Scenario) {
+			tenant(sc).Count = 60_000
+			tenant(sc).Arrivals.Rate = 1e-3
+			second := *tenant(sc)
+			second.Name = "beta"
+			sc.Tenants = append(sc.Tenants, second)
+		}, `tenant "beta": count 60000 takes the scenario past 100000 tenant members`},
+		{"tenant count at", func(sc *Scenario) { tenant(sc).Count, tenant(sc).Arrivals.Rate = maxMembers, 1e-3 }, ""},
+		{"queries", func(sc *Scenario) { tenant(sc).Queries = huge }, `tenant "alpha": queries 4611686018427387904 above the bound of 256`},
+		{"queries at", func(sc *Scenario) { tenant(sc).Queries = maxQueries }, ""},
+		{"rate", func(sc *Scenario) { tenant(sc).Arrivals.Rate = 1e300 }, "tenants expect 2e+301 arrivals (count × arrivals.rate × horizon), above the bound of 10000000"},
+		{"horizon", func(sc *Scenario) { sc.Horizon = 1e300 }, "expect 4e+300 arrivals"},
+		{"members × rate", func(sc *Scenario) { tenant(sc).Count, tenant(sc).Arrivals.Rate = maxMembers, 6 }, "expect 1.2e+07 arrivals"},
+		{"arrivals at", func(sc *Scenario) { tenant(sc).Arrivals.Rate = maxArrivals / sc.Horizon }, ""},
+		{"cycle", func(sc *Scenario) {
+			sc.Horizon = 1
+			tenant(sc).Arrivals = ArrivalSpec{Process: processBursty, Rate: 4, Cycle: 1e-300}
+		}, "ON/OFF cycles, above the bound of 1000"},
+		{"cycle at", func(sc *Scenario) {
+			tenant(sc).Arrivals = ArrivalSpec{Process: processBursty, Rate: 4, Cycle: sc.Horizon / maxBurstCycles}
+		}, ""},
+	}
+	for _, c := range cases {
+		sc := testScenario()
+		c.mutate(&sc)
+		_, err := sc.resolve()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v, want it to resolve", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+
+	shipped, err := filepath.Glob("../../examples/sim/*.json")
+	if err != nil || len(shipped) == 0 {
+		t.Fatalf("no shipped scenarios: %v", err)
+	}
+	for _, path := range shipped {
+		sc, err := Load(path)
+		if err == nil {
+			_, err = sc.resolve()
+		}
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+	}
+	benched, err := filepath.Glob("../../bench/scenarios/*.json")
+	if err != nil || len(benched) == 0 {
+		t.Fatalf("no bench scenarios: %v", err)
+	}
+	for _, path := range benched {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var file struct{ Scenario Scenario }
+		if err := json.Unmarshal(data, &file); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if _, err := file.Scenario.resolve(); err != nil {
+			t.Errorf("%s: %v", path, err)
 		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 // MachineSpec describes one machine of the fleet — or, via Count,
 // several identical ones.
 type MachineSpec struct {
-	// Profile names a registered hardware profile
-	// (hardware.ProfileByName; presets "PC1", "PC2"). Empty selects the
-	// scenario's machine_profile.
+	// Profile names one of the paper's two machines, "PC1" or "PC2"
+	// (hardware.ProfileByName). Empty selects the scenario's
+	// machine_profile.
 	Profile string `json:"profile,omitempty"`
 	// Drift shifts the machine's true unit means by the given fraction
 	// (hardware.Profile.WithDrift): 0.3 is a machine 30% slower than its
@@ -122,14 +122,18 @@ func (f Fleet) MarshalJSON() ([]byte, error) {
 
 // resolve expands the fleet into one spec per machine (Count unrolled,
 // empty Profiles filled with defaultProfile) and validates every
-// profile name against the hardware registry and every drift against
-// its bounds. The zero Fleet resolves like the old "machines" default:
-// one machine of the default profile; a negative count is an error.
+// profile name, every drift against its bounds and the expanded size
+// against maxMachines. The zero Fleet resolves like the old "machines"
+// default: one machine of the default profile; a negative count is an
+// error.
 func (f Fleet) resolve(defaultProfile string) ([]MachineSpec, error) {
 	if f.specs == nil {
 		n := f.count
 		if n < 0 {
 			return nil, fmt.Errorf("sim: machines: negative count %d", n)
+		}
+		if n > maxMachines {
+			return nil, fmt.Errorf("sim: machines: %d above the bound of %d", n, maxMachines)
 		}
 		if n == 0 {
 			n = 1
@@ -163,9 +167,9 @@ func (f Fleet) resolve(defaultProfile string) ([]MachineSpec, error) {
 		if spec.DriftAt > 0 && spec.Drift == 0 {
 			return nil, fmt.Errorf("sim: machine %d: drift_at %g without drift (nothing to flip to)", i, spec.DriftAt)
 		}
-		n := spec.Count
-		if n == 0 {
-			n = 1
+		n := max(spec.Count, 1)
+		if n > maxMachines-len(out) {
+			return nil, fmt.Errorf("sim: machine %d: count %d takes the fleet past %d machines", i, spec.Count, maxMachines)
 		}
 		one := MachineSpec{Profile: spec.Profile, Drift: spec.Drift, DriftAt: spec.DriftAt, Count: 1}
 		for k := 0; k < n; k++ {

@@ -219,24 +219,21 @@ func TestFleetJSON(t *testing.T) {
 
 // TestCountFleetRoutesOnRecalibratedUnits pins that a count fleet reads
 // each machine's own units, not only a labeled one's: on a homogeneous
-// fleet of a registered profile whose model error is far wider than its
+// fleet of a machine whose model error is far wider than its
 // calibration predicts, the recalibration cadence fires, and from the
 // moment a machine's tenant façade swaps in its recalibrated predictor,
 // that machine's least-risk candidates carry the façade's prediction;
 // until then every candidate carries the base System's.
 func TestCountFleetRoutesOnRecalibratedUnits(t *testing.T) {
-	const name = "test-wide-model-error"
-	if _, err := hardware.ProfileByName(name); err != nil {
-		p := hardware.PC1()
-		p.Name, p.ModelErrSigma = name, 0.6
-		if err := hardware.Register(p); err != nil {
-			t.Fatal(err)
-		}
-	}
 	sc := testScenario()
-	sc.MachineProfile = name
 	sc.RecalEvery = 2
-	rs, sys, cache := openScenario(t, sc)
+	rs, pc1, cache := openScenario(t, sc)
+	p := hardware.PC1()
+	p.Name, p.ModelErrSigma = "test-wide-model-error", 0.6
+	sys, err := pc1.WithMachine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	buf := trace.NewBuffer(trace.Full)
 	if _, err := runOn(rs, sys, cache, runSinks{trace: buf}); err != nil {
 		t.Fatal(err)

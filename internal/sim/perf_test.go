@@ -22,7 +22,7 @@ func TestAllRejectedTenantReport(t *testing.T) {
 		Queries:  4,
 		Deadline: 1e-9, // unmeetable: P(T_q <= d) ~ 0 for every query
 		SLO:      serve.SLO{Confidence: 0.99, DefaultDeadline: 1e-9, Quantile: 0.9},
-		Arrivals: ArrivalSpec{Process: ProcessPoisson, Rate: 2},
+		Arrivals: ArrivalSpec{Process: processPoisson, Rate: 2},
 	})
 	rep, err := Run(sc)
 	if err != nil {
@@ -125,7 +125,7 @@ func TestReportAllocs(t *testing.T) {
 			Tenants: []TenantSpec{{
 				Name: "grid", Count: members, Bench: "seljoin", Queries: 8, Deadline: 1.2,
 				SLO:      serve.SLO{Confidence: 0.9, DefaultDeadline: 1.2, Quantile: 0.9},
-				Arrivals: ArrivalSpec{Process: ProcessPoisson, Rate: 200 / float64(members)},
+				Arrivals: ArrivalSpec{Process: processPoisson, Rate: 200 / float64(members)},
 			}},
 		}
 		rs, sys, cache := openScenario(t, sc)

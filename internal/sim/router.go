@@ -44,9 +44,9 @@ const (
 // equally safe and the least-risk routers fall back to load.
 const riskEps = 1e-9
 
-// Routers returns the registered placement-policy names, in registration
+// routers returns the registered placement-policy names, in registration
 // order — the vocabulary a scenario's router is checked against.
-func Routers() []string {
+func routers() []string {
 	return []string{RouterRoundRobin, RouterLeastQueue, RouterLeastRisk, RouterLeastRiskShared}
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/serve"
-	"repro/internal/shard"
 	"repro/internal/trace"
 )
 
@@ -36,7 +35,7 @@ func shardedScenario() Scenario {
 			Queries:  8,
 			Deadline: 1.2,
 			SLO:      serve.SLO{Confidence: 0.9, DefaultDeadline: 1.2, Quantile: 0.9},
-			Arrivals: ArrivalSpec{Process: ProcessPoisson, Rate: 0.02},
+			Arrivals: ArrivalSpec{Process: processPoisson, Rate: 0.02},
 		}},
 	}
 }
@@ -161,7 +160,7 @@ func TestPredictiveSheddingBeatsTokenOnly(t *testing.T) {
 				Queries:  8,
 				Deadline: 1.2,
 				SLO:      serve.SLO{Confidence: 0.9, DefaultDeadline: 1.2, Quantile: 0.9},
-				Arrivals: ArrivalSpec{Process: ProcessPoisson, Rate: 6},
+				Arrivals: ArrivalSpec{Process: processPoisson, Rate: 6},
 			},
 			{
 				// The flash flood: four times the gold rate, with a deadline
@@ -171,7 +170,7 @@ func TestPredictiveSheddingBeatsTokenOnly(t *testing.T) {
 				Queries:  8,
 				Deadline: 0.0001,
 				SLO:      serve.SLO{Confidence: 0.99, DefaultDeadline: 0.0001, Quantile: 0.9},
-				Arrivals: ArrivalSpec{Process: ProcessPoisson, Rate: 24},
+				Arrivals: ArrivalSpec{Process: processPoisson, Rate: 24},
 			},
 		},
 	}
@@ -243,7 +242,7 @@ func TestShardedValidation(t *testing.T) {
 		{func(sc *Scenario) { sc.Shards = &ShardsSpec{Count: 5} }, "cannot form"},
 		// The vnodes rule is the directory's own, checked at resolve.
 		{func(sc *Scenario) { sc.Shards = &ShardsSpec{Count: 2, VNodes: -1} }, "vnodes -1"},
-		{func(sc *Scenario) { sc.Shards = &ShardsSpec{Count: 2, VNodes: shard.MaxVNodes + 1} }, "vnodes"},
+		{func(sc *Scenario) { sc.Shards = &ShardsSpec{Count: 2, VNodes: 4097} }, "vnodes 4097 out of [0, 4096]"},
 		{func(sc *Scenario) { sc.Shards = &ShardsSpec{Count: 2, FrontDoor: &FrontDoorSpec{Rate: -1}} }, "front_door"},
 		{func(sc *Scenario) { sc.Shards = &ShardsSpec{Count: 2, CacheTier: &CacheTierSpec{LocalFraction: 1.5}} }, "local_fraction"},
 		{func(sc *Scenario) {

@@ -26,7 +26,7 @@ func testScenario() Scenario {
 			Queries:  8,
 			Deadline: 1.2,
 			SLO:      serve.SLO{Confidence: 0.9, DefaultDeadline: 1.2, Quantile: 0.9},
-			Arrivals: ArrivalSpec{Process: ProcessPoisson, Rate: 4},
+			Arrivals: ArrivalSpec{Process: processPoisson, Rate: 4},
 		}},
 	}
 }
@@ -82,14 +82,14 @@ func TestSimDeterministic(t *testing.T) {
 func TestBurstyRejectsMoreThanPoisson(t *testing.T) {
 	base := testScenario()
 	base.Machines = FleetOf(1)
-	base.Tenants[0].Arrivals = ArrivalSpec{Process: ProcessPoisson, Rate: 4}
+	base.Tenants[0].Arrivals = ArrivalSpec{Process: processPoisson, Rate: 4}
 
 	poisson, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.Tenants[0].Arrivals = ArrivalSpec{
-		Process: ProcessBursty, Rate: 4, OnFraction: 0.2, Cycle: 5,
+		Process: processBursty, Rate: 4, OnFraction: 0.2, Cycle: 5,
 	}
 	bursty, err := Run(base)
 	if err != nil {

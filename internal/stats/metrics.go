@@ -52,17 +52,17 @@ func JainIndex(xs []float64) float64 {
 	return sum * sum / (float64(len(xs)) * sumSq)
 }
 
-// Ranks returns the fractional (average-tie) ranks of xs, 1-based: the
+// ranks returns the fractional (average-tie) ranks of xs, 1-based: the
 // smallest value gets rank 1, and tied values share the average of the
 // ranks they span.
-func Ranks(xs []float64) []float64 {
+func ranks(xs []float64) []float64 {
 	n := len(xs)
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
+	out := make([]float64, n)
 	for i := 0; i < n; {
 		j := i
 		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
@@ -72,11 +72,11 @@ func Ranks(xs []float64) []float64 {
 		// ranks i+1..j+1.
 		avg := float64(i+j)/2 + 1
 		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
+			out[idx[k]] = avg
 		}
 		i = j + 1
 	}
-	return ranks
+	return out
 }
 
 // Spearman returns the Spearman rank correlation coefficient r_s: the
@@ -86,7 +86,7 @@ func Spearman(xs, ys []float64) float64 {
 	if len(xs) != len(ys) {
 		panic(fmt.Sprintf("stats: Spearman length mismatch %d vs %d", len(xs), len(ys)))
 	}
-	return Pearson(Ranks(xs), Ranks(ys))
+	return Pearson(ranks(xs), ranks(ys))
 }
 
 // DefaultAlphaGrid is the grid of alpha values over (0, 6) on which D_n
@@ -97,19 +97,19 @@ var DefaultAlphaGrid = []float64{
 	2.2, 2.5, 2.8, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0,
 }
 
-// PrAlpha returns the model-implied probability Pr(alpha) that the
+// prAlpha returns the model-implied probability Pr(alpha) that the
 // normalized prediction error |T - mu| / sigma is at most alpha:
 // Pr(alpha) = 2*Phi(alpha) - 1.
-func PrAlpha(alpha float64) float64 {
+func prAlpha(alpha float64) float64 {
 	std := Normal{Mu: 0, Sigma: 1}
 	return 2*std.CDF(alpha) - 1
 }
 
-// PrnAlpha returns the empirical probability Pr_n(alpha): the fraction of
+// prnAlpha returns the empirical probability Pr_n(alpha): the fraction of
 // queries whose observed normalized error e'_i = |t_i - mu_i| / sigma_i
 // is at most alpha. Queries with sigma_i = 0 are counted as within alpha
 // exactly when their raw error is zero.
-func PrnAlpha(normErrs []float64, alpha float64) float64 {
+func prnAlpha(normErrs []float64, alpha float64) float64 {
 	if len(normErrs) == 0 {
 		return 0
 	}
@@ -153,7 +153,7 @@ func Dn(normErrs []float64, alphaGrid []float64) float64 {
 	}
 	var sum float64
 	for _, a := range alphaGrid {
-		sum += math.Abs(PrnAlpha(normErrs, a) - PrAlpha(a))
+		sum += math.Abs(prnAlpha(normErrs, a) - prAlpha(a))
 	}
 	return sum / float64(len(alphaGrid))
 }
@@ -167,8 +167,8 @@ func DnCurve(normErrs []float64, alphaGrid []float64) (empirical, model []float6
 	empirical = make([]float64, len(alphaGrid))
 	model = make([]float64, len(alphaGrid))
 	for i, a := range alphaGrid {
-		empirical[i] = PrnAlpha(normErrs, a)
-		model[i] = PrAlpha(a)
+		empirical[i] = prnAlpha(normErrs, a)
+		model[i] = prAlpha(a)
 	}
 	return empirical, model
 }

@@ -26,11 +26,11 @@ func TestPearsonConstantSeries(t *testing.T) {
 }
 
 func TestRanksWithTies(t *testing.T) {
-	got := Ranks([]float64{4, 7, 5, 5, 1})
+	got := ranks([]float64{4, 7, 5, 5, 1})
 	want := []float64{2, 5, 3.5, 3.5, 1}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Ranks = %v, want %v", got, want)
+			t.Fatalf("ranks = %v, want %v", got, want)
 		}
 	}
 }
@@ -94,11 +94,11 @@ func TestSpearmanInvariantUnderMonotoneTransform(t *testing.T) {
 }
 
 func TestPrAlpha(t *testing.T) {
-	if got := PrAlpha(1.959963984540054); !almostEq(got, 0.95, 1e-9) {
-		t.Errorf("PrAlpha(1.96) = %v, want 0.95", got)
+	if got := prAlpha(1.959963984540054); !almostEq(got, 0.95, 1e-9) {
+		t.Errorf("prAlpha(1.96) = %v, want 0.95", got)
 	}
-	if got := PrAlpha(0); got != 0 {
-		t.Errorf("PrAlpha(0) = %v, want 0", got)
+	if got := prAlpha(0); got != 0 {
+		t.Errorf("prAlpha(0) = %v, want 0", got)
 	}
 }
 
