@@ -76,9 +76,9 @@
 // # Heterogeneous machines
 //
 // The machine a System predicts for is a first-class value: a
-// hardware.Profile, constructible from a JSON spec or drifted from a
-// preset (WithDrift). System.WithMachine derives a cheap sibling
-// System for a different machine — sharing the database, catalog,
+// hardware.Profile, one of the paper's two machines (PC1, PC2) or one
+// drifted from them (WithDrift). System.WithMachine derives a cheap
+// sibling System for a different machine — sharing the database, catalog,
 // samples, and estimate cache, owning its own calibration, predictor
 // handle, and executor — so a heterogeneous fleet costs one Open plus
 // one calibration per distinct machine. Estimates and run results are
@@ -183,10 +183,9 @@ var errNilQuery = errors.New("uaqetp: nil query")
 type Config struct {
 	// DB selects the synthetic database (size and skew).
 	DB DBKind
-	// Machine names a registered hardware profile (hardware.ProfileByName;
-	// the presets are "PC1" and "PC2"). Parameterized profiles — JSON
-	// specs, WithDrift derivations — enter through System.WithMachine
-	// instead of this field.
+	// Machine names one of the paper's two machines, "PC1" or "PC2"
+	// (hardware.ProfileByName). Drifted profiles (WithDrift) enter
+	// through System.WithMachine instead of this field.
 	Machine string
 	// SamplingRatio is the offline sample size as a fraction of each
 	// table (the paper's SR).
@@ -241,10 +240,10 @@ type System struct {
 	profile *hardware.Profile
 	cal     *calibrate.Result
 	samples *sample.DB
-	// truth, when set (drift injection), resolves the profile Recalibrate
-	// measures: the System's *current* ground truth, which may differ
-	// from the static profile until the drift's TruthSwitch fires.
-	truth func() *hardware.Profile
+	// drift, set by WithDriftInjection, moves the profile executions,
+	// Measure and Recalibrate read from profile to its drifted one
+	// once it fires (truth).
+	drift *TruthSwitch
 
 	planner   Planner
 	estimator Estimator
@@ -382,13 +381,14 @@ func (s *System) WithSamplingRatio(sr float64) (*System, error) {
 // Like WithVariant, the derived System's predictor is the built-in
 // stage over the fresh units; a custom Predictor stage does not carry
 // over. A custom Executor stage is carried over unchanged (the built-in
-// one is rebuilt on p). A profile equal to the current machine's
-// returns s itself.
+// one is rebuilt on p). The derived System is never drift-injected, even
+// when s is. A profile equal to the current machine's returns s itself,
+// unless s is drift-injected.
 func (s *System) WithMachine(p *hardware.Profile) (*System, error) {
 	if p == nil {
 		return nil, fmt.Errorf("uaqetp: nil machine profile")
 	}
-	if *p == *s.profile {
+	if *p == *s.profile && s.drift == nil {
 		return s, nil
 	}
 	prof := *p // private copy: profiles are values, callers may mutate theirs
@@ -399,6 +399,7 @@ func (s *System) WithMachine(p *hardware.Profile) (*System, error) {
 	derived := s.With()
 	derived.cfg.Machine = prof.Name
 	derived.profile = &prof
+	derived.drift = nil
 	derived.cal = cal
 	derived.pred = newPredictorHandle(defaultPredictorState(s.cat, cal.Units, s.cfg.Variant))
 	if _, ok := s.executor.(simExecutor); ok {

@@ -22,10 +22,12 @@ import (
 // machine profiles — reuse one run while each call still draws its own
 // deterministic measurement stream. An execution is one run of that
 // stream (hardware.RunPlanSeeded), the unit the predicted distribution
-// describes.
+// describes. On a drift-injected System the drift switch decides
+// which profile measures (TruthSwitch.truth).
 type simExecutor struct {
 	db      *engine.DB
 	profile *hardware.Profile
+	drift   *TruthSwitch
 	seed    int64
 	cache   *EstimateCache
 	runNS   string
@@ -50,7 +52,7 @@ func (x simExecutor) run(ctx context.Context, q *Query, n ExecName, p *Plan) (fl
 	if err != nil {
 		return 0, err
 	}
-	return x.profile.RunPlanSeeded(res, x.ver, p.execKey(x.seed, n.state(q))), nil
+	return x.drift.truth(x.profile).RunPlanSeeded(res, x.ver, p.execKey(x.seed, n.state(q))), nil
 }
 
 // runSimulated executes a built plan, memoized in the cache's run
@@ -143,8 +145,6 @@ func ExecuteAs(ctx context.Context, x Executor, q *Query, n ExecName, p *Plan) (
 	switch b := x.(type) {
 	case simExecutor:
 		return b.run(ctx, q, n, p)
-	case *switchExecutor:
-		return b.current().run(ctx, q, n, p)
 	}
 	return x.Execute(ctx, n.Query(q), p)
 }

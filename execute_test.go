@@ -124,11 +124,7 @@ func TestExecuteAsMatchesRenamedExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := sys.WithMachine(hardware.PC2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	drifted, sw, err := slow.WithDriftInjection(hardware.PC1())
+	drifted, sw, err := sys.WithDriftInjection(hardware.PC2())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,9 @@ type Measurement struct {
 // paper's measurement protocol: Actual is the mean of
 // five runs (hardware.MeasurePlanSeeded) of the default Executor's deterministic
 // per-call stream, the first of which is what ExecuteContext(ctx, q)
-// returns unless a custom Executor stage is installed. It additionally
+// returns unless a custom Executor stage is installed; on a
+// drift-injected System it measures on the drifted profile once the
+// switch has fired, as that executor does. It additionally
 // reports the sampling overhead and per-operator selectivity ground
 // truth. The plan comes from the Planner stage and the estimates from
 // the Estimator stage (which must be, or wrap, the built-in sampling
@@ -67,10 +69,11 @@ func (s *System) Measure(q *Query) (*Measurement, error) {
 	if err != nil {
 		return nil, err
 	}
+	prof := s.truth()
 	m := &Measurement{
-		Actual:     s.profile.MeasurePlanSeeded(res, s.cfg.RNG, p.execKey(s.cfg.Seed, rng.NameOf(q.Name))),
-		SampleCost: s.profile.ExpectedCost(est.TotalSampleCounts()),
-		FullCost:   s.profile.ExpectedCost(res.TotalCounts()),
+		Actual:     prof.MeasurePlanSeeded(res, s.cfg.RNG, p.execKey(s.cfg.Seed, rng.NameOf(q.Name))),
+		SampleCost: prof.ExpectedCost(est.TotalSampleCounts()),
+		FullCost:   prof.ExpectedCost(res.TotalCounts()),
 	}
 	for _, opRes := range res.Results() {
 		n := opRes.Node

@@ -417,7 +417,7 @@ func (s *Server) stepOneLocked(out *Outcome, record bool) (bool, error) {
 		})
 	}
 	if record {
-		it.tenant.feedback.record(out, it.plan.String())
+		it.tenant.feedback.record(out)
 	}
 	releaseQueued(it)
 	return true, nil

@@ -158,7 +158,7 @@ func TestAutoRecalibrateOnCadence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < driftMinSamples+4; i++ {
-		ta.feedback.record(observed(syntheticPrediction(1.0, 0.1), 3.0), "hot-plan")
+		ta.feedback.record(observed(syntheticPrediction(1.0, 0.1), 3.0))
 	}
 	srv.AdvanceClock(21)
 	for _, ts := range srv.Stats().Tenants {
@@ -193,7 +193,7 @@ func TestDispatcherRunsAutoRecalibration(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < driftMinSamples+4; i++ {
-		ta.feedback.record(observed(syntheticPrediction(1.0, 0.1), 3.0), "hot-plan")
+		ta.feedback.record(observed(syntheticPrediction(1.0, 0.1), 3.0))
 	}
 	// Submitting and draining advances the virtual clock past the tiny
 	// cadence; the dispatcher performs both.

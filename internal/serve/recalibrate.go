@@ -82,12 +82,6 @@ func (s *Server) Recalibrate(ctx context.Context, req RecalibrateRequest) (Recal
 		return resp, fmt.Errorf("serve: recalibrate %q: %w", t.name, err)
 	}
 	t.recalibrations.Add(1)
-	// Snapshot the drift window the verdict was based on BEFORE it is
-	// reset: post-hoc analysis (Stats, the recalibration trace event)
-	// must be able to see why this recal fired, and the reset below
-	// discards the evidence.
-	snap := rep
-	t.lastRecalDrift.Store(&snap)
 	t.feedback.reset()
 	resp.Recalibrated = true
 	resp.Seed = seed

@@ -12,11 +12,12 @@
 //     admitted work drains under a pluggable QueuePolicy — by default
 //     risk-adjusted slack, deadline minus the SLO quantile of the
 //     predicted running time;
-//   - a runtime feedback loop that records observed Execute times per
-//     plan signature and reports calibration drift — observed vs.
-//     predicted quantile coverage, attributed to the cost unit
-//     dominating each query — surfacing when recalibration via
-//     internal/calibrate is warranted. The drain path (Drain, /drain,
+//   - a runtime feedback loop that records each observed Execute time
+//     against its prediction in one calibration accumulator per cost
+//     unit — the unit dominating the query's predicted mean — and
+//     reports calibration drift (observed vs. predicted quantile
+//     coverage), surfacing when recalibration via internal/calibrate is
+//     warranted. The drain path (Drain, /drain,
 //     the dispatcher) always records; StepOneInto records only
 //     under a recalibration cadence (Config.RecalEvery), the one reader
 //     an externally stepped server has;
@@ -26,7 +27,10 @@
 //     and swaps the fresh units in atomically, without dropping
 //     in-flight queries or touching co-located tenants — and an
 //     automatic cadence (Config.RecalEvery) doing the same whenever the
-//     virtual clock crosses a boundary and a tenant's report advises;
+//     virtual clock crosses a boundary and a tenant's report advises.
+//     A successful recalibration resets the tenant's loop; the window
+//     it was decided on is in the /recalibrate response and, summarized,
+//     in the recalibration trace event;
 //   - an HTTP/JSON front end (net/http) with /predict, /submit, /drain,
 //     /recalibrate, /stats, and /healthz; request contexts propagate
 //     into the prediction pipeline, so a disconnecting client cancels
@@ -44,10 +48,10 @@
 // A server carries its machine's System: on a heterogeneous fleet each
 // server's tenants are registered (AddTenantSystem) over that machine's
 // WithMachine sibling, so admission predicts, execution measures, and
-// recalibration re-runs against the machine's own — possibly drifted —
-// hardware, while sampling passes and run results still flow through
-// the shared cache. Per-tenant predictor handles keep recalibration
-// divergence local to (tenant, machine).
+// recalibration re-runs against the machine's own hardware (its truth
+// at that moment, if drift-injected), while sampling passes and run
+// results still flow through the shared cache. Per-tenant predictor
+// handles keep recalibration divergence local to (tenant, machine).
 package serve
 
 import (
@@ -159,14 +163,10 @@ type Tenant struct {
 	name     string
 	slo      SLO
 	sys      *uaqetp.System
-	feedback *feedback
+	feedback feedback
 
 	// recalMu serializes recalibrations of this tenant.
 	recalMu sync.Mutex
-	// lastRecalDrift snapshots the drift report the most recent
-	// successful recalibration was decided on — the window feedback.reset
-	// discards; nil until the first recalibration.
-	lastRecalDrift atomic.Pointer[DriftReport]
 
 	predictions     atomic.Uint64
 	admitted        atomic.Uint64
@@ -316,7 +316,7 @@ func (s *Server) AddTenantSystem(name string, sys *uaqetp.System, slo SLO) (*Ten
 	if _, ok := s.tenants[name]; ok {
 		return nil, fmt.Errorf("serve: tenant %q already exists", name)
 	}
-	t := &Tenant{name: name, slo: nslo, sys: sys.With(), feedback: newFeedback()}
+	t := &Tenant{name: name, slo: nslo, sys: sys.With()}
 	s.tenants[name] = t
 	return t, nil
 }
@@ -364,8 +364,7 @@ func (s *Server) Predict(ctx context.Context, tenant string, q *uaqetp.Query) (*
 }
 
 // TenantStats summarizes one tenant's traffic and calibration drift.
-// Counters fills everything but Drift and LastRecalibrationDrift;
-// Server.Stats adds those two.
+// Counters fills everything but Drift; Server.Stats adds it.
 type TenantStats struct {
 	Name            string `json:"name"`
 	Predictions     uint64 `json:"predictions"`
@@ -381,11 +380,6 @@ type TenantStats struct {
 	// explicit Recalibrate call.
 	AutoRecalibrations uint64      `json:"auto_recalibrations"`
 	Drift              DriftReport `json:"drift"`
-	// LastRecalibrationDrift is the drift window the most recent
-	// successful recalibration was decided on, preserved across the
-	// feedback reset that recalibration performs; nil until the tenant
-	// has recalibrated.
-	LastRecalibrationDrift *DriftReport `json:"last_recalibration_drift,omitempty"`
 }
 
 // Stats is a point-in-time snapshot of the whole server.
@@ -422,8 +416,8 @@ func (t *Tenant) Counters() TenantStats {
 }
 
 // Stats snapshots the shared cache, the queue, and every tenant: each
-// tenant's Counters plus its drift reports, sorted by name. The drift
-// reports count work drained through Drain, and work stepped through
+// tenant's Counters plus its drift report, sorted by name. The drift
+// report counts work drained through Drain, and work stepped through
 // StepOneInto only when Config.RecalEvery is set.
 func (s *Server) Stats() Stats {
 	s.qmu.Lock()
@@ -439,7 +433,6 @@ func (s *Server) Stats() Stats {
 	for _, t := range s.tenants {
 		ts := t.Counters()
 		ts.Drift = t.feedback.report()
-		ts.LastRecalibrationDrift = t.lastRecalDrift.Load()
 		st.Tenants = append(st.Tenants, ts)
 	}
 	s.mu.RUnlock()

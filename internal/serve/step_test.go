@@ -70,9 +70,9 @@ func TestStepOneIntoFeedbackFollowsCadence(t *testing.T) {
 	}
 
 	// (a) No cadence: nothing reads the loop, so stepping leaves it empty.
-	if d := runTenant(t, sys, Config{}, qs, false).Drift; d.Observations != 0 || d.PlanSignatures != 0 {
-		t.Errorf("StepOneInto without RecalEvery recorded %d observations over %d signatures, want none",
-			d.Observations, d.PlanSignatures)
+	if d := runTenant(t, sys, Config{}, qs, false).Drift; d.Observations != 0 || d.PerUnit != nil {
+		t.Errorf("StepOneInto without RecalEvery recorded %d observations in %d units, want none",
+			d.Observations, len(d.PerUnit))
 	}
 
 	// (b) A cadence that never fires within the run: stepping records
@@ -100,8 +100,7 @@ func TestStepOneIntoFeedbackFollowsCadence(t *testing.T) {
 // run result up in the shared cache, measures its running time (the
 // hardware model seeds a fresh random source per execution: the one
 // allocation a step pays) and fills the caller's Outcome. It feeds no
-// drift loop, so a plan the server has not seen before costs no
-// signature entry; when it did, a step read 2.41 allocs.
+// drift loop.
 func TestStepOneIntoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -118,8 +117,8 @@ func TestStepOneIntoAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := runTenant(t, sys, Config{Cache: cache}, qs, true)
-	if warm.Drift.PlanSignatures != len(qs) {
-		t.Fatalf("warm-up ran %d distinct plans, want %d", warm.Drift.PlanSignatures, len(qs))
+	if warm.Drift.Observations != len(qs) {
+		t.Fatalf("warm-up ran %d plans, want %d", warm.Drift.Observations, len(qs))
 	}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

@@ -51,10 +51,10 @@ func openBase(sc *resolved) (*uaqetp.System, *uaqetp.EstimateCache, error) {
 // the base itself for default machines, one WithMachine sibling per
 // distinct (profile, drift, drift_at) otherwise — same machines share
 // one calibration, like same-config tenants share one Open. Machines
-// with DriftAt > 0 get a drift-injected System (uaqetp.
-// WithDriftInjection): calibrated against the undrifted profile, with a
-// TruthSwitch the event loop fires at DriftAt; identical specs share
-// one switch, flipped once for all of them.
+// with DriftAt > 0 get their undrifted machine's System, drift-injected
+// (uaqetp.WithDriftInjection) with a TruthSwitch the event loop fires
+// at DriftAt; identical specs share one switch, flipped once for all of
+// them.
 func machineSystems(sc *resolved, base *uaqetp.System) ([]*uaqetp.System, []*uaqetp.TruthSwitch, error) {
 	type derivation struct {
 		sys *uaqetp.System
@@ -72,7 +72,11 @@ func machineSystems(sc *resolved, base *uaqetp.System) ([]*uaqetp.System, []*uaq
 			out[m], sws[m] = d.sys, d.sw
 			continue
 		}
-		prof, err := spec.profileFor()
+		pre := spec
+		if spec.DriftAt > 0 {
+			pre.Drift = 0
+		}
+		prof, err := pre.profileFor()
 		if err != nil {
 			return nil, nil, fmt.Errorf("sim: machine %d: %w", m, err)
 		}
@@ -82,13 +86,11 @@ func machineSystems(sc *resolved, base *uaqetp.System) ([]*uaqetp.System, []*uaq
 		}
 		var sw *uaqetp.TruthSwitch
 		if spec.DriftAt > 0 {
-			pre := spec
-			pre.Drift, pre.DriftAt = 0, 0
-			preProf, err := pre.profileFor()
+			drifted, err := spec.profileFor()
 			if err != nil {
 				return nil, nil, fmt.Errorf("sim: machine %d: %w", m, err)
 			}
-			if sys, sw, err = sys.WithDriftInjection(preProf); err != nil {
+			if sys, sw, err = sys.WithDriftInjection(drifted); err != nil {
 				return nil, nil, fmt.Errorf("sim: machine %d: %w", m, err)
 			}
 		}

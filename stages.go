@@ -417,7 +417,8 @@ func (s *System) Predictor() Predictor { return s.pred.load().stage }
 func (s *System) Executor() Executor { return s.executor }
 
 // Recalibrate re-runs cost-unit calibration (internal/calibrate) against
-// this System's machine profile with the given seed and atomically swaps
+// this System's machine profile (on a drift-injected System, the
+// drifted one once its switch has fired) with the given seed and atomically swaps
 // a predictor built on the fresh units into the façade's handle, without
 // dropping in-flight queries. It returns the new unit distributions. The
 // current stage must be the built-in predictor (possibly from an earlier
@@ -429,11 +430,7 @@ func (s *System) Recalibrate(seed int64) ([hardware.NumUnits]stats.Normal, error
 		return [hardware.NumUnits]stats.Normal{}, fmt.Errorf(
 			"uaqetp: predictor stage is custom; it has no cost units to recalibrate")
 	}
-	prof := s.profile
-	if s.truth != nil {
-		prof = s.truth()
-	}
-	cal, err := calibrate.Run(prof, calibrate.DefaultConfig(seed))
+	cal, err := calibrate.Run(s.truth(), calibrate.DefaultConfig(seed))
 	if err != nil {
 		return [hardware.NumUnits]stats.Normal{}, err
 	}
