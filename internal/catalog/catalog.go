@@ -9,10 +9,10 @@ package catalog
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/engine"
+	"repro/internal/stats"
 )
 
 // histogramBuckets is the number of equi-depth buckets per column.
@@ -40,20 +40,31 @@ type Catalog struct {
 	Tables map[string]*TableStats
 }
 
-// Build scans the database once and computes all statistics.
+// Build scans the database once and computes all statistics. Each
+// column is copied, in turn, into one buffer sized to the largest table
+// and reused by every column of every table, and radix sorted there
+// (stats.SortInt64s) with one scratch buffer of the same size beside
+// it; a table's columns are never held all at once. The sorted order is
+// unique, so the statistics are those of any other sort.
 func Build(db *engine.DB) *Catalog {
 	c := &Catalog{Tables: make(map[string]*TableStats, len(db.Tables))}
+	n := 0
+	for _, t := range db.Tables {
+		n = max(n, len(t.Rows))
+	}
+	buf, scratch := make([]int64, n), make([]uint64, n)
 	for name, t := range db.Tables {
 		ts := &TableStats{
 			Rows:    t.NumRows(),
 			Pages:   t.Pages(),
 			Columns: make(map[string]*ColumnStats, len(t.Cols)),
 		}
+		vals := buf[:len(t.Rows)]
 		for ci, col := range t.Cols {
-			vals := make([]int64, len(t.Rows))
 			for ri, row := range t.Rows {
 				vals[ri] = row[ci]
 			}
+			stats.SortInt64s(vals, scratch) // scratch is never short
 			ts.Columns[col] = buildColumn(vals)
 		}
 		c.Tables[name] = ts
@@ -61,14 +72,13 @@ func Build(db *engine.DB) *Catalog {
 	return c
 }
 
-// buildColumn computes a column's statistics from vals, a copy of the
-// column, which it sorts in place.
+// buildColumn computes a column's statistics from vals, the column
+// sorted ascending. It keeps no reference to vals.
 func buildColumn(vals []int64) *ColumnStats {
 	cs := &ColumnStats{rows: len(vals)}
 	if len(vals) == 0 {
 		return cs
 	}
-	slices.Sort(vals)
 	cs.Min, cs.Max = vals[0], vals[len(vals)-1]
 	distinct := 1
 	for i := 1; i < len(vals); i++ {

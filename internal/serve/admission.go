@@ -54,7 +54,10 @@ type Decision struct {
 	// Verdict is "shed-predictive" for a request shed under ShedBelow
 	// (which gets no ID and leaves the queue as it was), else "".
 	Verdict string `json:"verdict,omitempty"`
-	// Reason explains a rejection ("" when admitted).
+	// Reason explains a rejection on the wire. Submit leaves it empty
+	// and records which rule refused the request, and explain formats
+	// it, so only a reader pays for the formatting: the /submit body and
+	// the admission trace event. A decoded body carries it.
 	Reason string `json:"reason,omitempty"`
 	// PMeet is the predicted probability of finishing within the
 	// deadline including the predicted queue wait ahead of this request:
@@ -73,6 +76,38 @@ type Decision struct {
 	QueueWaitSigma float64 `json:"queue_wait_sigma"`
 	// QueueLen is the queue occupancy after this decision.
 	QueueLen int `json:"queue_len"`
+
+	// refusal is the rule that refused the request, and limit the
+	// confidence it fell short of: what explain formats Reason from.
+	refusal refusal
+	limit   float64
+}
+
+// refusal names the rule behind a refusal; the zero value refuses
+// nothing.
+type refusal uint8
+
+const (
+	shedZeroWait refusal = iota + 1
+	belowSLO
+	queueFull
+)
+
+// explain returns d.Reason, or when it is empty formats it from the
+// rule Submit recorded. An admitted Decision explains nothing.
+func (d Decision) explain() string {
+	switch {
+	case d.Reason != "":
+		return d.Reason
+	case d.refusal == shedZeroWait:
+		return fmt.Sprintf("P(T_q <= %.4g) = %.4f below confidence %.4f with zero wait", d.Deadline, d.PMeet, d.limit)
+	case d.refusal == belowSLO:
+		return fmt.Sprintf("P(T_wait + T_q <= %.4g) = %.4f below SLO confidence %.4f (queue wait mean %.4g)",
+			d.Deadline, d.PMeet, d.limit, d.QueueWaitMean)
+	case d.refusal == queueFull:
+		return fmt.Sprintf("queue full (%d admitted requests pending)", d.QueueLen)
+	}
+	return ""
 }
 
 // queued is one admitted request awaiting execution, with the plan
@@ -193,7 +228,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (Decision, error) {
 	if req.ShedBelow > 0 && req.Deadline > 0 && d.PredSigma > 0 && !math.IsNaN(d.PredMean) {
 		if p := (stats.Normal{Mu: d.PredMean, Sigma: d.PredSigma}).CDF(req.Deadline); p < req.ShedBelow {
 			d.Verdict, d.PMeet = "shed-predictive", p
-			d.Reason = fmt.Sprintf("P(T_q <= %.4g) = %.4f below confidence %.4f with zero wait", req.Deadline, p, req.ShedBelow)
+			d.refusal, d.limit = shedZeroWait, req.ShedBelow
 			return d, nil
 		}
 	}
@@ -212,10 +247,9 @@ func (s *Server) Submit(ctx context.Context, req Request) (Decision, error) {
 	d.PMeet = PMeet(pred.Mean(), pred.Sigma(), waitMean, waitVar, deadline)
 	switch {
 	case !(d.PMeet >= t.slo.Confidence): // a NaN PMeet is refused, not admitted
-		d.Reason = fmt.Sprintf("P(T_wait + T_q <= %.4g) = %.4f below SLO confidence %.4f (queue wait mean %.4g)",
-			deadline, d.PMeet, t.slo.Confidence, d.QueueWaitMean)
+		d.refusal, d.limit = belowSLO, t.slo.Confidence
 	case s.queue.Len() >= s.cfg.MaxQueue:
-		d.Reason = fmt.Sprintf("queue full (%d admitted requests pending)", s.queue.Len())
+		d.refusal = queueFull
 	default:
 		d.Admitted = true
 	}
@@ -281,7 +315,7 @@ func (s *Server) traceAdmission(t *Tenant, req *Request, d *Decision) {
 	}
 	rec.Record(&trace.Event{
 		Kind: trace.KindAdmission, At: s.clock, Tenant: t.name, Query: req.Exec.Of(req.Query),
-		ID: d.ID, Verdict: verdict, Reason: d.Reason, Deadline: d.Deadline,
+		ID: d.ID, Verdict: verdict, Reason: d.explain(), Deadline: d.Deadline,
 		PredMean: d.PredMean, PredSigma: d.PredSigma,
 		QueueWaitMean: d.QueueWaitMean, QueueWaitSigma: d.QueueWaitSigma,
 		PMeet: d.PMeet, Threshold: t.slo.Confidence, QueueLen: d.QueueLen,

@@ -209,6 +209,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !d.Admitted {
 		// The request was understood but refused admission.
 		status = http.StatusTooManyRequests
+		d.Reason = d.explain()
 	}
 	WriteJSON(w, status, d)
 }

@@ -19,7 +19,7 @@ func submitAll(t *testing.T, srv *Server, qs []*uaqetp.Query, deadline float64) 
 			t.Fatal(err)
 		}
 		if !d.Admitted {
-			t.Fatalf("submission %q rejected: %s", q.Name, d.Reason)
+			t.Fatalf("submission %q rejected: %s", q.Name, d.explain())
 		}
 		out = append(out, d)
 	}

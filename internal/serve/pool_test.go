@@ -25,7 +25,7 @@ func TestQueuedPoolRetainsNoReferences(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !dec.Admitted {
-		t.Fatalf("request rejected: %s", dec.Reason)
+		t.Fatalf("request rejected: %s", dec.explain())
 	}
 	var out Outcome
 	ok, err := srv.StepOneInto(&out)

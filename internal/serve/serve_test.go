@@ -259,8 +259,8 @@ func TestQueueFullBackpressure(t *testing.T) {
 	if d2.Admitted {
 		t.Fatal("second submission admitted past MaxQueue=1")
 	}
-	if d2.Reason == "" {
-		t.Error("backpressure rejection carries no reason")
+	if got := d2.explain(); got != "queue full (1 admitted requests pending)" {
+		t.Errorf("backpressure rejection explains %q", got)
 	}
 	// Draining frees the slot.
 	if _, err := srv.Drain(); err != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -55,8 +56,11 @@ func TestSubmitShedBelow(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := stats.Normal{Mu: mu, Sigma: sigma}.CDF(deadline)
-	if d.Verdict != "shed-predictive" || d.Admitted || d.ID != 0 || d.PMeet != want || d.Reason == "" {
+	if d.Verdict != "shed-predictive" || d.Admitted || d.ID != 0 || d.PMeet != want {
 		t.Fatalf("hopeless submit: %+v, want shed-predictive with PMeet %v and no ID", d, want)
+	}
+	if got, reason := d.explain(), fmt.Sprintf("P(T_q <= %.4g) = %.4f below confidence %.4f with zero wait", deadline, want, 0.5); got != reason {
+		t.Errorf("hopeless submit explains %q, want %q", got, reason)
 	}
 	after, afterT := srv.Stats(), tenantStats("alpha")
 	if after.QueueLen != before.QueueLen || after.QueueWaitMean != before.QueueWaitMean || after.QueueWaitVar != before.QueueWaitVar {

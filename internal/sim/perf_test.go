@@ -161,7 +161,9 @@ func TestReportAllocs(t *testing.T) {
 // 10 times, all of it growth: the server's queue, the pending-admission
 // map, the completion heap and a queued-request pool miss. A query
 // copied or a name built per arrival (2 to 3 allocations each) would
-// exceed the budget a hundredfold.
+// exceed the budget a hundredfold. The third run rejects arrivals, on
+// tight deadlines and a one-slot queue: a rejection's reason is never
+// formatted, since nothing in the run reads it.
 func TestUntracedArrivalAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -170,10 +172,17 @@ func TestUntracedArrivalAllocs(t *testing.T) {
 		t.Skip("short mode")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, router := range []string{RouterRoundRobin, RouterLeastRisk} {
+	for _, c := range []struct {
+		router    string
+		rejecting bool
+	}{{RouterRoundRobin, false}, {RouterLeastRisk, false}, {RouterLeastRisk, true}} {
 		sc := testScenario()
-		sc.Router = router
+		sc.Router = c.router
 		sc.Horizon = 200
+		if c.rejecting {
+			sc.MaxQueue = 1
+			sc.Tenants[0].Deadline = 0.25
+		}
 		rs, sys, cache := openScenario(t, sc)
 		if _, err := runOn(rs, sys, cache, runSinks{}); err != nil {
 			t.Fatal(err)
@@ -189,11 +198,15 @@ func TestUntracedArrivalAllocs(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		allocs := after.Mallocs - before.Mallocs
+		rejected := s.report().Tenants[0].Rejected
+		if c.rejecting != (rejected > 0) {
+			t.Fatalf("%s: %d of %d arrivals rejected, want rejections %v", c.router, rejected, len(s.arrivals), c.rejecting)
+		}
 		// 8 to 12 measured, with room for the runtime's growth policies.
 		const budget = 16
 		if allocs > budget {
-			t.Errorf("%s: %d arrivals allocate %d times, budget %d: an arrival allocates again", router, len(s.arrivals), allocs, budget)
+			t.Errorf("%s: %d arrivals (%d rejected) allocate %d times, budget %d: an arrival allocates again", c.router, len(s.arrivals), rejected, allocs, budget)
 		}
-		t.Logf("%s: %d allocs over %d arrivals", router, allocs, len(s.arrivals))
+		t.Logf("%s: %d allocs over %d arrivals, %d rejected", c.router, allocs, len(s.arrivals), rejected)
 	}
 }

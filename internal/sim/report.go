@@ -9,6 +9,7 @@ import (
 	uaqetp "repro"
 	"repro/internal/calib"
 	"repro/internal/shard"
+	"repro/internal/stats"
 )
 
 // Quantiles summarizes a sample of durations. Quantiles use the
@@ -24,13 +25,15 @@ type Quantiles struct {
 	Max  float64 `json:"max"`
 }
 
-// summarize sorts xs in place and summarizes it. The mean sums in
-// ascending order, so equal multisets give equal bytes.
-func summarize(xs []float64) Quantiles {
-	slices.Sort(xs)
+// summarize sorts xs in place (stats.SortFloat64s, with scratch as its
+// buffer, returned for the next call) and summarizes it. The sorted
+// order is unique for NaN-free samples, −0 before +0, and the mean sums
+// in that order, so equal multisets give equal bytes.
+func summarize(xs []float64, scratch []uint64) (Quantiles, []uint64) {
+	scratch = stats.SortFloat64s(xs, scratch)
 	q := Quantiles{N: len(xs)}
 	if len(xs) == 0 {
-		return q
+		return q, scratch
 	}
 	var sum float64
 	for _, x := range xs {
@@ -49,7 +52,7 @@ func summarize(xs []float64) Quantiles {
 	q.P95 = rank(0.95)
 	q.P99 = rank(0.99)
 	q.Max = xs[len(xs)-1]
-	return q
+	return q, scratch
 }
 
 // TenantReport aggregates one tenant's outcomes across the whole fleet.
@@ -312,6 +315,7 @@ func (s *simRun) report() *Report {
 		}
 	}
 	var fleetMet, fleetSubmitted int
+	var scratch []uint64 // the sort buffer every summarize below shares
 	for gi := range groups {
 		tr := &groups[gi]
 		tr.Submitted = tr.Admitted + tr.Rejected + tr.Shed
@@ -321,8 +325,8 @@ func (s *simRun) report() *Report {
 		if tr.Executed > 0 {
 			tr.AttainmentExecuted = float64(tr.DeadlinesMet) / float64(tr.Executed)
 		}
-		tr.Latency = summarize(s.groupLat[gi])
-		tr.QueueWait = summarize(s.groupQW[gi])
+		tr.Latency, scratch = summarize(s.groupLat[gi], scratch)
+		tr.QueueWait, scratch = summarize(s.groupQW[gi], scratch)
 		fleetMet += tr.DeadlinesMet
 		fleetSubmitted += tr.Submitted
 	}
@@ -335,7 +339,7 @@ func (s *simRun) report() *Report {
 	if len(groups) == 1 {
 		rep.Latency = groups[0].Latency
 	} else {
-		rep.Latency = summarize(slices.Concat(s.groupLat...))
+		rep.Latency, _ = summarize(slices.Concat(s.groupLat...), scratch)
 	}
 	sort.Slice(rep.Tenants, func(i, j int) bool { return rep.Tenants[i].Name < rep.Tenants[j].Name })
 	rep.Calibration = s.calibrationReport()

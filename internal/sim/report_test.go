@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -90,10 +91,57 @@ func TestReportCountersMatchServerStats(t *testing.T) {
 				t.Fatal("nothing executed: the oracle compares zeros")
 			}
 
-			if got, want := rep.Latency, summarize(slices.Concat(s.groupLat...)); got != want {
-				t.Errorf("fleet latency %+v, summary of the concatenated samples %+v", got, want)
+			if want, _ := summarize(slices.Concat(s.groupLat...), nil); rep.Latency != want {
+				t.Errorf("fleet latency %+v, summary of the concatenated samples %+v", rep.Latency, want)
 			}
 		})
+	}
+}
+
+// summarizeReference is summarize as it was before the radix kernel:
+// slices.Sort, then the same ranks and ascending sum.
+func summarizeReference(xs []float64) Quantiles {
+	slices.Sort(xs)
+	q := Quantiles{N: len(xs)}
+	if len(xs) == 0 {
+		return q
+	}
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	rank := func(p float64) float64 {
+		return xs[max(int(math.Ceil(p*float64(len(xs))))-1, 0)]
+	}
+	q.Mean = sum / float64(len(xs))
+	q.P50, q.P90, q.P95, q.P99 = rank(0.50), rank(0.90), rank(0.95), rank(0.99)
+	q.Max = xs[len(xs)-1]
+	return q
+}
+
+// TestSummarizeMatchesReference holds summarize, and the order it
+// leaves its sample in, to the slices.Sort reference on latency-like
+// samples below and above the radix kernel's cutoff, one scratch buffer
+// reused across them as the report does.
+func TestSummarizeMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var scratch []uint64
+	for _, n := range []int{0, 1, 2, 7, 1000, 2047, 2048, 2049, 60000} {
+		for _, dup := range []bool{false, true} {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = r.ExpFloat64() * 0.4
+				if dup {
+					xs[i] = float64(r.Intn(20)) * 0.125
+				}
+			}
+			ref := slices.Clone(xs)
+			var got Quantiles
+			got, scratch = summarize(xs, scratch)
+			if want := summarizeReference(ref); got != want || !slices.Equal(xs, ref) {
+				t.Errorf("n=%d dup=%v: summarize %+v, reference %+v", n, dup, got, want)
+			}
+		}
 	}
 }
 
