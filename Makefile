@@ -40,7 +40,7 @@ loc:
 # outside bench/ stays within the budget CHANGES.md records, and no
 # non-test file outside bench/ grows past 500 lines, except the three
 # already over it (FILE_BUDGET_EXEMPT).
-LOC_BUDGET = 15476
+LOC_BUDGET = 15473
 FILE_BUDGET = 500
 FILE_BUDGET_EXEMPT = api.go internal/serve/serve.go internal/sample/subtree.go
 loc-check:

@@ -21,10 +21,7 @@ func referenceBuild(db *engine.DB) *Catalog {
 			Columns: make(map[string]*ColumnStats, len(t.Cols)),
 		}
 		for ci, col := range t.Cols {
-			vals := make([]int64, len(t.Rows))
-			for ri, row := range t.Rows {
-				vals[ri] = row[ci]
-			}
+			vals := slices.Clone(t.Data[ci])
 			slices.Sort(vals)
 			ts.Columns[col] = buildColumn(vals)
 		}
@@ -46,13 +43,15 @@ func TestBuildMatchesReference(t *testing.T) {
 		}
 	}
 	db := engine.NewDB()
-	db.Add(engine.NewTable("empty", []string{"e"}, nil))
-	db.Add(engine.NewTable("one", []string{"o"}, [][]int64{{-3}}))
-	rows := make([][]int64, 5000)
-	for i := range rows {
-		rows[i] = []int64{int64(i%7) - 3, math.MinInt64 + int64(i%3), math.MaxInt64 - int64(i%5)}
+	db.Add(engine.NewTable("empty", []string{"e"}, 0))
+	one := engine.NewTable("one", []string{"o"}, 1)
+	one.Data[0][0] = -3
+	db.Add(one)
+	ext := engine.NewTable("extremes", []string{"a", "lo", "hi"}, 5000)
+	for i := range 5000 {
+		ext.Data[0][i], ext.Data[1][i], ext.Data[2][i] = int64(i%7)-3, math.MinInt64+int64(i%3), math.MaxInt64-int64(i%5)
 	}
-	db.Add(engine.NewTable("extremes", []string{"a", "lo", "hi"}, rows))
+	db.Add(ext)
 	if got, want := Build(db), referenceBuild(db); !reflect.DeepEqual(got, want) {
 		t.Errorf("hand-built database: Build differs from the slices.Sort reference:\n%+v\n%+v", got.Tables["extremes"], want.Tables["extremes"])
 	}

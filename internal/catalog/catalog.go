@@ -40,17 +40,18 @@ type Catalog struct {
 	Tables map[string]*TableStats
 }
 
-// Build scans the database once and computes all statistics. Each
-// column is copied, in turn, into one buffer sized to the largest table
-// and reused by every column of every table, and radix sorted there
-// (stats.SortInt64s) with one scratch buffer of the same size beside
-// it; a table's columns are never held all at once. The sorted order is
-// unique, so the statistics are those of any other sort.
+// Build computes every table's statistics. Each column is copied, in
+// turn, into one buffer sized to the largest table and reused by every
+// column of every table (a copy of engine.Table's column, not a gather),
+// and radix sorted there (stats.SortInt64s) with one scratch buffer of
+// the same size beside it; the table's own columns are never reordered.
+// The sorted order is unique, so the statistics are those of any other
+// sort.
 func Build(db *engine.DB) *Catalog {
 	c := &Catalog{Tables: make(map[string]*TableStats, len(db.Tables))}
 	n := 0
 	for _, t := range db.Tables {
-		n = max(n, len(t.Rows))
+		n = max(n, t.NumRows())
 	}
 	buf, scratch := make([]int64, n), make([]uint64, n)
 	for name, t := range db.Tables {
@@ -59,11 +60,8 @@ func Build(db *engine.DB) *Catalog {
 			Pages:   t.Pages(),
 			Columns: make(map[string]*ColumnStats, len(t.Cols)),
 		}
-		vals := buf[:len(t.Rows)]
 		for ci, col := range t.Cols {
-			for ri, row := range t.Rows {
-				vals[ri] = row[ci]
-			}
+			vals := buf[:copy(buf, t.Data[ci])]
 			stats.SortInt64s(vals, scratch) // scratch is never short
 			ts.Columns[col] = buildColumn(vals)
 		}

@@ -10,11 +10,11 @@ import (
 
 func uniformTable(name, col string, n, domain int, seed int64) *engine.Table {
 	r := rand.New(rand.NewSource(seed))
-	rows := make([][]int64, n)
-	for i := range rows {
-		rows[i] = []int64{int64(r.Intn(domain))}
+	t := engine.NewTable(name, []string{col}, n)
+	for i := range n {
+		t.Data[0][i] = int64(r.Intn(domain))
 	}
-	return engine.NewTable(name, []string{col}, rows)
+	return t
 }
 
 func TestBuildBasicStats(t *testing.T) {
@@ -67,14 +67,14 @@ func TestPredicateSelectivityMatchesTruth(t *testing.T) {
 	// skew because buckets are equi-depth.
 	r := rand.New(rand.NewSource(3))
 	n := 30000
-	rows := make([][]int64, n)
-	for i := range rows {
+	tab := engine.NewTable("t", []string{"x"}, n)
+	for i := range n {
 		// Skewed: squared uniform concentrates near 0.
 		v := r.Float64()
-		rows[i] = []int64{int64(v * v * 1000)}
+		tab.Data[0][i] = int64(v * v * 1000)
 	}
 	db := engine.NewDB()
-	db.Add(engine.NewTable("t", []string{"x"}, rows))
+	db.Add(tab)
 	c := Build(db)
 	for _, bound := range []int64{10, 50, 100, 400, 900} {
 		p := engine.Predicate{Col: "x", Op: engine.Le, Lo: bound}
@@ -83,8 +83,8 @@ func TestPredicateSelectivityMatchesTruth(t *testing.T) {
 			t.Fatal(err)
 		}
 		var truth float64
-		for _, row := range rows {
-			if row[0] <= bound {
+		for _, v := range tab.Data[0] {
+			if v <= bound {
 				truth++
 			}
 		}
@@ -197,7 +197,9 @@ func TestUnknownTableColumnErrors(t *testing.T) {
 
 func TestSmallTableHistogram(t *testing.T) {
 	db := engine.NewDB()
-	db.Add(engine.NewTable("tiny", []string{"x"}, [][]int64{{5}, {7}, {9}}))
+	tiny := engine.NewTable("tiny", []string{"x"}, 3)
+	copy(tiny.Data[0], []int64{5, 7, 9})
+	db.Add(tiny)
 	c := Build(db)
 	sel, err := c.PredicateSelectivity("tiny", &engine.Predicate{Col: "x", Op: engine.Le, Lo: 7})
 	if err != nil {

@@ -26,16 +26,14 @@ func env(t *testing.T) (*engine.DB, *catalog.Catalog, *engine.Node) {
 	t.Helper()
 	r := rand.New(rand.NewSource(1))
 	mk := func(name string, cols []string, n, dom int) *engine.Table {
-		rows := make([][]int64, n)
-		for i := range rows {
-			row := make([]int64, len(cols))
-			row[0] = int64(i)
+		t := engine.NewTable(name, cols, n)
+		for i := range n {
+			t.Data[0][i] = int64(i)
 			for j := 1; j < len(cols); j++ {
-				row[j] = int64(r.Intn(dom))
+				t.Data[j][i] = int64(r.Intn(dom))
 			}
-			rows[i] = row
 		}
-		return engine.NewTable(name, cols, rows)
+		return t
 	}
 	db := engine.NewDB()
 	db.Add(mk("r", []string{"a", "b"}, 5000, 50))

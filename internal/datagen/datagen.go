@@ -112,136 +112,106 @@ func (g *generator) value(domain int, salt int64) int64 {
 	return (rank*2654435761 + salt) % int64(domain)
 }
 
-func (g *generator) region() *engine.Table {
-	rows := make([][]int64, 5)
-	for i := range rows {
-		rows[i] = []int64{int64(i), int64(i)}
+// Each generator allocates its table (engine.NewTable) and fills it a
+// row at a time through set, whose arguments draw the row's values from
+// the shared stream left to right, in column order.
+
+// set writes row i of t, one value per column.
+func set(t *engine.Table, i int, vals ...int64) {
+	for c, v := range vals {
+		t.Data[c][i] = v
 	}
-	return engine.NewTable("region", []string{"r_regionkey", "r_name"}, rows)
+}
+
+func (g *generator) region() *engine.Table {
+	t := engine.NewTable("region", []string{"r_regionkey", "r_name"}, 5)
+	for i := range t.NumRows() {
+		set(t, i, int64(i), int64(i))
+	}
+	return t
 }
 
 func (g *generator) nation() *engine.Table {
-	rows := make([][]int64, 25)
-	for i := range rows {
-		rows[i] = []int64{int64(i), int64(i % 5), int64(i)}
+	t := engine.NewTable("nation", []string{"n_nationkey", "n_regionkey", "n_name"}, 25)
+	for i := range t.NumRows() {
+		set(t, i, int64(i), int64(i%5), int64(i))
 	}
-	return engine.NewTable("nation", []string{"n_nationkey", "n_regionkey", "n_name"}, rows)
+	return t
 }
 
 func (g *generator) supplier() *engine.Table {
-	n := g.scaled(baseSupplier)
-	rows := make([][]int64, n)
-	for i := range rows {
-		rows[i] = []int64{
-			int64(i),           // s_suppkey
-			g.value(25, 11),    // s_nationkey
-			g.value(10000, 13), // s_acctbal (cents scale)
-		}
+	t := engine.NewTable("supplier", []string{"s_suppkey", "s_nationkey", "s_acctbal"}, g.scaled(baseSupplier))
+	for i := range t.NumRows() {
+		set(t, i, int64(i), g.value(25, 11), g.value(10000, 13)) // s_acctbal in cents
 	}
-	return engine.NewTable("supplier", []string{"s_suppkey", "s_nationkey", "s_acctbal"}, rows)
+	return t
 }
 
 func (g *generator) customer() *engine.Table {
-	n := g.scaled(baseCustomer)
-	rows := make([][]int64, n)
-	for i := range rows {
-		rows[i] = []int64{
-			int64(i),           // c_custkey
-			g.value(25, 17),    // c_nationkey
-			g.value(10000, 19), // c_acctbal
-			g.value(5, 23),     // c_mktsegment
-		}
+	t := engine.NewTable("customer",
+		[]string{"c_custkey", "c_nationkey", "c_acctbal", "c_mktsegment"}, g.scaled(baseCustomer))
+	for i := range t.NumRows() {
+		set(t, i, int64(i), g.value(25, 17), g.value(10000, 19), g.value(5, 23))
 	}
-	return engine.NewTable("customer",
-		[]string{"c_custkey", "c_nationkey", "c_acctbal", "c_mktsegment"}, rows)
+	return t
 }
 
 func (g *generator) part() *engine.Table {
-	n := g.scaled(basePart)
-	rows := make([][]int64, n)
-	for i := range rows {
-		rows[i] = []int64{
-			int64(i),            // p_partkey
-			g.value(25, 29),     // p_brand
-			1 + g.value(50, 31), // p_size in 1..50
-			g.value(40, 37),     // p_container
-			g.value(2000, 41),   // p_retailprice
-		}
+	t := engine.NewTable("part",
+		[]string{"p_partkey", "p_brand", "p_size", "p_container", "p_retailprice"}, g.scaled(basePart))
+	for i := range t.NumRows() {
+		// p_size in 1..50
+		set(t, i, int64(i), g.value(25, 29), 1+g.value(50, 31), g.value(40, 37), g.value(2000, 41))
 	}
-	return engine.NewTable("part",
-		[]string{"p_partkey", "p_brand", "p_size", "p_container", "p_retailprice"}, rows)
+	return t
 }
 
 func (g *generator) partsupp() *engine.Table {
 	nPart := g.scaled(basePart)
 	nSupp := g.scaled(baseSupplier)
-	n := g.scaled(basePartSupp)
-	rows := make([][]int64, n)
-	for i := range rows {
-		rows[i] = []int64{
-			int64(i % nPart),   // ps_partkey (every part covered)
-			g.value(nSupp, 43), // ps_suppkey
-			g.value(1000, 47),  // ps_supplycost
-			g.value(10000, 53), // ps_availqty
-		}
+	t := engine.NewTable("partsupp",
+		[]string{"ps_partkey", "ps_suppkey", "ps_supplycost", "ps_availqty"}, g.scaled(basePartSupp))
+	for i := range t.NumRows() {
+		// ps_partkey covers every part.
+		set(t, i, int64(i%nPart), g.value(nSupp, 43), g.value(1000, 47), g.value(10000, 53))
 	}
-	return engine.NewTable("partsupp",
-		[]string{"ps_partkey", "ps_suppkey", "ps_supplycost", "ps_availqty"}, rows)
+	return t
 }
 
 func (g *generator) orders() *engine.Table {
 	nCust := g.scaled(baseCustomer)
-	n := g.scaled(baseOrders)
-	rows := make([][]int64, n)
-	for i := range rows {
-		rows[i] = []int64{
-			int64(i),              // o_orderkey
-			g.value(nCust, 59),    // o_custkey
-			g.value(DateDays, 61), // o_orderdate
-			g.value(50000, 67),    // o_totalprice
-			g.value(5, 71),        // o_orderpriority
-		}
+	t := engine.NewTable("orders",
+		[]string{"o_orderkey", "o_custkey", "o_orderdate", "o_totalprice", "o_orderpriority"}, g.scaled(baseOrders))
+	for i := range t.NumRows() {
+		set(t, i, int64(i), g.value(nCust, 59), g.value(DateDays, 61), g.value(50000, 67), g.value(5, 71))
 	}
-	return engine.NewTable("orders",
-		[]string{"o_orderkey", "o_custkey", "o_orderdate", "o_totalprice", "o_orderpriority"}, rows)
+	return t
 }
 
 func (g *generator) lineitem(orders *engine.Table) *engine.Table {
 	nPart := g.scaled(basePart)
 	nSupp := g.scaled(baseSupplier)
-	n := g.scaled(baseLineItem)
-	nOrders := orders.NumRows()
-	odIdx := orders.ColIndex("o_orderdate")
-	rows := make([][]int64, n)
-	for i := range rows {
-		// Lineitems reference orders roughly uniformly (each order gets
-		// ~4 lineitems), keeping the FK join selectivity realistic.
-		okey := int64(i % nOrders)
-		odate := orders.Rows[okey][odIdx]
-		ship := odate + 1 + g.value(120, 73) // shipped within ~4 months
-		if ship >= DateDays {
-			ship = DateDays - 1
-		}
-		rows[i] = []int64{
-			okey,                        // l_orderkey
-			g.value(nPart, 79),          // l_partkey
-			g.value(nSupp, 83),          // l_suppkey
-			1 + g.value(50, 89),         // l_quantity in 1..50
-			g.value(10000, 97),          // l_extendedprice
-			g.value(11, 101),            // l_discount in 0..10 (percent)
-			g.value(9, 103),             // l_tax
-			ship,                        // l_shipdate
-			ship + 1 + g.value(30, 107), // l_receiptdate
-			g.value(3, 109),             // l_returnflag
-			g.value(2, 113),             // l_linestatus
-			g.value(7, 127),             // l_shipmode
-		}
-	}
-	return engine.NewTable("lineitem", []string{
+	orderDate := orders.Data[orders.ColIndex("o_orderdate")]
+	t := engine.NewTable("lineitem", []string{
 		"l_orderkey", "l_partkey", "l_suppkey", "l_quantity",
 		"l_extendedprice", "l_discount", "l_tax", "l_shipdate",
 		"l_receiptdate", "l_returnflag", "l_linestatus", "l_shipmode",
-	}, rows)
+	}, g.scaled(baseLineItem))
+	for i := range t.NumRows() {
+		// Lineitems reference orders roughly uniformly (each order gets
+		// ~4 lineitems), keeping the FK join selectivity realistic.
+		okey := i % len(orderDate)
+		ship := orderDate[okey] + 1 + g.value(120, 73) // shipped within ~4 months
+		if ship >= DateDays {
+			ship = DateDays - 1
+		}
+		// l_quantity in 1..50, l_discount in 0..10 (percent).
+		set(t, i,
+			int64(okey), g.value(nPart, 79), g.value(nSupp, 83), 1+g.value(50, 89),
+			g.value(10000, 97), g.value(11, 101), g.value(9, 103), ship,
+			ship+1+g.value(30, 107), g.value(3, 109), g.value(2, 113), g.value(7, 127))
+	}
+	return t
 }
 
 // DBKind names the four databases of the paper's evaluation.

@@ -1,8 +1,13 @@
 package datagen
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -15,9 +20,9 @@ func TestGenerateDeterministic(t *testing.T) {
 	if la.NumRows() != lb.NumRows() {
 		t.Fatalf("row counts differ: %d vs %d", la.NumRows(), lb.NumRows())
 	}
-	for i := range la.Rows {
-		for j := range la.Rows[i] {
-			if la.Rows[i][j] != lb.Rows[i][j] {
+	for j := range la.Data {
+		for i := range la.Data[j] {
+			if la.Data[j][i] != lb.Data[j][i] {
 				t.Fatalf("row %d col %d differs", i, j)
 			}
 		}
@@ -55,17 +60,15 @@ func TestForeignKeysValid(t *testing.T) {
 	orders, _ := db.Table("orders")
 	cust, _ := db.Table("customer")
 	nOrders := int64(orders.NumRows())
-	ok := li.ColIndex("l_orderkey")
-	for _, r := range li.Rows {
-		if r[ok] < 0 || r[ok] >= nOrders {
-			t.Fatalf("l_orderkey %d out of range", r[ok])
+	for _, v := range li.Data[li.ColIndex("l_orderkey")] {
+		if v < 0 || v >= nOrders {
+			t.Fatalf("l_orderkey %d out of range", v)
 		}
 	}
 	nCust := int64(cust.NumRows())
-	ck := orders.ColIndex("o_custkey")
-	for _, r := range orders.Rows {
-		if r[ck] < 0 || r[ck] >= nCust {
-			t.Fatalf("o_custkey %d out of range", r[ck])
+	for _, v := range orders.Data[orders.ColIndex("o_custkey")] {
+		if v < 0 || v >= nCust {
+			t.Fatalf("o_custkey %d out of range", v)
 		}
 	}
 }
@@ -75,10 +78,9 @@ func TestSkewIncreasesConcentration(t *testing.T) {
 	top1 := func(z float64) float64 {
 		db := Generate(Config{ScaleFactor: 0.004, Z: z, Seed: 4})
 		li, _ := db.Table("lineitem")
-		qi := li.ColIndex("l_quantity")
 		counts := make(map[int64]int)
-		for _, r := range li.Rows {
-			counts[r[qi]]++
+		for _, v := range li.Data[li.ColIndex("l_quantity")] {
+			counts[v]++
 		}
 		best := 0
 		for _, c := range counts {
@@ -97,13 +99,12 @@ func TestSkewIncreasesConcentration(t *testing.T) {
 func TestUniformValuesCoverDomain(t *testing.T) {
 	db := Generate(Config{ScaleFactor: 0.004, Z: 0, Seed: 5})
 	li, _ := db.Table("lineitem")
-	qi := li.ColIndex("l_quantity")
 	seen := make(map[int64]bool)
-	for _, r := range li.Rows {
-		if r[qi] < 1 || r[qi] > 50 {
-			t.Fatalf("l_quantity %d out of 1..50", r[qi])
+	for _, v := range li.Data[li.ColIndex("l_quantity")] {
+		if v < 1 || v > 50 {
+			t.Fatalf("l_quantity %d out of 1..50", v)
 		}
-		seen[r[qi]] = true
+		seen[v] = true
 	}
 	if len(seen) < 45 {
 		t.Errorf("only %d distinct quantities; expected near-full coverage", len(seen))
@@ -113,10 +114,9 @@ func TestUniformValuesCoverDomain(t *testing.T) {
 func TestShipdateWithinDomain(t *testing.T) {
 	db := Generate(Config{ScaleFactor: 0.002, Z: 1, Seed: 6})
 	li, _ := db.Table("lineitem")
-	si := li.ColIndex("l_shipdate")
-	for _, r := range li.Rows {
-		if r[si] < 0 || r[si] >= DateDays {
-			t.Fatalf("l_shipdate %d out of [0,%d)", r[si], DateDays)
+	for _, v := range li.Data[li.ColIndex("l_shipdate")] {
+		if v < 0 || v >= DateDays {
+			t.Fatalf("l_shipdate %d out of [0,%d)", v, DateDays)
 		}
 	}
 }
@@ -176,6 +176,58 @@ func TestZipfReuseIsBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGeneratedDataPinned hashes every value Generate writes, for all
+// four evaluation databases at seed 1: tables in name order, each its
+// name and row count, then each column's name and values in row order,
+// little-endian. The hash does not depend on the table layout, so it
+// holds the generators' draw order on every column, not only on those
+// the pinned queries read. The literals were taken from the row-major
+// generators; do not re-capture them.
+func TestGeneratedDataPinned(t *testing.T) {
+	want := map[DBKind]string{
+		Uniform1G:  "710a68ca4886131cd7b97a1356df163771031f443b72b9c2da12b42430440936",
+		Skewed1G:   "f73eb4e3d4bd184d3cb98ffa5cabc9ed8881b86107e3dfb0f075c463909bab12",
+		Uniform10G: "c8317c05504854e0db31fcb9544dcb811ad0380cbde0262ca1c920f39567465e",
+		Skewed10G:  "2dd902c4cc63401d4f985a16fda13b4e5038539b51b6abce621a17489a494fcf",
+	}
+	for kind, digest := range want {
+		db := Generate(ConfigFor(kind, 1))
+		names := slices.Sorted(maps.Keys(db.Tables))
+		h := sha256.New()
+		var b []byte
+		for _, name := range names {
+			tab := db.Tables[name]
+			b = binary.LittleEndian.AppendUint64(append(append(b[:0], name...), 0), uint64(tab.NumRows()))
+			for c, col := range tab.Cols {
+				b = append(append(b, col...), 0)
+				for _, v := range tab.Data[c] {
+					b = binary.LittleEndian.AppendUint64(b, uint64(v))
+				}
+			}
+			h.Write(b)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != digest {
+			t.Errorf("%v: data digest %s, want %s", kind, got, digest)
+		}
+	}
+}
+
+// TestGenerateAllocs pins what generating a database allocates: one
+// block of columns per table plus its headers and column index, and the
+// generator's source. Row-major tables spent one slice per row (34,718
+// allocations for uniform-1G).
+func TestGenerateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	allocs := testing.AllocsPerRun(3, func() { Generate(ConfigFor(Uniform1G, 1)) })
+	const budget = 48
+	if allocs > budget {
+		t.Errorf("Generate(uniform-1G) allocates %.0f times, budget %d", allocs, budget)
+	}
+	t.Logf("Generate(uniform-1G): %.0f allocs", allocs)
 }
 
 // BenchmarkGenerateSkewed is database generation by itself — the

@@ -11,12 +11,14 @@ import (
 // conjunction tests.
 func conjDB(n int, seed int64) *DB {
 	r := rand.New(rand.NewSource(seed))
-	rows := make([][]int64, n)
-	for i := range rows {
-		rows[i] = []int64{int64(r.Intn(100)), int64(r.Intn(100)), int64(r.Intn(100))}
+	t := NewTable("t", []string{"x", "y", "z"}, n)
+	for i := range n {
+		for _, col := range t.Data {
+			col[i] = int64(r.Intn(100))
+		}
 	}
 	db := NewDB()
-	db.Add(NewTable("t", []string{"x", "y", "z"}, rows))
+	db.Add(t)
 	return db
 }
 
@@ -90,8 +92,8 @@ func TestConjunctionMatchesBruteForce(t *testing.T) {
 			return false
 		}
 		var brute float64
-		for _, row := range tbl.Rows {
-			if preds[0].Matches(row[0]) && preds[1].Matches(row[2]) {
+		for i := range tbl.NumRows() {
+			if preds[0].Matches(tbl.Data[0][i]) && preds[1].Matches(tbl.Data[2][i]) {
 				brute++
 			}
 		}

@@ -11,16 +11,15 @@ import (
 // r(a, b) with a = 0..n-1, b = a % 10; s(c, d) with c = 0..m-1, d = c % 5.
 func testDB(nr, ns int) *DB {
 	db := NewDB()
-	rrows := make([][]int64, nr)
-	for i := range rrows {
-		rrows[i] = []int64{int64(i), int64(i % 10)}
+	r, s := NewTable("r", []string{"a", "b"}, nr), NewTable("s", []string{"c", "d"}, ns)
+	for i := range nr {
+		r.Data[0][i], r.Data[1][i] = int64(i), int64(i%10)
 	}
-	srows := make([][]int64, ns)
-	for i := range srows {
-		srows[i] = []int64{int64(i), int64(i % 5)}
+	for i := range ns {
+		s.Data[0][i], s.Data[1][i] = int64(i), int64(i%5)
 	}
-	db.Add(NewTable("r", []string{"a", "b"}, rrows))
-	db.Add(NewTable("s", []string{"c", "d"}, srows))
+	db.Add(r)
+	db.Add(s)
 	return db
 }
 
@@ -232,9 +231,12 @@ func aggregateRows(t *testing.T, db *DB, plan *Node) (*OpResult, [][]int64) {
 	if len(rel.leaves) != 1 || len(rel.prov) != int(res.M) {
 		t.Fatalf("aggregate relation has %d leaves and %d rows, M=%v", len(rel.leaves), len(rel.prov), res.M)
 	}
+	tab := rel.leaves[0]
 	rows := make([][]int64, len(rel.prov))
 	for i, r := range rel.prov {
-		rows[i] = rel.leaves[0].Rows[r]
+		for _, col := range tab.Data {
+			rows[i] = append(rows[i], col[r])
+		}
 	}
 	return res, rows
 }
@@ -309,17 +311,16 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		nr, ns := 1+r.Intn(40), 1+r.Intn(40)
-		rrows := make([][]int64, nr)
-		for i := range rrows {
-			rrows[i] = []int64{int64(r.Intn(8))}
+		rt, st := NewTable("r", []string{"a"}, nr), NewTable("s", []string{"c"}, ns)
+		for i := range rt.Data[0] {
+			rt.Data[0][i] = int64(r.Intn(8))
 		}
-		srows := make([][]int64, ns)
-		for i := range srows {
-			srows[i] = []int64{int64(r.Intn(8))}
+		for i := range st.Data[0] {
+			st.Data[0][i] = int64(r.Intn(8))
 		}
 		db := NewDB()
-		db.Add(NewTable("r", []string{"a"}, rrows))
-		db.Add(NewTable("s", []string{"c"}, srows))
+		db.Add(rt)
+		db.Add(st)
 		plan := &Node{Kind: HashJoin, LeftCol: "a", RightCol: "c",
 			Left:  &Node{Kind: SeqScan, Table: "r"},
 			Right: &Node{Kind: SeqScan, Table: "s"}}
@@ -329,9 +330,9 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 			return false
 		}
 		var brute int
-		for _, a := range rrows {
-			for _, c := range srows {
-				if a[0] == c[0] {
+		for _, a := range rt.Data[0] {
+			for _, c := range st.Data[0] {
+				if a == c {
 					brute++
 				}
 			}

@@ -109,12 +109,12 @@ type relation struct {
 }
 
 // keyed is a relation with one column resolved for hashing: the key of
-// row r is tab[prov[r*stride+ord]][ci].
+// row r is col[prov[r*stride+ord]], col a column of leaf ord.
 type keyed struct {
 	prov         []int32
 	stride, rows int
-	tab          [][]int64
-	ord, ci      int
+	col          []int64
+	ord          int
 }
 
 // resolve keys the relation on the named column, found exactly as a
@@ -124,13 +124,13 @@ type keyed struct {
 func (r *relation) resolve(name string) (keyed, bool) {
 	for o, t := range r.leaves {
 		if ci := t.ColIndex(name); ci >= 0 {
-			return keyed{r.prov, len(r.leaves), len(r.prov) / len(r.leaves), t.Rows, o, ci}, true
+			return keyed{r.prov, len(r.leaves), len(r.prov) / len(r.leaves), t.Data[ci], o}, true
 		}
 	}
 	return keyed{}, false
 }
 
-func (k *keyed) key(r int) int64 { return k.tab[k.prov[r*k.stride+k.ord]][k.ci] }
+func (k *keyed) key(r int) int64 { return k.col[k.prov[r*k.stride+k.ord]] }
 
 // scratch is the working memory of one scan, join or aggregate: nothing
 // in it outlives the call that took it from the pool.
@@ -208,9 +208,8 @@ func setLeafProduct(db *DB, res *OpResult) error {
 	return nil
 }
 
-// runScan filters the table a predicate at a time into a selection
-// vector: every row, then what the predicates so far let through,
-// filtered in place, each predicate one range compare per row.
+// runScan filters the table through Filter into the pooled selection
+// vector; a parent that reads rows gets a copy of it as provenance.
 func runScan(db *DB, n *Node, keep bool) (*OpResult, *relation, error) {
 	t, err := db.Table(n.Table)
 	if err != nil {
@@ -218,32 +217,12 @@ func runScan(db *DB, n *Node, keep bool) (*OpResult, *relation, error) {
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	nrows := t.NumRows()
-	sel, mIndex := grow(sc.sel, nrows), nrows // mIndex: tuples satisfying the index (first) predicate
-	for i := range sel {
-		sel[i] = int32(i)
-	}
-	for pi := range n.Preds {
-		pred := &n.Preds[pi]
-		ci := t.ColIndex(pred.Col)
-		if ci < 0 {
-			return nil, nil, fmt.Errorf("engine: predicate column %q not in table %q", pred.Col, n.Table)
-		}
-		m := 0
-		if lo, hi, ok := pred.Range(); ok {
-			ulo, span := uint64(lo), uint64(hi)-uint64(lo)
-			for _, i := range sel {
-				sel[m] = i
-				if uint64(t.Rows[i][ci])-ulo <= span {
-					m++
-				}
-			}
-		}
-		if sel = sel[:m]; pi == 0 {
-			mIndex = m
-		}
+	sel, mIndex, err := t.Filter(n.Preds, sc.sel)
+	if err != nil {
+		return nil, nil, err
 	}
 	sc.sel = sel
+	nrows := t.NumRows()
 	var rel *relation
 	if keep {
 		rel = &relation{leaves: []*Table{t}, prov: slices.Clone(sel)}
@@ -412,8 +391,14 @@ func runAggregate(db *DB, n *Node, keep bool) (*OpResult, *relation, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	groups, cols, rows := 1, []string{"count"}, [][]int64{{int64(child.M)}}
-	if n.GroupCol != "" {
+	var tab *Table
+	groups := 1
+	if n.GroupCol == "" {
+		if keep {
+			tab = NewTable("", []string{"count"}, 1)
+			tab.Data[0][0] = int64(child.M)
+		}
+	} else {
 		in, ok := rel.resolve(n.GroupCol)
 		if !ok {
 			return nil, nil, fmt.Errorf("engine: group column %q not found", n.GroupCol)
@@ -421,26 +406,26 @@ func runAggregate(db *DB, n *Node, keep bool) (*OpResult, *relation, error) {
 		sc := scratchPool.Get().(*scratch)
 		defer scratchPool.Put(sc)
 		sc.build(&in)
-		groups, cols, rows = 0, []string{"group", "count"}, nil
+		groups = 0
 		for _, e := range sc.slots {
 			if e.Head != 0 {
 				groups++
 			}
 		}
 		if keep {
-			block := make([]int64, 0, 2*groups)
-			rows = make([][]int64, 0, groups)
+			tab = NewTable("", []string{"group", "count"}, groups)
+			keys, counts, g := tab.Data[0], tab.Data[1], 0
 			for _, e := range sc.slots {
 				if e.Head != 0 {
-					block = append(block, e.Key, int64(e.Cnt))
-					rows = append(rows, block[len(block)-2:])
+					keys[g], counts[g] = e.Key, int64(e.Cnt)
+					g++
 				}
 			}
 		}
 	}
 	var out *relation
 	if keep {
-		out = &relation{leaves: []*Table{NewTable("", cols, rows)}, prov: make([]int32, groups)}
+		out = &relation{leaves: []*Table{tab}, prov: make([]int32, groups)}
 		for i := range out.prov {
 			out.prov[i] = int32(i)
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -30,7 +31,7 @@ func oracleMatches(p Predicate, v int64) bool {
 func probes(p Predicate) []int64 {
 	vs := []int64{math.MinInt64, math.MaxInt64}
 	ends := []int64{p.Lo, p.Hi}
-	if lo, hi, ok := p.Range(); ok {
+	if lo, hi, ok := p.interval(); ok {
 		ends = append(ends, lo, hi)
 	}
 	for _, e := range ends {
@@ -39,7 +40,7 @@ func probes(p Predicate) []int64 {
 	return vs
 }
 
-// TestPredicateRange holds Range and the one unsigned compare the scans
+// TestPredicateRange holds interval and the one unsigned compare the scans
 // run against the old switch, for every Op at the edges of int64, and
 // Between empty, a single value and the full range. A plan scanning a
 // table of edge values must count what the switch counts.
@@ -57,14 +58,12 @@ func TestPredicateRange(t *testing.T) {
 		}
 	}
 	db := NewDB()
-	rows := make([][]int64, len(operands))
-	for i, v := range operands {
-		rows[i] = []int64{v}
-	}
-	db.Add(NewTable("t", []string{"x"}, rows))
+	tab := NewTable("t", []string{"x"}, len(operands))
+	copy(tab.Data[0], operands)
+	db.Add(tab)
 
 	for _, p := range preds {
-		lo, hi, ok := p.Range()
+		lo, hi, ok := p.interval()
 		if ok && lo > hi {
 			t.Errorf("%v: range [%d, %d] is empty but ok", p.String(), lo, hi)
 		}
@@ -73,7 +72,7 @@ func TestPredicateRange(t *testing.T) {
 				t.Errorf("%v at %d: range compare %v, switch %v", p.String(), v, got, want)
 			}
 			if !ok && oracleMatches(p, v) {
-				t.Errorf("%v: Range says empty, the switch matches %d", p.String(), v)
+				t.Errorf("%v: interval says empty, the switch matches %d", p.String(), v)
 			}
 		}
 		want := 0
@@ -105,6 +104,74 @@ func FuzzPredicateRange(f *testing.F) {
 		p := Predicate{Col: "x", Op: CmpOp(op % 6), Lo: lo, Hi: hi}
 		if got, want := p.Matches(v), oracleMatches(p, v); got != want {
 			t.Errorf("%v at %d: range compare %v, switch %v", p.String(), v, got, want)
+		}
+	})
+}
+
+// FuzzFilter holds the scan kernel to a per-row Matches loop: a column
+// x drawn from the input (a byte below 16 names an edge — MinInt64,
+// MaxInt64, a predicate operand or its neighbour — any other is a small
+// signed value), y the same values reversed, and the first npred%4 of
+// three predicates, each on x or y by the top bit of its op. The
+// selection must be the ascending rows every predicate matches and
+// mIndex the count the first one matches, whatever the buffer held.
+func FuzzFilter(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 200, 7}, uint8(2), uint8(Lt), uint8(Ge|0x80), uint8(Between), int64(0), int64(0), int64(-5), int64(5), int64(1), int64(-1))
+	f.Add([]byte{0, 3, 0, 3}, uint8(1), uint8(Gt), uint8(Lt), uint8(Eq), int64(math.MaxInt64), int64(0), int64(math.MinInt64), int64(0), int64(0), int64(0))
+	f.Add([]byte{4, 5, 6, 7, 8, 9}, uint8(3), uint8(Between), uint8(Between|0x80), uint8(Le), int64(math.MinInt64), int64(math.MaxInt64), int64(3), int64(2), int64(-1), int64(0))
+	f.Add([]byte{}, uint8(1), uint8(Eq), uint8(0), uint8(0), int64(0), int64(0), int64(0), int64(0), int64(0), int64(0))
+	f.Add([]byte{1, 2, 255}, uint8(0), uint8(0), uint8(0), uint8(0), int64(0), int64(0), int64(0), int64(0), int64(0), int64(0))
+	f.Fuzz(func(t *testing.T, data []byte, npred, op0, op1, op2 uint8, lo0, hi0, lo1, hi1, lo2, hi2 int64) {
+		ops, los, his := []uint8{op0, op1, op2}, []int64{lo0, lo1, lo2}, []int64{hi0, hi1, hi2}
+		preds := make([]Predicate, npred%4)
+		for i := range preds {
+			col := "x"
+			if ops[i]&0x80 != 0 {
+				col = "y"
+			}
+			preds[i] = Predicate{Col: col, Op: CmpOp(ops[i]&0x7f) % 6, Lo: los[i], Hi: his[i]}
+		}
+		edges := []int64{math.MinInt64, math.MinInt64 + 1, math.MaxInt64 - 1, math.MaxInt64, lo0, hi0, lo1, hi1, lo2, hi2,
+			lo0 - 1, lo0 + 1, hi0 + 1, lo1 - 1, lo1 + 1, hi1 + 1}
+		tab := NewTable("t", []string{"x", "y"}, len(data))
+		for i, b := range data {
+			v := int64(int8(b))
+			if b < 16 {
+				v = edges[b]
+			}
+			tab.Data[0][i], tab.Data[1][len(data)-1-i] = v, v
+		}
+		var want []int32
+		wantIndex := len(data)
+		if len(preds) > 0 {
+			wantIndex = 0
+		}
+		for i := range len(data) {
+			ok := true
+			for pi := range preds {
+				v := tab.Data[tab.ColIndex(preds[pi].Col)][i]
+				if !preds[pi].Matches(v) {
+					ok = false
+					break
+				}
+				if pi == 0 {
+					wantIndex++
+				}
+			}
+			if ok {
+				want = append(want, int32(i))
+			}
+		}
+		buf := make([]int32, int(npred)%7)
+		for i := range buf {
+			buf[i] = -7
+		}
+		sel, mIndex, err := tab.Filter(preds, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(sel, want) || mIndex != wantIndex {
+			t.Errorf("%v over %v: selection %v mIndex %d, the per-row loop %v and %d", preds, tab.Data[0], sel, mIndex, want, wantIndex)
 		}
 	})
 }

@@ -85,7 +85,11 @@ func refScan(db *engine.DB, n *engine.Node) (*engine.OpResult, refRel, error) {
 	}
 	var out [][]int64
 	mIndex := 0.0
-	for _, row := range t.Rows {
+	for r := range t.NumRows() {
+		row := make([]int64, len(t.Data))
+		for c, col := range t.Data {
+			row[c] = col[r]
+		}
 		if len(n.Preds) > 0 && !n.Preds[0].Matches(row[idx[0]]) {
 			continue
 		}
@@ -353,15 +357,15 @@ func TestRunMatchesReference(t *testing.T) {
 	}
 
 	db := engine.NewDB()
-	rrows, srows := make([][]int64, 100), make([][]int64, 60)
-	for i := range rrows {
-		rrows[i] = []int64{int64(i), int64(i % 10)}
+	r, s := engine.NewTable("r", []string{"a", "b"}, 100), engine.NewTable("s", []string{"c", "d"}, 60)
+	for i := range 100 {
+		r.Data[0][i], r.Data[1][i] = int64(i), int64(i%10)
 	}
-	for i := range srows {
-		srows[i] = []int64{int64(i), int64(i % 5)}
+	for i := range 60 {
+		s.Data[0][i], s.Data[1][i] = int64(i), int64(i%5)
 	}
-	db.Add(engine.NewTable("r", []string{"a", "b"}, rrows))
-	db.Add(engine.NewTable("s", []string{"c", "d"}, srows))
+	db.Add(r)
+	db.Add(s)
 	for i, p := range handBuiltPlans() {
 		check(fmt.Sprintf("hand-built plan %d", i), db, p)
 	}
@@ -410,13 +414,13 @@ func TestFinalizeEnd(t *testing.T) {
 // grows with rows.
 func threeJoinPlan(rows int) (*engine.DB, *engine.Node) {
 	db := engine.NewDB()
-	rr, ss := make([][]int64, rows), make([][]int64, rows)
-	for i := range rr {
-		rr[i] = []int64{int64(i), int64(i % 10)}
-		ss[i] = []int64{int64(i), int64(i % 5)}
+	r, s := engine.NewTable("r", []string{"a", "b"}, rows), engine.NewTable("s", []string{"c", "d"}, rows)
+	for i := range rows {
+		r.Data[0][i], r.Data[1][i] = int64(i), int64(i%10)
+		s.Data[0][i], s.Data[1][i] = int64(i), int64(i%5)
 	}
-	db.Add(engine.NewTable("r", []string{"a", "b"}, rr))
-	db.Add(engine.NewTable("s", []string{"c", "d"}, ss))
+	db.Add(r)
+	db.Add(s)
 	scan := func(table string) *engine.Node { return &engine.Node{Kind: engine.SeqScan, Table: table} }
 	p := &engine.Node{Kind: engine.HashJoin, LeftCol: "a", RightCol: "c",
 		Left: &engine.Node{Kind: engine.HashJoin, LeftCol: "a", RightCol: "a",

@@ -74,11 +74,11 @@ func TestOperatorTimeMeanMatchesModel(t *testing.T) {
 func TestMeasurePlanAveragesRuns(t *testing.T) {
 	p := PC1()
 	db := engine.NewDB()
-	rows := make([][]int64, 1000)
-	for i := range rows {
-		rows[i] = []int64{int64(i)}
+	tab := engine.NewTable("t", []string{"x"}, 1000)
+	for i := range 1000 {
+		tab.Data[0][i] = int64(i)
 	}
-	db.Add(engine.NewTable("t", []string{"x"}, rows))
+	db.Add(tab)
 	plan := &engine.Node{Kind: engine.SeqScan, Table: "t"}
 	plan.Finalize()
 	res, err := engine.Run(db, plan)

@@ -14,11 +14,11 @@ import (
 func measureFixture(t testing.TB) *engine.OpResult {
 	t.Helper()
 	db := engine.NewDB()
-	rows := make([][]int64, 1000)
-	for i := range rows {
-		rows[i] = []int64{int64(i)}
+	tab := engine.NewTable("t", []string{"x"}, 1000)
+	for i := range 1000 {
+		tab.Data[0][i] = int64(i)
 	}
-	db.Add(engine.NewTable("t", []string{"x"}, rows))
+	db.Add(tab)
 	plan := &engine.Node{Kind: engine.SeqScan, Table: "t"}
 	plan.Finalize()
 	res, err := engine.Run(db, plan)

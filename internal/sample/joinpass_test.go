@@ -48,7 +48,7 @@ func upTo(n int) []int32 {
 func nestedLoopJoin(n *engine.Node, left, right *Pass) ([]int32, OpEstimate) {
 	lt, lc, lord := left.column(n.LeftCol)
 	rt, rc, rord := right.column(n.RightCol)
-	lcol, rcol := lt.data[lc], rt.data[rc]
+	lcol, rcol := lt.Data[lc], rt.Data[rc]
 	nl, k := left.numLeaves, left.numLeaves+right.numLeaves
 	var out []int32
 	for i := 0; i < left.rows(); i++ {
@@ -65,16 +65,16 @@ func nestedLoopJoin(n *engine.Node, left, right *Pass) ([]int32, OpEstimate) {
 	leafComp := make([]float64, k)
 	prodN := 1.0
 	for _, t := range leaves {
-		prodN *= float64(t.N())
+		prodN *= float64(t.NumRows())
 	}
 	rho := float64(nOut) / prodN
 	var totalVar float64
 	for o, t := range leaves {
-		q := make([]int, t.N())
+		q := make([]int, t.NumRows())
 		for i := o; i < len(out); i += k {
 			q[out[i]]++
 		}
-		nk := float64(t.N())
+		nk := float64(t.NumRows())
 		var ss float64
 		for _, c := range q {
 			d := float64(c)/(prodN/nk) - rho
@@ -129,7 +129,7 @@ func checkJoin(t *testing.T, tag string, keys map[string][]int64, l, r joinSide,
 		for i := range ks {
 			ids[i] = int64(i)
 		}
-		tables[name] = newTable(name, []string{"id", "k" + name}, [][]int64{ids, ks})
+		tables[name] = newTable(tableOf(name, []string{"id", "k" + name}, ids, ks))
 	}
 	side := func(s joinSide) (*Pass, *engine.Node) {
 		p := &Pass{numLeaves: len(s.leaves), prov: []int32{}}

@@ -21,16 +21,16 @@ import (
 	"repro/internal/engine"
 )
 
-// Table is a sample of a base relation. The provenance identifier of the
-// i-th sample tuple is simply i (the paper's annotation scheme, akin to
-// data provenance lineage tracking). The sample is small and immutable,
-// so it is stored column-major: the sampling pass reads one column at a
-// time (a predicate scan, a join-key gather), never a whole tuple.
+// Table is a sample of a base relation: an engine.Table of the sampled
+// tuples, named after the relation, whose row i is sample tuple i, so
+// the provenance identifier of a sample tuple is its row (the paper's
+// annotation scheme, akin to data provenance lineage tracking). The
+// sampling pass reads it as the executor reads a base table: a scan
+// through engine.Table.Filter, a join key by (column, row). Beside the
+// immutable rows it keeps what every pass over it shares.
 type Table struct {
-	Base string
-	cols []string
-	data [][]int64 // data[c][i] is column cols[c] of sample tuple i
-	all  []int32   // 0..n-1: the provenance of a scan that keeps every tuple
+	*engine.Table
+	all []int32 // 0..n-1: the provenance of a scan that keeps every tuple
 	// keys[c] is the key index of column c, built on a join's first
 	// lookup in that column; a column no join reads never gets one.
 	keys []lazyIndex
@@ -41,23 +41,20 @@ type lazyIndex struct {
 	ix   keyIndex
 }
 
-// newTable wraps column-major sample data, every column n tuples long.
-func newTable(base string, cols []string, data [][]int64) *Table {
-	all := make([]int32, len(data[0]))
+// newTable wraps the sampled rows t.
+func newTable(t *engine.Table) *Table {
+	all := make([]int32, t.NumRows())
 	for i := range all {
 		all[i] = int32(i)
 	}
-	return &Table{Base: base, cols: cols, data: data, all: all, keys: make([]lazyIndex, len(cols))}
+	return &Table{Table: t, all: all, keys: make([]lazyIndex, len(t.Cols))}
 }
-
-// N returns the sample size n_k.
-func (s *Table) N() int { return len(s.all) }
 
 // index returns the key index of column c, building it on first use.
 // It is immutable once built and safe to read from any goroutine.
 func (s *Table) index(c int) *keyIndex {
 	l := &s.keys[c]
-	l.once.Do(func() { l.ix.build(s.data[c]) })
+	l.once.Do(func() { l.ix.build(s.Data[c]) })
 	return &l.ix
 }
 
@@ -150,18 +147,14 @@ func Build(db *engine.DB, ratio float64, copies int, seed int64) (*DB, error) {
 		}
 		for c := 0; c < copies; c++ {
 			idx := r.Perm(t.NumRows())[:n]
-			flat := make([]int64, len(t.Cols)*n)
-			data := make([][]int64, len(t.Cols))
-			for c := range data {
-				data[c] = flat[c*n : (c+1)*n : (c+1)*n]
-			}
-			for i, j := range idx {
-				row := t.Rows[j]
-				for c := range data {
-					data[c][i] = row[c]
+			st := engine.NewTable(name, t.Cols, n)
+			for ci, col := range st.Data {
+				src := t.Data[ci]
+				for i, j := range idx {
+					col[i] = src[j]
 				}
 			}
-			out.Copies[name] = append(out.Copies[name], newTable(name, t.Cols, data))
+			out.Copies[name] = append(out.Copies[name], newTable(st))
 		}
 	}
 	return out, nil

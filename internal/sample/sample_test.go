@@ -14,18 +14,25 @@ import (
 // b and d uniform over joint domain size dom.
 func synthDB(nr, ns, dom int, seed int64) *engine.DB {
 	r := rand.New(rand.NewSource(seed))
-	rRows := make([][]int64, nr)
-	for i := range rRows {
-		rRows[i] = []int64{int64(i), int64(r.Intn(dom))}
-	}
-	sRows := make([][]int64, ns)
-	for i := range sRows {
-		sRows[i] = []int64{int64(i), int64(r.Intn(dom))}
+	rt, st := engine.NewTable("r", []string{"a", "b"}, nr), engine.NewTable("s", []string{"c", "d"}, ns)
+	for _, t := range []*engine.Table{rt, st} {
+		for i := range t.NumRows() {
+			t.Data[0][i], t.Data[1][i] = int64(i), int64(r.Intn(dom))
+		}
 	}
 	db := engine.NewDB()
-	db.Add(engine.NewTable("r", []string{"a", "b"}, rRows))
-	db.Add(engine.NewTable("s", []string{"c", "d"}, sRows))
+	db.Add(rt)
+	db.Add(st)
 	return db
+}
+
+// tableOf builds a table from its columns.
+func tableOf(name string, cols []string, data ...[]int64) *engine.Table {
+	t := engine.NewTable(name, cols, len(data[0]))
+	for c, col := range data {
+		copy(t.Data[c], col)
+	}
+	return t
 }
 
 func scanPlan(pred *engine.Predicate) *engine.Node {
@@ -56,14 +63,14 @@ func TestBuildSampleSizes(t *testing.T) {
 	if got := len(sdb.Copies["r"]); got != 2 {
 		t.Fatalf("copies=%d, want 2", got)
 	}
-	if n := sdb.Copies["r"][0].N(); n != 500 {
+	if n := sdb.Copies["r"][0].NumRows(); n != 500 {
 		t.Errorf("sample size %d, want 500", n)
 	}
 	// Copies must differ (independent draws).
 	same := true
 	a, b := sdb.Copies["r"][0], sdb.Copies["r"][1]
-	for i := range a.data[0] {
-		if a.data[0][i] != b.data[0][i] {
+	for i := range a.Data[0] {
+		if a.Data[0][i] != b.Data[0][i] {
 			same = false
 			break
 		}
@@ -222,16 +229,13 @@ func TestJoinLeafComponentsSumToVar(t *testing.T) {
 func TestEmptyJoinGetsFloorNotZero(t *testing.T) {
 	// Disjoint join domains: sample join certainly empty.
 	db := engine.NewDB()
-	rRows := make([][]int64, 500)
-	for i := range rRows {
-		rRows[i] = []int64{int64(i), 1}
+	rt, st := engine.NewTable("r", []string{"a", "b"}, 500), engine.NewTable("s", []string{"c", "d"}, 500)
+	for i := range 500 {
+		rt.Data[0][i], rt.Data[1][i] = int64(i), 1
+		st.Data[0][i], st.Data[1][i] = int64(i), 2
 	}
-	sRows := make([][]int64, 500)
-	for i := range sRows {
-		sRows[i] = []int64{int64(i), 2}
-	}
-	db.Add(engine.NewTable("r", []string{"a", "b"}, rRows))
-	db.Add(engine.NewTable("s", []string{"c", "d"}, sRows))
+	db.Add(rt)
+	db.Add(st)
 	cat := catalog.Build(db)
 	plan := joinPlan()
 	sdb, err := Build(db, 0.1, 2, 9)
@@ -333,11 +337,11 @@ func trueSelectivity(t *testing.T, db *engine.DB, plan *engine.Node) float64 {
 func threeWayDB(seed int64, n, dom int) (*engine.DB, *engine.Node) {
 	r := rand.New(rand.NewSource(seed))
 	mk := func(name, c1, c2 string) *engine.Table {
-		rows := make([][]int64, n)
-		for i := range rows {
-			rows[i] = []int64{int64(r.Intn(dom)), int64(r.Intn(dom))}
+		t := engine.NewTable(name, []string{c1, c2}, n)
+		for i := range n {
+			t.Data[0][i], t.Data[1][i] = int64(r.Intn(dom)), int64(r.Intn(dom))
 		}
-		return engine.NewTable(name, []string{c1, c2}, rows)
+		return t
 	}
 	db := engine.NewDB()
 	db.Add(mk("t1", "a1", "b1"))
@@ -363,15 +367,15 @@ func threeWayDB(seed int64, n, dom int) (*engine.DB, *engine.Node) {
 func threeWaySelectivity(db *engine.DB) float64 {
 	t1, t2, t3 := db.Tables["t1"], db.Tables["t2"], db.Tables["t3"]
 	b1, a3 := map[int64]float64{}, map[int64]float64{}
-	for _, row := range t1.Rows {
-		b1[row[1]]++
+	for _, v := range t1.Data[1] {
+		b1[v]++
 	}
-	for _, row := range t3.Rows {
-		a3[row[0]]++
+	for _, v := range t3.Data[0] {
+		a3[v]++
 	}
 	var m float64
-	for _, row := range t2.Rows {
-		m += b1[row[0]] * a3[row[1]]
+	for i, a2 := range t2.Data[0] {
+		m += b1[a2] * a3[t2.Data[1][i]]
 	}
 	return m / (float64(t1.NumRows()) * float64(t2.NumRows()) * float64(t3.NumRows()))
 }

@@ -49,10 +49,11 @@ package sample
 // row names is added a gap at a time by addRepeated — bit for bit the
 // sequential adds it stands for.
 //
-// Fixed work is done once. A scan predicate is one inclusive range
-// (engine.Predicate.Range), a tuple one unsigned compare against it, and
-// the leading predicate reads its column without the identity vector; a
-// memo key reads the signature its node stored at Finalize (Node.Sig).
+// Fixed work is done once. A scan runs the executor's filter kernel
+// (engine.Table.Filter): a predicate is one inclusive range, a tuple one
+// unsigned compare against it, and the leading predicate reads its
+// column without the identity vector; a memo key reads the signature its
+// node stored at Finalize (Node.Sig).
 
 import (
 	"context"
@@ -98,7 +99,7 @@ func (p *Pass) rows() int { return len(p.prov) / p.numLeaves }
 // ordinal is -1 when no leaf does.
 func (p *Pass) column(name string) (t *Table, c, ord int) {
 	for o, t := range p.leaves {
-		if c := slices.Index(t.cols, name); c >= 0 {
+		if c := t.ColIndex(name); c >= 0 {
 			return t, c, o
 		}
 	}
@@ -175,12 +176,12 @@ func EstimateMemo(ctx context.Context, root *engine.Node, sdb *DB, cat *catalog.
 			}
 			uses := 0
 			for _, t := range leafTable {
-				if t.Base == n.Table {
+				if t.Name == n.Table {
 					uses++
 				}
 			}
 			ci := uses % len(copies)
-			if copies[ci].N() == 0 {
+			if copies[ci].NumRows() == 0 {
 				return fmt.Errorf("sample: relation %q has an empty sample", n.Table)
 			}
 			leafTable = append(leafTable, copies[ci])
@@ -313,54 +314,22 @@ func grow[T any](s []T, n int) []T {
 }
 
 // scanPass evaluates one scan over its sample table in the local frame
-// (the scan is leaf ordinal 0 of its own subtree), a predicate at a time
-// over one column each, each predicate one range compare per tuple.
+// (the scan is leaf ordinal 0 of its own subtree) through the executor's
+// filter kernel. mIndex counts what the leading predicate lets through —
+// the tuples an index scan on it would fetch.
 func scanPass(n *engine.Node, st *Table) (*Pass, error) {
-	nTotal := st.N()
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	sc.match = grow(sc.match, nTotal)
-	// sel is the selection vector: every tuple until a predicate has
-	// spoken, then what the predicates so far let through. The leading
-	// predicate reads its column straight through; each later one
-	// filters sel in place. mIndex counts what the leading predicate lets
-	// through — the tuples an index scan on it would fetch.
-	sel, mIndex := st.all, nTotal
-	for pi := range n.Preds {
-		pred := &n.Preds[pi]
-		ci := slices.Index(st.cols, pred.Col)
-		if ci < 0 {
-			return nil, fmt.Errorf("sample: predicate column %q not in %q", pred.Col, n.Table)
-		}
-		col, m := st.data[ci], 0
-		lo, hi, ok := pred.Range()
-		ulo, span := uint64(lo), uint64(hi)-uint64(lo)
-		switch {
-		case !ok:
-		case pi == 0:
-			for i, v := range col {
-				sc.match[m] = int32(i)
-				if uint64(v)-ulo <= span {
-					m++
-				}
-			}
-		default:
-			for _, i := range sel {
-				sc.match[m] = i
-				if uint64(col[i])-ulo <= span {
-					m++
-				}
-			}
-		}
-		sel = sc.match[:m]
-		if pi == 0 {
-			mIndex = m
-		}
-	}
+	nTotal := st.NumRows()
 	// The Pass keeps an exactly-sized block of its own — or, when every
 	// tuple survives unasked, the table's immutable identity block.
-	prov := sel
+	prov, mIndex := st.all, nTotal
 	if len(n.Preds) > 0 {
+		sc := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(sc)
+		sel, m, err := st.Filter(n.Preds, sc.match)
+		if err != nil {
+			return nil, err
+		}
+		sc.match, mIndex = sel, m
 		prov = make([]int32, len(sel))
 		copy(prov, sel)
 	}
@@ -442,7 +411,7 @@ func joinPass(n *engine.Node, left, right *Pass) (*Pass, error) {
 	if inner.p.numLeaves == 1 {
 		ix = inner.t.index(inner.c)
 		if !inner.p.identity() {
-			sc.mult = grow(sc.mult, inner.t.N())
+			sc.mult = grow(sc.mult, inner.t.NumRows())
 			mult = sc.mult
 			clear(mult)
 			for _, j := range inner.block {
@@ -451,7 +420,7 @@ func joinPass(n *engine.Node, left, right *Pass) (*Pass, error) {
 		}
 		inner.block, inner.stride = inner.t.all, 1
 	} else {
-		col := inner.t.data[inner.c]
+		col := inner.t.Data[inner.c]
 		sc.keys = grow(sc.keys, inner.p.rows())
 		for r := range sc.keys {
 			sc.keys[r] = col[inner.block[r*inner.stride+inner.ord]]
@@ -462,7 +431,7 @@ func joinPass(n *engine.Node, left, right *Pass) (*Pass, error) {
 
 	// Count: each outer row's key looked up once; the hits are kept as
 	// (outer row, run) triples, in outer order.
-	col := outer.t.data[outer.c]
+	col := outer.t.Data[outer.c]
 	hits := sc.match[:0]
 	nOut := 0
 	for r := 0; r < outer.p.rows(); r++ {
@@ -507,7 +476,7 @@ func joinPass(n *engine.Node, left, right *Pass) (*Pass, error) {
 	// rho_n = |out| / Pi_k n_k, accumulated in left-to-right leaf order.
 	prodN := 1.0
 	for _, t := range leaves {
-		prodN *= float64(t.N())
+		prodN *= float64(t.NumRows())
 	}
 	rho := float64(nOut) / prodN
 
@@ -553,7 +522,7 @@ func joinPass(n *engine.Node, left, right *Pass) (*Pass, error) {
 			// d = 0/denom - rho = -rho, i.e. exactly rho^2: each gap
 			// between runs is added by addRepeated, bit for bit the
 			// sequential adds, at the same place in the same sum.
-			nk := float64(t.N())
+			nk := float64(t.NumRows())
 			denom, rr := prodN/nk, rho*rho
 			var ss float64
 			next := 0 // the first sample index not yet summed
@@ -567,7 +536,7 @@ func joinPass(n *engine.Node, left, right *Pass) (*Pass, error) {
 				ss += d * d
 				next, lo = int(j)+1, hi
 			}
-			ss = addRepeated(ss, rr, t.N()-next)
+			ss = addRepeated(ss, rr, t.NumRows()-next)
 			vk := 0.0
 			if nk > 1 {
 				vk = ss / (nk - 1)

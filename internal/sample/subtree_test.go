@@ -442,13 +442,9 @@ func TestPassOwnsItsRows(t *testing.T) {
 // read each range as the engine's scan does.
 func TestScanPassMatchesEngineAtEdges(t *testing.T) {
 	vals := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
-	rows := make([][]int64, len(vals))
-	for i, v := range vals {
-		rows[i] = []int64{v, v}
-	}
 	db := engine.NewDB()
-	db.Add(engine.NewTable("t", []string{"x", "y"}, rows))
-	st := newTable("t", []string{"x", "y"}, [][]int64{vals, vals})
+	db.Add(tableOf("t", []string{"x", "y"}, vals, vals))
+	st := newTable(tableOf("t", []string{"x", "y"}, vals, vals))
 
 	var preds []engine.Predicate
 	for _, lo := range vals {

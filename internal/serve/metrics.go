@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 )
 
 // writeMetrics renders a point-in-time snapshot of the server in the
@@ -118,8 +119,8 @@ func (s *Server) writeMetrics(w io.Writer) error {
 	for _, t := range st.Tenants {
 		for _, u := range t.Drift.PerUnit {
 			for _, cp := range u.Coverage {
-				mw.printf("uaqp_calibration_coverage_drift{tenant=%q,unit=%q,level=%q} %s\n",
-					t.Name, u.Unit, formatValue(cp.Nominal), formatValue(cp.Drift))
+				mw.printf("uaqp_calibration_coverage_drift{tenant=%s,unit=%s,level=\"%s\"} %s\n",
+					LabelValue(t.Name), LabelValue(u.Unit), formatValue(cp.Nominal), formatValue(cp.Drift))
 			}
 		}
 	}
@@ -154,11 +155,24 @@ func (m *metricsWriter) gaugeInt(name, help string, v int) {
 }
 
 func (m *metricsWriter) labeled(name, label, lv string, v float64) {
-	m.printf("%s{%s=%q} %s\n", name, label, lv, formatValue(v))
+	m.printf("%s{%s=%s} %s\n", name, label, LabelValue(lv), formatValue(v))
 }
 
 func (m *metricsWriter) labeled2(name, l1, v1, l2, v2 string, v float64) {
-	m.printf("%s{%s=%q,%s=%q} %s\n", name, l1, v1, l2, v2, formatValue(v))
+	m.printf("%s{%s=%s,%s=%s} %s\n", name, l1, LabelValue(v1), l2, LabelValue(v2), formatValue(v))
+}
+
+// labelEscaper applies the text exposition format's only three escapes.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// LabelValue renders v as a quoted Prometheus label value: backslash,
+// double quote and line feed escaped as \\, \" and \n, every other
+// character as is (a tab or non-ASCII letter included), and invalid
+// UTF-8 replaced by U+FFFD. Go's %q would write escapes such as \t or
+// \x00 that the format does not have, and one such label makes the
+// whole scrape unparseable.
+func LabelValue(v string) string {
+	return `"` + labelEscaper.Replace(strings.ToValidUTF8(v, "\uFFFD")) + `"`
 }
 
 // formatValue renders floats the way Prometheus clients do: shortest

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -123,4 +124,109 @@ func TestMetricsCacheTier(t *testing.T) {
 			t.Errorf("metrics output missing %q", want)
 		}
 	}
+}
+
+// labelCases are label values a scrape must carry: the text exposition
+// format's three escapes (backslash, double quote, line feed), a tab and
+// non-ASCII letters, which it writes as they are, and invalid UTF-8.
+var labelCases = []struct{ in, want string }{
+	{"a\tb", "\"a\tb\""},
+	{`say "hi"`, `"say \"hi\""`},
+	{`C:\dir`, `"C:\\dir"`},
+	{"two\nlines", `"two\nlines"`},
+	{"café ü 東京", `"café ü 東京"`},
+	{"bad\xffbyte", "\"bad\uFFFDbyte\""},
+	{"", `""`},
+}
+
+func TestLabelValueEscapes(t *testing.T) {
+	for _, c := range labelCases {
+		if got := LabelValue(c.in); got != c.want {
+			t.Errorf("LabelValue(%q) = %q, want %q", c.in, got, c.want)
+		}
+	}
+}
+
+// TestMetricsTenantLabelsEscaped registers a tenant whose name holds
+// every case above: its samples must carry the name escaped per the
+// format, and every sample line of the scrape must still parse.
+func TestMetricsTenantLabelsEscaped(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	alpha, err := srv.Tenant("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var name, want strings.Builder
+	for _, c := range labelCases {
+		name.WriteString(c.in)
+		want.WriteString(c.want[1 : len(c.want)-1])
+	}
+	if _, err := srv.AddTenantSystem(name.String(), alpha.sys, SLO{Confidence: 0.9, DefaultDeadline: 1, Quantile: 0.9}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	body, _ := scrape(t, ts)
+	if line := `uaqp_tenant_admitted_total{tenant="` + want.String() + `"} 0`; !strings.Contains(body, line) {
+		t.Errorf("scrape lacks %q", line)
+	}
+	checkExposition(t, body)
+}
+
+// checkExposition parses every sample line of a scrape as the text
+// exposition format writes one: a name, optionally {label="value",...}
+// with no escape but \\, \" and \n inside a value, a space, a number.
+func checkExposition(t *testing.T, body string) {
+	t.Helper()
+	for _, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		if err := parseSample(line); err != nil {
+			t.Errorf("sample line %q: %v", line, err)
+		}
+	}
+}
+
+func parseSample(line string) error {
+	i := strings.IndexAny(line, "{ ")
+	if i <= 0 {
+		return fmt.Errorf("no metric name")
+	}
+	rest := line[i:]
+	for rest[0] == '{' || rest[0] == ',' {
+		eq := strings.Index(rest, `="`)
+		if eq <= 1 {
+			return fmt.Errorf("no label at %q", rest)
+		}
+		rest = rest[eq+2:]
+		j := 0
+		for ; j < len(rest) && rest[j] != '"'; j++ {
+			if rest[j] == '\\' {
+				if j+1 == len(rest) || !strings.ContainsRune(`\"n`, rune(rest[j+1])) {
+					return fmt.Errorf("escape the format does not have at %q", rest[j:])
+				}
+				j++
+			}
+		}
+		if j == len(rest) {
+			return fmt.Errorf("unterminated label value")
+		}
+		if rest = rest[j+1:]; rest == "" {
+			return fmt.Errorf("no value")
+		}
+		if rest[0] == '}' {
+			rest = rest[1:]
+			break
+		}
+		if rest[0] != ',' {
+			return fmt.Errorf("%q after a label value", rest[0])
+		}
+	}
+	v, ok := strings.CutPrefix(rest, " ")
+	if !ok {
+		return fmt.Errorf("no space before the value")
+	}
+	_, err := strconv.ParseFloat(v, 64)
+	return err
 }

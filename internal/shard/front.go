@@ -342,23 +342,24 @@ func (f *Front) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP uaqp_front_shards Serving shards in the directory.\n# TYPE uaqp_front_shards gauge\nuaqp_front_shards %d\n", len(shards))
 	fmt.Fprintf(w, "# HELP uaqp_front_shard_tenants Distinct tenants routed, by shard.\n# TYPE uaqp_front_shard_tenants gauge\n")
 	for _, s := range shards {
-		fmt.Fprintf(w, "uaqp_front_shard_tenants{shard=%q} %d\n", s, tenants[s])
+		fmt.Fprintf(w, "uaqp_front_shard_tenants{shard=%s} %d\n", serve.LabelValue(s), tenants[s])
 	}
 	fmt.Fprintf(w, "# HELP uaqp_front_recovered_panics_total Handler panics recovered (answered 500 unless the response had started).\n# TYPE uaqp_front_recovered_panics_total counter\nuaqp_front_recovered_panics_total %d\n", f.panics.Load())
 	fmt.Fprintf(w, "# HELP uaqp_front_forwarded_total Requests forwarded, by shard.\n# TYPE uaqp_front_forwarded_total counter\n")
 	for _, s := range shards {
-		fmt.Fprintf(w, "uaqp_front_forwarded_total{shard=%q} %d\n", s, forwarded[s])
+		fmt.Fprintf(w, "uaqp_front_forwarded_total{shard=%s} %d\n", serve.LabelValue(s), forwarded[s])
 	}
 
 	classes := f.fd.Counters()
 	fmt.Fprintf(w, "# HELP uaqp_front_admitted_total Front-door admissions, by SLO class.\n# TYPE uaqp_front_admitted_total counter\n")
 	for _, c := range classes {
-		fmt.Fprintf(w, "uaqp_front_admitted_total{class=%q} %d\n", c.Class, c.Admitted)
+		fmt.Fprintf(w, "uaqp_front_admitted_total{class=%s} %d\n", serve.LabelValue(c.Class), c.Admitted)
 	}
 	fmt.Fprintf(w, "# HELP uaqp_front_shed_total Front-door sheds, by SLO class and reason.\n# TYPE uaqp_front_shed_total counter\n")
 	for _, c := range classes {
-		fmt.Fprintf(w, "uaqp_front_shed_total{class=%q,reason=\"predictive\"} %d\n", c.Class, c.ShedPredictive)
-		fmt.Fprintf(w, "uaqp_front_shed_total{class=%q,reason=\"throttle\"} %d\n", c.Class, c.ShedThrottled)
+		class := serve.LabelValue(c.Class)
+		fmt.Fprintf(w, "uaqp_front_shed_total{class=%s,reason=\"predictive\"} %d\n", class, c.ShedPredictive)
+		fmt.Fprintf(w, "uaqp_front_shed_total{class=%s,reason=\"throttle\"} %d\n", class, c.ShedThrottled)
 	}
 	fmt.Fprintf(w, "# HELP uaqp_front_admission_fairness Jain fairness index over per-class admission rates.\n# TYPE uaqp_front_admission_fairness gauge\n")
 	fmt.Fprintf(w, "uaqp_front_admission_fairness %s\n", strconv.FormatFloat(AdmissionFairness(classes), 'g', -1, 64))

@@ -49,6 +49,13 @@ type ClassCounters struct {
 	ShedThrottled  uint64 `json:"shed_throttled"`
 }
 
+// maxTrackedClasses bounds the per-class tally: the HTTP front takes a
+// class from the request body (or the tenant), so without a bound a
+// client sending unique names grows the map, and every /metrics page,
+// forever. A submission of a class past the cap still gets its verdict
+// and still spends and refunds tokens; it is just not tallied.
+const maxTrackedClasses = 4096
+
 // FrontDoor is the fleet's intake valve: a token bucket over a virtual
 // (or wall) clock plus an optional predictive check, with verdicts
 // tallied per SLO class. The caller supplies time and the best
@@ -96,7 +103,9 @@ func (f *FrontDoor) Admit(class string, now, bestP, confidence float64) Verdict 
 	c := f.classes[class]
 	if c == nil {
 		c = &ClassCounters{Class: class}
-		f.classes[class] = c
+		if len(f.classes) < maxTrackedClasses {
+			f.classes[class] = c
+		}
 	}
 	if f.cfg.Rate > 0 {
 		if !f.started {
@@ -128,17 +137,19 @@ func (f *FrontDoor) Admit(class string, now, bestP, confidence float64) Verdict 
 // refund undoes an Admit that returned VerdictAdmit: the token goes
 // back to the bucket (never past Burst) and the class's admission is
 // recounted as shed — as a predictive shed for VerdictShedPredictive,
-// under no verdict for any other (a request no shard accepted).
+// under no verdict for any other (a request no shard accepted) — when
+// the class is tallied.
 func (f *FrontDoor) refund(class string, shed Verdict) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.cfg.Rate > 0 {
 		f.tokens = min(f.tokens+1, f.cfg.Burst)
 	}
-	c := f.classes[class]
-	c.Admitted--
-	if shed == VerdictShedPredictive {
-		c.ShedPredictive++
+	if c := f.classes[class]; c != nil {
+		c.Admitted--
+		if shed == VerdictShedPredictive {
+			c.ShedPredictive++
+		}
 	}
 }
 
